@@ -45,13 +45,19 @@ class ReverseNeighborIndex:
         if neighbors is not None:
             self.rebuild(neighbors)
 
-    def rebuild(self, neighbors: np.ndarray) -> None:
-        """Re-derive the whole index from a ``(n_users, k)`` row array."""
+    def rebuild(self, neighbors: np.ndarray, rows=None) -> None:
+        """Re-derive the whole index from a ``(n_users, k)`` row array.
+
+        With *rows* (sorted row ids) only those rows are indexed — the
+        row-restricted index one shard keeps over the rows it owns.
+        """
         referrers: dict[int, set[int]] = {}
-        rows, slots = np.nonzero(neighbors != MISSING)
-        for row, neighbor in zip(
-            rows.tolist(), neighbors[rows, slots].tolist()
-        ):
+        if rows is not None:
+            neighbors = neighbors[rows]
+        local, slots = np.nonzero(neighbors != MISSING)
+        cited = neighbors[local, slots]
+        citing = local if rows is None else rows[local]
+        for row, neighbor in zip(citing.tolist(), cited.tolist()):
             referrers.setdefault(neighbor, set()).add(row)
         self._referrers = referrers
 
@@ -63,16 +69,6 @@ class ReverseNeighborIndex:
             if cited_by:
                 rows.update(cited_by)
         return np.fromiter(sorted(rows), dtype=ID_DTYPE, count=len(rows))
-
-    def add_referrer(self, neighbor: int, row: int) -> None:
-        """Record that *row* cites *neighbor* (bulk-load primitive).
-
-        Lets callers assemble an index from an externally partitioned
-        edge scan (e.g. one pass over the rows of a sharded graph,
-        routing each row to its owner's index) without materialising a
-        masked copy of the neighbour array per partition.
-        """
-        self._referrers.setdefault(int(neighbor), set()).add(int(row))
 
     def apply_row(self, row: int, old_ids, new_ids) -> None:
         """Record that *row*'s neighbour list changed from old to new.
@@ -94,20 +90,6 @@ class ReverseNeighborIndex:
     def referrer_count(self) -> int:
         """Total stored (user, citing-row) entries (for tests/benchmarks)."""
         return sum(len(rows) for rows in self._referrers.values())
-
-    def referrer_counts(self, users) -> np.ndarray:
-        """In-degree of each of *users*: how many rows cite them.
-
-        This is the "blast radius" of a dirty user — the number of KNN
-        rows a refresh of that user can invalidate — which the
-        bounded-staleness scheduler uses to order deferred work.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        return np.fromiter(
-            (len(self._referrers.get(int(u), ())) for u in users),
-            dtype=np.int64,
-            count=users.size,
-        )
 
 
 def dedupe_pairs(

@@ -36,7 +36,7 @@ import numpy as np
 from ..core.config import KiffConfig
 from ..datasets.bipartite import BipartiteDataset
 from ..datasets.mutable import snapshot_from_arrays, snapshot_to_arrays
-from ..graph.io import graph_from_arrays, pack_graph_arrays, unpack_graph_arrays
+from ..graph.io import pack_graph_arrays, unpack_graph_arrays
 from ..graph.knn_graph import KnnGraph
 from ..layout import ID_DTYPE, SCORE_DTYPE, dtype_tags, indptr_dtype
 from . import wal as _wal
@@ -67,11 +67,8 @@ class CheckpointError(PersistenceError):
 #: CSR-packed at the compact layout (int32 ids, float32 sims; see
 #: :mod:`repro.layout`) and tags the metadata with the dtype contract.
 CHECKPOINT_VERSION = 2
-#: Versions :func:`load_checkpoint` can restore.  Version-1 archives
-#: (dense int64/float64 graph rows) restore bit-correctly: the legacy
-#: writer stored the same pre-cast float64 values the score boundary
-#: now rounds, so narrowing them to float32 reproduces today's scores.
-SUPPORTED_CHECKPOINT_VERSIONS = frozenset({1, 2})
+#: Versions :func:`load_checkpoint` can restore.
+SUPPORTED_CHECKPOINT_VERSIONS = frozenset({2})
 _PREFIX = "checkpoint-"
 
 
@@ -221,7 +218,8 @@ def save_checkpoint(index, directory: str | Path) -> Path:
     dataset = index.builder.snapshot()
     neighbors, sims = index._rows()
     graph_arrays = pack_graph_arrays(KnnGraph(neighbors, sims))
-    cache_arrays = cache_to_arrays(index._candidate_counts)
+    (shard,) = index._shards  # the flat layout holds one shard
+    cache_arrays = cache_to_arrays(shard.candidate_counts)
     meta = checkpoint_meta(index, dataset)
     path = checkpoint_path(directory, index.last_seq)
     tmp = path.with_name(path.name + ".tmp.npz")
@@ -265,17 +263,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
                 f"(this library writes version {CHECKPOINT_VERSION} and "
                 f"reads {sorted(SUPPORTED_CHECKPOINT_VERSIONS)})"
             )
-        if "graph_neighbors" in archive:
-            # Version-1 dense rows; KnnGraph narrows them to the compact
-            # layout bit-correctly (see SUPPORTED_CHECKPOINT_VERSIONS).
-            graph = graph_from_arrays(
-                {
-                    "neighbors": archive["graph_neighbors"],
-                    "sims": archive["graph_sims"],
-                }
-            )
-        else:
-            graph = unpack_graph_arrays(archive)
+        graph = unpack_graph_arrays(archive)
         dataset = snapshot_from_arrays(archive, name=meta["name"])
         cache = cache_from_arrays(archive)
         return checkpoint_state_from_meta(
@@ -366,8 +354,8 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     :class:`~repro.streaming.sharding.ShardedKnnIndex` — whose surfaces
     route to per-shard slices — restores through the same code path.
     """
-    # Checkpoint states carry compact rows (legacy archives were cast at
-    # load); astype(copy=True) also tolerates a hand-built wide state.
+    # astype(copy=True): the index must own its rows, and a hand-built
+    # wide state narrows to the compact layout.
     index._neighbors = np.asarray(state.neighbors).astype(ID_DTYPE)
     index._sims = np.asarray(state.sims).astype(SCORE_DTYPE)
     index._n_rows = state.neighbors.shape[0]

@@ -42,11 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from ..datasets.mutable import snapshot_from_arrays, snapshot_to_arrays
-from ..graph.io import (
-    graph_from_arrays,
-    pack_graph_arrays,
-    unpack_graph_arrays,
-)
+from ..graph.io import pack_graph_arrays, unpack_graph_arrays
 from ..graph.knn_graph import KnnGraph
 from ..streaming.events import Event
 from . import wal as _wal
@@ -454,16 +450,7 @@ def load_sharded_checkpoint(path: str | Path) -> ShardedCheckpointState:
     if n_shards < 1:
         raise CheckpointError(f"invalid shard count in {path}: {n_shards}")
     with np.load(path / "base.npz", allow_pickle=False) as archive:
-        if "graph_neighbors" in archive:
-            # Version-1 dense rows, narrowed bit-correctly on load.
-            graph = graph_from_arrays(
-                {
-                    "neighbors": archive["graph_neighbors"],
-                    "sims": archive["graph_sims"],
-                }
-            )
-        else:
-            graph = unpack_graph_arrays(archive)
+        graph = unpack_graph_arrays(archive)
         dataset = snapshot_from_arrays(archive, name=meta["name"])
     dirty: list[int] = []
     cache: list[tuple] = []

@@ -24,7 +24,6 @@ from .events import (
     MigrateCommit,
     RemoveRating,
     RemoveUser,
-    apply_events,
     ratings_batch,
 )
 from .index import (
@@ -67,7 +66,6 @@ __all__ = [
     "ShardPlan",
     "ShardedKnnIndex",
     "StreamReplayResult",
-    "apply_events",
     "cold_rebuild_graph",
     "converged_config",
     "flash_crowd_events",

@@ -16,23 +16,15 @@ produces:
 
 Typed events are the **only** ingestion path:
 ``DynamicKnnIndex.apply(events)`` is the single entry point every
-mutation flows through (the historical ``add_ratings`` / ``add_user`` /
-``remove_user`` methods are deprecated shims that construct events and
-delegate).  That single choke point is what lets the
-:mod:`repro.persistence` subsystem journal every applied event into a
+mutation flows through, and it returns an :class:`ApplyResult`.  That
+single choke point is what lets the :mod:`repro.persistence` subsystem
+journal every applied event into a
 :class:`~repro.persistence.WriteAheadLog` and recover a bit-identical
 graph from a checkpoint plus the log tail.
-
-:func:`apply_events` is the legacy free-function replay helper; it now
-delegates to ``index.apply`` and returns the structured
-:class:`ApplyResult` (which still iterates like the historical
-``list[int]`` of minted user ids, with a :class:`DeprecationWarning`).
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -51,7 +43,6 @@ __all__ = [
     "MigrateCommit",
     "RemoveRating",
     "RemoveUser",
-    "apply_events",
     "flatten_events",
     "ratings_batch",
 ]
@@ -165,8 +156,8 @@ def flatten_events(event: Event) -> list:
 def ratings_batch(users, items, ratings=None) -> Batch:
     """A :class:`Batch` of :class:`AddRating` events from parallel arrays.
 
-    The bulk form the deprecated ``add_ratings`` wrapper (and the
-    replay helpers) construct; ``ratings`` defaults to all-ones.
+    The bulk form the replay helpers construct; ``ratings`` defaults
+    to all-ones.
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -189,15 +180,9 @@ def ratings_batch(users, items, ratings=None) -> Batch:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ApplyResult:
-    """Structured outcome of one ``DynamicKnnIndex.apply`` call.
-
-    For backwards compatibility with the historical ``apply_events``
-    contract (a bare ``list[int]`` of minted user ids), the result still
-    iterates, indexes and compares like that list — each such use emits a
-    :class:`DeprecationWarning`; read :attr:`new_users` instead.
-    """
+    """Structured outcome of one ``DynamicKnnIndex.apply`` call."""
 
     #: User ids minted by AddUser events, in application order.
     new_users: tuple[int, ...]
@@ -207,78 +192,3 @@ class ApplyResult:
     events: int
     #: The index's event sequence number after the last applied event.
     last_seq: int
-
-    def _warn_list_compat(self) -> None:
-        # One warning per *call site*, not per dunder: a single
-        # ``list(result)`` invokes both ``__len__`` (presizing) and
-        # ``__iter__`` from the same caller line, which would otherwise
-        # double-warn — noise under always-on filters and a miscount
-        # under ``-W error`` migrations.  The caller's location is two
-        # frames up (this helper + the dunder; C-level callers like
-        # ``list()`` add no frame), matching ``stacklevel=3`` below.
-        try:
-            frame = sys._getframe(2)
-            site = (frame.f_code.co_filename, frame.f_lineno)
-        except (AttributeError, ValueError):  # pragma: no cover - non-CPython
-            site = None
-        if site is not None:
-            seen = self.__dict__.get("_warned_sites")
-            if seen is None:
-                seen = set()
-                object.__setattr__(self, "_warned_sites", seen)
-            if site in seen:
-                return
-            seen.add(site)
-        warnings.warn(
-            "treating ApplyResult as the legacy list of minted user ids "
-            "is deprecated; read result.new_users instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __iter__(self):
-        self._warn_list_compat()
-        return iter(self.new_users)
-
-    def __len__(self) -> int:
-        self._warn_list_compat()
-        return len(self.new_users)
-
-    def __getitem__(self, index):
-        self._warn_list_compat()
-        return list(self.new_users)[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ApplyResult):
-            return (
-                self.new_users == other.new_users
-                and self.refreshes == other.refreshes
-                and self.events == other.events
-                and self.last_seq == other.last_seq
-            )
-        if isinstance(other, (list, tuple)):
-            self._warn_list_compat()
-            return list(self.new_users) == list(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # eq=False (the custom __eq__ above) would otherwise leave the
-        # frozen dataclass unhashable.
-        return hash((self.new_users, self.refreshes, self.events, self.last_seq))
-
-
-def apply_events(index, events) -> ApplyResult:
-    """Replay *events* against *index* (legacy helper).
-
-    .. deprecated::
-        Call ``index.apply(events)`` directly; this shim delegates to it.
-        The return value changed from a bare ``list[int]`` of minted user
-        ids to a structured :class:`ApplyResult`; the historical list
-        behaviour is preserved (with a warning) by the result itself.
-    """
-    warnings.warn(
-        "apply_events() is deprecated; call DynamicKnnIndex.apply(events)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return index.apply(events)

@@ -37,6 +37,19 @@ After ``refresh()`` the graph equals the cold rebuild because:
   evaluated (dirty, x) pairs performs — ``merge_topk`` applies the same
   (sim desc, id asc) tie-breaks as the batch algorithm.
 
+One refresh driver
+------------------
+The maintained state lives in shards (``repro.streaming.sharding._Shard``:
+a dirty slice, a candidate-multiset cache and a row-restricted reverse
+index).  The flat index is the one-shard, in-process case; the
+partitioned :class:`~repro.streaming.sharding.ShardedKnnIndex` splits
+the same state across shards.  Both run the driver written once here
+(``_refresh``): select the dirty users (with ``dirty_subset``
+deferral), rebind the profiles, run the three per-shard stages —
+affected discovery, pair planning with outboxes, dedupe/score/merge —
+and record :class:`RefreshStats` and publish a read snapshot.  The
+executor only carries the stage calls to the shards.
+
 Dirty-set-proportional cost
 ---------------------------
 Every stage of a refresh scales with the dirty set, not the dataset:
@@ -84,9 +97,9 @@ the cost).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,12 +107,14 @@ import numpy as np
 
 from ..core.config import KiffConfig
 from ..core.kiff import kiff
-from ..core.rcs import delta_rcs
 from ..core.result import ConstructionResult
 from ..datasets.bipartite import BipartiteDataset, DatasetError
 from ..datasets.mutable import MutableBipartiteBuilder
 from ..graph.knn_graph import MISSING, KnnGraph
-from ..graph.updates import ReverseNeighborIndex, dedupe_pairs, merge_topk_rows
+
+# The stages merge through repro.streaming.sharding; the merge stays
+# importable from here as well.
+from ..graph.updates import merge_topk_rows  # noqa: F401
 from ..instrumentation.counters import MaintenanceCounter
 from ..layout import ID_DTYPE, SCORE_DTYPE, legacy_nbytes, nbytes
 from ..serving.snapshot import GraphSnapshot
@@ -114,7 +129,6 @@ from .events import (
     RemoveRating,
     RemoveUser,
     flatten_events,
-    ratings_batch,
 )
 
 __all__ = [
@@ -181,7 +195,58 @@ class RefreshStats:
     deferred_users: int = 0
 
 
-class DynamicKnnIndex:
+class _ShardHost:
+    """What a shard's stages read from the object holding the shard.
+
+    The graph rows live in backing arrays with slack capacity — the
+    first ``_n_rows`` rows of ``_neighbors``/``_sims`` are the live
+    graph — and ``_qualifies`` is the candidacy rule.  Subclasses add
+    ``builder``, ``config``, ``n_users``, ``_shard_map``,
+    ``_shard_cache_limit`` and ``_score_pairs``: the index for its own
+    shards, and the worker-side host in each ``processes`` worker, so
+    both grow rows and apply the rule identically.
+    """
+
+    _neighbors: np.ndarray
+    _sims: np.ndarray
+    _n_rows: int
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the live graph rows (backing arrays may hold slack)."""
+        return self._neighbors[: self._n_rows], self._sims[: self._n_rows]
+
+    def _grow_rows(self, n_users: int) -> None:
+        """Extend the live row count, doubling capacity when exhausted.
+
+        Geometric growth keeps a burst of user joins between refreshes at
+        amortized O(k) per join instead of copying the whole graph state
+        on every event.
+        """
+        if n_users <= self._n_rows:
+            return
+        capacity, k = self._neighbors.shape
+        if n_users > capacity:
+            new_capacity = max(n_users, 2 * capacity)
+            neighbors = np.full((new_capacity, k), MISSING, dtype=ID_DTYPE)
+            sims = np.full((new_capacity, k), -np.inf, dtype=SCORE_DTYPE)
+            neighbors[: self._n_rows] = self._neighbors[: self._n_rows]
+            sims[: self._n_rows] = self._sims[: self._n_rows]
+            self._neighbors, self._sims = neighbors, sims
+        else:
+            # Recycled capacity: reset the newly exposed rows.
+            self._neighbors[self._n_rows : n_users] = MISSING
+            self._sims[self._n_rows : n_users] = -np.inf
+        self._n_rows = n_users
+
+    def _qualifies(self, rating: float) -> bool:
+        """Does *rating* let an item contribute candidacies?"""
+        if rating == 0.0:
+            return False
+        min_rating = self.config.min_rating
+        return min_rating is None or rating >= min_rating
+
+
+class DynamicKnnIndex(_ShardHost):
     """A KIFF KNN graph maintained under insert/remove rating events.
 
     Parameters
@@ -220,9 +285,14 @@ class DynamicKnnIndex:
     Typed events are the only ingestion path: :meth:`apply` is the
     single entry point every mutation flows through, which is what makes
     durability (:meth:`checkpoint` / :meth:`restore` plus the WAL) a
-    property of the whole API instead of one code path.  The historical
-    ``add_ratings`` / ``add_user`` / ``remove_user`` methods survive as
-    deprecated shims that construct events and delegate.
+    property of the whole API instead of one code path.
+
+    State
+    -----
+    The flat index is the one-shard case of the sharded state: its dirty
+    set, candidate cache and reverse-neighbor index are its single
+    shard's, and :meth:`refresh` runs the same driver and per-shard
+    stages as :class:`~repro.streaming.sharding.ShardedKnnIndex`.
     """
 
     def __init__(
@@ -256,8 +326,7 @@ class DynamicKnnIndex:
             kernel_backend=self.config.kernel_backend,
         )
         # Backing arrays may hold slack capacity (geometric growth, so a
-        # burst of user joins doesn't copy the graph per join); the first
-        # _n_rows rows are the live graph.
+        # burst of user joins doesn't copy the graph per join).
         self._n_rows = dataset.n_users
         self._neighbors = np.full(
             (dataset.n_users, self.config.k), MISSING, dtype=ID_DTYPE
@@ -265,20 +334,13 @@ class DynamicKnnIndex:
         self._sims = np.full(
             (dataset.n_users, self.config.k), -np.inf, dtype=SCORE_DTYPE
         )
-        #: user -> rows citing her; kept current inside every top-k merge
-        #: so refresh() finds referencing rows by lookup, not by scanning.
-        self._reverse = ReverseNeighborIndex()
-        #: user -> {candidate: shared-qualifying-item count}; the cached
-        #: streaming RCS, delta-maintained from touched item profiles.
-        self._candidate_counts: dict[int, dict[int, int]] = {}
-        #: item -> cached users rating it at a qualifying level (the
-        #: propagation targets of a membership change on that item).
-        self._cached_raters: dict[int, set[int]] = {}
         self.candidate_cache_size = candidate_cache_size
-        self._dirty: set[int] = set()
         self._pending_events = 0
         self.refresh_log: list[RefreshStats] = []
         self.initial_evaluations = 0
+        #: The cross-shard exchanges of the most recent refresh (always
+        #: empty with a single shard).
+        self.last_outboxes: tuple = ()
         #: Non-local metrics (e.g. Adamic-Adar) weigh items by global
         #: popularity, so an item-membership change invalidates every
         #: pair sharing that item — those raters must join the dirty set.
@@ -289,6 +351,7 @@ class DynamicKnnIndex:
         self._wal = None
         #: Provenance of a restore() (None for a fresh index).
         self.restore_info = None
+        self._partition()
         if build:
             self.rebuild()
             self.initial_evaluations = self.engine.counter.evaluations
@@ -298,6 +361,23 @@ class DynamicKnnIndex:
             self._dirty.update(range(dataset.n_users))
         if wal is not None:
             self.attach_wal(wal)
+
+    def _partition(self, shard_map=None) -> None:
+        """Fresh per-shard state containers for *shard_map*.
+
+        The flat index holds one shard, whose dirty set and reverse
+        index double as the index-level ``_dirty`` and ``_reverse``.
+        """
+        # Imported here: the shard state lives in the sharding module,
+        # which itself builds on this one.
+        from .sharding import ShardMap, _Shard
+
+        self._shard_map = shard_map or ShardMap(1)
+        self._shards = [
+            _Shard(shard, self) for shard in range(self._shard_map.n_shards)
+        ]
+        self._dirty = self._shards[0].dirty
+        self._reverse = self._shards[0].reverse
 
     # ------------------------------------------------------------------
     # State access
@@ -333,10 +413,14 @@ class DynamicKnnIndex:
 
         A dirty user's in-degree bounds the rows her refresh can
         invalidate; the bounded-staleness scheduler orders deferred work
-        by it.  Served by lookup from the reverse-neighbor index.
+        by it.  One bincount over the authoritative rows, on every
+        executor.
         """
         self._ensure_open()
-        return self._reverse.referrer_counts(users)
+        neighbors, _ = self._rows()
+        cited = neighbors[neighbors != MISSING]
+        counts = np.bincount(cited, minlength=self.builder.n_users)
+        return counts[np.asarray(users, dtype=np.int64)].astype(np.int64)
 
     def memory_stats(self) -> dict[str, int]:
         """Per-component resident-byte breakdown of the index state.
@@ -366,10 +450,14 @@ class DynamicKnnIndex:
             ),
             "reverse_index_entries": self._reverse.referrer_count(),
             "candidate_cache_entries": sum(
-                len(counts) for counts in self._candidate_counts.values()
+                len(counts)
+                for shard in self._shards
+                for counts in shard.candidate_counts.values()
             ),
             "cached_rater_entries": sum(
-                len(raters) for raters in self._cached_raters.values()
+                len(raters)
+                for shard in self._shards
+                for raters in shard.cached_raters.values()
             ),
             "legacy_dataset_csr_bytes": legacy_nbytes(
                 matrix.indptr, matrix.indices, matrix.data
@@ -685,63 +773,49 @@ class DynamicKnnIndex:
                 self._note_candidacy_change(user, item, added=False)
 
     # ------------------------------------------------------------------
-    # Deprecated mutation wrappers (events are the ingestion path)
+    # Candidate-set cache routing (ingestion path)
     # ------------------------------------------------------------------
-    def add_ratings(self, users, items, ratings=None) -> None:
-        """Absorb a batch of ``(user, item, rating)`` events.
+    def _qualifying_raters(self, item: int, user: int) -> list[int]:
+        """The users other than *user* rating *item* at a qualifying level."""
+        builder = self.builder
+        return [
+            int(other)
+            for other in builder.users_of(item)
+            if other != user and self._qualifies(builder.rating(other, item))
+        ]
 
-        .. deprecated::
-            Use ``index.apply(ratings_batch(users, items, ratings))``;
-            this shim constructs that batch and delegates.  Semantics
-            are unchanged: the whole batch validates before anything
-            mutates, a rating of ``0.0`` deletes the edge, and one
-            refresh covers the batch under ``auto_refresh``.
+    def _note_candidacy_change(
+        self, user: int, item: int, added: bool
+    ) -> None:
+        """Propagate a qualifying-membership flip of (user, item).
+
+        Called after the builder mutated: every shard bumps its cached
+        raters of the item, and the shard caching *user* (if any)
+        updates her own multiset — the per-event delta that keeps cached
+        candidate sets exact without re-derivation.
         """
-        warnings.warn(
-            "DynamicKnnIndex.add_ratings is deprecated; use "
-            "index.apply(ratings_batch(users, items, ratings))",
-            DeprecationWarning,
-            stacklevel=2,
+        raters = functools.partial(self._qualifying_raters, item, user)
+        for shard in self._shards:
+            shard.note_candidacy(user, item, added, raters)
+
+    def _cache_insert(self, user: int, counts: dict[int, int]) -> None:
+        self._shards[self._shard_map.owner(user)].cache_insert(user, counts)
+
+    def _cache_evict(self, user: int) -> None:
+        self._shards[self._shard_map.owner(user)].cache_evict(
+            user, self.builder.profile(user)
         )
-        self.apply(ratings_batch(users, items, ratings))
 
-    def add_user(self, items=(), ratings=None) -> int:
-        """Grow the population by one user; returns the new id.
+    @property
+    def _shard_cache_limit(self) -> int | None:
+        """Per-shard cache bound: ``candidate_cache_size`` split evenly.
 
-        .. deprecated::
-            Use ``index.apply(AddUser(items, ratings)).new_users[0]``;
-            this shim constructs that event and delegates.
+        None keeps the cache unbounded and 0 disables it.
         """
-        warnings.warn(
-            "DynamicKnnIndex.add_user is deprecated; use "
-            "index.apply(AddUser(items, ratings))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.apply(
-            AddUser(
-                tuple(int(item) for item in items),
-                None
-                if ratings is None
-                else tuple(float(rating) for rating in ratings),
-            )
-        )
-        return result.new_users[0]
-
-    def remove_user(self, user: int) -> None:
-        """Clear *user*'s profile; the id stays allocated (empty row).
-
-        .. deprecated::
-            Use ``index.apply(RemoveUser(user))``; this shim constructs
-            that event and delegates.
-        """
-        warnings.warn(
-            "DynamicKnnIndex.remove_user is deprecated; use "
-            "index.apply(RemoveUser(user))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.apply(RemoveUser(int(user)))
+        size = self.candidate_cache_size
+        if size is None:
+            return None
+        return 0 if size <= 0 else max(1, size // len(self._shards))
 
     # ------------------------------------------------------------------
     # Durability: write-ahead log + checkpoint/restore
@@ -819,7 +893,7 @@ class DynamicKnnIndex:
         )
 
     # ------------------------------------------------------------------
-    # Refinement
+    # Refinement: the one refresh driver
     # ------------------------------------------------------------------
     def refresh(self, dirty_subset=None) -> RefreshStats:
         """Run the localized KIFF refinement over the dirty set.
@@ -843,100 +917,57 @@ class DynamicKnnIndex:
         concurrent readers keep answering on the previous one and never
         observe the in-place row mutations this pass performs.
         """
+        return self._refresh(dirty_subset)
+
+    def _refresh(self, dirty_subset) -> RefreshStats:
+        """The refresh driver every index class and executor runs.
+
+        Selection (with deferral), an empty pass when nothing is
+        selected, one rebind, the per-shard stages (:meth:`_run_pass`),
+        then :class:`RefreshStats` and the snapshot publication.
+        """
         self._ensure_open()
         start = time.perf_counter()
         maintenance = self.maintenance
         rows_before = maintenance.rows_materialized
         index_before = maintenance.index_users_recomputed
-        hits_before = maintenance.candidate_cache_hits
-        misses_before = maintenance.candidate_cache_misses
         n_events = self._pending_events
         if dirty_subset is None:
             selected = set(self._dirty)
             deferred: set[int] = set()
         else:
-            selected = self._dirty & {int(u) for u in dirty_subset}
-            deferred = self._dirty - selected
-        n_dirty = len(selected)
-        if n_dirty == 0:
-            # All pending events were no-ops (or everything was
-            # deferred); log the pass anyway so refresh_log stays one
-            # entry per refresh performed.
-            stats = RefreshStats(
-                n_events,
-                0,
-                0,
-                0,
-                0,
-                time.perf_counter() - start,
-                deferred_users=len(deferred),
-            )
-            self._pending_events = 0
-            self._publish_snapshot(unchanged=True)
-            self.refresh_log.append(stats)
-            return stats
-        engine = self.engine
-        with engine.timer.phase("preprocessing"):
+            subset = {int(u) for u in dirty_subset}
+            selected = {u for u in self._dirty if u in subset}
+            deferred = {u for u in self._dirty if u not in subset}
+        affected = np.empty(0, dtype=np.int64)
+        evaluations = changes = hits = misses = 0
+        if selected:
             # Incremental end to end: the snapshot patches only dirty
             # rows, and the ProfileIndex recomputes only dirty users.
             # The rebind covers the FULL dirty set — deferred users
             # included — because this pass's pair evaluations read
             # deferred users' profiles too, so their norms/weights must
             # be current even though their rows wait for a later pass.
-            engine.rebind(self.builder.snapshot(), dirty_users=self._dirty)
-        with engine.timer.phase("candidate_selection"):
-            neighbors, sims = self._rows()
-            dirty = np.fromiter(selected, count=n_dirty, dtype=np.int64)
-            affected = np.union1d(dirty, self._reverse.referrers_of(dirty))
-            # Retry safety: once their rows are cleared, affected users
-            # must count as dirty until the merge lands — if evaluation
-            # fails mid-pass (metric error, interrupt), the next refresh
-            # rebuilds them instead of leaving their rows silently empty.
-            truly_dirty = frozenset(selected)
-            self._dirty.update(affected.tolist())
-            old_affected = neighbors[affected].copy()
-            neighbors[affected] = MISSING
-            sims[affected] = -np.inf
-            # The reverse index mirrors the arrays at every exit point,
-            # so a mid-pass failure leaves it consistent for the retry.
-            for pos, row in enumerate(affected.tolist()):
-                self._reverse.apply_row(row, old_affected[pos], ())
-            us, vs = self._candidate_pairs(affected, truly_dirty)
-        before = engine.counter.evaluations
-        pair_sims = engine.batch(us, vs)
-        evaluations = engine.counter.evaluations - before
-        with engine.timer.phase("candidate_selection"):
-            if self.config.pivot:
-                # One evaluation serves both directions (Section II-D).
-                cand_users = np.concatenate([us, vs])
-                cand_ids = np.concatenate([vs, us])
-                cand_sims = np.concatenate([pair_sims, pair_sims])
-            else:
-                cand_users, cand_ids, cand_sims = us, vs, pair_sims
-            touched = np.union1d(affected, np.unique(cand_users))
-            pre_merge = neighbors[touched].copy()
-            active, new_neighbors, new_sims, changes = merge_topk_rows(
-                neighbors, sims, cand_users, cand_ids, cand_sims
+            self.engine.rebind(
+                self.builder.snapshot(), dirty_users=self._dirty
             )
-            # Write only the re-ranked rows back, through the views, so
-            # backing-array slack capacity (geometric growth) survives
-            # the refresh and no O(n_users * k) copy is paid.
-            neighbors[active] = new_neighbors
-            sims[active] = new_sims
-            # Only rows whose neighbour ids actually moved need reverse
-            # index diffs — most merge targets keep their row intact.
-            post_merge = neighbors[touched]
-            moved = np.flatnonzero((post_merge != pre_merge).any(axis=1))
-            for pos in moved.tolist():
-                self._reverse.apply_row(
-                    int(touched[pos]), pre_merge[pos], post_merge[pos]
-                )
+            affected, plans, merges = self._run_pass(selected)
+            hits = sum(plan[1] for plan in plans)
+            misses = sum(plan[2] for plan in plans)
+            evaluations = sum(merge[0] for merge in merges)
+            changes = sum(merge[1] for merge in merges)
+            self.engine.counter.add(evaluations)
+            maintenance.candidate_cache_hits += hits
+            maintenance.candidate_cache_misses += misses
+        # An empty selection (only no-op events, or everything
+        # deferred) still logs a pass, so refresh_log stays one entry
+        # per refresh performed.
         self._dirty.clear()
         self._dirty.update(deferred)
         self._pending_events = 0
         stats = RefreshStats(
             events=n_events,
-            dirty_users=n_dirty,
+            dirty_users=len(selected),
             affected_users=int(affected.size),
             evaluations=int(evaluations),
             changes=int(changes),
@@ -944,13 +975,73 @@ class DynamicKnnIndex:
             rows_materialized=maintenance.rows_materialized - rows_before,
             index_users_recomputed=maintenance.index_users_recomputed
             - index_before,
-            cache_hits=maintenance.candidate_cache_hits - hits_before,
-            cache_misses=maintenance.candidate_cache_misses - misses_before,
+            cache_hits=hits,
+            cache_misses=misses,
             deferred_users=len(deferred),
         )
-        self._publish_snapshot()
+        self._publish_snapshot(unchanged=not selected)
         self.refresh_log.append(stats)
         return stats
+
+    def _run_pass(self, selected: set[int]):
+        """Stages A-C on every shard; returns ``(affected, plans, merges)``.
+
+        ``plans`` holds each shard's ``(outboxes, cache_hits,
+        cache_misses)`` and ``merges`` each shard's ``(evaluations,
+        changes, active, new_neighbors, new_sims)``.
+        """
+        all_dirty = np.fromiter(selected, dtype=np.int64, count=len(selected))
+        owned = [
+            np.fromiter(mine, dtype=np.int64, count=len(mine))
+            for mine in (shard.dirty & selected for shard in self._shards)
+        ]
+        affected = np.unique(
+            np.concatenate(
+                self._stage("affected", [(all_dirty, mine) for mine in owned])
+            )
+        )
+        # Retry safety: once their rows are cleared, affected users must
+        # count as dirty until the merge lands — if the pass fails
+        # midway (metric error, interrupt, worker death), the next
+        # refresh rebuilds them instead of leaving their rows silently
+        # empty.
+        self._dirty.update(affected.tolist())
+        plans = self._stage("plan", [(affected, self._seq)] * len(owned))
+        inboxes: list[list] = [[] for _ in owned]
+        for outboxes, _, _ in plans:
+            for outbox in outboxes:
+                inboxes[outbox.target].append(outbox)
+        self.last_outboxes = tuple(
+            outbox for outboxes, _, _ in plans for outbox in outboxes
+        )
+        merges = self._stage("merge", [(inbox,) for inbox in inboxes])
+        return affected, plans, merges
+
+    def _stage(self, name: str, payloads: list[tuple]) -> list:
+        """Run stage *name* on every shard, in process and in order."""
+        return [
+            getattr(shard, name)(*payload)
+            for shard, payload in zip(self._shards, payloads)
+        ]
+
+    def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Chunked metric evaluation against the shared profile index.
+
+        See :func:`~repro.streaming.sharding.score_pairs_chunked` (the
+        shared kernel) for why this bypasses ``engine.batch`` and stays
+        bit-identical to it.
+        """
+        from .sharding import score_pairs_chunked
+
+        engine = self.engine
+        return score_pairs_chunked(
+            engine.metric,
+            engine.index,
+            us,
+            vs,
+            engine.batch_size,
+            kernel=engine.index.kernel,
+        )
 
     def rebuild(self) -> ConstructionResult:
         """Cold full KIFF rebuild — the baseline ``refresh()`` undercuts.
@@ -971,277 +1062,3 @@ class DynamicKnnIndex:
         self._pending_events = 0
         self._publish_snapshot()
         return result
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the live graph rows (backing arrays may hold slack)."""
-        return self._neighbors[: self._n_rows], self._sims[: self._n_rows]
-
-    def _grow_rows(self, n_users: int) -> None:
-        """Extend the live row count, doubling capacity when exhausted.
-
-        Geometric growth keeps a burst of user joins between refreshes at
-        amortized O(k) per join instead of copying the whole graph state
-        on every event.
-        """
-        if n_users <= self._n_rows:
-            return
-        capacity = self._neighbors.shape[0]
-        if n_users > capacity:
-            k = self.config.k
-            new_capacity = max(n_users, 2 * capacity)
-            neighbors = np.full((new_capacity, k), MISSING, dtype=ID_DTYPE)
-            sims = np.full((new_capacity, k), -np.inf, dtype=SCORE_DTYPE)
-            neighbors[: self._n_rows] = self._neighbors[: self._n_rows]
-            sims[: self._n_rows] = self._sims[: self._n_rows]
-            self._neighbors, self._sims = neighbors, sims
-        else:
-            # Recycled capacity: reset the newly exposed rows.
-            self._neighbors[self._n_rows : n_users] = MISSING
-            self._sims[self._n_rows : n_users] = -np.inf
-        self._n_rows = n_users
-
-    # ------------------------------------------------------------------
-    # Candidate-set cache (the streaming RCS, delta-maintained)
-    # ------------------------------------------------------------------
-    def _qualifies(self, rating: float) -> bool:
-        """Does *rating* let an item contribute candidacies?"""
-        if rating == 0.0:
-            return False
-        min_rating = self.config.min_rating
-        return min_rating is None or rating >= min_rating
-
-    def _note_candidacy_change(
-        self, user: int, item: int, added: bool
-    ) -> None:
-        """Propagate a qualifying-membership flip of (user, item).
-
-        Called after the builder mutated: *user* started (or stopped)
-        contributing candidacies through *item*.  Every cached rater of
-        the item gains/loses one shared item with *user*, and *user*'s
-        own cached multiset (if any) gains/loses the item's qualifying
-        raters — the per-event delta that keeps cached candidate sets
-        exact without re-derivation.
-        """
-        store = (self._candidate_counts, self._cached_raters)
-        propagate_candidacy_change(
-            (store,), store, user, item, added, self.builder, self._qualifies
-        )
-
-    def _cache_insert(self, user: int, counts: dict[int, int]) -> None:
-        cache_store_insert(
-            self._candidate_counts,
-            self._cached_raters,
-            user,
-            counts,
-            self.builder,
-            self._qualifies,
-            self.candidate_cache_size,
-        )
-
-    def _cache_evict(self, user: int) -> None:
-        cache_store_evict(
-            self._candidate_counts, self._cached_raters, user, self.builder
-        )
-
-    def _candidate_sets(
-        self, users: np.ndarray
-    ) -> dict[int, dict[int, int]]:
-        """Candidate multisets for *users*: cached, or bulk re-derived.
-
-        Misses are recomputed in one vectorised :func:`delta_rcs` call on
-        the current snapshot (cost proportional to the missing users'
-        item profiles) and cached for the next refresh.
-        """
-        result, hits, misses = derive_candidate_sets(
-            self._candidate_counts,
-            users,
-            self._cache_insert,
-            self.builder,
-            self.config.min_rating,
-        )
-        self.maintenance.candidate_cache_hits += hits
-        self.maintenance.candidate_cache_misses += misses
-        return result
-
-    def _candidates_of(self, user: int) -> set:
-        """Live co-rating candidates of *user* (``min_rating`` honoured).
-
-        The streaming analogue of one Ranked Candidate Set: the users
-        sharing a qualifying item with *user*.  Served from the
-        delta-maintained cache (rank order is irrelevant here because
-        refinement always exhausts the set).
-        """
-        row = np.asarray([user], dtype=np.int64)
-        return set(self._candidate_sets(row)[user])
-
-    def _candidate_pairs(
-        self, affected: np.ndarray, dirty: frozenset
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Directed (row, candidate) evaluation needs for one refresh.
-
-        Every affected row needs its full candidate set; additionally a
-        dirty user must be offered to the rows of her clean candidates
-        (the mirror direction).  With the pivot strategy the pairs are
-        collapsed to unordered form and each is evaluated once; without
-        it, each needed direction is evaluated separately — the same
-        accounting split as the batch algorithm.
-        """
-        affected_set = set(affected.tolist())
-        candidate_sets = self._candidate_sets(affected)
-        rows: list[int] = []
-        cands: list[int] = []
-        for user in affected.tolist():
-            candidates = candidate_sets[user]
-            needs_mirror = user in dirty
-            for other in candidates:
-                rows.append(user)
-                cands.append(other)
-                if needs_mirror and other not in affected_set:
-                    rows.append(other)
-                    cands.append(user)
-        us = np.asarray(rows, dtype=np.int64)
-        vs = np.asarray(cands, dtype=np.int64)
-        return dedupe_pairs(
-            us, vs, self.builder.n_users, ordered=not self.config.pivot
-        )
-
-
-def _bump(counts: dict[int, int], key: int, delta: int) -> None:
-    """Adjust a candidate multiset entry, dropping it at zero."""
-    value = counts.get(key, 0) + delta
-    if value <= 0:
-        counts.pop(key, None)
-    else:
-        counts[key] = value
-
-
-# ----------------------------------------------------------------------
-# Candidate-cache store primitives
-#
-# One cache *store* is a pair of dicts: ``counts_map`` (user -> candidate
-# multiset) and ``raters_map`` (item -> cached users rating it at a
-# qualifying level).  The flat index holds a single store; the sharded
-# index one per shard — both route through these functions, so the
-# delta-maintenance semantics (qualifying ``min_rating``, eviction
-# order, rater bookkeeping) have exactly one implementation.
-# ----------------------------------------------------------------------
-def cache_store_insert(
-    counts_map: dict,
-    raters_map: dict,
-    user: int,
-    counts: dict[int, int],
-    builder,
-    qualifies,
-    limit: int | None,
-) -> None:
-    """Cache *user*'s multiset, evicting oldest-first past *limit*."""
-    if limit is not None and limit <= 0:
-        return  # cache disabled
-    # Replacing: drop stale rater links first.
-    cache_store_evict(counts_map, raters_map, user, builder)
-    while limit is not None and len(counts_map) >= limit:
-        cache_store_evict(
-            counts_map, raters_map, next(iter(counts_map)), builder
-        )
-    counts_map[user] = counts
-    for item, rating in builder.profile(user).items():
-        if qualifies(rating):
-            raters_map.setdefault(item, set()).add(user)
-
-
-def cache_store_evict(
-    counts_map: dict, raters_map: dict, user: int, builder
-) -> None:
-    """Drop *user*'s cached multiset and her rater registrations."""
-    if counts_map.pop(user, None) is None:
-        return
-    for item, rating in builder.profile(user).items():
-        raters = raters_map.get(item)
-        if raters is not None:
-            raters.discard(user)
-            if not raters:
-                del raters_map[item]
-
-
-def derive_candidate_sets(
-    counts_map: dict,
-    users: np.ndarray,
-    insert,
-    builder,
-    min_rating: float | None,
-) -> tuple[dict[int, dict[int, int]], int, int]:
-    """Candidate multisets for *users* from one store: cached or bulk
-    re-derived via :func:`~repro.core.rcs.delta_rcs`.
-
-    Returns ``(sets, hits, misses)`` — counter deltas are the caller's
-    to record, which is what lets shard workers run this concurrently
-    without racing on the shared ``MaintenanceCounter``.
-    """
-    result: dict[int, dict[int, int]] = {}
-    missing: list[int] = []
-    for user in users.tolist():
-        cached = counts_map.get(user)
-        if cached is not None:
-            result[user] = cached
-        else:
-            missing.append(user)
-    hits = len(result)
-    if missing:
-        rcs_delta = delta_rcs(
-            builder.snapshot(),
-            missing,
-            pivot=False,
-            min_rating=min_rating,
-        )
-        for user in missing:
-            counts = dict(
-                zip(
-                    rcs_delta.candidates_of(user).tolist(),
-                    (int(c) for c in rcs_delta.counts_of(user).tolist()),
-                )
-            )
-            result[user] = counts
-            insert(user, counts)
-    return result, hits, len(missing)
-
-
-def propagate_candidacy_change(
-    stores,
-    owner_store,
-    user: int,
-    item: int,
-    added: bool,
-    builder,
-    qualifies,
-) -> None:
-    """Apply one qualifying-membership flip of ``(user, item)`` to caches.
-
-    *stores* iterates every ``(counts_map, raters_map)`` pair that may
-    hold cached raters of *item* (the flat index has one store, the
-    sharded index one per shard); *owner_store* is the pair owning
-    *user*'s own cached state.
-    """
-    delta = 1 if added else -1
-    for counts_map, raters_map in stores:
-        raters = raters_map.get(item)
-        if raters:
-            for other in raters:
-                if other != user:
-                    _bump(counts_map[other], user, delta)
-    owner_counts, owner_raters = owner_store
-    counts = owner_counts.get(user)
-    if counts is not None:
-        for other in builder.users_of(item):
-            if other != user and qualifies(builder.rating(other, item)):
-                _bump(counts, other, delta)
-        if added:
-            owner_raters.setdefault(item, set()).add(user)
-        else:
-            raters = owner_raters.get(item)
-            if raters is not None:
-                raters.discard(user)
-                if not raters:
-                    del owner_raters[item]

@@ -1,9 +1,12 @@
-"""The process-backed shard executor: persistent workers over shared memory.
+"""The ``processes`` transport: persistent shard workers over shared memory.
 
 :class:`~repro.streaming.sharding.ShardedKnnIndex` with
-``executor="processes"`` fans its refresh stages out to one OS process
-per shard, so the Python-level plan/merge work — GIL-serialized under
-the thread executor — runs truly in parallel.  The division of state:
+``executor="processes"`` sends its refresh stage calls to one OS
+process per shard, so the Python-level plan/merge work — GIL-serialized
+under the thread executor — runs truly in parallel.  A worker holds one
+:class:`~repro.streaming.sharding._Shard` and runs exactly the stage
+and cache methods the in-process executors call; this module only
+carries the calls.  The division of state:
 
 * **Parent (authoritative)** — the mutable rating builder, the WAL, the
   dirty set, the graph rows, the engine's :class:`ProfileIndex`.
@@ -21,11 +24,12 @@ Protocol (one duplex pipe per worker):
   each ``apply()``: candidacy flips (with the item's qualifying raters
   captured at event time), cache evictions (with the evicted profile's
   items), and row growth (absolute, hence replay-idempotent).
-* ``(req_id, kind, payload)`` — one request per refresh stage
-  (``stage_a`` / ``plan`` / ``merge``); the worker replies
-  ``(req_id, "ok", result)`` or ``(req_id, "error", exception)``.
-  Replies are matched by ``req_id`` so an aborted pass's stale replies
-  are drained, not misread.
+* ``(req_id, kind, args)`` — one request per round: ``attach`` (map the
+  published arrays), then the stages ``affected`` / ``plan`` /
+  ``merge``, each answered by calling the worker's shard with *args*;
+  the worker replies ``(req_id, "ok", result)`` or
+  ``(req_id, "error", exception)``.  Replies are matched by ``req_id``
+  so an aborted pass's stale replies are drained, not misread.
 * ``("stop",)`` — orderly shutdown.
 
 Crash safety: the parent applies nothing until every worker has
@@ -47,12 +51,10 @@ import weakref
 
 import numpy as np
 
-from ..graph.knn_graph import MISSING
-from ..graph.updates import ReverseNeighborIndex
 from ..layout import ID_DTYPE, SCORE_DTYPE
 from ..similarity.base import ProfileIndex
-from .index import _bump, cache_store_insert, derive_candidate_sets
-from .sharding import merge_shard_pairs, plan_shard_pairs, score_pairs_chunked
+from .index import _ShardHost
+from .sharding import _Shard, score_pairs_chunked
 from .shm import attach_block, unpack_arrays
 
 __all__ = ["ProcessShardPool", "WorkerCrash"]
@@ -73,8 +75,7 @@ def default_start_method() -> str:
 class _SnapshotStore:
     """Read-only stand-in for the rating builder inside a worker.
 
-    The cache-store primitives (:func:`cache_store_insert`,
-    :func:`derive_candidate_sets`) consult the builder for profiles and
+    The shard's cache operations consult the builder for profiles and
     snapshots; at refresh time the builder's live state equals the
     published snapshot, so a thin view over the shared-memory dataset
     answers identically.
@@ -98,20 +99,17 @@ class _SnapshotStore:
             )
         )
 
-    @property
-    def n_users(self) -> int:
-        return self._dataset.n_users
 
+class _WorkerHost(_ShardHost):
+    """The host a worker's :class:`~repro.streaming.sharding._Shard` reads.
 
-class _WorkerState:
-    """One worker's owned shard state plus its per-refresh context."""
+    Supplies what the in-process index supplies to its own shards: a
+    mirror of the graph rows (full-size arrays; only owned rows are
+    ever read or written), a builder view of the published snapshot,
+    the profile index rebuilt from shared memory, and the scorer.
+    """
 
     def __init__(self, init: dict):
-        self.shard_id = int(init["shard_id"])
-        self.n_shards = int(init["n_shards"])
-        #: The ownership rule at spawn time.  A rebalance resets the
-        #: pool, so a live worker's map is always current.
-        self.shard_map = init["shard_map"]
         self.config = init["config"]
         self.metric = init["metric"]
         self.batch_size = int(init["batch_size"])
@@ -119,209 +117,71 @@ class _WorkerState:
         # one-time warning) already happened there, so this resolve can
         # only downgrade further if the worker's environment differs.
         self.kernel_backend = init.get("kernel_backend")
-        self.cache_limit = init["cache_limit"]
-        # Full-size mirrors of the graph rows; only owned rows are live.
-        self.neighbors = np.array(init["neighbors"], dtype=ID_DTYPE)
-        self.sims = np.array(init["sims"], dtype=SCORE_DTYPE)
-        self.n_rows = int(self.neighbors.shape[0])
-        self.reverse = ReverseNeighborIndex()
-        self._rebuild_reverse()
-        self.counts_map: dict[int, dict[int, int]] = {}
-        self.raters_map: dict[int, set[int]] = {}
-        # Shared-memory attachment + per-refresh context.
-        self.block = None
-        self.block_name = None
+        #: The ownership rule at spawn time.  A rebalance resets the
+        #: pool, so a live worker's map is always current.
+        self._shard_map = init["shard_map"]
+        self._shard_cache_limit = init["cache_limit"]
+        self._neighbors = np.array(init["neighbors"], dtype=ID_DTYPE)
+        self._sims = np.array(init["sims"], dtype=SCORE_DTYPE)
+        self._n_rows = int(self._neighbors.shape[0])
+        # Shared-memory attachment, refreshed by attach().
         self.index = None
-        self.store = None
-        self.affected = None
-        self.truly_dirty: frozenset = frozenset()
-        self.seq = 0
-        self.plan_rows = np.empty(0, dtype=np.int64)
-        self.plan_cands = np.empty(0, dtype=np.int64)
+        self.builder = None
+        self._block = None
+        self._block_name = None
+        shard_id = int(init["shard_id"])
+        self.shard = _Shard(shard_id, self)
+        self.shard.reverse.rebuild(
+            self._neighbors,
+            self._shard_map.owned_rows(shard_id, self._n_rows),
+        )
         for op in init["deltas"]:
             self.apply_delta(op)
 
-    # ------------------------------------------------------------------
-    # Owned-state maintenance
-    # ------------------------------------------------------------------
-    def _rebuild_reverse(self) -> None:
-        """Reverse index over owned rows only, from the row mirror."""
-        self.reverse = ReverseNeighborIndex()
-        rows = self.shard_map.owned_rows(self.shard_id, self.n_rows)
-        sub = self.neighbors[rows]
-        local, slots = np.nonzero(sub != MISSING)
-        cited = sub[local, slots]
-        owned = rows[local]
-        for row, neighbor in zip(owned.tolist(), cited.tolist()):
-            self.reverse.add_referrer(neighbor, row)
+    @property
+    def n_users(self) -> int:
+        return self.index.n_users
 
-    def _qualifies(self, rating: float) -> bool:
-        if rating == 0.0:
-            return False
-        min_rating = self.config.min_rating
-        return min_rating is None or rating >= min_rating
-
-    def _grow(self, n_users: int) -> None:
-        """Mirror of the parent's geometric row growth (absolute target)."""
-        if n_users <= self.n_rows:
-            return
-        capacity = self.neighbors.shape[0]
-        if n_users > capacity:
-            k = self.neighbors.shape[1]
-            new_capacity = max(n_users, 2 * capacity)
-            neighbors = np.full((new_capacity, k), MISSING, dtype=ID_DTYPE)
-            sims = np.full((new_capacity, k), -np.inf, dtype=SCORE_DTYPE)
-            neighbors[: self.n_rows] = self.neighbors[: self.n_rows]
-            sims[: self.n_rows] = self.sims[: self.n_rows]
-            self.neighbors, self.sims = neighbors, sims
-        else:
-            self.neighbors[self.n_rows : n_users] = MISSING
-            self.sims[self.n_rows : n_users] = -np.inf
-        self.n_rows = n_users
-
-    def apply_delta(self, op: tuple) -> None:
-        """One per-event delta: candidacy flip, cache evict, or growth."""
-        kind = op[0]
-        if kind == "cand":
-            _, user, item, added, others = op
-            delta = 1 if added else -1
-            raters = self.raters_map.get(item)
-            if raters:
-                for other in raters:
-                    if other != user:
-                        _bump(self.counts_map[other], user, delta)
-            counts = self.counts_map.get(user)
-            if counts is not None:
-                for other in others:
-                    if other != user:
-                        _bump(counts, other, delta)
-                if added:
-                    self.raters_map.setdefault(item, set()).add(user)
-                else:
-                    raters = self.raters_map.get(item)
-                    if raters is not None:
-                        raters.discard(user)
-                        if not raters:
-                            del self.raters_map[item]
-        elif kind == "evict":
-            _, user, items = op
-            if self.counts_map.pop(user, None) is not None:
-                for item in items:
-                    raters = self.raters_map.get(item)
-                    if raters is not None:
-                        raters.discard(user)
-                        if not raters:
-                            del self.raters_map[item]
-        elif kind == "grow":
-            self._grow(int(op[1]))
-        else:  # pragma: no cover - protocol bug guard
-            raise ValueError(f"unknown delta op {op!r}")
-
-    def _cache_insert(self, user: int, counts: dict[int, int]) -> None:
-        cache_store_insert(
-            self.counts_map,
-            self.raters_map,
-            user,
-            counts,
-            self.store,
-            self._qualifies,
-            self.cache_limit,
-        )
-
-    def _score(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return score_pairs_chunked(
-            self.metric, self.index, us, vs, self.batch_size
-        )
-
-    # ------------------------------------------------------------------
-    # Refresh stages
-    # ------------------------------------------------------------------
-    def stage_a(self, payload: dict) -> np.ndarray:
-        """Attach the published arrays; discover this shard's affected set."""
-        name = payload["block"]
-        if self.block is None or self.block_name != name:
-            if self.block is not None:
-                self.block.close()
-            self.block = attach_block(name)
-            self.block_name = name
-        arrays = unpack_arrays(self.block, payload["manifest"])
+    def attach(self, name: str, manifest, n_users: int) -> None:
+        """Rebuild the published snapshot and profile arrays as views."""
+        if self._block is None or self._block_name != name:
+            if self._block is not None:
+                self._block.close()
+            self._block = attach_block(name)
+            self._block_name = name
+        arrays = unpack_arrays(self._block, manifest)
         self.index = ProfileIndex.from_shared_arrays(arrays)
         if self.kernel_backend is not None:
             # Bind the batch-scoring backend straight to the zero-copy
             # CSR views — the evaluate stage never builds scipy
             # temporaries over shared memory.
             self.index._kernel_backend = self.kernel_backend
-        self.store = _SnapshotStore(self.index.dataset)
-        all_dirty = payload["all_dirty"]
-        self.truly_dirty = frozenset(all_dirty.tolist())
-        self.seq = int(payload["seq"])
-        self._grow(int(payload["n_users"]))  # defensive; normally a no-op
-        self.affected = np.union1d(
-            payload["my_dirty"], self.reverse.referrers_of(all_dirty)
-        )
-        return self.affected
+        self.builder = _SnapshotStore(self.index.dataset)
+        self._grow_rows(n_users)  # defensive; normally a no-op
 
-    def plan(self, payload: dict) -> dict:
-        """Clear owned affected rows; derive pairs and outboxes."""
-        affected_global = payload["affected"]
-        n_users = self.index.n_users
-        mask = np.zeros(n_users, dtype=bool)
-        mask[affected_global] = True
-        neighbors = self.neighbors[: self.n_rows]
-        sims = self.sims[: self.n_rows]
-        affected = self.affected
-        old_rows = neighbors[affected].copy()
-        neighbors[affected] = MISSING
-        sims[affected] = -np.inf
-        for pos, row in enumerate(affected.tolist()):
-            self.reverse.apply_row(row, old_rows[pos], ())
-        cand_sets, hits, misses = derive_candidate_sets(
-            self.counts_map,
-            affected,
-            self._cache_insert,
-            self.store,
-            self.config.min_rating,
+    def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        return score_pairs_chunked(
+            self.metric, self.index, us, vs, self.batch_size
         )
-        self.plan_rows, self.plan_cands, outboxes = plan_shard_pairs(
-            self.shard_id,
-            self.shard_map,
-            affected,
-            mask,
-            self.truly_dirty,
-            cand_sets,
-            self.seq,
-        )
-        return {"outboxes": outboxes, "hits": hits, "misses": misses}
 
-    def merge(self, payload: dict) -> dict:
-        """Evaluate + merge into owned rows; return the row updates."""
-        evaluations, changes, active, new_neighbors, new_sims = (
-            merge_shard_pairs(
-                self.shard_id,
-                self.shard_map,
-                self.config.pivot,
-                self.plan_rows,
-                self.plan_cands,
-                payload["inbox"],
-                self.neighbors[: self.n_rows],
-                self.sims[: self.n_rows],
-                self.index.n_users,
-                self._score,
-                self.reverse,
-            )
-        )
-        return {
-            "evaluations": evaluations,
-            "changes": changes,
-            "active": active,
-            "neighbors": new_neighbors,
-            "sims": new_sims,
-        }
+    def apply_delta(self, op: tuple) -> None:
+        """One per-event delta: candidacy flip, cache evict, or growth."""
+        kind = op[0]
+        if kind == "cand":
+            _, user, item, added, raters = op
+            self.shard.note_candidacy(user, item, added, lambda: raters)
+        elif kind == "evict":
+            _, user, items = op
+            self.shard.cache_evict(user, items)
+        elif kind == "grow":
+            self._grow_rows(int(op[1]))
+        else:  # pragma: no cover - protocol bug guard
+            raise ValueError(f"unknown delta op {op!r}")
 
     def close(self) -> None:
-        if self.block is not None:
-            self.block.close()
-            self.block = None
+        if self._block is not None:
+            self._block.close()
+            self._block = None
 
 
 def _worker_main(conn, init: dict) -> None:
@@ -335,11 +195,12 @@ def _worker_main(conn, init: dict) -> None:
     the resource tracker reap the segments) within a second.
     """
     parent_pid = os.getppid()
-    state = _WorkerState(init)
+    host = _WorkerHost(init)
     handlers = {
-        "stage_a": state.stage_a,
-        "plan": state.plan,
-        "merge": state.merge,
+        "attach": host.attach,
+        "affected": host.shard.affected,
+        "plan": host.shard.plan,
+        "merge": host.shard.merge,
     }
     try:
         while True:
@@ -354,13 +215,13 @@ def _worker_main(conn, init: dict) -> None:
             tag = message[0]
             if tag == "delta":
                 for op in message[1]:
-                    state.apply_delta(op)
+                    host.apply_delta(op)
                 continue
             if tag == "stop":
                 break
             req_id, kind, payload = message
             try:
-                result = handlers[kind](payload)
+                result = handlers[kind](*payload)
             except BaseException as exc:  # ship the failure to the parent
                 try:
                     conn.send((req_id, "error", exc))
@@ -369,7 +230,7 @@ def _worker_main(conn, init: dict) -> None:
                 continue
             conn.send((req_id, "ok", result))
     finally:
-        state.close()
+        host.close()
         conn.close()
 
 
@@ -469,7 +330,7 @@ class ProcessShardPool:
         except (OSError, ValueError):
             self.reset()
 
-    def request_all(self, kind: str, payloads: list[dict]) -> list:
+    def request_all(self, kind: str, payloads: list[tuple]) -> list:
         """One stage round: send to every worker, collect every reply.
 
         Raises :class:`WorkerCrash` when a pipe dies, or re-raises the

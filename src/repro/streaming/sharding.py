@@ -1,12 +1,9 @@
-"""Shard-parallel dirty-set refinement: KIFF maintenance across workers.
+"""Shard state, the per-shard refresh stages, and the partitioned index.
 
 The KIFF pipeline is embarrassingly partitionable: candidate selection
 and top-k refinement are *per-user* computations over shared read-only
-profiles.  :class:`ShardedKnnIndex` exploits exactly that — users are
-partitioned across ``n_shards`` workers by a :class:`ShardMap` (the
-hash rule ``user % n_shards`` plus an override table populated by live
-:meth:`ShardedKnnIndex.rebalance` moves), and each shard **owns** its
-users' slice of the maintained state:
+profiles.  The maintained state is therefore held in **shards**
+(:class:`_Shard`), each owning one slice of the users:
 
 * the dirty set (events dirty a user; her owner shard records it),
 * the candidate-multiset cache + cached-rater index (the streaming RCS),
@@ -14,52 +11,57 @@ users' slice of the maintained state:
   the *rows* the shard owns (keyed by cited user, which may belong to
   any shard — updates stay row-local, so they never cross shards).
 
-A refresh then runs shard-parallel against the shared read-only
-snapshot/:class:`~repro.similarity.base.ProfileIndex` (rebound once,
-serially, before the fan-out):
+The flat :class:`~repro.streaming.index.DynamicKnnIndex` is the
+one-shard case; :class:`ShardedKnnIndex` partitions users across
+``n_shards`` shards by a :class:`ShardMap` (the hash rule
+``user % n_shards`` plus an override table populated by live
+:meth:`ShardedKnnIndex.rebalance` moves).  Both run the one refresh
+driver (``DynamicKnnIndex._refresh``), which rebinds the shared
+snapshot/:class:`~repro.similarity.base.ProfileIndex` once and then
+calls three stages on every shard:
 
-1. **Affected discovery** — each shard unions its dirty slice with its
-   own rows citing *any* dirty user (a lookup in its reverse index).
-2. **Planning** — each shard clears its affected rows, derives their
-   candidate sets (shard-local cache; misses re-derived in bulk) and
-   emits the evaluation pairs for rows it owns.  A dirty user must also
-   be *offered* to the rows of her clean candidates; when such a row
-   belongs to another shard, the pair travels through a per-shard
-   **outbox** keyed by the WAL sequence number the refresh covers —
-   the cross-shard effect channel (mirroring how a top-k merge on shard
-   A can change rows citing users owned by shard B).
-3. **Evaluate + merge** — each shard dedupes its pairs, scores them
-   against the shared profile index, and merges into *its own rows
-   only* (:func:`~repro.graph.updates.merge_topk_rows`, no full-array
-   copy) — writes are disjoint by construction, so workers touch the
-   one shared graph concurrently without locks.
+1. **Affected discovery** (:meth:`_Shard.affected`) — each shard unions
+   its selected dirty users with its own rows citing *any* selected
+   dirty user (a lookup in its reverse index).
+2. **Planning** (:meth:`_Shard.plan`) — each shard clears its affected
+   rows, derives their candidate sets (shard-local cache; misses
+   re-derived in bulk) and emits the evaluation pairs for rows it owns.
+   A dirty user must also be *offered* to the rows of her clean
+   candidates; when such a row belongs to another shard, the pair
+   travels through a per-shard **outbox** keyed by the WAL sequence
+   number the refresh covers — the cross-shard effect channel.
+3. **Evaluate + merge** (:meth:`_Shard.merge`) — each shard dedupes its
+   pairs, scores them against the shared profile index, and merges into
+   *its own rows only* (:func:`~repro.graph.updates.merge_topk_rows`,
+   no full-array copy) — writes are disjoint by construction, so
+   shards touch the one shared graph concurrently without locks.
 
 Because similarity is a pure per-pair function of the shared profile
-index, every row receives the same candidate-edge multiset as the
-sequential :class:`~repro.streaming.index.DynamicKnnIndex` pass, and
-the merged graph is **bit-identical** at any shard count — the sharded
-parity suite (``tests/streaming/test_sharding.py``) pins this across
-the randomized stream corpus at 1/2/4 shards, both metrics, thread and
-serial executors.
+index, every row receives the same candidate-edge multiset at any shard
+count, and the merged graph is **bit-identical** to the flat index's —
+the sharded parity suite (``tests/streaming/test_sharding.py``) pins
+this across the randomized stream corpus at 1/2/4 shards.
 
-Three executors run the same per-shard stage kernels:
+The executor is only the transport that carries the stage calls to the
+shards; every executor runs the same :class:`_Shard` code:
 
-* ``executor="threads"`` (default) — a ``concurrent.futures`` thread
-  pool; speedup tracks how much of the work runs in NumPy/SciPy kernels
-  (the Python-level plan/merge stays GIL-serialized).
-* ``executor="serial"`` — the identical closures in-process, in shard
+* ``executor="threads"`` (default) — the index's own shards, fanned out
+  on a ``concurrent.futures`` thread pool; speedup tracks how much of
+  the work runs in NumPy/SciPy kernels (the Python-level plan/merge
+  stays GIL-serialized).
+* ``executor="serial"`` — the index's own shards, called in shard
   order; fully deterministic scheduling for tests and debuggers.
-* ``executor="processes"`` — a persistent ``multiprocessing`` worker
-  pool (:mod:`repro.streaming.procpool`): the read-only snapshot and
-  :class:`~repro.similarity.base.ProfileIndex` arrays are published
-  into ``multiprocessing.shared_memory`` blocks and rebuilt as
-  zero-copy views in every worker, per-event deltas ship as compact
-  messages after each ``apply()``, each refresh stage is one
-  request/reply round, and the workers' row updates are merged into
-  the parent's authoritative rows after the final barrier.  This is
-  the true multi-core mode: the Python-level refresh work escapes the
-  GIL entirely.  Workers are respawned (and the delta tail replayed)
-  on death, and the shared blocks are unlinked on ``close()``/GC.
+* ``executor="processes"`` — one persistent worker process per shard
+  (:mod:`repro.streaming.procpool`), each holding its own
+  :class:`_Shard`: the read-only snapshot and profile arrays are
+  published into ``multiprocessing.shared_memory`` and rebuilt as
+  zero-copy views in every worker, per-event cache deltas ship as
+  compact messages after each ``apply()``, each stage is one
+  request/reply round, and the workers' row updates land in the
+  parent's authoritative rows after the final barrier.  This is the
+  true multi-core mode: the Python-level refresh work escapes the GIL.
+  Workers are respawned (and the delta tail replayed) on death, and the
+  shared blocks are unlinked on ``close()``/GC.
 
 ``benchmarks/bench_sharded_refresh.py`` measures all of them on
 multi-event batches and enforces the process executor's speedup bar.
@@ -80,23 +82,17 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.rcs import delta_rcs
 from ..graph.knn_graph import MISSING
 from ..graph.updates import (
     ReverseNeighborIndex,
     dedupe_pairs,
     merge_topk_rows,
 )
-from ..layout import ID_DTYPE, SCORE_DTYPE
+from ..layout import ID_DTYPE, SCORE_DTYPE, compact_scores
 from ..similarity.base import ProfileIndex, SimilarityMetric
 from .events import AddUser, MigrateBegin, MigrateCommit
-from .index import (
-    DynamicKnnIndex,
-    RefreshStats,
-    cache_store_evict,
-    cache_store_insert,
-    derive_candidate_sets,
-    propagate_candidacy_change,
-)
+from .index import DynamicKnnIndex, RefreshStats
 
 __all__ = [
     "RebalanceStats",
@@ -286,76 +282,248 @@ class ShardOutbox:
     candidates: np.ndarray
 
 
+#: The ``(rows, candidates)`` of a shard with no planned pairs.
+_NO_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _bump(counts: dict[int, int], key: int, delta: int) -> None:
+    """Adjust a candidate multiset entry, dropping it at zero."""
+    value = counts.get(key, 0) + delta
+    if value <= 0:
+        counts.pop(key, None)
+    else:
+        counts[key] = value
+
+
 class _Shard:
-    """One worker's owned slice of the maintained streaming state."""
+    """One shard's owned slice of the maintained state and its stages.
+
+    The refresh driver calls :meth:`affected`, :meth:`plan` and
+    :meth:`merge` on every shard, in that order; the executor only
+    decides how the calls travel — straight to the index's own shards
+    (the flat index, ``serial``, ``threads``) or through
+    :mod:`repro.streaming.procpool` to the worker process holding this
+    shard (``processes``).
+
+    Whatever else a stage reads comes from the *host*
+    (``repro.streaming.index._ShardHost``): the graph rows, the
+    candidacy rule, the builder, the ownership map and the scorer.  In
+    process the host is the index; in a worker it is the worker's view
+    of the published snapshot plus its mirror of the graph rows.
+    """
 
     __slots__ = (
         "shard_id",
+        "host",
         "dirty",
         "reverse",
         "candidate_counts",
         "cached_raters",
+        "_affected",
+        "_truly_dirty",
+        "_pairs",
     )
 
-    def __init__(self, shard_id: int):
+    def __init__(self, shard_id: int, host):
         self.shard_id = shard_id
+        self.host = host
         #: Owned users whose profile changed since the last refresh.
         self.dirty: set[int] = set()
         #: cited user -> owned rows citing her (rows only from this shard).
         self.reverse = ReverseNeighborIndex()
-        #: Owned user -> {candidate: shared-qualifying-item count}.
+        #: Owned user -> {candidate: shared-qualifying-item count}; the
+        #: cached streaming RCS, in insertion (= eviction) order.
         self.candidate_counts: dict[int, dict[int, int]] = {}
-        #: item -> owned cached users rating it at a qualifying level.
+        #: item -> owned cached users rating it at a qualifying level
+        #: (the propagation targets of a membership change on that item).
         self.cached_raters: dict[int, set[int]] = {}
+        # Per-pass context, set by the stages.
+        self._affected = _NO_PAIRS[0]
+        self._truly_dirty: frozenset = frozenset()
+        self._pairs = _NO_PAIRS
 
-    # The cache ops delegate to the shared store primitives in
-    # ``repro.streaming.index`` (one implementation for the flat and the
-    # sharded cache), scoped to this shard's dicts; they are only ever
-    # called for users this shard owns, either from the (serial)
-    # ingestion path or from this shard's own worker.
-    def cache_insert(self, user: int, counts: dict, index) -> None:
-        """Insert *user*'s candidate multiset into this shard's cache."""
-        cache_store_insert(
-            self.candidate_counts,
-            self.cached_raters,
-            user,
-            counts,
-            index.builder,
-            index._qualifies,
-            index._shard_cache_limit,
-        )
+    # ------------------------------------------------------------------
+    # Candidate-set cache (delta-maintained between refreshes)
+    # ------------------------------------------------------------------
+    def cache_insert(self, user: int, counts: dict[int, int]) -> None:
+        """Cache *user*'s multiset, evicting oldest-first past the bound."""
+        limit = self.host._shard_cache_limit
+        if limit is not None and limit <= 0:
+            return  # cache disabled
+        builder = self.host.builder
+        # Replacing: drop stale rater links first.
+        self.cache_evict(user, builder.profile(user))
+        while limit is not None and len(self.candidate_counts) >= limit:
+            oldest = next(iter(self.candidate_counts))
+            self.cache_evict(oldest, builder.profile(oldest))
+        self.candidate_counts[user] = counts
+        for item, rating in builder.profile(user).items():
+            if self.host._qualifies(rating):
+                self.cached_raters.setdefault(item, set()).add(user)
 
-    def cache_evict(self, user: int, index) -> None:
-        """Drop *user* from this shard's cache (and its rater index)."""
-        cache_store_evict(
-            self.candidate_counts, self.cached_raters, user, index.builder
-        )
+    def cache_evict(self, user: int, items) -> None:
+        """Drop *user*'s cached multiset and her rater registrations.
+
+        *items* are the items of her profile (read before it changes).
+        """
+        if self.candidate_counts.pop(user, None) is None:
+            return
+        for item in items:
+            raters = self.cached_raters.get(item)
+            if raters is not None:
+                raters.discard(user)
+                if not raters:
+                    del self.cached_raters[item]
+
+    def note_candidacy(self, user: int, item: int, added: bool, raters):
+        """Apply one qualifying-membership flip of ``(user, item)``.
+
+        *user* started (or stopped) contributing candidacies through
+        *item*: every cached rater of the item gains/loses one shared
+        item with her, and her own cached multiset (if this shard holds
+        it) gains/loses the item's other qualifying raters, which the
+        zero-argument callable *raters* returns — called only then, so
+        the common uncached case never scans the item's raters.
+        """
+        delta = 1 if added else -1
+        cached = self.cached_raters.get(item)
+        if cached:
+            for other in cached:
+                if other != user:
+                    _bump(self.candidate_counts[other], user, delta)
+        counts = self.candidate_counts.get(user)
+        if counts is None:
+            return
+        for other in raters():
+            _bump(counts, other, delta)
+        if added:
+            self.cached_raters.setdefault(item, set()).add(user)
+        else:
+            cached = self.cached_raters.get(item)
+            if cached is not None:
+                cached.discard(user)
+                if not cached:
+                    del self.cached_raters[item]
 
     def candidate_sets(
-        self, users: np.ndarray, index
+        self, users: np.ndarray
     ) -> tuple[dict[int, dict[int, int]], int, int]:
         """Candidate multisets for owned *users*; ``(sets, hits, misses)``.
 
-        Thread-safe by ownership: only this shard's worker touches its
-        cache dicts, and the miss path only *reads* the shared snapshot
-        (one bulk :func:`~repro.core.rcs.delta_rcs` call).  Counter
-        deltas are returned, not written — the caller folds them into
-        the shared ``MaintenanceCounter`` after the fan-in.
+        Misses are re-derived in one bulk
+        :func:`~repro.core.rcs.delta_rcs` call on the current snapshot
+        (cost proportional to the missing users' item profiles) and
+        cached.  Thread-safe by ownership: only this shard's stage calls
+        touch its cache dicts, and the miss path only *reads* the shared
+        snapshot.  Counter deltas are returned, not written — the driver
+        folds them into the shared ``MaintenanceCounter``.
         """
-        return derive_candidate_sets(
-            self.candidate_counts,
-            users,
-            lambda user, counts: self.cache_insert(user, counts, index),
-            index.builder,
-            index.config.min_rating,
+        result: dict[int, dict[int, int]] = {}
+        missing: list[int] = []
+        for user in users.tolist():
+            cached = self.candidate_counts.get(user)
+            if cached is not None:
+                result[user] = cached
+            else:
+                missing.append(user)
+        hits = len(result)
+        if missing:
+            rcs_delta = delta_rcs(
+                self.host.builder.snapshot(),
+                missing,
+                pivot=False,
+                min_rating=self.host.config.min_rating,
+            )
+            for user in missing:
+                counts = dict(
+                    zip(
+                        rcs_delta.candidates_of(user).tolist(),
+                        (int(c) for c in rcs_delta.counts_of(user).tolist()),
+                    )
+                )
+                result[user] = counts
+                self.cache_insert(user, counts)
+        return result, hits, len(missing)
+
+    # ------------------------------------------------------------------
+    # Refresh stages
+    # ------------------------------------------------------------------
+    def affected(self, all_dirty: np.ndarray, my_dirty: np.ndarray):
+        """Stage A: this shard's slice of the affected set.
+
+        Its selected dirty users (*my_dirty*) plus its rows citing any
+        selected dirty user (*all_dirty*).
+        """
+        self._truly_dirty = frozenset(all_dirty.tolist())
+        self._affected = np.union1d(
+            my_dirty, self.reverse.referrers_of(all_dirty)
+        )
+        return self._affected
+
+    def plan(self, affected: np.ndarray, seq: int):
+        """Stage B: clear owned affected rows, derive pairs and outboxes.
+
+        *affected* is the global affected set.  Returns ``(outboxes,
+        cache_hits, cache_misses)``; this shard's own pairs stay here
+        for :meth:`merge`.
+        """
+        host = self.host
+        neighbors, sims = host._rows()
+        mine = self._affected
+        old_rows = neighbors[mine].copy()
+        neighbors[mine] = MISSING
+        sims[mine] = -np.inf
+        # The reverse index mirrors the rows at every exit point, so a
+        # mid-pass failure leaves it consistent for the retry.
+        for pos, row in enumerate(mine.tolist()):
+            self.reverse.apply_row(row, old_rows[pos], ())
+        cand_sets, hits, misses = self.candidate_sets(mine)
+        affected_mask = np.zeros(host.n_users, dtype=bool)
+        affected_mask[affected] = True
+        rows, candidates, outboxes = plan_shard_pairs(
+            self.shard_id,
+            host._shard_map,
+            mine,
+            affected_mask,
+            self._truly_dirty,
+            cand_sets,
+            seq,
+        )
+        self._pairs = (rows, candidates)
+        return outboxes, hits, misses
+
+    def merge(self, inbox: list[ShardOutbox]):
+        """Stage C: dedupe, evaluate and merge into this shard's rows.
+
+        Returns ``(evaluations, changes, active, new_neighbors,
+        new_sims)`` — the row updates let a process worker ship its
+        merge back to the parent.
+        """
+        host = self.host
+        neighbors, sims = host._rows()
+        rows, candidates = self._pairs
+        self._pairs = _NO_PAIRS  # release the pass's pairs early
+        return merge_shard_pairs(
+            self.shard_id,
+            host._shard_map,
+            host.config.pivot,
+            rows,
+            candidates,
+            inbox,
+            neighbors,
+            sims,
+            host.n_users,
+            host._score_pairs,
+            self.reverse,
         )
 
 
 class _ShardedDirtySet:
     """The global dirty set, physically stored as per-shard owned slices.
 
-    Exposes the mutable-set surface the base ingestion path uses
-    (``add`` / ``update`` / ``clear`` / iteration / membership), so
+    Exposes the mutable-set surface the base ingestion path and the
+    refresh driver use (``add`` / ``update`` / ``clear`` / iteration /
+    membership / ``len``), so
     every ``DynamicKnnIndex._absorb_*`` method lands events in the
     owner shard's slice without knowing about sharding.  Ownership is
     read live from the index's :class:`ShardMap`, so a rebalance that
@@ -380,11 +548,6 @@ class _ShardedDirtySet:
         for user in users:
             self.add(user)
 
-    def discard(self, user: int) -> None:
-        """Clear *user*'s dirty mark, if any, from her owner's slice."""
-        user = int(user)
-        self._shards[self._map_of().owner(user)].dirty.discard(user)
-
     def clear(self) -> None:
         """Empty every shard's dirty slice."""
         for shard in self._shards:
@@ -403,13 +566,13 @@ class _ShardedDirtySet:
 
 
 class _ShardedReverseIndex:
-    """Routes reverse-neighbor maintenance to the row-owner shard.
+    """The reverse-neighbor index, stored as the shards' row slices.
 
-    Shard *s*'s index stores only rows *s* owns, so ``apply_row`` — the
-    hot write inside every top-k merge — is always a shard-local
-    mutation, and ``referrers_of(dirty)`` per shard yields exactly the
-    shard's slice of the affected set.  The union over shards equals the
-    flat index (the routing is a partition of the rows).
+    Shard *s*'s index stores only rows *s* owns, so the row diffs of
+    every merge are shard-local mutations, and ``referrers_of(dirty)``
+    per shard yields exactly the shard's slice of the affected set.  The
+    union over shards equals the flat index (the routing is a partition
+    of the rows).
     """
 
     __slots__ = ("_shards", "_map_of")
@@ -421,21 +584,12 @@ class _ShardedReverseIndex:
 
     def rebuild(self, neighbors: np.ndarray) -> None:
         """Re-derive every shard's row-restricted index from *neighbors*."""
+        shard_map = self._map_of()
         for shard in self._shards:
-            shard.reverse = ReverseNeighborIndex()
-        rows, slots = np.nonzero(neighbors != MISSING)
-        cited = neighbors[rows, slots]
-        owners = self._map_of().owners(rows)
-        for row, owner, neighbor in zip(
-            rows.tolist(), owners.tolist(), cited.tolist()
-        ):
-            self._shards[owner].reverse.add_referrer(neighbor, row)
-
-    def apply_row(self, row: int, old_ids, new_ids) -> None:
-        """Record a merged row's citation diff in the row's owner shard."""
-        self._shards[self._map_of().owner(row)].reverse.apply_row(
-            row, old_ids, new_ids
-        )
+            shard.reverse.rebuild(
+                neighbors,
+                shard_map.owned_rows(shard.shard_id, neighbors.shape[0]),
+            )
 
     def referrers_of(self, users) -> np.ndarray:
         """All rows (any shard) citing any of *users*, sorted unique."""
@@ -446,35 +600,13 @@ class _ShardedReverseIndex:
         """Total distinct cited users across every shard's index."""
         return sum(shard.reverse.referrer_count() for shard in self._shards)
 
-    def referrer_counts(self, users) -> np.ndarray:
-        """Global in-degrees: each shard counts its owned citing rows."""
-        users = np.asarray(users, dtype=np.int64)
-        total = np.zeros(users.size, dtype=np.int64)
-        for shard in self._shards:
-            total += shard.reverse.referrer_counts(users)
-        return total
-
-
-@dataclass
-class _ShardPlan:
-    """One shard's stage-B output: its pairs, outboxes and cache traffic."""
-
-    affected: np.ndarray
-    rows: np.ndarray
-    candidates: np.ndarray
-    outboxes: list[ShardOutbox]
-    cache_hits: int
-    cache_misses: int
-
 
 # ----------------------------------------------------------------------
 # Pure per-shard stage kernels
 #
-# The thread/serial executors and the process workers must produce
-# bit-identical results, so the stage bodies live here as plain
-# functions of explicit inputs: the in-process path binds them to the
-# live index, the worker (repro.streaming.procpool) to state rebuilt
-# from shared memory.  One implementation, two transports.
+# Plain functions of explicit inputs, called by the _Shard stages — in
+# process and in the worker processes alike, so every executor produces
+# bit-identical results from one implementation.
 # ----------------------------------------------------------------------
 def score_pairs_chunked(
     metric,
@@ -486,24 +618,24 @@ def score_pairs_chunked(
 ) -> np.ndarray:
     """Chunked metric evaluation with engine-identical chunk boundaries.
 
-    Bypasses ``SimilarityEngine.batch`` so concurrent workers never race
-    on the shared counter/timer; the caller adds the evaluation totals
-    after the fan-in.  Chunk boundaries cannot change values — every
-    metric scores pairs independently — so results stay bit-identical to
-    the sequential engine path.  ``kernel`` (a backend name or
+    Bypasses ``SimilarityEngine.batch`` so concurrent shards never race
+    on the shared counter; the driver adds the evaluation totals after
+    the fan-in.  Chunk boundaries cannot change values — every metric
+    scores pairs independently — so results stay bit-identical to the
+    engine path.  ``kernel`` (a backend name or
     :class:`~repro.similarity.kernels.KernelBackend`) is bound to
     *index* before scoring; None keeps the index's own selection.
 
-    The output is written into one preallocated array — the historical
-    list-append + ``np.concatenate`` paid an extra full copy of every
-    chunk on exactly the evaluate stage this function dominates.
+    The output is written into one preallocated array at the at-rest
+    score width, the cast-once boundary ``SimilarityEngine.batch``
+    applies too.
     """
     if kernel is not None:
         index._kernel_backend = kernel
     if us.size == 0:
         return np.empty(0, dtype=SCORE_DTYPE)
     if us.size <= batch_size:
-        return metric.score_batch(index, us, vs)
+        return compact_scores(metric.score_batch(index, us, vs))
     out = np.empty(us.size, dtype=SCORE_DTYPE)
     for start in range(0, us.size, batch_size):
         stop = min(start + batch_size, us.size)
@@ -547,6 +679,10 @@ def plan_shard_pairs(
             # her clean candidates (she can *enter* those top-ks).
             mirror = candidates[~affected_mask[candidates]]
             if mirror.size == 0:
+                continue
+            if n_shards == 1:
+                row_parts.append(mirror)
+                cand_parts.append(np.full(mirror.size, user, np.int64))
                 continue
             owners = shard_map.owners(mirror)
             for target in np.unique(owners).tolist():
@@ -608,10 +744,11 @@ def merge_shard_pairs(
         cand_users = np.concatenate([us, vs])
         cand_ids = np.concatenate([vs, us])
         cand_sims = np.concatenate([pair_sims, pair_sims])
-        owned = shard_map.owners(cand_users) == shard_id
-        cand_users = cand_users[owned]
-        cand_ids = cand_ids[owned]
-        cand_sims = cand_sims[owned]
+        if shard_map.n_shards > 1:
+            owned = shard_map.owners(cand_users) == shard_id
+            cand_users = cand_users[owned]
+            cand_ids = cand_ids[owned]
+            cand_sims = cand_sims[owned]
     else:
         cand_users, cand_ids, cand_sims = us, vs, pair_sims
     k = neighbors.shape[1]
@@ -628,10 +765,14 @@ def merge_shard_pairs(
     active, new_neighbors, new_sims, changes = merge_topk_rows(
         neighbors, sims, cand_users, cand_ids, cand_sims
     )
-    # Disjoint-row writes through the shared views: every active row
-    # is owned by this shard, so workers never collide.
+    # Write only the re-ranked rows back, through the views, so
+    # backing-array slack capacity survives and no O(n_users * k) copy
+    # is paid; every active row is owned by this shard, so shards never
+    # collide.
     neighbors[active] = new_neighbors
     sims[active] = new_sims
+    # Only rows whose neighbour ids actually moved need reverse-index
+    # diffs — most merge targets keep their row intact.
     post_merge = neighbors[touched]
     moved = np.flatnonzero((post_merge != pre_merge).any(axis=1))
     for pos in moved.tolist():
@@ -640,23 +781,28 @@ def merge_shard_pairs(
 
 
 class ShardedKnnIndex(DynamicKnnIndex):
-    """A :class:`DynamicKnnIndex` whose refinement runs shard-parallel.
+    """A :class:`DynamicKnnIndex` partitioned across ``n_shards`` shards.
 
-    Same contract — the maintained graph is bit-identical to the
-    sequential index (and therefore to a cold converged rebuild) after
-    any event interleaving — with refresh work partitioned across
-    ``n_shards`` workers over one shared graph and profile index.
+    Same contract and same refresh driver — the maintained graph is
+    bit-identical to the flat index (and therefore to a cold converged
+    rebuild) after any event interleaving — with the per-shard state and
+    refresh stages split across ``n_shards`` shards over one shared
+    graph and profile index.  What this class adds is what partitioning
+    needs: the :class:`ShardMap` and live :meth:`rebalance`, the
+    partitioned WAL and checkpoint layout, and the executors that carry
+    stage calls to the shards.
 
     Parameters (beyond :class:`DynamicKnnIndex`'s)
     ----------------------------------------------
     n_shards:
-        Worker count; users are owned by ``user % n_shards``.
+        Shard count; users are owned per the :class:`ShardMap`
+        (``user % n_shards`` until a :meth:`rebalance` overrides it).
     executor:
         ``"threads"`` (default) fans each refresh stage out on a
-        ``concurrent.futures.ThreadPoolExecutor``; ``"serial"`` runs the
-        identical per-shard closures in-process in shard order — fully
-        deterministic scheduling for tests/debugging; ``"processes"``
-        fans out to a persistent ``multiprocessing`` worker pool over
+        ``concurrent.futures.ThreadPoolExecutor``; ``"serial"`` calls
+        the shards in-process in shard order — fully deterministic
+        scheduling for tests/debugging; ``"processes"`` sends the stage
+        calls to a persistent ``multiprocessing`` worker pool over
         shared-memory snapshots (see the module docstring) — the mode
         whose refresh work actually escapes the GIL.  Results are
         bit-identical in every mode.  With ``"processes"`` the
@@ -677,9 +823,9 @@ class ShardedKnnIndex(DynamicKnnIndex):
     keeps at most ``max(1, size // n_shards)`` entries of its own users.
     Note on cost accounting: with the pivot strategy a pair whose
     endpoints live on different shards may be evaluated once per side
-    (evaluations are never shared across workers), so
-    ``RefreshStats.evaluations`` can exceed the sequential index's —
-    the graphs still match exactly.
+    (evaluations are never shared across shards), so
+    ``RefreshStats.evaluations`` can exceed the flat index's — the
+    graphs still match exactly.
     """
 
     def __init__(
@@ -713,11 +859,6 @@ class ShardedKnnIndex(DynamicKnnIndex):
         self._arena = None
         self._delta_buffer: list[tuple] = []
         self._delta_tail: list[tuple] = []
-        #: The authoritative ownership rule; rebalance() swaps it.
-        self._shard_map = ShardMap(self.n_shards)
-        self._shards = [_Shard(shard) for shard in range(self.n_shards)]
-        #: The cross-shard exchanges of the most recent refresh.
-        self.last_outboxes: tuple[ShardOutbox, ...] = ()
         #: RebalanceStats of every completed rebalance() call.
         self.rebalance_log: list[RebalanceStats] = []
         super().__init__(
@@ -725,44 +866,106 @@ class ShardedKnnIndex(DynamicKnnIndex):
             config,
             metric=metric,
             auto_refresh=auto_refresh,
-            build=False,
+            build=build,
             candidate_cache_size=candidate_cache_size,
-            wal=None,
+            wal=wal,
         )
-        # Swap the flat state containers for the sharded routers; the
-        # deferred base build only seeded the dirty set, which is
-        # re-seeded below.
+
+    def _partition(self, shard_map: ShardMap | None = None) -> None:
+        """Fresh per-shard containers behind the routing views."""
+        super()._partition(shard_map or ShardMap(self.n_shards))
+        self.n_shards = self._shard_map.n_shards
         self._dirty = _ShardedDirtySet(self._shards, lambda: self._shard_map)
         self._reverse = _ShardedReverseIndex(
             self._shards, lambda: self._shard_map
         )
-        self._dirty.update(range(dataset.n_users))
-        if candidate_cache_size is None:
-            self._shard_cache_limit = None
-        elif candidate_cache_size <= 0:
-            self._shard_cache_limit = 0
-        else:
-            self._shard_cache_limit = max(
-                1, candidate_cache_size // self.n_shards
-            )
-        if build:
-            self.rebuild()
-            self.initial_evaluations = self.engine.counter.evaluations
-        if wal is not None:
-            self.attach_wal(wal)
 
     # ------------------------------------------------------------------
-    # Worker fan-out
+    # Transports: how a stage call reaches the shards
     # ------------------------------------------------------------------
-    def _map(self, fn, items: list) -> list:
-        """Run *fn* over *items* (one per shard), per the executor mode."""
+    def _stage(self, name: str, payloads: list[tuple]) -> list:
+        """Run stage *name* on every shard via this index's executor."""
+        if self.executor == "processes":
+            return self._procpool.request_all(name, payloads)
         if self.executor == "serial" or self.n_shards == 1:
-            return [fn(item) for item in items]
+            return super()._stage(name, payloads)
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.n_shards, thread_name_prefix="repro-shard"
             )
-        return list(self._pool.map(fn, items))
+        return list(
+            self._pool.map(
+                lambda shard, payload: getattr(shard, name)(*payload),
+                self._shards,
+                payloads,
+            )
+        )
+
+    def _run_pass(self, selected: set[int]):
+        """The stages, plus the ``processes`` publish/retry/land steps.
+
+        Under ``processes`` the snapshot and profile arrays are
+        published once into the shared-memory arena, every worker
+        attaches them, the stages run as request/reply rounds, and the
+        workers' row updates land in the parent's authoritative rows
+        after the final barrier.  Because the parent applies nothing
+        until every worker has answered, a worker death at any point
+        leaves the authoritative state untouched: the pool is reset and
+        the pass reruns against respawned workers (seeded from the
+        authoritative rows plus the replayed delta tail).
+        """
+        if self.executor != "processes":
+            return super()._run_pass(selected)
+        from .procpool import WorkerCrash
+        from .shm import ShmArena
+
+        index = self.engine.index
+        if type(index) is not ProfileIndex:
+            # Workers rebuild the base ProfileIndex from the shared
+            # buffers; a subclass's extra state would be silently
+            # dropped, breaking the bit-identity contract.
+            raise TypeError(
+                f"executor='processes' rebuilds a plain ProfileIndex in "
+                f"each worker and cannot carry a custom index subclass "
+                f"({type(index).__name__}); use the 'threads' or "
+                f"'serial' executor for custom profile indexes"
+            )
+        if self._arena is None:
+            self._arena = ShmArena(tag="repro-shard")
+        block, manifest = self._arena.publish(index.to_shared_arrays())
+        for attempt in range(3):
+            pool = self._ensure_pool()
+            self._flush_deltas()
+            try:
+                pool.request_all(
+                    "attach",
+                    [(block, manifest, self.n_users)] * self.n_shards,
+                )
+                affected, plans, merges = super()._run_pass(selected)
+                break
+            except WorkerCrash:
+                # Respawn + replay: the authoritative rows are untouched,
+                # so the rerun starts from workers reseeded from them.
+                pool.reset()
+                if attempt == 2:
+                    raise
+            except BaseException:
+                # A worker-raised error (e.g. a failing metric): reset
+                # the pool so no worker keeps half-merged rows; the
+                # driver already marked the affected rows dirty.
+                pool.reset()
+                raise
+        # Land: clear every affected row, then write the merged rows —
+        # cleared-but-candidateless rows stay MISSING, exactly as the
+        # in-process executors leave them.
+        neighbors, sims = self._rows()
+        neighbors[affected] = MISSING
+        sims[affected] = -np.inf
+        for _, _, active, new_neighbors, new_sims in merges:
+            neighbors[active] = new_neighbors
+            sims[active] = new_sims
+        self._delta_tail.clear()
+        return affected, plans, merges
 
     def close(self) -> None:
         """Release every worker resource and retire the index.
@@ -779,7 +982,6 @@ class ShardedKnnIndex(DynamicKnnIndex):
         """
         if getattr(self, "_closed", False):
             return
-        self._closed = True
         pool = getattr(self, "_pool", None)
         if pool is not None:
             pool.shutdown(wait=True)
@@ -792,96 +994,39 @@ class ShardedKnnIndex(DynamicKnnIndex):
         if arena is not None:
             arena.close()
             self._arena = None
-        engine = getattr(self, "engine", None)
-        if engine is not None:
-            engine.close()
-
-    # ------------------------------------------------------------------
-    # Sharded candidate-cache routing (ingestion path, serial)
-    # ------------------------------------------------------------------
-    def _note_candidacy_change(
-        self, user: int, item: int, added: bool
-    ) -> None:
-        if self.executor == "processes":
-            # The caches live in the workers; ship the flip as a compact
-            # delta.  The owner-store update needs the item's qualifying
-            # raters *at event time* (the workers' snapshot views are
-            # only as fresh as the last refresh), so they travel along.
-            others = [
-                int(other)
-                for other in self.builder.users_of(item)
-                if other != user
-                and self._qualifies(self.builder.rating(other, item))
-            ]
-            self._delta_buffer.append(
-                ("cand", int(user), int(item), bool(added), others)
-            )
-            return
-        # Every shard's cached raters of the item gain/lose one shared
-        # item with *user* — same propagation as the flat index, with
-        # the per-user state living in each rater's owner shard.
-        stores = [
-            (shard.candidate_counts, shard.cached_raters)
-            for shard in self._shards
-        ]
-        propagate_candidacy_change(
-            stores,
-            stores[self._shard_map.owner(user)],
-            user,
-            item,
-            added,
-            self.builder,
-            self._qualifies,
-        )
-
-    def _cache_insert(self, user: int, counts: dict[int, int]) -> None:
-        if self.executor == "processes":
-            # Worker-owned caches: the parent-side stores stay empty, so
-            # a checkpoint can never serialize a stale multiset (caches
-            # are exact-or-absent; absent is always safe).
-            return
-        self._shards[self._shard_map.owner(user)].cache_insert(
-            user, counts, self
-        )
-
-    def _cache_evict(self, user: int) -> None:
-        if self.executor == "processes":
-            items = [int(item) for item in self.builder.profile(user)]
-            self._delta_buffer.append(("evict", int(user), items))
-            return
-        self._shards[self._shard_map.owner(user)].cache_evict(user, self)
-
-    def _candidate_sets(self, users: np.ndarray) -> dict[int, dict[int, int]]:
-        """Serial (main-thread) candidate-set lookup across shards."""
-        if self.executor == "processes":
-            # Parent-side derivations (debug/introspection paths) go
-            # straight to delta_rcs without touching any cache.
-            result, _, misses = derive_candidate_sets(
-                {},
-                np.asarray(users, dtype=np.int64),
-                lambda user, counts: None,
-                self.builder,
-                self.config.min_rating,
-            )
-            self.maintenance.candidate_cache_misses += misses
-            return result
-        owners = self._shard_map.owners(np.asarray(users, dtype=np.int64))
-        result: dict[int, dict[int, int]] = {}
-        for shard in self._shards:
-            owned = np.asarray(users, dtype=np.int64)[
-                owners == shard.shard_id
-            ]
-            if owned.size == 0:
-                continue
-            sets, hits, misses = shard.candidate_sets(owned, self)
-            result.update(sets)
-            self.maintenance.candidate_cache_hits += hits
-            self.maintenance.candidate_cache_misses += misses
-        return result
+        super().close()
 
     # ------------------------------------------------------------------
     # Process-executor delta shipping and pool management
     # ------------------------------------------------------------------
+    def _note_candidacy_change(
+        self, user: int, item: int, added: bool
+    ) -> None:
+        if self.executor != "processes":
+            super()._note_candidacy_change(user, item, added)
+            return
+        # The caches live in the workers; ship the flip as a compact
+        # delta.  The owner's update needs the item's qualifying raters
+        # *at event time* (the workers' snapshot views are only as
+        # fresh as the last refresh), so they travel along.
+        self._delta_buffer.append(
+            ("cand", user, item, added, self._qualifying_raters(item, user))
+        )
+
+    def _cache_insert(self, user: int, counts: dict[int, int]) -> None:
+        # Worker-owned caches under 'processes': the parent-side stores
+        # stay empty, so a checkpoint can never serialize a stale
+        # multiset (caches are exact-or-absent; absent is always safe).
+        if self.executor != "processes":
+            super()._cache_insert(user, counts)
+
+    def _cache_evict(self, user: int) -> None:
+        if self.executor != "processes":
+            super()._cache_evict(user)
+            return
+        items = [int(item) for item in self.builder.profile(user)]
+        self._delta_buffer.append(("evict", int(user), items))
+
     def _grow_rows(self, n_users: int) -> None:
         grew = n_users > self._n_rows
         super()._grow_rows(n_users)
@@ -898,8 +1043,6 @@ class ShardedKnnIndex(DynamicKnnIndex):
         """
         result = super().apply(events)
         if self.executor == "processes":
-            # Ship per-event deltas after every apply(), so worker-side
-            # caches track the live profiles between refreshes.
             self._flush_deltas()
         return result
 
@@ -935,7 +1078,6 @@ class ShardedKnnIndex(DynamicKnnIndex):
         neighbors, sims = self._rows()
         return dict(
             shard_id=shard_id,
-            n_shards=self.n_shards,
             shard_map=self._shard_map,
             config=self.config,
             metric=self.engine.metric,
@@ -1037,8 +1179,8 @@ class ShardedKnnIndex(DynamicKnnIndex):
         :class:`~repro.scheduling.RefreshScheduler`, the migration
         counts against the queue bound like any other dirty work.
         Under ``executor="processes"`` the worker pool is reset instead
-        (the PR 5 crash-respawn path): the next refresh respawns the
-        workers from the authoritative rows with the new map, and the
+        (the crash-respawn path): the next refresh respawns the workers
+        from the authoritative rows with the new map, and the
         shared-memory arena views republish as usual.
 
         Parameters
@@ -1206,7 +1348,7 @@ class ShardedKnnIndex(DynamicKnnIndex):
         transfers: list[tuple[int, np.ndarray]] = []
         for user in moved:
             source = self._shards[self._shard_map.owner(user)]
-            source.cache_evict(user, self)
+            source.cache_evict(user, self.builder.profile(user))
             source.dirty.discard(user)
             cited = np.empty(0, dtype=ID_DTYPE)
             if user < neighbors.shape[0]:
@@ -1235,24 +1377,10 @@ class ShardedKnnIndex(DynamicKnnIndex):
         and old segments stay readable by the merged reader).
         """
         old_dirty = list(self._dirty)
-        self.n_shards = new_map.n_shards
-        self._shard_map = new_map
-        self._shards = [_Shard(shard) for shard in range(self.n_shards)]
-        self._dirty = _ShardedDirtySet(self._shards, lambda: self._shard_map)
-        self._reverse = _ShardedReverseIndex(
-            self._shards, lambda: self._shard_map
-        )
+        self._partition(new_map)
         neighbors, _ = self._rows()
         self._reverse.rebuild(neighbors)
         self._dirty.update(old_dirty)
-        if self.candidate_cache_size is None:
-            self._shard_cache_limit = None
-        elif self.candidate_cache_size <= 0:
-            self._shard_cache_limit = 0
-        else:
-            self._shard_cache_limit = max(
-                1, self.candidate_cache_size // self.n_shards
-            )
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -1293,32 +1421,23 @@ class ShardedKnnIndex(DynamicKnnIndex):
         return path
 
     def memory_stats(self) -> dict[str, int]:
-        """Flat-index breakdown plus the shared-memory arena accounting."""
+        """Flat-index breakdown plus the shared-memory arena accounting.
+
+        In ``processes`` mode the worker-side caches are not visible
+        here; the parent-side shard stores stay empty.
+        """
         stats = super().memory_stats()
-        # The base counted its own (empty, for a sharded index) cache
-        # dicts; the live caches are the per-shard owned slices.  In
-        # 'processes' mode the worker-side replicas are not visible
-        # here, but the parent-side owner stores mirror their keys.
-        stats["candidate_cache_entries"] = sum(
-            len(counts)
-            for shard in self._shards
-            for counts in shard.candidate_counts.values()
+        arena = (
+            self._arena.stats()
+            if self._arena is not None
+            else dict.fromkeys(
+                ("capacity_bytes", "high_water_bytes", "slack_bytes"), 0
+            )
         )
-        stats["cached_rater_entries"] = sum(
-            len(raters)
-            for shard in self._shards
-            for raters in shard.cached_raters.values()
-        )
-        if self._arena is not None:
-            arena = self._arena.stats()
-            stats["shm_arena_bytes"] = arena["capacity_bytes"]
-            stats["shm_arena_high_water_bytes"] = arena["high_water_bytes"]
-            stats["shm_arena_slack_bytes"] = arena["slack_bytes"]
-            stats["total_bytes"] += arena["capacity_bytes"]
-        else:
-            stats["shm_arena_bytes"] = 0
-            stats["shm_arena_high_water_bytes"] = 0
-            stats["shm_arena_slack_bytes"] = 0
+        stats["shm_arena_bytes"] = arena["capacity_bytes"]
+        stats["shm_arena_high_water_bytes"] = arena["high_water_bytes"]
+        stats["shm_arena_slack_bytes"] = arena["slack_bytes"]
+        stats["total_bytes"] += arena["capacity_bytes"]
         return stats
 
     @classmethod
@@ -1352,430 +1471,17 @@ class ShardedKnnIndex(DynamicKnnIndex):
             executor=executor,
         )
 
-    # ------------------------------------------------------------------
-    # Shard-parallel refinement
-    # ------------------------------------------------------------------
     def refresh(self, dirty_subset=None) -> RefreshStats:
         """Run the localized refinement, partitioned across the shards.
 
-        Semantically identical to :meth:`DynamicKnnIndex.refresh`
-        (including the ``dirty_subset`` deferral contract); see the
-        module docstring for the three-stage fan-out and why the result
-        is bit-identical at any shard count.  Like the flat refresh,
-        completion publishes a new read snapshot.
+        The same driver and contract as :meth:`DynamicKnnIndex.refresh`
+        (including the ``dirty_subset`` deferral contract); the executor
+        only decides how each stage call reaches the shards.  See the
+        module docstring for why the result is bit-identical at any
+        shard count.  Like the flat index, completion publishes a new
+        read snapshot.
         """
-        self._ensure_open()
-        if self.executor == "processes":
-            return self._refresh_processes(dirty_subset)
-        start = time.perf_counter()
-        maintenance = self.maintenance
-        rows_before = maintenance.rows_materialized
-        index_before = maintenance.index_users_recomputed
-        hits_before = maintenance.candidate_cache_hits
-        misses_before = maintenance.candidate_cache_misses
-        n_events = self._pending_events
-        if dirty_subset is None:
-            selected = set(self._dirty)
-            deferred: set[int] = set()
-        else:
-            subset = {int(u) for u in dirty_subset}
-            selected = {u for u in self._dirty if u in subset}
-            deferred = {u for u in self._dirty if u not in subset}
-        n_dirty = len(selected)
-        if n_dirty == 0:
-            stats = RefreshStats(
-                n_events,
-                0,
-                0,
-                0,
-                0,
-                time.perf_counter() - start,
-                deferred_users=len(deferred),
-            )
-            self._pending_events = 0
-            self._publish_snapshot(unchanged=True)
-            self.refresh_log.append(stats)
-            return stats
-        engine = self.engine
-        with engine.timer.phase("preprocessing"):
-            # Shared read-only state, rebound once before the fan-out;
-            # covers deferred users too (their profiles feed this pass's
-            # evaluations even though their rows wait).
-            engine.rebind(self.builder.snapshot(), dirty_users=self._dirty)
-        neighbors, sims = self._rows()
-        n_users = self.builder.n_users
-        all_dirty = np.fromiter(selected, count=n_dirty, dtype=np.int64)
-        truly_dirty = frozenset(selected)
-        owned_selected = [
-            np.fromiter(owned, count=len(owned), dtype=np.int64)
-            for owned in (shard.dirty & selected for shard in self._shards)
-        ]
-        with engine.timer.phase("candidate_selection"):
-            # Stage A: every shard discovers its slice of the affected
-            # set (its selected dirty users + its rows citing any
-            # selected dirty user).
-            affected_by_shard = self._map(
-                lambda work: np.union1d(
-                    work[1],
-                    work[0].reverse.referrers_of(all_dirty),
-                ),
-                list(zip(self._shards, owned_selected)),
-            )
-            affected = np.unique(np.concatenate(affected_by_shard))
-            affected_mask = np.zeros(n_users, dtype=bool)
-            affected_mask[affected] = True
-            # Stage B: clear owned affected rows, derive candidate sets,
-            # emit local pairs + cross-shard outboxes.
-            seq = self._seq
-            plans = self._map(
-                lambda work: self._shard_plan(
-                    work[0],
-                    work[1],
-                    affected_mask,
-                    truly_dirty,
-                    neighbors,
-                    sims,
-                    seq,
-                ),
-                list(zip(self._shards, affected_by_shard)),
-            )
-            for plan in plans:
-                maintenance.candidate_cache_hits += plan.cache_hits
-                maintenance.candidate_cache_misses += plan.cache_misses
-            # Outbox exchange: deliver each shard's cross-shard pairs.
-            inboxes: list[list[ShardOutbox]] = [
-                [] for _ in range(self.n_shards)
-            ]
-            for plan in plans:
-                for outbox in plan.outboxes:
-                    inboxes[outbox.target].append(outbox)
-            self.last_outboxes = tuple(
-                outbox for plan in plans for outbox in plan.outboxes
-            )
-        # Stage C: evaluate and merge, each shard into its own rows.
-        with engine.timer.phase("similarity"):
-            merges = self._map(
-                lambda work: self._shard_merge(
-                    work[0], work[1], work[2], neighbors, sims, n_users
-                ),
-                list(zip(self._shards, plans, inboxes)),
-            )
-        evaluations = sum(merge[0] for merge in merges)
-        changes = sum(merge[1] for merge in merges)
-        engine.counter.add(int(evaluations))
-        self._dirty.clear()
-        self._dirty.update(deferred)
-        self._pending_events = 0
-        stats = RefreshStats(
-            events=n_events,
-            dirty_users=n_dirty,
-            affected_users=int(affected.size),
-            evaluations=int(evaluations),
-            changes=int(changes),
-            wall_time=time.perf_counter() - start,
-            rows_materialized=maintenance.rows_materialized - rows_before,
-            index_users_recomputed=maintenance.index_users_recomputed
-            - index_before,
-            cache_hits=maintenance.candidate_cache_hits - hits_before,
-            cache_misses=maintenance.candidate_cache_misses - misses_before,
-            deferred_users=len(deferred),
-        )
-        self._publish_snapshot()
-        self.refresh_log.append(stats)
-        return stats
-
-    def _refresh_processes(self, dirty_subset=None) -> RefreshStats:
-        """The three-stage refresh, fanned out to the worker processes.
-
-        Same stages and same bit-identical result as the in-process
-        executors, with the transport swapped: the snapshot and profile
-        arrays are published once into the shared-memory arena, each
-        stage is a request/reply round over the worker pipes, and the
-        workers' row updates are merged into the parent's authoritative
-        arrays after the final barrier.  Because the parent applies
-        nothing until every worker has answered, a worker death at any
-        point leaves the authoritative state untouched: the pool is
-        reset, the cleared rows are re-marked dirty, and the whole pass
-        retries against respawned workers (seeded from the authoritative
-        rows plus the replayed delta tail).
-        """
-        from .procpool import WorkerCrash
-
-        start = time.perf_counter()
-        maintenance = self.maintenance
-        rows_before = maintenance.rows_materialized
-        index_before = maintenance.index_users_recomputed
-        hits_before = maintenance.candidate_cache_hits
-        misses_before = maintenance.candidate_cache_misses
-        n_events = self._pending_events
-        if dirty_subset is None:
-            selected = set(self._dirty)
-            deferred: set[int] = set()
-        else:
-            subset = {int(u) for u in dirty_subset}
-            selected = {u for u in self._dirty if u in subset}
-            deferred = {u for u in self._dirty if u not in subset}
-        n_dirty = len(selected)
-        if n_dirty == 0:
-            stats = RefreshStats(
-                n_events,
-                0,
-                0,
-                0,
-                0,
-                time.perf_counter() - start,
-                deferred_users=len(deferred),
-            )
-            self._pending_events = 0
-            self._publish_snapshot(unchanged=True)
-            self.refresh_log.append(stats)
-            return stats
-        engine = self.engine
-        if type(engine.index) is not ProfileIndex:
-            # Workers rebuild the base ProfileIndex from the shared
-            # buffers; a subclass's extra state would be silently
-            # dropped, breaking the bit-identity contract.  Fail loudly
-            # instead.
-            raise TypeError(
-                f"executor='processes' rebuilds a plain ProfileIndex in "
-                f"each worker and cannot carry a custom index subclass "
-                f"({type(engine.index).__name__}); use the 'threads' or "
-                f"'serial' executor for custom profile indexes"
-            )
-        with engine.timer.phase("preprocessing"):
-            engine.rebind(self.builder.snapshot(), dirty_users=self._dirty)
-        neighbors, sims = self._rows()
-        n_users = self.builder.n_users
-        seq = self._seq
-        if self._arena is None:
-            from .shm import ShmArena
-
-            self._arena = ShmArena(tag="repro-shard")
-        block, manifest = self._arena.publish(engine.index.to_shared_arrays())
-        attempts = 0
-        while True:
-            pool = self._ensure_pool()
-            self._flush_deltas()
-            # Restricting the shipped dirty sets to the selection is all
-            # a subset refresh needs worker-side: stage A then discovers
-            # affected(selected) and mirror offers come only from the
-            # selected users.  Deferred users stay parent-side, in
-            # ``self._dirty``, until a later pass selects them.
-            all_dirty = np.sort(
-                np.fromiter(selected, count=len(selected), dtype=np.int64)
-            )
-            affected = None
-            try:
-                with engine.timer.phase("candidate_selection"):
-                    # Stage A: each worker unions its dirty slice with
-                    # its rows citing any dirty user.
-                    affected_by_shard = pool.request_all(
-                        "stage_a",
-                        [
-                            dict(
-                                block=block,
-                                manifest=manifest,
-                                all_dirty=all_dirty,
-                                my_dirty=np.sort(
-                                    np.fromiter(
-                                        owned,
-                                        count=len(owned),
-                                        dtype=np.int64,
-                                    )
-                                ),
-                                seq=seq,
-                                n_users=n_users,
-                            )
-                            for owned in (
-                                shard.dirty & selected
-                                for shard in self._shards
-                            )
-                        ],
-                    )
-                    affected = np.unique(np.concatenate(affected_by_shard))
-                    # Stage B: clear + plan with per-shard outboxes.
-                    plans = pool.request_all(
-                        "plan",
-                        [dict(affected=affected)] * self.n_shards,
-                    )
-                    inboxes: list[list[ShardOutbox]] = [
-                        [] for _ in range(self.n_shards)
-                    ]
-                    for plan in plans:
-                        for outbox in plan["outboxes"]:
-                            inboxes[outbox.target].append(outbox)
-                # Stage C: dedupe + evaluate + merge into owned rows;
-                # the workers return their row updates.
-                with engine.timer.phase("similarity"):
-                    merges = pool.request_all(
-                        "merge",
-                        [dict(inbox=inbox) for inbox in inboxes],
-                    )
-                break
-            except WorkerCrash:
-                # Respawn + replay: re-mark whatever may have been
-                # cleared worker-side as dirty, reseed the whole pool
-                # from the (untouched) authoritative rows plus the delta
-                # tail, and rerun the pass.  The selection grows the
-                # same way so the retry covers those rows even on a
-                # subset refresh.
-                attempts += 1
-                if affected is not None:
-                    self._dirty.update(affected.tolist())
-                    selected.update(affected.tolist())
-                pool.reset()
-                if attempts >= 3:
-                    raise
-            except BaseException:
-                # A worker-raised error (e.g. a failing metric): mark
-                # cleared rows dirty so the next refresh rebuilds them,
-                # and reset the pool so no worker keeps half-merged rows.
-                if affected is not None:
-                    self._dirty.update(affected.tolist())
-                pool.reset()
-                raise
-        for plan in plans:
-            maintenance.candidate_cache_hits += plan["hits"]
-            maintenance.candidate_cache_misses += plan["misses"]
-        self.last_outboxes = tuple(
-            outbox for plan in plans for outbox in plan["outboxes"]
-        )
-        # Apply: clear every affected row, then land the merged rows —
-        # cleared-but-candidateless rows stay MISSING, exactly as the
-        # in-process executors leave them.
-        neighbors[affected] = MISSING
-        sims[affected] = -np.inf
-        evaluations = 0
-        changes = 0
-        for merge in merges:
-            evaluations += merge["evaluations"]
-            changes += merge["changes"]
-            active = merge["active"]
-            if active.size:
-                neighbors[active] = merge["neighbors"]
-                sims[active] = merge["sims"]
-        engine.counter.add(int(evaluations))
-        self._dirty.clear()
-        self._dirty.update(deferred)
-        self._pending_events = 0
-        self._delta_tail.clear()
-        stats = RefreshStats(
-            events=n_events,
-            dirty_users=n_dirty,
-            affected_users=int(affected.size),
-            evaluations=int(evaluations),
-            changes=int(changes),
-            wall_time=time.perf_counter() - start,
-            rows_materialized=maintenance.rows_materialized - rows_before,
-            index_users_recomputed=maintenance.index_users_recomputed
-            - index_before,
-            cache_hits=maintenance.candidate_cache_hits - hits_before,
-            cache_misses=maintenance.candidate_cache_misses - misses_before,
-            deferred_users=len(deferred),
-        )
-        self._publish_snapshot()
-        self.refresh_log.append(stats)
-        return stats
-
-    def referrer_counts(self, users) -> np.ndarray:
-        """Blast radius of *users* across all shards.
-
-        On the in-process executors each shard's reverse index is
-        authoritative, so the per-shard counts sum exactly.  Under
-        ``executor='processes'`` the parent-side reverse indexes are
-        stale (the workers own them and the parent lands merges without
-        ``apply_row``), so the counts are derived from the
-        authoritative neighbor rows directly — one vectorised bincount,
-        paid once per scheduler pass.
-        """
-        self._ensure_open()
-        users = np.asarray(users, dtype=np.int64)
-        if self.executor != "processes":
-            return self._reverse.referrer_counts(users)
-        neighbors, _ = self._rows()
-        cited = neighbors[neighbors != MISSING]
-        counts = np.bincount(cited, minlength=self.builder.n_users)
-        return counts[users].astype(np.int64)
-
-    def _shard_plan(
-        self,
-        shard: _Shard,
-        affected: np.ndarray,
-        affected_mask: np.ndarray,
-        truly_dirty: frozenset,
-        neighbors: np.ndarray,
-        sims: np.ndarray,
-        seq: int,
-    ) -> _ShardPlan:
-        """Stage B for one shard: clear rows, plan pairs, fill outboxes."""
-        # Retry safety (mirrors the flat refresh): once cleared, affected
-        # rows count as dirty until the merge lands, so a mid-pass
-        # failure leaves them rebuildable, not silently empty.
-        shard.dirty.update(affected.tolist())
-        old_rows = neighbors[affected].copy()
-        neighbors[affected] = MISSING
-        sims[affected] = -np.inf
-        for pos, row in enumerate(affected.tolist()):
-            shard.reverse.apply_row(row, old_rows[pos], ())
-        cand_sets, hits, misses = shard.candidate_sets(affected, self)
-        rows, candidates, outboxes = plan_shard_pairs(
-            shard.shard_id,
-            self._shard_map,
-            affected,
-            affected_mask,
-            truly_dirty,
-            cand_sets,
-            seq,
-        )
-        return _ShardPlan(
-            affected=affected,
-            rows=rows,
-            candidates=candidates,
-            outboxes=outboxes,
-            cache_hits=hits,
-            cache_misses=misses,
-        )
-
-    def _shard_merge(
-        self,
-        shard: _Shard,
-        plan: _ShardPlan,
-        inbox: list[ShardOutbox],
-        neighbors: np.ndarray,
-        sims: np.ndarray,
-        n_users: int,
-    ) -> tuple[int, int]:
-        """Stage C for one shard: dedupe, evaluate, merge its own rows."""
-        evaluations, changes, _, _, _ = merge_shard_pairs(
-            shard.shard_id,
-            self._shard_map,
-            self.config.pivot,
-            plan.rows,
-            plan.candidates,
-            inbox,
-            neighbors,
-            sims,
-            n_users,
-            self._score_pairs,
-            shard.reverse,
-        )
-        return evaluations, changes
-
-    def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Chunked metric evaluation against the shared profile index.
-
-        See :func:`score_pairs_chunked` (the shared kernel) for why this
-        bypasses ``engine.batch`` and stays bit-identical to it.
-        """
-        engine = self.engine
-        return score_pairs_chunked(
-            engine.metric,
-            engine.index,
-            us,
-            vs,
-            engine.batch_size,
-            kernel=engine.index.kernel,
-        )
+        return self._refresh(dirty_subset)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,9 +1,12 @@
 """Unit tests for checkpoint save/load and checkpoint-only restore."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro import DynamicKnnIndex, KiffConfig
+from repro.layout import ID_DTYPE, SCORE_DTYPE
 from repro.persistence import (
     CheckpointError,
     checkpoint_path,
@@ -50,10 +53,10 @@ class TestSaveLoad:
     def test_candidate_cache_round_trip(self, streamed_index, tmp_path):
         state = load_checkpoint(save_checkpoint(streamed_index, tmp_path))
         cached = dict(state.cache)
-        assert cached == streamed_index._candidate_counts
+        assert cached == streamed_index._shards[0].candidate_counts
         # Insertion order is part of the state (it is the eviction order).
         assert [user for user, _ in state.cache] == list(
-            streamed_index._candidate_counts
+            streamed_index._shards[0].candidate_counts
         )
 
     def test_config_inf_gamma_round_trips(self, rated_dataset, tmp_path):
@@ -75,6 +78,34 @@ class TestSaveLoad:
         np.savez_compressed(path, **data)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+
+class TestFormatVersion:
+    def test_v2_is_the_written_version(self, streamed_index, tmp_path):
+        path = save_checkpoint(streamed_index, tmp_path)
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(str(np.asarray(archive["meta"]).item()))
+            assert meta["version"] == 2
+            assert np.dtype(meta["dtypes"]["ids"]) == ID_DTYPE
+            assert np.dtype(meta["dtypes"]["scores"]) == SCORE_DTYPE
+            assert "graph_indptr" in archive  # packed, not dense
+            assert "graph_neighbors" not in archive
+
+    def test_v1_archive_is_refused(self, streamed_index, tmp_path):
+        """Version 1 (dense rows) has no reader: loading fails loudly."""
+        path = save_checkpoint(streamed_index, tmp_path)
+        data = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(str(np.asarray(data.pop("meta")).item()))
+        meta["version"] = 1
+        np.savez_compressed(path, meta=np.asarray(json.dumps(meta)), **data)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 1"
+        ):
+            load_checkpoint(path)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 1"
+        ):
+            DynamicKnnIndex.restore(tmp_path)
 
 
 class TestLatestCheckpoint:
@@ -109,7 +140,7 @@ class TestCheckpointOnlyRestore:
         assert restored.pending_events == 0
         assert restored.restore_info.replayed_events == 0
         assert restored.auto_refresh is False
-        assert restored._candidate_counts  # cache survived
+        assert restored._shards[0].candidate_counts  # cache survived
 
     def test_restore_without_refresh_keeps_pending_state(
         self, streamed_index, tmp_path

@@ -1,9 +1,8 @@
 """Unit tests for the typed-event ingestion API (DynamicKnnIndex.apply).
 
-Parity semantics of each event kind live in ``test_parity.py`` (which
-also exercises the deprecated wrappers); this file pins the apply()
-contract itself: validation atomicity, Batch grouping, ApplyResult
-structure, sequence numbering, and the deprecation shims.
+Parity semantics of each event kind live in ``test_parity.py``; this
+file pins the apply() contract itself: validation atomicity, Batch
+grouping, ApplyResult structure and sequence numbering.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.streaming import (
     Batch,
     RemoveRating,
     RemoveUser,
-    apply_events,
     cold_rebuild_graph,
     ratings_batch,
 )
@@ -137,141 +135,21 @@ class TestBatchSemantics:
             ratings_batch([0, 1], [3])
 
 
-class TestDeprecatedShims:
-    def test_add_ratings_warns_and_delegates(self, rated_dataset):
-        index = DynamicKnnIndex(rated_dataset, KiffConfig(k=2))
-        with pytest.deprecated_call():
-            index.add_ratings([0, 1], [3, 3], [4.0, 2.0])
-        assert index.last_seq == 2
-        assert index.graph == cold(index)
-
-    def test_add_user_warns_and_returns_id(self, toy_dataset):
-        index = DynamicKnnIndex(toy_dataset, KiffConfig(k=3))
-        with pytest.deprecated_call():
-            newcomer = index.add_user([3], [1.0])
-        assert newcomer == 4
-        assert index.graph == cold(index)
-
-    def test_remove_user_warns_and_delegates(self, toy_dataset):
-        index = DynamicKnnIndex(toy_dataset, KiffConfig(k=3))
-        with pytest.deprecated_call():
-            index.remove_user(3)
-        assert index.graph.degree()[3] == 0
-        assert index.graph == cold(index)
-
-    def test_apply_events_returns_apply_result(self, toy_dataset):
-        index = DynamicKnnIndex(toy_dataset, KiffConfig(k=3))
-        with pytest.deprecated_call():
-            result = apply_events(index, [AddUser((3,)), AddRating(0, 3)])
-        assert isinstance(result, ApplyResult)
-        assert result.new_users == (4,)
-        assert index.graph == cold(index)
-
-
-class TestDeprecationStacklevel:
-    """Every shim must warn once per call, blaming the *caller's* line.
-
-    A wrong ``stacklevel`` reports the warning against repro's own
-    source, which makes ``-W error::DeprecationWarning`` migrations
-    impossible to act on — so the reported filename is pinned to this
-    test file for every shim and list-compat surface.
-    """
-
-    def assert_one_warning_here(self, record):
-        assert len(record) == 1
-        assert record[0].category is DeprecationWarning
-        assert record[0].filename == __file__
-
-    def test_add_ratings_blames_caller(self, rated_dataset):
-        index = DynamicKnnIndex(rated_dataset, KiffConfig(k=2))
-        with pytest.warns(DeprecationWarning) as record:
-            index.add_ratings([0], [3], [4.0])
-        self.assert_one_warning_here(record)
-
-    def test_add_user_blames_caller(self, toy_dataset):
-        index = DynamicKnnIndex(toy_dataset, KiffConfig(k=3))
-        with pytest.warns(DeprecationWarning) as record:
-            index.add_user([3], [1.0])
-        self.assert_one_warning_here(record)
-
-    def test_remove_user_blames_caller(self, toy_dataset):
-        index = DynamicKnnIndex(toy_dataset, KiffConfig(k=3))
-        with pytest.warns(DeprecationWarning) as record:
-            index.remove_user(3)
-        self.assert_one_warning_here(record)
-
-    def test_apply_events_blames_caller(self, toy_dataset):
-        index = DynamicKnnIndex(toy_dataset, KiffConfig(k=3))
-        with pytest.warns(DeprecationWarning) as record:
-            apply_events(index, [AddRating(0, 3, 1.0)])
-        self.assert_one_warning_here(record)
-
-    def test_list_compat_blames_caller(self):
-        result = ApplyResult(new_users=(4,), refreshes=(), events=1, last_seq=1)
-        with pytest.warns(DeprecationWarning) as record:
-            list(result)
-        self.assert_one_warning_here(record)
-        with pytest.warns(DeprecationWarning) as record:
-            len(result)
-        self.assert_one_warning_here(record)
-        with pytest.warns(DeprecationWarning) as record:
-            result[0]
-        self.assert_one_warning_here(record)
-        with pytest.warns(DeprecationWarning) as record:
-            result == [4]
-        self.assert_one_warning_here(record)
-
-    def test_sharded_shims_blame_caller(self, rated_dataset):
-        """The shims inherited by ShardedKnnIndex keep the stacklevel."""
-        from repro import ShardedKnnIndex
-
-        index = ShardedKnnIndex(
-            rated_dataset, KiffConfig(k=2), n_shards=2, executor="serial"
-        )
-        with pytest.warns(DeprecationWarning) as record:
-            index.add_ratings([0], [3], [4.0])
-        self.assert_one_warning_here(record)
-
-    def test_default_filter_warns_once_per_call_site(self, rated_dataset):
-        """With the default 'default' action, a loop over one call site
-        surfaces a single warning — per-site, not per-call, noise."""
-        import warnings
-
-        index = DynamicKnnIndex(rated_dataset, KiffConfig(k=2))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("default")
-            for rating in (1.0, 2.0, 3.0):
-                index.add_ratings([0], [3], [rating])
-        ours = [w for w in caught if w.category is DeprecationWarning]
-        assert len(ours) == 1
-        assert ours[0].filename == __file__
-
-
 class TestApplyResultListCompat:
-    """The historical apply_events contract was a list of minted ids."""
+    """ApplyResult is a plain frozen dataclass, not a list of ids."""
 
     def make(self):
         return ApplyResult(
             new_users=(4, 5), refreshes=(), events=3, last_seq=3
         )
 
-    def test_iteration_warns_and_yields_ids(self):
-        with pytest.deprecated_call():
-            assert [user for user in self.make()] == [4, 5]
-
-    def test_len_and_getitem_warn(self):
+    def test_is_not_a_list_of_minted_ids(self):
         result = self.make()
-        with pytest.deprecated_call():
-            assert len(result) == 2
-        with pytest.deprecated_call():
-            assert result[0] == 4
-        with pytest.deprecated_call():
-            assert result[-1] == 5
-
-    def test_list_equality_warns(self):
-        with pytest.deprecated_call():
-            assert self.make() == [4, 5]
+        with pytest.raises(TypeError):
+            iter(result)
+        with pytest.raises(TypeError):
+            len(result)
+        assert result != [4, 5]
 
     def test_structured_equality_does_not_warn(self, recwarn):
         assert self.make() == self.make()

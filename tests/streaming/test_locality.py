@@ -89,7 +89,7 @@ class TestCandidateCache:
         index.apply(RemoveUser(3))
         index.refresh()
         snapshot = index.builder.snapshot()
-        cached_users = sorted(index._candidate_counts)
+        cached_users = sorted(index._shards[0].candidate_counts)
         truth = delta_rcs(snapshot, cached_users, pivot=False)
         for user in cached_users:
             expected = dict(
@@ -98,14 +98,14 @@ class TestCandidateCache:
                     (int(c) for c in truth.counts_of(user).tolist()),
                 )
             )
-            assert index._candidate_counts[user] == expected
+            assert index._shards[0].candidate_counts[user] == expected
 
     def test_cache_size_zero_disables_caching(self):
         index = _index(candidate_cache_size=0)
         index.apply(ratings_batch([9], [4], [5.0]))
         index.refresh()
-        assert index._candidate_counts == {}
-        assert index._cached_raters == {}
+        assert index._shards[0].candidate_counts == {}
+        assert index._shards[0].cached_raters == {}
         index.apply(ratings_batch([9], [6], [2.0]))
         stats = index.refresh()
         assert stats.cache_hits == 0
@@ -115,7 +115,7 @@ class TestCandidateCache:
         index = _index(candidate_cache_size=3)
         index.apply(ratings_batch([1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [5.0] * 5))
         index.refresh()
-        assert len(index._candidate_counts) <= 3
+        assert len(index._shards[0].candidate_counts) <= 3
         assert index.graph == cold_rebuild_graph(index.dataset, index.config)
 
     def test_min_rating_qualifying_threshold_crossing(self):
@@ -135,7 +135,7 @@ class TestCandidateCache:
         index.apply(ratings_batch([0], [2], [4.0]))
         index.refresh()
         snapshot = index.builder.snapshot()
-        cached_users = sorted(index._candidate_counts)
+        cached_users = sorted(index._shards[0].candidate_counts)
         truth = delta_rcs(snapshot, cached_users, pivot=False, min_rating=3.0)
         for user in cached_users:
             expected = dict(
@@ -144,7 +144,7 @@ class TestCandidateCache:
                     (int(c) for c in truth.counts_of(user).tolist()),
                 )
             )
-            assert index._candidate_counts[user] == expected
+            assert index._shards[0].candidate_counts[user] == expected
         assert index.graph == cold_rebuild_graph(index.dataset, index.config)
 
 
@@ -186,12 +186,12 @@ class TestReverseIndex:
         mirroring the (cleared) rows so the retry is exact."""
         index = _index(n_users=30, n_items=18, density=0.15)
         index.apply(ratings_batch([0], [3], [4.0]))
-        original_batch = index.engine.batch
+        original_score = index._score_pairs
 
-        def exploding_batch(us, vs):
+        def exploding_score(us, vs):
             raise RuntimeError("metric blew up")
 
-        monkeypatch.setattr(index.engine, "batch", exploding_batch)
+        monkeypatch.setattr(index, "_score_pairs", exploding_score)
         with pytest.raises(RuntimeError, match="blew up"):
             index.refresh()
         neighbors, _ = index._rows()
@@ -200,6 +200,6 @@ class TestReverseIndex:
             np.testing.assert_array_equal(
                 index._reverse.referrers_of([user]), scan
             )
-        monkeypatch.setattr(index.engine, "batch", original_batch)
+        monkeypatch.setattr(index, "_score_pairs", original_score)
         index.refresh()
         assert index.graph == cold_rebuild_graph(index.dataset, index.config)

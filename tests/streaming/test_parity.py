@@ -109,7 +109,7 @@ class TestEventKinds:
         assert index.graph == cold_rebuild(index)
 
     def test_rejected_batch_applies_nothing(self, toy_dataset):
-        """add_ratings validates the whole batch first: a bad event must
+        """apply() validates the whole batch first: a bad event must
         not leave earlier events applied but unrefreshed."""
         from repro.datasets import DatasetError
 
@@ -247,15 +247,15 @@ class TestRefreshRobustness:
         the next refresh rebuilds every row the failed pass touched."""
         index = DynamicKnnIndex(rated_dataset, KiffConfig(k=2), auto_refresh=False)
         index.apply(ratings_batch([0], [3], [4.0]))
-        original_batch = index.engine.batch
+        original_score = index._score_pairs
 
-        def exploding_batch(us, vs):
+        def exploding_score(us, vs):
             raise RuntimeError("metric blew up")
 
-        monkeypatch.setattr(index.engine, "batch", exploding_batch)
+        monkeypatch.setattr(index, "_score_pairs", exploding_score)
         with pytest.raises(RuntimeError, match="blew up"):
             index.refresh()
-        monkeypatch.setattr(index.engine, "batch", original_batch)
+        monkeypatch.setattr(index, "_score_pairs", original_score)
         index.refresh()
         assert index.graph == cold_rebuild(index)
 

@@ -448,34 +448,6 @@ class TestRestoreReshardingEdgeCases:
         assert restored.graph == reference_graph
         restored.close()
 
-    def test_rebalance_immediately_after_legacy_v1_restore(self, tmp_path):
-        """A v1 flat checkpoint adopts as sharded, then rebalances."""
-        from tests.persistence.test_checkpoint_compat import (
-            _converged_index,
-            _write_legacy_v1,
-        )
-
-        index = _converged_index()
-        try:
-            _write_legacy_v1(index, tmp_path)
-            reference_graph = index.graph
-        finally:
-            index.close()
-        adopted = ShardedKnnIndex.restore(tmp_path, executor="serial")
-        stats = adopted.rebalance(ShardPlan(moves=((0, 1),), n_shards=3))
-        assert stats.shards_after == 3
-        adopted.refresh()
-        assert adopted.graph == reference_graph
-        final_graph, final_seq = adopted.graph, adopted.last_seq
-        final_map = adopted.shard_map
-        adopted.close()
-        again = ShardedKnnIndex.restore(tmp_path)
-        assert again.n_shards == 3
-        assert again.shard_map == final_map
-        assert again.graph == final_graph
-        assert again.last_seq == final_seq
-        again.close()
-
 
 class TestSchedulerComposition:
     def _scheduled(self, queue_bound=None):

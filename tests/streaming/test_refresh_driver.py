@@ -1,0 +1,107 @@
+"""The one refresh driver: the flat index is the one-shard case.
+
+``DynamicKnnIndex`` and ``ShardedKnnIndex`` run the same driver over the
+same per-shard stages, and the executor only carries the stage calls.
+So a one-shard ``ShardedKnnIndex`` must match the flat index not just
+in the graph but in every pass's work — whichever executor carries it —
+and the benchmark's outside-in trace must see exactly one
+``streaming.refresh`` span per pass on either class.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
+from repro.streaming import ratings_batch
+from tests.conftest import random_dataset
+from tests.streaming.test_sharding import drive, sharded_events
+
+#: The RefreshStats fields that count work (wall time excluded).
+WORK_FIELDS = (
+    "affected_users",
+    "evaluations",
+    "changes",
+    "cache_hits",
+    "cache_misses",
+)
+
+
+def work_log(index):
+    return [
+        tuple(getattr(stats, name) for name in WORK_FIELDS)
+        for stats in index.refresh_log
+    ]
+
+
+class TestOneShardIsTheFlatIndex:
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("pivot", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_graph_and_same_work_per_pass(self, seed, pivot, executor):
+        dataset = random_dataset(
+            n_users=18, n_items=14, density=0.15, seed=seed, ratings=True
+        )
+        events, refresh_after = sharded_events(seed, 18)
+        config = KiffConfig(k=4, pivot=pivot)
+        flat = drive(
+            DynamicKnnIndex(dataset, config, auto_refresh=False),
+            events,
+            refresh_after,
+        )
+        sharded = ShardedKnnIndex(
+            dataset,
+            config,
+            auto_refresh=False,
+            n_shards=1,
+            executor=executor,
+        )
+        try:
+            drive(sharded, events, refresh_after)
+            assert sharded.graph == flat.graph  # ids AND sims, exact
+            assert work_log(sharded) == work_log(flat)
+            assert sharded.initial_evaluations == flat.initial_evaluations
+        finally:
+            sharded.close()
+            flat.close()
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedRefreshSpans:
+    def test_one_refresh_span_per_pass_on_both_classes(self):
+        tracing = _load_tracing()
+        tracer = tracing.Tracer()
+        tracing.install_layer_wrappers(tracer)
+        try:
+            dataset = random_dataset(
+                n_users=24, n_items=16, density=0.2, seed=4, ratings=True
+            )
+            indexes = (
+                DynamicKnnIndex(dataset, KiffConfig(k=3), auto_refresh=False),
+                ShardedKnnIndex(
+                    dataset,
+                    KiffConfig(k=3),
+                    auto_refresh=False,
+                    n_shards=2,
+                    executor="serial",
+                ),
+            )
+            for passes, index in enumerate(indexes, start=1):
+                index.apply(ratings_batch([0, 5], [2, 2], [4.0, 1.0]))
+                tracer.set_active(True)
+                index.refresh()
+                tracer.set_active(False)
+                summary = tracer.summary()
+                assert summary["streaming.refresh"]["calls"] == passes
+                assert summary["graph.merge"]["calls"] >= passes
+                index.close()
+        finally:
+            tracer.uninstall()
