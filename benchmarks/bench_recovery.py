@@ -19,7 +19,12 @@ import os
 
 import numpy as np
 
-from repro import BipartiteDataset, DynamicKnnIndex, KiffConfig, WriteAheadLog
+from repro import (
+    BipartiteDataset,
+    DynamicKnnIndex,
+    KiffConfig,
+    PartitionedWriteAheadLog,
+)
 from repro.core.rcs import count_rcs_candidates
 from repro.streaming import holdout_stream, ratings_batch
 
@@ -75,7 +80,7 @@ def test_recovery_cost(benchmark, tmp_path):
         base,
         KiffConfig(k=params["k"]),
         auto_refresh=False,
-        wal=WriteAheadLog(tmp_path / "wal.jsonl", fsync_every=256),
+        wal=PartitionedWriteAheadLog(tmp_path, 1, fsync_every=256),
     )
     index.checkpoint(tmp_path)
     batch_size = params["batch_size"]

@@ -5,8 +5,9 @@ Run the narrative walkthrough with::
     python examples/streaming_updates.py
 
 Durable-stream mode (used by the crash-recovery smoke job) journals a
-seeded random event stream into a write-ahead log with periodic
-checkpoints, and can SIGKILL itself mid-stream to simulate a crash::
+seeded random event stream into a write-ahead log (``wal-<shard>.jsonl``
+segments) with periodic ``checkpoint-<seq>.shards`` checkpoints, and
+can SIGKILL itself mid-stream to simulate a crash::
 
     python examples/streaming_updates.py --state-dir /tmp/state \
         --events 120 --checkpoint-every 25 --kill-after 73
@@ -15,9 +16,9 @@ checkpoints, and can SIGKILL itself mid-stream to simulate a crash::
 Running the same seed with ``--events K`` (no kill) produces the
 uninterrupted reference state at event K — what the recovery test
 compares bit-identically against.  ``--shards N`` runs the same durable
-stream through a :class:`ShardedKnnIndex` with per-shard
-``wal-<shard>.jsonl`` segments and partitioned checkpoints (the sharded
-crash-recovery smoke job drives this mode); ``--executor processes``
+stream through a :class:`ShardedKnnIndex`, one log segment and one
+checkpoint state file per shard (the sharded crash-recovery smoke job
+drives this mode); ``--executor processes``
 additionally fans each refresh out to one OS worker per shard over
 shared-memory snapshots — the crash drill then exercises SIGKILL of a
 whole process tree mid-stream.  ``--rebalance-after N`` runs a live
@@ -38,9 +39,9 @@ from repro import (
     AddUser,
     DynamicKnnIndex,
     KiffConfig,
+    PartitionedWriteAheadLog,
     RemoveRating,
     RemoveUser,
-    WriteAheadLog,
     ratings_batch,
 )
 from repro.datasets import load_dataset
@@ -76,8 +77,9 @@ def durable_stream(args) -> None:
     dataset = load_dataset("wikipedia", scale="tiny")
     state = Path(args.state_dir)
     state.mkdir(parents=True, exist_ok=True)
+    wal = PartitionedWriteAheadLog(state, args.shards, fsync_every=8)
     if args.shards > 1:
-        from repro import PartitionedWriteAheadLog, ShardedKnnIndex
+        from repro import ShardedKnnIndex
 
         index = ShardedKnnIndex(
             dataset,
@@ -85,14 +87,11 @@ def durable_stream(args) -> None:
             auto_refresh=False,
             n_shards=args.shards,
             executor=args.executor,
-            wal=PartitionedWriteAheadLog(state, args.shards, fsync_every=8),
+            wal=wal,
         )
     else:
         index = DynamicKnnIndex(
-            dataset,
-            KiffConfig(k=8),
-            auto_refresh=False,
-            wal=WriteAheadLog(state / "wal.jsonl", fsync_every=8),
+            dataset, KiffConfig(k=8), auto_refresh=False, wal=wal
         )
     # However the stream ends (completion, a bad event, SIGINT), the
     # index must release its worker pool and /dev/shm arena; only the
@@ -200,7 +199,7 @@ def narrative() -> None:
     #    and restore a bit-identical index after a "crash".
     with tempfile.TemporaryDirectory() as tmp:
         state = Path(tmp)
-        index.attach_wal(WriteAheadLog(state / "wal.jsonl"))
+        index.attach_wal(PartitionedWriteAheadLog(state, 1))
         index.checkpoint(state)
         index.apply(AddRating(1, 7, 4.0))  # journaled, not checkpointed
         index.refresh()  # restore() also lands on the refreshed graph
@@ -230,7 +229,7 @@ def main(argv=None) -> None:
         default=1,
         help=(
             "durable-stream mode: shard the index across N workers "
-            "(partitioned wal-<shard>.jsonl segments + sharded checkpoints)"
+            "(one wal-<shard>.jsonl segment and checkpoint file per shard)"
         ),
     )
     parser.add_argument(

@@ -29,13 +29,13 @@ maintenance") and ``examples/streaming_updates.py``::
     index = DynamicKnnIndex(dataset, KiffConfig(k=10))
     index.apply(AddRating(user=3, item=12))   # graph stays exact
 
-With a :class:`repro.persistence.WriteAheadLog` attached and periodic
-``index.checkpoint(dir)`` calls, ``DynamicKnnIndex.restore(dir)``
+With a :class:`repro.persistence.PartitionedWriteAheadLog` attached and
+periodic ``index.checkpoint(dir)`` calls, ``DynamicKnnIndex.restore(dir)``
 recovers a bit-identical graph after a crash (README: "Durability").
 :class:`repro.streaming.ShardedKnnIndex` runs the refinement
-shard-parallel across workers — bit-identical at any shard count — with
-per-shard ``wal-<shard>.jsonl`` segments and partitioned checkpoints
-(README: "Sharding").
+shard-parallel across workers — bit-identical at any shard count — over
+the same partitioned state directory, one ``wal-<shard>.jsonl`` segment
+per shard (README: "Sharding").
 """
 
 from .baselines import (
@@ -82,7 +82,7 @@ from .instrumentation import (
     SimilarityCounter,
     scan_rate,
 )
-from .persistence import PartitionedWriteAheadLog, WriteAheadLog
+from .persistence import PartitionedWriteAheadLog
 from .scheduling import (
     Backpressure,
     RefreshScheduler,
@@ -167,7 +167,6 @@ __all__ = [
     "ShardedKnnIndex",
     "SimilarityMetric",
     "SubmitResult",
-    "WriteAheadLog",
     "__version__",
     "average_similarity",
     "brute_force_knn",

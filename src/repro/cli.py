@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "with 'recover'/'rebalance': the state directory holding "
-            "wal[-<shard>].jsonl and checkpoint archives"
+            "wal-<shard>.jsonl segments and checkpoint-<seq>.shards "
+            "directories"
         ),
     )
     parser.add_argument(
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
             "with 'stream'/'serve': partition users across N shard "
             "workers (ShardedKnnIndex; default 1 = the sequential "
             "DynamicKnnIndex).  With --wal, events journal into "
-            "per-shard wal-<i>.jsonl segments in the log's directory.  "
+            "per-shard wal-<i>.jsonl segments in the state directory.  "
             "With 'rebalance': the target shard count to migrate the "
             "restored state to (default: keep the current count)"
         ),
@@ -170,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal",
         default=None,
         help=(
-            "with 'stream': journal every event into this write-ahead "
-            "log file (checkpoints land in the same directory)"
+            "with 'stream': the state directory to journal every event "
+            "into (wal-<shard>.jsonl segments) and checkpoint into; a "
+            ".jsonl path means its parent directory"
         ),
     )
     parser.add_argument(
@@ -455,32 +457,22 @@ def _run_stream(args) -> int:
     try:
         state_dir = None
         if args.wal:
+            from .persistence import PartitionedWriteAheadLog
+
+            # Per-shard segments live in the state directory; a .jsonl
+            # path names a log file inside it.
             wal_path = Path(args.wal)
-            if args.shards > 1:
-                from .persistence import PartitionedWriteAheadLog
-
-                # Per-shard segments live in the log's directory; a bare
-                # directory path is accepted directly.
-                state_dir = (
-                    wal_path.parent
-                    if wal_path.suffix == ".jsonl"
-                    else wal_path
-                )
-                wal = PartitionedWriteAheadLog(state_dir, args.shards)
-                log_name = f"{state_dir}/wal-<shard>.jsonl"
-            else:
-                from .persistence import WriteAheadLog
-
-                state_dir = wal_path.parent
-                wal = WriteAheadLog(wal_path)
-                log_name = str(wal_path)
+            state_dir = (
+                wal_path.parent if wal_path.suffix == ".jsonl" else wal_path
+            )
+            wal = PartitionedWriteAheadLog(state_dir, args.shards)
             if wal.last_seq > 0:
                 wal.close()
                 print(
-                    f"error: {log_name} already holds events up to "
-                    f"sequence {wal.last_seq}; recover that state with "
-                    f"'repro-kiff recover {state_dir}' or pass a fresh "
-                    f"--wal path",
+                    f"error: {state_dir}/wal-<shard>.jsonl already holds "
+                    f"events up to sequence {wal.last_seq}; recover that "
+                    f"state with 'repro-kiff recover {state_dir}' or pass "
+                    f"a fresh --wal path",
                     file=sys.stderr,
                 )
                 return 2
@@ -752,16 +744,14 @@ def _run_serve(args) -> int:
 def _run_recover(args) -> int:
     """The 'recover' utility: checkpoint + WAL-tail restart recovery.
 
-    Handles both durable layouts: a flat ``wal.jsonl`` + ``checkpoint-
-    *.npz`` directory restores a :class:`DynamicKnnIndex`, a partitioned
-    one (``wal-<shard>.jsonl`` segments / ``checkpoint-*.shards``) a
-    :class:`ShardedKnnIndex`.
+    Restores a :class:`ShardedKnnIndex` at the shard count the latest
+    checkpoint recorded (one for a state directory the flat index
+    wrote).
     """
     from pathlib import Path
 
     from .experiments.report import render_table
-    from .persistence import detect_state_layout
-    from .streaming import DynamicKnnIndex, ShardedKnnIndex, cold_rebuild_graph
+    from .streaming import ShardedKnnIndex, cold_rebuild_graph
 
     if not args.directory:
         print(
@@ -771,29 +761,14 @@ def _run_recover(args) -> int:
         )
         return 2
     directory = Path(args.directory)
-    layout = detect_state_layout(directory)
-    if layout is None:
-        state = (
-            "is missing"
-            if not directory.is_dir()
-            else "holds no recoverable streaming state (no "
-            "wal[-<shard>].jsonl or checkpoint archives)"
-        )
-        print(
-            f"error: {directory} {state}; stream with "
-            f"'repro-kiff stream --wal {directory}/wal.jsonl' first",
-            file=sys.stderr,
-        )
+    if _report_unrecoverable(directory):
         return 2
-    if layout == "sharded":
-        index = ShardedKnnIndex.restore(directory)
-    else:
-        index = DynamicKnnIndex.restore(directory)
+    index = ShardedKnnIndex.restore(directory)
     try:
         info = index.restore_info
         dataset = index.dataset
         rows = [
-            ["layout", layout],
+            ["shards", index.n_shards],
             ["checkpoint", info.checkpoint.name],
             ["checkpoint sequence", info.checkpoint_seq],
             ["wal events replayed", info.replayed_events],
@@ -803,8 +778,6 @@ def _run_recover(args) -> int:
             ["ratings", dataset.n_ratings],
             ["recovery evaluations", info.evaluations],
         ]
-        if layout == "sharded":
-            rows.insert(1, ["shards", index.n_shards])
         parity = None
         if args.verify:
             cold = cold_rebuild_graph(
@@ -827,13 +800,32 @@ def _run_recover(args) -> int:
     return 0 if parity in (None, True) else 1
 
 
+def _report_unrecoverable(directory) -> bool:
+    """Print the exit-2 message when *directory* holds no checkpoint."""
+    from .persistence import latest_checkpoint
+
+    if directory.is_dir() and latest_checkpoint(directory) is not None:
+        return False
+    state = (
+        "is missing"
+        if not directory.is_dir()
+        else "holds no recoverable streaming state (no "
+        "checkpoint-<seq>.shards directory)"
+    )
+    print(
+        f"error: {directory} {state}; stream with "
+        f"'repro-kiff stream --wal {directory}' first",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _run_rebalance(args) -> int:
     """The 'rebalance' utility: restore, migrate shard ownership, exit.
 
-    Restores the state directory (either layout — a flat one is adopted
-    as sharded first), applies one WAL-fenced
-    :class:`~repro.streaming.ShardPlan` built from ``--shards`` /
-    ``--move``, and reports what moved.  The fence pair and the
+    Restores the state directory at its recorded shard count, applies
+    one WAL-fenced :class:`~repro.streaming.ShardPlan` built from
+    ``--shards`` / ``--move``, and reports what moved.  The fence pair and the
     post-migration dirty set are journaled, so the next ``recover`` (or
     a crashed copy of this command) replays the flip exactly; a live
     server offers the same operation without a restart via the
@@ -842,7 +834,6 @@ def _run_rebalance(args) -> int:
     from pathlib import Path
 
     from .experiments.report import render_table
-    from .persistence import detect_state_layout
     from .streaming import ShardPlan, ShardedKnnIndex, cold_rebuild_graph
 
     if not args.directory:
@@ -872,12 +863,7 @@ def _run_rebalance(args) -> int:
         )
         return 2
     directory = Path(args.directory)
-    if detect_state_layout(directory) is None:
-        print(
-            f"error: {directory} holds no recoverable streaming state; "
-            f"stream with 'repro-kiff stream --wal {directory}' first",
-            file=sys.stderr,
-        )
+    if _report_unrecoverable(directory):
         return 2
     index = ShardedKnnIndex.restore(directory)
     parity = None

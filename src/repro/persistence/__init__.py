@@ -1,30 +1,27 @@
 """Durability for streaming KNN maintenance: WAL + checkpoint/restore.
 
 The streaming subsystem keeps the converged KIFF graph exact under live
-events; this package makes that state survive restarts:
+events; this package makes that state survive restarts.  There is one
+durable layout, partitioned by shard; the flat
+:class:`~repro.streaming.index.DynamicKnnIndex` writes its one-shard
+case:
 
-* :class:`WriteAheadLog` — an append-only JSONL journal every applied
-  event flows through (fsync-batched, sequence-numbered, torn-tail
-  tolerant).
-* :func:`save_checkpoint` / :func:`load_checkpoint` — one ``.npz``
-  archive holding the full maintained state (dataset snapshot, graph
-  rows, dirty set, candidate cache, counters).
-* :func:`restore_index` — latest checkpoint + WAL-tail replay; the
-  refreshed result is bit-identical to the uninterrupted run.
-
-Sharded deployments partition the same durable state per worker
-(:mod:`repro.persistence.partition`):
-
-* :class:`PartitionedWriteAheadLog` — ``wal-<shard>.jsonl`` segments
-  sharing one global sequence; :func:`read_partitioned_wal` merges them
-  back into the total event order for replay.
-* :func:`save_sharded_checkpoint` / :func:`restore_sharded_index` —
-  ``checkpoint-<seq>.shards/`` directories with per-shard state files;
-  restore handles both layouts (and re-shards exactly).
+* :class:`PartitionedWriteAheadLog` — an append-only journal every
+  applied event flows through, as ``wal-<shard>.jsonl`` segments
+  sharing one global sequence (fsync group-committed, torn-tail
+  tolerant); :func:`read_partitioned_wal` merges the segments back into
+  the total event order, and :class:`WriteAheadLog` is one segment file.
+* :func:`save_checkpoint` / :func:`load_checkpoint` — a
+  ``checkpoint-<seq>.shards/`` directory holding the full maintained
+  state (dataset snapshot, graph rows, per-shard dirty slices and
+  candidate caches, counters).
+* :func:`restore_index` — latest checkpoint + merged WAL-tail replay;
+  the refreshed result is bit-identical to the uninterrupted run, at
+  any shard count.
 
 Use through the index: ``index.checkpoint(dir)`` and
 ``DynamicKnnIndex.restore(dir)`` / ``ShardedKnnIndex.restore(dir)`` —
-see README ("Durability" / "Sharding").
+see README ("Durability").
 """
 
 from .checkpoint import (
@@ -40,17 +37,10 @@ from .checkpoint import (
 )
 from .partition import (
     PartitionedWriteAheadLog,
-    ShardedCheckpointState,
-    detect_state_layout,
-    load_sharded_checkpoint,
     read_partitioned_wal,
-    restore_sharded_index,
-    save_sharded_checkpoint,
-    sharded_checkpoint_path,
     wal_segment_path,
 )
 from .wal import (
-    WAL_FILENAME,
     PersistenceError,
     WalError,
     WriteAheadLog,
@@ -58,7 +48,6 @@ from .wal import (
     encode_event,
     fsync_dir,
     read_wal,
-    rotate_superseded,
 )
 
 __all__ = [
@@ -67,26 +56,18 @@ __all__ = [
     "PartitionedWriteAheadLog",
     "PersistenceError",
     "RestoreInfo",
-    "ShardedCheckpointState",
-    "WAL_FILENAME",
     "WalError",
     "WriteAheadLog",
     "checkpoint_path",
     "decode_event",
-    "detect_state_layout",
     "encode_event",
     "fsync_dir",
     "install_checkpoint_state",
     "latest_checkpoint",
     "load_checkpoint",
-    "load_sharded_checkpoint",
     "read_partitioned_wal",
     "read_wal",
     "restore_index",
-    "restore_sharded_index",
-    "rotate_superseded",
     "save_checkpoint",
-    "save_sharded_checkpoint",
-    "sharded_checkpoint_path",
     "wal_segment_path",
 ]

@@ -1,33 +1,41 @@
-"""Checkpoint format: the full maintained streaming state in one archive.
+"""Checkpoints and restore: the one durable layout for every index.
 
-A checkpoint serializes everything a
-:class:`~repro.streaming.index.DynamicKnnIndex` needs to resume exactly
-where it was: the dataset snapshot (via
-:func:`repro.datasets.mutable.snapshot_to_arrays`), the KNN graph rows
-(CSR-packed via :func:`repro.graph.io.pack_graph_arrays`), the dirty
-set, the
-delta-maintained candidate-multiset cache (in insertion order, so
-eviction order survives), and the cost counters.  The reverse-neighbor
-index is *not* stored: it is a pure function of the graph rows and is
-re-derived on load, which is both cheaper than parsing it and immune to
-drift.
+A checkpoint serializes everything an index needs to resume exactly
+where it was, as a ``checkpoint-<seq>.shards/`` directory that
+partitions the state the way the shards hold it:
 
-Recovery = latest checkpoint + :mod:`write-ahead log
-<repro.persistence.wal>` tail replay.  Because the maintained graph is
-the converged KIFF fixed point — independent of the refresh schedule —
-the restored index's refreshed graph is **bit-identical** to the
-uninterrupted run's (the recovery parity suite pins this across
-randomized kill points).
+* ``meta.json`` — format version, sequence, config, metric, counters,
+  the shard count and any live-rebalance ownership overrides;
+* ``base.npz`` — the shared read-only state: the dataset snapshot (via
+  :func:`repro.datasets.mutable.snapshot_to_arrays`) and the KNN graph
+  rows (CSR-packed via :func:`repro.graph.io.pack_graph_arrays`);
+* ``shard-<i>.npz`` — shard *i*'s dirty slice and delta-maintained
+  candidate-multiset cache (in insertion order, so eviction order
+  survives).
 
-Checkpoints are written atomically (temp file + ``os.replace``) as
-``checkpoint-<seq>.npz`` so a crash mid-checkpoint leaves the previous
-one intact and :func:`latest_checkpoint` always finds a complete file.
+The flat :class:`~repro.streaming.index.DynamicKnnIndex` writes the
+one-shard case.  The reverse-neighbor index is *not* stored: it is a
+pure function of the graph rows and is re-derived on load, which is both
+cheaper than parsing it and immune to drift.
+
+Recovery (:func:`restore_index`) = latest readable checkpoint + the
+merged :mod:`partitioned log <repro.persistence.partition>` tail,
+replayed once in global order.  Because the maintained graph is the
+converged KIFF fixed point — independent of the refresh schedule and of
+which shard owns a user — the restored index's refreshed graph is
+**bit-identical** to the uninterrupted run's at any shard count (the
+recovery parity suites pin this across randomized kill points).
+
+Checkpoints are staged under a temp name, every file fsynced, then
+atomically renamed into place with a parent-directory fsync, so a crash
+mid-checkpoint leaves the previous one intact.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -40,7 +48,8 @@ from ..graph.io import pack_graph_arrays, unpack_graph_arrays
 from ..graph.knn_graph import KnnGraph
 from ..layout import ID_DTYPE, SCORE_DTYPE, dtype_tags, indptr_dtype
 from . import wal as _wal
-from .wal import WAL_FILENAME, PersistenceError, WriteAheadLog, read_wal
+from .partition import PartitionedWriteAheadLog, read_partitioned_wal
+from .wal import PersistenceError
 
 __all__ = [
     "CheckpointError",
@@ -48,12 +57,10 @@ __all__ = [
     "RestoreInfo",
     "cache_from_arrays",
     "cache_to_arrays",
-    "checkpoint_meta",
     "checkpoint_path",
     "install_checkpoint_state",
     "latest_checkpoint",
     "load_checkpoint",
-    "load_latest_checkpoint",
     "restore_index",
     "save_checkpoint",
 ]
@@ -70,11 +77,21 @@ CHECKPOINT_VERSION = 2
 #: Versions :func:`load_checkpoint` can restore.
 SUPPORTED_CHECKPOINT_VERSIONS = frozenset({2})
 _PREFIX = "checkpoint-"
+_SUFFIX = ".shards"
 
 
 @dataclass(frozen=True)
 class CheckpointState:
-    """Everything :func:`load_checkpoint` recovers from one archive."""
+    """Everything :func:`load_checkpoint` recovers from one checkpoint.
+
+    The per-shard slices are merged here: ownership is derivable from
+    ``n_shards`` plus the (usually empty) ``shard_overrides`` table
+    left behind by live
+    :meth:`~repro.streaming.sharding.ShardedKnnIndex.rebalance` moves,
+    so :func:`install_checkpoint_state` re-derives each shard's dirty
+    slice and cache from the merged tuples — which is also what makes
+    restoring at a different shard count (re-sharding) exact.
+    """
 
     path: Path
     seq: int
@@ -93,6 +110,9 @@ class CheckpointState:
     dirty: tuple[int, ...]
     #: ``(user, {candidate: count})`` pairs in cache-insertion order.
     cache: tuple
+    n_shards: int
+    #: ``{user: shard}`` live-rebalance ownership overrides.
+    shard_overrides: dict
 
 
 @dataclass(frozen=True)
@@ -109,19 +129,30 @@ class RestoreInfo:
 
 
 def checkpoint_path(directory: str | Path, seq: int) -> Path:
-    """Canonical archive path for a checkpoint at sequence *seq*."""
-    return Path(directory) / f"{_PREFIX}{seq:012d}.npz"
+    """Canonical directory path for a checkpoint at sequence *seq*."""
+    return Path(directory) / f"{_PREFIX}{seq:012d}{_SUFFIX}"
 
 
-def _checkpoint_candidates(directory: Path) -> list[Path]:
-    """Every ``checkpoint-*.npz`` under *directory*, newest first."""
-    return [path for _, path in sorted(_discover_flat(directory), reverse=True)]
+def _discover(directory: Path) -> list[tuple[int, Path]]:
+    """``(seq, path)`` for every ``checkpoint-<seq>.shards`` candidate."""
+    found: list[tuple[int, Path]] = []
+    if not directory.is_dir():
+        return found
+    for path in directory.glob(f"{_PREFIX}*{_SUFFIX}"):
+        if not path.is_dir():
+            continue
+        stem = path.name[len(_PREFIX) : -len(_SUFFIX)]
+        try:
+            found.append((int(stem), path))
+        except ValueError:
+            continue
+    return sorted(found, reverse=True)
 
 
 def latest_checkpoint(directory: str | Path) -> Path | None:
-    """The highest-sequence ``checkpoint-*.npz`` under *directory*."""
-    candidates = _checkpoint_candidates(Path(directory))
-    return candidates[0] if candidates else None
+    """The highest-sequence checkpoint under *directory* (or None)."""
+    candidates = _discover(Path(directory))
+    return candidates[0][1] if candidates else None
 
 
 def cache_to_arrays(candidate_counts: dict) -> dict[str, np.ndarray]:
@@ -185,9 +216,29 @@ def cache_from_arrays(archive) -> tuple:
     )
 
 
-def checkpoint_meta(index, dataset) -> dict:
-    """The JSON metadata block shared by the flat and sharded layouts."""
-    return {
+def _fsync_file(path: Path) -> None:
+    with path.open("rb+") as handle:
+        os.fsync(handle.fileno())
+
+
+def save_checkpoint(index, directory: str | Path) -> Path:
+    """Serialize *index* into ``directory/checkpoint-<seq>.shards/``.
+
+    Callable at any point of the stream — pending (unrefreshed) events
+    are captured through the dataset snapshot plus the dirty set, so a
+    restore followed by one refresh lands on the same converged graph.
+    ``base.npz`` holds the shared read-only state (dataset snapshot,
+    graph rows), ``shard-<i>.npz`` shard *i*'s dirty slice and candidate
+    cache.  The directory is staged under a temp name, every file
+    fsynced, then atomically renamed into place with a parent fsync — a
+    crash mid-checkpoint leaves the previous one intact.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    dataset = index.builder.snapshot()
+    neighbors, sims = index._rows()
+    graph_arrays = pack_graph_arrays(KnnGraph(neighbors, sims))
+    meta = {
         "version": CHECKPOINT_VERSION,
         "dtypes": dtype_tags(),
         "seq": index.last_seq,
@@ -203,89 +254,88 @@ def checkpoint_meta(index, dataset) -> dict:
             field: int(getattr(index.maintenance, field))
             for field in index.maintenance.__dataclass_fields__
         },
+        "layout": "sharded",
+        "n_shards": len(index._shards),
     }
-
-
-def save_checkpoint(index, directory: str | Path) -> Path:
-    """Serialize *index* into ``directory/checkpoint-<seq>.npz``.
-
-    Callable at any point of the stream — pending (unrefreshed) events
-    are captured through the dataset snapshot plus the dirty set, so a
-    restore followed by one refresh lands on the same converged graph.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    dataset = index.builder.snapshot()
-    neighbors, sims = index._rows()
-    graph_arrays = pack_graph_arrays(KnnGraph(neighbors, sims))
-    (shard,) = index._shards  # the flat layout holds one shard
-    cache_arrays = cache_to_arrays(shard.candidate_counts)
-    meta = checkpoint_meta(index, dataset)
+    overrides = index._shard_map.overrides
+    if overrides:
+        # Live-rebalance ownership overrides; JSON stringifies the keys,
+        # the loader re-ints them.
+        meta["shard_overrides"] = overrides
     path = checkpoint_path(directory, index.last_seq)
-    tmp = path.with_name(path.name + ".tmp.npz")
+    tmp = path.with_name(path.name + ".tmp")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir()
     try:
+        meta_file = tmp / "meta.json"
+        meta_file.write_text(json.dumps(meta), encoding="utf-8")
+        _fsync_file(meta_file)
         np.savez_compressed(
-            tmp,
-            meta=np.asarray(json.dumps(meta)),
+            tmp / "base.npz",
             **graph_arrays,
-            dirty=np.asarray(sorted(index._dirty), dtype=np.int64),
-            **cache_arrays,
             **snapshot_to_arrays(dataset),
         )
-        # Make the data durable before the rename makes it visible —
-        # otherwise a power loss can leave a durable name pointing at
-        # lost bytes (restore still falls back to older checkpoints).
-        with tmp.open("rb+") as handle:
-            os.fsync(handle.fileno())
+        _fsync_file(tmp / "base.npz")
+        for shard in index._shards:
+            shard_file = tmp / f"shard-{shard.shard_id}.npz"
+            np.savez_compressed(
+                shard_file,
+                dirty=np.asarray(sorted(shard.dirty), dtype=np.int64),
+                **cache_to_arrays(shard.candidate_counts),
+            )
+            _fsync_file(shard_file)
+        _wal.fsync_dir(tmp)
+        if path.exists():
+            # Re-checkpoint at the same sequence (same state): replace.
+            shutil.rmtree(path)
         os.replace(tmp, path)
-        # ... and make the *rename* durable: the new directory entry
-        # lives in the parent's metadata, which needs its own fsync or
-        # a power loss can silently undo the just-"committed" rename.
+        # The new directory entry lives in the parent's metadata, which
+        # needs its own fsync or a power loss can silently undo the
+        # just-"committed" rename.
         _wal.fsync_dir(directory)
     finally:
-        if tmp.exists():  # savez failed before the atomic rename
-            tmp.unlink()
+        if tmp.exists():  # staging failed before the atomic rename
+            shutil.rmtree(tmp, ignore_errors=True)
     return path
 
 
 def load_checkpoint(path: str | Path) -> CheckpointState:
-    """Parse a checkpoint archive back into a :class:`CheckpointState`."""
+    """Parse a ``checkpoint-<seq>.shards`` directory back into state."""
     path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        try:
-            meta = json.loads(str(np.asarray(archive["meta"]).item()))
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint metadata in {path}") from exc
-        version = meta.get("version")
-        if version not in SUPPORTED_CHECKPOINT_VERSIONS:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version!r} in {path} "
-                f"(this library writes version {CHECKPOINT_VERSION} and "
-                f"reads {sorted(SUPPORTED_CHECKPOINT_VERSIONS)})"
-            )
+    try:
+        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(
+            f"corrupt checkpoint metadata in {path}"
+        ) from exc
+    version = meta.get("version")
+    if version not in SUPPORTED_CHECKPOINT_VERSIONS:
+        raise CheckpointError(
+            f"unsupported checkpoint version {version!r} in {path} "
+            f"(this library writes version {CHECKPOINT_VERSION} and "
+            f"reads {sorted(SUPPORTED_CHECKPOINT_VERSIONS)})"
+        )
+    n_shards = int(meta.get("n_shards", 0))
+    if n_shards < 1:
+        raise CheckpointError(f"invalid shard count in {path}: {n_shards}")
+    with np.load(path / "base.npz", allow_pickle=False) as archive:
         graph = unpack_graph_arrays(archive)
         dataset = snapshot_from_arrays(archive, name=meta["name"])
-        cache = cache_from_arrays(archive)
-        return checkpoint_state_from_meta(
-            meta,
-            path=path,
-            dataset=dataset,
-            neighbors=graph.neighbors,
-            sims=graph.sims,
-            dirty=tuple(archive["dirty"].tolist()),
-            cache=cache,
-        )
-
-
-def checkpoint_state_from_meta(
-    meta: dict, cls=None, **fields
-) -> CheckpointState:
-    """Assemble a :class:`CheckpointState` (or subclass) from metadata."""
+    dirty: list[int] = []
+    cache: list[tuple] = []
+    for shard in range(n_shards):
+        with np.load(
+            path / f"shard-{shard}.npz", allow_pickle=False
+        ) as archive:
+            dirty.extend(archive["dirty"].tolist())
+            cache.extend(cache_from_arrays(archive))
     config_fields = dict(meta["config"])
     gamma = config_fields.get("gamma")
     if gamma is not None:
         config_fields["gamma"] = float(gamma)
-    return (cls or CheckpointState)(
+    return CheckpointState(
+        path=path,
         seq=int(meta["seq"]),
         name=meta["name"],
         metric=meta["metric"],
@@ -296,35 +346,38 @@ def checkpoint_state_from_meta(
         initial_evaluations=int(meta["initial_evaluations"]),
         evaluations=int(meta["evaluations"]),
         maintenance=dict(meta["maintenance"]),
-        **fields,
+        dataset=dataset,
+        neighbors=graph.neighbors,
+        sims=graph.sims,
+        dirty=tuple(sorted(dirty)),
+        cache=tuple(cache),
+        n_shards=n_shards,
+        shard_overrides={
+            int(user): int(shard)
+            for user, shard in (meta.get("shard_overrides") or {}).items()
+        },
     )
 
 
-def load_latest_checkpoint(directory: Path, loaders) -> "CheckpointState":
+def _load_latest(directory: Path) -> CheckpointState:
     """Newest *readable* checkpoint state under *directory*.
 
-    ``loaders`` maps a glob-discovery function to a load function; every
-    discovered candidate is tried newest-first, falling back past
-    unreadable archives (a crash can leave the latest one truncated even
-    with atomic renames) — the WAL tail bridges whatever an older
-    checkpoint is missing, and replay verifies sequence contiguity and
-    fails loudly if it can't.
+    Every candidate is tried newest-first, falling back past unreadable
+    ones (a crash can leave the latest one truncated even with atomic
+    renames) — the WAL tail bridges whatever an older checkpoint is
+    missing, and replay verifies sequence contiguity and fails loudly
+    if it can't.
     """
-    candidates: list[tuple[int, Path, object]] = []
-    for discover, load in loaders:
-        for seq, path in discover(directory):
-            candidates.append((seq, path, load))
+    candidates = _discover(directory)
     if not candidates:
         raise CheckpointError(
-            f"no checkpoint archives under {directory}; call "
+            f"no checkpoint under {directory}; call "
             f"index.checkpoint(directory) at least once before restoring"
         )
     failures: list[str] = []
-    for seq, path, load in sorted(
-        candidates, key=lambda entry: entry[0], reverse=True
-    ):
+    for _, path in candidates:
         try:
-            return load(path)
+            return load_checkpoint(path)
         except Exception as exc:  # noqa: BLE001 - any corruption: try older
             failures.append(f"{path.name}: {exc}")
     raise CheckpointError(
@@ -332,27 +385,12 @@ def load_latest_checkpoint(directory: Path, loaders) -> "CheckpointState":
     )
 
 
-def _discover_flat(directory: Path) -> list[tuple[int, Path]]:
-    """``(seq, path)`` for every flat ``checkpoint-*.npz`` candidate."""
-    found: list[tuple[int, Path]] = []
-    if not directory.is_dir():
-        return found
-    for path in directory.glob(f"{_PREFIX}*.npz"):
-        stem = path.name[len(_PREFIX) : -len(".npz")]
-        try:
-            found.append((int(stem), path))
-        except ValueError:
-            continue
-    return found
-
-
 def install_checkpoint_state(index, state: CheckpointState) -> None:
     """Install a loaded checkpoint into a freshly built (build=False) index.
 
     Works through the index's own state surfaces (``_dirty``,
-    ``_reverse``, ``_cache_insert``) rather than raw assignment, so a
-    :class:`~repro.streaming.sharding.ShardedKnnIndex` — whose surfaces
-    route to per-shard slices — restores through the same code path.
+    ``_reverse``, ``_cache_insert``) rather than raw assignment, so the
+    per-user state routes to its owner shard at the index's shard count.
     """
     # astype(copy=True): the index must own its rows, and a hand-built
     # wide state narrows to the compact layout.
@@ -379,31 +417,44 @@ def restore_index(
     metric=None,
     refresh: bool = True,
     fsync_every: int | None = 64,
+    n_shards: int | None = None,
+    executor: str | None = None,
 ):
-    """Recover a ``DynamicKnnIndex`` from *directory* (checkpoint + WAL).
+    """Recover an index of class *cls* from *directory*.
 
-    Loads the latest checkpoint, replays the write-ahead log tail
-    (events with ``seq`` beyond the checkpoint) with refinement
-    suppressed, then runs one refresh — restoring the converged graph at
-    a cost proportional to the tail's dirty set, not the dataset.  When
-    a ``wal.jsonl`` is present it is reopened for append, so the
-    restored index keeps journaling where the crashed one stopped.
+    Loads the newest readable checkpoint, replays the merged partitioned
+    log tail in global order with refinement suppressed, runs one
+    refresh — at a cost proportional to the tail's dirty set, not the
+    dataset — and reattaches a :class:`PartitionedWriteAheadLog` so
+    journaling continues where the crashed run stopped.
+
+    A :class:`~repro.streaming.index.DynamicKnnIndex` restores at one
+    shard from any state directory.  A
+    :class:`~repro.streaming.sharding.ShardedKnnIndex` restores at
+    ``n_shards`` — by default the checkpoint's count, whose
+    live-rebalance overrides are then reinstated; any other count
+    re-shards exactly (ownership never affects graph content).
+    Replayed ``migrate_begin``/``migrate_commit`` fences re-apply live
+    rebalances at their exact sequence positions; a ``migrate_begin``
+    with no matching commit (crash mid-rebalance) replays as a no-op,
+    rolling the ownership flip back to the fence.
 
     *cls* is the index class (passed in to avoid a circular import);
-    call this as ``DynamicKnnIndex.restore(directory)``.
+    call this as ``DynamicKnnIndex.restore(directory)`` or
+    ``ShardedKnnIndex.restore(directory)``.
     """
-    directory = Path(directory)
-    from .partition import detect_state_layout
+    from ..streaming.events import CONTROL_EVENTS
+    from ..streaming.sharding import ShardedKnnIndex, ShardMap
 
-    if detect_state_layout(directory) == "sharded":
-        raise CheckpointError(
-            f"{directory} holds a partitioned (sharded) state layout; "
-            f"recover it with ShardedKnnIndex.restore(...) or "
-            f"'repro-kiff recover {directory}' — replaying only the flat "
-            f"artifacts would silently drop the per-shard events"
+    directory = Path(directory)
+    state = _load_latest(directory)
+    index_kwargs = {}
+    if issubclass(cls, ShardedKnnIndex):
+        index_kwargs["n_shards"] = (
+            state.n_shards if n_shards is None else int(n_shards)
         )
-    state = load_latest_checkpoint(directory, [(_discover_flat, load_checkpoint)])
-    ckpt = state.path
+        if executor is not None:
+            index_kwargs["executor"] = executor
     index = cls(
         state.dataset,
         state.config,
@@ -411,44 +462,53 @@ def restore_index(
         auto_refresh=False,
         build=False,
         candidate_cache_size=state.candidate_cache_size,
+        **index_kwargs,
     )
-    # build=False left an all-dirty empty graph; install the checkpoint.
+    if state.shard_overrides and len(index._shards) == state.n_shards:
+        # Same shard count as the checkpoint: adopt its live-rebalance
+        # overrides before the installer routes per-user state, so
+        # dirty/cache/reverse slices land on their overridden owners.
+        index._shard_map = ShardMap(state.n_shards, state.shard_overrides)
     install_checkpoint_state(index, state)
-    wal_file = directory / WAL_FILENAME
     replayed = 0
-    if wal_file.exists():
-        for seq, event in read_wal(wal_file, after=state.seq):
-            if seq != index._seq + 1:
-                # The log's first surviving record starts beyond the
-                # checkpoint (e.g. the newer checkpoint that covered
-                # the gap is the corrupt one we skipped): replaying
-                # would silently drop the events in between.
-                raise CheckpointError(
-                    f"write-ahead log {wal_file} resumes at sequence "
-                    f"{seq} but checkpoint {ckpt.name} ends at "
-                    f"{index._seq}; events {index._seq + 1}..{seq - 1} "
-                    f"are not recoverable from this state directory"
-                )
-            index._absorb(event)
+    for seq, event in read_partitioned_wal(directory, after=state.seq):
+        if seq != index._seq + 1:
+            # The log's first surviving record starts beyond the
+            # checkpoint (e.g. the newer checkpoint that covered the
+            # gap is the corrupt one we skipped): replaying would
+            # silently drop the events in between.
+            raise CheckpointError(
+                f"partitioned log under {directory} resumes at sequence "
+                f"{seq} but checkpoint {state.path.name} ends at "
+                f"{index._seq}; events {index._seq + 1}..{seq - 1} are "
+                f"not recoverable from this state directory"
+            )
+        index._absorb(event)
+        index._seq = seq
+        replayed += 1
+        if not isinstance(event, CONTROL_EVENTS):
             index._pending_events += 1
-            index._seq = seq
-            replayed += 1
+    if n_shards is not None and len(index._shards) != n_shards:
+        # The caller pinned a shard count but a replayed rebalance left
+        # the index elsewhere: one final non-journaled re-shard honours
+        # the explicit request.
+        index._apply_plan_flip((), n_shards)
     if refresh:
         index.refresh()
     index.auto_refresh = state.auto_refresh
-    if wal_file.exists():
-        wal = WriteAheadLog(wal_file, fsync_every=fsync_every)
-        if wal.last_seq < index.last_seq:
-            # An fsync-batched tail died with the crash while a durable
-            # checkpoint got further: the checkpoint already contains
-            # those events, so rotate the superseded log aside and
-            # restart journaling at the index's sequence.
-            wal.close()
-            _wal.rotate_superseded(wal_file, index.last_seq)
-            wal = WriteAheadLog(wal_file, fsync_every=fsync_every)
-        index.attach_wal(wal)
+    wal = PartitionedWriteAheadLog(
+        directory, len(index._shards), fsync_every=fsync_every
+    )
+    if wal.last_seq < index.last_seq:
+        # A crash ate an fsync-batched tail that a durable checkpoint
+        # had already absorbed: jump the global counter past the gap.
+        # The segments keep their records (explicit sequence numbers
+        # make that safe) and recovery from an older checkpoint still
+        # fails loudly at the gap instead of silently skipping it.
+        wal.advance_to(index.last_seq)
+    index.attach_wal(wal)
     index.restore_info = RestoreInfo(
-        checkpoint=ckpt,
+        checkpoint=state.path,
         checkpoint_seq=state.seq,
         replayed_events=replayed,
         last_seq=index.last_seq,

@@ -1,23 +1,23 @@
-"""Durable write-ahead event log (append-only JSONL).
+"""Write-ahead log segment files (append-only JSONL).
 
 Every event a :class:`~repro.streaming.index.DynamicKnnIndex` applies is
-journaled here *before* it mutates in-memory state, so a crash loses at
-most the unsynced tail of the current fsync batch.  Recovery is
-checkpoint + log-tail replay (see :mod:`repro.persistence.checkpoint`).
+journaled *before* it mutates in-memory state, into one segment of a
+:class:`~repro.persistence.partition.PartitionedWriteAheadLog`.  This
+module is the segment file itself: the record codec, the reader, and
+:class:`WriteAheadLog`, which appends records under sequence numbers the
+partitioned log assigns.  Recovery is checkpoint + merged log-tail
+replay (see :mod:`repro.persistence.checkpoint`).
 
 Format: one JSON object per line.  The first line is a header carrying
-the format version; every subsequent record carries a strictly
-monotonically increasing ``seq`` starting at 1, so replay can resume
-"after sequence N" and detect gaps.  A torn final line (the crash wrote
-half a record) is tolerated on read and truncated away when the log is
-reopened for append — the standard WAL recovery rule.
+the format version; every subsequent record carries its *global* event
+sequence number, strictly increasing within the segment (the gaps are
+the events routed to other segments).  A torn final line (the crash
+wrote half a record) is tolerated on read and truncated away when the
+segment is reopened for append — the standard WAL recovery rule.
 
-Durability is tunable through ``fsync_every``: every append is flushed
-to the OS (so a same-machine reader and a SIGKILL survive it), but
-``fsync`` — the expensive disk barrier — runs once per *N* appends, on
-:meth:`WriteAheadLog.flush` and on close.  ``fsync_every=1`` is
-strictest; ``None`` never fsyncs (OS-crash durability traded for
-throughput).
+Every append is flushed to the OS (so a same-machine reader and a
+SIGKILL survive it); the ``fsync`` disk barrier runs on :meth:`flush`
+and on close, which the partitioned log calls as one group commit.
 """
 
 from __future__ import annotations
@@ -36,19 +36,16 @@ from ..streaming.events import (
     MigrateCommit,
     RemoveRating,
     RemoveUser,
-    flatten_events,
 )
 
 __all__ = [
     "PersistenceError",
     "WalError",
     "WriteAheadLog",
-    "WAL_FILENAME",
     "decode_event",
     "encode_event",
     "fsync_dir",
     "read_wal",
-    "rotate_superseded",
 ]
 
 
@@ -62,10 +59,6 @@ class WalError(PersistenceError):
 
 #: Format version written into (and required of) the header line.
 WAL_VERSION = 1
-
-#: Conventional log filename inside a state directory (what
-#: ``DynamicKnnIndex.restore`` and ``repro-kiff recover`` look for).
-WAL_FILENAME = "wal.jsonl"
 
 
 def fsync_dir(path: str | Path) -> None:
@@ -89,23 +82,6 @@ def fsync_dir(path: str | Path) -> None:
         pass
     finally:
         os.close(fd)
-
-
-def rotate_superseded(path: str | Path, last_seq: int) -> Path:
-    """Rotate a superseded log aside as ``<name>.superseded-<seq>``.
-
-    Used by recovery when a durable checkpoint got further than the
-    fsync-batched log (the crash ate the unsynced tail): the events are
-    already inside the checkpoint, so the stale log is renamed out of
-    the way and journaling restarts fresh.  The rename is made durable
-    with a parent-directory fsync — otherwise a power loss could resurrect
-    the stale log next to the new one and desynchronize a later replay.
-    """
-    path = Path(path)
-    target = path.with_name(f"{path.name}.superseded-{last_seq}")
-    os.replace(path, target)
-    fsync_dir(path.parent)
-    return target
 
 
 def encode_event(event: Event) -> dict:
@@ -192,23 +168,18 @@ def decode_event(record: dict) -> Event:
     raise WalError(f"unknown WAL record type {kind!r}")
 
 
-def _parse(
-    raw: bytes, path: Path, contiguous: bool = True
-) -> tuple[list[tuple[int, dict]], int]:
-    """Parse raw log bytes into ``[(seq, record), ...]`` + clean length.
+def _parse(raw: bytes, path: Path) -> tuple[list[tuple[int, dict]], int]:
+    """Parse raw segment bytes into ``[(seq, record), ...]`` + clean length.
 
     A torn *final* line (no trailing newline, or undecodable JSON at the
     very end) is dropped; the returned clean length excludes it so a
     reopen can truncate.  Corruption anywhere else — an undecodable line
-    followed by valid data, a sequence gap, a bad header — raises
-    :class:`WalError`, because silently skipping records would replay a
-    different history than the one that was applied.
-
-    ``contiguous=False`` relaxes the gap rule to *strictly increasing*:
-    a partitioned segment (``wal-<shard>.jsonl``) records only the events
-    routed to its shard, so gaps in its global sequence numbers are
-    expected — cross-segment contiguity is checked by the merged reader
-    (:func:`repro.persistence.partition.read_partitioned_wal`) instead.
+    followed by valid data, a sequence that does not advance, a bad
+    header — raises :class:`WalError`, because silently skipping records
+    would replay a different history than the one that was applied.
+    Gaps are expected (events routed to other segments); contiguity of
+    the merged history is checked where it is replayed
+    (:func:`repro.persistence.checkpoint.restore_index`).
     """
     records: list[tuple[int, dict]] = []
     clean = 0
@@ -245,26 +216,14 @@ def _parse(
             saw_header = True
         else:
             seq = record.get("seq")
-            if records:
-                # Contiguous after the first record; the log may *start*
-                # at any sequence (journaling can begin mid-history,
-                # with a checkpoint covering everything before it).
-                expected = records[-1][0] + 1
-                if contiguous and seq != expected:
-                    raise WalError(
-                        f"WAL sequence gap in {path}: expected {expected}, "
-                        f"got {seq!r}"
-                    )
-                if not contiguous and (
-                    not isinstance(seq, int) or seq < expected
-                ):
-                    raise WalError(
-                        f"WAL sequence regression in {path}: expected "
-                        f">= {expected}, got {seq!r}"
-                    )
-            elif not isinstance(seq, int) or seq < 1:
+            if not isinstance(seq, int) or seq < 1:
                 raise WalError(
                     f"WAL record in {path} has invalid sequence {seq!r}"
+                )
+            if records and seq <= records[-1][0]:
+                raise WalError(
+                    f"WAL sequence regression in {path}: expected "
+                    f"> {records[-1][0]}, got {seq}"
                 )
             records.append((seq, record))
         offset += len(line) + 1
@@ -272,63 +231,38 @@ def _parse(
     return records, clean
 
 
-def read_wal(
-    path: str | Path, after: int = 0, contiguous: bool = True
-) -> Iterator[tuple[int, Event]]:
-    """Yield ``(seq, event)`` for every logged event with ``seq > after``.
+def read_wal(path: str | Path, after: int = 0) -> Iterator[tuple[int, Event]]:
+    """Yield ``(seq, event)`` for every record in one segment past *after*.
 
     Tolerates a torn final line; raises :class:`WalError` on any other
-    corruption (mid-file garbage, sequence gaps, version mismatch).
-    ``contiguous=False`` reads one partitioned segment, whose global
-    sequence numbers may legitimately hold gaps (see :func:`_parse`).
+    corruption (mid-file garbage, regressing sequences, version
+    mismatch).
     """
     path = Path(path)
-    records, _ = _parse(path.read_bytes(), path, contiguous=contiguous)
+    records, _ = _parse(path.read_bytes(), path)
     for seq, record in records:
         if seq > after:
             yield seq, decode_event(record)
 
 
 class WriteAheadLog:
-    """Append-only durable event journal with fsync batching.
+    """One append-only segment file of a partitioned write-ahead log.
 
-    Parameters
-    ----------
-    path:
-        The JSONL file.  A missing file is created (with its header); an
-        existing one is recovered — torn tail truncated, last sequence
-        number adopted — and appended to.
-    fsync_every:
-        Run ``os.fsync`` once per this many appends (plus on
-        :meth:`flush` and :meth:`close`).  ``1`` syncs every append;
-        ``None`` never syncs (every append is still flushed to the OS).
-    contiguous:
-        When True (default) sequence numbers must be gap-free and
-        :meth:`append` auto-assigns ``last_seq + 1``.  ``False`` opens a
-        *partitioned segment* (``wal-<shard>.jsonl``): the caller
-        assigns each record its global sequence number explicitly and
-        gaps are expected (events routed to other shards).
+    *path* is the JSONL file.  A missing file is created (with its
+    header); an existing one is recovered — torn tail truncated, last
+    sequence number adopted — and appended to.  The caller
+    (:class:`~repro.persistence.partition.PartitionedWriteAheadLog`)
+    assigns every record its global sequence number and runs the fsync
+    barrier through :meth:`flush`.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        fsync_every: int | None = 64,
-        contiguous: bool = True,
-    ):
-        if fsync_every is not None and fsync_every <= 0:
-            raise ValueError(
-                f"fsync_every must be positive or None, got {fsync_every}"
-            )
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.fsync_every = fsync_every
-        self.contiguous = contiguous
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._last_seq = 0
-        self._unsynced = 0
         if self.path.exists() and self.path.stat().st_size > 0:
             raw = self.path.read_bytes()
-            records, clean = _parse(raw, self.path, contiguous=contiguous)
+            records, clean = _parse(raw, self.path)
             if clean < len(raw):
                 # Torn tail from a crash mid-write: truncate before
                 # appending, or the next record would corrupt the file.
@@ -353,25 +287,8 @@ class WriteAheadLog:
 
     @property
     def last_seq(self) -> int:
-        """Sequence number of the most recently appended event."""
+        """Sequence number of the most recently appended record."""
         return self._last_seq
-
-    def advance_to(self, seq: int) -> None:
-        """Fast-forward an *empty* log to sequence *seq*.
-
-        Lets journaling begin mid-history (the index is at event N, a
-        checkpoint covers 1..N, the log records N+1 onward).  Refused on
-        a log that already holds events — renumbering history would
-        desynchronize replay.
-        """
-        if self._last_seq != 0:
-            raise WalError(
-                f"cannot advance {self.path} to sequence {seq}: the log "
-                f"already holds events up to {self._last_seq}"
-            )
-        if seq < 0:
-            raise ValueError(f"seq must be >= 0, got {seq}")
-        self._last_seq = int(seq)
 
     @property
     def closed(self) -> bool:
@@ -385,39 +302,26 @@ class WriteAheadLog:
             json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
         )
 
-    def append(self, event: Event, seq: int | None = None) -> int:
-        """Journal one primitive event; returns its sequence number.
+    def append(self, event: Event, seq: int) -> int:
+        """Journal one primitive event as record *seq*; returns *seq*.
 
-        The record is flushed to the OS immediately (a SIGKILL of this
-        process cannot lose it) and fsynced per the batching policy.
-        A failed write (disk full) leaves the sequence counter and —
-        best effort — the file exactly as before, so a caller retry
-        reuses the same sequence number instead of leaving a gap that
-        would render the log unreadable.
-
-        ``seq`` (partitioned segments only) assigns the record an
-        explicit global sequence number; it must advance — contiguously
-        for a contiguous log, strictly for a segment.
+        *seq* must advance past :attr:`last_seq`.  The record is flushed
+        to the OS immediately (a SIGKILL of this process cannot lose
+        it).  A failed write (disk full) leaves the sequence counter
+        and — best effort — the file exactly as before, so a caller
+        retry reuses the same sequence number.
         """
         record = encode_event(event)
         if self._handle.closed:
             raise WalError(f"write-ahead log {self.path} is closed")
-        if seq is not None:
-            seq = int(seq)
-            if self.contiguous and seq != self._last_seq + 1:
-                raise WalError(
-                    f"contiguous log {self.path} is at {self._last_seq}; "
-                    f"cannot append explicit sequence {seq}"
-                )
-            if seq <= self._last_seq:
-                raise WalError(
-                    f"sequence must advance past {self._last_seq} in "
-                    f"{self.path}, got {seq}"
-                )
+        seq = int(seq)
+        if seq <= self._last_seq:
+            raise WalError(
+                f"sequence must advance past {self._last_seq} in "
+                f"{self.path}, got {seq}"
+            )
         self._handle.flush()
         offset = self._handle.tell()
-        if seq is None:
-            seq = self._last_seq + 1
         try:
             self._write_record({"seq": seq, **record})
             self._handle.flush()
@@ -430,17 +334,7 @@ class WriteAheadLog:
                 pass
             raise
         self._last_seq = seq
-        self._unsynced += 1
-        if self.fsync_every is not None and self._unsynced >= self.fsync_every:
-            self._fsync()
-        return self._last_seq
-
-    def append_many(self, events) -> int:
-        """Journal a batch (flattened); returns the last sequence number."""
-        for event in events:
-            for primitive in flatten_events(event):
-                self.append(primitive)
-        return self._last_seq
+        return seq
 
     def mark(self) -> tuple[int, int]:
         """The current ``(last_seq, byte offset)`` — a :meth:`rollback`
@@ -466,20 +360,15 @@ class WriteAheadLog:
         os.ftruncate(self._handle.fileno(), offset)
         os.fsync(self._handle.fileno())
         self._last_seq = seq
-        self._unsynced = 0
-
-    def _fsync(self) -> None:
-        os.fsync(self._handle.fileno())
-        self._unsynced = 0
 
     def flush(self) -> None:
         """Flush and fsync everything appended so far."""
         if not self._handle.closed:
             self._handle.flush()
-            self._fsync()
+            os.fsync(self._handle.fileno())
 
     def close(self) -> None:
-        """Flush, fsync and close the log file (idempotent)."""
+        """Flush, fsync and close the segment file (idempotent)."""
         if not self._handle.closed:
             self.flush()
             self._handle.close()
@@ -493,5 +382,5 @@ class WriteAheadLog:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"WriteAheadLog(path={str(self.path)!r}, "
-            f"last_seq={self._last_seq}, fsync_every={self.fsync_every})"
+            f"last_seq={self._last_seq})"
         )

@@ -19,8 +19,8 @@ Typed events are the **only** ingestion path:
 mutation flows through, and it returns an :class:`ApplyResult`.  That
 single choke point is what lets the :mod:`repro.persistence` subsystem
 journal every applied event into a
-:class:`~repro.persistence.WriteAheadLog` and recover a bit-identical
-graph from a checkpoint plus the log tail.
+:class:`~repro.persistence.PartitionedWriteAheadLog` and recover a
+bit-identical graph from a checkpoint plus the log tail.
 """
 
 from __future__ import annotations

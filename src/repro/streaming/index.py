@@ -84,8 +84,8 @@ Ingestion and durability
 ------------------------
 Typed events (:mod:`repro.streaming.events`) are the only ingestion
 path: :meth:`DynamicKnnIndex.apply` validates, journals (into an
-attached :class:`~repro.persistence.WriteAheadLog`), absorbs and
-refreshes — one choke point for every mutation.  Because of that,
+attached :class:`~repro.persistence.PartitionedWriteAheadLog`), absorbs
+and refreshes — one choke point for every mutation.  Because of that,
 restart recovery is a property of the whole API:
 :meth:`DynamicKnnIndex.checkpoint` serializes the maintained state and
 :meth:`DynamicKnnIndex.restore` replays the log tail on top of the
@@ -274,9 +274,9 @@ class DynamicKnnIndex(_ShardHost):
         capping long-stream memory at production scale; ``None`` removes
         the bound, ``0`` disables the cache.  Evictions are oldest-first.
     wal:
-        Optional :class:`~repro.persistence.WriteAheadLog` to journal
-        every applied event into (write-ahead, i.e. before the event
-        mutates in-memory state).  Equivalent to calling
+        Optional :class:`~repro.persistence.PartitionedWriteAheadLog` to
+        journal every applied event into (write-ahead, i.e. before the
+        event mutates in-memory state).  Equivalent to calling
         :meth:`attach_wal` after construction; the log must be at the
         index's sequence number (0 for a fresh pair).
 
@@ -291,8 +291,9 @@ class DynamicKnnIndex(_ShardHost):
     -----
     The flat index is the one-shard case of the sharded state: its dirty
     set, candidate cache and reverse-neighbor index are its single
-    shard's, and :meth:`refresh` runs the same driver and per-shard
-    stages as :class:`~repro.streaming.sharding.ShardedKnnIndex`.
+    shard's, :meth:`refresh` runs the same driver and per-shard stages
+    as :class:`~repro.streaming.sharding.ShardedKnnIndex`, and its
+    durable state is the one-shard partitioned layout.
     """
 
     def __init__(
@@ -365,19 +366,26 @@ class DynamicKnnIndex(_ShardHost):
     def _partition(self, shard_map=None) -> None:
         """Fresh per-shard state containers for *shard_map*.
 
-        The flat index holds one shard, whose dirty set and reverse
-        index double as the index-level ``_dirty`` and ``_reverse``.
+        The index-level ``_dirty`` and ``_reverse`` route every access
+        to the owner shard's slice (the flat index holds one shard).
         """
         # Imported here: the shard state lives in the sharding module,
         # which itself builds on this one.
-        from .sharding import ShardMap, _Shard
+        from .sharding import (
+            ShardMap,
+            _Shard,
+            _ShardedDirtySet,
+            _ShardedReverseIndex,
+        )
 
         self._shard_map = shard_map or ShardMap(1)
         self._shards = [
             _Shard(shard, self) for shard in range(self._shard_map.n_shards)
         ]
-        self._dirty = self._shards[0].dirty
-        self._reverse = self._shards[0].reverse
+        self._dirty = _ShardedDirtySet(self._shards, lambda: self._shard_map)
+        self._reverse = _ShardedReverseIndex(
+            self._shards, lambda: self._shard_map
+        )
 
     # ------------------------------------------------------------------
     # State access
@@ -486,7 +494,8 @@ class DynamicKnnIndex(_ShardHost):
 
     @property
     def wal(self):
-        """The attached :class:`~repro.persistence.WriteAheadLog` (or None)."""
+        """The attached :class:`~repro.persistence.PartitionedWriteAheadLog`
+        (or None)."""
         return self._wal
 
     @property
@@ -672,21 +681,33 @@ class DynamicKnnIndex(_ShardHost):
             else:
                 raise TypeError(f"unknown streaming event {event!r}")
 
+    def _event_shard(self, event, n_users: int) -> int:
+        """The shard whose segment journals *event* (its primary user)."""
+        if isinstance(event, AddUser):
+            return self._shard_map.owner(n_users)  # the id being minted
+        return self._shard_map.owner(int(event.user))
+
     def _journal(self, primitives) -> None:
         """Advance the sequence; journal into the WAL when attached.
 
-        All-or-nothing per event unit: if an append fails partway (disk
-        full), the WAL is rolled back to its pre-unit state so nothing
-        is journaled that was never absorbed — a caller retry starts
-        from a clean log instead of double-journaling.
+        Each primitive goes to its owner shard's segment under the
+        global sequence the partitioned log assigns.  All-or-nothing
+        per event unit: if an append fails partway (disk full), every
+        segment is rolled back to its pre-unit state so nothing is
+        journaled that was never absorbed — a caller retry starts from
+        a clean log instead of double-journaling.
         """
         if self._wal is None:
             self._seq += len(primitives)
             return
         mark = self._wal.mark()
         try:
+            n_users = self.builder.n_users
             for primitive in primitives:
-                self._seq = self._wal.append(primitive)
+                shard = self._event_shard(primitive, n_users)
+                if isinstance(primitive, AddUser):
+                    n_users += 1
+                self._seq = self._wal.append(primitive, shard)
         except BaseException:
             self._wal.rollback(mark)
             self._seq = mark[0]
@@ -823,21 +844,28 @@ class DynamicKnnIndex(_ShardHost):
     def attach_wal(self, wal) -> None:
         """Journal every subsequently applied event into *wal*.
 
-        The log must either be at the index's sequence number (the
-        recovered log :meth:`restore` reattaches) or empty — an empty
-        log is fast-forwarded so journaling can begin mid-history, with
-        a :meth:`checkpoint` covering everything before it (take one
-        after attaching, or recovery has no base to replay onto).  A log
-        from a different history would make replay diverge from the
-        state, so it raises
-        :class:`~repro.persistence.PersistenceError`.
+        *wal* is a :class:`~repro.persistence.PartitionedWriteAheadLog`
+        (one segment per shard).  It must either be at the index's
+        sequence number (the recovered log :meth:`restore` reattaches)
+        or empty — an empty log is fast-forwarded so journaling can
+        begin mid-history, with a :meth:`checkpoint` covering everything
+        before it (take one after attaching, or recovery has no base to
+        replay onto).  Any other log, or one from a different history,
+        raises :class:`~repro.persistence.PersistenceError`.
         """
+        from ..persistence import PartitionedWriteAheadLog, PersistenceError
+
+        if not isinstance(wal, PartitionedWriteAheadLog):
+            raise PersistenceError(
+                f"{type(self).__name__} journals into per-shard segments; "
+                f"attach a PartitionedWriteAheadLog (got "
+                f"{type(wal).__name__}) — PartitionedWriteAheadLog("
+                f"directory, n_shards)"
+            )
         if wal.last_seq != self._seq:
             if wal.last_seq == 0:
                 wal.advance_to(self._seq)
             else:
-                from ..persistence import PersistenceError
-
                 raise PersistenceError(
                     f"WAL {wal.path} is at sequence {wal.last_seq} but the "
                     f"index is at {self._seq}; recover with "
@@ -854,10 +882,11 @@ class DynamicKnnIndex(_ShardHost):
     def checkpoint(self, directory: str | Path) -> Path:
         """Serialize the full maintained state into *directory*.
 
-        Writes ``checkpoint-<seq>.npz`` (atomic rename) holding the
-        dataset snapshot, graph rows, dirty set, candidate cache and
-        counters — callable mid-stream with events pending.  Recovery is
-        :meth:`restore`: latest checkpoint + WAL-tail replay.
+        Writes the one-shard ``checkpoint-<seq>.shards/`` directory
+        (atomic rename) holding the dataset snapshot, graph rows, dirty
+        set, candidate cache and counters — callable mid-stream with
+        events pending.  Recovery is :meth:`restore`: latest checkpoint
+        + WAL-tail replay.
         """
         from ..persistence import save_checkpoint
 
@@ -876,10 +905,12 @@ class DynamicKnnIndex(_ShardHost):
         Loads the latest checkpoint, replays logged events beyond it
         with refinement suppressed, then runs one refresh — after which
         the graph is bit-identical to the uninterrupted run's, at a cost
-        proportional to the log tail rather than the dataset.  ``metric``
-        defaults to the checkpointed metric name; pass an instance for
-        unregistered custom metrics.  The recovered WAL (when present)
-        is reattached so journaling continues seamlessly; provenance is
+        proportional to the log tail rather than the dataset.  Any
+        state directory restores, whatever shard count wrote it.
+        ``metric`` defaults to the checkpointed metric name; pass an
+        instance for unregistered custom metrics.  A one-segment
+        :class:`~repro.persistence.PartitionedWriteAheadLog` is
+        reattached so journaling continues seamlessly; provenance is
         stashed as ``index.restore_info``.
         """
         from ..persistence import restore_index

@@ -66,11 +66,12 @@ shards; every executor runs the same :class:`_Shard` code:
 ``benchmarks/bench_sharded_refresh.py`` measures all of them on
 multi-event batches and enforces the process executor's speedup bar.
 
-Durability is partitioned the same way (:mod:`repro.persistence.partition`):
+Durability is partitioned the same way (:mod:`repro.persistence`):
 events journal into per-shard ``wal-<shard>.jsonl`` segments sharing one
 global sequence, checkpoints write per-shard state files, and
-:meth:`ShardedKnnIndex.restore` recovers — bit-identically — from either
-the sharded or the flat layout.
+:meth:`ShardedKnnIndex.restore` recovers — bit-identically, at any shard
+count — from any state directory, the flat index's one-shard one
+included.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ from ..graph.updates import (
 )
 from ..layout import ID_DTYPE, SCORE_DTYPE, compact_scores
 from ..similarity.base import ProfileIndex, SimilarityMetric
-from .events import AddUser, MigrateBegin, MigrateCommit
+from .events import MigrateBegin, MigrateCommit
 from .index import DynamicKnnIndex, RefreshStats
 
 __all__ = [
@@ -788,9 +789,8 @@ class ShardedKnnIndex(DynamicKnnIndex):
     rebuild) after any event interleaving — with the per-shard state and
     refresh stages split across ``n_shards`` shards over one shared
     graph and profile index.  What this class adds is what partitioning
-    needs: the :class:`ShardMap` and live :meth:`rebalance`, the
-    partitioned WAL and checkpoint layout, and the executors that carry
-    stage calls to the shards.
+    needs: the :class:`ShardMap` and live :meth:`rebalance`, re-sharding
+    on restore, and the executors that carry stage calls to the shards.
 
     Parameters (beyond :class:`DynamicKnnIndex`'s)
     ----------------------------------------------
@@ -872,13 +872,9 @@ class ShardedKnnIndex(DynamicKnnIndex):
         )
 
     def _partition(self, shard_map: ShardMap | None = None) -> None:
-        """Fresh per-shard containers behind the routing views."""
+        """Fresh per-shard containers at ``n_shards`` (or *shard_map*)."""
         super()._partition(shard_map or ShardMap(self.n_shards))
         self.n_shards = self._shard_map.n_shards
-        self._dirty = _ShardedDirtySet(self._shards, lambda: self._shard_map)
-        self._reverse = _ShardedReverseIndex(
-            self._shards, lambda: self._shard_map
-        )
 
     # ------------------------------------------------------------------
     # Transports: how a stage call reaches the shards
@@ -1102,50 +1098,6 @@ class ShardedKnnIndex(DynamicKnnIndex):
         if not self._procpool.alive:
             self._procpool.spawn(self._worker_init)
         return self._procpool
-
-    # ------------------------------------------------------------------
-    # Partitioned journaling
-    # ------------------------------------------------------------------
-    def _event_shard(self, event, n_users: int) -> int:
-        """The shard whose segment journals *event* (its primary user)."""
-        if isinstance(event, AddUser):
-            return self._shard_map.owner(n_users)  # the id being minted
-        return self._shard_map.owner(int(event.user))
-
-    def _journal(self, primitives) -> None:
-        """Route each primitive into its owner shard's WAL segment.
-
-        Global sequence numbers are assigned by the partitioned log;
-        rollback on a partial failure spans every segment, preserving
-        the all-or-nothing unit the flat index guarantees.
-        """
-        if self._wal is None:
-            self._seq += len(primitives)
-            return
-        mark = self._wal.mark()
-        try:
-            n_users = self.builder.n_users
-            for primitive in primitives:
-                shard = self._event_shard(primitive, n_users)
-                if isinstance(primitive, AddUser):
-                    n_users += 1
-                self._seq = self._wal.append(primitive, shard)
-        except BaseException:
-            self._wal.rollback(mark)
-            self._seq = mark[0]
-            raise
-
-    def attach_wal(self, wal) -> None:
-        """Journal into *wal* — a :class:`PartitionedWriteAheadLog`."""
-        from ..persistence import PartitionedWriteAheadLog, PersistenceError
-
-        if not isinstance(wal, PartitionedWriteAheadLog):
-            raise PersistenceError(
-                f"ShardedKnnIndex journals into per-shard segments; attach "
-                f"a PartitionedWriteAheadLog (got {type(wal).__name__}) — "
-                f"PartitionedWriteAheadLog(directory, n_shards)"
-            )
-        super().attach_wal(wal)
 
     # ------------------------------------------------------------------
     # Live shard re-balancing
@@ -1401,10 +1353,10 @@ class ShardedKnnIndex(DynamicKnnIndex):
             )
 
     # ------------------------------------------------------------------
-    # Partitioned durability
+    # Durability
     # ------------------------------------------------------------------
     def checkpoint(self, directory: str | Path) -> Path:
-        """Serialize the partitioned ``checkpoint-<seq>.shards/`` layout.
+        """Serialize ``checkpoint-<seq>.shards/``, one state file per shard.
 
         Checkpoints mark quiescent points between refreshes, so this is
         also where the shared-memory arena sheds slack capacity: growth
@@ -1413,9 +1365,9 @@ class ShardedKnnIndex(DynamicKnnIndex):
         ``/dev/shm`` forever (the next refresh republishes into the
         compacted block or regrows it as needed).
         """
-        from ..persistence import save_sharded_checkpoint
+        from ..persistence import save_checkpoint
 
-        path = save_sharded_checkpoint(self, directory)
+        path = save_checkpoint(self, directory)
         if self._arena is not None:
             self._arena.compact()
         return path
@@ -1450,18 +1402,18 @@ class ShardedKnnIndex(DynamicKnnIndex):
         n_shards: int | None = None,
         executor: str | None = None,
     ) -> "ShardedKnnIndex":
-        """Recover from *directory* — sharded **or** flat layout.
+        """Recover from *directory* at ``n_shards`` shards.
 
-        ``n_shards`` defaults to the checkpoint's shard count (2 for a
-        flat layout); any other value re-shards the recovered state
-        exactly, since ownership never affects graph content.  Live
-        re-balancing overrides recorded in the checkpoint are
-        reinstated when restoring at the checkpoint's own shard count
-        and reset (back to the plain modulus) at any other count.
+        ``n_shards`` defaults to the checkpoint's shard count; any other
+        value re-shards the recovered state exactly, since ownership
+        never affects graph content.  Live re-balancing overrides
+        recorded in the checkpoint are reinstated when restoring at the
+        checkpoint's own shard count and reset (back to the plain
+        modulus) at any other count.
         """
-        from ..persistence import restore_sharded_index
+        from ..persistence import restore_index
 
-        return restore_sharded_index(
+        return restore_index(
             cls,
             directory,
             metric=metric,

@@ -87,8 +87,10 @@ class TestStreamCommand:
         )
         out = capsys.readouterr().out
         assert "wal" in out
-        assert wal_path.exists()
-        assert list(tmp_path.glob("checkpoint-*.npz"))
+        # A .jsonl path names the state directory it sits in.
+        assert (tmp_path / "wal-0.jsonl").exists()
+        assert not wal_path.exists()
+        assert list(tmp_path.glob("checkpoint-*.shards"))
 
     def test_checkpoint_every_requires_wal(self, capsys):
         argv = ["stream", "--scale", "tiny", "--checkpoint-every", "5"]
@@ -136,6 +138,14 @@ class TestStreamCommand:
         assert "already holds events" in capsys.readouterr().err
 
 
+def shards_row(out: str) -> str:
+    """The value of the ``shards`` row of a rendered statistics table."""
+    line = next(
+        line for line in out.splitlines() if line.strip().startswith("shards")
+    )
+    return line.split()[-1]
+
+
 class TestRecoverCommand:
     def test_recover_round_trip(self, capsys, tmp_path):
         """stream --wal then recover --verify: exact parity, exit 0."""
@@ -160,6 +170,7 @@ class TestRecoverCommand:
         out = capsys.readouterr().out
         assert "checkpoint" in out
         assert "wal events replayed" in out
+        assert shards_row(out) == "1"
         parity_line = next(
             line for line in out.splitlines() if "parity" in line
         )
@@ -195,6 +206,45 @@ class TestRecoverCommand:
         err = capsys.readouterr().err
         assert "no recoverable streaming state" in err
         assert "empty" not in err
+
+    def test_recover_refuses_the_flat_archive_format(self, capsys, tmp_path):
+        """A wal.jsonl + checkpoint-<seq>.npz directory (the flat format
+        older versions wrote) has no reader: exit 2, never an empty
+        restore, and nothing is written into it."""
+        (tmp_path / "wal.jsonl").write_text('{"type":"header","version":1}\n')
+        (tmp_path / "checkpoint-000000000000.npz").write_bytes(b"PK")
+        assert main(["recover", str(tmp_path)]) == 2
+        assert "no recoverable streaming state" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint-000000000000.npz",
+            "wal.jsonl",
+        ]
+
+
+class TestRebalanceCommand:
+    def test_one_shard_stream_rebalances_to_two(self, capsys, tmp_path):
+        """The flat index's state directory is the one-shard partitioned
+        layout: rebalance re-shards it in place with no adoption step."""
+        argv = ["stream", "--scale", "tiny", "--batch-size", "50"]
+        assert main([*argv, "--wal", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rebalance = ["rebalance", str(tmp_path), "--shards", "2", "--verify"]
+        assert main(rebalance) == 0
+        out = capsys.readouterr().out
+        assert "shards before" in out
+        parity_line = next(
+            line for line in out.splitlines() if "parity" in line
+        )
+        assert "True" in parity_line
+        assert (tmp_path / "wal-1.jsonl").exists()
+        assert main(["recover", str(tmp_path), "--verify"]) == 0
+        assert shards_row(capsys.readouterr().out) == "2"
+
+    def test_rebalance_empty_directory_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        assert main(["rebalance", str(tmp_path), "--shards", "2"]) == 2
+        assert "no recoverable streaming state" in capsys.readouterr().err
 
 
 class TestShardedStream:
@@ -252,7 +302,7 @@ class TestShardedStream:
         assert main(["recover", str(tmp_path), "--verify"]) == 0
         out = capsys.readouterr().out
         assert "ShardedKnnIndex" in out
-        assert "sharded" in out
+        assert shards_row(out) == "2"
         parity_line = next(
             line for line in out.splitlines() if "parity" in line
         )

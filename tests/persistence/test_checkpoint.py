@@ -71,33 +71,34 @@ class TestSaveLoad:
 
     def test_version_check(self, streamed_index, tmp_path):
         path = save_checkpoint(streamed_index, tmp_path)
-        data = dict(np.load(path, allow_pickle=False))
-        data["meta"] = np.asarray(
-            str(data["meta"]).replace('"version": 2', '"version": 99')
-        )
-        np.savez_compressed(path, **data)
+        set_version(path, 99)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+
+def set_version(path, version):
+    """Rewrite the format version in checkpoint *path*'s metadata."""
+    meta = json.loads((path / "meta.json").read_text())
+    meta["version"] = version
+    (path / "meta.json").write_text(json.dumps(meta))
 
 
 class TestFormatVersion:
     def test_v2_is_the_written_version(self, streamed_index, tmp_path):
         path = save_checkpoint(streamed_index, tmp_path)
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(np.asarray(archive["meta"]).item()))
-            assert meta["version"] == 2
-            assert np.dtype(meta["dtypes"]["ids"]) == ID_DTYPE
-            assert np.dtype(meta["dtypes"]["scores"]) == SCORE_DTYPE
+        meta = json.loads((path / "meta.json").read_text())
+        assert meta["version"] == 2
+        assert meta["n_shards"] == 1
+        assert np.dtype(meta["dtypes"]["ids"]) == ID_DTYPE
+        assert np.dtype(meta["dtypes"]["scores"]) == SCORE_DTYPE
+        with np.load(path / "base.npz", allow_pickle=False) as archive:
             assert "graph_indptr" in archive  # packed, not dense
             assert "graph_neighbors" not in archive
 
     def test_v1_archive_is_refused(self, streamed_index, tmp_path):
         """Version 1 (dense rows) has no reader: loading fails loudly."""
         path = save_checkpoint(streamed_index, tmp_path)
-        data = dict(np.load(path, allow_pickle=False))
-        meta = json.loads(str(np.asarray(data.pop("meta")).item()))
-        meta["version"] = 1
-        np.savez_compressed(path, meta=np.asarray(json.dumps(meta)), **data)
+        set_version(path, 1)
         with pytest.raises(
             CheckpointError, match="unsupported checkpoint version 1"
         ):
@@ -116,7 +117,9 @@ class TestLatestCheckpoint:
         assert latest_checkpoint(tmp_path) == late != early
 
     def test_ignores_foreign_files(self, streamed_index, tmp_path):
-        (tmp_path / "checkpoint-garbage.npz").write_bytes(b"")
+        (tmp_path / "checkpoint-garbage.shards").mkdir()
+        (tmp_path / "checkpoint-000000000099.shards").write_bytes(b"")
+        (tmp_path / "checkpoint-000000000099.npz").write_bytes(b"")
         (tmp_path / "notes.txt").write_text("hi")
         path = save_checkpoint(streamed_index, tmp_path)
         assert latest_checkpoint(tmp_path) == path
@@ -126,7 +129,7 @@ class TestLatestCheckpoint:
 
 
 class TestCheckpointOnlyRestore:
-    """restore() without any WAL: pure checkpoint recovery."""
+    """restore() of a checkpoint alone (no log was ever attached)."""
 
     def test_restore_resumes_exactly(self, streamed_index, tmp_path):
         streamed_index.checkpoint(tmp_path)
@@ -141,6 +144,9 @@ class TestCheckpointOnlyRestore:
         assert restored.restore_info.replayed_events == 0
         assert restored.auto_refresh is False
         assert restored._shards[0].candidate_counts  # cache survived
+        # Journaling resumes into a fresh one-segment partitioned log.
+        assert restored.wal.n_shards == 1
+        assert restored.wal.last_seq == restored.last_seq
 
     def test_restore_without_refresh_keeps_pending_state(
         self, streamed_index, tmp_path

@@ -1,26 +1,25 @@
-"""Partitioned WAL segments, sharded checkpoints, and fsync barriers."""
+"""Partitioned WAL segments, the checkpoint layout, and fsync barriers."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
 from repro.persistence import (
+    CheckpointError,
     PartitionedWriteAheadLog,
     WalError,
     WriteAheadLog,
-    detect_state_layout,
-    load_sharded_checkpoint,
+    checkpoint_path,
+    load_checkpoint,
     read_partitioned_wal,
     read_wal,
-    rotate_superseded,
     save_checkpoint,
-    save_sharded_checkpoint,
-    sharded_checkpoint_path,
     wal_segment_path,
 )
-from repro.streaming import AddRating, ratings_batch
+from repro.streaming import AddRating, ShardPlan, ratings_batch
 from tests.conftest import random_dataset
 
 
@@ -47,8 +46,9 @@ class TestPartitionedWal:
         wal.close()
         # Each segment is a standard WAL file (same header format) whose
         # records carry the *global* sequence — gaps are expected.
-        assert [s for s, _ in read_wal(wal_segment_path(tmp_path, 0), contiguous=False)] == [1, 3]
-        assert [s for s, _ in read_wal(wal_segment_path(tmp_path, 1), contiguous=False)] == [2]
+        segments = [wal_segment_path(tmp_path, shard) for shard in range(2)]
+        assert [s for s, _ in read_wal(segments[0])] == [1, 3]
+        assert [s for s, _ in read_wal(segments[1])] == [2]
         header = json.loads(
             wal_segment_path(tmp_path, 0).read_text().splitlines()[0]
         )
@@ -75,12 +75,9 @@ class TestPartitionedWal:
         reopened.close()
 
     def test_duplicate_sequences_across_segments_rejected(self, tmp_path):
-        WriteAheadLog(
-            wal_segment_path(tmp_path, 0), contiguous=False
-        ).append(AddRating(0, 1, 2.0), seq=5)
-        WriteAheadLog(
-            wal_segment_path(tmp_path, 1), contiguous=False
-        ).append(AddRating(1, 1, 2.0), seq=5)
+        for shard in range(2):
+            with WriteAheadLog(wal_segment_path(tmp_path, shard)) as segment:
+                segment.append(AddRating(shard, 1, 2.0), 5)
         with pytest.raises(WalError, match="duplicate"):
             list(read_partitioned_wal(tmp_path))
 
@@ -105,29 +102,12 @@ class TestPartitionedWal:
             wal.advance_to(3)
         wal.close()
 
-    def test_contiguous_log_rejects_explicit_gap(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl")
-        wal.append(AddRating(0, 1, 2.0))
-        with pytest.raises(WalError, match="contiguous"):
-            wal.append(AddRating(0, 1, 3.0), seq=5)
-        wal.close()
-
-    def test_segment_rejects_regressing_sequence(self, tmp_path):
-        segment = WriteAheadLog(
-            wal_segment_path(tmp_path, 0), contiguous=False
-        )
-        segment.append(AddRating(0, 1, 2.0), seq=4)
-        with pytest.raises(WalError, match="advance"):
-            segment.append(AddRating(0, 1, 3.0), seq=4)
-        segment.close()
-
     def test_fsync_batches_as_a_group_commit(self, tmp_path, monkeypatch):
         """The disk barrier must cover every segment together: a segment
         fsyncing on its own cadence could make a high sequence durable
         while a lower one in a sibling segment is still unsynced — a
         mid-history gap no replay can bridge."""
         wal = PartitionedWriteAheadLog(tmp_path, 2, fsync_every=2)
-        assert all(seg.fsync_every is None for seg in wal.segments)
         flushed = []
         real_flush = WriteAheadLog.flush
 
@@ -142,30 +122,29 @@ class TestPartitionedWal:
         assert sorted(flushed) == ["wal-0.jsonl", "wal-1.jsonl"]
         wal.close()
 
-    def test_merged_read_includes_flat_predecessor(self, tmp_path):
-        """A flat wal.jsonl from a pre-sharding run merges in seamlessly."""
-        flat = WriteAheadLog(tmp_path / "wal.jsonl")
-        flat.append(AddRating(0, 1, 2.0))
-        flat.append(AddRating(1, 1, 2.0))
-        flat.close()
-        wal = PartitionedWriteAheadLog(tmp_path, 2)
-        assert wal.last_seq == 2  # the flat history advances the counter
-        wal.append(AddRating(2, 1, 2.0), shard=0)
-        wal.close()
+    def test_stray_segments_advance_the_counter(self, tmp_path):
+        """Segments beyond n_shards (a run at a higher shard count)
+        still hold history: new appends must never reuse their seqs."""
+        with PartitionedWriteAheadLog(tmp_path, 2) as wal:
+            wal.append(AddRating(0, 1, 2.0), shard=0)
+            wal.append(AddRating(1, 1, 2.0), shard=1)
+        with PartitionedWriteAheadLog(tmp_path, 1) as wal:
+            assert wal.last_seq == 2
+            assert wal.append(AddRating(2, 1, 2.0), shard=0) == 3
         assert [seq for seq, _ in read_partitioned_wal(tmp_path)] == [1, 2, 3]
 
 
-class TestShardedCheckpoint:
+class TestCheckpointLayout:
     def test_layout_and_round_trip(self, tmp_path):
         index = sharded_index()
         index.apply(ratings_batch([0, 1], [3, 3], [4.0, 2.0]))
         path = index.checkpoint(tmp_path)
-        assert path == sharded_checkpoint_path(tmp_path, 2)
+        assert path == checkpoint_path(tmp_path, 2)
         assert (path / "meta.json").exists()
         assert (path / "base.npz").exists()
         assert (path / "shard-0.npz").exists()
         assert (path / "shard-1.npz").exists()
-        state = load_sharded_checkpoint(path)
+        state = load_checkpoint(path)
         assert state.n_shards == 2
         assert state.seq == 2
         assert state.dirty == (0, 1)
@@ -189,10 +168,8 @@ class TestShardedCheckpoint:
         meta = json.loads((path / "meta.json").read_text())
         meta["version"] = 99
         (path / "meta.json").write_text(json.dumps(meta))
-        from repro.persistence import CheckpointError
-
         with pytest.raises(CheckpointError, match="version"):
-            load_sharded_checkpoint(path)
+            load_checkpoint(path)
 
     def test_corrupt_latest_falls_back_to_older(self, tmp_path):
         index = sharded_index(wal=PartitionedWriteAheadLog(tmp_path, 2))
@@ -206,38 +183,85 @@ class TestShardedCheckpoint:
         assert restored.restore_info.replayed_events == 1
         assert restored.graph == index.graph
 
-    def test_detect_state_layout(self, tmp_path):
-        assert detect_state_layout(tmp_path / "missing") is None
-        assert detect_state_layout(tmp_path) is None
+    def test_flat_index_writes_the_one_shard_case(self, tmp_path):
         dataset = random_dataset(n_users=10, n_items=8, seed=1, ratings=True)
-        flat_dir = tmp_path / "flat"
-        flat = DynamicKnnIndex(dataset, KiffConfig(k=3))
-        flat.checkpoint(flat_dir)
-        assert detect_state_layout(flat_dir) == "flat"
-        sharded_dir = tmp_path / "sharded"
-        index = sharded_index()
-        index.checkpoint(sharded_dir)
-        assert detect_state_layout(sharded_dir) == "sharded"
-        # Mixed (migrated) directories read as sharded: only the merged
-        # reader replays their full history.
-        flat_wal = tmp_path / "mixed"
-        flat2 = DynamicKnnIndex(
-            dataset,
-            KiffConfig(k=3),
-            wal=WriteAheadLog(flat_wal / "wal.jsonl"),
+        index = DynamicKnnIndex(
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(tmp_path, 1)
         )
-        flat2.checkpoint(flat_wal)
-        PartitionedWriteAheadLog(flat_wal, 2).close()
-        assert detect_state_layout(flat_wal) == "sharded"
+        index.apply(AddRating(0, 4, 3.0))
+        path = index.checkpoint(tmp_path)
+        assert path == checkpoint_path(tmp_path, 1)
+        assert sorted(p.name for p in path.iterdir()) == [
+            "base.npz",
+            "meta.json",
+            "shard-0.npz",
+        ]
+        state = load_checkpoint(path)
+        assert (state.n_shards, state.shard_overrides) == (1, {})
+        assert sorted(p.name for p in tmp_path.glob("wal-*")) == [
+            "wal-0.jsonl"
+        ]
 
-    def test_flat_restore_refuses_sharded_layout(self, tmp_path):
-        from repro.persistence import CheckpointError
+    def test_parent_flat_format_is_refused(self, tmp_path):
+        """A ``wal.jsonl`` + ``checkpoint-<seq>.npz`` directory (the flat
+        layout older versions wrote) has no reader: both index classes
+        refuse it loudly and never restore it as an empty state."""
+        dataset = random_dataset(n_users=10, n_items=8, seed=4, ratings=True)
+        index = DynamicKnnIndex(
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(tmp_path, 1)
+        )
+        index.apply(AddRating(0, 4, 3.0))
+        shards = index.checkpoint(tmp_path)
+        index.wal.close()
+        # Rewrite the state in the flat format: one archive with the
+        # metadata inline, one gap-free log.
+        meta = json.loads((shards / "meta.json").read_text())
+        meta.pop("layout")
+        meta.pop("n_shards")
+        arrays = {}
+        for name in ("base.npz", "shard-0.npz"):
+            with np.load(shards / name) as archive:
+                arrays.update(archive)
+        np.savez_compressed(
+            tmp_path / "checkpoint-000000000001.npz",
+            meta=np.asarray(json.dumps(meta)),
+            **arrays,
+        )
+        shutil.rmtree(shards)
+        wal_segment_path(tmp_path, 0).rename(tmp_path / "wal.jsonl")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        for restore in (
+            DynamicKnnIndex.restore,
+            lambda path: ShardedKnnIndex.restore(path, executor="serial"),
+        ):
+            with pytest.raises(CheckpointError, match="no checkpoint"):
+                restore(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    def test_flat_restore_of_rebalanced_sharded_state(self, tmp_path):
+        """DynamicKnnIndex.restore reads any state directory: a 2-shard
+        one whose log tail holds a committed rebalance fence pair
+        recovers the live graph and sequence at one shard."""
         index = sharded_index(wal=PartitionedWriteAheadLog(tmp_path, 2))
         index.checkpoint(tmp_path)
-        index.apply(AddRating(0, 4, 3.0))
-        with pytest.raises(CheckpointError, match="ShardedKnnIndex"):
-            DynamicKnnIndex.restore(tmp_path)
+        index.apply(ratings_batch([0, 1, 5], [4, 4, 2], [3.0, 2.0, 5.0]))
+        stats = index.rebalance(ShardPlan(moves=((0, 1), (3, 0))))
+        assert stats.users_moved == 2
+        index.apply(AddRating(2, 6, 4.0))
+        index.refresh()
+        restored = DynamicKnnIndex.restore(tmp_path)
+        assert restored.restore_info.replayed_events == 6  # fences included
+        assert restored.graph == index.graph
+        assert restored.last_seq == index.last_seq == 6
+        # It keeps journaling, one segment at its own shard count, and
+        # the sharded reader still sees one history.
+        restored.apply(AddRating(4, 1, 1.0))
+        restored.refresh()
+        again = ShardedKnnIndex.restore(tmp_path, executor="serial")
+        assert again.n_shards == 2
+        assert again.shard_map.overrides == {0: 1, 3: 0}
+        assert again.graph == restored.graph
+        assert again.last_seq == 7
 
 
 class TestDirFsyncBarriers:
@@ -253,7 +277,7 @@ class TestDirFsyncBarriers:
         )
         return calls
 
-    def test_flat_checkpoint_fsyncs_directory_after_rename(
+    def test_flat_index_checkpoint_fsyncs_directory_after_rename(
         self, tmp_path, fsync_calls
     ):
         dataset = random_dataset(n_users=10, n_items=8, seed=2, ratings=True)
@@ -267,38 +291,9 @@ class TestDirFsyncBarriers:
     ):
         index = sharded_index()
         fsync_calls.clear()
-        save_sharded_checkpoint(index, tmp_path)
+        save_checkpoint(index, tmp_path)
         assert str(tmp_path) in fsync_calls
 
     def test_wal_creation_fsyncs_directory(self, tmp_path, fsync_calls):
-        WriteAheadLog(tmp_path / "wal.jsonl").close()
+        PartitionedWriteAheadLog(tmp_path, 1).close()
         assert str(tmp_path) in fsync_calls
-
-    def test_wal_rotation_fsyncs_directory(self, tmp_path, fsync_calls):
-        path = tmp_path / "wal.jsonl"
-        WriteAheadLog(path).close()
-        fsync_calls.clear()
-        rotated = rotate_superseded(path, 7)
-        assert rotated.name == "wal.jsonl.superseded-7"
-        assert rotated.exists() and not path.exists()
-        assert str(tmp_path) in fsync_calls
-
-    def test_lost_tail_recovery_rotates_with_barrier(
-        self, tmp_path, fsync_calls
-    ):
-        """The restore-path rotation goes through the fsync'd helper."""
-        dataset = random_dataset(n_users=12, n_items=10, seed=9, ratings=True)
-        live = DynamicKnnIndex(
-            dataset, KiffConfig(k=3), wal=WriteAheadLog(tmp_path / "wal.jsonl")
-        )
-        live.checkpoint(tmp_path)
-        live.apply([AddRating(0, 4, 3.0), AddRating(1, 4, 2.0)])
-        live.checkpoint(tmp_path)  # durable through seq 2
-        wal_file = tmp_path / "wal.jsonl"
-        lines = wal_file.read_bytes().splitlines(keepends=True)
-        wal_file.write_bytes(b"".join(lines[:-1]))  # the OS ate the tail
-        fsync_calls.clear()
-        restored = DynamicKnnIndex.restore(tmp_path)
-        assert restored.graph == live.graph
-        assert any("superseded" not in c for c in fsync_calls)
-        assert list(tmp_path.glob("wal.jsonl.superseded-*"))

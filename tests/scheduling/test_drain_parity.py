@@ -150,7 +150,7 @@ _DRILL_SCRIPT = textwrap.dedent(
     from repro import DynamicKnnIndex, KiffConfig, RefreshScheduler, \\
         SchedulerPolicy
     from repro.datasets import BipartiteDataset
-    from repro.persistence import WriteAheadLog
+    from repro.persistence import PartitionedWriteAheadLog
     from repro.streaming import ratings_batch
 
     state = sys.argv[1]
@@ -163,8 +163,7 @@ _DRILL_SCRIPT = textwrap.dedent(
     scheduler = RefreshScheduler(
         DynamicKnnIndex(
             dataset, KiffConfig(k=4), auto_refresh=False,
-            wal=WriteAheadLog(os.path.join(state, "wal.jsonl"),
-                              fsync_every=1),
+            wal=PartitionedWriteAheadLog(state, 1, fsync_every=1),
         ),
         SchedulerPolicy(max_event_lag=8, max_dirty_per_refresh=2),
     )

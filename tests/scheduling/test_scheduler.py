@@ -14,7 +14,7 @@ from repro import (
     RefreshScheduler,
     SchedulerPolicy,
 )
-from repro.persistence import WriteAheadLog
+from repro.persistence import PartitionedWriteAheadLog
 from repro.streaming import AddUser, cold_rebuild_graph, ratings_batch
 from tests.conftest import random_dataset
 
@@ -292,7 +292,7 @@ class TestDurability:
                 dataset,
                 KiffConfig(k=3),
                 auto_refresh=False,
-                wal=WriteAheadLog(state / "wal.jsonl", fsync_every=1),
+                wal=PartitionedWriteAheadLog(state, 1, fsync_every=1),
             ),
             policy,
         )

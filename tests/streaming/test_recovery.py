@@ -21,7 +21,13 @@ import pytest
 
 from repro import DynamicKnnIndex, KiffConfig
 from repro.graph import load_graph
-from repro.persistence import WriteAheadLog, read_wal
+from repro.persistence import (
+    CheckpointError,
+    PartitionedWriteAheadLog,
+    checkpoint_path,
+    read_partitioned_wal,
+    wal_segment_path,
+)
 from repro.streaming import (
     AddRating,
     AddUser,
@@ -106,7 +112,7 @@ class TestKillAtRandomEvent:
             config,
             metric=metric,
             auto_refresh=False,
-            wal=WriteAheadLog(state / "wal.jsonl", fsync_every=4),
+            wal=PartitionedWriteAheadLog(state, 1, fsync_every=4),
         )
         live.checkpoint(state)
         for done, event in enumerate(events[:kill_at], start=1):
@@ -152,7 +158,7 @@ class TestRecoveryDetails:
         dataset = random_dataset(n_users=14, n_items=12, seed=2, ratings=True)
         state = tmp_path / "state"
         live = DynamicKnnIndex(
-            dataset, KiffConfig(k=3), wal=WriteAheadLog(state / "wal.jsonl")
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(state, 1)
         )
         live.checkpoint(state)
         live.apply([AddRating(0, 5, 4.0), AddUser((1, 5), (3.0, 2.0))])
@@ -165,14 +171,14 @@ class TestRecoveryDetails:
         dataset = random_dataset(n_users=10, n_items=8, seed=5, ratings=True)
         state = tmp_path / "state"
         live = DynamicKnnIndex(
-            dataset, KiffConfig(k=3), wal=WriteAheadLog(state / "wal.jsonl")
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(state, 1)
         )
         live.checkpoint(state)
         live.apply(AddRating(0, 2, 3.0))
         restored = DynamicKnnIndex.restore(state)
         result = restored.apply(AddRating(1, 2, 2.0))
         assert result.last_seq == 2
-        assert [seq for seq, _ in read_wal(state / "wal.jsonl")] == [1, 2]
+        assert [seq for seq, _ in read_partitioned_wal(state)] == [1, 2]
 
     def test_corrupt_latest_checkpoint_falls_back_to_older(self, tmp_path):
         """A truncated newest checkpoint (power loss after rename) must
@@ -181,12 +187,12 @@ class TestRecoveryDetails:
         dataset = random_dataset(n_users=12, n_items=10, seed=7, ratings=True)
         state = tmp_path / "state"
         live = DynamicKnnIndex(
-            dataset, KiffConfig(k=3), wal=WriteAheadLog(state / "wal.jsonl")
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(state, 1)
         )
         live.checkpoint(state)
         live.apply(AddRating(0, 4, 3.0))
         newest = live.checkpoint(state)
-        newest.write_bytes(b"")  # the lost-bytes torn archive
+        (newest / "base.npz").write_bytes(b"")  # the lost-bytes torn archive
         restored = DynamicKnnIndex.restore(state)
         assert restored.restore_info.checkpoint != newest
         assert restored.restore_info.replayed_events == 1
@@ -196,54 +202,59 @@ class TestRecoveryDetails:
         """If the only checkpoint covering a journaling gap is the
         corrupt one, restore must fail loudly rather than silently
         dropping the gap's events."""
-        from repro.persistence import CheckpointError
-
         dataset = random_dataset(n_users=12, n_items=10, seed=12, ratings=True)
         state = tmp_path / "state"
         index = DynamicKnnIndex(dataset, KiffConfig(k=3))
         index.checkpoint(state)  # checkpoint-0, before any journaling
         index.apply([AddRating(0, 4, 3.0), AddRating(1, 4, 2.0)])  # not logged
         index.checkpoint(state)  # checkpoint-2 covers the unlogged events
-        index.attach_wal(WriteAheadLog(state / "wal.jsonl"))  # starts at 2
+        index.attach_wal(PartitionedWriteAheadLog(state, 1))  # starts at 2
         index.apply(AddRating(2, 4, 5.0))  # journaled as seq 3
         # checkpoint-2 — the only bridge over the unlogged events — dies:
-        (state / "checkpoint-000000000002.npz").write_bytes(b"")
+        (checkpoint_path(state, 2) / "base.npz").write_bytes(b"")
         with pytest.raises(CheckpointError, match="not recoverable"):
             DynamicKnnIndex.restore(state)
 
     def test_all_checkpoints_corrupt_raises_checkpoint_error(self, tmp_path):
-        from repro.persistence import CheckpointError
-
         dataset = random_dataset(n_users=10, n_items=8, seed=8, ratings=True)
         state = tmp_path / "state"
         index = DynamicKnnIndex(dataset, KiffConfig(k=3))
-        index.checkpoint(state).write_bytes(b"not an archive")
+        (index.checkpoint(state) / "meta.json").write_text("not metadata")
         with pytest.raises(CheckpointError, match="no readable checkpoint"):
             DynamicKnnIndex.restore(state)
 
     def test_lost_unsynced_tail_behind_durable_checkpoint(self, tmp_path):
         """fsync batching can lose WAL lines that a durable checkpoint
         already covers; recovery must proceed from the checkpoint and
-        rotate the superseded log instead of aborting."""
+        resume journaling past the gap instead of aborting — while a
+        restore from an *older* checkpoint fails loudly at that gap."""
         dataset = random_dataset(n_users=12, n_items=10, seed=9, ratings=True)
         state = tmp_path / "state"
         live = DynamicKnnIndex(
-            dataset, KiffConfig(k=3), wal=WriteAheadLog(state / "wal.jsonl")
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(state, 1)
         )
         live.checkpoint(state)
         live.apply([AddRating(0, 4, 3.0), AddRating(1, 4, 2.0)])
         live.checkpoint(state)  # durable through seq 2
         # Simulate the OS losing the unsynced tail: drop the last line.
-        wal_file = state / "wal.jsonl"
-        lines = wal_file.read_bytes().splitlines(keepends=True)
-        wal_file.write_bytes(b"".join(lines[:-1]))
+        segment = wal_segment_path(state, 0)
+        lines = segment.read_bytes().splitlines(keepends=True)
+        segment.write_bytes(b"".join(lines[:-1]))
         restored = DynamicKnnIndex.restore(state)
         assert restored.last_seq == 2  # the checkpoint's sequence
+        assert restored.wal.last_seq == 2  # advanced past the lost seq 2
         assert restored.graph == live.graph
-        assert list(state.glob("wal.jsonl.superseded-*"))  # rotated aside
-        # Journaling restarts cleanly at the checkpoint's sequence.
+        # Journaling resumes past the gap; the segment keeps seq 1.
         assert restored.apply(AddRating(2, 4, 5.0)).last_seq == 3
+        assert [seq for seq, _ in read_partitioned_wal(state)] == [1, 3]
         assert DynamicKnnIndex.restore(state).graph == restored.graph
+        # Only checkpoint-2 bridges the lost event: without it, replay
+        # from checkpoint-0 must refuse the gap rather than skip it.
+        for child in checkpoint_path(state, 2).iterdir():
+            child.unlink()
+        checkpoint_path(state, 2).rmdir()
+        with pytest.raises(CheckpointError, match="resumes at sequence 3"):
+            DynamicKnnIndex.restore(state)
 
     def test_failed_journal_append_rolls_back_cleanly(self, tmp_path):
         """Disk-full on the Kth append of a batch: nothing is journaled
@@ -252,18 +263,18 @@ class TestRecoveryDetails:
         dataset = random_dataset(n_users=12, n_items=10, seed=10, ratings=True)
         state = tmp_path / "state"
         live = DynamicKnnIndex(
-            dataset, KiffConfig(k=3), wal=WriteAheadLog(state / "wal.jsonl")
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(state, 1)
         )
         live.checkpoint(state)
         batch = Batch((AddRating(0, 4, 3.0), AddUser((2,), (4.0,))))
         real_append = live.wal.append
         calls = []
 
-        def failing_append(event):
+        def failing_append(event, shard):
             if len(calls) == 1:
                 raise OSError("no space left on device")
             calls.append(event)
-            return real_append(event)
+            return real_append(event, shard)
 
         live.wal.append = failing_append
         with pytest.raises(OSError, match="no space"):
@@ -271,7 +282,7 @@ class TestRecoveryDetails:
         live.wal.append = real_append
         assert live.last_seq == 0
         assert live.pending_events == 0
-        assert list(read_wal(state / "wal.jsonl")) == []
+        assert list(read_partitioned_wal(state)) == []
         result = live.apply(batch)  # the retry, after space was freed
         assert result.last_seq == 2
         assert result.new_users == (12,)
@@ -279,17 +290,30 @@ class TestRecoveryDetails:
         assert restored.graph == live.graph
         assert restored.n_users == live.n_users == 13
 
+    def test_log_from_another_history_cannot_attach(self, tmp_path):
+        """A non-empty log whose sequence differs from the index's would
+        replay onto the wrong state: attaching it is refused."""
+        from repro.persistence import PersistenceError
+
+        dataset = random_dataset(n_users=10, n_items=8, seed=3, ratings=True)
+        with PartitionedWriteAheadLog(tmp_path, 1) as wal:
+            wal.append(AddRating(0, 2, 3.0), 0)
+        index = DynamicKnnIndex(dataset, KiffConfig(k=3))
+        with pytest.raises(PersistenceError, match="recover with"):
+            index.attach_wal(PartitionedWriteAheadLog(tmp_path, 1))
+        assert index.wal is None
+
     def test_torn_wal_tail_is_survivable(self, tmp_path):
         """A crash mid-append loses at most the torn record, never the
         ability to recover."""
         dataset = random_dataset(n_users=10, n_items=8, seed=6, ratings=True)
         state = tmp_path / "state"
         live = DynamicKnnIndex(
-            dataset, KiffConfig(k=3), wal=WriteAheadLog(state / "wal.jsonl")
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(state, 1)
         )
         live.checkpoint(state)
         live.apply(AddRating(0, 2, 3.0))
-        with (state / "wal.jsonl").open("ab") as handle:
+        with wal_segment_path(state, 0).open("ab") as handle:
             handle.write(b'{"seq": 2, "type": "add_r')  # died mid-write
         reference = DynamicKnnIndex(dataset, KiffConfig(k=3))
         reference.apply(AddRating(0, 2, 3.0))

@@ -342,9 +342,7 @@ class TestShardedRecovery:
         from repro.persistence import read_wal
 
         for shard in range(2):
-            for _, event in read_wal(
-                tmp_path / f"wal-{shard}.jsonl", contiguous=False
-            ):
+            for _, event in read_wal(tmp_path / f"wal-{shard}.jsonl"):
                 owner = (
                     shard_of(new_user, 2)
                     if isinstance(event, AddUser)
@@ -359,18 +357,18 @@ class TestShardedRecovery:
             4,
         ]
 
-    def test_flat_layout_adoption_and_resharding(self, tmp_path):
-        """ShardedKnnIndex.restore handles the flat layout (and any
-        shard count): ownership is a pure function of the user id."""
-        from repro.persistence import WriteAheadLog
-
+    def test_flat_index_state_reshards(self, tmp_path):
+        """ShardedKnnIndex.restore reads the flat index's one-shard
+        state at any shard count: ownership is a pure function of the
+        user id."""
         dataset = random_dataset(n_users=14, n_items=12, seed=2, ratings=True)
         state = tmp_path / "state"
         live = DynamicKnnIndex(
-            dataset, KiffConfig(k=3), wal=WriteAheadLog(state / "wal.jsonl")
+            dataset, KiffConfig(k=3), wal=PartitionedWriteAheadLog(state, 1)
         )
         live.checkpoint(state)
         live.apply([AddRating(0, 5, 4.0), AddUser((1, 5), (3.0, 2.0))])
+        assert ShardedKnnIndex.restore(state).n_shards == 1  # as recorded
         for n_shards in (2, 3):
             adopted = ShardedKnnIndex.restore(
                 state, n_shards=n_shards, executor="serial"
@@ -410,11 +408,16 @@ class TestShardedRecovery:
         restored = ShardedKnnIndex.restore(tmp_path, executor="serial")
         assert restored.graph == index.graph
 
-    def test_flat_wal_cannot_attach(self, rated_dataset, tmp_path):
+    def test_bare_segment_cannot_attach(self, rated_dataset, tmp_path):
         from repro.persistence import WriteAheadLog
 
-        index = ShardedKnnIndex(
-            rated_dataset, KiffConfig(k=2), n_shards=2, executor="serial"
-        )
-        with pytest.raises(PersistenceError, match="PartitionedWriteAheadLog"):
-            index.attach_wal(WriteAheadLog(tmp_path / "wal.jsonl"))
+        for index in (
+            DynamicKnnIndex(rated_dataset, KiffConfig(k=2)),
+            ShardedKnnIndex(
+                rated_dataset, KiffConfig(k=2), n_shards=2, executor="serial"
+            ),
+        ):
+            with pytest.raises(
+                PersistenceError, match="PartitionedWriteAheadLog"
+            ):
+                index.attach_wal(WriteAheadLog(tmp_path / "wal-0.jsonl"))
