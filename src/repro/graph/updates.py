@@ -7,6 +7,12 @@ and count how many slots changed — the paper's per-iteration change counter
 ``c``.  Doing this with sorting primitives instead of per-user heaps is
 what makes the pure-Python reproduction tractable; the heap-based reference
 path in :mod:`repro.core.heap` verifies the semantics match.
+
+The merge first drops every offer that cannot enter its row (it loses to
+the row's current k-th entry), then sorts the survivors twice — once to
+deduplicate ``(row, id)``, once to rank each row — on integer composite
+keys.  The streaming refresh also keeps a :class:`ReverseNeighborIndex`
+current from the merged rows' diffs, applied one block per stage.
 """
 
 from __future__ import annotations
@@ -32,11 +38,13 @@ class ReverseNeighborIndex:
     O(n_users * k) per refresh — a full-graph floor even for one dirty
     user.  This index answers the same query by lookup and is kept
     current from the same row diffs the top-k merge produces, so its
-    maintenance cost is proportional to the rows a refresh actually
-    touched.
+    maintenance cost is proportional to the entries a refresh actually
+    moved.  Callers pass those diffs as blocks — every row a stage
+    cleared or re-ranked in one :meth:`apply_row` call — so the diffing
+    is vectorised and only moved entries reach the Python dicts.
 
-    The structure is exact, not approximate: after ``apply_row(row, old,
-    new)`` calls mirroring every row change, ``referrers_of(users)``
+    The structure is exact, not approximate: after ``apply_row(rows,
+    old, new)`` calls mirroring every row change, ``referrers_of(users)``
     equals the ``np.isin`` scan (the property suite pins this).
     """
 
@@ -70,26 +78,53 @@ class ReverseNeighborIndex:
                 rows.update(cited_by)
         return np.fromiter(sorted(rows), dtype=ID_DTYPE, count=len(rows))
 
-    def apply_row(self, row: int, old_ids, new_ids) -> None:
-        """Record that *row*'s neighbour list changed from old to new.
+    def apply_row(self, rows, old, new) -> None:
+        """Record that each of *rows* changed from its old to its new ids.
 
-        ``old_ids`` / ``new_ids`` are the row's neighbour id arrays;
-        ``MISSING`` slots are ignored.  Cost O(k) per changed row.
+        A block update: ``rows`` has shape ``(m,)`` (distinct row ids),
+        ``old`` / ``new`` are the rows' ``(m, k)`` neighbour id blocks,
+        or ``None`` for an empty side (a row cleared, or a row gaining
+        its first entries).  ``MISSING`` slots are ignored.  One
+        broadcast membership test finds the entries that actually moved,
+        so the dicts are touched only for those.
         """
-        old = {int(i) for i in old_ids if i != MISSING}
-        new = {int(i) for i in new_ids if i != MISSING}
-        for neighbor in old - new:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return
+        old = _id_block(old, rows.size)
+        new = _id_block(new, rows.size)
+        removed = (old != MISSING) & ~_row_isin(old, new)
+        added = (new != MISSING) & ~_row_isin(new, old)
+        where, slot = np.nonzero(removed)
+        for row, neighbor in zip(
+            rows[where].tolist(), old[where, slot].tolist()
+        ):
             cited_by = self._referrers.get(neighbor)
             if cited_by is not None:
                 cited_by.discard(row)
                 if not cited_by:
                     del self._referrers[neighbor]
-        for neighbor in new - old:
+        where, slot = np.nonzero(added)
+        for row, neighbor in zip(
+            rows[where].tolist(), new[where, slot].tolist()
+        ):
             self._referrers.setdefault(neighbor, set()).add(row)
 
     def referrer_count(self) -> int:
         """Total stored (user, citing-row) entries (for tests/benchmarks)."""
         return sum(len(rows) for rows in self._referrers.values())
+
+
+def _id_block(ids, m: int) -> np.ndarray:
+    """*ids* as an ``(m, width)`` block; ``None`` is the empty block."""
+    if ids is None:
+        return np.empty((m, 0), dtype=np.int64)
+    return np.asarray(ids).reshape(m, -1)
+
+
+def _row_isin(block: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Per row, whether each entry of *block* appears in *other*'s row."""
+    return (block[:, :, None] == other[:, None, :]).any(axis=2)
 
 
 def dedupe_pairs(
@@ -143,14 +178,15 @@ def merge_topk(
         not the old one — exactly the number of successful ``UPDATENN``
         heap insertions of Algorithm 1.
 
-    Only users that actually receive candidates are re-ranked, so the cost
-    of a merge is proportional to the batch, not to ``n_users * k`` — this
-    matters for small-gamma KIFF runs whose late iterations touch few
-    users.  Ties are broken by ascending neighbour id, matching
-    ``KnnGraph`` canonical ordering, so fast and reference paths stay
-    comparable.  :func:`merge_topk_rows` exposes the same computation
-    without the O(n_users * k) full-array copies, for callers that write
-    the re-ranked rows back in place (the streaming refresh paths).
+    Only users that receive a candidate able to enter their top-k are
+    re-ranked, so the cost of a merge is proportional to the batch, not
+    to ``n_users * k`` — this matters for small-gamma KIFF runs whose
+    late iterations touch few users.  Ties are broken by ascending
+    neighbour id, matching ``KnnGraph`` canonical ordering, so fast and
+    reference paths stay comparable.  :func:`merge_topk_rows` exposes
+    the same computation without the O(n_users * k) full-array copies,
+    for callers that write the re-ranked rows back in place (the
+    streaming refresh paths).
     """
     active, new_sub_neighbors, new_sub_sims, changes = merge_topk_rows(
         neighbors, sims, cand_users, cand_ids, cand_sims
@@ -170,7 +206,7 @@ def merge_topk_rows(
     cand_ids: np.ndarray,
     cand_sims: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """:func:`merge_topk` restricted to the rows that receive candidates.
+    """:func:`merge_topk` restricted to the rows that can change.
 
     Returns ``(active, new_neighbors, new_sims, changes)`` where
     ``active`` is the sorted array of re-ranked row ids and the two
@@ -179,101 +215,122 @@ def merge_topk_rows(
     the candidate batch; no full-graph array is copied, which is what
     lets shard workers merge disjoint row sets of one shared graph
     concurrently.
+
+    Three vectorised passes, no per-row work:
+
+    1. *Prefilter* — an offer that loses to its row's current k-th
+       entry under the canonical ``(-sim, id)`` order can never enter
+       (the row's k entries stay in the pool and deduplication only
+       raises a score), so it is dropped together with self edges.
+       Rows whose k-th slot is ``MISSING`` — partial rows, and the rows
+       a refresh cleared — keep every offer.  Rows left with no offer
+       are not re-ranked and not returned in ``active``.
+    2. *Deduplicate* — one argsort on ``row * n_users + id``;
+       each ``(row, id)`` group keeps its best score and whether the row
+       already held the id.
+    3. *Top-k* — one stable argsort on ``row << 32 | desc(score)``;
+       the deduplicated entries arrive in ``(row, id)`` order, so
+       equal scores keep ascending id.
+
+    Scores are ranked as the float32 at-rest value
+    (:data:`~repro.layout.SCORE_DTYPE`); every caller passes scores
+    already cast at the score boundary (``compact_scores`` /
+    ``SimilarityEngine.batch``), so the cast loses nothing.  ``-0.0``
+    ties ``0.0``, and on equal scores a row keeps the first occurrence
+    (current entry, then offers in input order) — what sequential
+    :class:`~repro.core.heap.KnnHeap` updates keep.
     """
     n_users, k = neighbors.shape
     cand_users = np.asarray(cand_users, dtype=np.int64)
     cand_ids = np.asarray(cand_ids, dtype=np.int64)
-    cand_sims = np.asarray(cand_sims, dtype=np.float64)
+    cand_sims = np.asarray(cand_sims, dtype=SCORE_DTYPE)
+
+    # 1. Prefilter against each offer's row k-th entry.
+    kth_ids = neighbors[cand_users, k - 1]
+    kth_sims = sims[cand_users, k - 1]
+    live = (cand_users != cand_ids) & (
+        (kth_ids == MISSING)
+        | (cand_sims > kth_sims)
+        | ((cand_sims == kth_sims) & (cand_ids < kth_ids))
+    )
+    if not live.all():
+        cand_users = cand_users[live]
+        cand_ids = cand_ids[live]
+        cand_sims = cand_sims[live]
     if cand_users.size == 0:
-        empty = np.empty(0, dtype=np.int64)
         return (
-            empty,
+            np.empty(0, dtype=np.int64),
             np.empty((0, k), dtype=ID_DTYPE),
             np.empty((0, k), dtype=SCORE_DTYPE),
             0,
         )
+    row_mask = np.zeros(n_users, dtype=bool)
+    row_mask[cand_users] = True
+    active = np.flatnonzero(row_mask)
+    local = np.cumsum(row_mask) - 1  # global row -> position in active
 
-    # Work on the subset of rows that can change.
-    active = np.unique(cand_users)
-    cand_rows = np.searchsorted(active, cand_users)
-
+    # The active rows' current entries go first, so a tie between a
+    # current entry and an offer keeps the current one.
     sub_neighbors = neighbors[active]
-    sub_sims = sims[active]
     cur_mask = sub_neighbors != MISSING
-    cur_rows = np.nonzero(cur_mask)[0]
-    cur_ids = sub_neighbors[cur_mask]
-    cur_sims = sub_sims[cur_mask]
-
-    all_rows = np.concatenate([cur_rows, cand_rows])
-    all_ids = np.concatenate([cur_ids, cand_ids])
-    all_sims = np.concatenate([cur_sims, cand_sims])
-
-    # Drop self edges defensively (rows are local; compare global ids).
-    not_self = active[all_rows] != all_ids
-    all_rows, all_ids, all_sims = (
-        all_rows[not_self],
-        all_ids[not_self],
-        all_sims[not_self],
+    n_cur = int(np.count_nonzero(cur_mask))
+    rows = np.concatenate([np.nonzero(cur_mask)[0], local[cand_users]])
+    ids = np.concatenate([sub_neighbors[cur_mask], cand_ids])
+    scores = np.concatenate(
+        [sims[active][cur_mask].astype(SCORE_DTYPE, copy=False), cand_sims]
     )
 
-    # Deduplicate (row, id) keeping the highest similarity.  Sorting by
-    # (key, -sim) makes the first occurrence of each key the best one.
-    # Neighbour ids are global (< n_users), so n_users is a safe stride.
-    keys = all_rows * n_users + all_ids
-    order = np.lexsort((-all_sims, keys))
-    keys_sorted = keys[order]
-    first = np.ones(keys_sorted.size, dtype=bool)
-    first[1:] = keys_sorted[1:] != keys_sorted[:-1]
-    pick = order[first]
-    all_rows, all_ids, all_sims = all_rows[pick], all_ids[pick], all_sims[pick]
+    # 2. Deduplicate (row, id).  Neighbour ids are global (< n_users),
+    # so n_users is a safe stride.
+    keys = rows * n_users + ids
+    order = np.argsort(keys)
+    keys, scores = keys[order], scores[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    best = np.maximum.reduceat(scores, starts)
+    held = np.logical_or.reduceat(order < n_cur, starts)
+    _first_signed_zero(best, scores, starts, order)
+    rows, ids = rows[order[starts]], ids[order[starts]]
 
-    # Per-row top-k: sort by (row, -sim, id) and keep rank < k.
-    order = np.lexsort((all_ids, -all_sims, all_rows))
-    all_rows, all_ids, all_sims = (
-        all_rows[order],
-        all_ids[order],
-        all_sims[order],
+    # 3. Per-row top-k.  ``rows`` is sorted, so the row groups occupy
+    # the same positions before and after the sort.
+    bits = (best + np.float32(0.0)).view(np.uint32)
+    desc = np.where(bits >> 31, bits, bits ^ np.uint32(0x7FFFFFFF))
+    order = np.argsort(
+        (rows.astype(np.uint64) << np.uint64(32)) | desc, kind="stable"
     )
-    boundaries = np.ones(all_rows.size, dtype=bool)
-    boundaries[1:] = all_rows[1:] != all_rows[:-1]
-    run_starts = np.flatnonzero(boundaries)
-    run_lengths = np.diff(np.append(run_starts, all_rows.size))
-    ranks = np.arange(all_rows.size) - np.repeat(run_starts, run_lengths)
+    row_starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    ranks = np.arange(rows.size) - np.repeat(
+        row_starts, np.diff(np.r_[row_starts, rows.size])
+    )
     keep = ranks < k
-    kept_rows, kept_ids, kept_sims, kept_ranks = (
-        all_rows[keep],
-        all_ids[keep],
-        all_sims[keep],
-        ranks[keep],
-    )
+    pick = order[keep]
 
-    # Back to the at-rest layout.  The merge ran in int64/float64 —
-    # stride keys need the width, and float32 values widen exactly — so
-    # narrowing the kept entries loses nothing: every similarity here
-    # was already cast to float32 at the score boundary.
     new_sub_neighbors = np.full((active.size, k), MISSING, dtype=ID_DTYPE)
     new_sub_sims = np.full((active.size, k), -np.inf, dtype=SCORE_DTYPE)
-    new_sub_neighbors[kept_rows, kept_ranks] = kept_ids
-    new_sub_sims[kept_rows, kept_ranks] = kept_sims
-
-    changes = _count_new_edges(
-        cur_rows, cur_ids, kept_rows, kept_ids, n_users
-    )
+    kept_rows, kept_ranks = rows[keep], ranks[keep]
+    new_sub_neighbors[kept_rows, kept_ranks] = ids[pick]
+    new_sub_sims[kept_rows, kept_ranks] = best[pick]
+    changes = int(pick.size - np.count_nonzero(held[pick]))
     return active, new_sub_neighbors, new_sub_sims, changes
 
 
-def _count_new_edges(
-    old_rows: np.ndarray,
-    old_ids: np.ndarray,
-    new_rows: np.ndarray,
-    new_ids: np.ndarray,
-    stride: int,
-) -> int:
-    """Number of (row, neighbour) edges in new but not in old."""
-    if new_rows.size == 0:
-        return 0
-    new_keys = new_rows * stride + new_ids
-    if old_rows.size == 0:
-        return int(new_keys.size)
-    old_keys = old_rows * stride + old_ids
-    return int((~np.isin(new_keys, old_keys)).sum())
+def _first_signed_zero(
+    best: np.ndarray,
+    scores: np.ndarray,
+    starts: np.ndarray,
+    order: np.ndarray,
+) -> None:
+    """Give zero-scored groups the sign of their first zero, in place.
+
+    ``np.maximum`` does not say which of ``-0.0`` and ``0.0`` it keeps;
+    the merge keeps the first occurrence in input order (*order* maps
+    sorted positions back to it), as a heap would.
+    """
+    zeros = np.flatnonzero(scores == 0)
+    if zeros.size == 0 or not np.signbit(scores[zeros]).any():
+        return
+    group = np.searchsorted(starts, zeros, side="right") - 1
+    by_input = np.lexsort((order[zeros], group))
+    zeros, group = zeros[by_input], group[by_input]
+    lead = np.r_[True, group[1:] != group[:-1]] & (best[group] == 0)
+    best[group[lead]] = scores[zeros[lead]]

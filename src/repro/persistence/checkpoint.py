@@ -286,14 +286,27 @@ def save_checkpoint(index, directory: str | Path) -> Path:
             )
             _fsync_file(shard_file)
         _wal.fsync_dir(tmp)
+        # A re-checkpoint at the same sequence (same state) replaces the
+        # old directory.  A rename cannot replace a non-empty directory,
+        # so the old one moves aside under a name _discover ignores and
+        # is deleted only once the new one is durable; a failed swap
+        # moves it back.
+        aside = path.with_name(path.name + ".old")
+        if aside.exists():
+            shutil.rmtree(aside)
         if path.exists():
-            # Re-checkpoint at the same sequence (same state): replace.
-            shutil.rmtree(path)
-        os.replace(tmp, path)
+            os.replace(path, aside)
+        try:
+            os.replace(tmp, path)
+        except BaseException:
+            if aside.exists():
+                os.replace(aside, path)
+            raise
         # The new directory entry lives in the parent's metadata, which
         # needs its own fsync or a power loss can silently undo the
         # just-"committed" rename.
         _wal.fsync_dir(directory)
+        shutil.rmtree(aside, ignore_errors=True)
     finally:
         if tmp.exists():  # staging failed before the atomic rename
             shutil.rmtree(tmp, ignore_errors=True)

@@ -34,7 +34,10 @@ calls three stages on every shard:
    pairs, scores them against the shared profile index, and merges into
    *its own rows only* (:func:`~repro.graph.updates.merge_topk_rows`,
    no full-array copy) — writes are disjoint by construction, so
-   shards touch the one shared graph concurrently without locks.
+   shards touch the one shared graph concurrently without locks.  The
+   merge drops every offer that loses to its row's current k-th entry
+   (most mirror offers to clean rows) before it sorts, and the rows
+   whose ids moved reach the shard's reverse index as one block diff.
 
 Because similarity is a pure per-pair function of the shared profile
 index, every row receives the same candidate-edge multiset at any shard
@@ -476,8 +479,7 @@ class _Shard:
         sims[mine] = -np.inf
         # The reverse index mirrors the rows at every exit point, so a
         # mid-pass failure leaves it consistent for the retry.
-        for pos, row in enumerate(mine.tolist()):
-            self.reverse.apply_row(row, old_rows[pos], ())
+        self.reverse.apply_row(mine, old_rows, None)
         cand_sets, hits, misses = self.candidate_sets(mine)
         affected_mask = np.zeros(host.n_users, dtype=bool)
         affected_mask[affected] = True
@@ -729,9 +731,12 @@ def merge_shard_pairs(
 
     Writes the re-ranked rows into *neighbors*/*sims* in place (every
     active row is owned by *shard_id*, so concurrent callers never
-    collide), mirrors the row diffs into *reverse*, and returns
-    ``(evaluations, changes, active, new_neighbors, new_sims)`` so a
-    process worker can ship the row updates back to the parent.
+    collide), mirrors the diffs of the rows whose ids moved into
+    *reverse* as one block, and returns ``(evaluations, changes,
+    active, new_neighbors, new_sims)`` so a process worker can ship the
+    row updates back to the parent.  ``active`` holds only the rows the
+    merge re-ranked — rows whose every offer lost to their k-th entry
+    are left out.
     """
     us = np.concatenate([plan_rows] + [box.rows for box in inbox])
     vs = np.concatenate([plan_candidates] + [box.candidates for box in inbox])
@@ -761,11 +766,10 @@ def merge_shard_pairs(
             np.empty((0, k), dtype=ID_DTYPE),
             np.empty((0, k), dtype=SCORE_DTYPE),
         )
-    touched = np.unique(cand_users)
-    pre_merge = neighbors[touched].copy()
     active, new_neighbors, new_sims, changes = merge_topk_rows(
         neighbors, sims, cand_users, cand_ids, cand_sims
     )
+    pre_merge = neighbors[active]
     # Write only the re-ranked rows back, through the views, so
     # backing-array slack capacity survives and no O(n_users * k) copy
     # is paid; every active row is owned by this shard, so shards never
@@ -773,11 +777,9 @@ def merge_shard_pairs(
     neighbors[active] = new_neighbors
     sims[active] = new_sims
     # Only rows whose neighbour ids actually moved need reverse-index
-    # diffs — most merge targets keep their row intact.
-    post_merge = neighbors[touched]
-    moved = np.flatnonzero((post_merge != pre_merge).any(axis=1))
-    for pos in moved.tolist():
-        reverse.apply_row(int(touched[pos]), pre_merge[pos], post_merge[pos])
+    # diffs — most re-ranked rows keep their ids.
+    moved = np.flatnonzero((new_neighbors != pre_merge).any(axis=1))
+    reverse.apply_row(active[moved], pre_merge[moved], new_neighbors[moved])
     return evaluations, int(changes), active, new_neighbors, new_sims
 
 
@@ -1297,24 +1299,24 @@ class ShardedKnnIndex(DynamicKnnIndex):
                 self._procpool.reset()
             return
         neighbors, _ = self._rows()
-        transfers: list[tuple[int, np.ndarray]] = []
         for user in moved:
             source = self._shards[self._shard_map.owner(user)]
             source.cache_evict(user, self.builder.profile(user))
             source.dirty.discard(user)
-            cited = np.empty(0, dtype=ID_DTYPE)
-            if user < neighbors.shape[0]:
-                row = neighbors[user]
-                cited = row[row != MISSING]
-                if cited.size:
-                    source.reverse.apply_row(user, cited, ())
-            transfers.append((user, cited))
+        # Users past the graph's rows (not yet refreshed) cite nobody.
+        rows = np.asarray(moved, dtype=np.int64)
+        rows = rows[rows < neighbors.shape[0]]
+        cited = neighbors[rows]
+        sources = self._shard_map.owners(rows)
+        destinations = new_map.owners(rows)
+        for shard in self._shards:
+            gone = sources == shard.shard_id
+            shard.reverse.apply_row(rows[gone], cited[gone], None)
+            came = destinations == shard.shard_id
+            shard.reverse.apply_row(rows[came], None, cited[came])
         self._shard_map = new_map
-        for user, cited in transfers:
-            destination = self._shards[new_map.owner(user)]
-            if cited.size:
-                destination.reverse.apply_row(user, (), cited)
-            destination.dirty.add(user)
+        for user in moved:
+            self._shards[new_map.owner(user)].dirty.add(user)
 
     def _reshard(self, new_map: ShardMap) -> None:
         """Shard-count transition: rebuild every per-shard container.

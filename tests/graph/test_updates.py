@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.heap import KnnHeap
 from repro.graph.knn_graph import MISSING, KnnGraph
-from repro.graph.updates import dedupe_pairs, merge_topk
+from repro.graph.updates import dedupe_pairs, merge_topk, merge_topk_rows
 
 
 def _empty(n, k):
@@ -143,6 +144,159 @@ class TestHeapEquivalence:
             np.testing.assert_allclose(new_s[user], heap_s)
 
 
+# Scores drawn from a small float32 set: ties are frequent, and -0.0
+# and 0.0 are distinct bit patterns that compare equal.
+_SCORES = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def merge_cases(draw):
+    """Canonical rows (full, partial or empty) plus a batch of offers."""
+    n_users = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 4))
+    neighbors = np.full((n_users, k), MISSING, dtype=np.int64)
+    sims = np.full((n_users, k), -np.inf, dtype=np.float32)
+    for user in range(n_users):
+        others = [v for v in range(n_users) if v != user]
+        size = draw(st.integers(0, min(k, len(others))))
+        ids = draw(
+            st.lists(
+                st.sampled_from(others),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+        entries = sorted(
+            ((draw(_SCORES), v) for v in ids), key=lambda e: (-e[0], e[1])
+        )
+        for slot, (score, v) in enumerate(entries):
+            neighbors[user, slot] = v
+            sims[user, slot] = score
+    n_offers = draw(st.integers(0, 40))
+    users = draw(
+        st.lists(
+            st.integers(0, n_users - 1),
+            min_size=n_offers,
+            max_size=n_offers,
+        )
+    )
+    if draw(st.booleans()):
+        ids = list(users)  # an all-self batch
+    else:
+        ids = draw(
+            st.lists(
+                st.integers(0, n_users - 1),
+                min_size=n_offers,
+                max_size=n_offers,
+            )
+        )
+    scores = draw(st.lists(_SCORES, min_size=n_offers, max_size=n_offers))
+    return (
+        neighbors,
+        sims,
+        np.array(users, dtype=np.int64),
+        np.array(ids, dtype=np.int64),
+        np.array(scores, dtype=np.float32),
+    )
+
+
+class TestMergeFromCanonicalRows:
+    """merge_topk over existing rows equals heaps seeded with those rows.
+
+    Starting rows are full, partial or empty, so the k-th-entry
+    prefilter is exercised: stale entries re-offered at a lower score,
+    duplicate offers with different scores, forced ties, -0.0 against
+    0.0 and all-self batches.  Scores are compared bit for bit.
+    """
+
+    @given(merge_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_seeded_heaps(self, case):
+        neighbors, sims, users, ids, scores = case
+        n_users, k = neighbors.shape
+        new_n, new_s, changes = merge_topk(neighbors, sims, users, ids, scores)
+        heaps = [KnnHeap(k) for _ in range(n_users)]
+        for user in range(n_users):
+            for v, score in zip(neighbors[user], sims[user]):
+                if v != MISSING:
+                    heaps[user].update(int(v), float(score))
+        for user, v, score in zip(users, ids, scores):
+            if user != v:
+                heaps[int(user)].update(int(v), float(score))
+        expected_changes = 0
+        for user, heap in enumerate(heaps):
+            heap_n, heap_s = heap.to_arrays()
+            assert new_n[user].tolist() == heap_n.tolist()
+            np.testing.assert_array_equal(
+                new_s[user].view(np.uint32),
+                heap_s.astype(np.float32).view(np.uint32),
+            )
+            expected_changes += len(set(heap_n) - set(neighbors[user]))
+        assert changes == expected_changes
+
+    @given(merge_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_variant_returns_only_reranked_rows(self, case):
+        neighbors, sims, users, ids, scores = case
+        active, sub_n, sub_s, _ = merge_topk_rows(
+            neighbors, sims, users, ids, scores
+        )
+        new_n, new_s, _ = merge_topk(neighbors, sims, users, ids, scores)
+        assert np.isin(active, users[users != ids]).all()
+        np.testing.assert_array_equal(new_n[active], sub_n)
+        untouched = np.setdiff1d(np.arange(neighbors.shape[0]), active)
+        np.testing.assert_array_equal(new_n[untouched], neighbors[untouched])
+
+    def test_all_self_batch_is_empty(self):
+        neighbors = np.full((3, 2), MISSING, dtype=np.int64)
+        sims = np.full((3, 2), -np.inf, dtype=np.float32)
+        users = np.array([0, 1, 2, 1])
+        active, sub_n, sub_s, changes = merge_topk_rows(
+            neighbors, sims, users, users, np.ones(4, dtype=np.float32)
+        )
+        assert active.size == 0 and changes == 0
+        assert sub_n.shape == sub_s.shape == (0, 2)
+
+    def test_signed_zero_ties_keep_the_first_occurrence(self):
+        neighbors = np.array([[1, MISSING, MISSING]], dtype=np.int64)
+        sims = np.array([[0.0, -np.inf, -np.inf]], dtype=np.float32)
+        users = np.zeros(5, dtype=np.int64)
+        # 1 is held at 0.0; 2 arrives as -0.0 first; 3 arrives as 0.0
+        # first; a 0.25 score beats every zero.
+        ids = np.array([1, 2, 2, 3, 3])
+        scores = np.array([-0.0, -0.0, 0.0, 0.0, -0.0], dtype=np.float32)
+        new_n, new_s, changes = merge_topk(neighbors, sims, users, ids, scores)
+        assert new_n[0].tolist() == [1, 2, 3]
+        assert np.signbit(new_s[0]).tolist() == [False, True, False]
+        assert changes == 2
+        new_n, new_s, _ = merge_topk(
+            neighbors,
+            sims,
+            users[:2],
+            np.array([2, 2]),
+            np.array([-0.0, 0.25], dtype=np.float32),
+        )
+        assert new_n[0].tolist() == [2, 1, MISSING]
+        assert new_s[0, 0] == np.float32(0.25)
+
+    def test_losing_offers_leave_a_full_row_out(self):
+        neighbors = np.array([[1, 2], [0, MISSING]], dtype=np.int64)
+        sims = np.array([[0.5, 0.5], [0.5, -np.inf]], dtype=np.float32)
+        # Row 0 is full; 3 ties its k-th entry (0.5, 2) with a higher id
+        # and 1 is a stale entry re-offered lower.  Row 1 has a free
+        # slot, so it takes its offer.
+        active, _, _, changes = merge_topk_rows(
+            neighbors,
+            sims,
+            np.array([0, 0, 1]),
+            np.array([3, 1, 2]),
+            np.array([0.5, 0.25, 0.1], dtype=np.float32),
+        )
+        assert active.tolist() == [1]
+        assert changes == 1
+
+
 class TestReverseNeighborIndex:
     def _graph(self):
         from repro.graph.updates import ReverseNeighborIndex
@@ -170,14 +324,26 @@ class TestReverseNeighborIndex:
 
     def test_apply_row_diffs(self):
         neighbors, index = self._graph()
-        # Row 0 drops 2 and gains 3.
-        index.apply_row(0, neighbors[0], np.array([1, 3, MISSING]))
+        # One block: row 0 drops 2 and gains 3; row 1 keeps its ids.
+        index.apply_row(
+            [0, 1],
+            neighbors[[0, 1]],
+            np.array([[1, 3, MISSING], [0, MISSING, MISSING]]),
+        )
         assert index.referrers_of([2]).tolist() == []
         assert index.referrers_of([3]).tolist() == [0, 2]
-        # Clearing a row removes all its citations.
-        index.apply_row(2, np.array([0, 1, 3]), ())
+        assert index.referrers_of([0]).tolist() == [1, 2]
+        # A None new side clears the rows: all their citations go.
+        index.apply_row([2], np.array([[0, 1, 3]]), None)
         assert index.referrers_of([3]).tolist() == [0]
         assert index.referrers_of([1]).tolist() == [0]  # row 0 still cites 1
+        # A None old side registers every present entry.
+        index.apply_row([3], None, np.array([[2, MISSING, MISSING]]))
+        assert index.referrers_of([2]).tolist() == [3]
+        # Empty blocks are no-ops.
+        index.apply_row(np.empty(0, dtype=np.int64), None, None)
+        index.apply_row([], np.empty((0, 3)), np.empty((0, 3)))
+        assert index.referrers_of([0, 1, 2, 3]).tolist() == [0, 1, 3]
 
     def test_missing_users_have_no_referrers(self):
         _, index = self._graph()
@@ -192,15 +358,29 @@ class TestReverseNeighborIndex:
         neighbors = np.full((n, k), MISSING, dtype=np.int64)
         index = ReverseNeighborIndex(neighbors)
         for _ in range(200):
-            row = int(rng.integers(0, n))
-            size = int(rng.integers(0, k + 1))
-            new_row = np.full(k, MISSING, dtype=np.int64)
-            if size:
-                new_row[:size] = rng.choice(n, size=size, replace=False)
-            index.apply_row(row, neighbors[row], new_row)
-            neighbors[row] = new_row
-        for user in range(n):
-            scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
-            np.testing.assert_array_equal(
-                index.referrers_of([user]), scan, err_msg=f"user {user}"
+            mode = rng.choice(["update", "clear", "fill"])
+            if mode == "fill":
+                # A None old side is only valid for rows citing nobody.
+                pool = np.flatnonzero((neighbors == MISSING).all(axis=1))
+            else:
+                pool = np.arange(n)
+            m = int(rng.integers(0, min(pool.size, 6) + 1))
+            rows = np.sort(rng.choice(pool, size=m, replace=False))
+            new_rows = np.full((m, k), MISSING, dtype=np.int64)
+            if mode != "clear":
+                for pos in range(m):
+                    size = int(rng.integers(0, k + 1))
+                    new_rows[pos, :size] = rng.choice(
+                        n, size=size, replace=False
+                    )
+            index.apply_row(
+                rows,
+                None if mode == "fill" else neighbors[rows],
+                None if mode == "clear" else new_rows,
             )
+            neighbors[rows] = new_rows
+            for user in range(n):
+                scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
+                np.testing.assert_array_equal(
+                    index.referrers_of([user]), scan, err_msg=f"user {user}"
+                )

@@ -128,6 +128,38 @@ class TestLatestCheckpoint:
         assert latest_checkpoint(tmp_path / "nope") is None
 
 
+class TestSameSequenceRecheckpoint:
+    def test_replaces_in_place(self, streamed_index, tmp_path):
+        first = save_checkpoint(streamed_index, tmp_path)
+        second = save_checkpoint(streamed_index, tmp_path)
+        assert first == second
+        assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
+        assert load_checkpoint(second).seq == streamed_index.last_seq
+
+    def test_failed_swap_keeps_the_existing_checkpoint(
+        self, streamed_index, tmp_path, monkeypatch
+    ):
+        """The old directory survives a failure to swap the new one in."""
+        import os
+
+        path = save_checkpoint(streamed_index, tmp_path)
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if str(src).endswith(".tmp"):
+                raise OSError("injected rename failure")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(streamed_index, tmp_path)
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        streamed_index.refresh()
+        restored = DynamicKnnIndex.restore(tmp_path)
+        assert restored.graph == streamed_index.graph
+
+
 class TestCheckpointOnlyRestore:
     """restore() of a checkpoint alone (no log was ever attached)."""
 
