@@ -32,10 +32,8 @@ import numpy as np
 
 from repro import BipartiteDataset, DynamicKnnIndex, KiffConfig, ShardedKnnIndex
 from repro.similarity.base import ProfileIndex
-from repro.similarity.engine import get_metric
-from repro.similarity.kernels import available_backends
+from repro.similarity.engine import get_metric, score_pairs_chunked
 from repro.streaming import holdout_stream, ratings_batch
-from repro.streaming.sharding import score_pairs_chunked
 
 from _bench_utils import run_once
 
@@ -53,7 +51,6 @@ _SCALES = {
         min_speedup_threads=None,
         min_speedup_processes=None,
         kernel_pairs=50_000,
-        min_kernel_speedup_numba=None,
     ),
     "laptop": dict(
         n_users=20_000,
@@ -65,7 +62,6 @@ _SCALES = {
         min_speedup_threads=1.5,
         min_speedup_processes=2.0,
         kernel_pairs=400_000,
-        min_kernel_speedup_numba=5.0,
     ),
 }
 _SCALE = os.environ.get("REPRO_BENCH_SCALE", "laptop")
@@ -179,17 +175,12 @@ def test_sharded_refresh_speedup(benchmark):
 
 
 def test_kernel_evaluate_stage(benchmark):
-    """Evaluate-stage kernel shootout: numpy vs the compiled backends.
+    """Evaluate-stage kernel timing on one seeded candidate-pair batch.
 
-    Scores one seeded candidate-pair batch through
-    ``score_pairs_chunked`` — the exact call the shard workers'
-    evaluate stage makes — once per installed backend.  The numpy pass
-    is the measured benchmark; compiled passes are timed inline, their
-    scores checked against numpy's within the compiled tolerance, and
-    the speedups reported.  The >=5x numba bar applies only at laptop
-    scale on a multi-core host with numba installed: the JIT kernels
-    are prange-parallel, so a single-core runner physically cannot
-    express the win (the numbers are still reported).
+    Scores the batch through ``score_pairs_chunked``, the exact call
+    the shard workers' evaluate stage makes, and records deterministic
+    fingerprints of the scores (gated) next to the wall time (reported,
+    never gated).
     """
     params = _SCALES.get(_SCALE, _SCALES["laptop"])
     benchmark.group = "sharded:kernels"
@@ -204,27 +195,14 @@ def test_kernel_evaluate_stage(benchmark):
     vs = rng.integers(0, base.n_users, n_pairs)
     batch_size = 8_192
 
-    def evaluate(backend_name):
-        index._kernel_backend = backend_name
-        # The warm-up pass resolves the backend and pays any JIT
-        # compilation outside the timed region.
+    def evaluate():
+        # A warm-up pass outside the timed region.
         score_pairs_chunked(metric, index, us[:512], vs[:512], batch_size)
         start = time.perf_counter()
         scores = score_pairs_chunked(metric, index, us, vs, batch_size)
         return scores, time.perf_counter() - start
 
-    seconds = {}
-    measured = {}
-    run_once(
-        benchmark,
-        lambda: measured.setdefault("numpy", evaluate("numpy")),
-    )
-    reference, seconds["numpy"] = measured["numpy"]
-    for name in ("numba", "torch"):
-        if name not in available_backends():
-            continue
-        scores, seconds[name] = evaluate(name)
-        np.testing.assert_allclose(scores, reference, rtol=1e-9, atol=1e-12)
+    reference, seconds = run_once(benchmark, evaluate)
 
     benchmark.extra_info["kernel_pairs_scored"] = n_pairs
     # Deterministic fingerprints of the seeded workload: any kernel
@@ -235,25 +213,5 @@ def test_kernel_evaluate_stage(benchmark):
     benchmark.extra_info["kernel_score_checksum"] = round(
         float(reference.sum()), 6
     )
-    for name, value in seconds.items():
-        benchmark.extra_info[f"kernel_{name}_evaluate_s"] = round(value, 4)
-        if name != "numpy":
-            benchmark.extra_info[f"kernel_{name}_speedup_vs_numpy"] = round(
-                seconds["numpy"] / value if value > 0 else float("inf"), 3
-            )
+    benchmark.extra_info["kernel_numpy_evaluate_s"] = round(seconds, 4)
     benchmark.extra_info["cores"] = os.cpu_count() or 1
-
-    bar = params["min_kernel_speedup_numba"]
-    multi_core = (os.cpu_count() or 1) >= 2
-    if bar is not None and "numba" in seconds and multi_core:
-        numba_speedup = (
-            seconds["numpy"] / seconds["numba"]
-            if seconds["numba"] > 0
-            else float("inf")
-        )
-        assert numba_speedup >= bar, (
-            f"numba evaluate-stage speedup {numba_speedup:.2f}x over "
-            f"numpy is below the {bar}x acceptance bar "
-            f"({seconds['numpy']:.2f}s numpy vs "
-            f"{seconds['numba']:.2f}s numba for {n_pairs} pairs)"
-        )

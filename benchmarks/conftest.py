@@ -45,18 +45,6 @@ def pytest_addoption(parser):
             "its smallest workload (the CI smoke job uses this)."
         ),
     )
-    parser.addoption(
-        "--kernel-backend",
-        default=None,
-        choices=("numpy", "numba", "torch"),
-        help=(
-            "Pin the similarity-kernel backend for the whole bench run "
-            "by exporting REPRO_KERNEL_BACKEND: every index built "
-            "without an explicit kernel_backend resolves through the "
-            "environment (the CI optional-deps job runs the sharded "
-            "smoke with --kernel-backend numba)."
-        ),
-    )
 
 
 def pytest_configure(config):
@@ -64,9 +52,6 @@ def pytest_configure(config):
         # Set before bench modules import (they read the scale at import
         # time), so one flag flips the whole suite to the tiny workloads.
         os.environ["REPRO_BENCH_SCALE"] = "tiny"
-    backend = config.getoption("--kernel-backend")
-    if backend:
-        os.environ["REPRO_KERNEL_BACKEND"] = backend
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -155,19 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=("numpy", "numba", "torch"),
-        help=(
-            "with 'graph-stats'/'stream'/'serve': batch similarity "
-            "kernel backend (default: the REPRO_KERNEL_BACKEND "
-            "environment variable, then numpy).  numpy is always "
-            "available and bit-identical; numba/torch are compiled "
-            "backends that fall back to numpy with a warning when the "
-            "optional dependency is missing"
-        ),
-    )
-    parser.add_argument(
         "--wal",
         default=None,
         help=(
@@ -344,7 +331,6 @@ def _stream_config(args, k: int):
         return (
             KiffConfig(
                 k=k,
-                kernel_backend=args.kernel_backend,
                 max_event_lag=args.max_event_lag,
                 staleness_budget=args.staleness_budget,
                 max_dirty_per_refresh=args.max_dirty_per_refresh,
@@ -367,10 +353,8 @@ def _run_graph_stats(args) -> int:
 
     dataset = load_dataset(args.dataset, scale=args.scale)
     k = _cli_k(args)
-    engine = SimilarityEngine(
-        dataset, metric=args.metric, kernel_backend=args.kernel_backend
-    )
-    result = kiff(engine, KiffConfig(k=k, kernel_backend=args.kernel_backend))
+    engine = SimilarityEngine(dataset, metric=args.metric)
+    result = kiff(engine, KiffConfig(k=k))
     stats = analyze(result.graph)
     print(
         render_table(

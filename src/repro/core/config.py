@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..similarity.kernels.numpy_backend import check_kernel_backend
+
 __all__ = ["KiffConfig"]
 
 
@@ -46,13 +48,11 @@ class KiffConfig:
         Keep a copy of the graph after each iteration (needed by the
         Figure 8 convergence study; costs memory).
     kernel_backend:
-        Batch-scoring backend for metric evaluation: ``"numpy"``
-        (default, bit-identical to the historical scipy path),
-        ``"numba"`` or ``"torch"`` (compiled, tolerance-based parity),
-        or any :func:`repro.similarity.kernels.register_backend` name.
-        ``None`` defers to the ``REPRO_KERNEL_BACKEND`` environment
-        variable, then ``"numpy"``.  Unavailable compiled backends
-        degrade to ``"numpy"`` with a one-time warning.
+        Only ``None`` or ``"numpy"`` is accepted: both name the one
+        bit-identical similarity kernel
+        (:mod:`repro.similarity.kernels`).  Anything else raises
+        :class:`ValueError`, which is also what restoring a checkpoint
+        that names another kernel does.
     max_event_lag:
         Bounded-staleness scheduling knob (``None`` = unscheduled):
         maximum events absorbed since a user went dirty before a
@@ -103,14 +103,7 @@ class KiffConfig:
             raise ValueError(
                 f"mode must be 'fast' or 'reference', got {self.mode!r}"
             )
-        if self.kernel_backend is not None:
-            from ..similarity.kernels import backend_names
-
-            if self.kernel_backend not in backend_names():
-                raise ValueError(
-                    f"unknown kernel_backend {self.kernel_backend!r}; "
-                    f"registered backends: {backend_names()}"
-                )
+        check_kernel_backend(self.kernel_backend)
         if self.max_event_lag is not None and self.max_event_lag < 1:
             raise ValueError(
                 f"max_event_lag must be >= 1, got {self.max_event_lag}"

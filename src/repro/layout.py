@@ -17,7 +17,7 @@ instead of hard-coding ``np.int64``/``np.float64``:
 * **Similarities** are :data:`SCORE_DTYPE` (``float32``) at rest, with
   **float64 accumulation inside kernels**: every scoring path computes
   the metric formula in :data:`ACCUM_DTYPE` and casts exactly once at
-  the score boundary (``repro.similarity.kernels._finalize`` and the
+  the score boundary (``repro.similarity.kernels.numpy_backend`` and the
   engine's ``pair``/``batch``/``block``).  Casting at the boundary —
   not at storage — is what preserves bit-parity: a freshly computed
   score and a stored one are always the *same* float32 value, so

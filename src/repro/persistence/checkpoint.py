@@ -347,12 +347,18 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
     gamma = config_fields.get("gamma")
     if gamma is not None:
         config_fields["gamma"] = float(gamma)
+    try:
+        config = KiffConfig(**config_fields)
+    except (TypeError, ValueError) as exc:
+        # E.g. a kernel_backend other than the one bit-identical
+        # kernel: its graph rows cannot meet the parity invariant.
+        raise CheckpointError(f"unusable config in {path}: {exc}") from exc
     return CheckpointState(
         path=path,
         seq=int(meta["seq"]),
         name=meta["name"],
         metric=meta["metric"],
-        config=KiffConfig(**config_fields),
+        config=config,
         auto_refresh=bool(meta["auto_refresh"]),
         pending_events=int(meta["pending_events"]),
         candidate_cache_size=meta["candidate_cache_size"],

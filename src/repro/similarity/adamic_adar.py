@@ -48,7 +48,7 @@ class AdamicAdarSimilarity(SimilarityMetric):
         # with zero-weight items dropped first, mirroring the
         # eliminate_zeros() of the historical aa_matrix — the value
         # sequence scipy summed, hence the same float64 result bit for
-        # bit on the numpy backend.
+        # bit.
         matrix = index.matrix
         return index.kernel.score_pairs(
             self.name,

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from ..datasets.bipartite import BipartiteDataset
 from ..datasets.mutable import splice_compressed
 from ..instrumentation.counters import MaintenanceCounter
-from .kernels import KernelBackend, resolve_backend
+from .kernels.numpy_backend import NumpyKernelBackend
 
 __all__ = ["ProfileIndex", "SimilarityMetric", "intersect_profiles"]
 
@@ -58,12 +58,9 @@ class ProfileIndex:
     own arrays.
     """
 
-    #: Kernel backend used by every metric's ``score_batch`` on this
-    #: index: a name, a :class:`~repro.similarity.kernels.KernelBackend`
-    #: instance, or None (resolve lazily: env var, then ``numpy``).
-    #: Class-level default so rebuilt/subclassed indexes inherit it;
-    #: assign on the instance to select a backend.
-    _kernel_backend: str | KernelBackend | None = None
+    #: The kernel every metric's ``score_batch`` scores through: one
+    #: shared, stateless instance for every index.
+    kernel = NumpyKernelBackend()
 
     def __init__(
         self,
@@ -74,13 +71,6 @@ class ProfileIndex:
             maintenance if maintenance is not None else MaintenanceCounter()
         )
         self._build(dataset)
-
-    @property
-    def kernel(self) -> KernelBackend:
-        """The resolved batch-scoring backend (cached after first use)."""
-        backend = resolve_backend(self._kernel_backend)
-        self._kernel_backend = backend
-        return backend
 
     def _build(self, dataset: BipartiteDataset) -> None:
         """Cold build: every user's state is (re)computed."""
@@ -227,7 +217,7 @@ class ProfileIndex:
     def adamic_adar_weights(self) -> np.ndarray:
         """Dense ``1 / ln |IP_i|`` per item (zero below degree two).
 
-        The kernel backends' substrate for Adamic-Adar: summing
+        The kernel's substrate for Adamic-Adar: summing
         ``weights[item]`` over the profile intersection — zero-weight
         items dropped first, mirroring the matrix's
         ``eliminate_zeros()`` — reproduces the historical

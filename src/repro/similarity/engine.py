@@ -28,10 +28,17 @@ from .base import ProfileIndex, SimilarityMetric
 from .cosine import CosineSimilarity
 from .dice import DiceSimilarity
 from .jaccard import JaccardSimilarity
+from .kernels.numpy_backend import check_kernel_backend
 from .overlap import OverlapSimilarity
 from .pearson import PearsonSimilarity
 
-__all__ = ["SimilarityEngine", "get_metric", "metric_names", "register_metric"]
+__all__ = [
+    "SimilarityEngine",
+    "get_metric",
+    "metric_names",
+    "register_metric",
+    "score_pairs_chunked",
+]
 
 _METRICS: dict[str, type[SimilarityMetric]] = {
     CosineSimilarity.name: CosineSimilarity,
@@ -74,6 +81,39 @@ def get_metric(metric: str | SimilarityMetric) -> SimilarityMetric:
         ) from None
 
 
+def score_pairs_chunked(
+    metric: SimilarityMetric,
+    index: ProfileIndex,
+    us: np.ndarray,
+    vs: np.ndarray,
+    batch_size: int,
+) -> np.ndarray:
+    """Score parallel pair arrays in chunks of at most *batch_size*.
+
+    The one scoring loop: :meth:`SimilarityEngine.batch` wraps it with
+    counting and timing, and the shard refresh calls it bare (in
+    process and in worker processes) so concurrent shards never race on
+    a shared counter; the refresh driver adds the evaluation totals
+    after the fan-in.  Chunk boundaries cannot change values, since
+    every metric scores pairs independently.
+
+    The output is written into one preallocated array at the at-rest
+    score width: the cast-once score boundary, which also holds custom
+    registered metrics that return float64.
+    """
+    if us.size == 0:
+        return np.empty(0, dtype=SCORE_DTYPE)
+    if us.size <= batch_size:
+        return compact_scores(metric.score_batch(index, us, vs))
+    out = np.empty(us.size, dtype=SCORE_DTYPE)
+    for start in range(0, us.size, batch_size):
+        stop = min(start + batch_size, us.size)
+        out[start:stop] = metric.score_batch(
+            index, us[start:stop], vs[start:stop]
+        )
+    return out
+
+
 class SimilarityEngine:
     """Instrumented similarity evaluation over one dataset.
 
@@ -82,18 +122,22 @@ class SimilarityEngine:
     dataset:
         The bipartite dataset whose user profiles define the metric space.
     metric:
-        Metric name (``"cosine"``, ``"jaccard"``, ``"adamic_adar"``,
-        ``"overlap"``) or a :class:`SimilarityMetric` instance.
+        Metric name (``"cosine"``, ``"jaccard"``, ``"dice"``,
+        ``"overlap"``, ``"adamic_adar"``, ``"pearson"``, or a
+        :func:`register_metric` name) or a :class:`SimilarityMetric`
+        instance.
     counter, timer:
         Optional shared instrumentation; fresh private instances are
         created when omitted.
     batch_size:
         Maximum number of pairs evaluated per sparse-slicing chunk.
+    index:
+        A prebuilt :class:`ProfileIndex` of *dataset* (built when
+        omitted).
     kernel_backend:
-        Batch-scoring backend name (``"numpy"``/``"numba"``/``"torch"``)
-        or instance bound to the engine's :class:`ProfileIndex`; None
-        keeps the index's own selection (env var, then ``"numpy"``).
-        See :mod:`repro.similarity.kernels`.
+        ``None`` or ``"numpy"``: both select the one similarity kernel
+        (:mod:`repro.similarity.kernels`).  Anything else raises
+        :class:`ValueError`.
     """
 
     def __init__(
@@ -104,24 +148,17 @@ class SimilarityEngine:
         timer: PhaseTimer | None = None,
         batch_size: int = 131_072,
         index: ProfileIndex | None = None,
-        n_jobs: int = 1,
-        kernel_backend=None,
+        kernel_backend: str | None = None,
     ):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if n_jobs <= 0:
-            raise ValueError(f"n_jobs must be positive, got {n_jobs}")
+        check_kernel_backend(kernel_backend)
         self.dataset = dataset
         self.metric = get_metric(metric)
         self.counter = counter if counter is not None else SimilarityCounter()
         self.timer = timer if timer is not None else PhaseTimer()
         self.batch_size = batch_size
         self.index = index if index is not None else ProfileIndex(dataset)
-        if kernel_backend is not None:
-            self.index._kernel_backend = kernel_backend
-        self.n_jobs = n_jobs
-        #: Lazily created, reused across batch() calls; see close().
-        self._pool = None
 
     @property
     def n_users(self) -> int:
@@ -160,7 +197,6 @@ class SimilarityEngine:
             self.index.update(dataset, dirty_users)
             return
         index_class = type(self.index)
-        kernel_backend = self.index._kernel_backend
         try:
             self.index = index_class(
                 dataset, maintenance=self.index.maintenance
@@ -168,9 +204,6 @@ class SimilarityEngine:
         except TypeError:
             # Subclasses with a bare (dataset) constructor.
             self.index = index_class(dataset)
-        # Full rebuilds construct a fresh index: carry the engine's
-        # kernel selection over so refreshes keep the chosen backend.
-        self.index._kernel_backend = kernel_backend
 
     def pair(self, u: int, v: int) -> float:
         """Similarity of one pair (counted as one evaluation).
@@ -187,11 +220,7 @@ class SimilarityEngine:
     def batch(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Similarities for parallel pair arrays (counted per pair).
 
-        Dispatch is decided by the number of ``batch_size`` chunks the
-        request splits into: a single chunk (``us.size <= batch_size``,
-        boundary included) is always scored directly — there is nothing
-        for a thread pool to parallelise — while multi-chunk requests go
-        to the pool when ``n_jobs > 1`` and a serial loop otherwise.
+        Scored by :func:`score_pairs_chunked` in ``batch_size`` chunks.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -199,71 +228,18 @@ class SimilarityEngine:
             raise ValueError(
                 f"us and vs must have equal length, got {us.size} vs {vs.size}"
             )
-        if us.size == 0:
-            return np.empty(0, dtype=SCORE_DTYPE)
-        n_chunks = -(-us.size // self.batch_size)  # ceil division
         with self.timer.phase("similarity"):
-            if n_chunks == 1:
-                out = self.metric.score_batch(self.index, us, vs)
-            elif self.n_jobs > 1:
-                out = self._batch_parallel(us, vs)
-            else:
-                chunks = []
-                for start in range(0, us.size, self.batch_size):
-                    stop = start + self.batch_size
-                    chunks.append(
-                        self.metric.score_batch(
-                            self.index, us[start:stop], vs[start:stop]
-                        )
-                    )
-                out = np.concatenate(chunks)
+            out = score_pairs_chunked(
+                self.metric, self.index, us, vs, self.batch_size
+            )
         self.counter.add(int(us.size))
-        # Kernel-backed metrics already cast at the finalize boundary;
-        # this keeps custom registered metrics on the same contract.
-        return compact_scores(out)
-
-    def _batch_parallel(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Evaluate a large batch across the engine's thread pool.
-
-        The paper stresses KIFF "allows for a parallel implementation and
-        execution, leading to full utilisation of computing resources"
-        (Section VI): similarity evaluations of distinct pairs are
-        independent, so a batch splits freely.  We use threads, not
-        processes — the heavy lifting happens inside NumPy/SciPy kernels,
-        and the achievable speed-up depends on how much of that work your
-        BLAS/scipy build runs outside the GIL.  Results are bit-identical
-        to the serial path (chunk boundaries included).
-
-        The pool is created lazily on the first multi-chunk batch and
-        reused for the engine's lifetime — spinning up ``n_jobs``
-        threads per call would tax exactly the hot path this exists to
-        speed up.  :meth:`close` shuts it down deterministically.
-        """
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_jobs, thread_name_prefix="repro-engine"
-            )
-        spans = [
-            (start, min(start + self.batch_size, us.size))
-            for start in range(0, us.size, self.batch_size)
-        ]
-        chunks = list(
-            self._pool.map(
-                lambda span: self.metric.score_batch(
-                    self.index, us[span[0] : span[1]], vs[span[0] : span[1]]
-                ),
-                spans,
-            )
-        )
-        return np.concatenate(chunks)
+        return out
 
     def close(self) -> None:
-        """Shut the evaluation pool down (idempotent; re-created on use)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Release nothing: the engine holds no pooled resources.
+
+        Kept so callers that close the engines they create keep working.
+        """
 
     def block(self, us: np.ndarray, count: bool = True) -> np.ndarray:
         """Dense ``(len(us), n_users)`` similarity block.

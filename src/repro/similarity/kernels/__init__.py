@@ -1,61 +1,23 @@
-"""Pluggable compiled similarity-kernel backends for batch scoring.
+"""The similarity kernel: batch pair scoring over raw CSR arrays.
 
-Every refresh — dynamic, sharded, and process-backed — bottoms out in
-``metric.score_batch``, which historically paid scipy fancy indexing
-(``matrix[us]``), a temporary ``.multiply()`` product, and Python-level
-dispatch per chunk.  This package puts that evaluate stage behind a
-narrow backend interface operating on **raw CSR arrays** (the exact
-arrays :meth:`ProfileIndex.to_shared_arrays
+Every refresh (flat, sharded and process-backed) bottoms out in
+``metric.score_batch``, which calls the one kernel,
+:class:`~repro.similarity.kernels.numpy_backend.NumpyKernelBackend`.
+It works on **raw CSR arrays**, the exact arrays
+:meth:`ProfileIndex.to_shared_arrays
 <repro.similarity.base.ProfileIndex.to_shared_arrays>` publishes into
-the shared-memory arena), so the process workers bind a kernel straight
-to their zero-copy views with no scipy object construction on the hot
-path:
-
-* ``numpy`` (default, always available) — a direct indptr/indices/data
-  pairwise kernel (vectorised gather + sorted-key ``searchsorted``
-  match + segment reduction).  **Bit-identical** to the historical
-  scipy path; the parity corpus keeps gating it.
-* ``numba`` — a JIT-compiled ``prange`` merge-intersection kernel per
-  metric family (dot-based: cosine/pearson; set-overlap:
-  jaccard/dice/overlap, with Adamic-Adar via per-item weights).
-  Tolerance-based parity contract.
-* ``torch`` — batches pairs into dense index gathers on CPU/GPU
-  tensors (the sparse/COO style of bipartite-graph training loops).
-  Tolerance-based parity contract.
-
-Selection order (first wins): ``KiffConfig.kernel_backend`` >
-``repro stream --kernel-backend`` (which sets the config field) >
-the ``REPRO_KERNEL_BACKEND`` environment variable > ``numpy``.
-Requesting an unavailable compiled backend degrades gracefully to
-``numpy`` with a one-time :class:`RuntimeWarning` per backend name.
+the shared-memory arena, so process workers score straight off their
+zero-copy views with no scipy object construction on the hot path.  It
+is **bit-identical** to the historical scipy evaluation; the parity
+corpus gates it.
 """
 
 from __future__ import annotations
 
-import abc
-import os
-import warnings
-
-import numpy as np
-
-__all__ = [
-    "KernelBackend",
-    "KernelUnavailable",
-    "available_backends",
-    "backend_names",
-    "kernel_env_var",
-    "register_backend",
-    "resolve_backend",
-]
-
-#: Environment variable consulted when neither config nor caller names
-#: a backend.
-KERNEL_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
 #: Metric name -> kernel family.  ``dot`` walks aligned data values,
 #: ``set`` counts the intersection, ``weighted_set`` sums per-item
 #: weights over it.  Metrics outside this table (custom registrations)
-#: are not routed through a backend at all.
+#: do not go through the kernel at all.
 METRIC_FAMILIES: dict[str, str] = {
     "cosine": "dot",
     "pearson": "dot",
@@ -64,170 +26,3 @@ METRIC_FAMILIES: dict[str, str] = {
     "overlap": "set",
     "adamic_adar": "weighted_set",
 }
-
-
-def kernel_env_var() -> str | None:
-    """The backend named by ``REPRO_KERNEL_BACKEND`` (None when unset)."""
-    value = os.environ.get(KERNEL_ENV_VAR, "").strip()
-    return value or None
-
-
-class KernelUnavailable(RuntimeError):
-    """A backend's dependency (numba, torch) cannot be imported."""
-
-
-class KernelBackend(abc.ABC):
-    """Batch pair scoring over raw CSR arrays.
-
-    One instance is shared process-wide per backend name (they are
-    stateless beyond compiled-function caches), bound to a
-    :class:`~repro.similarity.base.ProfileIndex` via its
-    ``kernel``/``_kernel_backend`` attributes and consulted by every
-    metric's ``score_batch``.
-    """
-
-    #: Registry key, e.g. ``"numpy"``.
-    name: str = "abstract"
-
-    #: True when the backend guarantees bit-identity with the
-    #: historical scipy evaluation (the parity-corpus contract); False
-    #: means tolerance-based parity only.
-    exact: bool = False
-
-    @abc.abstractmethod
-    def score_pairs(
-        self,
-        metric_name: str,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray | None,
-        norms: np.ndarray | None,
-        sizes: np.ndarray | None,
-        us: np.ndarray,
-        vs: np.ndarray,
-        item_weights: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Similarities of parallel pair arrays against one CSR matrix.
-
-        ``indptr``/``indices``/``data`` are the matrix of the metric's
-        substrate (the rating matrix for cosine, the *centred* matrix
-        for pearson; set metrics pass ``data=None`` — the structure
-        alone carries the profiles).  ``norms`` are the matching row
-        norms (dot family), ``sizes`` the profile sizes (set family),
-        ``item_weights`` the dense per-item weight vector (weighted-set
-        family).  Accumulation runs in float64; the returned scores are
-        float32, one per pair, cast once at the shared finalize boundary
-        (see :mod:`repro.layout`).
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
-
-def _make_numpy() -> KernelBackend:
-    from .numpy_backend import NumpyKernelBackend
-
-    return NumpyKernelBackend()
-
-
-def _make_numba() -> KernelBackend:
-    from .numba_backend import NumbaKernelBackend
-
-    return NumbaKernelBackend()
-
-
-def _make_torch() -> KernelBackend:
-    from .torch_backend import TorchKernelBackend
-
-    return TorchKernelBackend()
-
-
-#: name -> zero-arg factory raising :class:`KernelUnavailable` when the
-#: backend's dependency is missing.  Tests monkeypatch entries to force
-#: the fallback path deterministically.
-_FACTORIES: dict[str, object] = {
-    "numpy": _make_numpy,
-    "numba": _make_numba,
-    "torch": _make_torch,
-}
-
-#: Resolved singletons (compiled-function caches live on them).
-_INSTANCES: dict[str, KernelBackend] = {}
-
-#: Backend names whose unavailability was already warned about — the
-#: "warns exactly once" contract.
-_WARNED: set[str] = set()
-
-
-def register_backend(name: str, factory) -> None:
-    """Register a custom backend factory under *name*.
-
-    ``factory`` takes no arguments and returns a
-    :class:`KernelBackend`; raise :class:`KernelUnavailable` from it
-    when a dependency is missing and resolution will fall back to
-    ``numpy`` instead of failing.
-    """
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-    _WARNED.discard(name)
-
-
-def backend_names() -> list[str]:
-    """Registered backend names (available or not)."""
-    return sorted(_FACTORIES)
-
-
-def available_backends() -> list[str]:
-    """The registered backends whose dependencies import right now."""
-    names = []
-    for name in backend_names():
-        try:
-            _instantiate(name)
-        except KernelUnavailable:
-            continue
-        names.append(name)
-    return names
-
-
-def _instantiate(name: str) -> KernelBackend:
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _INSTANCES[name] = _FACTORIES[name]()
-    return instance
-
-
-def resolve_backend(
-    name: str | KernelBackend | None = None,
-) -> KernelBackend:
-    """Resolve *name* to a backend instance, numpy-falling-back.
-
-    ``None`` consults ``REPRO_KERNEL_BACKEND`` and defaults to
-    ``numpy``.  An unknown name raises :class:`KeyError`; a known but
-    unavailable backend (missing numba/torch) warns **once per name**
-    and returns the ``numpy`` backend, so a config written on a machine
-    with compiled backends keeps working on one without them.
-    """
-    if isinstance(name, KernelBackend):
-        return name
-    requested = name or kernel_env_var() or "numpy"
-    if requested not in _FACTORIES:
-        raise KeyError(
-            f"unknown kernel backend {requested!r}; registered backends: "
-            f"{backend_names()}"
-        )
-    try:
-        return _instantiate(requested)
-    except KernelUnavailable as exc:
-        if requested not in _WARNED:
-            _WARNED.add(requested)
-            warnings.warn(
-                f"kernel backend {requested!r} is unavailable ({exc}); "
-                f"falling back to the 'numpy' backend. Install the "
-                f"optional dependency (pip install repro-kiff[{requested}]) "
-                f"to enable it.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return _instantiate("numpy")

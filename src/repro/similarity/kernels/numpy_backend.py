@@ -1,9 +1,9 @@
-"""The default batch-scoring backend: direct CSR pairwise kernels.
+"""The similarity kernel: direct CSR pairwise scoring.
 
 Replaces the historical ``matrix[us].multiply(matrix[vs]).sum(axis=1)``
 evaluation, which built two temporary CSR matrices per chunk (scipy
 fancy indexing is a sparse matmat against an extraction matrix) before
-merging them.  This backend works on the raw indptr/indices/data arrays
+merging them.  This kernel works on the raw indptr/indices/data arrays
 instead:
 
 1. **Gather** — both sides' profile entries are pulled into flat
@@ -23,17 +23,41 @@ instead:
    historical Adamic-Adar matrix had them ``eliminate_zeros()``-ed
    away, and blocked summation is not invariant to interleaved
    ``+0.0`` terms.
+4. **Finalize** — the metric formula (denominators, zero guards) runs
+   in float64 on the raw statistic and casts to float32 exactly once:
+   the score boundary of the compact layout (:mod:`repro.layout`).  A
+   freshly computed score and one read back from a graph row are then
+   the *same* float32 value, which keeps incremental maintenance
+   bit-identical to a cold rebuild through near-tie comparisons.
+
+The raw-CSR signature (rather than a :class:`ProfileIndex` argument)
+is what lets process workers score straight off their zero-copy
+shared-memory views.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...layout import SCORE_DTYPE
-from . import METRIC_FAMILIES, KernelBackend
-from ._finalize import finalize
+from ...layout import SCORE_DTYPE, compact_scores
+from . import METRIC_FAMILIES
 
-__all__ = ["NumpyKernelBackend"]
+__all__ = ["NumpyKernelBackend", "check_kernel_backend"]
+
+
+def check_kernel_backend(name: str | None) -> None:
+    """Refuse any ``kernel_backend`` selection but the one kernel.
+
+    ``None`` and ``"numpy"`` both mean :class:`NumpyKernelBackend`; the
+    field survives only so configs and checkpoints naming it still
+    load.  A graph scored by any other kernel could not meet the
+    bit-identity invariant, so other names are refused, not ignored.
+    """
+    if name not in (None, "numpy"):
+        raise ValueError(
+            f"unknown kernel_backend {name!r}: the only similarity "
+            f"kernel is 'numpy' (or None for the same)"
+        )
 
 
 def _gather(
@@ -119,11 +143,50 @@ def _match_pairs(
     return pair_v[matched_v], items_v[matched_v], products
 
 
-class NumpyKernelBackend(KernelBackend):
-    """Vectorised pure-numpy pairwise kernels (always available, exact)."""
+def _finalize(
+    metric_name: str,
+    raw: np.ndarray,
+    norms: np.ndarray | None,
+    sizes: np.ndarray | None,
+    us: np.ndarray,
+    vs: np.ndarray,
+) -> np.ndarray:
+    """Turn *raw* pair statistics into final float32 similarities.
 
-    name = "numpy"
-    exact = True
+    ``raw`` is the dot product for the dot family, the float64
+    intersection count for the set family, and already the final score
+    for the weighted-set family (and for ``overlap``).
+    """
+    family = METRIC_FAMILIES[metric_name]
+    if family == "dot":
+        denominators = norms[us] * norms[vs]
+        out = np.zeros(raw.shape[0], dtype=np.float64)
+        mask = denominators > 0
+        out[mask] = raw[mask] / denominators[mask]
+        return compact_scores(out)
+    if family == "weighted_set" or metric_name == "overlap":
+        return compact_scores(raw)
+    if metric_name == "jaccard":
+        unions = sizes[us] + sizes[vs] - raw
+        out = np.zeros(raw.shape[0], dtype=np.float64)
+        mask = unions > 0
+        out[mask] = raw[mask] / unions[mask]
+        return compact_scores(out)
+    if metric_name == "dice":
+        denominators = sizes[us] + sizes[vs]
+        out = np.zeros(raw.shape[0], dtype=np.float64)
+        mask = denominators > 0
+        out[mask] = 2.0 * raw[mask] / denominators[mask]
+        return compact_scores(out)
+    raise KeyError(f"no final formula for metric {metric_name!r}")
+
+
+class NumpyKernelBackend:
+    """Vectorised pure-numpy pairwise scoring, bit-identical to scipy.
+
+    Stateless: one shared instance serves every
+    :class:`~repro.similarity.base.ProfileIndex`.
+    """
 
     def score_pairs(
         self,
@@ -137,6 +200,16 @@ class NumpyKernelBackend(KernelBackend):
         vs: np.ndarray,
         item_weights: np.ndarray | None = None,
     ) -> np.ndarray:
+        """Similarities of parallel pair arrays against one CSR matrix.
+
+        ``indptr``/``indices``/``data`` are the matrix of the metric's
+        substrate (the rating matrix for cosine, the *centred* matrix
+        for pearson; set metrics pass ``data=None``, since the structure
+        alone carries the profiles).  ``norms`` are the matching row
+        norms (dot family), ``sizes`` the profile sizes (set family),
+        ``item_weights`` the dense per-item weight vector (weighted-set
+        family).  Returns one float32 score per pair.
+        """
         family = METRIC_FAMILIES[metric_name]
         n_pairs = int(us.size)
         if n_pairs == 0:
@@ -159,4 +232,4 @@ class NumpyKernelBackend(KernelBackend):
             # number.
             pair_ids, _, _ = _match_pairs(indptr, indices, None, us, vs)
             raw = np.bincount(pair_ids, minlength=n_pairs).astype(np.float64)
-        return finalize(metric_name, raw, norms, sizes, us, vs)
+        return _finalize(metric_name, raw, norms, sizes, us, vs)

@@ -119,7 +119,7 @@ from ..instrumentation.counters import MaintenanceCounter
 from ..layout import ID_DTYPE, SCORE_DTYPE, legacy_nbytes, nbytes
 from ..serving.snapshot import GraphSnapshot
 from ..similarity.base import ProfileIndex, SimilarityMetric
-from ..similarity.engine import SimilarityEngine
+from ..similarity.engine import SimilarityEngine, score_pairs_chunked
 from .events import (
     CONTROL_EVENTS,
     EVENT_TYPES,
@@ -160,9 +160,7 @@ def cold_rebuild_graph(
     all compare against it.  A fresh engine is used so the caller's
     instrumentation is not polluted.
     """
-    engine = SimilarityEngine(
-        dataset, metric=metric, kernel_backend=config.kernel_backend
-    )
+    engine = SimilarityEngine(dataset, metric=metric)
     return kiff(engine, converged_config(config)).graph
 
 
@@ -324,7 +322,6 @@ class DynamicKnnIndex(_ShardHost):
             dataset,
             metric=metric,
             index=ProfileIndex(dataset, maintenance=self.maintenance),
-            kernel_backend=self.config.kernel_backend,
         )
         # Backing arrays may hold slack capacity (geometric growth, so a
         # burst of user joins doesn't copy the graph per join).
@@ -504,7 +501,7 @@ class DynamicKnnIndex(_ShardHost):
         return getattr(self, "_closed", False)
 
     def close(self) -> None:
-        """Release pooled resources and retire the index.
+        """Retire the index.
 
         Idempotent, and safe whatever state construction reached — a
         double close or a close after a failed ``__init__`` is a no-op,
@@ -518,9 +515,6 @@ class DynamicKnnIndex(_ShardHost):
         if getattr(self, "_closed", False):
             return
         self._closed = True
-        engine = getattr(self, "engine", None)
-        if engine is not None:
-            engine.close()
 
     def _ensure_open(self) -> None:
         if getattr(self, "_closed", False):
@@ -1058,20 +1052,12 @@ class DynamicKnnIndex(_ShardHost):
     def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Chunked metric evaluation against the shared profile index.
 
-        See :func:`~repro.streaming.sharding.score_pairs_chunked` (the
-        shared kernel) for why this bypasses ``engine.batch`` and stays
-        bit-identical to it.
+        See :func:`~repro.similarity.engine.score_pairs_chunked` (the
+        one scoring loop) for why this bypasses ``engine.batch``.
         """
-        from .sharding import score_pairs_chunked
-
         engine = self.engine
         return score_pairs_chunked(
-            engine.metric,
-            engine.index,
-            us,
-            vs,
-            engine.batch_size,
-            kernel=engine.index.kernel,
+            engine.metric, engine.index, us, vs, engine.batch_size
         )
 
     def rebuild(self) -> ConstructionResult:

@@ -53,8 +53,9 @@ import numpy as np
 
 from ..layout import ID_DTYPE, SCORE_DTYPE
 from ..similarity.base import ProfileIndex
+from ..similarity.engine import score_pairs_chunked
 from .index import _ShardHost
-from .sharding import _Shard, score_pairs_chunked
+from .sharding import _Shard
 from .shm import attach_block, unpack_arrays
 
 __all__ = ["ProcessShardPool", "WorkerCrash"]
@@ -113,10 +114,6 @@ class _WorkerHost(_ShardHost):
         self.config = init["config"]
         self.metric = init["metric"]
         self.batch_size = int(init["batch_size"])
-        # Resolved parent-side; missing-dependency fallback (with its
-        # one-time warning) already happened there, so this resolve can
-        # only downgrade further if the worker's environment differs.
-        self.kernel_backend = init.get("kernel_backend")
         #: The ownership rule at spawn time.  A rebalance resets the
         #: pool, so a live worker's map is always current.
         self._shard_map = init["shard_map"]
@@ -150,12 +147,10 @@ class _WorkerHost(_ShardHost):
             self._block = attach_block(name)
             self._block_name = name
         arrays = unpack_arrays(self._block, manifest)
+        # The kernel scores straight off these zero-copy CSR views: the
+        # evaluate stage never builds scipy temporaries over shared
+        # memory.
         self.index = ProfileIndex.from_shared_arrays(arrays)
-        if self.kernel_backend is not None:
-            # Bind the batch-scoring backend straight to the zero-copy
-            # CSR views — the evaluate stage never builds scipy
-            # temporaries over shared memory.
-            self.index._kernel_backend = self.kernel_backend
         self.builder = _SnapshotStore(self.index.dataset)
         self._grow_rows(n_users)  # defensive; normally a no-op
 

@@ -93,8 +93,11 @@ from ..graph.updates import (
     dedupe_pairs,
     merge_topk_rows,
 )
-from ..layout import ID_DTYPE, SCORE_DTYPE, compact_scores
+from ..layout import ID_DTYPE, SCORE_DTYPE
 from ..similarity.base import ProfileIndex, SimilarityMetric
+# The one chunked scoring loop, imported by name so importers of it
+# from this module keep working.
+from ..similarity.engine import score_pairs_chunked  # noqa: F401
 from .events import MigrateBegin, MigrateCommit
 from .index import DynamicKnnIndex, RefreshStats
 
@@ -611,43 +614,6 @@ class _ShardedReverseIndex:
 # process and in the worker processes alike, so every executor produces
 # bit-identical results from one implementation.
 # ----------------------------------------------------------------------
-def score_pairs_chunked(
-    metric,
-    index,
-    us: np.ndarray,
-    vs: np.ndarray,
-    batch_size: int,
-    kernel=None,
-) -> np.ndarray:
-    """Chunked metric evaluation with engine-identical chunk boundaries.
-
-    Bypasses ``SimilarityEngine.batch`` so concurrent shards never race
-    on the shared counter; the driver adds the evaluation totals after
-    the fan-in.  Chunk boundaries cannot change values — every metric
-    scores pairs independently — so results stay bit-identical to the
-    engine path.  ``kernel`` (a backend name or
-    :class:`~repro.similarity.kernels.KernelBackend`) is bound to
-    *index* before scoring; None keeps the index's own selection.
-
-    The output is written into one preallocated array at the at-rest
-    score width, the cast-once boundary ``SimilarityEngine.batch``
-    applies too.
-    """
-    if kernel is not None:
-        index._kernel_backend = kernel
-    if us.size == 0:
-        return np.empty(0, dtype=SCORE_DTYPE)
-    if us.size <= batch_size:
-        return compact_scores(metric.score_batch(index, us, vs))
-    out = np.empty(us.size, dtype=SCORE_DTYPE)
-    for start in range(0, us.size, batch_size):
-        stop = min(start + batch_size, us.size)
-        out[start:stop] = metric.score_batch(
-            index, us[start:stop], vs[start:stop]
-        )
-    return out
-
-
 def plan_shard_pairs(
     shard_id: int,
     shard_map: ShardMap,
@@ -968,14 +934,14 @@ class ShardedKnnIndex(DynamicKnnIndex):
     def close(self) -> None:
         """Release every worker resource and retire the index.
 
-        Shuts the thread pool down, stops the process workers, unlinks
-        the shared-memory arena, and closes the engine's evaluation
-        pool.  Idempotent and safe on a partially constructed index (a
-        constructor that raised before some attribute existed), so a
-        ``finally: index.close()`` can never raise or leak ``/dev/shm``
-        blocks; ``weakref`` finalizers on the pool and arena also run
-        this cleanup on garbage collection, so an abandoned index
-        cannot leak processes or segments either.  Post-close
+        Shuts the thread pool down, stops the process workers and
+        unlinks the shared-memory arena.  Idempotent and safe on a
+        partially constructed index (a constructor that raised before
+        some attribute existed), so a ``finally: index.close()`` can
+        never raise or leak ``/dev/shm`` blocks; ``weakref`` finalizers
+        on the pool and arena also run this cleanup on garbage
+        collection, so an abandoned index cannot leak processes or
+        segments either.  Post-close
         ``apply()``/``refresh()``/``pin()`` raise :class:`RuntimeError`.
         """
         if getattr(self, "_closed", False):
@@ -1080,10 +1046,6 @@ class ShardedKnnIndex(DynamicKnnIndex):
             config=self.config,
             metric=self.engine.metric,
             batch_size=self.engine.batch_size,
-            # The *resolved* backend name: an unavailable compiled
-            # backend already degraded (and warned) parent-side, so
-            # workers never re-attempt a missing import per spawn.
-            kernel_backend=self.engine.index.kernel.name,
             cache_limit=self._shard_cache_limit,
             neighbors=neighbors.copy(),
             sims=sims.copy(),

@@ -75,6 +75,17 @@ class TestSaveLoad:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_other_kernel_backend_is_refused(self, streamed_index, tmp_path):
+        """Rows scored by a tolerance kernel cannot meet bit-identity."""
+        path = save_checkpoint(streamed_index, tmp_path)
+        meta = json.loads((path / "meta.json").read_text())
+        meta["config"]["kernel_backend"] = "numba"
+        (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="kernel_backend 'numba'"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="kernel_backend 'numba'"):
+            DynamicKnnIndex.restore(tmp_path)
+
 
 def set_version(path, version):
     """Rewrite the format version in checkpoint *path*'s metadata."""

@@ -11,6 +11,7 @@ from repro.similarity import (
     metric_names,
     register_metric,
 )
+from repro.similarity.engine import score_pairs_chunked
 
 
 class TestMetricRegistry:
@@ -162,107 +163,22 @@ class TestRebind:
         assert engine.pair(2, 3) == 0.0  # Dave switched to the book
 
 
-class TestChunkBoundary:
-    """Dispatch at the us.size == batch_size boundary (exactly one chunk).
+@pytest.mark.parametrize("size", [127, 128, 129, 3 * 128 + 7])
+def test_batch_is_the_chunk_loop(tiny_wikipedia, size):
+    """``engine.batch`` scores through ``score_pairs_chunked``.
 
-    A single-chunk request is scored directly — there is nothing to
-    parallelise — even when ``n_jobs > 1``; one extra pair tips it into
-    the multi-chunk path.  Results must be identical either way.
+    Around the one-chunk boundary and across several chunks, the
+    chunked engine result equals a single unchunked call bit for bit,
+    and every pair is counted once.
     """
-
-    @pytest.mark.parametrize("extra", [0, 1])
-    def test_boundary_matches_serial(self, tiny_wikipedia, extra):
-        size = 128 + extra
-        rng = np.random.default_rng(5)
-        us = rng.integers(0, tiny_wikipedia.n_users, size=size)
-        vs = rng.integers(0, tiny_wikipedia.n_users, size=size)
-        serial = SimilarityEngine(tiny_wikipedia, batch_size=128, n_jobs=1)
-        parallel = SimilarityEngine(tiny_wikipedia, batch_size=128, n_jobs=4)
-        np.testing.assert_array_equal(
-            serial.batch(us, vs), parallel.batch(us, vs)
-        )
-        assert serial.counter.evaluations == size
-        assert parallel.counter.evaluations == size
-
-    def test_single_chunk_never_uses_pool(self, tiny_wikipedia, monkeypatch):
-        engine = SimilarityEngine(tiny_wikipedia, batch_size=16, n_jobs=4)
-        monkeypatch.setattr(
-            engine,
-            "_batch_parallel",
-            lambda us, vs: (_ for _ in ()).throw(
-                AssertionError("pool used for a single chunk")
-            ),
-        )
-        out = engine.batch(np.arange(16), np.arange(16) + 1)
-        assert out.size == 16
-
-    def test_two_chunks_use_pool(self, tiny_wikipedia):
-        engine = SimilarityEngine(tiny_wikipedia, batch_size=16, n_jobs=4)
-        calls = []
-        original = engine._batch_parallel
-        engine._batch_parallel = lambda us, vs: calls.append(us.size) or original(us, vs)
-        engine.batch(np.arange(17), np.arange(17) + 1)
-        assert calls == [17]
-
-
-class TestParallelBatch:
-    def test_parallel_matches_serial(self, tiny_wikipedia):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        us = rng.integers(0, tiny_wikipedia.n_users, size=3000)
-        vs = rng.integers(0, tiny_wikipedia.n_users, size=3000)
-        serial = SimilarityEngine(tiny_wikipedia, batch_size=256, n_jobs=1)
-        parallel = SimilarityEngine(tiny_wikipedia, batch_size=256, n_jobs=4)
-        np.testing.assert_array_equal(
-            serial.batch(us, vs), parallel.batch(us, vs)
-        )
-        assert serial.counter.evaluations == parallel.counter.evaluations
-
-    def test_parallel_small_batch_uses_fast_path(self, tiny_wikipedia):
-        engine = SimilarityEngine(tiny_wikipedia, n_jobs=4)
-        out = engine.batch([0, 1], [1, 2])
-        assert out.size == 2
-
-    def test_pool_is_reused_across_batches(self, tiny_wikipedia):
-        """One lazily created pool serves every multi-chunk batch."""
-        engine = SimilarityEngine(tiny_wikipedia, batch_size=16, n_jobs=2)
-        assert engine._pool is None  # lazy: nothing until a parallel batch
-        engine.batch(np.arange(17), np.arange(17) + 1)
-        first = engine._pool
-        assert first is not None
-        engine.batch(np.arange(17), np.arange(17) + 1)
-        assert engine._pool is first
-
-    def test_close_shuts_pool_down_deterministically(self, tiny_wikipedia):
-        engine = SimilarityEngine(tiny_wikipedia, batch_size=16, n_jobs=2)
-        engine.close()  # idempotent before any pool exists
-        expected = engine.batch(np.arange(17), np.arange(17) + 1)
-        pool = engine._pool
-        engine.close()
-        assert engine._pool is None
-        assert pool._shutdown  # the executor is really down
-        # The engine stays usable: the pool is re-created on demand.
-        np.testing.assert_array_equal(
-            engine.batch(np.arange(17), np.arange(17) + 1), expected
-        )
-        engine.close()
-
-    def test_invalid_n_jobs_raises(self, tiny_wikipedia):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError, match="n_jobs"):
-            SimilarityEngine(tiny_wikipedia, n_jobs=0)
-
-    def test_kiff_with_parallel_engine(self, tiny_wikipedia):
-        from repro import KiffConfig, kiff
-
-        serial_result = kiff(
-            SimilarityEngine(tiny_wikipedia, batch_size=128, n_jobs=1),
-            KiffConfig(k=8),
-        )
-        parallel_result = kiff(
-            SimilarityEngine(tiny_wikipedia, batch_size=128, n_jobs=3),
-            KiffConfig(k=8),
-        )
-        assert serial_result.graph == parallel_result.graph
+    rng = np.random.default_rng(5)
+    us = rng.integers(0, tiny_wikipedia.n_users, size=size)
+    vs = rng.integers(0, tiny_wikipedia.n_users, size=size)
+    engine = SimilarityEngine(tiny_wikipedia, batch_size=128)
+    expected = score_pairs_chunked(
+        engine.metric, engine.index, us, vs, batch_size=size
+    )
+    got = engine.batch(us, vs)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    assert engine.counter.evaluations == size

@@ -1,53 +1,30 @@
-"""The kernel-backend contract: parity, selection, transport.
+"""The similarity-kernel contract: bit-identity, selection, transport.
 
-* The ``numpy`` backend must be **bit-identical** to the historical
-  scipy evaluation (fancy-index + ``.multiply().sum(axis=1)``) — the
-  oracle is re-implemented inline here, and the streaming parity corpus
-  keeps gating the end-to-end graphs.
-* Compiled backends (``numba``, ``torch``) carry a tolerance-based
-  parity contract against the numpy backend; their suites skip when the
-  optional dependency is missing.
-* Selection order: config > CLI (which writes the config field) > the
-  ``REPRO_KERNEL_BACKEND`` environment variable > ``numpy``; a known
-  but unavailable backend falls back to numpy with exactly one warning.
+* The one kernel must be **bit-identical** to the historical scipy
+  evaluation (fancy-index + ``.multiply().sum(axis=1)``) — the oracle
+  is re-implemented inline here, and the streaming parity corpus keeps
+  gating the end-to-end graphs.
+* ``kernel_backend`` accepts only ``None``/``"numpy"``; any other name
+  is refused with an error naming ``"numpy"``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import DynamicKnnIndex, KiffConfig
-from repro.cli import build_parser
-from repro.similarity import kernels
 from repro.similarity.base import ProfileIndex
-from repro.similarity.engine import SimilarityEngine, get_metric
-from repro.similarity.kernels import (
-    KernelBackend,
-    KernelUnavailable,
-    resolve_backend,
+from repro.similarity.engine import (
+    SimilarityEngine,
+    get_metric,
+    score_pairs_chunked,
 )
-from repro.streaming import cold_rebuild_graph
-from repro.streaming.sharding import score_pairs_chunked
+from repro.streaming import cold_rebuild_graph, sharding
 from tests.conftest import random_dataset
 from tests.streaming.test_parity import drive_random_stream
 
 METRICS = ["cosine", "jaccard", "dice", "overlap", "adamic_adar", "pearson"]
-
-needs_numba = pytest.mark.skipif(
-    "numba" not in kernels.available_backends(),
-    reason="numba is not installed",
-)
-needs_torch = pytest.mark.skipif(
-    "torch" not in kernels.available_backends(),
-    reason="torch is not installed",
-)
-COMPILED = [
-    pytest.param("numba", marks=needs_numba),
-    pytest.param("torch", marks=needs_torch),
-]
 
 
 def scipy_oracle(metric_name, index, us, vs):
@@ -117,7 +94,6 @@ class TestNumpyBitIdentity:
         us, vs = random_pairs(fixture_index.n_users)
         got = metric.score_batch(fixture_index, us, vs)
         expected = scipy_oracle(metric_name, fixture_index, us, vs)
-        assert fixture_index.kernel.name == "numpy"
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("metric_name", METRICS)
@@ -183,71 +159,8 @@ class TestNumpyBitIdentity:
             assert np.array_equal(got, np.zeros(us.size))
 
 
-class TestCompiledBackendParity:
-    """numba/torch match numpy within tolerance (skipped when absent)."""
-
-    @pytest.mark.parametrize("metric_name", METRICS)
-    @pytest.mark.parametrize("backend_name", COMPILED)
-    def test_score_batch_close_to_numpy(
-        self, fixture_index, backend_name, metric_name
-    ):
-        metric = get_metric(metric_name)
-        us, vs = random_pairs(fixture_index.n_users)
-        fixture_index._kernel_backend = "numpy"
-        expected = metric.score_batch(fixture_index, us, vs)
-        fixture_index._kernel_backend = backend_name
-        got = metric.score_batch(fixture_index, us, vs)
-        assert fixture_index.kernel.name == backend_name
-        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
-
-    @pytest.mark.parametrize("metric_name", METRICS)
-    @pytest.mark.parametrize("backend_name", COMPILED)
-    def test_pair_and_block_paths_stay_close(
-        self, fixture_index, backend_name, metric_name
-    ):
-        metric = get_metric(metric_name)
-        us, vs = random_pairs(fixture_index.n_users, n_pairs=80, seed=2)
-        fixture_index._kernel_backend = backend_name
-        batch = metric.score_batch(fixture_index, us, vs)
-        pairs = np.array(
-            [
-                metric.score_pair(fixture_index, int(u), int(v))
-                for u, v in zip(us, vs)
-            ]
-        )
-        block = metric.score_block(fixture_index, us)
-        np.testing.assert_allclose(batch, pairs, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(
-            batch, block[np.arange(us.size), vs], rtol=1e-9, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("backend_name", COMPILED)
-    def test_parity_corpus_stream(self, backend_name):
-        # A maintained stream scored by the compiled backend stays
-        # tolerance-close to the numpy-scored cold rebuild.
-        dataset = random_dataset(
-            n_users=18, n_items=14, density=0.15, seed=5, ratings=True
-        )
-        index = DynamicKnnIndex(
-            dataset,
-            KiffConfig(k=4, kernel_backend=backend_name),
-            auto_refresh=False,
-        )
-        drive_random_stream(index, seed=5)
-        reference = cold_rebuild_graph(
-            index.dataset, KiffConfig(k=4, kernel_backend="numpy")
-        )
-        finite = np.isfinite(reference.sims)
-        np.testing.assert_allclose(
-            index.graph.sims[finite],
-            reference.sims[finite],
-            rtol=1e-9,
-            atol=1e-12,
-        )
-
-
 class TestNumpyStreamParity:
-    """End-to-end: explicit numpy backend keeps exact stream parity."""
+    """End-to-end: an explicit ``kernel_backend="numpy"`` keeps parity."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stream_equals_cold_rebuild(self, seed):
@@ -260,79 +173,26 @@ class TestNumpyStreamParity:
         assert index.graph == cold_rebuild_graph(index.dataset, config)
 
 
-class TestBackendSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        assert resolve_backend(None).name == "numpy"
-        assert ProfileIndex(random_dataset(n_users=5)).kernel.name == "numpy"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        class DummyBackend(KernelBackend):
-            name = "dummy-env"
-
-            def score_pairs(self, *args, **kwargs):  # pragma: no cover
-                raise NotImplementedError
-
-        kernels.register_backend("dummy-env", DummyBackend)
-        try:
-            monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "dummy-env")
-            assert resolve_backend(None).name == "dummy-env"
-        finally:
-            kernels._FACTORIES.pop("dummy-env", None)
-            kernels._INSTANCES.pop("dummy-env", None)
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "torch")
-        dataset = random_dataset(n_users=8, n_items=6, seed=1)
-        engine = SimilarityEngine(dataset, kernel_backend="numpy")
-        assert engine.index.kernel.name == "numpy"
-
-    def test_cli_flag_writes_config(self):
-        args = build_parser().parse_args(
-            ["stream", "--kernel-backend", "numpy"]
-        )
-        assert args.kernel_backend == "numpy"
-        config = KiffConfig(k=3, kernel_backend=args.kernel_backend)
-        index = DynamicKnnIndex(
-            random_dataset(n_users=8, n_items=6, seed=2),
-            config,
-            auto_refresh=False,
-        )
-        assert index.engine.index.kernel.name == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError, match="unknown kernel backend"):
-            resolve_backend("no-such-backend")
-        with pytest.raises(ValueError, match="unknown kernel_backend"):
-            KiffConfig(kernel_backend="no-such-backend")
-
-    def test_instance_passthrough(self):
-        backend = resolve_backend("numpy")
-        assert resolve_backend(backend) is backend
-
-    def test_missing_dependency_warns_exactly_once(self):
-        def unavailable():
-            raise KernelUnavailable("install it")
-
-        kernels.register_backend("missing-dep", unavailable)
-        try:
-            with pytest.warns(RuntimeWarning, match="missing-dep"):
-                first = resolve_backend("missing-dep")
-            assert first.name == "numpy"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                second = resolve_backend("missing-dep")
-            assert second.name == "numpy"
-        finally:
-            kernels._FACTORIES.pop("missing-dep", None)
-            kernels._WARNED.discard("missing-dep")
-
-    def test_engine_rebind_preserves_backend(self):
-        dataset = random_dataset(n_users=10, n_items=8, seed=3)
-        engine = SimilarityEngine(dataset, kernel_backend="numpy")
-        resolved = engine.index.kernel
-        engine.rebind(random_dataset(n_users=10, n_items=8, seed=4))
-        assert engine.index.kernel is resolved
+@pytest.mark.parametrize(
+    ("name", "accepted"),
+    [
+        (None, True),
+        ("numpy", True),
+        ("numba", False),
+        ("torch", False),
+        ("bogus", False),
+    ],
+)
+def test_kernel_backend_accepts_only_numpy(name, accepted):
+    dataset = random_dataset(n_users=8, n_items=6, seed=1)
+    if accepted:
+        KiffConfig(kernel_backend=name)
+        SimilarityEngine(dataset, kernel_backend=name)
+        return
+    with pytest.raises(ValueError, match="'numpy'"):
+        KiffConfig(kernel_backend=name)
+    with pytest.raises(ValueError, match="'numpy'"):
+        SimilarityEngine(dataset, kernel_backend=name)
 
 
 class TestScorePairsChunked:
@@ -345,16 +205,8 @@ class TestScorePairsChunked:
         )
         assert np.array_equal(whole, chunked)
 
-    def test_kernel_argument_binds_backend(self, fixture_index):
-        metric = get_metric("jaccard")
-        us, vs = random_pairs(fixture_index.n_users, n_pairs=50, seed=4)
-        out = score_pairs_chunked(
-            metric, fixture_index, us, vs, batch_size=16, kernel="numpy"
-        )
-        assert fixture_index.kernel.name == "numpy"
-        assert np.array_equal(
-            out, scipy_oracle("jaccard", fixture_index, us, vs)
-        )
+    def test_sharding_imports_the_one_loop(self):
+        assert sharding.score_pairs_chunked is score_pairs_chunked
 
 
 class TestSharedArraysFlag:
