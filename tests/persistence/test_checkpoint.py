@@ -75,6 +75,19 @@ class TestSaveLoad:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", [None, "numpy"])
+    def test_numpy_kernel_backend_round_trips(
+        self, rated_dataset, tmp_path, name
+    ):
+        index = DynamicKnnIndex(
+            rated_dataset, KiffConfig(k=2, kernel_backend=name)
+        )
+        state = load_checkpoint(save_checkpoint(index, tmp_path))
+        assert state.config.kernel_backend == name
+        restored = DynamicKnnIndex.restore(tmp_path)
+        assert restored.config.kernel_backend == name
+        assert restored.graph == index.graph
+
     def test_other_kernel_backend_is_refused(self, streamed_index, tmp_path):
         """Rows scored by a tolerance kernel cannot meet bit-identity."""
         path = save_checkpoint(streamed_index, tmp_path)

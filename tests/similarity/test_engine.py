@@ -182,3 +182,93 @@ def test_batch_is_the_chunk_loop(tiny_wikipedia, size):
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
     assert engine.counter.evaluations == size
+
+
+class TestChunkBoundary:
+    """How ``score_pairs_chunked`` splits a request into metric calls."""
+
+    @staticmethod
+    def recorded_sizes(engine, monkeypatch):
+        sizes = []
+        original = engine.metric.score_batch
+
+        def score_batch(index, us, vs):
+            sizes.append(len(us))
+            return original(index, us, vs)
+
+        monkeypatch.setattr(engine.metric, "score_batch", score_batch)
+        return sizes
+
+    def test_single_chunk_is_one_metric_call(self, tiny_wikipedia, monkeypatch):
+        engine = SimilarityEngine(tiny_wikipedia, batch_size=16)
+        sizes = self.recorded_sizes(engine, monkeypatch)
+        out = engine.batch(np.arange(16), np.arange(16) + 1)
+        assert out.size == 16
+        assert sizes == [16]
+
+    def test_one_extra_pair_opens_a_second_chunk(
+        self, tiny_wikipedia, monkeypatch
+    ):
+        engine = SimilarityEngine(tiny_wikipedia, batch_size=16)
+        sizes = self.recorded_sizes(engine, monkeypatch)
+        engine.batch(np.arange(17), np.arange(17) + 1)
+        assert sizes == [16, 1]
+        assert engine.counter.evaluations == 17
+
+    @pytest.mark.parametrize("size", [4, 9])
+    def test_float64_metric_is_cast_to_the_at_rest_width(
+        self, toy_dataset, size
+    ):
+        """A custom metric returning float64 is narrowed once, whether
+        the request fits one chunk (4 pairs) or spans three (9 pairs)."""
+        from repro.layout import SCORE_DTYPE
+
+        overlap = get_metric("overlap")
+
+        class ThirdOverlap(SimilarityMetric):
+            name = "third_overlap_float64"
+
+            def score_pair(self, index, u, v):  # pragma: no cover
+                return overlap.score_pair(index, u, v) / 3.0
+
+            def score_batch(self, index, us, vs):
+                out = overlap.score_batch(index, us, vs) / 3.0
+                return out.astype(np.float64)
+
+            def score_block(self, index, us):  # pragma: no cover
+                return overlap.score_block(index, us) / 3.0
+
+        engine = SimilarityEngine(
+            toy_dataset, metric=ThirdOverlap(), batch_size=4
+        )
+        rng = np.random.default_rng(size)
+        us = rng.integers(0, toy_dataset.n_users, size=size)
+        vs = rng.integers(0, toy_dataset.n_users, size=size)
+        got = engine.batch(us, vs)
+        expected = ThirdOverlap().score_batch(engine.index, us, vs)
+        assert got.dtype == SCORE_DTYPE
+        assert got.tobytes() == expected.astype(SCORE_DTYPE).tobytes()
+
+
+def test_close_is_an_idempotent_no_op(tiny_wikipedia):
+    """``close`` is kept for callers that close their engines; the
+    engine holds nothing to release and stays usable."""
+    engine = SimilarityEngine(tiny_wikipedia, batch_size=16)
+    engine.close()
+    expected = engine.batch(np.arange(17), np.arange(17) + 1)
+    engine.close()
+    engine.close()
+    got = engine.batch(np.arange(17), np.arange(17) + 1)
+    assert got.tobytes() == expected.tobytes()
+    assert engine.counter.evaluations == 34
+
+
+def test_kiff_graph_is_independent_of_batch_size(tiny_wikipedia):
+    from repro import KiffConfig, kiff
+
+    default = kiff(SimilarityEngine(tiny_wikipedia), KiffConfig(k=8))
+    chunked = kiff(
+        SimilarityEngine(tiny_wikipedia, batch_size=128), KiffConfig(k=8)
+    )
+    assert default.graph == chunked.graph
+    assert default.graph.sims.tobytes() == chunked.graph.sims.tobytes()

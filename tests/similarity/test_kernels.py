@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from repro import DynamicKnnIndex, KiffConfig
+from repro.cli import build_parser
 from repro.similarity.base import ProfileIndex
 from repro.similarity.engine import (
     SimilarityEngine,
     get_metric,
     score_pairs_chunked,
 )
+from repro.similarity.kernels.numpy_backend import NumpyKernelBackend
 from repro.streaming import cold_rebuild_graph, sharding
 from tests.conftest import random_dataset
 from tests.streaming.test_parity import drive_random_stream
@@ -195,6 +197,40 @@ def test_kernel_backend_accepts_only_numpy(name, accepted):
         SimilarityEngine(dataset, kernel_backend=name)
 
 
+class TestBackendSelection:
+    """What is left of kernel selection: one shared numpy kernel."""
+
+    def test_default_is_numpy(self):
+        first = ProfileIndex(random_dataset(n_users=5, seed=1))
+        second = ProfileIndex(random_dataset(n_users=7, seed=2))
+        assert isinstance(first.kernel, NumpyKernelBackend)
+        assert first.kernel is second.kernel is ProfileIndex.kernel
+
+    def test_environment_variable_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "torch")
+        dataset = random_dataset(n_users=8, n_items=6, seed=1)
+        assert KiffConfig().kernel_backend is None
+        engine = SimilarityEngine(dataset)
+        assert engine.index.kernel is ProfileIndex.kernel
+
+    def test_cli_has_no_kernel_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["stream", "--kernel-backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--kernel-backend" in capsys.readouterr().err
+
+    def test_engine_rebind_preserves_backend(self):
+        dataset = random_dataset(n_users=10, n_items=8, seed=3)
+        engine = SimilarityEngine(dataset, kernel_backend="numpy")
+        engine.rebind(random_dataset(n_users=10, n_items=8, seed=4))
+        assert engine.index.kernel is ProfileIndex.kernel
+        engine.rebind(
+            random_dataset(n_users=10, n_items=8, seed=5),
+            dirty_users=np.arange(10),
+        )
+        assert engine.index.kernel is ProfileIndex.kernel
+
+
 class TestScorePairsChunked:
     def test_chunked_matches_single_batch(self, fixture_index):
         metric = get_metric("cosine")
@@ -204,6 +240,21 @@ class TestScorePairsChunked:
             metric, fixture_index, us, vs, batch_size=64
         )
         assert np.array_equal(whole, chunked)
+
+    def test_chunks_equal_the_scipy_oracle(self, fixture_index):
+        """Every metric, chunked: equal to the oracle (which, like
+        ``TestNumpyBitIdentity``, does not reproduce the sign of a zero)
+        and bit-identical to one unchunked kernel call."""
+        us, vs = random_pairs(fixture_index.n_users, n_pairs=50, seed=4)
+        for metric_name in METRICS:
+            metric = get_metric(metric_name)
+            out = score_pairs_chunked(
+                metric, fixture_index, us, vs, batch_size=16
+            )
+            expected = scipy_oracle(metric_name, fixture_index, us, vs)
+            assert np.array_equal(out, expected), metric_name
+            whole = metric.score_batch(fixture_index, us, vs)
+            assert out.tobytes() == whole.tobytes(), metric_name
 
     def test_sharding_imports_the_one_loop(self):
         assert sharding.score_pairs_chunked is score_pairs_chunked
