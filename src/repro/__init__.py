@@ -32,10 +32,11 @@ maintenance") and ``examples/streaming_updates.py``::
 With a :class:`repro.persistence.PartitionedWriteAheadLog` attached and
 periodic ``index.checkpoint(dir)`` calls, ``DynamicKnnIndex.restore(dir)``
 recovers a bit-identical graph after a crash (README: "Durability").
-:class:`repro.streaming.ShardedKnnIndex` runs the refinement
-shard-parallel across workers — bit-identical at any shard count — over
-the same partitioned state directory, one ``wal-<shard>.jsonl`` segment
-per shard (README: "Sharding").
+``DynamicKnnIndex(..., n_shards=N, executor=...)`` runs the refinement
+shard-parallel — bit-identical at any shard count — over the same
+partitioned state directory, one ``wal-<shard>.jsonl`` segment per
+shard (README: "Sharding"); :class:`repro.streaming.ShardedKnnIndex`
+is the same class with partitioned defaults.
 """
 
 from .baselines import (

@@ -124,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "with 'stream'/'serve': partition users across N shard "
-            "workers (ShardedKnnIndex; default 1 = the sequential "
-            "DynamicKnnIndex).  With --wal, events journal into "
-            "per-shard wal-<i>.jsonl segments in the state directory.  "
+            "with 'stream'/'serve': partition the index's users across "
+            "N shards (default 1, the flat index).  With --wal, events "
+            "journal into per-shard wal-<i>.jsonl segments in the "
+            "state directory.  "
             "With 'rebalance': the target shard count to migrate the "
             "restored state to (default: keep the current count)"
         ),
@@ -148,10 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="threads",
         choices=("serial", "threads", "processes"),
         help=(
-            "with 'stream' + --shards > 1: how the shard refresh fans "
-            "out (threads: one thread per shard; processes: one OS "
-            "process per shard over shared-memory snapshots — the "
-            "multi-core mode; serial: deterministic in-process order)"
+            "with 'stream'/'serve': how each refresh stage reaches "
+            "the index's shards (threads: one thread per shard, in "
+            "process at one shard; processes: one OS process per shard "
+            "over shared-memory snapshots — the multi-core mode; "
+            "serial: deterministic in-process order)"
         ),
     )
     parser.add_argument(
@@ -382,7 +383,6 @@ def _run_stream(args) -> int:
     from .experiments.report import render_table
     from .streaming import (
         DynamicKnnIndex,
-        ShardedKnnIndex,
         cold_rebuild_graph,
         holdout_stream,
         replay_stream,
@@ -423,19 +423,14 @@ def _run_stream(args) -> int:
     config, code = _stream_config(args, k)
     if config is None:
         return code
-    if args.shards > 1:
-        index = ShardedKnnIndex(
-            base,
-            config,
-            metric=args.metric,
-            auto_refresh=False,
-            n_shards=args.shards,
-            executor=args.executor,
-        )
-    else:
-        index = DynamicKnnIndex(
-            base, config, metric=args.metric, auto_refresh=False
-        )
+    index = DynamicKnnIndex(
+        base,
+        config,
+        metric=args.metric,
+        auto_refresh=False,
+        n_shards=args.shards,
+        executor=args.executor,
+    )
     # Whatever happens mid-stream (validation error, SIGINT), the index
     # must release its worker pool and /dev/shm arena on the way out.
     try:
@@ -597,7 +592,6 @@ def _run_serve(args) -> int:
     from .serving import KnnServer
     from .streaming import (
         DynamicKnnIndex,
-        ShardedKnnIndex,
         holdout_stream,
         ratings_batch,
     )
@@ -618,19 +612,14 @@ def _run_serve(args) -> int:
     config, code = _stream_config(args, k)
     if config is None:
         return code
-    if args.shards > 1:
-        index = ShardedKnnIndex(
-            base,
-            config,
-            metric=args.metric,
-            auto_refresh=False,
-            n_shards=args.shards,
-            executor=args.executor,
-        )
-    else:
-        index = DynamicKnnIndex(
-            base, config, metric=args.metric, auto_refresh=False
-        )
+    index = DynamicKnnIndex(
+        base,
+        config,
+        metric=args.metric,
+        auto_refresh=False,
+        n_shards=args.shards,
+        executor=args.executor,
+    )
     scheduler = None
     if _wants_scheduler(args):
         from .scheduling import RefreshScheduler, SchedulerPolicy

@@ -110,10 +110,6 @@ class ReverseNeighborIndex:
         ):
             self._referrers.setdefault(neighbor, set()).add(row)
 
-    def referrer_count(self) -> int:
-        """Total stored (user, citing-row) entries (for tests/benchmarks)."""
-        return sum(len(rows) for rows in self._referrers.values())
-
 
 def _id_block(ids, m: int) -> np.ndarray:
     """*ids* as an ``(m, width)`` block; ``None`` is the empty block."""

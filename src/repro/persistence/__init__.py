@@ -20,8 +20,9 @@ case:
   any shard count.
 
 Use through the index: ``index.checkpoint(dir)`` and
-``DynamicKnnIndex.restore(dir)`` / ``ShardedKnnIndex.restore(dir)`` —
-see README ("Durability").
+``DynamicKnnIndex.restore(dir)`` (one shard) /
+``ShardedKnnIndex.restore(dir)`` (the checkpoint's shard count) — see
+README ("Durability").
 """
 
 from .checkpoint import (

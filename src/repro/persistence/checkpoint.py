@@ -13,16 +13,17 @@ partitions the state the way the shards hold it:
   candidate-multiset cache (in insertion order, so eviction order
   survives).
 
-The flat :class:`~repro.streaming.index.DynamicKnnIndex` writes the
-one-shard case.  The reverse-neighbor index is *not* stored: it is a
+Every index writes it at its own shard count (one shard file for the
+flat index).  The reverse-neighbor index is *not* stored: it is a
 pure function of the graph rows and is re-derived on load, which is both
 cheaper than parsing it and immune to drift.
 
 Recovery (:func:`restore_index`) = latest readable checkpoint + the
 merged :mod:`partitioned log <repro.persistence.partition>` tail,
-replayed once in global order.  Because the maintained graph is the
-converged KIFF fixed point — independent of the refresh schedule and of
-which shard owns a user — the restored index's refreshed graph is
+replayed once in global order at the checkpoint's shard count.
+Because the maintained graph is the converged KIFF fixed point —
+independent of the refresh schedule and of which shard owns a user —
+the restored index's refreshed graph is
 **bit-identical** to the uninterrupted run's at any shard count (the
 recovery parity suites pin this across randomized kill points).
 
@@ -87,7 +88,7 @@ class CheckpointState:
     The per-shard slices are merged here: ownership is derivable from
     ``n_shards`` plus the (usually empty) ``shard_overrides`` table
     left behind by live
-    :meth:`~repro.streaming.sharding.ShardedKnnIndex.rebalance` moves,
+    :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` moves,
     so :func:`install_checkpoint_state` re-derives each shard's dirty
     slice and cache from the merged tuples — which is also what makes
     restoring at a different shard count (re-sharding) exact.
@@ -408,8 +409,11 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     """Install a loaded checkpoint into a freshly built (build=False) index.
 
     Works through the index's own state surfaces (``_dirty``,
-    ``_reverse``, ``_cache_insert``) rather than raw assignment, so the
+    ``_reverse``, the shards' caches) rather than raw assignment, so the
     per-user state routes to its owner shard at the index's shard count.
+    Under ``executor="processes"`` the caches live in the workers, which
+    spawn empty, so the checkpointed caches are left out (caches are
+    exact-or-absent).
     """
     # astype(copy=True): the index must own its rows, and a hand-built
     # wide state narrows to the compact layout.
@@ -420,8 +424,11 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     index._dirty.clear()
     index._dirty.update(state.dirty)
     index._pending_events = state.pending_events
-    for user, counts in state.cache:
-        index._cache_insert(int(user), dict(counts))
+    if index.executor != "processes":
+        for user, counts in state.cache:
+            user = int(user)
+            shard = index._shards[index._shard_map.owner(user)]
+            shard.cache_insert(user, dict(counts))
     index.engine.counter.evaluations = state.evaluations
     index.initial_evaluations = state.initial_evaluations
     for field, value in state.maintenance.items():
@@ -447,33 +454,27 @@ def restore_index(
     dataset — and reattaches a :class:`PartitionedWriteAheadLog` so
     journaling continues where the crashed run stopped.
 
-    A :class:`~repro.streaming.index.DynamicKnnIndex` restores at one
-    shard from any state directory.  A
-    :class:`~repro.streaming.sharding.ShardedKnnIndex` restores at
-    ``n_shards`` — by default the checkpoint's count, whose
-    live-rebalance overrides are then reinstated; any other count
-    re-shards exactly (ownership never affects graph content).
-    Replayed ``migrate_begin``/``migrate_commit`` fences re-apply live
-    rebalances at their exact sequence positions; a ``migrate_begin``
-    with no matching commit (crash mid-rebalance) replays as a no-op,
-    rolling the ownership flip back to the fence.
+    The tail replays at the checkpoint's shard count, with its
+    live-rebalance overrides, so every replayed
+    ``migrate_begin``/``migrate_commit`` fence re-applies its live
+    rebalance at its exact sequence position and at the count that
+    journaled it; a ``migrate_begin`` with no matching commit (crash
+    mid-rebalance) replays as a no-op, rolling the ownership flip back
+    to the fence.  *n_shards* (None keeps wherever the replay ends) is
+    then reached by one re-shard, which resets the overrides to the
+    plain modulus and drops the candidate caches — exact either way,
+    since ownership never affects graph content.  *executor* (None
+    keeps *cls*'s default) picks the transport.
 
     *cls* is the index class (passed in to avoid a circular import);
-    call this as ``DynamicKnnIndex.restore(directory)`` or
-    ``ShardedKnnIndex.restore(directory)``.
+    call this as ``DynamicKnnIndex.restore(directory)`` (one shard) or
+    ``ShardedKnnIndex.restore(directory)`` (the checkpoint's count).
     """
     from ..streaming.events import CONTROL_EVENTS
-    from ..streaming.sharding import ShardedKnnIndex, ShardMap
+    from ..streaming.sharding import ShardMap
 
     directory = Path(directory)
     state = _load_latest(directory)
-    index_kwargs = {}
-    if issubclass(cls, ShardedKnnIndex):
-        index_kwargs["n_shards"] = (
-            state.n_shards if n_shards is None else int(n_shards)
-        )
-        if executor is not None:
-            index_kwargs["executor"] = executor
     index = cls(
         state.dataset,
         state.config,
@@ -481,13 +482,13 @@ def restore_index(
         auto_refresh=False,
         build=False,
         candidate_cache_size=state.candidate_cache_size,
-        **index_kwargs,
+        n_shards=state.n_shards,
+        **({} if executor is None else {"executor": executor}),
     )
-    if state.shard_overrides and len(index._shards) == state.n_shards:
-        # Same shard count as the checkpoint: adopt its live-rebalance
-        # overrides before the installer routes per-user state, so
-        # dirty/cache/reverse slices land on their overridden owners.
-        index._shard_map = ShardMap(state.n_shards, state.shard_overrides)
+    # Adopt the live-rebalance overrides before the installer routes
+    # per-user state, so dirty/cache/reverse slices land on their
+    # overridden owners.
+    index._shard_map = ShardMap(state.n_shards, state.shard_overrides)
     install_checkpoint_state(index, state)
     replayed = 0
     for seq, event in read_partitioned_wal(directory, after=state.seq):
@@ -507,16 +508,14 @@ def restore_index(
         replayed += 1
         if not isinstance(event, CONTROL_EVENTS):
             index._pending_events += 1
-    if n_shards is not None and len(index._shards) != n_shards:
-        # The caller pinned a shard count but a replayed rebalance left
-        # the index elsewhere: one final non-journaled re-shard honours
-        # the explicit request.
+    if n_shards is not None and index.n_shards != n_shards:
+        # One final non-journaled re-shard honours the explicit count.
         index._apply_plan_flip((), n_shards)
     if refresh:
         index.refresh()
     index.auto_refresh = state.auto_refresh
     wal = PartitionedWriteAheadLog(
-        directory, len(index._shards), fsync_every=fsync_every
+        directory, index.n_shards, fsync_every=fsync_every
     )
     if wal.last_seq < index.last_seq:
         # A crash ate an fsync-batched tail that a durable checkpoint

@@ -1,9 +1,9 @@
 """The partitioned write-ahead log: per-shard segments, one global sequence.
 
-Every index journals into a :class:`PartitionedWriteAheadLog` — the
-flat :class:`~repro.streaming.index.DynamicKnnIndex` into one segment,
-a :class:`~repro.streaming.sharding.ShardedKnnIndex` into one per
-shard.  Each ``wal-<shard>.jsonl`` segment is a
+Every index journals into a :class:`PartitionedWriteAheadLog`, one
+segment per shard of the
+:class:`~repro.streaming.index.DynamicKnnIndex` (one for the flat
+index).  Each ``wal-<shard>.jsonl`` segment is a
 :class:`~repro.persistence.wal.WriteAheadLog` file whose records carry
 the *global* event sequence number, so one segment holds gaps (events
 routed to other shards) but the union of all segments is the gap-free

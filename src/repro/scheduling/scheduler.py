@@ -24,7 +24,7 @@ index's :class:`~repro.graph.updates.ReverseNeighborIndex`, i.e. how
 many rows a user's refresh can invalidate — and defers the low-impact
 tail; budget-violating users are always included, even past the cap.
 
-Deferral works on both index classes and all executors because it is
+Deferral works at any shard count and on every executor because it is
 implemented *inside* ``refresh(dirty_subset=...)``: deferred users
 simply stay in the index's dirty set, which the WAL/checkpoint layer
 already journals, so a crash + :meth:`restore` resumes with the same
@@ -78,11 +78,10 @@ class RefreshScheduler:
     Parameters
     ----------
     index:
-        A :class:`~repro.streaming.DynamicKnnIndex` or
-        :class:`~repro.streaming.ShardedKnnIndex` (any executor).  The
-        scheduler takes ownership of refresh timing: ``auto_refresh``
-        is forced off, and all ingestion should flow through
-        :meth:`submit`.
+        A :class:`~repro.streaming.DynamicKnnIndex` (any shard count,
+        any executor).  The scheduler takes ownership of refresh
+        timing: ``auto_refresh`` is forced off, and all ingestion should
+        flow through :meth:`submit`.
     policy:
         The :class:`SchedulerPolicy` budget; defaults to
         ``SchedulerPolicy.from_config(index.config)`` so knobs set on
@@ -191,9 +190,7 @@ class RefreshScheduler:
         clocks, and runs an immediate pass if the migration itself
         violated a budget.
 
-        Returns the index's ``RebalanceStats``.  Raises
-        :class:`AttributeError` when the underlying index is not
-        sharded.
+        Returns the index's ``RebalanceStats``.
         """
         index = self.index
         if (

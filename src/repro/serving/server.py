@@ -247,23 +247,19 @@ class KnnServer:
                     "requests": self.requests,
                     "batches": self.batches,
                     "max_batch": self.max_batch_seen,
-                }
-                if hasattr(self.index, "memory_stats"):
-                    body["memory"] = {
+                    "memory": {
                         key: int(value)
                         for key, value in self.index.memory_stats().items()
-                    }
-                if self.scheduler is not None:
-                    body["scheduler"] = self.scheduler.stats()
-                if hasattr(self.index, "n_shards"):
-                    body["sharding"] = {
+                    },
+                    "sharding": {
                         "n_shards": int(self.index.n_shards),
                         "executor": self.index.executor,
-                        "overrides": len(
-                            self.index.shard_map.overrides
-                        ),
+                        "overrides": len(self.index.shard_map.overrides),
                         "rebalances": len(self.index.rebalance_log),
-                    }
+                    },
+                }
+                if self.scheduler is not None:
+                    body["scheduler"] = self.scheduler.stats()
             elif op == "rebalance":
                 body = self._rebalance(request)
             else:
@@ -285,14 +281,11 @@ class KnnServer:
         migration runs under :attr:`mutate_lock` (when provided) and
         through the scheduler's queue bound (when one is attached), so
         a live trigger composes with concurrent ingestion exactly like
-        the in-process :meth:`ShardedKnnIndex.rebalance` API.
+        the in-process :meth:`~repro.streaming.DynamicKnnIndex.rebalance`
+        API.
         """
         from ..streaming.sharding import ShardPlan
 
-        if not hasattr(self.index, "rebalance"):
-            raise ValueError(
-                "index does not support rebalancing (not sharded)"
-            )
         shards = request.get("shards")
         plan = ShardPlan(
             moves=tuple(

@@ -6,12 +6,14 @@ subsystem keeps the converged KIFF graph exact under continuous typed
 events — :meth:`DynamicKnnIndex.apply` is the single ingestion path —
 at a fraction of the full-rebuild similarity cost, and (with
 :mod:`repro.persistence`) survives restarts via a write-ahead log plus
-checkpoint/restore.  :class:`ShardedKnnIndex` (see
-:mod:`repro.streaming.sharding`) runs the same refinement
-shard-parallel across workers, bit-identically, with partitioned WAL
+checkpoint/restore.  It is one index class: ``DynamicKnnIndex(...,
+n_shards=N, executor=...)`` partitions the same state across ``N``
+shards (see :mod:`repro.streaming.sharding`) and runs the same
+refinement shard-parallel, bit-identically, with partitioned WAL
 segments and checkpoints, and re-balances shard ownership live
-(WAL-fenced :meth:`ShardedKnnIndex.rebalance`) without stopping
-ingestion.
+(WAL-fenced :meth:`DynamicKnnIndex.rebalance`) without stopping
+ingestion.  :class:`ShardedKnnIndex` is the same class with
+partitioned defaults (two shards, the thread executor).
 """
 
 from .events import (

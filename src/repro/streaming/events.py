@@ -99,7 +99,7 @@ class MigrateBegin:
     """Fence opening one live shard re-balancing window.
 
     Journaled (never fed through ``apply``) by
-    :meth:`~repro.streaming.sharding.ShardedKnnIndex.rebalance` before
+    :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` before
     ownership changes.  A log tail holding a ``MigrateBegin`` without
     its :class:`MigrateCommit` means the migration never took effect:
     replay rolls back to this fence by simply not flipping ownership.

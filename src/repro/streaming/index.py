@@ -37,18 +37,26 @@ After ``refresh()`` the graph equals the cold rebuild because:
   evaluated (dirty, x) pairs performs — ``merge_topk`` applies the same
   (sim desc, id asc) tie-breaks as the batch algorithm.
 
-One refresh driver
-------------------
+One index class
+---------------
 The maintained state lives in shards (``repro.streaming.sharding._Shard``:
 a dirty slice, a candidate-multiset cache and a row-restricted reverse
-index).  The flat index is the one-shard, in-process case; the
-partitioned :class:`~repro.streaming.sharding.ShardedKnnIndex` splits
-the same state across shards.  Both run the driver written once here
-(``_refresh``): select the dirty users (with ``dirty_subset``
-deferral), rebind the profiles, run the three per-shard stages —
-affected discovery, pair planning with outboxes, dedupe/score/merge —
-and record :class:`RefreshStats` and publish a read snapshot.  The
-executor only carries the stage calls to the shards.
+index), partitioned by a :class:`~repro.streaming.sharding.ShardMap`.
+:class:`DynamicKnnIndex` takes the shard count (default 1) and the
+executor (default ``"serial"``); the flat index is simply its
+one-shard, in-process case, and
+:class:`~repro.streaming.sharding.ShardedKnnIndex` is the same class
+with partitioned defaults.  Every configuration runs the one driver
+written here (``_refresh``): select the dirty users (with
+``dirty_subset`` deferral), rebind the profiles, run the three
+per-shard stages — affected discovery, pair planning with outboxes,
+dedupe/score/merge — and record :class:`RefreshStats` and publish a
+read snapshot.  The executor only carries the stage calls to the
+shards: in shard order (``serial``), on a thread pool (``threads``) or
+to one worker process per shard (``processes``, see
+:mod:`repro.streaming.procpool`).  Live :meth:`DynamicKnnIndex.rebalance`
+moves users between shards or changes the shard count without
+stopping ingestion.
 
 Dirty-set-proportional cost
 ---------------------------
@@ -100,6 +108,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -126,6 +135,8 @@ from .events import (
     AddRating,
     AddUser,
     ApplyResult,
+    MigrateBegin,
+    MigrateCommit,
     RemoveRating,
     RemoveUser,
     flatten_events,
@@ -274,9 +285,39 @@ class DynamicKnnIndex(_ShardHost):
     wal:
         Optional :class:`~repro.persistence.PartitionedWriteAheadLog` to
         journal every applied event into (write-ahead, i.e. before the
-        event mutates in-memory state).  Equivalent to calling
+        event mutates in-memory state), one ``wal-<shard>.jsonl`` segment
+        per shard under one global sequence.  Equivalent to calling
         :meth:`attach_wal` after construction; the log must be at the
         index's sequence number (0 for a fresh pair).
+    n_shards:
+        Shard count (default 1, the flat index); users are owned per
+        the :class:`~repro.streaming.sharding.ShardMap` (``user %
+        n_shards`` until a :meth:`rebalance` overrides it).
+    executor:
+        How each refresh stage reaches the shards.  ``"serial"``
+        (default) calls them in process in shard order — fully
+        deterministic scheduling; ``"threads"`` fans them out on a
+        ``concurrent.futures.ThreadPoolExecutor`` (in process at one
+        shard); ``"processes"`` sends them to a persistent
+        ``multiprocessing`` worker pool over shared-memory snapshots
+        (:mod:`repro.streaming.procpool`) — the mode whose refresh work
+        actually escapes the GIL.  Results are bit-identical in every
+        mode.  With ``"processes"`` the candidate caches live in the
+        workers, so checkpoints serialize an empty cache section
+        (always safe: caches are exact-or-absent), and custom
+        :class:`~repro.similarity.base.ProfileIndex` subclasses are
+        rejected (refresh raises ``TypeError``) because workers rebuild
+        the base index from the shared buffers.
+    start_method:
+        Optional ``multiprocessing`` start method for the process
+        executor (default: ``"fork"`` on Linux, else ``"spawn"``).
+
+    ``candidate_cache_size`` bounds the cache *globally*; each shard
+    keeps at most ``max(1, size // n_shards)`` entries of its own users.
+    With the pivot strategy a pair whose endpoints live on different
+    shards may be evaluated once per side (evaluations are never shared
+    across shards), so ``RefreshStats.evaluations`` can exceed the
+    one-shard figure — the graphs still match exactly.
 
     Ingestion
     ---------
@@ -284,14 +325,6 @@ class DynamicKnnIndex(_ShardHost):
     single entry point every mutation flows through, which is what makes
     durability (:meth:`checkpoint` / :meth:`restore` plus the WAL) a
     property of the whole API instead of one code path.
-
-    State
-    -----
-    The flat index is the one-shard case of the sharded state: its dirty
-    set, candidate cache and reverse-neighbor index are its single
-    shard's, :meth:`refresh` runs the same driver and per-shard stages
-    as :class:`~repro.streaming.sharding.ShardedKnnIndex`, and its
-    durable state is the one-shard partitioned layout.
     """
 
     def __init__(
@@ -303,9 +336,33 @@ class DynamicKnnIndex(_ShardHost):
         build: bool = True,
         candidate_cache_size: int | None = 65_536,
         wal=None,
+        n_shards: int = 1,
+        executor: str = "serial",
+        start_method: str | None = None,
     ):
+        # The shard state lives in the sharding module, which itself
+        # builds on this one (hence the deferred imports here).
+        from .sharding import ShardMap
+
         #: Set first so close() is safe however far construction got.
         self._closed = False
+        shard_map = ShardMap(n_shards)
+        if executor not in ("threads", "serial", "processes"):
+            raise ValueError(
+                f"executor must be 'threads', 'serial' or 'processes', "
+                f"got {executor!r}"
+            )
+        self.executor = executor
+        #: Executor state: the shard thread pool, and under
+        #: ``processes`` the worker pool, the owned shared-memory arena
+        #: and the per-event cache deltas not yet shipped to workers.
+        self._pool = None
+        self._start_method = start_method
+        self._procpool = None
+        self._arena = None
+        self._delta_buffer: list[tuple] = []
+        #: RebalanceStats of every completed rebalance() call.
+        self.rebalance_log: list = []
         #: The latest published read snapshot (atomic pointer swap; see
         #: :mod:`repro.serving.snapshot`).  None until the first
         #: completed ``rebuild()``/``refresh()`` publishes.
@@ -349,7 +406,7 @@ class DynamicKnnIndex(_ShardHost):
         self._wal = None
         #: Provenance of a restore() (None for a fresh index).
         self.restore_info = None
-        self._partition()
+        self._partition(shard_map)
         if build:
             self.rebuild()
             self.initial_evaluations = self.engine.counter.evaluations
@@ -360,24 +417,17 @@ class DynamicKnnIndex(_ShardHost):
         if wal is not None:
             self.attach_wal(wal)
 
-    def _partition(self, shard_map=None) -> None:
+    def _partition(self, shard_map) -> None:
         """Fresh per-shard state containers for *shard_map*.
 
         The index-level ``_dirty`` and ``_reverse`` route every access
-        to the owner shard's slice (the flat index holds one shard).
+        to the owner shard's slice.
         """
-        # Imported here: the shard state lives in the sharding module,
-        # which itself builds on this one.
-        from .sharding import (
-            ShardMap,
-            _Shard,
-            _ShardedDirtySet,
-            _ShardedReverseIndex,
-        )
+        from .sharding import _Shard, _ShardedDirtySet, _ShardedReverseIndex
 
-        self._shard_map = shard_map or ShardMap(1)
+        self._shard_map = shard_map
         self._shards = [
-            _Shard(shard, self) for shard in range(self._shard_map.n_shards)
+            _Shard(shard, self) for shard in range(shard_map.n_shards)
         ]
         self._dirty = _ShardedDirtySet(self._shards, lambda: self._shard_map)
         self._reverse = _ShardedReverseIndex(
@@ -402,6 +452,16 @@ class DynamicKnnIndex(_ShardHost):
     def n_users(self) -> int:
         """Number of allocated user ids (tombstoned users included)."""
         return self.builder.n_users
+
+    @property
+    def n_shards(self) -> int:
+        """Number of shards the maintained state is partitioned into."""
+        return self._shard_map.n_shards
+
+    @property
+    def shard_map(self):
+        """The authoritative user → shard ownership rule."""
+        return self._shard_map
 
     @property
     def pending_events(self) -> int:
@@ -439,9 +499,18 @@ class DynamicKnnIndex(_ShardHost):
         (:func:`repro.layout.legacy_nbytes`) — the analytic "before"
         column of the memory model, deterministic and hence gateable in
         benchmark baselines.
+
+        ``reverse_index_entries`` counts the authoritative rows' filled
+        slots — exactly the reverse index's (row, cited user) entries,
+        and correct on every executor (``processes`` workers own their
+        reverse indexes).  The ``shm_arena_*`` keys account for the
+        process executor's shared-memory arena (0 in process); the
+        worker-side caches are not visible here, so the cache counts
+        are 0 under ``processes``.
         """
         self._ensure_open()
         matrix = self.builder.snapshot().matrix
+        neighbors, _ = self._rows()
         stats = {
             "dataset_csr_bytes": nbytes(
                 matrix.indptr, matrix.indices, matrix.data
@@ -453,7 +522,9 @@ class DynamicKnnIndex(_ShardHost):
             "snapshot_rows_bytes": (
                 0 if self._snapshot is None else self._snapshot.row_bytes()
             ),
-            "reverse_index_entries": self._reverse.referrer_count(),
+            "reverse_index_entries": int(
+                np.count_nonzero(neighbors != MISSING)
+            ),
             "candidate_cache_entries": sum(
                 len(counts)
                 for shard in self._shards
@@ -471,11 +542,22 @@ class DynamicKnnIndex(_ShardHost):
                 self._neighbors, self._sims
             ),
         }
+        arena = (
+            self._arena.stats()
+            if self._arena is not None
+            else dict.fromkeys(
+                ("capacity_bytes", "high_water_bytes", "slack_bytes"), 0
+            )
+        )
+        stats["shm_arena_bytes"] = arena["capacity_bytes"]
+        stats["shm_arena_high_water_bytes"] = arena["high_water_bytes"]
+        stats["shm_arena_slack_bytes"] = arena["slack_bytes"]
         stats["total_bytes"] = (
             stats["dataset_csr_bytes"]
             + stats["graph_rows_bytes"]
             + stats["profile_index_bytes"]
             + stats["snapshot_rows_bytes"]
+            + stats["shm_arena_bytes"]
         )
         return stats
 
@@ -501,20 +583,38 @@ class DynamicKnnIndex(_ShardHost):
         return getattr(self, "_closed", False)
 
     def close(self) -> None:
-        """Retire the index.
+        """Retire the index and release every executor resource.
 
-        Idempotent, and safe whatever state construction reached — a
-        double close or a close after a failed ``__init__`` is a no-op,
-        never an exception.  After a close, mutation and query entry
-        points (:meth:`apply`, :meth:`refresh`, :meth:`rebuild`,
-        :meth:`pin`) raise a clear :class:`RuntimeError` instead of
-        failing deep in pool internals.
-        :class:`~repro.streaming.sharding.ShardedKnnIndex` extends the
-        cleanup to its shard workers and shared-memory blocks.
+        Shuts the thread pool down, stops the process workers and
+        unlinks the shared-memory arena.  Idempotent, and safe whatever
+        state construction reached — a double close or a close after a
+        failed ``__init__`` is a no-op, never an exception — so a
+        ``finally: index.close()`` can never raise or leak ``/dev/shm``
+        blocks; ``weakref`` finalizers on the pool and arena also run
+        this cleanup on garbage collection.  After a close, mutation and
+        query entry points (:meth:`apply`, :meth:`refresh`,
+        :meth:`rebuild`, :meth:`pin`) raise a clear
+        :class:`RuntimeError` instead of failing deep in pool internals.
         """
         if getattr(self, "_closed", False):
             return
         self._closed = True
+        self._close_executors()
+
+    def _close_executors(self) -> None:
+        """Stop the thread pool and workers; unlink the arena."""
+        pool = getattr(self, "_pool", None)
+        if pool is not None:
+            pool.shutdown(wait=True)
+            self._pool = None
+        procpool = getattr(self, "_procpool", None)
+        if procpool is not None:
+            procpool.close()
+            self._procpool = None
+        arena = getattr(self, "_arena", None)
+        if arena is not None:
+            arena.close()
+            self._arena = None
 
     def _ensure_open(self) -> None:
         if getattr(self, "_closed", False):
@@ -597,6 +697,9 @@ class DynamicKnnIndex(_ShardHost):
         4. **refresh** — under ``auto_refresh``, one refinement pass per
            top-level event (a batch refreshes once, not per member).
 
+        Under ``executor="processes"`` the call ends by shipping the
+        per-event cache deltas to the workers.
+
         Returns an :class:`ApplyResult` with the minted user ids, the
         :class:`RefreshStats` of every pass this call triggered, the
         primitive-event count and the last sequence number.
@@ -619,6 +722,7 @@ class DynamicKnnIndex(_ShardHost):
             n_applied += len(primitives)
             if self.auto_refresh:
                 self.refresh()
+        self._flush_deltas()
         return ApplyResult(
             new_users=tuple(new_users),
             refreshes=tuple(self.refresh_log[log_start:]),
@@ -733,15 +837,18 @@ class DynamicKnnIndex(_ShardHost):
         raise TypeError(f"unknown streaming event {event!r}")
 
     def _absorb_control(self, event) -> None:
-        """Replay hook for WAL control records (sharding fences).
+        """Replay a journaled migration fence at its sequence position.
 
-        Ownership is a partitioning concern, so the flat index ignores
-        them; :class:`~repro.streaming.sharding.ShardedKnnIndex`
-        overrides this to flip shard ownership at the record's exact
-        sequence position.  Control records never reach :meth:`apply` —
-        they are journaled directly by ``rebalance()`` and only come
-        back through WAL replay.
+        Control records never reach :meth:`apply` — :meth:`rebalance`
+        journals them directly and they only come back through WAL
+        replay.  ``MigrateBegin`` is the opening fence only: a log tail
+        ending after a begin without its commit replays as *no*
+        ownership change (the rollback-to-the-fence guarantee).
+        ``MigrateCommit`` re-applies the flip exactly as the live
+        :meth:`rebalance` did.
         """
+        if isinstance(event, MigrateCommit):
+            self._apply_plan_flip(event.moves, event.n_shards)
 
     def _absorb_rating(self, user: int, item: int, rating: float) -> None:
         old = self.builder.rating(user, item)
@@ -756,7 +863,7 @@ class DynamicKnnIndex(_ShardHost):
             # |IP_item| changed: every pair sharing the item shifts.
             self._dirty.update(self.builder.users_of(item))
         if qualified != qualifies:
-            self._note_candidacy_change(user, item, added=qualifies)
+            self._cache_delta("cand", user, item, added=qualifies)
 
     def _absorb_user(self, items, ratings) -> int:
         user = self.builder.add_user(items, ratings)
@@ -767,7 +874,7 @@ class DynamicKnnIndex(_ShardHost):
                 self._dirty.update(self.builder.users_of(item))
         for item, rating in self.builder.profile(user).items():
             if self._qualifies(rating):
-                self._note_candidacy_change(user, item, added=True)
+                self._cache_delta("cand", user, item, added=True)
         return user
 
     def _absorb_removal(self, user: int) -> None:
@@ -777,7 +884,7 @@ class DynamicKnnIndex(_ShardHost):
             if self._profile_local
             else [item for item, _ in profile_items]
         )
-        self._cache_evict(user)  # before the profile vanishes
+        self._cache_delta("evict", user)  # before the profile vanishes
         self.builder.clear_user(user)
         self._dirty.add(user)
         if touched_items is not None:
@@ -785,7 +892,7 @@ class DynamicKnnIndex(_ShardHost):
                 self._dirty.update(self.builder.users_of(item))
         for item, rating in profile_items:
             if self._qualifies(rating):
-                self._note_candidacy_change(user, item, added=False)
+                self._cache_delta("cand", user, item, added=False)
 
     # ------------------------------------------------------------------
     # Candidate-set cache routing (ingestion path)
@@ -799,27 +906,42 @@ class DynamicKnnIndex(_ShardHost):
             if other != user and self._qualifies(builder.rating(other, item))
         ]
 
-    def _note_candidacy_change(
-        self, user: int, item: int, added: bool
+    def _cache_delta(
+        self, kind: str, user: int, item: int = -1, added: bool = False
     ) -> None:
-        """Propagate a qualifying-membership flip of (user, item).
+        """Route one per-event candidate-cache delta to the caches.
 
-        Called after the builder mutated: every shard bumps its cached
-        raters of the item, and the shard caching *user* (if any)
-        updates her own multiset — the per-event delta that keeps cached
-        candidate sets exact without re-derivation.
+        ``"cand"``: (*user*, *item*) started (*added*) or stopped
+        contributing candidacies — every cached rater of the item
+        gains/loses one shared item with her, and her own cached
+        multiset gains/loses the item's other qualifying raters.
+        ``"evict"``: drop *user*'s cached multiset (called before her
+        profile vanishes).  Called after the builder mutated, this is
+        the delta that keeps cached candidate sets exact without
+        re-derivation.
+
+        In process every shard applies it at once
+        (:meth:`~repro.streaming.sharding._Shard.apply_delta`) and the
+        item's raters stay a lazy callable, scanned only by a shard
+        caching *user*.  Under ``processes`` the caches live in the
+        workers: the raters are captured now (the workers' snapshot
+        views are only as fresh as the last refresh) and the compact
+        delta waits in a buffer :meth:`_flush_deltas` ships.
         """
-        raters = functools.partial(self._qualifying_raters, item, user)
+        processes = self.executor == "processes"
+        if kind == "cand":
+            raters = functools.partial(self._qualifying_raters, item, user)
+            if processes:
+                raters = raters()
+            op = ("cand", user, item, added, raters)
+        else:
+            items = [int(item) for item in self.builder.profile(user)]
+            op = ("evict", user, items)
+        if processes:
+            self._delta_buffer.append(op)
+            return
         for shard in self._shards:
-            shard.note_candidacy(user, item, added, raters)
-
-    def _cache_insert(self, user: int, counts: dict[int, int]) -> None:
-        self._shards[self._shard_map.owner(user)].cache_insert(user, counts)
-
-    def _cache_evict(self, user: int) -> None:
-        self._shards[self._shard_map.owner(user)].cache_evict(
-            user, self.builder.profile(user)
-        )
+            shard.apply_delta(op)
 
     @property
     def _shard_cache_limit(self) -> int | None:
@@ -876,15 +998,30 @@ class DynamicKnnIndex(_ShardHost):
     def checkpoint(self, directory: str | Path) -> Path:
         """Serialize the full maintained state into *directory*.
 
-        Writes the one-shard ``checkpoint-<seq>.shards/`` directory
-        (atomic rename) holding the dataset snapshot, graph rows, dirty
-        set, candidate cache and counters — callable mid-stream with
-        events pending.  Recovery is :meth:`restore`: latest checkpoint
-        + WAL-tail replay.
+        Writes a ``checkpoint-<seq>.shards/`` directory (atomic rename)
+        holding the dataset snapshot, graph rows, counters and one state
+        file per shard (dirty slice, candidate cache) — callable
+        mid-stream with events pending.  Recovery is :meth:`restore`:
+        latest checkpoint + WAL-tail replay.
+        """
+        return self._checkpoint(directory)
+
+    def _checkpoint(self, directory: str | Path) -> Path:
+        """The body of every class's :meth:`checkpoint`.
+
+        Checkpoints mark quiescent points between refreshes, so this is
+        also where the shared-memory arena sheds slack capacity: growth
+        is geometric and ``publish`` never shrinks, so after a mass
+        deletion the arena would otherwise pin its high-water mark in
+        ``/dev/shm`` forever (the next refresh republishes into the
+        compacted block or regrows it as needed).
         """
         from ..persistence import save_checkpoint
 
-        return save_checkpoint(self, directory)
+        path = save_checkpoint(self, directory)
+        if self._arena is not None:
+            self._arena.compact()
+        return path
 
     @classmethod
     def restore(
@@ -900,11 +1037,14 @@ class DynamicKnnIndex(_ShardHost):
         with refinement suppressed, then runs one refresh — after which
         the graph is bit-identical to the uninterrupted run's, at a cost
         proportional to the log tail rather than the dataset.  Any
-        state directory restores, whatever shard count wrote it.
-        ``metric`` defaults to the checkpointed metric name; pass an
-        instance for unregistered custom metrics.  A one-segment
-        :class:`~repro.persistence.PartitionedWriteAheadLog` is
-        reattached so journaling continues seamlessly; provenance is
+        state directory restores, whatever shard count wrote it; the
+        index comes back at one shard with the ``serial`` executor
+        (:meth:`ShardedKnnIndex.restore
+        <repro.streaming.sharding.ShardedKnnIndex.restore>` keeps the
+        checkpoint's count).  ``metric`` defaults to the checkpointed
+        metric name; pass an instance for unregistered custom metrics.
+        A one-segment :class:`~repro.persistence.PartitionedWriteAheadLog`
+        is reattached so journaling continues seamlessly; provenance is
         stashed as ``index.restore_info``.
         """
         from ..persistence import restore_index
@@ -915,6 +1055,7 @@ class DynamicKnnIndex(_ShardHost):
             metric=metric,
             refresh=refresh,
             fsync_every=fsync_every,
+            n_shards=1,
         )
 
     # ------------------------------------------------------------------
@@ -1014,7 +1155,71 @@ class DynamicKnnIndex(_ShardHost):
         ``plans`` holds each shard's ``(outboxes, cache_hits,
         cache_misses)`` and ``merges`` each shard's ``(evaluations,
         changes, active, new_neighbors, new_sims)``.
+
+        Under ``processes`` the snapshot and profile arrays are first
+        published into the shared-memory arena and attached by every
+        worker, and the workers' row updates land in the authoritative
+        rows after the final barrier.  Because nothing lands until every
+        worker has answered, a worker death at any point leaves the
+        authoritative state untouched: the pool is reset and the pass
+        reruns against workers respawned from the authoritative rows.
         """
+        if self.executor != "processes":
+            return self._run_stages(selected)
+        from .procpool import WorkerCrash
+        from .shm import ShmArena
+
+        index = self.engine.index
+        if type(index) is not ProfileIndex:
+            # Workers rebuild the base ProfileIndex from the shared
+            # buffers; a subclass's extra state would be silently
+            # dropped, breaking the bit-identity contract.
+            raise TypeError(
+                f"executor='processes' rebuilds a plain ProfileIndex in "
+                f"each worker and cannot carry a custom index subclass "
+                f"({type(index).__name__}); use the 'threads' or "
+                f"'serial' executor for custom profile indexes"
+            )
+        if self._arena is None:
+            self._arena = ShmArena(tag="repro-shard")
+        block, manifest = self._arena.publish(index.to_shared_arrays())
+        for attempt in range(3):
+            pool = self._ensure_pool()
+            self._flush_deltas()
+            try:
+                # Attaching also grows each worker's row mirror to the
+                # current population.
+                pool.request_all(
+                    "attach",
+                    [(block, manifest, self.n_users)] * self.n_shards,
+                )
+                affected, plans, merges = self._run_stages(selected)
+                break
+            except WorkerCrash:
+                # Respawn: the authoritative rows are untouched, so the
+                # rerun starts from workers reseeded from them.
+                pool.reset()
+                if attempt == 2:
+                    raise
+            except BaseException:
+                # A worker-raised error (e.g. a failing metric): reset
+                # the pool so no worker keeps half-merged rows; the
+                # driver already marked the affected rows dirty.
+                pool.reset()
+                raise
+        # Land: clear every affected row, then write the merged rows —
+        # cleared-but-candidateless rows stay MISSING, exactly as the
+        # in-process executors leave them.
+        neighbors, sims = self._rows()
+        neighbors[affected] = MISSING
+        sims[affected] = -np.inf
+        for _, _, active, new_neighbors, new_sims in merges:
+            neighbors[active] = new_neighbors
+            sims[active] = new_sims
+        return affected, plans, merges
+
+    def _run_stages(self, selected: set[int]):
+        """The three stage rounds of :meth:`_run_pass`, on any executor."""
         all_dirty = np.fromiter(selected, dtype=np.int64, count=len(selected))
         owned = [
             np.fromiter(mine, dtype=np.int64, count=len(mine))
@@ -1043,11 +1248,26 @@ class DynamicKnnIndex(_ShardHost):
         return affected, plans, merges
 
     def _stage(self, name: str, payloads: list[tuple]) -> list:
-        """Run stage *name* on every shard, in process and in order."""
-        return [
-            getattr(shard, name)(*payload)
-            for shard, payload in zip(self._shards, payloads)
-        ]
+        """Run stage *name* on every shard — the executor's one job.
+
+        ``serial`` (and any one-shard in-process index) calls the shards
+        in order, ``threads`` maps them over a pool sized per shard, and
+        ``processes`` makes one request/reply round with the workers.
+        """
+        if self.executor == "processes":
+            return self._procpool.request_all(name, payloads)
+
+        def call(shard, payload):
+            return getattr(shard, name)(*payload)
+
+        if self.executor == "threads" and len(self._shards) > 1:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=len(self._shards),
+                    thread_name_prefix="repro-shard",
+                )
+            return list(self._pool.map(call, self._shards, payloads))
+        return list(map(call, self._shards, payloads))
 
     def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Chunked metric evaluation against the shared profile index.
@@ -1065,7 +1285,8 @@ class DynamicKnnIndex(_ShardHost):
 
         Also the recovery path: whatever the graph state, a rebuild
         restores the invariant from the ratings alone (including the
-        reverse-neighbor index, re-derived from the fresh rows).  Like
+        reverse-neighbor index, re-derived from the fresh rows; process
+        workers restart from the fresh rows at the next refresh).  Like
         :meth:`refresh`, completion publishes a new read snapshot.
         """
         self._ensure_open()
@@ -1075,7 +1296,279 @@ class DynamicKnnIndex(_ShardHost):
         self._sims = result.graph.sims.copy()
         self._n_rows = result.graph.n_users
         self._reverse.rebuild(self._neighbors[: self._n_rows])
+        self._reset_workers()
         self._dirty.clear()
         self._pending_events = 0
         self._publish_snapshot()
         return result
+
+    # ------------------------------------------------------------------
+    # Process workers: delta shipping and pool management
+    # ------------------------------------------------------------------
+    def _flush_deltas(self) -> None:
+        """Ship the buffered cache deltas to the live workers.
+
+        With no live pool the buffer is simply dropped: workers spawn
+        with empty candidate caches, which are always exact (caches are
+        exact-or-absent), so a respawned worker needs no replay.
+        """
+        if not self._delta_buffer:
+            return
+        ops, self._delta_buffer = self._delta_buffer, []
+        if self._procpool is not None and self._procpool.alive:
+            self._procpool.broadcast_deltas(ops)
+
+    def _reset_workers(self) -> None:
+        """Stop the workers; the next refresh respawns them.
+
+        Their row mirrors, reverse indexes and owned-row partition are
+        rebuilt from the authoritative rows and the live map at spawn.
+        """
+        if self._procpool is not None:
+            self._procpool.reset()
+        self._delta_buffer.clear()
+
+    def _worker_init(self, shard_id: int) -> dict:
+        """The spawn payload seeding one worker's owned state."""
+        neighbors, sims = self._rows()
+        return dict(
+            shard_id=shard_id,
+            shard_map=self._shard_map,
+            config=self.config,
+            metric=self.engine.metric,
+            batch_size=self.engine.batch_size,
+            cache_limit=self._shard_cache_limit,
+            neighbors=neighbors.copy(),
+            sims=sims.copy(),
+        )
+
+    def _ensure_pool(self):
+        from .procpool import ProcessShardPool
+
+        if self._procpool is None:
+            self._procpool = ProcessShardPool(
+                self.n_shards, start_method=self._start_method
+            )
+        if not self._procpool.alive:
+            self._procpool.spawn(self._worker_init)
+        return self._procpool
+
+    # ------------------------------------------------------------------
+    # Live shard re-balancing
+    # ------------------------------------------------------------------
+    def rebalance(self, plan):
+        """Migrate users between shards live, without stopping ingestion.
+
+        The migration window is WAL-sequenced: a
+        :class:`~repro.streaming.events.MigrateBegin` /
+        :class:`~repro.streaming.events.MigrateCommit` record pair
+        fences the batch in the partitioned log (both in shard 0's
+        segment, at consecutive global sequence numbers), and ownership
+        flips atomically at the commit's covering sequence.  A crash
+        whose surviving log tail holds the begin fence without its
+        commit replays as **no** ownership change — rollback to the
+        fence — while a tail holding both replays the flip at its exact
+        position relative to the surrounding rating events.  Either
+        way the recovered graph stays bit-identical to a cold rebuild,
+        because ownership never affects graph *content*, only where
+        maintenance state lives.
+
+        After the flip every moved user is marked dirty: the next
+        refresh re-derives her row on the destination shard — seeding
+        the destination's candidate cache and row-restricted reverse
+        index from the authoritative rows — and, under a
+        :class:`~repro.scheduling.RefreshScheduler`, the migration
+        counts against the queue bound like any other dirty work.
+        Process workers are reset (the crash-respawn path): the next
+        refresh respawns them from the authoritative rows with the new
+        map.
+
+        Parameters
+        ----------
+        plan:
+            The :class:`~repro.streaming.sharding.ShardPlan`: explicit
+            ``(user, shard)`` moves, a new shard count, or both.  A
+            count change rebuilds every per-shard container (dirty set,
+            reverse index; caches are dropped — always safe, they are
+            exact-or-absent) and, when a partitioned WAL is attached,
+            re-opens it at the new segment count under the same global
+            sequence.
+
+        Returns
+        -------
+        RebalanceStats
+            Moved-user count, shard counts, the fence sequence numbers
+            and the wall time of the window.  A plan that changes
+            nothing returns ``users_moved=0`` without journaling.
+
+        Raises
+        ------
+        TypeError
+            *plan* is not a :class:`~repro.streaming.sharding.ShardPlan`.
+        ValueError
+            A move references a user outside ``[0, n_users)`` or a
+            shard outside ``[0, n_shards)``.
+        RuntimeError
+            The index is closed.
+        """
+        from .sharding import RebalanceStats, ShardMap, ShardPlan
+
+        self._ensure_open()
+        start = time.perf_counter()
+        if not isinstance(plan, ShardPlan):
+            raise TypeError(
+                f"rebalance takes a ShardPlan, got {type(plan).__name__}"
+            )
+        moves = tuple(
+            (int(user), int(shard)) for user, shard in plan.moves
+        )
+        shards_before = self.n_shards
+        target = int(shards_before if plan.n_shards is None else plan.n_shards)
+        if target < 1:
+            raise ValueError(f"n_shards must be >= 1, got {target}")
+        n_users = self.builder.n_users
+        for user, shard in moves:
+            if not 0 <= user < n_users:
+                raise ValueError(
+                    f"cannot move user {user}: outside [0, {n_users})"
+                )
+            if not 0 <= shard < target:
+                raise ValueError(
+                    f"cannot move user {user} to shard {shard}: outside "
+                    f"[0, {target})"
+                )
+        if target == shards_before and not self._moved_users(
+            self._shard_map.with_moves(moves)
+        ):
+            seq_begin = seq_commit = self._seq
+            moved: list[int] = []
+        else:
+            seq_begin, seq_commit = self._journal_control(
+                MigrateBegin(moves=moves, n_shards=plan.n_shards),
+                MigrateCommit(moves=moves, n_shards=plan.n_shards),
+            )
+            moved = self._apply_plan_flip(moves, plan.n_shards)
+            if self._snapshot is not None:
+                # Republish under the commit's covering sequence — the
+                # rows are unchanged, so readers keep the same arrays.
+                self._publish_snapshot(unchanged=True)
+        stats = RebalanceStats(
+            users_moved=len(moved),
+            shards_before=shards_before,
+            shards_after=self.n_shards,
+            seq_begin=seq_begin,
+            seq_commit=seq_commit,
+            wall_time=time.perf_counter() - start,
+        )
+        self.rebalance_log.append(stats)
+        return stats
+
+    def _journal_control(self, begin, commit) -> tuple[int, int]:
+        """Journal the fence pair all-or-nothing; returns their seqs."""
+        if self._wal is None:
+            self._seq += 2
+            return self._seq - 1, self._seq
+        mark = self._wal.mark()
+        try:
+            seq_begin = self._wal.append(begin, 0)
+            seq_commit = self._wal.append(commit, 0)
+        except BaseException:
+            self._wal.rollback(mark)
+            self._seq = mark[0]
+            raise
+        self._seq = seq_commit
+        return seq_begin, seq_commit
+
+    def _moved_users(self, new_map) -> list[int]:
+        """Users whose owner differs between the live map and *new_map*."""
+        users = np.arange(self.builder.n_users, dtype=np.int64)
+        changed = self._shard_map.owners(users) != new_map.owners(users)
+        return users[changed].tolist()
+
+    def _apply_plan_flip(self, moves, n_shards) -> list[int]:
+        """Flip ownership for one commit record; returns the moved users.
+
+        Shared by the live :meth:`rebalance` path and WAL replay
+        (:meth:`_absorb_control`), so both reconstruct the identical
+        :class:`~repro.streaming.sharding.ShardMap` from the record
+        payload alone.
+        """
+        from .sharding import ShardMap
+
+        if n_shards is None or int(n_shards) == self.n_shards:
+            new_map = self._shard_map.with_moves(moves)
+            moved = self._moved_users(new_map)
+            self._migrate_users(new_map, moved)
+        else:
+            new_map = ShardMap(n_shards, dict(moves))
+            moved = self._moved_users(new_map)
+            self._reshard(new_map)
+        return moved
+
+    def _migrate_users(self, new_map, moved) -> None:
+        """Same-count ownership flip: surgical per-user state transfer.
+
+        For each moved user the source shard gives up her dirty-set
+        membership, candidate-cache entry (dropped — exact-or-absent,
+        so eviction is always safe) and her row's citations in its
+        reverse index; after the map swap the destination re-registers
+        the citations and marks her dirty, so the next refresh seeds
+        the destination's cache from the authoritative rows.  Process
+        workers restart with the new owned-row partition.
+        """
+        neighbors, _ = self._rows()
+        for user in moved:
+            source = self._shards[self._shard_map.owner(user)]
+            source.cache_evict(user, self.builder.profile(user))
+            source.dirty.discard(user)
+        # Users past the graph's rows (not yet refreshed) cite nobody.
+        rows = np.asarray(moved, dtype=np.int64)
+        rows = rows[rows < neighbors.shape[0]]
+        cited = neighbors[rows]
+        sources = self._shard_map.owners(rows)
+        destinations = new_map.owners(rows)
+        for shard in self._shards:
+            gone = sources == shard.shard_id
+            shard.reverse.apply_row(rows[gone], cited[gone], None)
+            came = destinations == shard.shard_id
+            shard.reverse.apply_row(rows[came], None, cited[came])
+        self._shard_map = new_map
+        self._dirty.update(moved)
+        self._reset_workers()
+
+    def _reshard(self, new_map) -> None:
+        """Shard-count transition: rebuild every per-shard container.
+
+        The dirty set carries over (re-routed through the new map), the
+        reverse index rebuilds from the authoritative rows, caches are
+        dropped, the per-shard cache budget re-splits, executors reset
+        (thread pool sized per shard; process workers respawn at the
+        next refresh), and an attached partitioned WAL re-opens at the
+        new segment count under the same global sequence (its
+        constructor scans stray segments, so the counter carries over
+        and old segments stay readable by the merged reader).
+        """
+        old_dirty = list(self._dirty)
+        self._partition(new_map)
+        neighbors, _ = self._rows()
+        self._reverse.rebuild(neighbors)
+        self._dirty.update(old_dirty)
+        self._close_executors()
+        self._delta_buffer.clear()
+        if self._wal is not None and self._wal.n_shards != self.n_shards:
+            from ..persistence import PartitionedWriteAheadLog
+
+            old = self.detach_wal()
+            old.close()
+            self.attach_wal(
+                PartitionedWriteAheadLog(
+                    old.path, self.n_shards, fsync_every=old.fsync_every
+                )
+            )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}(n_users={self.n_users}, "
+            f"n_shards={self.n_shards}, executor={self.executor!r}, "
+            f"last_seq={self.last_seq})"
+        )

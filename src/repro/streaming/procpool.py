@@ -1,6 +1,6 @@
 """The ``processes`` transport: persistent shard workers over shared memory.
 
-:class:`~repro.streaming.sharding.ShardedKnnIndex` with
+A :class:`~repro.streaming.index.DynamicKnnIndex` built with
 ``executor="processes"`` sends its refresh stage calls to one OS
 process per shard, so the Python-level plan/merge work — GIL-serialized
 under the thread executor — runs truly in parallel.  A worker holds one
@@ -20,12 +20,13 @@ carries the calls.  The division of state:
 
 Protocol (one duplex pipe per worker):
 
-* ``("delta", ops)`` — fire-and-forget per-event deltas shipped after
-  each ``apply()``: candidacy flips (with the item's qualifying raters
-  captured at event time), cache evictions (with the evicted profile's
-  items), and row growth (absolute, hence replay-idempotent).
+* ``("delta", ops)`` — fire-and-forget per-event cache deltas shipped
+  after each ``apply()``: candidacy flips (with the item's qualifying
+  raters captured at event time) and cache evictions (with the evicted
+  profile's items).
 * ``(req_id, kind, args)`` — one request per round: ``attach`` (map the
-  published arrays), then the stages ``affected`` / ``plan`` /
+  published arrays and grow the row mirror to the current
+  population), then the stages ``affected`` / ``plan`` /
   ``merge``, each answered by calling the worker's shard with *args*;
   the worker replies ``(req_id, "ok", result)`` or
   ``(req_id, "error", exception)``.  Replies are matched by ``req_id``
@@ -35,11 +36,11 @@ Protocol (one duplex pipe per worker):
 Crash safety: the parent applies nothing until every worker has
 answered the final stage, so a worker death at any point leaves the
 authoritative state untouched.  The pool is then reset and respawned —
-each worker reseeded from the authoritative rows plus a replay of the
-delta tail accumulated since the last completed refresh — and the pass
-reruns.  A respawned worker starts with an empty candidate cache, which
-is always exact (caches are an exact-or-absent optimization; misses are
-re-derived in bulk), so bit-identical parity survives any kill point.
+each worker reseeded from the authoritative rows — and the pass reruns.
+A respawned worker starts with an empty candidate cache, which is
+always exact (caches are an exact-or-absent optimization; misses are
+re-derived in bulk), so it needs no replay of the deltas its
+predecessor saw, and bit-identical parity survives any kill point.
 """
 
 from __future__ import annotations
@@ -132,8 +133,6 @@ class _WorkerHost(_ShardHost):
             self._neighbors,
             self._shard_map.owned_rows(shard_id, self._n_rows),
         )
-        for op in init["deltas"]:
-            self.apply_delta(op)
 
     @property
     def n_users(self) -> int:
@@ -152,7 +151,8 @@ class _WorkerHost(_ShardHost):
         # memory.
         self.index = ProfileIndex.from_shared_arrays(arrays)
         self.builder = _SnapshotStore(self.index.dataset)
-        self._grow_rows(n_users)  # defensive; normally a no-op
+        # Users joined since the last pass get their (empty) rows.
+        self._grow_rows(n_users)
 
     def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return score_pairs_chunked(
@@ -160,18 +160,11 @@ class _WorkerHost(_ShardHost):
         )
 
     def apply_delta(self, op: tuple) -> None:
-        """One per-event delta: candidacy flip, cache evict, or growth."""
-        kind = op[0]
-        if kind == "cand":
-            _, user, item, added, raters = op
-            self.shard.note_candidacy(user, item, added, lambda: raters)
-        elif kind == "evict":
-            _, user, items = op
-            self.shard.cache_evict(user, items)
-        elif kind == "grow":
-            self._grow_rows(int(op[1]))
-        else:  # pragma: no cover - protocol bug guard
-            raise ValueError(f"unknown delta op {op!r}")
+        """One shipped cache delta; its raters arrive as a list."""
+        if op[0] == "cand":
+            raters = op[4]
+            op = (*op[:4], lambda: raters)
+        self.shard.apply_delta(op)
 
     def close(self) -> None:
         if self._block is not None:
@@ -264,7 +257,7 @@ class ProcessShardPool:
     Purely the transport: spawning (from caller-built init payloads),
     delta broadcast, request/reply stage rounds with stale-reply
     draining, death detection (:class:`WorkerCrash`), reset and
-    shutdown.  The :class:`~repro.streaming.sharding.ShardedKnnIndex`
+    shutdown.  The :class:`~repro.streaming.index.DynamicKnnIndex`
     owns the orchestration and all authoritative state.  A ``weakref``
     finalizer stops the workers if the pool is garbage collected
     without :meth:`close`.
@@ -314,8 +307,8 @@ class ProcessShardPool:
         """Ship per-event deltas to every worker (fire-and-forget).
 
         A failed send means a worker died between refreshes; the pool
-        resets itself — the caller's delta tail replay at the next
-        spawn covers everything the dead pool never applied.
+        resets itself, and the next spawn starts every worker from an
+        empty (hence exact) cache.
         """
         if self._workers is None:
             return

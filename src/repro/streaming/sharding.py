@@ -1,4 +1,4 @@
-"""Shard state, the per-shard refresh stages, and the partitioned index.
+"""Shard state, the per-shard refresh stages, and the ownership map.
 
 The KIFF pipeline is embarrassingly partitionable: candidate selection
 and top-k refinement are *per-user* computations over shared read-only
@@ -11,14 +11,16 @@ profiles.  The maintained state is therefore held in **shards**
   the *rows* the shard owns (keyed by cited user, which may belong to
   any shard — updates stay row-local, so they never cross shards).
 
-The flat :class:`~repro.streaming.index.DynamicKnnIndex` is the
-one-shard case; :class:`ShardedKnnIndex` partitions users across
-``n_shards`` shards by a :class:`ShardMap` (the hash rule
-``user % n_shards`` plus an override table populated by live
-:meth:`ShardedKnnIndex.rebalance` moves).  Both run the one refresh
-driver (``DynamicKnnIndex._refresh``), which rebinds the shared
-snapshot/:class:`~repro.similarity.base.ProfileIndex` once and then
-calls three stages on every shard:
+One index class holds them:
+:class:`~repro.streaming.index.DynamicKnnIndex` partitions users across
+its ``n_shards`` shards (default 1, the flat index) by a
+:class:`ShardMap` (the hash rule ``user % n_shards`` plus an override
+table populated by live
+:meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` moves), and
+:class:`ShardedKnnIndex` is the same class with partitioned defaults.
+The one refresh driver (``DynamicKnnIndex._refresh``) rebinds the
+shared snapshot/:class:`~repro.similarity.base.ProfileIndex` once and
+then calls three stages on every shard:
 
 1. **Affected discovery** (:meth:`_Shard.affected`) — each shard unions
    its selected dirty users with its own rows citing *any* selected
@@ -48,12 +50,13 @@ this across the randomized stream corpus at 1/2/4 shards.
 The executor is only the transport that carries the stage calls to the
 shards; every executor runs the same :class:`_Shard` code:
 
-* ``executor="threads"`` (default) — the index's own shards, fanned out
-  on a ``concurrent.futures`` thread pool; speedup tracks how much of
-  the work runs in NumPy/SciPy kernels (the Python-level plan/merge
-  stays GIL-serialized).
-* ``executor="serial"`` — the index's own shards, called in shard
-  order; fully deterministic scheduling for tests and debuggers.
+* ``executor="serial"`` (the base class's default) — the index's own
+  shards, called in shard order; fully deterministic scheduling for
+  tests and debuggers.
+* ``executor="threads"`` (:class:`ShardedKnnIndex`'s default) — the
+  index's own shards, fanned out on a ``concurrent.futures`` thread
+  pool; speedup tracks how much of the work runs in NumPy/SciPy kernels
+  (the Python-level plan/merge stays GIL-serialized).
 * ``executor="processes"`` — one persistent worker process per shard
   (:mod:`repro.streaming.procpool`), each holding its own
   :class:`_Shard`: the read-only snapshot and profile arrays are
@@ -63,8 +66,8 @@ shards; every executor runs the same :class:`_Shard` code:
   request/reply round, and the workers' row updates land in the
   parent's authoritative rows after the final barrier.  This is the
   true multi-core mode: the Python-level refresh work escapes the GIL.
-  Workers are respawned (and the delta tail replayed) on death, and the
-  shared blocks are unlinked on ``close()``/GC.
+  Workers are respawned (with empty, hence exact, caches) on death, and
+  the shared blocks are unlinked on ``close()``/GC.
 
 ``benchmarks/bench_sharded_refresh.py`` measures all of them on
 multi-event batches and enforces the process executor's speedup bar.
@@ -72,15 +75,13 @@ multi-event batches and enforces the process executor's speedup bar.
 Durability is partitioned the same way (:mod:`repro.persistence`):
 events journal into per-shard ``wal-<shard>.jsonl`` segments sharing one
 global sequence, checkpoints write per-shard state files, and
-:meth:`ShardedKnnIndex.restore` recovers — bit-identically, at any shard
-count — from any state directory, the flat index's one-shard one
-included.
+:meth:`ShardedKnnIndex.restore` recovers — bit-identically, at the
+checkpoint's or any other shard count — from any state directory, the
+flat index's one-shard one included.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,11 +95,10 @@ from ..graph.updates import (
     merge_topk_rows,
 )
 from ..layout import ID_DTYPE, SCORE_DTYPE
-from ..similarity.base import ProfileIndex, SimilarityMetric
+from ..similarity.base import SimilarityMetric
 # The one chunked scoring loop, imported by name so importers of it
 # from this module keep working.
 from ..similarity.engine import score_pairs_chunked  # noqa: F401
-from .events import MigrateBegin, MigrateCommit
 from .index import DynamicKnnIndex, RefreshStats
 
 __all__ = [
@@ -117,10 +117,11 @@ def shard_of(user: int, n_shards: int) -> int:
     ``user % n_shards`` is the default ownership rule: derivable
     everywhere (event routing, outbox targeting, checkpoint slicing,
     re-sharding on restore) without a directory service.  A live
-    :meth:`ShardedKnnIndex.rebalance` can override individual users
-    away from their base shard; the :class:`ShardMap` is then the
-    authoritative rule (base modulus plus an override table) and every
-    routing site consults it instead of calling this function directly.
+    :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` can
+    override individual users away from their base shard; the
+    :class:`ShardMap` is then the authoritative rule (base modulus plus
+    an override table) and every routing site consults it instead of
+    calling this function directly.
     """
     return int(user) % int(n_shards)
 
@@ -130,9 +131,10 @@ class ShardMap:
 
     The default owner of user *u* is ``u % n_shards``; ``overrides``
     maps individual users to a different shard (the result of live
-    :meth:`ShardedKnnIndex.rebalance` moves).  Overrides equal to the
-    base rule are normalized away, so a map without moves compares and
-    routes exactly like pure hash partitioning.
+    :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` moves).
+    Overrides equal to the base rule are normalized away, so a map
+    without moves compares and routes exactly like pure hash
+    partitioning.
 
     Parameters
     ----------
@@ -237,7 +239,7 @@ class ShardMap:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A live re-balancing request for :meth:`ShardedKnnIndex.rebalance`.
+    """A live re-balancing request for ``DynamicKnnIndex.rebalance``.
 
     ``moves`` is a tuple of ``(user, target_shard)`` pairs pinning
     individual users to explicit shards; ``n_shards`` (when not None)
@@ -253,7 +255,7 @@ class ShardPlan:
 
 @dataclass(frozen=True)
 class RebalanceStats:
-    """Outcome of one :meth:`ShardedKnnIndex.rebalance` call."""
+    """Outcome of one ``DynamicKnnIndex.rebalance`` call."""
 
     #: Users whose owner shard changed (0 for a no-op plan).
     users_moved: int
@@ -308,7 +310,7 @@ class _Shard:
     The refresh driver calls :meth:`affected`, :meth:`plan` and
     :meth:`merge` on every shard, in that order; the executor only
     decides how the calls travel — straight to the index's own shards
-    (the flat index, ``serial``, ``threads``) or through
+    (``serial``, ``threads``) or through
     :mod:`repro.streaming.procpool` to the worker process holding this
     shard (``processes``).
 
@@ -411,6 +413,21 @@ class _Shard:
                 cached.discard(user)
                 if not cached:
                     del self.cached_raters[item]
+
+    def apply_delta(self, op: tuple) -> None:
+        """Apply one per-event cache delta (see ``_cache_delta``).
+
+        ``("cand", user, item, added, raters)`` with *raters* a
+        zero-argument callable goes to :meth:`note_candidacy`;
+        ``("evict", user, items)`` to :meth:`cache_evict`, a no-op on a
+        shard not caching *user*.
+        """
+        if op[0] == "cand":
+            _, user, item, added, raters = op
+            self.note_candidacy(user, item, added, raters)
+        else:
+            _, user, items = op
+            self.cache_evict(user, items)
 
     def candidate_sets(
         self, users: np.ndarray
@@ -602,10 +619,6 @@ class _ShardedReverseIndex:
         parts = [shard.reverse.referrers_of(users) for shard in self._shards]
         return np.unique(np.concatenate(parts))
 
-    def referrer_count(self) -> int:
-        """Total distinct cited users across every shard's index."""
-        return sum(shard.reverse.referrer_count() for shard in self._shards)
-
 
 # ----------------------------------------------------------------------
 # Pure per-shard stage kernels
@@ -750,611 +763,32 @@ def merge_shard_pairs(
 
 
 class ShardedKnnIndex(DynamicKnnIndex):
-    """A :class:`DynamicKnnIndex` partitioned across ``n_shards`` shards.
+    """:class:`DynamicKnnIndex` with partitioned defaults.
 
-    Same contract and same refresh driver — the maintained graph is
-    bit-identical to the flat index (and therefore to a cold converged
-    rebuild) after any event interleaving — with the per-shard state and
-    refresh stages split across ``n_shards`` shards over one shared
-    graph and profile index.  What this class adds is what partitioning
-    needs: the :class:`ShardMap` and live :meth:`rebalance`, re-sharding
-    on restore, and the executors that carry stage calls to the shards.
-
-    Parameters (beyond :class:`DynamicKnnIndex`'s)
-    ----------------------------------------------
-    n_shards:
-        Shard count; users are owned per the :class:`ShardMap`
-        (``user % n_shards`` until a :meth:`rebalance` overrides it).
-    executor:
-        ``"threads"`` (default) fans each refresh stage out on a
-        ``concurrent.futures.ThreadPoolExecutor``; ``"serial"`` calls
-        the shards in-process in shard order — fully deterministic
-        scheduling for tests/debugging; ``"processes"`` sends the stage
-        calls to a persistent ``multiprocessing`` worker pool over
-        shared-memory snapshots (see the module docstring) — the mode
-        whose refresh work actually escapes the GIL.  Results are
-        bit-identical in every mode.  With ``"processes"`` the
-        candidate caches live in the workers, so checkpoints serialize
-        an empty cache section (always safe: caches are exact-or-absent),
-        and custom :class:`~repro.similarity.base.ProfileIndex`
-        subclasses are rejected (refresh raises ``TypeError``) because
-        workers rebuild the base index from the shared buffers.
-    start_method:
-        Optional ``multiprocessing`` start method for the process
-        executor (default: ``"fork"`` on Linux, else ``"spawn"``).
-    wal:
-        Optional :class:`~repro.persistence.PartitionedWriteAheadLog`;
-        each event journals into its owner shard's ``wal-<shard>.jsonl``
-        segment under one global sequence.
-
-    ``candidate_cache_size`` bounds the cache *globally*; each shard
-    keeps at most ``max(1, size // n_shards)`` entries of its own users.
-    Note on cost accounting: with the pivot strategy a pair whose
-    endpoints live on different shards may be evaluated once per side
-    (evaluations are never shared across shards), so
-    ``RefreshStats.evaluations`` can exceed the flat index's — the
-    graphs still match exactly.
+    The same class in every respect — same state, same refresh driver,
+    same :meth:`~DynamicKnnIndex.rebalance`, and a graph bit-identical
+    to the flat index's (and therefore to a cold converged rebuild)
+    after any event interleaving — constructed by default at
+    ``n_shards=2`` with the ``"threads"`` executor.  Its
+    :meth:`restore` comes back at the checkpoint's shard count (or an
+    explicit ``n_shards``) where the base class restores at one shard.
     """
 
     def __init__(
-        self,
-        dataset,
-        config=None,
-        metric: str | SimilarityMetric = "cosine",
-        auto_refresh: bool = True,
-        build: bool = True,
-        candidate_cache_size: int | None = 65_536,
-        wal=None,
-        n_shards: int = 2,
-        executor: str = "threads",
-        start_method: str | None = None,
+        self, *args, n_shards: int = 2, executor: str = "threads", **kwargs
     ):
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if executor not in ("threads", "serial", "processes"):
-            raise ValueError(
-                f"executor must be 'threads', 'serial' or 'processes', "
-                f"got {executor!r}"
-            )
-        self.n_shards = int(n_shards)
-        self.executor = executor
-        self._pool = None
-        #: Process-executor state: the persistent worker pool, the owned
-        #: shared-memory arena, the not-yet-shipped per-event deltas and
-        #: the replayable delta tail since the last completed refresh.
-        self._start_method = start_method
-        self._procpool = None
-        self._arena = None
-        self._delta_buffer: list[tuple] = []
-        self._delta_tail: list[tuple] = []
-        #: RebalanceStats of every completed rebalance() call.
-        self.rebalance_log: list[RebalanceStats] = []
-        super().__init__(
-            dataset,
-            config,
-            metric=metric,
-            auto_refresh=auto_refresh,
-            build=build,
-            candidate_cache_size=candidate_cache_size,
-            wal=wal,
-        )
+        super().__init__(*args, n_shards=n_shards, executor=executor, **kwargs)
 
-    def _partition(self, shard_map: ShardMap | None = None) -> None:
-        """Fresh per-shard containers at ``n_shards`` (or *shard_map*)."""
-        super()._partition(shard_map or ShardMap(self.n_shards))
-        self.n_shards = self._shard_map.n_shards
+    # The entry points below delegate to the shared bodies directly,
+    # never through super(), so an outside-in wrapper on both classes
+    # records one span per call.
+    def refresh(self, dirty_subset=None) -> RefreshStats:
+        """The localized refinement (:meth:`DynamicKnnIndex.refresh`)."""
+        return self._refresh(dirty_subset)
 
-    # ------------------------------------------------------------------
-    # Transports: how a stage call reaches the shards
-    # ------------------------------------------------------------------
-    def _stage(self, name: str, payloads: list[tuple]) -> list:
-        """Run stage *name* on every shard via this index's executor."""
-        if self.executor == "processes":
-            return self._procpool.request_all(name, payloads)
-        if self.executor == "serial" or self.n_shards == 1:
-            return super()._stage(name, payloads)
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_shards, thread_name_prefix="repro-shard"
-            )
-        return list(
-            self._pool.map(
-                lambda shard, payload: getattr(shard, name)(*payload),
-                self._shards,
-                payloads,
-            )
-        )
-
-    def _run_pass(self, selected: set[int]):
-        """The stages, plus the ``processes`` publish/retry/land steps.
-
-        Under ``processes`` the snapshot and profile arrays are
-        published once into the shared-memory arena, every worker
-        attaches them, the stages run as request/reply rounds, and the
-        workers' row updates land in the parent's authoritative rows
-        after the final barrier.  Because the parent applies nothing
-        until every worker has answered, a worker death at any point
-        leaves the authoritative state untouched: the pool is reset and
-        the pass reruns against respawned workers (seeded from the
-        authoritative rows plus the replayed delta tail).
-        """
-        if self.executor != "processes":
-            return super()._run_pass(selected)
-        from .procpool import WorkerCrash
-        from .shm import ShmArena
-
-        index = self.engine.index
-        if type(index) is not ProfileIndex:
-            # Workers rebuild the base ProfileIndex from the shared
-            # buffers; a subclass's extra state would be silently
-            # dropped, breaking the bit-identity contract.
-            raise TypeError(
-                f"executor='processes' rebuilds a plain ProfileIndex in "
-                f"each worker and cannot carry a custom index subclass "
-                f"({type(index).__name__}); use the 'threads' or "
-                f"'serial' executor for custom profile indexes"
-            )
-        if self._arena is None:
-            self._arena = ShmArena(tag="repro-shard")
-        block, manifest = self._arena.publish(index.to_shared_arrays())
-        for attempt in range(3):
-            pool = self._ensure_pool()
-            self._flush_deltas()
-            try:
-                pool.request_all(
-                    "attach",
-                    [(block, manifest, self.n_users)] * self.n_shards,
-                )
-                affected, plans, merges = super()._run_pass(selected)
-                break
-            except WorkerCrash:
-                # Respawn + replay: the authoritative rows are untouched,
-                # so the rerun starts from workers reseeded from them.
-                pool.reset()
-                if attempt == 2:
-                    raise
-            except BaseException:
-                # A worker-raised error (e.g. a failing metric): reset
-                # the pool so no worker keeps half-merged rows; the
-                # driver already marked the affected rows dirty.
-                pool.reset()
-                raise
-        # Land: clear every affected row, then write the merged rows —
-        # cleared-but-candidateless rows stay MISSING, exactly as the
-        # in-process executors leave them.
-        neighbors, sims = self._rows()
-        neighbors[affected] = MISSING
-        sims[affected] = -np.inf
-        for _, _, active, new_neighbors, new_sims in merges:
-            neighbors[active] = new_neighbors
-            sims[active] = new_sims
-        self._delta_tail.clear()
-        return affected, plans, merges
-
-    def close(self) -> None:
-        """Release every worker resource and retire the index.
-
-        Shuts the thread pool down, stops the process workers and
-        unlinks the shared-memory arena.  Idempotent and safe on a
-        partially constructed index (a constructor that raised before
-        some attribute existed), so a ``finally: index.close()`` can
-        never raise or leak ``/dev/shm`` blocks; ``weakref`` finalizers
-        on the pool and arena also run this cleanup on garbage
-        collection, so an abandoned index cannot leak processes or
-        segments either.  Post-close
-        ``apply()``/``refresh()``/``pin()`` raise :class:`RuntimeError`.
-        """
-        if getattr(self, "_closed", False):
-            return
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._pool = None
-        procpool = getattr(self, "_procpool", None)
-        if procpool is not None:
-            procpool.close()
-            self._procpool = None
-        arena = getattr(self, "_arena", None)
-        if arena is not None:
-            arena.close()
-            self._arena = None
-        super().close()
-
-    # ------------------------------------------------------------------
-    # Process-executor delta shipping and pool management
-    # ------------------------------------------------------------------
-    def _note_candidacy_change(
-        self, user: int, item: int, added: bool
-    ) -> None:
-        if self.executor != "processes":
-            super()._note_candidacy_change(user, item, added)
-            return
-        # The caches live in the workers; ship the flip as a compact
-        # delta.  The owner's update needs the item's qualifying raters
-        # *at event time* (the workers' snapshot views are only as
-        # fresh as the last refresh), so they travel along.
-        self._delta_buffer.append(
-            ("cand", user, item, added, self._qualifying_raters(item, user))
-        )
-
-    def _cache_insert(self, user: int, counts: dict[int, int]) -> None:
-        # Worker-owned caches under 'processes': the parent-side stores
-        # stay empty, so a checkpoint can never serialize a stale
-        # multiset (caches are exact-or-absent; absent is always safe).
-        if self.executor != "processes":
-            super()._cache_insert(user, counts)
-
-    def _cache_evict(self, user: int) -> None:
-        if self.executor != "processes":
-            super()._cache_evict(user)
-            return
-        items = [int(item) for item in self.builder.profile(user)]
-        self._delta_buffer.append(("evict", int(user), items))
-
-    def _grow_rows(self, n_users: int) -> None:
-        grew = n_users > self._n_rows
-        super()._grow_rows(n_users)
-        if grew and self.executor == "processes":
-            # Absolute target, so replaying the tail is idempotent.
-            self._delta_buffer.append(("grow", int(n_users)))
-
-    def apply(self, events):
-        """Validate, journal and absorb *events* (see the flat ``apply``).
-
-        Identical contract to :meth:`DynamicKnnIndex.apply`; in
-        ``processes`` mode, compact per-event deltas additionally ship
-        to the workers after each call so their caches stay current.
-        """
-        result = super().apply(events)
-        if self.executor == "processes":
-            self._flush_deltas()
-        return result
-
-    def rebuild(self):
-        """Cold-rebuild the graph, then restart worker state from it."""
-        result = super().rebuild()
-        if self._procpool is not None:
-            # Worker row mirrors and reverse indexes predate the rebuilt
-            # graph; restart them from the fresh authoritative rows.
-            self._procpool.reset()
-            self._delta_buffer.clear()
-            self._delta_tail.clear()
-        return result
-
-    def _flush_deltas(self) -> None:
-        """Move buffered deltas to the tail and ship them to live workers.
-
-        The tail survives until the next completed refresh: a respawned
-        worker replays it on top of the authoritative rows it is seeded
-        with (candidacy/evict replays are no-ops against its empty
-        cache, ``grow`` is absolute), which is what makes worker death
-        recoverable at any point.
-        """
-        if not self._delta_buffer:
-            return
-        ops, self._delta_buffer = self._delta_buffer, []
-        self._delta_tail.extend(ops)
-        if self._procpool is not None and self._procpool.alive:
-            self._procpool.broadcast_deltas(ops)
-
-    def _worker_init(self, shard_id: int) -> dict:
-        """The spawn payload seeding one worker's owned state."""
-        neighbors, sims = self._rows()
-        return dict(
-            shard_id=shard_id,
-            shard_map=self._shard_map,
-            config=self.config,
-            metric=self.engine.metric,
-            batch_size=self.engine.batch_size,
-            cache_limit=self._shard_cache_limit,
-            neighbors=neighbors.copy(),
-            sims=sims.copy(),
-            deltas=list(self._delta_tail),
-        )
-
-    def _ensure_pool(self):
-        from .procpool import ProcessShardPool
-
-        if self._procpool is None:
-            self._procpool = ProcessShardPool(
-                self.n_shards, start_method=self._start_method
-            )
-        if not self._procpool.alive:
-            self._procpool.spawn(self._worker_init)
-        return self._procpool
-
-    # ------------------------------------------------------------------
-    # Live shard re-balancing
-    # ------------------------------------------------------------------
-    @property
-    def shard_map(self) -> ShardMap:
-        """The authoritative user → shard ownership rule."""
-        return self._shard_map
-
-    def rebalance(self, plan: ShardPlan) -> RebalanceStats:
-        """Migrate users between shards live, without stopping ingestion.
-
-        The migration window is WAL-sequenced: a
-        :class:`~repro.streaming.events.MigrateBegin` /
-        :class:`~repro.streaming.events.MigrateCommit` record pair
-        fences the batch in the partitioned log (both in shard 0's
-        segment, at consecutive global sequence numbers), and ownership
-        flips atomically at the commit's covering sequence.  A crash
-        whose surviving log tail holds the begin fence without its
-        commit replays as **no** ownership change — rollback to the
-        fence — while a tail holding both replays the flip at its exact
-        position relative to the surrounding rating events.  Either
-        way the recovered graph stays bit-identical to a cold rebuild,
-        because ownership never affects graph *content*, only where
-        maintenance state lives.
-
-        After the flip every moved user is marked dirty: the next
-        refresh re-derives her row on the destination shard — seeding
-        the destination's candidate cache and row-restricted reverse
-        index from the authoritative rows — and, under a
-        :class:`~repro.scheduling.RefreshScheduler`, the migration
-        counts against the queue bound like any other dirty work.
-        Under ``executor="processes"`` the worker pool is reset instead
-        (the crash-respawn path): the next refresh respawns the workers
-        from the authoritative rows with the new map, and the
-        shared-memory arena views republish as usual.
-
-        Parameters
-        ----------
-        plan:
-            The :class:`ShardPlan`: explicit ``(user, shard)`` moves, a
-            new shard count, or both.  A count change rebuilds every
-            per-shard container (dirty set, reverse index; caches are
-            dropped — always safe, they are exact-or-absent) and, when
-            a partitioned WAL is attached, re-opens it at the new
-            segment count under the same global sequence.
-
-        Returns
-        -------
-        RebalanceStats
-            Moved-user count, shard counts, the fence sequence numbers
-            and the wall time of the window.  A plan that changes
-            nothing returns ``users_moved=0`` without journaling.
-
-        Raises
-        ------
-        TypeError
-            *plan* is not a :class:`ShardPlan`.
-        ValueError
-            A move references a user outside ``[0, n_users)`` or a
-            shard outside ``[0, n_shards)``.
-        RuntimeError
-            The index is closed.
-        """
-        self._ensure_open()
-        start = time.perf_counter()
-        if not isinstance(plan, ShardPlan):
-            raise TypeError(
-                f"rebalance takes a ShardPlan, got {type(plan).__name__}"
-            )
-        moves = tuple(
-            (int(user), int(shard)) for user, shard in plan.moves
-        )
-        target = (
-            self.n_shards if plan.n_shards is None else int(plan.n_shards)
-        )
-        if target < 1:
-            raise ValueError(f"n_shards must be >= 1, got {target}")
-        n_users = self.builder.n_users
-        for user, shard in moves:
-            if not 0 <= user < n_users:
-                raise ValueError(
-                    f"cannot move user {user}: outside [0, {n_users})"
-                )
-            if not 0 <= shard < target:
-                raise ValueError(
-                    f"cannot move user {user} to shard {shard}: outside "
-                    f"[0, {target})"
-                )
-        if target == self.n_shards:
-            new_map = self._shard_map.with_moves(moves)
-        else:
-            new_map = ShardMap(target, dict(moves))
-        would_move = self._moved_users(new_map)
-        if not would_move and target == self.n_shards:
-            stats = RebalanceStats(
-                users_moved=0,
-                shards_before=self.n_shards,
-                shards_after=self.n_shards,
-                seq_begin=self._seq,
-                seq_commit=self._seq,
-                wall_time=time.perf_counter() - start,
-            )
-            self.rebalance_log.append(stats)
-            return stats
-        shards_before = self.n_shards
-        seq_begin, seq_commit = self._journal_control(
-            MigrateBegin(moves=moves, n_shards=plan.n_shards),
-            MigrateCommit(moves=moves, n_shards=plan.n_shards),
-        )
-        moved = self._apply_plan_flip(moves, plan.n_shards)
-        if self._snapshot is not None:
-            # Republish under the commit's covering sequence — the rows
-            # are unchanged, so readers keep the same arrays.
-            self._publish_snapshot(unchanged=True)
-        stats = RebalanceStats(
-            users_moved=len(moved),
-            shards_before=shards_before,
-            shards_after=self.n_shards,
-            seq_begin=seq_begin,
-            seq_commit=seq_commit,
-            wall_time=time.perf_counter() - start,
-        )
-        self.rebalance_log.append(stats)
-        return stats
-
-    def _journal_control(self, begin, commit) -> tuple[int, int]:
-        """Journal the fence pair all-or-nothing; returns their seqs."""
-        if self._wal is None:
-            self._seq += 2
-            return self._seq - 1, self._seq
-        mark = self._wal.mark()
-        try:
-            seq_begin = self._wal.append(begin, 0)
-            seq_commit = self._wal.append(commit, 0)
-        except BaseException:
-            self._wal.rollback(mark)
-            self._seq = mark[0]
-            raise
-        self._seq = seq_commit
-        return seq_begin, seq_commit
-
-    def _absorb_control(self, event) -> None:
-        """Replay a journaled migration fence at its sequence position.
-
-        ``MigrateBegin`` is the opening fence only: a log tail ending
-        after a begin without its commit replays as *no* ownership
-        change (the rollback-to-the-fence guarantee).
-        ``MigrateCommit`` re-applies the flip exactly as the live
-        :meth:`rebalance` did.
-        """
-        if isinstance(event, MigrateCommit):
-            self._apply_plan_flip(event.moves, event.n_shards)
-
-    def _moved_users(self, new_map: ShardMap) -> list[int]:
-        """Users whose owner differs between the live map and *new_map*."""
-        users = np.arange(self.builder.n_users, dtype=np.int64)
-        changed = self._shard_map.owners(users) != new_map.owners(users)
-        return users[changed].tolist()
-
-    def _apply_plan_flip(self, moves, n_shards) -> list[int]:
-        """Flip ownership for one commit record; returns the moved users.
-
-        Shared by the live :meth:`rebalance` path and WAL replay
-        (:meth:`_absorb_control`), so both reconstruct the identical
-        :class:`ShardMap` from the record payload alone.
-        """
-        target = self.n_shards if n_shards is None else int(n_shards)
-        if target != self.n_shards:
-            new_map = ShardMap(target, dict(moves))
-            moved = self._moved_users(new_map)
-            self._reshard(new_map)
-        else:
-            new_map = self._shard_map.with_moves(moves)
-            moved = self._moved_users(new_map)
-            self._migrate_users(new_map, moved)
-        return moved
-
-    def _migrate_users(self, new_map: ShardMap, moved) -> None:
-        """Same-count ownership flip: surgical per-user state transfer.
-
-        For each moved user the source shard gives up her dirty-set
-        membership, candidate-cache entry (dropped — exact-or-absent,
-        so eviction is always safe) and her row's citations in its
-        reverse index; after the map swap the destination re-registers
-        the citations and marks her dirty, so the next refresh seeds
-        the destination's cache from the authoritative rows.
-        """
-        if self.executor == "processes":
-            self._shard_map = new_map
-            for user in moved:
-                self._dirty.add(user)
-            if self._procpool is not None:
-                # The owned-row partition changed under the workers;
-                # the next refresh respawns them from the authoritative
-                # rows (plus the preserved delta tail) with the new map.
-                self._procpool.reset()
-            return
-        neighbors, _ = self._rows()
-        for user in moved:
-            source = self._shards[self._shard_map.owner(user)]
-            source.cache_evict(user, self.builder.profile(user))
-            source.dirty.discard(user)
-        # Users past the graph's rows (not yet refreshed) cite nobody.
-        rows = np.asarray(moved, dtype=np.int64)
-        rows = rows[rows < neighbors.shape[0]]
-        cited = neighbors[rows]
-        sources = self._shard_map.owners(rows)
-        destinations = new_map.owners(rows)
-        for shard in self._shards:
-            gone = sources == shard.shard_id
-            shard.reverse.apply_row(rows[gone], cited[gone], None)
-            came = destinations == shard.shard_id
-            shard.reverse.apply_row(rows[came], None, cited[came])
-        self._shard_map = new_map
-        for user in moved:
-            self._shards[new_map.owner(user)].dirty.add(user)
-
-    def _reshard(self, new_map: ShardMap) -> None:
-        """Shard-count transition: rebuild every per-shard container.
-
-        The dirty set carries over (re-routed through the new map), the
-        reverse index rebuilds from the authoritative rows, caches are
-        dropped, the per-shard cache budget re-splits, executors reset
-        (thread pool sized per shard; process workers respawn at the
-        next refresh), and an attached partitioned WAL re-opens at the
-        new segment count under the same global sequence (its
-        constructor scans stray segments, so the counter carries over
-        and old segments stay readable by the merged reader).
-        """
-        old_dirty = list(self._dirty)
-        self._partition(new_map)
-        neighbors, _ = self._rows()
-        self._reverse.rebuild(neighbors)
-        self._dirty.update(old_dirty)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._procpool is not None:
-            self._procpool.close()
-            self._procpool = None
-        if self._wal is not None and self._wal.n_shards != self.n_shards:
-            from ..persistence import PartitionedWriteAheadLog
-
-            old = self.detach_wal()
-            directory = old.path
-            fsync_every = old.fsync_every
-            old.close()
-            self.attach_wal(
-                PartitionedWriteAheadLog(
-                    directory, self.n_shards, fsync_every=fsync_every
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
     def checkpoint(self, directory: str | Path) -> Path:
-        """Serialize ``checkpoint-<seq>.shards/``, one state file per shard.
-
-        Checkpoints mark quiescent points between refreshes, so this is
-        also where the shared-memory arena sheds slack capacity: growth
-        is geometric and ``publish`` never shrinks, so after a mass
-        deletion the arena would otherwise pin its high-water mark in
-        ``/dev/shm`` forever (the next refresh republishes into the
-        compacted block or regrows it as needed).
-        """
-        from ..persistence import save_checkpoint
-
-        path = save_checkpoint(self, directory)
-        if self._arena is not None:
-            self._arena.compact()
-        return path
-
-    def memory_stats(self) -> dict[str, int]:
-        """Flat-index breakdown plus the shared-memory arena accounting.
-
-        In ``processes`` mode the worker-side caches are not visible
-        here; the parent-side shard stores stay empty.
-        """
-        stats = super().memory_stats()
-        arena = (
-            self._arena.stats()
-            if self._arena is not None
-            else dict.fromkeys(
-                ("capacity_bytes", "high_water_bytes", "slack_bytes"), 0
-            )
-        )
-        stats["shm_arena_bytes"] = arena["capacity_bytes"]
-        stats["shm_arena_high_water_bytes"] = arena["high_water_bytes"]
-        stats["shm_arena_slack_bytes"] = arena["slack_bytes"]
-        stats["total_bytes"] += arena["capacity_bytes"]
-        return stats
+        """Serialize the state (see :meth:`DynamicKnnIndex.checkpoint`)."""
+        return self._checkpoint(directory)
 
     @classmethod
     def restore(
@@ -1368,12 +802,11 @@ class ShardedKnnIndex(DynamicKnnIndex):
     ) -> "ShardedKnnIndex":
         """Recover from *directory* at ``n_shards`` shards.
 
-        ``n_shards`` defaults to the checkpoint's shard count; any other
-        value re-shards the recovered state exactly, since ownership
-        never affects graph content.  Live re-balancing overrides
-        recorded in the checkpoint are reinstated when restoring at the
-        checkpoint's own shard count and reset (back to the plain
-        modulus) at any other count.
+        ``n_shards`` defaults to the checkpoint's shard count, whose
+        live-rebalance overrides are then reinstated; any other value
+        re-shards the recovered state exactly (back to the plain
+        modulus), since ownership never affects graph content.
+        ``executor`` defaults to ``"threads"``.
         """
         from ..persistence import restore_index
 
@@ -1385,23 +818,4 @@ class ShardedKnnIndex(DynamicKnnIndex):
             fsync_every=fsync_every,
             n_shards=n_shards,
             executor=executor,
-        )
-
-    def refresh(self, dirty_subset=None) -> RefreshStats:
-        """Run the localized refinement, partitioned across the shards.
-
-        The same driver and contract as :meth:`DynamicKnnIndex.refresh`
-        (including the ``dirty_subset`` deferral contract); the executor
-        only decides how each stage call reaches the shards.  See the
-        module docstring for why the result is bit-identical at any
-        shard count.  Like the flat index, completion publishes a new
-        read snapshot.
-        """
-        return self._refresh(dirty_subset)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardedKnnIndex(n_users={self.n_users}, "
-            f"n_shards={self.n_shards}, executor={self.executor!r}, "
-            f"last_seq={self.last_seq})"
         )

@@ -216,8 +216,9 @@ def replay_stream(
 
     *index* may be any maintained index sharing the ``apply`` /
     ``refresh`` / ``checkpoint`` surface — in particular a
-    :class:`~repro.streaming.sharding.ShardedKnnIndex`, whose refreshes
-    then run shard-parallel (``repro-kiff stream --shards N``).
+    :class:`~repro.streaming.index.DynamicKnnIndex` built with
+    ``n_shards > 1``, whose refreshes then run shard-parallel
+    (``repro-kiff stream --shards N``).
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")

@@ -264,7 +264,7 @@ class TestShardedStream:
             == 0
         )
         out = capsys.readouterr().out
-        assert "ShardedKnnIndex" in out
+        assert "DynamicKnnIndex" in out  # one class at every shard count
         shards_line = next(
             line for line in out.splitlines() if "shards" in line
         )

@@ -9,6 +9,7 @@ that price the same arrays at the historical int64/float64 widths.
 import numpy as np
 
 from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
+from repro.graph.knn_graph import MISSING
 from repro.layout import ID_DTYPE, SCORE_DTYPE
 from repro.streaming import AddRating
 from tests.conftest import random_dataset
@@ -152,30 +153,73 @@ class TestShardedIndex:
             index.close()
 
 
+class TestReverseIndexEntries:
+    def test_every_executor_reports_the_live_row_slots(self):
+        """``processes`` workers own the reverse indexes; the figure
+        must still follow the rows after a refresh, not the build."""
+        dataset = random_dataset(
+            n_users=40, n_items=12, density=0.08, seed=6, ratings=True
+        )
+        reported = {}
+        for executor in ("serial", "threads", "processes"):
+            index = DynamicKnnIndex(
+                dataset,
+                KiffConfig(k=6),
+                auto_refresh=False,
+                n_shards=2,
+                executor=executor,
+            )
+            try:
+                before = index.memory_stats()["reverse_index_entries"]
+                index.apply([AddRating(u, 11, 5.0) for u in range(0, 40, 3)])
+                index.refresh()
+                neighbors = index.graph.neighbors
+                after = index.memory_stats()["reverse_index_entries"]
+                assert after == np.count_nonzero(neighbors != MISSING)
+                assert after != before  # the refresh filled empty slots
+                reported[executor] = after
+            finally:
+                index.close()
+        assert len(set(reported.values())) == 1
+
+
+def _stats_reply(index):
+    """One ``stats`` op over TCP; returns ``(reply, memory_stats)``."""
+    import asyncio
+    import json
+
+    from repro.serving.server import KnnServer
+
+    async def drive():
+        server = KnnServer(index, port=0)
+        await server.start()
+        try:
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "stats"}\n')
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            return reply, index.memory_stats()
+        finally:
+            await server.stop()
+            index.close()
+
+    return asyncio.run(drive())
+
+
 class TestServingSurface:
     def test_server_stats_op_reports_memory(self):
-        import asyncio
-        import json
-
-        from repro.serving.server import KnnServer
-
-        async def drive():
-            index = _index()
-            server = KnnServer(index, port=0)
-            await server.start()
-            try:
-                host, port = server.address
-                reader, writer = await asyncio.open_connection(host, port)
-                writer.write(b'{"op": "stats"}\n')
-                await writer.drain()
-                reply = json.loads(await reader.readline())
-                writer.close()
-                await writer.wait_closed()
-                return reply, index.memory_stats()
-            finally:
-                await server.stop()
-                index.close()
-
-        reply, expected = asyncio.run(drive())
+        reply, expected = _stats_reply(_index())
         assert reply["ok"] is True
         assert reply["memory"] == expected
+
+    def test_server_stats_op_always_reports_sharding(self):
+        reply, _ = _stats_reply(_index())
+        assert reply["sharding"] == {
+            "n_shards": 1,
+            "executor": "serial",
+            "overrides": 0,
+            "rebalances": 0,
+        }

@@ -203,8 +203,8 @@ class TestWorkerDeath:
             index.close()
 
     def test_kill_with_pending_deltas(self):
-        """Deltas shipped to a worker that then dies must be replayed
-        (the tail) into its respawned replacement."""
+        """Deltas shipped to a worker that then dies are not lost: its
+        respawned replacement starts from an empty (exact) cache."""
         dataset = random_dataset(
             n_users=18, n_items=14, density=0.15, seed=7, ratings=True
         )

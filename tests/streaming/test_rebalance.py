@@ -36,7 +36,12 @@ from repro.persistence import (
     read_partitioned_wal,
 )
 from repro.scheduling import RefreshScheduler, SchedulerPolicy
-from repro.streaming import AddRating, MigrateCommit, RemoveUser
+from repro.streaming import (
+    AddRating,
+    MigrateCommit,
+    RemoveUser,
+    cold_rebuild_graph,
+)
 from tests.conftest import random_dataset
 from tests.streaming.test_sharding import drive, sharded_events
 
@@ -363,6 +368,34 @@ class TestRebalanceDurability:
         assert restored.last_seq == reference_seq
         restored.close()
 
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_restore_below_the_count_a_move_was_journaled_at(
+        self, tmp_path, n_shards
+    ):
+        """A 2-shard move fence replays at 2 shards, whatever the target.
+
+        Pinning one shard used to replay the fence's override (user 0
+        to shard 1) against a one-shard map and raise.
+        """
+        index, events, refresh_after, state = self._durable(tmp_path)
+        drive(index, events[:10], refresh_after[:10])
+        index.rebalance(ShardPlan(moves=((0, 1), (3, 0))))
+        drive(index, events[10:], refresh_after[10:])
+        reference_graph, reference_seq = index.graph, index.last_seq
+        del index
+        restored = ShardedKnnIndex.restore(
+            state, n_shards=n_shards, executor="serial"
+        )
+        assert restored.n_shards == n_shards
+        assert restored.shard_map == ShardMap(n_shards)
+        assert restored.graph == reference_graph
+        assert restored.last_seq == reference_seq
+        restored.close()
+        flat = DynamicKnnIndex.restore(state)
+        assert len(flat._shards) == 1
+        assert flat.graph == reference_graph
+        flat.close()
+
     def test_reshard_reopens_wal_at_new_segment_count(self, tmp_path):
         index, events, refresh_after, state = self._durable(tmp_path)
         drive(index, events[:6], refresh_after[:6])
@@ -564,7 +597,9 @@ class TestServeRebalanceOp:
 
         self._run(index, scenario)
 
-    def test_rebalance_op_on_flat_index_errors(self):
+    def test_rebalance_op_on_default_index_stays_exact(self):
+        """The one index class: a default (one-shard, serial)
+        ``DynamicKnnIndex`` re-shards live like any other."""
         dataset = random_dataset(
             n_users=12, n_items=10, density=0.2, seed=1, ratings=True
         )
@@ -572,13 +607,28 @@ class TestServeRebalanceOp:
 
         async def scenario(server, reader, writer):
             reply = await self._ask(
-                reader, writer, {"op": "rebalance", "shards": 2}
+                reader,
+                writer,
+                {"op": "rebalance", "shards": 2, "moves": [[3, 0]]},
             )
-            assert reply["ok"] is False
-            assert "not sharded" in reply["error"]
+            assert reply["ok"] is True
+            assert reply["shards_before"] == 1
+            assert reply["shards_after"] == 2
+            stats = await self._ask(reader, writer, {"op": "stats"})
+            assert stats["sharding"] == {
+                "n_shards": 2,
+                "executor": "serial",
+                "overrides": 1,
+                "rebalances": 1,
+            }
 
         try:
             self._run(flat, scenario)
+            flat.apply(AddRating(3, 2, 4.0))
+            flat.refresh()
+            assert flat.graph == cold_rebuild_graph(
+                flat.dataset, flat.config
+            )
         finally:
             flat.close()
 

@@ -1,11 +1,13 @@
-"""The one refresh driver: the flat index is the one-shard case.
+"""One index class and one refresh driver.
 
-``DynamicKnnIndex`` and ``ShardedKnnIndex`` run the same driver over the
-same per-shard stages, and the executor only carries the stage calls.
-So a one-shard ``ShardedKnnIndex`` must match the flat index not just
-in the graph but in every pass's work — whichever executor carries it —
-and the benchmark's outside-in trace must see exactly one
-``streaming.refresh`` span per pass on either class.
+``DynamicKnnIndex`` takes the shard count and the executor, and
+``ShardedKnnIndex`` is the same class with partitioned defaults; both
+run the same driver over the same per-shard stages, and the executor
+only carries the stage calls.  So a one-shard ``ShardedKnnIndex`` must
+match the flat index, and a two-shard ``DynamicKnnIndex`` the two-shard
+``ShardedKnnIndex``, not just in the graph but in every pass's work —
+whichever executor carries it — and the benchmark's outside-in trace
+must see exactly one span per entry-point call on either class.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
-from repro.streaming import ratings_batch
+from repro.streaming import cold_rebuild_graph, ratings_batch
 from tests.conftest import random_dataset
 from tests.streaming.test_sharding import drive, sharded_events
 
@@ -66,6 +68,35 @@ class TestOneShardIsTheFlatIndex:
             sharded.close()
             flat.close()
 
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_shard_base_class_is_the_sharded_class(self, seed, executor):
+        dataset = random_dataset(
+            n_users=18, n_items=14, density=0.15, seed=seed, ratings=True
+        )
+        events, refresh_after = sharded_events(seed, 18)
+        config = KiffConfig(k=4)
+        indexes = [
+            cls(
+                dataset,
+                config,
+                auto_refresh=False,
+                n_shards=2,
+                executor=executor,
+            )
+            for cls in (DynamicKnnIndex, ShardedKnnIndex)
+        ]
+        try:
+            base, sharded = (
+                drive(index, events, refresh_after) for index in indexes
+            )
+            assert base.graph == sharded.graph  # ids AND sims, exact
+            assert work_log(base) == work_log(sharded)
+            assert base.graph == cold_rebuild_graph(base.dataset, config)
+        finally:
+            for index in indexes:
+                index.close()
+
 
 def _load_tracing():
     path = Path(__file__).resolve().parents[2] / "perfbench" / "tracing.py"
@@ -102,6 +133,43 @@ class TestTracedRefreshSpans:
                 summary = tracer.summary()
                 assert summary["streaming.refresh"]["calls"] == passes
                 assert summary["graph.merge"]["calls"] >= passes
+                index.close()
+        finally:
+            tracer.uninstall()
+
+    def test_one_span_per_entry_point_call_on_both_classes(self, tmp_path):
+        """The sharded class's entry points delegate without super(),
+        so a wrapper on each class never double-counts a call."""
+        tracing = _load_tracing()
+        tracer = tracing.Tracer()
+        tracing.install_layer_wrappers(tracer)
+        names = (
+            "streaming.apply",
+            "persistence.checkpoint",
+            "persistence.restore",
+        )
+        try:
+            dataset = random_dataset(
+                n_users=24, n_items=16, density=0.2, seed=4, ratings=True
+            )
+            classes = (
+                (DynamicKnnIndex, {}),
+                (ShardedKnnIndex, {"executor": "serial"}),
+            )
+            for calls, (cls, kwargs) in enumerate(classes, start=1):
+                index = cls(
+                    dataset, KiffConfig(k=3), auto_refresh=False, **kwargs
+                )
+                state = tmp_path / cls.__name__
+                tracer.set_active(True)
+                index.apply(ratings_batch([0, 5], [2, 2], [4.0, 1.0]))
+                index.checkpoint(state)
+                restored = cls.restore(state)
+                tracer.set_active(False)
+                summary = tracer.summary()
+                for name in names:
+                    assert summary[name]["calls"] == calls, name
+                restored.close()
                 index.close()
         finally:
             tracer.uninstall()
