@@ -22,6 +22,9 @@ snapshot, and answers the whole batch against it.  Pipelined bursts
 pins, every reply in a batch reports the same version, and readers
 never block on the writer thread running ``apply()``/``refresh()``
 concurrently — the snapshot swap is the only synchronisation point.
+The ``rebalance`` admin op is the one request that mutates the index;
+it migrates on an executor thread, so a migration waiting for the
+writer never stalls the readers.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import threading
 
 from .recommend import Recommender
 from .snapshot import GraphSnapshot
@@ -74,6 +78,10 @@ class KnnServer:
         #: ``rebalance`` admin op acquires it so a live migration never
         #: interleaves with a concurrent ``apply()``/``refresh()``.
         self.mutate_lock = mutate_lock
+        #: Serialises migrations when no ``mutate_lock`` is shared.
+        self._rebalance_lock = threading.Lock()
+        #: Migrations running on executor threads (awaited by ``stop``).
+        self._migrations: set[asyncio.Future] = set()
         self.recommender = Recommender(
             index, top_n=top_n, min_neighbor_rating=min_neighbor_rating
         )
@@ -105,7 +113,11 @@ class KnnServer:
         return self
 
     async def stop(self) -> None:
-        """Stop accepting and answering; idempotent."""
+        """Stop accepting and answering; idempotent.
+
+        Waits for in-flight migrations: a thread cannot be cancelled,
+        and the caller closes the index once ``stop()`` returns.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -115,6 +127,8 @@ class KnnServer:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._dispatcher
             self._dispatcher = None
+        if self._migrations:
+            await asyncio.gather(*self._migrations, return_exceptions=True)
 
     async def serve_until(self, stop: asyncio.Event) -> None:
         """Run until *stop* is set, then shut down."""
@@ -191,10 +205,21 @@ class KnnServer:
                     future.set_result(payload)
             return
         for raw, future in batch:
-            if not future.done():
-                future.set_result(self._answer(raw, snapshot))
+            if future.done():
+                continue
+            reply = self._answer(raw, snapshot)
+            if isinstance(reply, bytes):
+                future.set_result(reply)
+            else:
+                self._start_rebalance(reply, future)
 
-    def _answer(self, raw: bytes, snapshot: GraphSnapshot) -> bytes:
+    def _answer(self, raw: bytes, snapshot: GraphSnapshot):
+        """The encoded reply to one request, or a ``rebalance``'s plan.
+
+        A valid ``rebalance`` request is not answered here: its
+        :class:`~repro.streaming.sharding.ShardPlan` goes back to
+        :meth:`_serve_batch`, which runs it off the event loop.
+        """
         try:
             request = json.loads(raw)
             if not isinstance(request, dict):
@@ -261,41 +286,52 @@ class KnnServer:
                 if self.scheduler is not None:
                     body["scheduler"] = self.scheduler.stats()
             elif op == "rebalance":
-                body = self._rebalance(request)
+                return _shard_plan(request)
             else:
                 raise ValueError(
                     f"unknown op {op!r}; expected 'neighbors', "
                     f"'recommend', 'stats' or 'rebalance'"
                 )
         except Exception as error:
-            return _encode(
-                {"ok": False, "error": f"{type(error).__name__}: {error}"}
-            )
+            return _failed(error)
         return _encode(body)
 
-    def _rebalance(self, request: dict) -> dict:
-        """Answer the ``rebalance`` admin op (live shard migration).
+    def _start_rebalance(self, plan, future: asyncio.Future) -> None:
+        """Run *plan* on an executor thread; its reply resolves *future*.
 
-        The request carries ``"shards"`` (target shard count) and/or
-        ``"moves"`` (``[[user, shard], ...]`` override pairs).  The
-        migration runs under :attr:`mutate_lock` (when provided) and
-        through the scheduler's queue bound (when one is attached), so
-        a live trigger composes with concurrent ingestion exactly like
-        the in-process :meth:`~repro.streaming.DynamicKnnIndex.rebalance`
+        The migration waits for :attr:`mutate_lock` there, so the
+        dispatcher keeps answering reads from pinned snapshots while a
+        writer holds the lock.
+        """
+        migration = asyncio.get_running_loop().run_in_executor(
+            None, self._rebalance, plan
+        )
+        self._migrations.add(migration)
+
+        def reply(done: asyncio.Future) -> None:
+            self._migrations.discard(done)
+            if done.cancelled() or future.done():
+                return
+            error = done.exception()
+            future.set_result(
+                _encode(done.result()) if error is None else _failed(error)
+            )
+
+        migration.add_done_callback(reply)
+
+    def _rebalance(self, plan) -> dict:
+        """Apply one ``rebalance`` admin op (live shard migration).
+
+        Runs on an executor thread.  The migration holds
+        :attr:`mutate_lock` (or, when none is shared, a server-private
+        lock that keeps concurrent rebalance ops apart) and goes through
+        the scheduler's queue bound when one is attached, so a live
+        trigger composes with concurrent ingestion exactly like the
+        in-process :meth:`~repro.streaming.DynamicKnnIndex.rebalance`
         API.
         """
-        from ..streaming.sharding import ShardPlan
-
-        shards = request.get("shards")
-        plan = ShardPlan(
-            moves=tuple(
-                (int(user), int(shard))
-                for user, shard in (request.get("moves") or ())
-            ),
-            n_shards=None if shards is None else int(shards),
-        )
         lock = (
-            contextlib.nullcontext()
+            self._rebalance_lock
             if self.mutate_lock is None
             else self.mutate_lock
         )
@@ -316,5 +352,27 @@ class KnnServer:
         }
 
 
+def _shard_plan(request: dict):
+    """The :class:`ShardPlan` of a ``rebalance`` request.
+
+    The request carries ``"shards"`` (target shard count) and/or
+    ``"moves"`` (``[[user, shard], ...]`` override pairs).
+    """
+    from ..streaming.sharding import ShardPlan
+
+    shards = request.get("shards")
+    return ShardPlan(
+        moves=tuple(
+            (int(user), int(shard))
+            for user, shard in (request.get("moves") or ())
+        ),
+        n_shards=None if shards is None else int(shards),
+    )
+
+
 def _encode(body: dict) -> bytes:
     return json.dumps(body, separators=(",", ":")).encode("utf-8")
+
+
+def _failed(error: Exception) -> bytes:
+    return _encode({"ok": False, "error": f"{type(error).__name__}: {error}"})

@@ -27,24 +27,33 @@ def cold_rebuild(index, metric="cosine"):
     return cold_rebuild_graph(index.dataset, index.config, metric=metric)
 
 
-def drive_random_stream(index, seed, n_events=30, max_item=20):
-    """A random interleaving of rating/user events with random refreshes."""
+def drive_random_stream(index, seed, n_events=30, max_item=20, ratings=None):
+    """A random interleaving of rating/user events with random refreshes.
+
+    *ratings*, when given, draws the rating values: ``ratings(rng, n)``
+    returns *n* floats.  The default draws 0-5 stars for a rating event
+    (0 deletes the edge) and 1-5 stars for a joining user's profile.
+    """
     rng = np.random.default_rng(seed)
     for _ in range(n_events):
         op = rng.integers(0, 10)
         n = index.n_users
         if op < 6:  # rating lands (insert or overwrite; 0 deletes)
-            event = AddRating(
-                int(rng.integers(0, n)),
-                int(rng.integers(0, max_item)),
-                float(rng.integers(0, 6)),
+            user = int(rng.integers(0, n))
+            item = int(rng.integers(0, max_item))
+            value = (
+                rng.integers(0, 6) if ratings is None else ratings(rng, 1)[0]
             )
+            event = AddRating(user, item, float(value))
         elif op < 8:  # a user joins
             size = int(rng.integers(0, 4))
-            event = AddUser(
-                tuple(rng.choice(max_item, size=size, replace=False).tolist()),
-                tuple(rng.integers(1, 6, size=size).astype(float).tolist()),
+            items = rng.choice(max_item, size=size, replace=False)
+            values = (
+                rng.integers(1, 6, size=size).astype(float)
+                if ratings is None
+                else ratings(rng, size)
             )
+            event = AddUser(tuple(items.tolist()), tuple(values.tolist()))
         else:  # a user leaves
             event = RemoveUser(int(rng.integers(0, n)))
         index.apply(event)

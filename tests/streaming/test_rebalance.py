@@ -17,6 +17,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +597,61 @@ class TestServeRebalanceOp:
             assert reply["ok"] is True
 
         self._run(index, scenario)
+
+    def test_readers_answer_while_rebalance_waits_on_the_writer(
+        self, index
+    ):
+        """A rebalance queued behind a held ``mutate_lock`` (a writer
+        mid-refresh) must not stall the event loop: a ``neighbors``
+        request on another connection is answered before the lock is
+        released, and the rebalance reply follows the release."""
+        lock = threading.Lock()
+        lock.acquire()
+        fired = []
+
+        def failsafe_release():
+            fired.append(True)
+            lock.release()
+
+        # Fail-safe: a blocked event loop cannot run the release below,
+        # so a timer frees the lock and the test fails instead of hanging.
+        failsafe = threading.Timer(5.0, failsafe_release)
+        failsafe.start()
+
+        async def scenario(server, reader, writer):
+            writer.write(
+                json.dumps(
+                    {"op": "rebalance", "shards": 3, "moves": [[1, 0]]}
+                ).encode()
+                + b"\n"
+            )
+            await writer.drain()
+            await asyncio.sleep(0.1)  # the dispatcher takes the rebalance
+            host, port = server.address
+            reader2, writer2 = await asyncio.open_connection(host, port)
+            try:
+                reply = await self._ask(
+                    reader2, writer2, {"op": "neighbors", "user": 2}
+                )
+                answered_while_held = not fired
+            finally:
+                writer2.close()
+            failsafe.cancel()
+            failsafe.join(timeout=10)
+            assert not failsafe.is_alive()
+            if not fired:
+                lock.release()
+            line = await asyncio.wait_for(reader.readline(), timeout=10)
+            return reply, answered_while_held, json.loads(line)
+
+        reply, answered_while_held, rebalanced = self._run(
+            index, scenario, mutate_lock=lock
+        )
+        assert reply["ok"] is True
+        assert answered_while_held
+        assert rebalanced["ok"] is True
+        assert rebalanced["shards_after"] == 3
+        assert index.n_shards == 3
 
     def test_rebalance_op_on_default_index_stays_exact(self):
         """The one index class: a default (one-shard, serial)
