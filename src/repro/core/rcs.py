@@ -24,6 +24,7 @@ candidates, shrinking the RCSs.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -102,17 +103,40 @@ class RankedCandidateSets:
         )
 
 
+#: ``(dataset reference, min_rating, B.T)`` of the last dataset
+#: :func:`delta_rcs` read: a refresh pass derives candidate sets more
+#: than once per snapshot (its dirty rows, then any rows whose repair
+#: failed), and the transpose is the one whole-matrix conversion.
+_last_raters: tuple = (None, None, None)
+
+
+def _raters(dataset: BipartiteDataset, min_rating: float | None):
+    """The binarised ``B.T`` (items x users, CSR) of *dataset*, memoised."""
+    global _last_raters
+    ref, threshold, raters = _last_raters
+    if ref is not None and ref() is dataset and threshold == min_rating:
+        return raters
+    _last_raters = (None, None, None)  # never hold two transposes
+    raters = _binarized(dataset, min_rating).T.tocsr()
+    _last_raters = (weakref.ref(dataset), min_rating, raters)
+    return raters
+
+
+def _binarize(matrix, min_rating: float | None):
+    """*matrix* (a private copy) as 0/1 candidacy entries, in place."""
+    if min_rating is None:
+        matrix.data = np.ones_like(matrix.data)
+    else:
+        matrix.data = np.where(matrix.data >= min_rating, 1.0, 0.0)
+        matrix.eliminate_zeros()
+    return matrix
+
+
 def _binarized(dataset: BipartiteDataset, min_rating: float | None):
     """The 0/1 candidacy matrix: entries rated ``>= min_rating`` (all,
     when None).  Shared by :func:`build_rcs` and
     :func:`count_rcs_candidates` so their thresholding cannot diverge."""
-    binary = dataset.matrix.copy()
-    if min_rating is not None:
-        binary.data = np.where(binary.data >= min_rating, 1.0, 0.0)
-        binary.eliminate_zeros()
-    else:
-        binary.data = np.ones_like(binary.data)
-    return binary
+    return _binarize(dataset.matrix.copy(), min_rating)
 
 
 def build_rcs(
@@ -257,9 +281,9 @@ def delta_rcs(
             f"dirty user ids must be in [0, {dataset.n_users}), got "
             f"[{dirty[0] if dirty.size else '-'}, {dirty[-1] if dirty.size else '-'}]"
         )
-    binary = _binarized(dataset, min_rating)
     if dirty.size:
-        cooc = (binary[dirty] @ binary.T).tocoo()
+        rows = _binarize(dataset.matrix[dirty], min_rating)
+        cooc = (rows @ _raters(dataset, min_rating)).tocoo()
         local_rows = cooc.row.astype(np.int64)
         cols = cooc.col.astype(np.int64)
         counts = cooc.data

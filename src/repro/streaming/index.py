@@ -30,8 +30,15 @@ After ``refresh()`` the graph equals the cold rebuild because:
   are stale (e.g. cosine renormalises the whole row when one rating
   lands).
 * A clean user *x* whose row **contains** a dirty user holds a stale
-  entry whose true replacement may be an arbitrary rank-(k+1) candidate,
-  so *x* joins the **affected set** and is rebuilt too.
+  entry.  For profile-local metrics her row is **repaired**: the dirty
+  entries are dropped, every dirty user she co-rates with is offered
+  back with a fresh score (the mirror merge below), and the row stands
+  if it had an empty slot (it already held every candidate) or its new
+  k-th entry ranks at or ahead of the old one — every candidate it was
+  not offered is clean and ranked behind that entry before the pass.
+  Otherwise the stale entry's true replacement may be an arbitrary
+  rank-(k+1) candidate, and the row is rescanned from its candidate set
+  (as every citing row is for a metric with global terms).
 * Every other clean user *x* has only unchanged entries; a dirty user
   can at most *enter* her row, which the mirror merge of the freshly
   evaluated (dirty, x) pairs performs — ``merge_topk`` applies the same
@@ -77,9 +84,10 @@ Every stage of a refresh scales with the dirty set, not the dataset:
   repeat-dirty users never re-derive their candidate sets; cache misses
   are re-derived in bulk by :func:`repro.core.rcs.delta_rcs`, whose cost
   is proportional to the dirty users' item profiles.
-* **Similarity evaluations** — proportional to the affected users'
-  candidate sets, the streaming analogue of KIFF's "only scan the RCS"
-  guarantee.
+* **Similarity evaluations** — proportional to the rebuilt rows'
+  candidate sets plus the dirty users' own pairs, the streaming
+  analogue of KIFF's "only scan the RCS" guarantee; repaired rows need
+  no candidate set at all.
 
 The per-user work is tallied into a shared
 :class:`~repro.instrumentation.counters.MaintenanceCounter`
@@ -108,7 +116,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -183,7 +191,8 @@ class RefreshStats:
     events: int
     #: Users whose own profile changed.
     dirty_users: int
-    #: Users whose row was rebuilt (dirty + rows referencing them).
+    #: Rows rebuilt from their candidate sets: the dirty users' rows,
+    #: plus rows citing them that could not be repaired in place.
     affected_users: int
     #: Similarity evaluations performed by this pass.
     evaluations: int
@@ -196,12 +205,16 @@ class RefreshStats:
     rows_materialized: int = 0
     #: Users whose ProfileIndex state this pass recomputed.
     index_users_recomputed: int = 0
-    #: Candidate-set cache hits / misses among the affected users.
+    #: Candidate-set cache hits / misses among the rebuilt rows.
     cache_hits: int = 0
     cache_misses: int = 0
     #: Dirty users this pass left for a later refresh (``dirty_subset``
     #: refreshes only; always 0 for a full pass).
     deferred_users: int = 0
+    #: Clean rows citing a dirty user that kept their other entries and
+    #: were repaired from the dirty users' fresh scores (profile-local
+    #: metrics only; rows failing the repair's check count as rebuilt).
+    repaired_users: int = 0
 
 
 class _ShardHost:
@@ -211,7 +224,8 @@ class _ShardHost:
     first ``_n_rows`` rows of ``_neighbors``/``_sims`` are the live
     graph — and ``_qualifies`` is the candidacy rule.  Subclasses add
     ``builder``, ``config``, ``n_users``, ``_shard_map``,
-    ``_shard_cache_limit`` and ``_score_pairs``: the index for its own
+    ``_shard_cache_limit``, ``_profile_local`` and ``_score_pairs``:
+    the index for its own
     shards, and the worker-side host in each ``processes`` worker, so
     both grow rows and apply the rule identically.
     """
@@ -507,20 +521,29 @@ class DynamicKnnIndex(_ShardHost):
         process executor's shared-memory arena (0 in process); the
         worker-side caches are not visible here, so the cache counts
         are 0 under ``processes``.
+
+        The dataset figures are read from the published snapshot (0
+        before the first publication): materialising the builder's
+        pending snapshot here would patch its cached CSR from whatever
+        thread asks, such as the serve ``stats`` op.
         """
         self._ensure_open()
-        matrix = self.builder.snapshot().matrix
+        snapshot = self._snapshot
+        matrix = None if snapshot is None else snapshot.dataset.matrix
+        csr = (
+            ()
+            if matrix is None
+            else (matrix.indptr, matrix.indices, matrix.data)
+        )
         neighbors, _ = self._rows()
         stats = {
-            "dataset_csr_bytes": nbytes(
-                matrix.indptr, matrix.indices, matrix.data
-            ),
+            "dataset_csr_bytes": nbytes(*csr),
             "graph_rows_bytes": nbytes(self._neighbors, self._sims),
             "profile_index_bytes": nbytes(
                 self.engine.index.norms, self.engine.index.sizes
             ),
             "snapshot_rows_bytes": (
-                0 if self._snapshot is None else self._snapshot.row_bytes()
+                0 if snapshot is None else snapshot.row_bytes()
             ),
             "reverse_index_entries": int(
                 np.count_nonzero(neighbors != MISSING)
@@ -535,9 +558,7 @@ class DynamicKnnIndex(_ShardHost):
                 for shard in self._shards
                 for raters in shard.cached_raters.values()
             ),
-            "legacy_dataset_csr_bytes": legacy_nbytes(
-                matrix.indptr, matrix.indices, matrix.data
-            ),
+            "legacy_dataset_csr_bytes": legacy_nbytes(*csr),
             "legacy_graph_rows_bytes": legacy_nbytes(
                 self._neighbors, self._sims
             ),
@@ -1064,11 +1085,12 @@ class DynamicKnnIndex(_ShardHost):
     def refresh(self, dirty_subset=None) -> RefreshStats:
         """Run the localized KIFF refinement over the dirty set.
 
-        Rebuilds the rows of the affected set (dirty users plus rows
-        referencing them, found via the reverse-neighbor index) from
-        their cached candidate sets and mirror-merges the freshly
-        evaluated pairs into every other row, restoring the
-        converged-graph invariant.  Returns the pass's cost accounting.
+        Rebuilds the dirty users' rows from their cached candidate
+        sets, repairs (or, failing the repair's check, rebuilds) the
+        rows citing them, found via the reverse-neighbor index, and
+        mirror-merges the freshly evaluated pairs into every other row,
+        restoring the converged-graph invariant.  Returns the pass's
+        cost accounting.
 
         With *dirty_subset* (an iterable of user ids) only the dirty
         users in the subset are processed; the rest stay dirty —
@@ -1105,7 +1127,7 @@ class DynamicKnnIndex(_ShardHost):
             subset = {int(u) for u in dirty_subset}
             selected = {u for u in self._dirty if u in subset}
             deferred = {u for u in self._dirty if u not in subset}
-        affected = np.empty(0, dtype=np.int64)
+        affected = repaired = 0
         evaluations = changes = hits = misses = 0
         if selected:
             # Incremental end to end: the snapshot patches only dirty
@@ -1117,11 +1139,18 @@ class DynamicKnnIndex(_ShardHost):
             self.engine.rebind(
                 self.builder.snapshot(), dirty_users=self._dirty
             )
-            affected, plans, merges = self._run_pass(selected)
+            rebuilt, repairs, plans, merges = self._run_pass(
+                selected, deferred
+            )
+            fallbacks = sum(merge.fallbacks for merge in merges)
+            affected = rebuilt.size + fallbacks
+            repaired = repairs.size - fallbacks
             hits = sum(plan[1] for plan in plans)
+            hits += sum(merge.cache_hits for merge in merges)
             misses = sum(plan[2] for plan in plans)
-            evaluations = sum(merge[0] for merge in merges)
-            changes = sum(merge[1] for merge in merges)
+            misses += sum(merge.cache_misses for merge in merges)
+            evaluations = sum(merge.evaluations for merge in merges)
+            changes = sum(merge.changes for merge in merges)
             self.engine.counter.add(evaluations)
             maintenance.candidate_cache_hits += hits
             maintenance.candidate_cache_misses += misses
@@ -1134,7 +1163,7 @@ class DynamicKnnIndex(_ShardHost):
         stats = RefreshStats(
             events=n_events,
             dirty_users=len(selected),
-            affected_users=int(affected.size),
+            affected_users=int(affected),
             evaluations=int(evaluations),
             changes=int(changes),
             wall_time=time.perf_counter() - start,
@@ -1144,17 +1173,20 @@ class DynamicKnnIndex(_ShardHost):
             cache_hits=hits,
             cache_misses=misses,
             deferred_users=len(deferred),
+            repaired_users=int(repaired),
         )
         self._publish_snapshot(unchanged=not selected)
         self.refresh_log.append(stats)
         return stats
 
-    def _run_pass(self, selected: set[int]):
-        """Stages A-C on every shard; returns ``(affected, plans, merges)``.
+    def _run_pass(self, selected: set[int], deferred: set[int]):
+        """Stages A-C on every shard.
 
-        ``plans`` holds each shard's ``(outboxes, cache_hits,
-        cache_misses)`` and ``merges`` each shard's ``(evaluations,
-        changes, active, new_neighbors, new_sims)``.
+        Returns ``(rebuilt, repaired, plans, merges)``: the rows rebuilt
+        from their candidate sets and the rows repaired in place (see
+        :meth:`~repro.streaming.sharding._Shard.affected`), each shard's
+        ``(outboxes, cache_hits, cache_misses)`` and each shard's
+        :class:`~repro.streaming.sharding.ShardMerge`.
 
         Under ``processes`` the snapshot and profile arrays are first
         published into the shared-memory arena and attached by every
@@ -1165,7 +1197,7 @@ class DynamicKnnIndex(_ShardHost):
         reruns against workers respawned from the authoritative rows.
         """
         if self.executor != "processes":
-            return self._run_stages(selected)
+            return self._run_stages(selected, deferred)
         from .procpool import WorkerCrash
         from .shm import ShmArena
 
@@ -1193,7 +1225,9 @@ class DynamicKnnIndex(_ShardHost):
                     "attach",
                     [(block, manifest, self.n_users)] * self.n_shards,
                 )
-                affected, plans, merges = self._run_stages(selected)
+                rebuilt, repaired, plans, merges = self._run_stages(
+                    selected, deferred
+                )
                 break
             except WorkerCrash:
                 # Respawn: the authoritative rows are untouched, so the
@@ -1207,36 +1241,39 @@ class DynamicKnnIndex(_ShardHost):
                 # driver already marked the affected rows dirty.
                 pool.reset()
                 raise
-        # Land: clear every affected row, then write the merged rows —
+        # Land: clear every rebuilt row, then write every row a worker
+        # changed (repairs that only dropped entries included) —
         # cleared-but-candidateless rows stay MISSING, exactly as the
         # in-process executors leave them.
         neighbors, sims = self._rows()
-        neighbors[affected] = MISSING
-        sims[affected] = -np.inf
-        for _, _, active, new_neighbors, new_sims in merges:
-            neighbors[active] = new_neighbors
-            sims[active] = new_sims
-        return affected, plans, merges
+        neighbors[rebuilt] = MISSING
+        sims[rebuilt] = -np.inf
+        for merge in merges:
+            neighbors[merge.rows] = merge.neighbors
+            sims[merge.rows] = merge.sims
+        return rebuilt, repaired, plans, merges
 
-    def _run_stages(self, selected: set[int]):
+    def _run_stages(self, selected: set[int], deferred: set[int]):
         """The three stage rounds of :meth:`_run_pass`, on any executor."""
         all_dirty = np.fromiter(selected, dtype=np.int64, count=len(selected))
+        later = np.fromiter(deferred, dtype=np.int64, count=len(deferred))
         owned = [
             np.fromiter(mine, dtype=np.int64, count=len(mine))
             for mine in (shard.dirty & selected for shard in self._shards)
         ]
-        affected = np.unique(
-            np.concatenate(
-                self._stage("affected", [(all_dirty, mine) for mine in owned])
-            )
+        splits = self._stage(
+            "affected", [(all_dirty, mine, later) for mine in owned]
         )
-        # Retry safety: once their rows are cleared, affected users must
-        # count as dirty until the merge lands — if the pass fails
-        # midway (metric error, interrupt, worker death), the next
+        rebuilt = np.concatenate([split[0] for split in splits])
+        repaired = np.concatenate([split[1] for split in splits])
+        # Retry safety: once their rows are cleared or trimmed, affected
+        # users must count as dirty until the merge lands — if the pass
+        # fails midway (metric error, interrupt, worker death), the next
         # refresh rebuilds them instead of leaving their rows silently
-        # empty.
-        self._dirty.update(affected.tolist())
-        plans = self._stage("plan", [(affected, self._seq)] * len(owned))
+        # incomplete.
+        self._dirty.update(rebuilt.tolist())
+        self._dirty.update(repaired.tolist())
+        plans = self._stage("plan", [(rebuilt, self._seq)] * len(owned))
         inboxes: list[list] = [[] for _ in owned]
         for outboxes, _, _ in plans:
             for outbox in outboxes:
@@ -1245,7 +1282,7 @@ class DynamicKnnIndex(_ShardHost):
             outbox for outboxes, _, _ in plans for outbox in outboxes
         )
         merges = self._stage("merge", [(inbox,) for inbox in inboxes])
-        return affected, plans, merges
+        return rebuilt, repaired, plans, merges
 
     def _stage(self, name: str, payloads: list[tuple]) -> list:
         """Run stage *name* on every shard — the executor's one job.
@@ -1266,7 +1303,14 @@ class DynamicKnnIndex(_ShardHost):
                     max_workers=len(self._shards),
                     thread_name_prefix="repro-shard",
                 )
-            return list(self._pool.map(call, self._shards, payloads))
+            futures = [
+                self._pool.submit(call, shard, payload)
+                for shard, payload in zip(self._shards, payloads)
+            ]
+            # Every shard finishes before a failure propagates, so no
+            # stage keeps mutating rows behind a caller that retries.
+            wait(futures)
+            return [future.result() for future in futures]
         return list(map(call, self._shards, payloads))
 
     def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -22,16 +22,20 @@ The one refresh driver (``DynamicKnnIndex._refresh``) rebinds the
 shared snapshot/:class:`~repro.similarity.base.ProfileIndex` once and
 then calls three stages on every shard:
 
-1. **Affected discovery** (:meth:`_Shard.affected`) — each shard unions
-   its selected dirty users with its own rows citing *any* selected
-   dirty user (a lookup in its reverse index).
-2. **Planning** (:meth:`_Shard.plan`) — each shard clears its affected
-   rows, derives their candidate sets (shard-local cache; misses
-   re-derived in bulk) and emits the evaluation pairs for rows it owns.
-   A dirty user must also be *offered* to the rows of her clean
-   candidates; when such a row belongs to another shard, the pair
-   travels through a per-shard **outbox** keyed by the WAL sequence
-   number the refresh covers — the cross-shard effect channel.
+1. **Affected discovery** (:meth:`_Shard.affected`) — each shard looks
+   up its own rows citing *any* selected dirty user (its reverse
+   index) and splits them: under a profile-local metric a clean
+   referrer is *repaired*; its selected dirty users and the other
+   referrers are *rebuilt*.
+2. **Planning** (:meth:`_Shard.plan`) — each shard clears its rebuilt
+   rows, drops the dirty entries from its repaired rows, derives the
+   rebuilt rows' candidate sets (shard-local cache; misses re-derived
+   in bulk) and emits the evaluation pairs for rows it owns.  A dirty
+   user must also be *offered* to the rows of her candidates that are
+   not rebuilt (repaired rows included); when such a row belongs to
+   another shard, the pair travels through a per-shard **outbox** keyed
+   by the WAL sequence number the refresh covers — the cross-shard
+   effect channel.
 3. **Evaluate + merge** (:meth:`_Shard.merge`) — each shard dedupes its
    pairs, scores them against the shared profile index, and merges into
    *its own rows only* (:func:`~repro.graph.updates.merge_topk_rows`,
@@ -40,6 +44,9 @@ then calls three stages on every shard:
    merge drops every offer that loses to its row's current k-th entry
    (most mirror offers to clean rows) before it sorts, and the rows
    whose ids moved reach the shard's reverse index as one block diff.
+   Each repaired row is then checked against its old k-th entry; the
+   rows failing the check are rescanned from their candidate sets in
+   the same stage.
 
 Because similarity is a pure per-pair function of the shared profile
 index, every row receives the same candidate-edge multiset at any shard
@@ -84,6 +91,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +102,7 @@ from ..graph.updates import (
     dedupe_pairs,
     merge_topk_rows,
 )
-from ..layout import ID_DTYPE, SCORE_DTYPE
+from ..layout import SCORE_DTYPE
 from ..similarity.base import SimilarityMetric
 # The one chunked scoring loop, imported by name so importers of it
 # from this module keep working.
@@ -328,7 +336,11 @@ class _Shard:
         "reverse",
         "candidate_counts",
         "cached_raters",
-        "_affected",
+        "_rebuilt",
+        "_rows_mask",
+        "_repaired",
+        "_kth",
+        "_dirty_mask",
         "_truly_dirty",
         "_pairs",
     )
@@ -346,8 +358,14 @@ class _Shard:
         #: item -> owned cached users rating it at a qualifying level
         #: (the propagation targets of a membership change on that item).
         self.cached_raters: dict[int, set[int]] = {}
-        # Per-pass context, set by the stages.
-        self._affected = _NO_PAIRS[0]
+        # Per-pass context, set by the stages: the owned rows rebuilt
+        # from their candidate sets, the owned rows repaired in place
+        # and their old k-th entries, and the selected dirty users.
+        self._rebuilt = _NO_PAIRS[0]
+        self._rows_mask = _NO_PAIRS[0]
+        self._repaired = _NO_PAIRS[0]
+        self._kth = _NO_PAIRS
+        self._dirty_mask = _NO_PAIRS[0]
         self._truly_dirty: frozenset = frozenset()
         self._pairs = _NO_PAIRS
 
@@ -472,42 +490,95 @@ class _Shard:
     # ------------------------------------------------------------------
     # Refresh stages
     # ------------------------------------------------------------------
-    def affected(self, all_dirty: np.ndarray, my_dirty: np.ndarray):
-        """Stage A: this shard's slice of the affected set.
+    def affected(
+        self,
+        all_dirty: np.ndarray,
+        my_dirty: np.ndarray,
+        deferred: np.ndarray,
+    ):
+        """Stage A: this shard's slice of the affected set, split in two.
 
-        Its selected dirty users (*my_dirty*) plus its rows citing any
-        selected dirty user (*all_dirty*).
+        Returns ``(rebuilt, repaired)``.  The *referrers* are the owned
+        rows citing any selected dirty user (*all_dirty*).  A referrer
+        is **repaired** in place when the metric is profile-local, the
+        row is not dirty itself (selected or *deferred*) and it cites
+        no deferred user — a deferred user's score may have moved
+        anywhere, so such rows are rescanned.  The shard's selected
+        dirty users (*my_dirty*) and the other referrers are
+        **rebuilt** from their candidate sets.
         """
+        host = self.host
+        self._dirty_mask = np.zeros(host.n_users, dtype=bool)
+        self._dirty_mask[all_dirty] = True
         self._truly_dirty = frozenset(all_dirty.tolist())
-        self._affected = np.union1d(
-            my_dirty, self.reverse.referrers_of(all_dirty)
+        referrers = self.reverse.referrers_of(all_dirty).astype(np.int64)
+        repaired = referrers[:0]
+        if host._profile_local and referrers.size:
+            dirty = np.concatenate([all_dirty, deferred])
+            repaired = referrers[~np.isin(referrers, dirty)]
+            if deferred.size and repaired.size:
+                neighbors, _ = host._rows()
+                cites = np.isin(neighbors[repaired], deferred).any(axis=1)
+                repaired = repaired[~cites]
+        self._rebuilt = np.union1d(
+            my_dirty, np.setdiff1d(referrers, repaired, assume_unique=True)
         )
-        return self._affected
+        self._repaired = repaired
+        return self._rebuilt, repaired
 
-    def plan(self, affected: np.ndarray, seq: int):
-        """Stage B: clear owned affected rows, derive pairs and outboxes.
+    def plan(self, rebuilt: np.ndarray, seq: int):
+        """Stage B: clear rebuilt rows, trim repaired ones, derive pairs.
 
-        *affected* is the global affected set.  Returns ``(outboxes,
-        cache_hits, cache_misses)``; this shard's own pairs stay here
-        for :meth:`merge`.
+        The owned rebuilt rows are cleared and paired with their whole
+        candidate sets.  The owned repaired rows only drop the entries
+        citing selected dirty users (the rest keep their canonical
+        order) and remember their old k-th entry for :meth:`merge`'s
+        acceptance check; a dirty user's mirror offers reach every
+        candidate not rebuilt, so each repaired row is offered every
+        dirty user it still co-rates with.  *rebuilt* is the global
+        rebuilt set.  Returns ``(outboxes, cache_hits, cache_misses)``;
+        this shard's own pairs stay here for :meth:`merge`.
         """
         host = self.host
         neighbors, sims = host._rows()
-        mine = self._affected
+        mine, repaired = self._rebuilt, self._repaired
         old_rows = neighbors[mine].copy()
         neighbors[mine] = MISSING
         sims[mine] = -np.inf
+        new_rows = np.full_like(old_rows, MISSING)
+        if repaired.size:
+            k = neighbors.shape[1]
+            old_ids, old_sims = neighbors[repaired], sims[repaired]
+            self._kth = (old_ids[:, k - 1], old_sims[:, k - 1])
+            keep = (old_ids != MISSING) & ~self._dirty_mask[old_ids]
+            # A stable sort of the drop flags moves the kept entries
+            # left in their ranked order.
+            order = np.argsort(~keep, axis=1, kind="stable")
+            kept = np.take_along_axis(keep, order, axis=1)
+            trimmed = np.where(
+                kept, np.take_along_axis(old_ids, order, axis=1), MISSING
+            )
+            neighbors[repaired] = trimmed
+            sims[repaired] = np.where(
+                kept, np.take_along_axis(old_sims, order, axis=1), -np.inf
+            )
+            old_rows = np.concatenate([old_rows, old_ids])
+            new_rows = np.concatenate([new_rows, trimmed])
         # The reverse index mirrors the rows at every exit point, so a
         # mid-pass failure leaves it consistent for the retry.
-        self.reverse.apply_row(mine, old_rows, None)
+        self.reverse.apply_row(
+            np.concatenate([mine, repaired]), old_rows, new_rows
+        )
         cand_sets, hits, misses = self.candidate_sets(mine)
-        affected_mask = np.zeros(host.n_users, dtype=bool)
-        affected_mask[affected] = True
+        rebuilt_mask = np.zeros(host.n_users, dtype=bool)
+        rebuilt_mask[rebuilt] = True
+        self._rows_mask = rebuilt_mask
         rows, candidates, outboxes = plan_shard_pairs(
             self.shard_id,
             host._shard_map,
+            host.config.pivot,
             mine,
-            affected_mask,
+            rebuilt_mask,
             self._truly_dirty,
             cand_sets,
             seq,
@@ -515,18 +586,24 @@ class _Shard:
         self._pairs = (rows, candidates)
         return outboxes, hits, misses
 
-    def merge(self, inbox: list[ShardOutbox]):
-        """Stage C: dedupe, evaluate and merge into this shard's rows.
+    def merge(self, inbox: list[ShardOutbox]) -> "ShardMerge":
+        """Stage C: evaluate and merge, then accept or rescan repairs.
 
-        Returns ``(evaluations, changes, active, new_neighbors,
-        new_sims)`` — the row updates let a process worker ship its
-        merge back to the parent.
+        After the merge a repaired row is exact when its old row had a
+        ``MISSING`` slot (it already held every candidate), or when it
+        is full and its k-th entry ranks at or ahead of the old k-th
+        entry under the canonical ``(-sim, id)`` order: every candidate
+        it was not offered is clean, kept its score, and ranked behind
+        that entry before the pass.  The rows failing the check fall
+        back to a rescan here (:meth:`_fall_back`).
         """
         host = self.host
         neighbors, sims = host._rows()
         rows, candidates = self._pairs
         self._pairs = _NO_PAIRS  # release the pass's pairs early
-        return merge_shard_pairs(
+        repaired, (kth_ids, kth_sims) = self._repaired, self._kth
+        self._kth = _NO_PAIRS
+        evaluations, changes, active, offers = merge_shard_pairs(
             self.shard_id,
             host._shard_map,
             host.config.pivot,
@@ -538,7 +615,98 @@ class _Shard:
             host.n_users,
             host._score_pairs,
             self.reverse,
+            self._rows_mask,
         )
+        self._rows_mask = _NO_PAIRS[0]
+        hits = misses = 0
+        failed = repaired[:0]
+        if repaired.size:
+            k = neighbors.shape[1]
+            new_ids = neighbors[repaired, k - 1]
+            new_sims = sims[repaired, k - 1]
+            ahead = (new_sims > kth_sims) | (
+                (new_sims == kth_sims) & (new_ids <= kth_ids)
+            )
+            exact = (kth_ids == MISSING) | ((new_ids != MISSING) & ahead)
+            failed = repaired[~exact]
+        if failed.size:
+            more, more_changes, hits, misses = self._fall_back(
+                failed, offers
+            )
+            evaluations += more
+            changes += more_changes
+        changed = np.union1d(active, repaired)
+        return ShardMerge(
+            evaluations=evaluations,
+            changes=changes,
+            rows=changed,
+            neighbors=neighbors[changed],
+            sims=sims[changed],
+            fallbacks=int(failed.size),
+            cache_hits=hits,
+            cache_misses=misses,
+        )
+
+    def _fall_back(self, rows: np.ndarray, offers) -> tuple[int, ...]:
+        """Rescan repaired *rows* that failed the acceptance check.
+
+        The pass's *offers* ``(users, ids, sims)`` to these rows (the
+        dirty users' fresh scores among them) are merged again; only
+        the pairs with clean candidates are scored, and nothing reaches
+        rows outside *rows*.  Scoring runs before the rows are
+        cleared, so a failing metric leaves them as the first merge
+        wrote them, and the reverse index takes one diff per row.
+        Returns ``(evaluations, changes, cache_hits,
+        cache_misses)``.
+        """
+        host = self.host
+        n_users = host.n_users
+        neighbors, sims = host._rows()
+        cand_sets, hits, misses = self.candidate_sets(rows)
+        target = np.zeros(n_users, dtype=bool)
+        target[rows] = True
+        users, ids, scores = offers
+        prior = target[users]
+        users, ids, scores = users[prior], ids[prior], scores[prior]
+        sizes = [len(cand_sets[row]) for row in rows.tolist()]
+        us = np.repeat(rows, sizes)
+        vs = np.concatenate(
+            [
+                np.fromiter(cand_sets[row], np.int64, size)
+                for row, size in zip(rows.tolist(), sizes)
+            ]
+        )
+        # The pass already offered these rows every dirty user they
+        # co-rate with (her mirror offer, or under pivot her own pairs).
+        fresh = ~self._dirty_mask[vs]
+        evaluations, new_users, new_ids, new_scores = _score_offers(
+            host.config.pivot,
+            us[fresh],
+            vs[fresh],
+            n_users,
+            host._score_pairs,
+            target,
+        )
+        mine = target[new_users]
+        old_rows = neighbors[rows].copy()
+        neighbors[rows] = MISSING
+        sims[rows] = -np.inf
+        try:
+            active, new_neighbors, new_sims, changes = merge_topk_rows(
+                neighbors,
+                sims,
+                np.concatenate([users, new_users[mine]]),
+                np.concatenate([ids, new_ids[mine]]),
+                np.concatenate([scores, new_scores[mine]]),
+            )
+        except BaseException:
+            self.reverse.apply_row(rows, old_rows, None)
+            raise
+        neighbors[active] = new_neighbors
+        sims[active] = new_sims
+        # One diff from the rows before the rescan: most keep most ids.
+        self.reverse.apply_row(rows, old_rows, neighbors[rows])
+        return evaluations, int(changes), hits, misses
 
 
 class _ShardedDirtySet:
@@ -630,67 +798,125 @@ class _ShardedReverseIndex:
 def plan_shard_pairs(
     shard_id: int,
     shard_map: ShardMap,
-    affected: np.ndarray,
-    affected_mask: np.ndarray,
+    pivot: bool,
+    rebuilt: np.ndarray,
+    rebuilt_mask: np.ndarray,
     truly_dirty: frozenset,
     cand_sets: dict[int, dict[int, int]],
     seq: int,
 ) -> tuple[np.ndarray, np.ndarray, list[ShardOutbox]]:
     """Stage B's pair derivation: local pairs plus cross-shard outboxes.
 
-    Every affected row owned by *shard_id* (per *shard_map*) is paired
+    Every rebuilt row owned by *shard_id* (per *shard_map*) is paired
     with its full candidate set; a truly dirty user is additionally
-    *offered* to the rows of her clean candidates (the mirror
-    direction), routed through an outbox when the row belongs to
-    another shard.  Returns ``(rows, candidates, outboxes)``.
+    *offered* to the rows of her candidates that are not rebuilt (the
+    mirror direction), routed through an outbox when the row belongs
+    to another shard.  With *pivot* the merge offers each scored pair
+    both ways, so her own pairs already reach the rows this shard owns
+    and only the outboxes carry mirrors.  Returns ``(rows, candidates,
+    outboxes)``.
     """
     n_shards = shard_map.n_shards
     row_parts: list[np.ndarray] = []
     cand_parts: list[np.ndarray] = []
-    out_rows: list[list[np.ndarray]] = [[] for _ in range(n_shards)]
-    out_cands: list[list[np.ndarray]] = [[] for _ in range(n_shards)]
-    for user in affected.tolist():
+    mirror_rows: list[np.ndarray] = []
+    mirror_users: list[np.ndarray] = []
+    for user in rebuilt.tolist():
         counts = cand_sets[user]
         candidates = np.fromiter(counts.keys(), np.int64, len(counts))
         if candidates.size == 0:
             continue
         row_parts.append(np.full(candidates.size, user, dtype=np.int64))
         cand_parts.append(candidates)
-        if user in truly_dirty:
-            # Mirror: the dirty user must be offered to the rows of
-            # her clean candidates (she can *enter* those top-ks).
-            mirror = candidates[~affected_mask[candidates]]
-            if mirror.size == 0:
-                continue
-            if n_shards == 1:
-                row_parts.append(mirror)
-                cand_parts.append(np.full(mirror.size, user, np.int64))
-                continue
-            owners = shard_map.owners(mirror)
-            for target in np.unique(owners).tolist():
-                rows_t = mirror[owners == target]
-                users_t = np.full(rows_t.size, user, dtype=np.int64)
-                if target == shard_id:
-                    row_parts.append(rows_t)
-                    cand_parts.append(users_t)
-                else:
-                    out_rows[target].append(rows_t)
-                    out_cands[target].append(users_t)
+        if user in truly_dirty and not (pivot and n_shards == 1):
+            # Mirror: the dirty user must be offered to the rows of her
+            # candidates (she can *enter* those top-ks).
+            mirror = candidates[~rebuilt_mask[candidates]]
+            mirror_rows.append(mirror)
+            mirror_users.append(np.full(mirror.size, user, np.int64))
     empty = np.empty(0, dtype=np.int64)
-    outboxes = [
-        ShardOutbox(
-            source=shard_id,
-            target=target,
-            seq=seq,
-            rows=np.concatenate(out_rows[target]),
-            candidates=np.concatenate(out_cands[target]),
+    outboxes = []
+    if mirror_rows:
+        rows_m = np.concatenate(mirror_rows)
+        users_m = np.concatenate(mirror_users)
+        owners = (
+            np.full(rows_m.size, shard_id)
+            if n_shards == 1
+            else shard_map.owners(rows_m)
         )
-        for target in range(n_shards)
-        if out_rows[target]
-    ]
+        for target in range(n_shards):
+            mine = owners == target
+            if not mine.any() or (pivot and target == shard_id):
+                continue
+            if target == shard_id:
+                row_parts.append(rows_m[mine])
+                cand_parts.append(users_m[mine])
+            else:
+                outboxes.append(
+                    ShardOutbox(
+                        source=shard_id,
+                        target=target,
+                        seq=seq,
+                        rows=rows_m[mine],
+                        candidates=users_m[mine],
+                    )
+                )
     rows = np.concatenate(row_parts) if row_parts else empty
     candidates = np.concatenate(cand_parts) if cand_parts else empty
     return rows, candidates, outboxes
+
+
+class ShardMerge(NamedTuple):
+    """What one shard's stage C reports to the refresh driver."""
+
+    #: Pairs scored (first merge plus fallback rescans).
+    evaluations: int
+    #: Slots changed, summed over the stage's merges.
+    changes: int
+    #: Every owned row the stage changed (merged or repaired), sorted,
+    #: with its final ids and scores — what a process worker ships back.
+    rows: np.ndarray
+    neighbors: np.ndarray
+    sims: np.ndarray
+    #: Repaired rows that failed the acceptance check and were rescanned.
+    fallbacks: int
+    #: Candidate-cache traffic of those rescans.
+    cache_hits: int
+    cache_misses: int
+
+
+def _score_offers(pivot: bool, us, vs, n_users: int, score_pairs, rows):
+    """Dedupe and score pairs; returns ``(evaluations, users, ids, sims)``.
+
+    Each scored pair becomes the offer of ``ids[j]`` to row
+    ``users[j]``; with *pivot* one evaluation serves both directions
+    (Section II-D), so both are returned.
+
+    Every pair has an endpoint in the boolean mask *rows* (the rows
+    being rescanned).  In a batch of at least *n_users* pairs, the pairs
+    whose first endpoint is such a row are scored apart from the rest:
+    the kernel's sparse product covers every pair between a call's two
+    sides, so a call mixing both orientations would pay for all pairs
+    among the other endpoints.  A smaller batch gathers fewer profile
+    entries than the matrix stores, so the kernel scores it on its
+    match path, where one call costs least.
+    """
+    us, vs = dedupe_pairs(us, vs, n_users, ordered=not pivot)
+    if us.size < n_users:
+        pair_sims = score_pairs(us, vs)
+    else:
+        first = rows[us]
+        pair_sims = np.empty(us.size, dtype=SCORE_DTYPE)
+        pair_sims[first] = score_pairs(us[first], vs[first])
+        pair_sims[~first] = score_pairs(us[~first], vs[~first])
+    if not pivot:
+        return int(us.size), us, vs, pair_sims
+    return (
+        int(us.size),
+        np.concatenate([us, vs]),
+        np.concatenate([vs, us]),
+        np.concatenate([pair_sims, pair_sims]),
+    )
 
 
 def merge_shard_pairs(
@@ -705,48 +931,35 @@ def merge_shard_pairs(
     n_users: int,
     score_pairs,
     reverse,
-) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """Stage C: dedupe, evaluate, and merge into this shard's own rows.
+    rows_mask: np.ndarray,
+) -> tuple[int, int, np.ndarray, tuple]:
+    """Stage C's merge: dedupe, evaluate, and merge into owned rows.
 
     Writes the re-ranked rows into *neighbors*/*sims* in place (every
     active row is owned by *shard_id*, so concurrent callers never
-    collide), mirrors the diffs of the rows whose ids moved into
-    *reverse* as one block, and returns ``(evaluations, changes,
-    active, new_neighbors, new_sims)`` so a process worker can ship the
-    row updates back to the parent.  ``active`` holds only the rows the
-    merge re-ranked — rows whose every offer lost to their k-th entry
-    are left out.
+    collide) and mirrors their diffs into *reverse*.  *rows_mask* marks
+    the rebuilt rows: every pair has one as an endpoint, the row
+    itself or a dirty user offered to a clean row.  Returns
+    ``(evaluations, changes, active, offers)``: ``active`` holds only
+    the rows the merge re-ranked — rows whose every offer lost to their
+    k-th entry are left out — and ``offers`` the ``(users, ids, sims)``
+    merged, which the repair's fallback reuses.
     """
     us = np.concatenate([plan_rows] + [box.rows for box in inbox])
     vs = np.concatenate([plan_candidates] + [box.candidates for box in inbox])
-    us, vs = dedupe_pairs(us, vs, n_users, ordered=not pivot)
-    pair_sims = score_pairs(us, vs)
-    evaluations = int(us.size)
-    if pivot:
-        # One evaluation serves both directions (Section II-D) — but
-        # only this shard's rows are merged here; the partner shard
+    evaluations, users, ids, scores = _score_offers(
+        pivot, us, vs, n_users, score_pairs, rows_mask
+    )
+    if pivot and shard_map.n_shards > 1:
+        # Only this shard's rows are merged here; the partner shard
         # evaluates its own side of a cross-shard pair.
-        cand_users = np.concatenate([us, vs])
-        cand_ids = np.concatenate([vs, us])
-        cand_sims = np.concatenate([pair_sims, pair_sims])
-        if shard_map.n_shards > 1:
-            owned = shard_map.owners(cand_users) == shard_id
-            cand_users = cand_users[owned]
-            cand_ids = cand_ids[owned]
-            cand_sims = cand_sims[owned]
-    else:
-        cand_users, cand_ids, cand_sims = us, vs, pair_sims
-    k = neighbors.shape[1]
-    if cand_users.size == 0:
-        return (
-            evaluations,
-            0,
-            np.empty(0, dtype=np.int64),
-            np.empty((0, k), dtype=ID_DTYPE),
-            np.empty((0, k), dtype=SCORE_DTYPE),
-        )
+        owned = shard_map.owners(users) == shard_id
+        users, ids, scores = users[owned], ids[owned], scores[owned]
+    offers = (users, ids, scores)
+    if users.size == 0:
+        return evaluations, 0, np.empty(0, dtype=np.int64), offers
     active, new_neighbors, new_sims, changes = merge_topk_rows(
-        neighbors, sims, cand_users, cand_ids, cand_sims
+        neighbors, sims, users, ids, scores
     )
     pre_merge = neighbors[active]
     # Write only the re-ranked rows back, through the views, so
@@ -759,7 +972,7 @@ def merge_shard_pairs(
     # diffs — most re-ranked rows keep their ids.
     moved = np.flatnonzero((new_neighbors != pre_merge).any(axis=1))
     reverse.apply_row(active[moved], pre_merge[moved], new_neighbors[moved])
-    return evaluations, int(changes), active, new_neighbors, new_sims
+    return evaluations, int(changes), active, offers
 
 
 class ShardedKnnIndex(DynamicKnnIndex):

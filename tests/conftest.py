@@ -22,6 +22,15 @@ hypothesis_settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 hypothesis_settings.register_profile("dev", deadline=None)
+# The scheduled soak job (``--hypothesis-profile soak``): a long,
+# randomized budget for the stateful fuzzer in tests/streaming/.
+hypothesis_settings.register_profile(
+    "soak",
+    deadline=None,
+    max_examples=400,
+    stateful_step_count=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 hypothesis_settings.load_profile("ci" if os.environ.get("CI") else "dev")
 
 

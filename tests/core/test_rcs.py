@@ -222,6 +222,35 @@ class TestDeltaRcs:
                 delta.counts_of(user), full.counts_of(user)
             )
 
+    def test_interleaved_datasets_and_thresholds(self):
+        """Calls alternating between datasets and thresholds each read
+        their own dataset's ratings."""
+        from repro.core.rcs import delta_rcs
+
+        datasets = [
+            random_dataset(
+                n_users=30, n_items=15, density=0.2, seed=seed, ratings=True
+            )
+            for seed in (1, 2)
+        ]
+        dirty = [0, 5, 29]
+        for dataset, min_rating in [
+            (datasets[0], None),
+            (datasets[1], None),
+            (datasets[1], 4.0),
+            (datasets[0], 4.0),
+            (datasets[0], None),
+        ]:
+            full = build_rcs(dataset, pivot=False, min_rating=min_rating)
+            delta = delta_rcs(dataset, dirty, min_rating=min_rating)
+            for user in dirty:
+                np.testing.assert_array_equal(
+                    delta.candidates_of(user), full.candidates_of(user)
+                )
+                np.testing.assert_array_equal(
+                    delta.counts_of(user), full.counts_of(user)
+                )
+
     def test_added_removed_against_base(self):
         from repro.core.rcs import delta_rcs
 

@@ -107,6 +107,35 @@ class TestFlatIndex:
             index.close()
 
 
+class TestReadOnly:
+    def test_stats_between_apply_and_refresh_mutate_nothing(self):
+        """The serve ``stats`` op reaches memory_stats() off the writer
+        thread, so it must not materialise the pending snapshot."""
+        index = _index()
+        try:
+            published = index.memory_stats()
+            index.apply([AddRating(u, 19, 5.0) for u in range(10)])
+            builder = index.builder
+            rows_before = index.maintenance.rows_materialized
+            cached = builder._base
+            pending = set(builder._dirty_rows)
+            assert pending  # the apply left rows to patch
+            stats = index.memory_stats()
+            assert index.maintenance.rows_materialized == rows_before
+            assert builder._base is cached
+            assert builder._dirty_rows == pending
+            # The figures describe the published snapshot.
+            assert stats["dataset_csr_bytes"] == (
+                published["dataset_csr_bytes"]
+            )
+            index.refresh()
+            assert index.memory_stats()["dataset_csr_bytes"] > (
+                published["dataset_csr_bytes"]
+            )
+        finally:
+            index.close()
+
+
 class TestShardedIndex:
     def test_includes_arena_accounting(self):
         dataset = random_dataset(

@@ -62,6 +62,21 @@ def drive_random_stream(index, seed, n_events=30, max_item=20, ratings=None):
     index.refresh()
 
 
+def corpus_stream(metric, pivot, seed):
+    """One stream of the 52-stream corpus, driven to its end."""
+    dataset = random_dataset(
+        n_users=18, n_items=14, density=0.15, seed=seed, ratings=True
+    )
+    index = DynamicKnnIndex(
+        dataset,
+        KiffConfig(k=4, pivot=pivot),
+        metric=metric,
+        auto_refresh=False,
+    )
+    drive_random_stream(index, seed)
+    return index
+
+
 class TestRandomizedStreams:
     """52 randomized event streams x exact equality (acceptance bar: 50)."""
 
@@ -69,17 +84,23 @@ class TestRandomizedStreams:
     @pytest.mark.parametrize("pivot", [True, False])
     @pytest.mark.parametrize("metric", ["cosine", "jaccard"])
     def test_stream_equals_cold_rebuild(self, metric, pivot, seed):
-        dataset = random_dataset(
-            n_users=18, n_items=14, density=0.15, seed=seed, ratings=True
-        )
-        index = DynamicKnnIndex(
-            dataset,
-            KiffConfig(k=4, pivot=pivot),
-            metric=metric,
-            auto_refresh=False,
-        )
-        drive_random_stream(index, seed)
+        index = corpus_stream(metric, pivot, seed)
         assert index.graph == cold_rebuild(index, metric)
+
+    def test_corpus_exercises_repair_and_fallback(self):
+        """Both referrer paths must stay live across the corpus: rows
+        repaired in place, and rows whose repair failed its check and
+        were rebuilt (every rebuilt row beyond the dirty users, since
+        the corpus never defers)."""
+        logs = [
+            stats
+            for metric in ("cosine", "jaccard")
+            for pivot in (True, False)
+            for seed in range(13)
+            for stats in corpus_stream(metric, pivot, seed).refresh_log
+        ]
+        assert sum(stats.repaired_users for stats in logs) > 0
+        assert sum(s.affected_users - s.dirty_users for s in logs) > 0
 
 
 class TestEventKinds:

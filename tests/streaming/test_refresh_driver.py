@@ -23,6 +23,7 @@ from tests.streaming.test_sharding import drive, sharded_events
 #: The RefreshStats fields that count work (wall time excluded).
 WORK_FIELDS = (
     "affected_users",
+    "repaired_users",
     "evaluations",
     "changes",
     "cache_hits",

@@ -1,0 +1,240 @@
+"""Stateful fuzzing of the streaming index through its public surface.
+
+A Hypothesis rule-based state machine drives one index through rating
+events (re-ratings that lower a cited neighbour's score included, the
+case the referrer repair must catch), user joins and removals, partial
+``refresh(dirty_subset)`` and full refreshes, checkpoint + restore into
+a fresh index, and live rebalancing.  Invariants:
+
+* after every full refresh the graph equals ``cold_rebuild_graph``;
+* a restored index, refreshed, equals the cold rebuild of the live
+  data, and the live graph itself whenever nothing is pending;
+* snapshot versions never go backwards;
+* every in-process shard's reverse index mirrors its rows.
+
+The machine runs on the flat serial index and on two shards under
+``threads``.  Tier-1 keeps a small example budget; the ``soak``
+Hypothesis profile (``--hypothesis-profile soak``, registered in
+``tests/conftest.py``) lifts it for the scheduled CI job.
+"""
+
+import shutil
+import tempfile
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
+
+from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
+from repro.graph import ReverseNeighborIndex
+from repro.streaming import (
+    AddRating,
+    AddUser,
+    RemoveRating,
+    RemoveUser,
+    ShardPlan,
+    cold_rebuild_graph,
+)
+from tests.conftest import random_dataset
+
+N_ITEMS = 10
+
+
+def _budget() -> settings:
+    """The tier-1 budget, or the loaded profile's when that is the soak's."""
+    soak = settings.get_profile("soak")
+    if settings.default.max_examples >= soak.max_examples:
+        return settings.default
+    return settings(max_examples=40, stateful_step_count=20)
+
+
+class IndexMachine(RuleBasedStateMachine):
+    """One index under a random interleaving of the public operations."""
+
+    #: Shard count and executor of the machine's index.
+    n_shards = 1
+    executor = "serial"
+
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="repro-fuzz-")
+        self.index = None
+        self.version = None
+
+    @initialize(
+        seed=st.integers(0, 3),
+        metric=st.sampled_from(["cosine", "jaccard"]),
+        pivot=st.booleans(),
+    )
+    def build(self, seed, metric, pivot):
+        self.metric = metric
+        dataset = random_dataset(
+            n_users=14, n_items=N_ITEMS, density=0.25, seed=seed, ratings=True
+        )
+        self.index = DynamicKnnIndex(
+            dataset,
+            KiffConfig(k=3, pivot=pivot),
+            metric=metric,
+            auto_refresh=False,
+            n_shards=self.n_shards,
+            executor=self.executor,
+        )
+        self.version = self.index.snapshot_version
+
+    def teardown(self):
+        if self.index is not None:
+            self.index.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def _user(self, slot: int) -> int:
+        return slot % self.index.n_users
+
+    def _cold(self):
+        return cold_rebuild_graph(
+            self.index.dataset, self.index.config, metric=self.metric
+        )
+
+    # ------------------------------------------------------------------
+    # Events
+    # ------------------------------------------------------------------
+    @rule(
+        slot=st.integers(0, 63),
+        item=st.integers(0, N_ITEMS - 1),
+        rating=st.integers(0, 5),
+    )
+    def rate(self, slot, item, rating):
+        """A rating lands, is overwritten, or (0) is deleted."""
+        self.index.apply(AddRating(self._user(slot), item, float(rating)))
+
+    @rule(slot=st.integers(0, 63), pick=st.integers(0, 7))
+    def lower_cited_neighbour(self, slot, pick):
+        """A cited neighbour drops a shared item or gains a foreign one,
+        lowering her score in the citing row."""
+        row = self._user(slot)
+        cited = [
+            int(user)
+            for user in self.index.graph.neighbors_of(row).tolist()
+            if user >= 0
+        ]
+        if not cited:
+            return
+        neighbour = cited[pick % len(cited)]
+        builder = self.index.builder
+        shared = sorted(
+            set(builder.profile(row)) & set(builder.profile(neighbour))
+        )
+        if shared:
+            event = RemoveRating(neighbour, shared[pick % len(shared)])
+        else:
+            foreign = sorted(set(range(N_ITEMS)) - set(builder.profile(row)))
+            if not foreign:
+                return
+            event = AddRating(neighbour, foreign[pick % len(foreign)], 5.0)
+        self.index.apply(event)
+
+    @rule(
+        profile=st.dictionaries(
+            st.integers(0, N_ITEMS - 1), st.integers(1, 5), max_size=4
+        )
+    )
+    def add_user(self, profile):
+        self.index.apply(
+            AddUser(tuple(profile), tuple(float(r) for r in profile.values()))
+        )
+
+    @rule(slot=st.integers(0, 63))
+    def remove_user(self, slot):
+        self.index.apply(RemoveUser(self._user(slot)))
+
+    # ------------------------------------------------------------------
+    # Refreshes, durability, ownership
+    # ------------------------------------------------------------------
+    @rule(bits=st.integers(0, 2**12 - 1))
+    def refresh_subset(self, bits):
+        """Refresh an arbitrary subset of the dirty users; defer the rest."""
+        dirty = sorted(self.index.dirty_users)
+        subset = [
+            user for i, user in enumerate(dirty) if bits >> (i % 12) & 1
+        ]
+        stats = self.index.refresh(dirty_subset=subset)
+        assert stats.deferred_users == len(dirty) - len(subset)
+
+    @rule()
+    def refresh(self):
+        self.index.refresh()
+        assert not self.index.dirty_users
+        assert self.index.graph == self._cold()  # ids AND sims, exact
+
+    @rule()
+    def checkpoint_and_restore(self):
+        self.index.checkpoint(self.directory)
+        sharded = self.index.n_shards > 1
+        cls = ShardedKnnIndex if sharded else DynamicKnnIndex
+        restored = cls.restore(self.directory, metric=self.metric)
+        try:
+            restored.detach_wal().close()
+            assert restored.dataset == self.index.dataset
+            assert restored.graph == self._cold()
+            if not self.index.dirty_users:
+                assert restored.graph == self.index.graph
+        finally:
+            restored.close()
+
+    @rule(
+        slot=st.integers(0, 63),
+        shard=st.integers(0, 1),
+        n_shards=st.sampled_from([None, 1, 2]),
+    )
+    def rebalance(self, slot, shard, n_shards):
+        target = self.index.n_shards if n_shards is None else n_shards
+        plan = ShardPlan(
+            moves=((self._user(slot), shard % target),), n_shards=n_shards
+        )
+        self.index.rebalance(plan)
+
+    # ------------------------------------------------------------------
+    # Invariants
+    # ------------------------------------------------------------------
+    @invariant()
+    def versions_are_monotonic(self):
+        if self.index is None:
+            return
+        version = self.index.snapshot_version
+        assert version >= self.version
+        self.version = version
+
+    @invariant()
+    def reverse_index_mirrors_rows(self):
+        if self.index is None:
+            return
+        neighbors = self.index.graph.neighbors
+        for shard in self.index._shards:
+            fresh = ReverseNeighborIndex()
+            fresh.rebuild(
+                neighbors,
+                self.index.shard_map.owned_rows(
+                    shard.shard_id, neighbors.shape[0]
+                ),
+            )
+            assert shard.reverse._referrers == fresh._referrers
+
+
+class FlatSerialMachine(IndexMachine):
+    n_shards = 1
+    executor = "serial"
+
+
+class TwoShardThreadsMachine(IndexMachine):
+    n_shards = 2
+    executor = "threads"
+
+
+TestFlatSerial = FlatSerialMachine.TestCase
+TestFlatSerial.settings = _budget()
+TestTwoShardThreads = TwoShardThreadsMachine.TestCase
+TestTwoShardThreads.settings = _budget()
