@@ -24,7 +24,6 @@ candidates, shrinking the RCSs.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ __all__ = [
     "RcsDelta",
     "build_rcs",
     "build_rcs_reference",
+    "candidacy_raters",
     "count_rcs_candidates",
     "delta_rcs",
 ]
@@ -103,23 +103,14 @@ class RankedCandidateSets:
         )
 
 
-#: ``(dataset reference, min_rating, B.T)`` of the last dataset
-#: :func:`delta_rcs` read: a refresh pass derives candidate sets more
-#: than once per snapshot (its dirty rows, then any rows whose repair
-#: failed), and the transpose is the one whole-matrix conversion.
-_last_raters: tuple = (None, None, None)
+def candidacy_raters(dataset: BipartiteDataset, min_rating: float | None):
+    """The binarised ``B.T`` of *dataset* (items x users, CSR).
 
-
-def _raters(dataset: BipartiteDataset, min_rating: float | None):
-    """The binarised ``B.T`` (items x users, CSR) of *dataset*, memoised."""
-    global _last_raters
-    ref, threshold, raters = _last_raters
-    if ref is not None and ref() is dataset and threshold == min_rating:
-        return raters
-    _last_raters = (None, None, None)  # never hold two transposes
-    raters = _binarized(dataset, min_rating).T.tocsr()
-    _last_raters = (weakref.ref(dataset), min_rating, raters)
-    return raters
+    The one whole-matrix conversion of :func:`delta_rcs`; a caller
+    deriving candidate sets more than once on the same dataset builds
+    it once and passes it as ``raters``.
+    """
+    return _binarized(dataset, min_rating).T.tocsr()
 
 
 def _binarize(matrix, min_rating: float | None):
@@ -244,6 +235,7 @@ def delta_rcs(
     base: RankedCandidateSets | None = None,
     pivot: bool = False,
     min_rating: float | None = None,
+    raters=None,
 ) -> RcsDelta:
     """Candidate-set changes of *dirty_users*, from touched items only.
 
@@ -274,6 +266,10 @@ def delta_rcs(
     min_rating:
         As for :func:`build_rcs` (an item contributes candidacies only
         when both users rate it ``>= min_rating``).
+    raters:
+        Optional :func:`candidacy_raters` of this *dataset* and
+        *min_rating*, built by the caller to share it across calls;
+        built here when omitted.
     """
     dirty = np.unique(np.asarray(list(dirty_users), dtype=np.int64))
     if dirty.size and (dirty[0] < 0 or dirty[-1] >= dataset.n_users):
@@ -283,7 +279,9 @@ def delta_rcs(
         )
     if dirty.size:
         rows = _binarize(dataset.matrix[dirty], min_rating)
-        cooc = (rows @ _raters(dataset, min_rating)).tocoo()
+        if raters is None:
+            raters = candidacy_raters(dataset, min_rating)
+        cooc = (rows @ raters).tocoo()
         local_rows = cooc.row.astype(np.int64)
         cols = cooc.col.astype(np.int64)
         counts = cooc.data

@@ -416,6 +416,11 @@ class NumpyKernelBackend:
         norms (dot family), ``sizes`` the profile sizes (set family),
         ``item_weights`` the dense per-item weight vector (weighted-set
         family).  Returns one float32 score per pair.
+
+        ``us`` is the row side: each distinct row user's profile is
+        gathered once, and the product path multiplies the distinct row
+        users against the distinct column users.  A caller scoring a
+        few users against many others passes the few as ``us``.
         """
         family = METRIC_FAMILIES[metric_name]
         n_pairs = int(us.size)

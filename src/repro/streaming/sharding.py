@@ -95,14 +95,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core.rcs import delta_rcs
+from ..core.rcs import candidacy_raters, delta_rcs
 from ..graph.knn_graph import MISSING
 from ..graph.updates import (
     ReverseNeighborIndex,
     dedupe_pairs,
     merge_topk_rows,
 )
-from ..layout import SCORE_DTYPE
 from ..similarity.base import SimilarityMetric
 # The one chunked scoring loop, imported by name so importers of it
 # from this module keep working.
@@ -343,6 +342,7 @@ class _Shard:
         "_dirty_mask",
         "_truly_dirty",
         "_pairs",
+        "_raters",
     )
 
     def __init__(self, shard_id: int, host):
@@ -360,7 +360,8 @@ class _Shard:
         self.cached_raters: dict[int, set[int]] = {}
         # Per-pass context, set by the stages: the owned rows rebuilt
         # from their candidate sets, the owned rows repaired in place
-        # and their old k-th entries, and the selected dirty users.
+        # and their old k-th entries, the selected dirty users, and the
+        # snapshot's candidacy transpose (see candidate_sets).
         self._rebuilt = _NO_PAIRS[0]
         self._rows_mask = _NO_PAIRS[0]
         self._repaired = _NO_PAIRS[0]
@@ -368,6 +369,7 @@ class _Shard:
         self._dirty_mask = _NO_PAIRS[0]
         self._truly_dirty: frozenset = frozenset()
         self._pairs = _NO_PAIRS
+        self._raters: tuple = (None, None)
 
     # ------------------------------------------------------------------
     # Candidate-set cache (delta-maintained between refreshes)
@@ -455,10 +457,14 @@ class _Shard:
         Misses are re-derived in one bulk
         :func:`~repro.core.rcs.delta_rcs` call on the current snapshot
         (cost proportional to the missing users' item profiles) and
-        cached.  Thread-safe by ownership: only this shard's stage calls
-        touch its cache dicts, and the miss path only *reads* the shared
-        snapshot.  Counter deltas are returned, not written — the driver
-        folds them into the shared ``MaintenanceCounter``.
+        cached.  The snapshot's candidacy transpose, the call's one
+        whole-matrix conversion, is kept for the rest of the pass (a
+        pass derives again for rows whose repair failed) and dropped at
+        the end of stage C.  Thread-safe by ownership: only this shard's
+        stage calls touch its cache dicts and its transpose, and the
+        miss path only *reads* the shared snapshot.  Counter deltas are
+        returned, not written: ``DynamicKnnIndex._refresh`` folds them
+        into the shared ``MaintenanceCounter``.
         """
         result: dict[int, dict[int, int]] = {}
         missing: list[int] = []
@@ -470,11 +476,19 @@ class _Shard:
                 missing.append(user)
         hits = len(result)
         if missing:
+            snapshot = self.host.builder.snapshot()
+            min_rating = self.host.config.min_rating
+            if self._raters[0] is not snapshot:
+                self._raters = (
+                    snapshot,
+                    candidacy_raters(snapshot, min_rating),
+                )
             rcs_delta = delta_rcs(
-                self.host.builder.snapshot(),
+                snapshot,
                 missing,
                 pivot=False,
-                min_rating=self.host.config.min_rating,
+                min_rating=min_rating,
+                raters=self._raters[1],
             )
             for user in missing:
                 counts = dict(
@@ -635,6 +649,7 @@ class _Shard:
             )
             evaluations += more
             changes += more_changes
+        self._raters = (None, None)
         changed = np.union1d(active, repaired)
         return ShardMerge(
             evaluations=evaluations,
@@ -650,63 +665,53 @@ class _Shard:
     def _fall_back(self, rows: np.ndarray, offers) -> tuple[int, ...]:
         """Rescan repaired *rows* that failed the acceptance check.
 
-        The pass's *offers* ``(users, ids, sims)`` to these rows (the
-        dirty users' fresh scores among them) are merged again; only
-        the pairs with clean candidates are scored, and nothing reaches
-        rows outside *rows*.  Scoring runs before the rows are
-        cleared, so a failing metric leaves them as the first merge
-        wrote them, and the reverse index takes one diff per row.
-        Returns ``(evaluations, changes, cache_hits,
-        cache_misses)``.
+        Each row is cleared and rebuilt from its whole candidate set.
+        Its pairs with clean candidates are scored here; the pass's
+        *offers* ``(users, ids, sims)`` already hold its pairs with
+        dirty users (her mirror offer, or under pivot her own pair), so
+        the ones to these rows are merged again.  Nothing reaches rows
+        outside *rows*.  Scoring runs before the rows are cleared, so a
+        failing metric leaves them as the first merge wrote them.
+        Returns ``(evaluations, changes, cache_hits, cache_misses)``.
         """
         host = self.host
-        n_users = host.n_users
+        pivot = host.config.pivot
         neighbors, sims = host._rows()
         cand_sets, hits, misses = self.candidate_sets(rows)
-        target = np.zeros(n_users, dtype=bool)
+        target = np.zeros(host.n_users, dtype=bool)
         target[rows] = True
-        users, ids, scores = offers
-        prior = target[users]
-        users, ids, scores = users[prior], ids[prior], scores[prior]
-        sizes = [len(cand_sets[row]) for row in rows.tolist()]
-        us = np.repeat(rows, sizes)
-        vs = np.concatenate(
-            [
-                np.fromiter(cand_sets[row], np.int64, size)
-                for row, size in zip(rows.tolist(), sizes)
-            ]
+        us, vs, _ = plan_shard_pairs(
+            self.shard_id,
+            host._shard_map,
+            pivot,
+            rows,
+            target,
+            frozenset(),
+            cand_sets,
+            0,
         )
-        # The pass already offered these rows every dirty user they
-        # co-rate with (her mirror offer, or under pivot her own pairs).
-        fresh = ~self._dirty_mask[vs]
-        evaluations, new_users, new_ids, new_scores = _score_offers(
-            host.config.pivot,
-            us[fresh],
-            vs[fresh],
-            n_users,
+        clean = ~self._dirty_mask[vs]
+        evaluations, *fresh = _score_offers(
+            pivot,
+            us[clean],
+            vs[clean],
+            host.n_users,
             host._score_pairs,
             target,
         )
-        mine = target[new_users]
-        old_rows = neighbors[rows].copy()
+        earlier, later = target[offers[0]], target[fresh[0]]
+        users, ids, scores = (
+            np.concatenate([a[earlier], b[later]])
+            for a, b in zip(offers, fresh)
+        )
+        old_rows = neighbors[rows]
         neighbors[rows] = MISSING
         sims[rows] = -np.inf
-        try:
-            active, new_neighbors, new_sims, changes = merge_topk_rows(
-                neighbors,
-                sims,
-                np.concatenate([users, new_users[mine]]),
-                np.concatenate([ids, new_ids[mine]]),
-                np.concatenate([scores, new_scores[mine]]),
-            )
-        except BaseException:
-            self.reverse.apply_row(rows, old_rows, None)
-            raise
-        neighbors[active] = new_neighbors
-        sims[active] = new_sims
-        # One diff from the rows before the rescan: most keep most ids.
-        self.reverse.apply_row(rows, old_rows, neighbors[rows])
-        return evaluations, int(changes), hits, misses
+        self.reverse.apply_row(rows, old_rows, None)
+        changes, _ = _merge_offers(
+            neighbors, sims, users, ids, scores, self.reverse
+        )
+        return evaluations, changes, hits, misses
 
 
 class _ShardedDirtySet:
@@ -893,22 +898,20 @@ def _score_offers(pivot: bool, us, vs, n_users: int, score_pairs, rows):
     (Section II-D), so both are returned.
 
     Every pair has an endpoint in the boolean mask *rows* (the rows
-    being rescanned).  In a batch of at least *n_users* pairs, the pairs
-    whose first endpoint is such a row are scored apart from the rest:
-    the kernel's sparse product covers every pair between a call's two
-    sides, so a call mixing both orientations would pay for all pairs
-    among the other endpoints.  A smaller batch gathers fewer profile
-    entries than the matrix stores, so the kernel scores it on its
-    match path, where one call costs least.
+    being rescanned).  With *pivot* each pair is stored with that
+    endpoint first (the lower id when both are) before the dedupe, so
+    the kernel gets it as the row side and the deduped pairs come out
+    grouped by it: a chunk holds a few rows against their whole
+    candidate sets, the work the kernel's row side is built for (see
+    ``NumpyKernelBackend.score_pairs``).  Without pivot a pair is
+    scored as stored, ``(row, candidate)``.
     """
-    us, vs = dedupe_pairs(us, vs, n_users, ordered=not pivot)
-    if us.size < n_users:
-        pair_sims = score_pairs(us, vs)
-    else:
-        first = rows[us]
-        pair_sims = np.empty(us.size, dtype=SCORE_DTYPE)
-        pair_sims[first] = score_pairs(us[first], vs[first])
-        pair_sims[~first] = score_pairs(us[~first], vs[~first])
+    if pivot:
+        first, second = rows[us], rows[vs]
+        flip = (second & ~first) | ((first == second) & (vs < us))
+        us, vs = np.where(flip, vs, us), np.where(flip, us, vs)
+    us, vs = dedupe_pairs(us, vs, n_users, ordered=True)
+    pair_sims = score_pairs(us, vs)
     if not pivot:
         return int(us.size), us, vs, pair_sims
     return (
@@ -917,6 +920,36 @@ def _score_offers(pivot: bool, us, vs, n_users: int, score_pairs, rows):
         np.concatenate([vs, us]),
         np.concatenate([pair_sims, pair_sims]),
     )
+
+
+def _merge_offers(
+    neighbors: np.ndarray,
+    sims: np.ndarray,
+    users: np.ndarray,
+    ids: np.ndarray,
+    scores: np.ndarray,
+    reverse,
+) -> tuple[int, np.ndarray]:
+    """Merge offers into their rows in place and mirror the diffs.
+
+    Writes only the re-ranked rows back, through the views, so
+    backing-array slack capacity survives and no O(n_users * k) copy
+    is paid; callers pass only rows they own, so shards never collide.
+    Returns ``(changes, active)``, ``active`` the re-ranked rows.
+    """
+    if users.size == 0:
+        return 0, np.empty(0, dtype=np.int64)
+    active, new_neighbors, new_sims, changes = merge_topk_rows(
+        neighbors, sims, users, ids, scores
+    )
+    pre_merge = neighbors[active]
+    neighbors[active] = new_neighbors
+    sims[active] = new_sims
+    # Only rows whose neighbour ids actually moved need reverse-index
+    # diffs — most re-ranked rows keep their ids.
+    moved = np.flatnonzero((new_neighbors != pre_merge).any(axis=1))
+    reverse.apply_row(active[moved], pre_merge[moved], new_neighbors[moved])
+    return int(changes), active
 
 
 def merge_shard_pairs(
@@ -956,23 +989,10 @@ def merge_shard_pairs(
         owned = shard_map.owners(users) == shard_id
         users, ids, scores = users[owned], ids[owned], scores[owned]
     offers = (users, ids, scores)
-    if users.size == 0:
-        return evaluations, 0, np.empty(0, dtype=np.int64), offers
-    active, new_neighbors, new_sims, changes = merge_topk_rows(
-        neighbors, sims, users, ids, scores
+    changes, active = _merge_offers(
+        neighbors, sims, users, ids, scores, reverse
     )
-    pre_merge = neighbors[active]
-    # Write only the re-ranked rows back, through the views, so
-    # backing-array slack capacity survives and no O(n_users * k) copy
-    # is paid; every active row is owned by this shard, so shards never
-    # collide.
-    neighbors[active] = new_neighbors
-    sims[active] = new_sims
-    # Only rows whose neighbour ids actually moved need reverse-index
-    # diffs — most re-ranked rows keep their ids.
-    moved = np.flatnonzero((new_neighbors != pre_merge).any(axis=1))
-    reverse.apply_row(active[moved], pre_merge[moved], new_neighbors[moved])
-    return evaluations, int(changes), active, offers
+    return evaluations, changes, active, offers
 
 
 class ShardedKnnIndex(DynamicKnnIndex):

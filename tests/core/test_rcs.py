@@ -251,6 +251,25 @@ class TestDeltaRcs:
                     delta.counts_of(user), full.counts_of(user)
                 )
 
+    @pytest.mark.parametrize("min_rating", [None, 4.0])
+    def test_shared_raters_give_the_same_rows(self, min_rating):
+        """A caller-built transpose, reused across calls, changes
+        nothing."""
+        from repro.core.rcs import candidacy_raters, delta_rcs
+
+        dataset = random_dataset(
+            n_users=30, n_items=15, density=0.2, seed=3, ratings=True
+        )
+        raters = candidacy_raters(dataset, min_rating)
+        for dirty in ([0, 5, 29], [7], list(range(30))):
+            shared = delta_rcs(
+                dataset, dirty, min_rating=min_rating, raters=raters
+            )
+            own = delta_rcs(dataset, dirty, min_rating=min_rating)
+            np.testing.assert_array_equal(shared.candidates, own.candidates)
+            np.testing.assert_array_equal(shared.counts, own.counts)
+            np.testing.assert_array_equal(shared.offsets, own.offsets)
+
     def test_added_removed_against_base(self):
         from repro.core.rcs import delta_rcs
 

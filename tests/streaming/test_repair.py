@@ -25,6 +25,7 @@ import pytest
 from repro import BipartiteDataset, DynamicKnnIndex, KiffConfig
 from repro.graph import ReverseNeighborIndex
 from repro.similarity.jaccard import JaccardSimilarity
+from repro.streaming import sharding
 from repro.streaming.sharding import _Shard
 from repro.streaming import (
     AddRating,
@@ -266,6 +267,59 @@ class TestRepairPaths:
             index.close()
 
 
+@pytest.mark.parametrize("layout", LAYOUTS[:2], ids=LAYOUT_IDS[:2])
+class TestScoringCalls:
+    def test_rows_being_rebuilt_are_the_kernel_row_side(self, layout):
+        """Each shard scores its merge in one call and its fallbacks in
+        one more, with the rebuilt rows (the dirty user, then the rows
+        that fell back) on the kernel's row side."""
+        index = make_index(full_rows_dataset(), layout, k=2)
+        try:
+            index.apply(
+                [RemoveRating(1, 1), RemoveRating(1, 2), RemoveRating(1, 3)]
+            )
+            calls = {"merge": [], "fallback": []}
+            original = index._score_pairs
+            fall_back = _Shard._fall_back
+            state = threading.local()
+
+            def falling_back(shard, rows, offers):
+                state.falling_back = True
+                try:
+                    return fall_back(shard, rows, offers)
+                finally:
+                    state.falling_back = False
+
+            def recording(us, vs):
+                late = getattr(state, "falling_back", False)
+                calls["fallback" if late else "merge"].append(set(us.tolist()))
+                return original(us, vs)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_Shard, "_fall_back", falling_back)
+                patch.setattr(index, "_score_pairs", recording)
+                stats = index.refresh()
+            assert fallbacks(stats) == 3
+            assert 0 < len(calls["merge"]) <= index.n_shards
+            assert 0 < len(calls["fallback"]) <= index.n_shards
+            assert all(users == {1} for users in calls["merge"])
+            assert all(users <= {0, 2, 3} for users in calls["fallback"])
+            assert_exact(index)
+        finally:
+            index.close()
+
+    def test_pass_keeps_no_candidacy_transpose(self, layout):
+        index = make_index(full_rows_dataset(), layout, k=2)
+        try:
+            index.apply([RemoveRating(1, 1), RemoveRating(1, 2)])
+            stats = index.refresh()
+            assert stats.cache_misses > 0
+            for shard in index._shards:
+                assert shard._raters == (None, None)
+        finally:
+            index.close()
+
+
 def _dense_random(seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((24, 12)) < 0.3
@@ -277,12 +331,15 @@ def _dense_random(seed):
 
 
 class TestFailureMidRepair:
-    @pytest.mark.parametrize("fail_in", ["merge", "fallback"])
+    @pytest.mark.parametrize(
+        "fail_in", ["merge", "fallback", "fallback-merge"]
+    )
     @pytest.mark.parametrize("layout", LAYOUTS[:2], ids=LAYOUT_IDS[:2])
     def test_metric_error_then_exact_rerun(self, layout, fail_in, monkeypatch):
-        """Fail the stage-C scoring (after the drops) or the fallback's
-        (after the first merge landed); the rerun is exact and the
-        reverse index mirrors the rows at every point."""
+        """Fail the stage-C scoring (after the drops), the fallback's
+        (after the first merge landed) or the fallback's merge (after
+        its rows were cleared); the rerun is exact and the reverse
+        index mirrors the rows at every point."""
         index = make_index(full_rows_dataset(), layout, k=2)
         try:
             index.apply(
@@ -297,16 +354,31 @@ class TestFailureMidRepair:
                 return fall_back(shard, rows, offers)
 
             def failing(us, vs):
-                if fail_in == "merge" or getattr(state, "falling_back", 0):
+                if fail_in == "merge" or (
+                    fail_in == "fallback"
+                    and getattr(state, "falling_back", 0)
+                ):
                     raise RuntimeError("metric blew up")
                 return original(us, vs)
 
+            merge_rows = sharding.merge_topk_rows
+
+            def failing_merge(*args):
+                if getattr(state, "falling_back", 0):
+                    raise RuntimeError("merge blew up")
+                return merge_rows(*args)
+
             monkeypatch.setattr(_Shard, "_fall_back", falling_back)
             monkeypatch.setattr(index, "_score_pairs", failing)
+            if fail_in == "fallback-merge":
+                monkeypatch.setattr(
+                    sharding, "merge_topk_rows", failing_merge
+                )
             with pytest.raises(RuntimeError, match="blew up"):
                 index.refresh()
             assert_reverse_mirrors_rows(index)
             monkeypatch.setattr(index, "_score_pairs", original)
+            monkeypatch.setattr(sharding, "merge_topk_rows", merge_rows)
             index.refresh()
             assert_exact(index)
             assert_reverse_mirrors_rows(index)
