@@ -18,7 +18,7 @@ Assertions:
   pass: each ``rebalance()`` call's wall time must stay under the
   longest single refresh of the same run (plus a small absolute epsilon
   for sub-millisecond timer noise).  Ownership flips are bookkeeping —
-  the actual cache re-seeding is deferred to the next refresh pass,
+  rebuilding the moved rows is deferred to the next refresh pass,
   which is exactly what keeps the serving/ingest path responsive.
 """
 
@@ -188,6 +188,6 @@ def test_rebalance_never_stalls_ingestion(benchmark, executor):
             f"{label} migration stalled ingestion {stall * 1e3:.1f}ms, "
             f"longer than the longest refresh pass "
             f"{max_refresh * 1e3:.1f}ms — the flip is supposed to be "
-            f"bookkeeping, with cache re-seeding deferred to the next "
-            f"refresh"
+            f"bookkeeping, with the moved rows' rebuild deferred to the "
+            f"next refresh"
         )

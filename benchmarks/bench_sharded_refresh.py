@@ -22,11 +22,14 @@ Assertions:
   only parity is asserted there.  Workers need hardware to run on, so
   the bars also only apply when the machine has at least ``n_shards``
   cores (a single-core runner physically cannot express the
-  parallelism; the numbers are still reported).
+  parallelism; the numbers are still reported).  ``extra_info``
+  records ``bars_applied``, and a run that skips its bars for want of
+  cores says so in a warning instead of passing silently.
 """
 
 import os
 import time
+import warnings
 
 import numpy as np
 
@@ -153,8 +156,22 @@ def test_sharded_refresh_speedup(benchmark):
     benchmark.extra_info["processes_speedup_vs_serial"] = round(
         processes_speedup, 3
     )
-    enough_cores = (os.cpu_count() or 1) >= n_shards
-    benchmark.extra_info["cores"] = os.cpu_count() or 1
+    cores = os.cpu_count() or 1
+    enough_cores = cores >= n_shards
+    has_bars = (
+        params["min_speedup_threads"] is not None
+        or params["min_speedup_processes"] is not None
+    )
+    benchmark.extra_info["cores"] = cores
+    # A bool, so the regression gate never baselines it.
+    benchmark.extra_info["bars_applied"] = has_bars and enough_cores
+    if has_bars and not enough_cores:
+        warnings.warn(
+            f"speedup bars skipped: {cores} cores for {n_shards} shards "
+            f"(threads {threads_speedup:.2f}x vs sequential, processes "
+            f"{processes_speedup:.2f}x vs serial)",
+            stacklevel=1,
+        )
 
     if params["min_speedup_threads"] is not None and enough_cores:
         assert threads_speedup >= params["min_speedup_threads"], (

@@ -37,6 +37,7 @@ __all__ = [
     "build_rcs",
     "build_rcs_reference",
     "candidacy_raters",
+    "candidate_rows",
     "count_rcs_candidates",
     "delta_rcs",
 ]
@@ -111,6 +112,26 @@ def candidacy_raters(dataset: BipartiteDataset, min_rating: float | None):
     it once and passes it as ``raters``.
     """
     return _binarized(dataset, min_rating).T.tocsr()
+
+
+def candidate_rows(
+    dataset: BipartiteDataset,
+    users: np.ndarray,
+    min_rating: float | None = None,
+    raters=None,
+):
+    """The candidacy product ``binarise(R[users]) @ B.T`` (CSR).
+
+    Row ``j``'s structure is the candidate set of ``users[j]`` (herself
+    included whenever she rates a qualifying item) and its values the
+    shared-item counts: Algorithm 1, lines 3-4, for those users only,
+    touching only the item profiles of their items.  *raters* is an
+    optional :func:`candidacy_raters` of this *dataset* and
+    *min_rating*, built here when omitted.
+    """
+    if raters is None:
+        raters = candidacy_raters(dataset, min_rating)
+    return _binarize(dataset.matrix[users], min_rating) @ raters
 
 
 def _binarize(matrix, min_rating: float | None):
@@ -278,10 +299,7 @@ def delta_rcs(
             f"[{dirty[0] if dirty.size else '-'}, {dirty[-1] if dirty.size else '-'}]"
         )
     if dirty.size:
-        rows = _binarize(dataset.matrix[dirty], min_rating)
-        if raters is None:
-            raters = candidacy_raters(dataset, min_rating)
-        cooc = (rows @ raters).tocoo()
+        cooc = candidate_rows(dataset, dirty, min_rating, raters).tocoo()
         local_rows = cooc.row.astype(np.int64)
         cols = cooc.col.astype(np.int64)
         counts = cooc.data

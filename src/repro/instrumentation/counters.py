@@ -36,8 +36,6 @@ class MaintenanceCounter:
     The mode tallies (``snapshots_full`` vs ``snapshots_incremental``,
     ``index_builds_full`` vs ``index_updates_incremental``) record which
     path ran, so benchmarks can assert the fast paths actually engaged.
-    ``candidate_cache_hits`` / ``candidate_cache_misses`` account the
-    streaming layer's per-user candidate-set cache.
 
     The ``scheduler_*`` tallies account the bounded-staleness scheduler
     (:mod:`repro.scheduling`): scheduled refresh passes run, dirty
@@ -52,8 +50,6 @@ class MaintenanceCounter:
     snapshots_incremental: int = 0
     index_builds_full: int = 0
     index_updates_incremental: int = 0
-    candidate_cache_hits: int = 0
-    candidate_cache_misses: int = 0
     scheduler_passes: int = 0
     scheduler_deferrals: int = 0
     scheduler_backpressure: int = 0

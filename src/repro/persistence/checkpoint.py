@@ -9,14 +9,14 @@ partitions the state the way the shards hold it:
 * ``base.npz`` — the shared read-only state: the dataset snapshot (via
   :func:`repro.datasets.mutable.snapshot_to_arrays`) and the KNN graph
   rows (CSR-packed via :func:`repro.graph.io.pack_graph_arrays`);
-* ``shard-<i>.npz`` — shard *i*'s dirty slice and delta-maintained
-  candidate-multiset cache (in insertion order, so eviction order
-  survives).
+* ``shard-<i>.npz`` — shard *i*'s dirty slice.
 
 Every index writes it at its own shard count (one shard file for the
 flat index).  The reverse-neighbor index is *not* stored: it is a
 pure function of the graph rows and is re-derived on load, which is both
-cheaper than parsing it and immune to drift.
+cheaper than parsing it and immune to drift.  Candidate sets are not
+stored either: every refresh derives the ones it needs from the
+dataset snapshot.
 
 Recovery (:func:`restore_index`) = latest readable checkpoint + the
 merged :mod:`partitioned log <repro.persistence.partition>` tail,
@@ -47,7 +47,7 @@ from ..datasets.bipartite import BipartiteDataset
 from ..datasets.mutable import snapshot_from_arrays, snapshot_to_arrays
 from ..graph.io import pack_graph_arrays, unpack_graph_arrays
 from ..graph.knn_graph import KnnGraph
-from ..layout import ID_DTYPE, SCORE_DTYPE, dtype_tags, indptr_dtype
+from ..layout import ID_DTYPE, SCORE_DTYPE, dtype_tags
 from . import wal as _wal
 from .partition import PartitionedWriteAheadLog, read_partitioned_wal
 from .wal import PersistenceError
@@ -56,8 +56,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointState",
     "RestoreInfo",
-    "cache_from_arrays",
-    "cache_to_arrays",
     "checkpoint_path",
     "install_checkpoint_state",
     "latest_checkpoint",
@@ -90,7 +88,7 @@ class CheckpointState:
     left behind by live
     :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` moves,
     so :func:`install_checkpoint_state` re-derives each shard's dirty
-    slice and cache from the merged tuples — which is also what makes
+    slice from the merged tuple — which is also what makes
     restoring at a different shard count (re-sharding) exact.
     """
 
@@ -101,7 +99,6 @@ class CheckpointState:
     config: KiffConfig
     auto_refresh: bool
     pending_events: int
-    candidate_cache_size: int | None
     initial_evaluations: int
     evaluations: int
     maintenance: dict
@@ -109,8 +106,6 @@ class CheckpointState:
     neighbors: np.ndarray
     sims: np.ndarray
     dirty: tuple[int, ...]
-    #: ``(user, {candidate: count})`` pairs in cache-insertion order.
-    cache: tuple
     n_shards: int
     #: ``{user: shard}`` live-rebalance ownership overrides.
     shard_overrides: dict
@@ -156,67 +151,6 @@ def latest_checkpoint(directory: str | Path) -> Path | None:
     return candidates[0][1] if candidates else None
 
 
-def cache_to_arrays(candidate_counts: dict) -> dict[str, np.ndarray]:
-    """A candidate-multiset cache as compressed parallel arrays.
-
-    Insertion order is preserved (it is the cache's eviction order).
-    The inverse is :func:`cache_from_arrays`.
-    """
-    cache_users = list(candidate_counts)
-    cache_lengths = [len(candidate_counts[u]) for u in cache_users]
-    cache_indptr = np.zeros(len(cache_users) + 1, dtype=np.int64)
-    np.cumsum(cache_lengths, out=cache_indptr[1:])
-    cache_candidates = np.concatenate(
-        [
-            np.fromiter(counts.keys(), np.int64, len(counts))
-            for counts in (candidate_counts[u] for u in cache_users)
-        ]
-        or [np.empty(0, dtype=np.int64)]
-    )
-    cache_counts = np.concatenate(
-        [
-            np.fromiter(counts.values(), np.int64, len(counts))
-            for counts in (candidate_counts[u] for u in cache_users)
-        ]
-        or [np.empty(0, dtype=np.int64)]
-    )
-    # User/candidate ids and shared-item counts all fit the compact id
-    # width; cache_from_arrays round-trips via tolist(), so the dtype is
-    # purely an at-rest size choice.
-    return {
-        "cache_users": np.asarray(cache_users, dtype=ID_DTYPE),
-        "cache_indptr": cache_indptr.astype(
-            indptr_dtype(int(cache_indptr[-1])), copy=False
-        ),
-        "cache_candidates": cache_candidates.astype(ID_DTYPE, copy=False),
-        "cache_counts": cache_counts.astype(ID_DTYPE, copy=False),
-    }
-
-
-def cache_from_arrays(archive) -> tuple:
-    """Inverse of :func:`cache_to_arrays` (accepts any array mapping)."""
-    cache_users = np.asarray(archive["cache_users"]).tolist()
-    cache_indptr = np.asarray(archive["cache_indptr"])
-    cache_candidates = np.asarray(archive["cache_candidates"])
-    cache_counts = np.asarray(archive["cache_counts"])
-    return tuple(
-        (
-            user,
-            dict(
-                zip(
-                    cache_candidates[
-                        cache_indptr[pos] : cache_indptr[pos + 1]
-                    ].tolist(),
-                    cache_counts[
-                        cache_indptr[pos] : cache_indptr[pos + 1]
-                    ].tolist(),
-                )
-            ),
-        )
-        for pos, user in enumerate(cache_users)
-    )
-
-
 def _fsync_file(path: Path) -> None:
     with path.open("rb+") as handle:
         os.fsync(handle.fileno())
@@ -229,10 +163,10 @@ def save_checkpoint(index, directory: str | Path) -> Path:
     are captured through the dataset snapshot plus the dirty set, so a
     restore followed by one refresh lands on the same converged graph.
     ``base.npz`` holds the shared read-only state (dataset snapshot,
-    graph rows), ``shard-<i>.npz`` shard *i*'s dirty slice and candidate
-    cache.  The directory is staged under a temp name, every file
-    fsynced, then atomically renamed into place with a parent fsync — a
-    crash mid-checkpoint leaves the previous one intact.
+    graph rows), ``shard-<i>.npz`` shard *i*'s dirty slice.  The
+    directory is staged under a temp name, every file fsynced, then
+    atomically renamed into place with a parent fsync — a crash
+    mid-checkpoint leaves the previous one intact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -248,7 +182,6 @@ def save_checkpoint(index, directory: str | Path) -> Path:
         "config": asdict(index.config),
         "auto_refresh": bool(index.auto_refresh),
         "pending_events": int(index.pending_events),
-        "candidate_cache_size": index.candidate_cache_size,
         "initial_evaluations": int(index.initial_evaluations),
         "evaluations": int(index.engine.counter.evaluations),
         "maintenance": {
@@ -283,7 +216,6 @@ def save_checkpoint(index, directory: str | Path) -> Path:
             np.savez_compressed(
                 shard_file,
                 dirty=np.asarray(sorted(shard.dirty), dtype=np.int64),
-                **cache_to_arrays(shard.candidate_counts),
             )
             _fsync_file(shard_file)
         _wal.fsync_dir(tmp)
@@ -337,13 +269,11 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         graph = unpack_graph_arrays(archive)
         dataset = snapshot_from_arrays(archive, name=meta["name"])
     dirty: list[int] = []
-    cache: list[tuple] = []
     for shard in range(n_shards):
         with np.load(
             path / f"shard-{shard}.npz", allow_pickle=False
         ) as archive:
             dirty.extend(archive["dirty"].tolist())
-            cache.extend(cache_from_arrays(archive))
     config_fields = dict(meta["config"])
     gamma = config_fields.get("gamma")
     if gamma is not None:
@@ -362,7 +292,6 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         config=config,
         auto_refresh=bool(meta["auto_refresh"]),
         pending_events=int(meta["pending_events"]),
-        candidate_cache_size=meta["candidate_cache_size"],
         initial_evaluations=int(meta["initial_evaluations"]),
         evaluations=int(meta["evaluations"]),
         maintenance=dict(meta["maintenance"]),
@@ -370,7 +299,6 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         neighbors=graph.neighbors,
         sims=graph.sims,
         dirty=tuple(sorted(dirty)),
-        cache=tuple(cache),
         n_shards=n_shards,
         shard_overrides={
             int(user): int(shard)
@@ -409,11 +337,8 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     """Install a loaded checkpoint into a freshly built (build=False) index.
 
     Works through the index's own state surfaces (``_dirty``,
-    ``_reverse``, the shards' caches) rather than raw assignment, so the
-    per-user state routes to its owner shard at the index's shard count.
-    Under ``executor="processes"`` the caches live in the workers, which
-    spawn empty, so the checkpointed caches are left out (caches are
-    exact-or-absent).
+    ``_reverse``) rather than raw assignment, so the per-user state
+    routes to its owner shard at the index's shard count.
     """
     # astype(copy=True): the index must own its rows, and a hand-built
     # wide state narrows to the compact layout.
@@ -424,11 +349,6 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     index._dirty.clear()
     index._dirty.update(state.dirty)
     index._pending_events = state.pending_events
-    if index.executor != "processes":
-        for user, counts in state.cache:
-            user = int(user)
-            shard = index._shards[index._shard_map.owner(user)]
-            shard.cache_insert(user, dict(counts))
     index.engine.counter.evaluations = state.evaluations
     index.initial_evaluations = state.initial_evaluations
     for field, value in state.maintenance.items():
@@ -462,8 +382,8 @@ def restore_index(
     mid-rebalance) replays as a no-op, rolling the ownership flip back
     to the fence.  *n_shards* (None keeps wherever the replay ends) is
     then reached by one re-shard, which resets the overrides to the
-    plain modulus and drops the candidate caches — exact either way,
-    since ownership never affects graph content.  *executor* (None
+    plain modulus — exact either way, since ownership never affects
+    graph content.  *executor* (None
     keeps *cls*'s default) picks the transport.
 
     *cls* is the index class (passed in to avoid a circular import);
@@ -481,12 +401,11 @@ def restore_index(
         metric=state.metric if metric is None else metric,
         auto_refresh=False,
         build=False,
-        candidate_cache_size=state.candidate_cache_size,
         n_shards=state.n_shards,
         **({} if executor is None else {"executor": executor}),
     )
     # Adopt the live-rebalance overrides before the installer routes
-    # per-user state, so dirty/cache/reverse slices land on their
+    # per-user state, so dirty/reverse slices land on their
     # overridden owners.
     index._shard_map = ShardMap(state.n_shards, state.shard_overrides)
     install_checkpoint_state(index, state)

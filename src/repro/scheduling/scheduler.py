@@ -182,8 +182,8 @@ class RefreshScheduler:
         """Run a live shard re-balance through the staleness policy.
 
         Migration work is not free: every moved user goes dirty so the
-        next pass seeds her destination shard's candidate cache, and
-        that work counts against the same ``queue_bound`` as ingestion.
+        next pass rebuilds her row on her destination shard, and that
+        work counts against the same ``queue_bound`` as ingestion.
         At or past the bound the scheduler sheds first (a rebalance is
         operator-initiated, so it is never rejected), then delegates to
         ``index.rebalance(plan)``, stamps the moved users' staleness

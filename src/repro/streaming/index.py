@@ -47,8 +47,8 @@ After ``refresh()`` the graph equals the cold rebuild because:
 One index class
 ---------------
 The maintained state lives in shards (``repro.streaming.sharding._Shard``:
-a dirty slice, a candidate-multiset cache and a row-restricted reverse
-index), partitioned by a :class:`~repro.streaming.sharding.ShardMap`.
+a dirty slice and a row-restricted reverse index), partitioned by a
+:class:`~repro.streaming.sharding.ShardMap`.
 :class:`DynamicKnnIndex` takes the shard count (default 1) and the
 executor (default ``"serial"``); the flat index is simply its
 one-shard, in-process case, and
@@ -79,11 +79,11 @@ Every stage of a refresh scales with the dirty set, not the dataset:
   :class:`~repro.graph.updates.ReverseNeighborIndex` (user -> rows
   citing her), kept current from the row diffs of every top-k merge,
   replaces the per-pass O(n_users * k) ``np.isin`` scan with a lookup.
-* **Candidate sets** — per-user candidate multisets are cached and
-  delta-maintained from the item profiles touched by each event, so
-  repeat-dirty users never re-derive their candidate sets; cache misses
-  are re-derived in bulk by :func:`repro.core.rcs.delta_rcs`, whose cost
-  is proportional to the dirty users' item profiles.
+* **Candidate sets** — the rebuilt rows' candidate sets are the
+  structure of one sparse product per shard and pass,
+  ``binarise(R[rows]) @ B.T`` (:func:`repro.core.rcs.candidate_rows`),
+  whose cost is proportional to those rows' item profiles; nothing is
+  kept between passes, so ingestion does no candidate bookkeeping.
 * **Similarity evaluations** — proportional to the rebuilt rows'
   candidate sets plus the dirty users' own pairs, the streaming
   analogue of KIFF's "only scan the RCS" guarantee; repaired rows need
@@ -113,7 +113,6 @@ the cost).
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -205,8 +204,10 @@ class RefreshStats:
     rows_materialized: int = 0
     #: Users whose ProfileIndex state this pass recomputed.
     index_users_recomputed: int = 0
-    #: Candidate-set cache hits / misses among the rebuilt rows.
+    #: Always 0: no candidate set outlives its pass.
     cache_hits: int = 0
+    #: Rows whose candidate set this pass derived (every rebuilt row,
+    #: so it equals ``affected_users``).
     cache_misses: int = 0
     #: Dirty users this pass left for a later refresh (``dirty_subset``
     #: refreshes only; always 0 for a full pass).
@@ -222,12 +223,10 @@ class _ShardHost:
 
     The graph rows live in backing arrays with slack capacity — the
     first ``_n_rows`` rows of ``_neighbors``/``_sims`` are the live
-    graph — and ``_qualifies`` is the candidacy rule.  Subclasses add
-    ``builder``, ``config``, ``n_users``, ``_shard_map``,
-    ``_shard_cache_limit``, ``_profile_local`` and ``_score_pairs``:
-    the index for its own
-    shards, and the worker-side host in each ``processes`` worker, so
-    both grow rows and apply the rule identically.
+    graph.  Subclasses add ``builder``, ``config``, ``n_users``,
+    ``_shard_map``, ``_profile_local`` and ``_score_pairs``: the index
+    for its own shards, and the worker-side host in each ``processes``
+    worker, so both grow rows identically.
     """
 
     _neighbors: np.ndarray
@@ -261,13 +260,6 @@ class _ShardHost:
             self._sims[self._n_rows : n_users] = -np.inf
         self._n_rows = n_users
 
-    def _qualifies(self, rating: float) -> bool:
-        """Does *rating* let an item contribute candidacies?"""
-        if rating == 0.0:
-            return False
-        min_rating = self.config.min_rating
-        return min_rating is None or rating >= min_rating
-
 
 class DynamicKnnIndex(_ShardHost):
     """A KIFF KNN graph maintained under insert/remove rating events.
@@ -291,11 +283,6 @@ class DynamicKnnIndex(_ShardHost):
         events accumulate in the dirty set and the caller chooses the
         staleness/cost trade-off by calling ``refresh()`` explicitly —
         the policy knob the staleness experiment sweeps.
-    candidate_cache_size:
-        Maximum users whose candidate multisets are cached.  The default
-        (65536) is effectively unbounded for bench-scale datasets while
-        capping long-stream memory at production scale; ``None`` removes
-        the bound, ``0`` disables the cache.  Evictions are oldest-first.
     wal:
         Optional :class:`~repro.persistence.PartitionedWriteAheadLog` to
         journal every applied event into (write-ahead, i.e. before the
@@ -316,9 +303,7 @@ class DynamicKnnIndex(_ShardHost):
         ``multiprocessing`` worker pool over shared-memory snapshots
         (:mod:`repro.streaming.procpool`) — the mode whose refresh work
         actually escapes the GIL.  Results are bit-identical in every
-        mode.  With ``"processes"`` the candidate caches live in the
-        workers, so checkpoints serialize an empty cache section
-        (always safe: caches are exact-or-absent), and custom
+        mode.  With ``"processes"`` custom
         :class:`~repro.similarity.base.ProfileIndex` subclasses are
         rejected (refresh raises ``TypeError``) because workers rebuild
         the base index from the shared buffers.
@@ -326,8 +311,6 @@ class DynamicKnnIndex(_ShardHost):
         Optional ``multiprocessing`` start method for the process
         executor (default: ``"fork"`` on Linux, else ``"spawn"``).
 
-    ``candidate_cache_size`` bounds the cache *globally*; each shard
-    keeps at most ``max(1, size // n_shards)`` entries of its own users.
     With the pivot strategy a pair whose endpoints live on different
     shards may be evaluated once per side (evaluations are never shared
     across shards), so ``RefreshStats.evaluations`` can exceed the
@@ -348,7 +331,6 @@ class DynamicKnnIndex(_ShardHost):
         metric: str | SimilarityMetric = "cosine",
         auto_refresh: bool = True,
         build: bool = True,
-        candidate_cache_size: int | None = 65_536,
         wal=None,
         n_shards: int = 1,
         executor: str = "serial",
@@ -368,13 +350,12 @@ class DynamicKnnIndex(_ShardHost):
             )
         self.executor = executor
         #: Executor state: the shard thread pool, and under
-        #: ``processes`` the worker pool, the owned shared-memory arena
-        #: and the per-event cache deltas not yet shipped to workers.
+        #: ``processes`` the worker pool and the owned shared-memory
+        #: arena.
         self._pool = None
         self._start_method = start_method
         self._procpool = None
         self._arena = None
-        self._delta_buffer: list[tuple] = []
         #: RebalanceStats of every completed rebalance() call.
         self.rebalance_log: list = []
         #: The latest published read snapshot (atomic pointer swap; see
@@ -384,7 +365,7 @@ class DynamicKnnIndex(_ShardHost):
         self.config = config or KiffConfig()
         self.auto_refresh = auto_refresh
         #: Shared per-user maintenance work accounting (snapshot rows,
-        #: ProfileIndex recomputations, candidate-cache traffic).
+        #: ProfileIndex recomputations, scheduler tallies).
         self.maintenance = MaintenanceCounter()
         self.builder = MutableBipartiteBuilder.from_dataset(
             dataset, maintenance=self.maintenance
@@ -403,7 +384,6 @@ class DynamicKnnIndex(_ShardHost):
         self._sims = np.full(
             (dataset.n_users, self.config.k), -np.inf, dtype=SCORE_DTYPE
         )
-        self.candidate_cache_size = candidate_cache_size
         self._pending_events = 0
         self.refresh_log: list[RefreshStats] = []
         self.initial_evaluations = 0
@@ -505,11 +485,10 @@ class DynamicKnnIndex(_ShardHost):
         """Per-component resident-byte breakdown of the index state.
 
         Array-backed components report exact ``nbytes`` (graph rows
-        include slack capacity from geometric growth); dict-backed
-        components (reverse index, candidate caches) report entry
-        counts, since their Python-object overhead is interpreter-
-        dependent.  ``legacy_*`` twins re-price the compact arrays at
-        the historical int64/float64 widths
+        include slack capacity from geometric growth); the dict-backed
+        reverse index reports its entry count, since its Python-object
+        overhead is interpreter-dependent.  ``legacy_*`` twins re-price
+        the compact arrays at the historical int64/float64 widths
         (:func:`repro.layout.legacy_nbytes`) — the analytic "before"
         column of the memory model, deterministic and hence gateable in
         benchmark baselines.
@@ -518,9 +497,7 @@ class DynamicKnnIndex(_ShardHost):
         slots — exactly the reverse index's (row, cited user) entries,
         and correct on every executor (``processes`` workers own their
         reverse indexes).  The ``shm_arena_*`` keys account for the
-        process executor's shared-memory arena (0 in process); the
-        worker-side caches are not visible here, so the cache counts
-        are 0 under ``processes``.
+        process executor's shared-memory arena (0 in process).
 
         The dataset figures are read from the published snapshot (0
         before the first publication): materialising the builder's
@@ -547,16 +524,6 @@ class DynamicKnnIndex(_ShardHost):
             ),
             "reverse_index_entries": int(
                 np.count_nonzero(neighbors != MISSING)
-            ),
-            "candidate_cache_entries": sum(
-                len(counts)
-                for shard in self._shards
-                for counts in shard.candidate_counts.values()
-            ),
-            "cached_rater_entries": sum(
-                len(raters)
-                for shard in self._shards
-                for raters in shard.cached_raters.values()
             ),
             "legacy_dataset_csr_bytes": legacy_nbytes(*csr),
             "legacy_graph_rows_bytes": legacy_nbytes(
@@ -713,13 +680,10 @@ class DynamicKnnIndex(_ShardHost):
         2. **journal** — every primitive event is appended to the
            attached write-ahead log *before* state mutates, so a crash
            replays exactly what was applied;
-        3. **absorb** — profiles, dirty set and candidate caches update
-           in O(1) per event;
+        3. **absorb** — profiles and the dirty set update in O(1) per
+           event;
         4. **refresh** — under ``auto_refresh``, one refinement pass per
            top-level event (a batch refreshes once, not per member).
-
-        Under ``executor="processes"`` the call ends by shipping the
-        per-event cache deltas to the workers.
 
         Returns an :class:`ApplyResult` with the minted user ids, the
         :class:`RefreshStats` of every pass this call triggered, the
@@ -743,7 +707,6 @@ class DynamicKnnIndex(_ShardHost):
             n_applied += len(primitives)
             if self.auto_refresh:
                 self.refresh()
-        self._flush_deltas()
         return ApplyResult(
             new_users=tuple(new_users),
             refreshes=tuple(self.refresh_log[log_start:]),
@@ -876,15 +839,11 @@ class DynamicKnnIndex(_ShardHost):
         if old == rating:
             return  # duplicate delivery / identical overwrite: no-op
         membership_change = (old != 0.0) != (rating != 0.0)
-        qualified = self._qualifies(old)
-        qualifies = self._qualifies(rating)
         self.builder.set_rating(user, item, rating)
         self._dirty.add(user)
         if membership_change and not self._profile_local:
             # |IP_item| changed: every pair sharing the item shifts.
             self._dirty.update(self.builder.users_of(item))
-        if qualified != qualifies:
-            self._cache_delta("cand", user, item, added=qualifies)
 
     def _absorb_user(self, items, ratings) -> int:
         user = self.builder.add_user(items, ratings)
@@ -893,87 +852,17 @@ class DynamicKnnIndex(_ShardHost):
         if not self._profile_local:
             for item in self.builder.profile(user):
                 self._dirty.update(self.builder.users_of(item))
-        for item, rating in self.builder.profile(user).items():
-            if self._qualifies(rating):
-                self._cache_delta("cand", user, item, added=True)
         return user
 
     def _absorb_removal(self, user: int) -> None:
-        profile_items = list(self.builder.profile(user).items())
         touched_items = (
-            None
-            if self._profile_local
-            else [item for item, _ in profile_items]
+            None if self._profile_local else list(self.builder.profile(user))
         )
-        self._cache_delta("evict", user)  # before the profile vanishes
         self.builder.clear_user(user)
         self._dirty.add(user)
         if touched_items is not None:
             for item in touched_items:
                 self._dirty.update(self.builder.users_of(item))
-        for item, rating in profile_items:
-            if self._qualifies(rating):
-                self._cache_delta("cand", user, item, added=False)
-
-    # ------------------------------------------------------------------
-    # Candidate-set cache routing (ingestion path)
-    # ------------------------------------------------------------------
-    def _qualifying_raters(self, item: int, user: int) -> list[int]:
-        """The users other than *user* rating *item* at a qualifying level."""
-        builder = self.builder
-        return [
-            int(other)
-            for other in builder.users_of(item)
-            if other != user and self._qualifies(builder.rating(other, item))
-        ]
-
-    def _cache_delta(
-        self, kind: str, user: int, item: int = -1, added: bool = False
-    ) -> None:
-        """Route one per-event candidate-cache delta to the caches.
-
-        ``"cand"``: (*user*, *item*) started (*added*) or stopped
-        contributing candidacies — every cached rater of the item
-        gains/loses one shared item with her, and her own cached
-        multiset gains/loses the item's other qualifying raters.
-        ``"evict"``: drop *user*'s cached multiset (called before her
-        profile vanishes).  Called after the builder mutated, this is
-        the delta that keeps cached candidate sets exact without
-        re-derivation.
-
-        In process every shard applies it at once
-        (:meth:`~repro.streaming.sharding._Shard.apply_delta`) and the
-        item's raters stay a lazy callable, scanned only by a shard
-        caching *user*.  Under ``processes`` the caches live in the
-        workers: the raters are captured now (the workers' snapshot
-        views are only as fresh as the last refresh) and the compact
-        delta waits in a buffer :meth:`_flush_deltas` ships.
-        """
-        processes = self.executor == "processes"
-        if kind == "cand":
-            raters = functools.partial(self._qualifying_raters, item, user)
-            if processes:
-                raters = raters()
-            op = ("cand", user, item, added, raters)
-        else:
-            items = [int(item) for item in self.builder.profile(user)]
-            op = ("evict", user, items)
-        if processes:
-            self._delta_buffer.append(op)
-            return
-        for shard in self._shards:
-            shard.apply_delta(op)
-
-    @property
-    def _shard_cache_limit(self) -> int | None:
-        """Per-shard cache bound: ``candidate_cache_size`` split evenly.
-
-        None keeps the cache unbounded and 0 disables it.
-        """
-        size = self.candidate_cache_size
-        if size is None:
-            return None
-        return 0 if size <= 0 else max(1, size // len(self._shards))
 
     # ------------------------------------------------------------------
     # Durability: write-ahead log + checkpoint/restore
@@ -1021,7 +910,7 @@ class DynamicKnnIndex(_ShardHost):
 
         Writes a ``checkpoint-<seq>.shards/`` directory (atomic rename)
         holding the dataset snapshot, graph rows, counters and one state
-        file per shard (dirty slice, candidate cache) — callable
+        file per shard (its dirty slice) — callable
         mid-stream with events pending.  Recovery is :meth:`restore`:
         latest checkpoint + WAL-tail replay.
         """
@@ -1085,8 +974,8 @@ class DynamicKnnIndex(_ShardHost):
     def refresh(self, dirty_subset=None) -> RefreshStats:
         """Run the localized KIFF refinement over the dirty set.
 
-        Rebuilds the dirty users' rows from their cached candidate
-        sets, repairs (or, failing the repair's check, rebuilds) the
+        Rebuilds the dirty users' rows from their candidate sets,
+        repairs (or, failing the repair's check, rebuilds) the
         rows citing them, found via the reverse-neighbor index, and
         mirror-merges the freshly evaluated pairs into every other row,
         restoring the converged-graph invariant.  Returns the pass's
@@ -1127,8 +1016,7 @@ class DynamicKnnIndex(_ShardHost):
             subset = {int(u) for u in dirty_subset}
             selected = {u for u in self._dirty if u in subset}
             deferred = {u for u in self._dirty if u not in subset}
-        affected = repaired = 0
-        evaluations = changes = hits = misses = 0
+        affected = repaired = evaluations = changes = 0
         if selected:
             # Incremental end to end: the snapshot patches only dirty
             # rows, and the ProfileIndex recomputes only dirty users.
@@ -1139,21 +1027,13 @@ class DynamicKnnIndex(_ShardHost):
             self.engine.rebind(
                 self.builder.snapshot(), dirty_users=self._dirty
             )
-            rebuilt, repairs, plans, merges = self._run_pass(
-                selected, deferred
-            )
+            rebuilt, repairs, merges = self._run_pass(selected, deferred)
             fallbacks = sum(merge.fallbacks for merge in merges)
             affected = rebuilt.size + fallbacks
             repaired = repairs.size - fallbacks
-            hits = sum(plan[1] for plan in plans)
-            hits += sum(merge.cache_hits for merge in merges)
-            misses = sum(plan[2] for plan in plans)
-            misses += sum(merge.cache_misses for merge in merges)
             evaluations = sum(merge.evaluations for merge in merges)
             changes = sum(merge.changes for merge in merges)
             self.engine.counter.add(evaluations)
-            maintenance.candidate_cache_hits += hits
-            maintenance.candidate_cache_misses += misses
         # An empty selection (only no-op events, or everything
         # deferred) still logs a pass, so refresh_log stays one entry
         # per refresh performed.
@@ -1170,8 +1050,7 @@ class DynamicKnnIndex(_ShardHost):
             rows_materialized=maintenance.rows_materialized - rows_before,
             index_users_recomputed=maintenance.index_users_recomputed
             - index_before,
-            cache_hits=hits,
-            cache_misses=misses,
+            cache_misses=int(affected),
             deferred_users=len(deferred),
             repaired_users=int(repaired),
         )
@@ -1182,11 +1061,10 @@ class DynamicKnnIndex(_ShardHost):
     def _run_pass(self, selected: set[int], deferred: set[int]):
         """Stages A-C on every shard.
 
-        Returns ``(rebuilt, repaired, plans, merges)``: the rows rebuilt
-        from their candidate sets and the rows repaired in place (see
-        :meth:`~repro.streaming.sharding._Shard.affected`), each shard's
-        ``(outboxes, cache_hits, cache_misses)`` and each shard's
-        :class:`~repro.streaming.sharding.ShardMerge`.
+        Returns ``(rebuilt, repaired, merges)``: the rows rebuilt from
+        their candidate sets, the rows repaired in place (see
+        :meth:`~repro.streaming.sharding._Shard.affected`) and each
+        shard's :class:`~repro.streaming.sharding.ShardMerge`.
 
         Under ``processes`` the snapshot and profile arrays are first
         published into the shared-memory arena and attached by every
@@ -1217,7 +1095,6 @@ class DynamicKnnIndex(_ShardHost):
         block, manifest = self._arena.publish(index.to_shared_arrays())
         for attempt in range(3):
             pool = self._ensure_pool()
-            self._flush_deltas()
             try:
                 # Attaching also grows each worker's row mirror to the
                 # current population.
@@ -1225,7 +1102,7 @@ class DynamicKnnIndex(_ShardHost):
                     "attach",
                     [(block, manifest, self.n_users)] * self.n_shards,
                 )
-                rebuilt, repaired, plans, merges = self._run_stages(
+                rebuilt, repaired, merges = self._run_stages(
                     selected, deferred
                 )
                 break
@@ -1251,7 +1128,7 @@ class DynamicKnnIndex(_ShardHost):
         for merge in merges:
             neighbors[merge.rows] = merge.neighbors
             sims[merge.rows] = merge.sims
-        return rebuilt, repaired, plans, merges
+        return rebuilt, repaired, merges
 
     def _run_stages(self, selected: set[int], deferred: set[int]):
         """The three stage rounds of :meth:`_run_pass`, on any executor."""
@@ -1274,15 +1151,14 @@ class DynamicKnnIndex(_ShardHost):
         self._dirty.update(rebuilt.tolist())
         self._dirty.update(repaired.tolist())
         plans = self._stage("plan", [(rebuilt, self._seq)] * len(owned))
-        inboxes: list[list] = [[] for _ in owned]
-        for outboxes, _, _ in plans:
-            for outbox in outboxes:
-                inboxes[outbox.target].append(outbox)
         self.last_outboxes = tuple(
-            outbox for outboxes, _, _ in plans for outbox in outboxes
+            outbox for outboxes in plans for outbox in outboxes
         )
+        inboxes: list[list] = [[] for _ in owned]
+        for outbox in self.last_outboxes:
+            inboxes[outbox.target].append(outbox)
         merges = self._stage("merge", [(inbox,) for inbox in inboxes])
-        return rebuilt, repaired, plans, merges
+        return rebuilt, repaired, merges
 
     def _stage(self, name: str, payloads: list[tuple]) -> list:
         """Run stage *name* on every shard — the executor's one job.
@@ -1347,21 +1223,8 @@ class DynamicKnnIndex(_ShardHost):
         return result
 
     # ------------------------------------------------------------------
-    # Process workers: delta shipping and pool management
+    # Process workers: pool management
     # ------------------------------------------------------------------
-    def _flush_deltas(self) -> None:
-        """Ship the buffered cache deltas to the live workers.
-
-        With no live pool the buffer is simply dropped: workers spawn
-        with empty candidate caches, which are always exact (caches are
-        exact-or-absent), so a respawned worker needs no replay.
-        """
-        if not self._delta_buffer:
-            return
-        ops, self._delta_buffer = self._delta_buffer, []
-        if self._procpool is not None and self._procpool.alive:
-            self._procpool.broadcast_deltas(ops)
-
     def _reset_workers(self) -> None:
         """Stop the workers; the next refresh respawns them.
 
@@ -1370,7 +1233,6 @@ class DynamicKnnIndex(_ShardHost):
         """
         if self._procpool is not None:
             self._procpool.reset()
-        self._delta_buffer.clear()
 
     def _worker_init(self, shard_id: int) -> dict:
         """The spawn payload seeding one worker's owned state."""
@@ -1381,7 +1243,6 @@ class DynamicKnnIndex(_ShardHost):
             config=self.config,
             metric=self.engine.metric,
             batch_size=self.engine.batch_size,
-            cache_limit=self._shard_cache_limit,
             neighbors=neighbors.copy(),
             sims=sims.copy(),
         )
@@ -1418,9 +1279,9 @@ class DynamicKnnIndex(_ShardHost):
         maintenance state lives.
 
         After the flip every moved user is marked dirty: the next
-        refresh re-derives her row on the destination shard — seeding
-        the destination's candidate cache and row-restricted reverse
-        index from the authoritative rows — and, under a
+        refresh re-derives her row on the destination shard — whose
+        row-restricted reverse index the flip seeds from the
+        authoritative rows — and, under a
         :class:`~repro.scheduling.RefreshScheduler`, the migration
         counts against the queue bound like any other dirty work.
         Process workers are reset (the crash-respawn path): the next
@@ -1433,8 +1294,7 @@ class DynamicKnnIndex(_ShardHost):
             The :class:`~repro.streaming.sharding.ShardPlan`: explicit
             ``(user, shard)`` moves, a new shard count, or both.  A
             count change rebuilds every per-shard container (dirty set,
-            reverse index; caches are dropped — always safe, they are
-            exact-or-absent) and, when a partitioned WAL is attached,
+            reverse index) and, when a partitioned WAL is attached,
             re-opens it at the new segment count under the same global
             sequence.
 
@@ -1553,18 +1413,14 @@ class DynamicKnnIndex(_ShardHost):
         """Same-count ownership flip: surgical per-user state transfer.
 
         For each moved user the source shard gives up her dirty-set
-        membership, candidate-cache entry (dropped — exact-or-absent,
-        so eviction is always safe) and her row's citations in its
-        reverse index; after the map swap the destination re-registers
-        the citations and marks her dirty, so the next refresh seeds
-        the destination's cache from the authoritative rows.  Process
-        workers restart with the new owned-row partition.
+        membership and her row's citations in its reverse index; after
+        the map swap the destination re-registers the citations and
+        marks her dirty, so the next refresh rebuilds her row there.
+        Process workers restart with the new owned-row partition.
         """
         neighbors, _ = self._rows()
         for user in moved:
-            source = self._shards[self._shard_map.owner(user)]
-            source.cache_evict(user, self.builder.profile(user))
-            source.dirty.discard(user)
+            self._shards[self._shard_map.owner(user)].dirty.discard(user)
         # Users past the graph's rows (not yet refreshed) cite nobody.
         rows = np.asarray(moved, dtype=np.int64)
         rows = rows[rows < neighbors.shape[0]]
@@ -1584,10 +1440,9 @@ class DynamicKnnIndex(_ShardHost):
         """Shard-count transition: rebuild every per-shard container.
 
         The dirty set carries over (re-routed through the new map), the
-        reverse index rebuilds from the authoritative rows, caches are
-        dropped, the per-shard cache budget re-splits, executors reset
-        (thread pool sized per shard; process workers respawn at the
-        next refresh), and an attached partitioned WAL re-opens at the
+        reverse index rebuilds from the authoritative rows, executors
+        reset (thread pool sized per shard; process workers respawn at
+        the next refresh), and an attached partitioned WAL re-opens at the
         new segment count under the same global sequence (its
         constructor scans stray segments, so the counter carries over
         and old segments stay readable by the merged reader).
@@ -1598,7 +1453,6 @@ class DynamicKnnIndex(_ShardHost):
         self._reverse.rebuild(neighbors)
         self._dirty.update(old_dirty)
         self._close_executors()
-        self._delta_buffer.clear()
         if self._wal is not None and self._wal.n_shards != self.n_shards:
             from ..persistence import PartitionedWriteAheadLog
 

@@ -5,14 +5,14 @@ A :class:`~repro.streaming.index.DynamicKnnIndex` built with
 process per shard, so the Python-level plan/merge work — GIL-serialized
 under the thread executor — runs truly in parallel.  A worker holds one
 :class:`~repro.streaming.sharding._Shard` and runs exactly the stage
-and cache methods the in-process executors call; this module only
-carries the calls.  The division of state:
+methods the in-process executors call; this module only carries the
+calls.  The division of state:
 
 * **Parent (authoritative)** — the mutable rating builder, the WAL, the
   dirty set, the graph rows, the engine's :class:`ProfileIndex`.
-* **Worker (owned slice)** — the shard's candidate-multiset cache, its
-  row-restricted reverse index, and a mirror of the graph rows it owns
-  (full-size arrays; only owned rows are ever read or written).
+* **Worker (owned slice)** — the shard's row-restricted reverse index
+  and a mirror of the graph rows it owns (full-size arrays; only owned
+  rows are ever read or written).
 * **Shared memory** — the read-only per-refresh state (snapshot CSR
   triplet + profile arrays), published by the parent into an
   :class:`~repro.streaming.shm.ShmArena` and rebuilt as zero-copy numpy
@@ -20,10 +20,6 @@ carries the calls.  The division of state:
 
 Protocol (one duplex pipe per worker):
 
-* ``("delta", ops)`` — fire-and-forget per-event cache deltas shipped
-  after each ``apply()``: candidacy flips (with the item's qualifying
-  raters captured at event time) and cache evictions (with the evicted
-  profile's items).
 * ``(req_id, kind, args)`` — one request per round: ``attach`` (map the
   published arrays and grow the row mirror to the current
   population), then the stages ``affected`` / ``plan`` /
@@ -37,10 +33,9 @@ Crash safety: the parent applies nothing until every worker has
 answered the final stage, so a worker death at any point leaves the
 authoritative state untouched.  The pool is then reset and respawned —
 each worker reseeded from the authoritative rows — and the pass reruns.
-A respawned worker starts with an empty candidate cache, which is
-always exact (caches are an exact-or-absent optimization; misses are
-re-derived in bulk), so it needs no replay of the deltas its
-predecessor saw, and bit-identical parity survives any kill point.
+A worker keeps no state between passes that the parent does not hold,
+so a respawned worker needs no replay, and bit-identical parity
+survives any kill point.
 """
 
 from __future__ import annotations
@@ -77,10 +72,10 @@ def default_start_method() -> str:
 class _SnapshotStore:
     """Read-only stand-in for the rating builder inside a worker.
 
-    The shard's cache operations consult the builder for profiles and
-    snapshots; at refresh time the builder's live state equals the
-    published snapshot, so a thin view over the shared-memory dataset
-    answers identically.
+    The shard derives candidate sets from the builder's snapshot; at
+    refresh time the builder's live state equals the published
+    snapshot, so a thin view over the shared-memory dataset answers
+    identically.
     """
 
     __slots__ = ("_dataset",)
@@ -90,16 +85,6 @@ class _SnapshotStore:
 
     def snapshot(self):
         return self._dataset
-
-    def profile(self, user: int) -> dict[int, float]:
-        matrix = self._dataset.matrix
-        lo, hi = matrix.indptr[user], matrix.indptr[user + 1]
-        return dict(
-            zip(
-                matrix.indices[lo:hi].tolist(),
-                matrix.data[lo:hi].tolist(),
-            )
-        )
 
 
 class _WorkerHost(_ShardHost):
@@ -119,7 +104,6 @@ class _WorkerHost(_ShardHost):
         #: The ownership rule at spawn time.  A rebalance resets the
         #: pool, so a live worker's map is always current.
         self._shard_map = init["shard_map"]
-        self._shard_cache_limit = init["cache_limit"]
         self._neighbors = np.array(init["neighbors"], dtype=ID_DTYPE)
         self._sims = np.array(init["sims"], dtype=SCORE_DTYPE)
         self._n_rows = int(self._neighbors.shape[0])
@@ -160,13 +144,6 @@ class _WorkerHost(_ShardHost):
             self.metric, self.index, us, vs, self.batch_size
         )
 
-    def apply_delta(self, op: tuple) -> None:
-        """One shipped cache delta; its raters arrive as a list."""
-        if op[0] == "cand":
-            raters = op[4]
-            op = (*op[:4], lambda: raters)
-        self.shard.apply_delta(op)
-
     def close(self) -> None:
         if self._block is not None:
             self._block.close()
@@ -201,12 +178,7 @@ def _worker_main(conn, init: dict) -> None:
                 message = conn.recv()
             except (EOFError, OSError):
                 break
-            tag = message[0]
-            if tag == "delta":
-                for op in message[1]:
-                    host.apply_delta(op)
-                continue
-            if tag == "stop":
+            if message[0] == "stop":
                 break
             req_id, kind, payload = message
             try:
@@ -256,7 +228,7 @@ class ProcessShardPool:
     """A persistent pool of one worker process per shard.
 
     Purely the transport: spawning (from caller-built init payloads),
-    delta broadcast, request/reply stage rounds with stale-reply
+    request/reply stage rounds with stale-reply
     draining, death detection (:class:`WorkerCrash`), reset and
     shutdown.  The :class:`~repro.streaming.index.DynamicKnnIndex`
     owns the orchestration and all authoritative state.  A ``weakref``
@@ -303,21 +275,6 @@ class ProcessShardPool:
             workers.append(_Worker(process, parent_conn))
         self._workers = workers
         self._finalizer = weakref.finalize(self, _shutdown_workers, workers)
-
-    def broadcast_deltas(self, ops: list[tuple]) -> None:
-        """Ship per-event deltas to every worker (fire-and-forget).
-
-        A failed send means a worker died between refreshes; the pool
-        resets itself, and the next spawn starts every worker from an
-        empty (hence exact) cache.
-        """
-        if self._workers is None:
-            return
-        try:
-            for worker in self._workers:
-                worker.conn.send(("delta", ops))
-        except (OSError, ValueError):
-            self.reset()
 
     def request_all(self, kind: str, payloads: list[tuple]) -> list:
         """One stage round: send to every worker, collect every reply.

@@ -6,7 +6,6 @@ profiles.  The maintained state is therefore held in **shards**
 (:class:`_Shard`), each owning one slice of the users:
 
 * the dirty set (events dirty a user; her owner shard records it),
-* the candidate-multiset cache + cached-rater index (the streaming RCS),
 * a :class:`~repro.graph.updates.ReverseNeighborIndex` restricted to
   the *rows* the shard owns (keyed by cited user, which may belong to
   any shard — updates stay row-local, so they never cross shards).
@@ -29,8 +28,9 @@ then calls three stages on every shard:
    referrers are *rebuilt*.
 2. **Planning** (:meth:`_Shard.plan`) — each shard clears its rebuilt
    rows, drops the dirty entries from its repaired rows, derives the
-   rebuilt rows' candidate sets (shard-local cache; misses re-derived
-   in bulk) and emits the evaluation pairs for rows it owns.  A dirty
+   rebuilt rows' candidate sets (one sparse product over the current
+   snapshot, :func:`~repro.core.rcs.candidate_rows`) and emits the
+   evaluation pairs for rows it owns.  A dirty
    user must also be *offered* to the rows of her candidates that are
    not rebuilt (repaired rows included); when such a row belongs to
    another shard, the pair travels through a per-shard **outbox** keyed
@@ -68,13 +68,12 @@ shards; every executor runs the same :class:`_Shard` code:
   (:mod:`repro.streaming.procpool`), each holding its own
   :class:`_Shard`: the read-only snapshot and profile arrays are
   published into ``multiprocessing.shared_memory`` and rebuilt as
-  zero-copy views in every worker, per-event cache deltas ship as
-  compact messages after each ``apply()``, each stage is one
-  request/reply round, and the workers' row updates land in the
-  parent's authoritative rows after the final barrier.  This is the
-  true multi-core mode: the Python-level refresh work escapes the GIL.
-  Workers are respawned (with empty, hence exact, caches) on death, and
-  the shared blocks are unlinked on ``close()``/GC.
+  zero-copy views in every worker, each stage is one request/reply
+  round, and the workers' row updates land in the parent's
+  authoritative rows after the final barrier.  This is the true
+  multi-core mode: the Python-level refresh work escapes the GIL.
+  Workers are respawned from the authoritative rows on death, and the
+  shared blocks are unlinked on ``close()``/GC.
 
 ``benchmarks/bench_sharded_refresh.py`` measures all of them on
 multi-event batches and enforces the process executor's speedup bar.
@@ -94,8 +93,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..core.rcs import candidacy_raters, delta_rcs
+from ..core.rcs import candidacy_raters, candidate_rows
 from ..graph.knn_graph import MISSING
 from ..graph.updates import (
     ReverseNeighborIndex,
@@ -302,15 +302,6 @@ class ShardOutbox:
 _NO_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
-def _bump(counts: dict[int, int], key: int, delta: int) -> None:
-    """Adjust a candidate multiset entry, dropping it at zero."""
-    value = counts.get(key, 0) + delta
-    if value <= 0:
-        counts.pop(key, None)
-    else:
-        counts[key] = value
-
-
 class _Shard:
     """One shard's owned slice of the maintained state and its stages.
 
@@ -323,7 +314,7 @@ class _Shard:
 
     Whatever else a stage reads comes from the *host*
     (``repro.streaming.index._ShardHost``): the graph rows, the
-    candidacy rule, the builder, the ownership map and the scorer.  In
+    builder, the config, the ownership map and the scorer.  In
     process the host is the index; in a worker it is the worker's view
     of the published snapshot plus its mirror of the graph rows.
     """
@@ -333,14 +324,11 @@ class _Shard:
         "host",
         "dirty",
         "reverse",
-        "candidate_counts",
-        "cached_raters",
         "_rebuilt",
         "_rows_mask",
         "_repaired",
         "_kth",
         "_dirty_mask",
-        "_truly_dirty",
         "_pairs",
         "_raters",
     )
@@ -352,12 +340,6 @@ class _Shard:
         self.dirty: set[int] = set()
         #: cited user -> owned rows citing her (rows only from this shard).
         self.reverse = ReverseNeighborIndex()
-        #: Owned user -> {candidate: shared-qualifying-item count}; the
-        #: cached streaming RCS, in insertion (= eviction) order.
-        self.candidate_counts: dict[int, dict[int, int]] = {}
-        #: item -> owned cached users rating it at a qualifying level
-        #: (the propagation targets of a membership change on that item).
-        self.cached_raters: dict[int, set[int]] = {}
         # Per-pass context, set by the stages: the owned rows rebuilt
         # from their candidate sets, the owned rows repaired in place
         # and their old k-th entries, the selected dirty users, and the
@@ -367,139 +349,29 @@ class _Shard:
         self._repaired = _NO_PAIRS[0]
         self._kth = _NO_PAIRS
         self._dirty_mask = _NO_PAIRS[0]
-        self._truly_dirty: frozenset = frozenset()
         self._pairs = _NO_PAIRS
         self._raters: tuple = (None, None)
 
-    # ------------------------------------------------------------------
-    # Candidate-set cache (delta-maintained between refreshes)
-    # ------------------------------------------------------------------
-    def cache_insert(self, user: int, counts: dict[int, int]) -> None:
-        """Cache *user*'s multiset, evicting oldest-first past the bound."""
-        limit = self.host._shard_cache_limit
-        if limit is not None and limit <= 0:
-            return  # cache disabled
-        builder = self.host.builder
-        # Replacing: drop stale rater links first.
-        self.cache_evict(user, builder.profile(user))
-        while limit is not None and len(self.candidate_counts) >= limit:
-            oldest = next(iter(self.candidate_counts))
-            self.cache_evict(oldest, builder.profile(oldest))
-        self.candidate_counts[user] = counts
-        for item, rating in builder.profile(user).items():
-            if self.host._qualifies(rating):
-                self.cached_raters.setdefault(item, set()).add(user)
+    def candidate_sets(self, users: np.ndarray) -> sp.csr_matrix:
+        """Candidate rows of owned *users*: one sparse product.
 
-    def cache_evict(self, user: int, items) -> None:
-        """Drop *user*'s cached multiset and her rater registrations.
-
-        *items* are the items of her profile (read before it changes).
+        Row ``j`` of the returned CSR matrix spans the candidates of
+        ``users[j]`` on the current snapshot
+        (:func:`~repro.core.rcs.candidate_rows`; only its structure is
+        read, and it may include the user herself).  The snapshot's
+        candidacy transpose, the one whole-matrix conversion, is built
+        at most once per pass (a pass derives again for rows whose
+        repair failed) and dropped at the end of stage C.  Thread-safe
+        by ownership: only this shard's stage calls touch its transpose,
+        and the product only *reads* the shared snapshot.
         """
-        if self.candidate_counts.pop(user, None) is None:
-            return
-        for item in items:
-            raters = self.cached_raters.get(item)
-            if raters is not None:
-                raters.discard(user)
-                if not raters:
-                    del self.cached_raters[item]
-
-    def note_candidacy(self, user: int, item: int, added: bool, raters):
-        """Apply one qualifying-membership flip of ``(user, item)``.
-
-        *user* started (or stopped) contributing candidacies through
-        *item*: every cached rater of the item gains/loses one shared
-        item with her, and her own cached multiset (if this shard holds
-        it) gains/loses the item's other qualifying raters, which the
-        zero-argument callable *raters* returns — called only then, so
-        the common uncached case never scans the item's raters.
-        """
-        delta = 1 if added else -1
-        cached = self.cached_raters.get(item)
-        if cached:
-            for other in cached:
-                if other != user:
-                    _bump(self.candidate_counts[other], user, delta)
-        counts = self.candidate_counts.get(user)
-        if counts is None:
-            return
-        for other in raters():
-            _bump(counts, other, delta)
-        if added:
-            self.cached_raters.setdefault(item, set()).add(user)
-        else:
-            cached = self.cached_raters.get(item)
-            if cached is not None:
-                cached.discard(user)
-                if not cached:
-                    del self.cached_raters[item]
-
-    def apply_delta(self, op: tuple) -> None:
-        """Apply one per-event cache delta (see ``_cache_delta``).
-
-        ``("cand", user, item, added, raters)`` with *raters* a
-        zero-argument callable goes to :meth:`note_candidacy`;
-        ``("evict", user, items)`` to :meth:`cache_evict`, a no-op on a
-        shard not caching *user*.
-        """
-        if op[0] == "cand":
-            _, user, item, added, raters = op
-            self.note_candidacy(user, item, added, raters)
-        else:
-            _, user, items = op
-            self.cache_evict(user, items)
-
-    def candidate_sets(
-        self, users: np.ndarray
-    ) -> tuple[dict[int, dict[int, int]], int, int]:
-        """Candidate multisets for owned *users*; ``(sets, hits, misses)``.
-
-        Misses are re-derived in one bulk
-        :func:`~repro.core.rcs.delta_rcs` call on the current snapshot
-        (cost proportional to the missing users' item profiles) and
-        cached.  The snapshot's candidacy transpose, the call's one
-        whole-matrix conversion, is kept for the rest of the pass (a
-        pass derives again for rows whose repair failed) and dropped at
-        the end of stage C.  Thread-safe by ownership: only this shard's
-        stage calls touch its cache dicts and its transpose, and the
-        miss path only *reads* the shared snapshot.  Counter deltas are
-        returned, not written: ``DynamicKnnIndex._refresh`` folds them
-        into the shared ``MaintenanceCounter``.
-        """
-        result: dict[int, dict[int, int]] = {}
-        missing: list[int] = []
-        for user in users.tolist():
-            cached = self.candidate_counts.get(user)
-            if cached is not None:
-                result[user] = cached
-            else:
-                missing.append(user)
-        hits = len(result)
-        if missing:
-            snapshot = self.host.builder.snapshot()
-            min_rating = self.host.config.min_rating
-            if self._raters[0] is not snapshot:
-                self._raters = (
-                    snapshot,
-                    candidacy_raters(snapshot, min_rating),
-                )
-            rcs_delta = delta_rcs(
-                snapshot,
-                missing,
-                pivot=False,
-                min_rating=min_rating,
-                raters=self._raters[1],
-            )
-            for user in missing:
-                counts = dict(
-                    zip(
-                        rcs_delta.candidates_of(user).tolist(),
-                        (int(c) for c in rcs_delta.counts_of(user).tolist()),
-                    )
-                )
-                result[user] = counts
-                self.cache_insert(user, counts)
-        return result, hits, len(missing)
+        snapshot = self.host.builder.snapshot()
+        if not users.size:
+            return sp.csr_matrix((0, snapshot.n_users))
+        min_rating = self.host.config.min_rating
+        if self._raters[0] is not snapshot:
+            self._raters = (snapshot, candidacy_raters(snapshot, min_rating))
+        return candidate_rows(snapshot, users, min_rating, self._raters[1])
 
     # ------------------------------------------------------------------
     # Refresh stages
@@ -524,7 +396,6 @@ class _Shard:
         host = self.host
         self._dirty_mask = np.zeros(host.n_users, dtype=bool)
         self._dirty_mask[all_dirty] = True
-        self._truly_dirty = frozenset(all_dirty.tolist())
         referrers = self.reverse.referrers_of(all_dirty).astype(np.int64)
         repaired = referrers[:0]
         if host._profile_local and referrers.size:
@@ -550,8 +421,8 @@ class _Shard:
         acceptance check; a dirty user's mirror offers reach every
         candidate not rebuilt, so each repaired row is offered every
         dirty user it still co-rates with.  *rebuilt* is the global
-        rebuilt set.  Returns ``(outboxes, cache_hits, cache_misses)``;
-        this shard's own pairs stay here for :meth:`merge`.
+        rebuilt set.  Returns the outboxes; this shard's own pairs stay
+        here for :meth:`merge`.
         """
         host = self.host
         neighbors, sims = host._rows()
@@ -583,7 +454,6 @@ class _Shard:
         self.reverse.apply_row(
             np.concatenate([mine, repaired]), old_rows, new_rows
         )
-        cand_sets, hits, misses = self.candidate_sets(mine)
         rebuilt_mask = np.zeros(host.n_users, dtype=bool)
         rebuilt_mask[rebuilt] = True
         self._rows_mask = rebuilt_mask
@@ -593,12 +463,12 @@ class _Shard:
             host.config.pivot,
             mine,
             rebuilt_mask,
-            self._truly_dirty,
-            cand_sets,
+            self._dirty_mask,
+            self.candidate_sets(mine),
             seq,
         )
         self._pairs = (rows, candidates)
-        return outboxes, hits, misses
+        return outboxes
 
     def merge(self, inbox: list[ShardOutbox]) -> "ShardMerge":
         """Stage C: evaluate and merge, then accept or rescan repairs.
@@ -632,7 +502,6 @@ class _Shard:
             self._rows_mask,
         )
         self._rows_mask = _NO_PAIRS[0]
-        hits = misses = 0
         failed = repaired[:0]
         if repaired.size:
             k = neighbors.shape[1]
@@ -644,9 +513,7 @@ class _Shard:
             exact = (kth_ids == MISSING) | ((new_ids != MISSING) & ahead)
             failed = repaired[~exact]
         if failed.size:
-            more, more_changes, hits, misses = self._fall_back(
-                failed, offers
-            )
+            more, more_changes = self._fall_back(failed, offers)
             evaluations += more
             changes += more_changes
         self._raters = (None, None)
@@ -658,8 +525,6 @@ class _Shard:
             neighbors=neighbors[changed],
             sims=sims[changed],
             fallbacks=int(failed.size),
-            cache_hits=hits,
-            cache_misses=misses,
         )
 
     def _fall_back(self, rows: np.ndarray, offers) -> tuple[int, ...]:
@@ -672,24 +537,14 @@ class _Shard:
         the ones to these rows are merged again.  Nothing reaches rows
         outside *rows*.  Scoring runs before the rows are cleared, so a
         failing metric leaves them as the first merge wrote them.
-        Returns ``(evaluations, changes, cache_hits, cache_misses)``.
+        Returns ``(evaluations, changes)``.
         """
         host = self.host
         pivot = host.config.pivot
         neighbors, sims = host._rows()
-        cand_sets, hits, misses = self.candidate_sets(rows)
         target = np.zeros(host.n_users, dtype=bool)
         target[rows] = True
-        us, vs, _ = plan_shard_pairs(
-            self.shard_id,
-            host._shard_map,
-            pivot,
-            rows,
-            target,
-            frozenset(),
-            cand_sets,
-            0,
-        )
+        us, vs = candidate_pairs(rows, self.candidate_sets(rows))
         clean = ~self._dirty_mask[vs]
         evaluations, *fresh = _score_offers(
             pivot,
@@ -711,7 +566,7 @@ class _Shard:
         changes, _ = _merge_offers(
             neighbors, sims, users, ids, scores, self.reverse
         )
-        return evaluations, changes, hits, misses
+        return evaluations, changes
 
 
 class _ShardedDirtySet:
@@ -800,20 +655,35 @@ class _ShardedReverseIndex:
 # process and in the worker processes alike, so every executor produces
 # bit-identical results from one implementation.
 # ----------------------------------------------------------------------
+def candidate_pairs(
+    rows: np.ndarray, candidates: sp.csr_matrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, candidate)`` pairs of a candidate product, self pairs dropped.
+
+    Row ``j`` of *candidates* belongs to ``rows[j]``; its structure
+    repeats her id against its column indices.
+    """
+    us = np.repeat(rows, np.diff(candidates.indptr))
+    vs = candidates.indices.astype(np.int64)
+    distinct = us != vs
+    return us[distinct], vs[distinct]
+
+
 def plan_shard_pairs(
     shard_id: int,
     shard_map: ShardMap,
     pivot: bool,
     rebuilt: np.ndarray,
     rebuilt_mask: np.ndarray,
-    truly_dirty: frozenset,
-    cand_sets: dict[int, dict[int, int]],
+    dirty_mask: np.ndarray,
+    candidates: sp.csr_matrix,
     seq: int,
 ) -> tuple[np.ndarray, np.ndarray, list[ShardOutbox]]:
     """Stage B's pair derivation: local pairs plus cross-shard outboxes.
 
     Every rebuilt row owned by *shard_id* (per *shard_map*) is paired
-    with its full candidate set; a truly dirty user is additionally
+    with its full candidate set, row ``j`` of the product *candidates*
+    for ``rebuilt[j]``; a dirty user (per *dirty_mask*) is additionally
     *offered* to the rows of her candidates that are not rebuilt (the
     mirror direction), routed through an outbox when the row belongs
     to another shard.  With *pivot* the merge offers each scored pair
@@ -822,53 +692,38 @@ def plan_shard_pairs(
     outboxes)``.
     """
     n_shards = shard_map.n_shards
-    row_parts: list[np.ndarray] = []
-    cand_parts: list[np.ndarray] = []
-    mirror_rows: list[np.ndarray] = []
-    mirror_users: list[np.ndarray] = []
-    for user in rebuilt.tolist():
-        counts = cand_sets[user]
-        candidates = np.fromiter(counts.keys(), np.int64, len(counts))
-        if candidates.size == 0:
-            continue
-        row_parts.append(np.full(candidates.size, user, dtype=np.int64))
-        cand_parts.append(candidates)
-        if user in truly_dirty and not (pivot and n_shards == 1):
-            # Mirror: the dirty user must be offered to the rows of her
-            # candidates (she can *enter* those top-ks).
-            mirror = candidates[~rebuilt_mask[candidates]]
-            mirror_rows.append(mirror)
-            mirror_users.append(np.full(mirror.size, user, np.int64))
-    empty = np.empty(0, dtype=np.int64)
+    rows, cands = candidate_pairs(rebuilt, candidates)
     outboxes = []
-    if mirror_rows:
-        rows_m = np.concatenate(mirror_rows)
-        users_m = np.concatenate(mirror_users)
-        owners = (
-            np.full(rows_m.size, shard_id)
-            if n_shards == 1
-            else shard_map.owners(rows_m)
-        )
-        for target in range(n_shards):
-            mine = owners == target
-            if not mine.any() or (pivot and target == shard_id):
-                continue
-            if target == shard_id:
-                row_parts.append(rows_m[mine])
-                cand_parts.append(users_m[mine])
-            else:
-                outboxes.append(
-                    ShardOutbox(
-                        source=shard_id,
-                        target=target,
-                        seq=seq,
-                        rows=rows_m[mine],
-                        candidates=users_m[mine],
-                    )
+    if pivot and n_shards == 1:
+        return rows, cands, outboxes
+    # Mirror: a dirty user must be offered to the rows of her
+    # candidates (she can *enter* those top-ks).
+    mirror = dirty_mask[rows] & ~rebuilt_mask[cands]
+    rows_m, users_m = cands[mirror], rows[mirror]
+    owners = (
+        np.full(rows_m.size, shard_id)
+        if n_shards == 1
+        else shard_map.owners(rows_m)
+    )
+    row_parts, cand_parts = [rows], [cands]
+    for target in range(n_shards):
+        mine = owners == target
+        if not mine.any() or (pivot and target == shard_id):
+            continue
+        if target == shard_id:
+            row_parts.append(rows_m[mine])
+            cand_parts.append(users_m[mine])
+        else:
+            outboxes.append(
+                ShardOutbox(
+                    source=shard_id,
+                    target=target,
+                    seq=seq,
+                    rows=rows_m[mine],
+                    candidates=users_m[mine],
                 )
-    rows = np.concatenate(row_parts) if row_parts else empty
-    candidates = np.concatenate(cand_parts) if cand_parts else empty
-    return rows, candidates, outboxes
+            )
+    return np.concatenate(row_parts), np.concatenate(cand_parts), outboxes
 
 
 class ShardMerge(NamedTuple):
@@ -885,9 +740,6 @@ class ShardMerge(NamedTuple):
     sims: np.ndarray
     #: Repaired rows that failed the acceptance check and were rescanned.
     fallbacks: int
-    #: Candidate-cache traffic of those rescans.
-    cache_hits: int
-    cache_misses: int
 
 
 def _score_offers(pivot: bool, us, vs, n_users: int, score_pairs, rows):

@@ -65,12 +65,19 @@ class TestPhaseTimer:
         with timer.phase("x"):
             pass
 
-    def test_fractions_sum_to_one(self):
+    def test_fractions_sum_to_one(self, monkeypatch):
+        # A scripted clock: phase a spans 2 s, phase b 4 s.
+        ticks = iter([10.0, 12.0, 20.0, 24.0])
+        monkeypatch.setattr(
+            "repro.instrumentation.timers.time.perf_counter",
+            lambda: next(ticks),
+        )
         timer = PhaseTimer()
         with timer.phase("a"):
-            time.sleep(0.002)
+            pass
         with timer.phase("b"):
-            time.sleep(0.004)
+            pass
+        monkeypatch.undo()
         fractions = timer.fractions()
         assert sum(fractions.values()) == pytest.approx(1.0)
         assert fractions["b"] > fractions["a"]

@@ -20,8 +20,8 @@ from tests.conftest import random_dataset
 
 @pytest.fixture
 def streamed_index(rated_dataset):
-    """An index mid-stream: applied events, a pending dirty set, a warm
-    candidate cache — the state a checkpoint must capture fully."""
+    """An index mid-stream: applied events and a pending dirty set —
+    the state a checkpoint must capture fully."""
     index = DynamicKnnIndex(rated_dataset, KiffConfig(k=2), auto_refresh=False)
     index.apply([AddRating(0, 3, 4.0), AddUser((1, 4), (5.0, 2.0))])
     index.refresh()
@@ -50,14 +50,18 @@ class TestSaveLoad:
         assert np.array_equal(state.neighbors, neighbors)
         assert np.array_equal(state.sims, sims)
 
-    def test_candidate_cache_round_trip(self, streamed_index, tmp_path):
-        state = load_checkpoint(save_checkpoint(streamed_index, tmp_path))
-        cached = dict(state.cache)
-        assert cached == streamed_index._shards[0].candidate_counts
-        # Insertion order is part of the state (it is the eviction order).
-        assert [user for user, _ in state.cache] == list(
-            streamed_index._shards[0].candidate_counts
-        )
+    def test_shard_file_holds_only_the_dirty_slice(
+        self, streamed_index, tmp_path
+    ):
+        """Candidate sets are derived per pass, never checkpointed."""
+        path = save_checkpoint(streamed_index, tmp_path)
+        with np.load(path / "shard-0.npz") as archive:
+            assert archive.files == ["dirty"]
+            assert set(archive["dirty"].tolist()) == set(
+                streamed_index.dirty_users
+            )
+        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+        assert "candidate_cache_size" not in meta
 
     def test_config_inf_gamma_round_trips(self, rated_dataset, tmp_path):
         import math
@@ -199,7 +203,6 @@ class TestCheckpointOnlyRestore:
         assert restored.pending_events == 0
         assert restored.restore_info.replayed_events == 0
         assert restored.auto_refresh is False
-        assert restored._shards[0].candidate_counts  # cache survived
         # Journaling resumes into a fresh one-segment partitioned log.
         assert restored.wal.n_shards == 1
         assert restored.wal.last_seq == restored.last_seq

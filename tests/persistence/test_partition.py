@@ -153,14 +153,11 @@ class TestCheckpointLayout:
     def test_per_shard_files_hold_owned_slices(self, tmp_path):
         index = sharded_index()
         index.apply(ratings_batch([0, 1, 2, 3], [3] * 4, [4.0] * 4))
-        index.refresh()  # populates the candidate cache
-        path = index.checkpoint(tmp_path)
+        path = index.checkpoint(tmp_path)  # the dirty set is pending
         for shard in range(2):
             with np.load(path / f"shard-{shard}.npz") as archive:
-                assert all(
-                    user % 2 == shard
-                    for user in archive["cache_users"].tolist()
-                )
+                assert archive.files == ["dirty"]
+                assert archive["dirty"].tolist() == [shard, shard + 2]
 
     def test_version_check(self, tmp_path):
         index = sharded_index()

@@ -1,8 +1,9 @@
-"""Dirty-set locality of refresh(): counters, caches, reverse index.
+"""Dirty-set locality of refresh(): counters, candidates, reverse index.
 
 The parity suite proves refreshes are *exact*; this file proves they are
 *local* — snapshot rows, ProfileIndex recomputations and candidate-set
-derivations all scale with the dirty set, the reverse-neighbor index
+derivations all scale with the dirty set (the derivation is pinned
+against :func:`~repro.core.rcs.delta_rcs`), the reverse-neighbor index
 replaces the full-graph referencing scan, and both survive failures and
 rebuilds.
 """
@@ -14,11 +15,15 @@ from repro import DynamicKnnIndex, KiffConfig
 from repro.core.rcs import delta_rcs
 from repro.streaming import (
     AddRating,
+    AddUser,
+    RemoveRating,
     RemoveUser,
     cold_rebuild_graph,
     ratings_batch,
+    sharding,
 )
 from tests.conftest import random_dataset
+from tests.streaming.test_repair import full_rows_dataset
 
 
 def _index(n_users=120, n_items=80, density=0.05, seed=3, k=5, **kwargs):
@@ -66,86 +71,155 @@ class TestRefreshLocality:
         assert index.refresh_log[-1] == stats
 
 
-class TestCandidateCache:
-    def test_repeat_dirty_user_hits_cache(self):
-        index = _index()
-        index.apply(ratings_batch([9], [4], [5.0]))
-        first = index.refresh()
-        assert first.cache_hits == 0
-        assert first.cache_misses == first.affected_users
-        index.apply(ratings_batch([9], [6], [2.0]))
-        second = index.refresh()
-        assert second.cache_hits >= 1  # user 9 and her repeat referencers
+def record_plans(monkeypatch):
+    """Record every ``plan_shard_pairs`` call: its inputs and pairs."""
+    plans = []
+    original = sharding.plan_shard_pairs
 
-    def test_cached_multisets_stay_exact_under_foreign_events(self):
-        """Other users' events must delta-update cached candidate sets
-        (the reverse item-profile propagation), not leave them stale."""
-        index = _index(n_users=40, n_items=20, density=0.15)
-        index.apply(ratings_batch([0], [5], [4.0]))
-        index.refresh()  # caches user 0's multiset
-        # Foreign membership changes on items user 0 rates:
-        items = list(index.builder.profile(0))
-        index.apply(ratings_batch([1, 2], [items[0], items[0]], [3.0, 0.0]))
-        index.apply(RemoveUser(3))
+    def recording(shard_id, shard_map, pivot, rebuilt, *rest):
+        result = original(shard_id, shard_map, pivot, rebuilt, *rest)
+        rebuilt_mask, dirty_mask = rest[:2]
+        plans.append((rebuilt, rebuilt_mask, dirty_mask, result))
+        return result
+
+    monkeypatch.setattr(sharding, "plan_shard_pairs", recording)
+    return plans
+
+
+def assert_plans_match_oracle(plans, snapshot, min_rating):
+    """Each rebuilt row is paired with exactly its candidate set, and
+    each dirty row's candidates that are not rebuilt are offered her.
+    Returns the mirror pairs."""
+    assert plans
+    mirrors, expected_mirrors = set(), set()
+    for rebuilt, rebuilt_mask, dirty_mask, (rows, cands, outboxes) in plans:
+        truth = delta_rcs(
+            snapshot, rebuilt, pivot=False, min_rating=min_rating
+        )
+        for user in rebuilt.tolist():
+            expected = set(truth.candidates_of(user).tolist())
+            assert set(cands[rows == user].tolist()) == expected
+            if dirty_mask[user]:
+                expected_mirrors.update(
+                    (row, user) for row in expected if not rebuilt_mask[row]
+                )
+        local = ~rebuilt_mask[rows]
+        mirrors.update(zip(rows[local].tolist(), cands[local].tolist()))
+        for box in outboxes:
+            mirrors.update(zip(box.rows.tolist(), box.candidates.tolist()))
+    assert mirrors == expected_mirrors
+    return mirrors
+
+
+class TestCandidateDerivation:
+    """Candidate sets come from one sparse product per shard and pass."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("min_rating", [None, 3.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planned_pairs_match_delta_rcs(
+        self, monkeypatch, seed, min_rating, n_shards
+    ):
+        dataset = random_dataset(
+            n_users=30, n_items=16, density=0.15, seed=seed, ratings=True
+        )
+        index = DynamicKnnIndex(
+            dataset,
+            KiffConfig(k=3, pivot=False, min_rating=min_rating),
+            auto_refresh=False,
+            n_shards=n_shards,
+        )
+        rng = np.random.default_rng(seed)
+        events = [
+            AddRating(
+                int(rng.integers(0, 30)),
+                int(rng.integers(0, 18)),
+                float(rng.integers(0, 6)),
+            )
+            for _ in range(12)
+        ]
+        events += [
+            RemoveUser(int(rng.integers(0, 30))),
+            AddUser((0, 1, 2), (5.0, 2.0, 4.0)),
+            AddUser((3,), (1.0,)),
+        ]
+        index.apply(events)
+        plans = record_plans(monkeypatch)
         index.refresh()
         snapshot = index.builder.snapshot()
-        cached_users = sorted(index._shards[0].candidate_counts)
-        truth = delta_rcs(snapshot, cached_users, pivot=False)
-        for user in cached_users:
-            expected = dict(
-                zip(
-                    truth.candidates_of(user).tolist(),
-                    (int(c) for c in truth.counts_of(user).tolist()),
-                )
-            )
-            assert index._shards[0].candidate_counts[user] == expected
-
-    def test_cache_size_zero_disables_caching(self):
-        index = _index(candidate_cache_size=0)
-        index.apply(ratings_batch([9], [4], [5.0]))
-        index.refresh()
-        assert index._shards[0].candidate_counts == {}
-        assert index._shards[0].cached_raters == {}
-        index.apply(ratings_batch([9], [6], [2.0]))
-        stats = index.refresh()
-        assert stats.cache_hits == 0
+        assert assert_plans_match_oracle(plans, snapshot, min_rating)
+        rebuilt = np.concatenate([plan[0] for plan in plans]).tolist()
+        removed = events[-3].user
+        assert removed in rebuilt and index.n_users - 1 in rebuilt
         assert index.graph == cold_rebuild_graph(index.dataset, index.config)
 
-    def test_cache_size_bound_is_respected(self):
-        index = _index(candidate_cache_size=3)
-        index.apply(ratings_batch([1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [5.0] * 5))
-        index.refresh()
-        assert len(index._shards[0].candidate_counts) <= 3
-        assert index.graph == cold_rebuild_graph(index.dataset, index.config)
-
-    def test_min_rating_qualifying_threshold_crossing(self):
+    def test_min_rating_qualifying_threshold_crossing(self, monkeypatch):
         """A rating crossing min_rating flips candidacy without a
-        membership change; cached sets must follow."""
+        membership change; the planned pairs must follow."""
         dataset = random_dataset(
             n_users=25, n_items=15, density=0.2, seed=8, ratings=True
         )
         index = DynamicKnnIndex(
-            dataset, KiffConfig(k=4, min_rating=3.0), auto_refresh=False
+            dataset,
+            KiffConfig(k=4, min_rating=3.0, pivot=False),
+            auto_refresh=False,
         )
         index.apply(ratings_batch([0], [2], [5.0]))
         index.refresh()
-        # 4.0 -> 1.0 -> 4.0 crossings on an existing edge:
-        index.apply(ratings_batch([0], [2], [1.0]))
-        index.refresh()
-        index.apply(ratings_batch([0], [2], [4.0]))
-        index.refresh()
-        snapshot = index.builder.snapshot()
-        cached_users = sorted(index._shards[0].candidate_counts)
-        truth = delta_rcs(snapshot, cached_users, pivot=False, min_rating=3.0)
-        for user in cached_users:
-            expected = dict(
-                zip(
-                    truth.candidates_of(user).tolist(),
-                    (int(c) for c in truth.counts_of(user).tolist()),
-                )
+        # 5.0 -> 1.0 -> 4.0 crossings on an existing edge:
+        for rating in (1.0, 4.0):
+            plans = record_plans(monkeypatch)
+            index.apply(ratings_batch([0], [2], [rating]))
+            index.refresh()
+            assert_plans_match_oracle(
+                plans, index.builder.snapshot(), min_rating=3.0
             )
-            assert index._shards[0].candidate_counts[user] == expected
-        assert index.graph == cold_rebuild_graph(index.dataset, index.config)
+            assert index.graph == cold_rebuild_graph(
+                index.dataset, index.config
+            )
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "layout", [(1, "serial"), (2, "threads")], ids=["flat", "2-threads"]
+    )
+    def test_one_transpose_per_shard_and_no_csc(self, monkeypatch, layout):
+        """A pass builds the candidacy transpose at most once per shard,
+        fallbacks included, and never materialises the CSC mirror."""
+        n_shards, executor = layout
+        index = DynamicKnnIndex(
+            full_rows_dataset(),
+            KiffConfig(k=2),
+            metric="cosine",
+            auto_refresh=False,
+            n_shards=n_shards,
+            executor=executor,
+        )
+        calls = []
+        original = sharding.candidacy_raters
+
+        def counting(dataset, min_rating):
+            calls.append(dataset)
+            return original(dataset, min_rating)
+
+        monkeypatch.setattr(sharding, "candidacy_raters", counting)
+        try:
+            # User 1 keeps one item: rows 0, 2 and 3 lose her and fall
+            # back to a rescan of their candidate sets.
+            index.apply(
+                [RemoveRating(1, 1), RemoveRating(1, 2), RemoveRating(1, 3)]
+            )
+            stats = index.refresh()
+            assert stats.affected_users > stats.dirty_users  # fallbacks
+            assert stats.cache_hits == 0
+            assert stats.cache_misses == stats.affected_users
+            assert 1 <= len(calls) <= n_shards
+            assert all(dataset is index.dataset for dataset in calls)
+            assert index.dataset._csc_cache == []
+            assert index.graph == cold_rebuild_graph(
+                index.dataset, index.config, metric="cosine"
+            )
+        finally:
+            index.close()
 
 
 class TestReverseIndex:

@@ -20,8 +20,6 @@ COMPONENT_KEYS = {
     "profile_index_bytes",
     "snapshot_rows_bytes",
     "reverse_index_entries",
-    "candidate_cache_entries",
-    "cached_rater_entries",
     "legacy_dataset_csr_bytes",
     "legacy_graph_rows_bytes",
     "total_bytes",
@@ -155,29 +153,6 @@ class TestShardedIndex:
             assert stats["shm_arena_bytes"] == 0
             assert stats["shm_arena_high_water_bytes"] == 0
             assert stats["shm_arena_slack_bytes"] == 0
-        finally:
-            index.close()
-
-    def test_cache_entries_count_shard_owned_state(self):
-        dataset = random_dataset(
-            n_users=24, n_items=16, density=0.25, seed=3, ratings=True
-        )
-        index = ShardedKnnIndex(
-            dataset,
-            KiffConfig(k=3),
-            auto_refresh=False,
-            n_shards=2,
-            executor="serial",
-        )
-        try:
-            index.refresh()
-            stats = index.memory_stats()
-            expected = sum(
-                len(counts)
-                for shard in index._shards
-                for counts in shard.candidate_counts.values()
-            )
-            assert stats["candidate_cache_entries"] == expected
         finally:
             index.close()
 

@@ -191,22 +191,36 @@ class TestEventKinds:
 
 
 class TestPolicyKnobs:
+    @pytest.mark.parametrize(
+        "layout",
+        [(1, "serial"), (2, "threads"), (2, "processes")],
+        ids=["flat", "2-threads", "2-processes"],
+    )
     @pytest.mark.parametrize("min_rating", [None, 3.0])
-    def test_min_rating_parity(self, min_rating):
+    def test_min_rating_parity(self, min_rating, layout):
+        n_shards, executor = layout
         dataset = random_dataset(
             n_users=25, n_items=18, density=0.2, seed=5, ratings=True
         )
-        index = DynamicKnnIndex(dataset, KiffConfig(k=4, min_rating=min_rating))
-        rng = np.random.default_rng(0)
-        for _ in range(15):
-            index.apply(
-                AddRating(
-                    int(rng.integers(0, index.n_users)),
-                    int(rng.integers(0, 20)),
-                    float(rng.integers(1, 6)),
+        index = DynamicKnnIndex(
+            dataset,
+            KiffConfig(k=4, min_rating=min_rating),
+            n_shards=n_shards,
+            executor=executor,
+        )
+        try:
+            rng = np.random.default_rng(0)
+            for _ in range(15):
+                index.apply(
+                    AddRating(
+                        int(rng.integers(0, index.n_users)),
+                        int(rng.integers(0, 20)),
+                        float(rng.integers(1, 6)),
+                    )
                 )
-            )
-        assert index.graph == cold_rebuild(index)
+                assert index.graph == cold_rebuild(index)
+        finally:
+            index.close()
 
     def test_auto_refresh_keeps_graph_exact_each_event(self, rated_dataset):
         index = DynamicKnnIndex(rated_dataset, KiffConfig(k=2))

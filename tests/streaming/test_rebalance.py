@@ -239,7 +239,7 @@ class TestRebalanceApi:
         index.refresh()
         assert not index.dirty_users
         index.rebalance(ShardPlan(moves=((1, 0), (6, 1))))
-        # The destination shard seeds its candidate cache on the next
+        # The destination shard rebuilds the moved rows on the next
         # refresh; until then the moved users are queued as dirty.
         assert index.dirty_users == frozenset({1, 6})
         graph_before = index.graph

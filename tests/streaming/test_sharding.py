@@ -21,6 +21,7 @@ from repro.persistence import (
     read_partitioned_wal,
 )
 from repro.streaming import AddRating, AddUser, RemoveUser, ratings_batch
+from repro.streaming import sharding
 from repro.streaming.sharding import shard_of
 from tests.conftest import random_dataset
 from tests.streaming.test_recovery import random_events
@@ -206,22 +207,35 @@ class TestShardState:
             flat.referrers_of(everyone),
         )
 
-    def test_candidate_cache_is_owned_by_shard(self):
+    def test_planned_pairs_are_owned_by_shard(self, monkeypatch):
+        """Each shard derives candidate sets only for rows it owns, and
+        keeps only pairs into its own rows; the rest travel by outbox."""
         dataset = random_dataset(
             n_users=24, n_items=16, density=0.2, seed=1, ratings=True
         )
         index = ShardedKnnIndex(
-            dataset, KiffConfig(k=3), auto_refresh=False, n_shards=3,
-            executor="serial",
+            dataset, KiffConfig(k=3, pivot=False), auto_refresh=False,
+            n_shards=3, executor="serial",
         )
+        plans = []
+        original = sharding.plan_shard_pairs
+
+        def recording(shard_id, *args):
+            result = original(shard_id, *args)
+            plans.append((shard_id, args[2], result))
+            return result
+
+        monkeypatch.setattr(sharding, "plan_shard_pairs", recording)
         index.apply(ratings_batch([0, 1, 5], [2, 2, 2], [3.0, 4.0, 5.0]))
         index.refresh()
-        cached = 0
-        for shard in index._shards:
-            for user in shard.candidate_counts:
-                assert shard_of(user, 3) == shard.shard_id
-            cached += len(shard.candidate_counts)
-        assert cached > 0
+        assert sorted(shard_id for shard_id, _, _ in plans) == [0, 1, 2]
+        planned = 0
+        for shard_id, rebuilt, (rows, _, outboxes) in plans:
+            assert all(shard_of(row, 3) == shard_id for row in rebuilt)
+            assert all(shard_of(row, 3) == shard_id for row in rows)
+            assert all(box.target != shard_id for box in outboxes)
+            planned += rows.size
+        assert planned > 0
 
     def test_outboxes_carry_cross_shard_mirrors(self):
         """Every outbox targets a foreign shard, owns its rows, and is

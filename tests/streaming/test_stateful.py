@@ -12,8 +12,10 @@ a fresh index, and live rebalancing.  Invariants:
 * snapshot versions never go backwards;
 * every in-process shard's reverse index mirrors its rows.
 
-The machine runs on the flat serial index and on two shards under
-``threads``.  Tier-1 keeps a small example budget; the ``soak``
+The machine runs on the flat serial index, on two shards under
+``threads``, and on the flat index with ``min_rating=3.0`` (ratings
+crossing the threshold change candidate sets without a membership
+change).  Tier-1 keeps a small example budget; the ``soak``
 Hypothesis profile (``--hypothesis-profile soak``, registered in
 ``tests/conftest.py``) lifts it for the scheduled CI job.
 """
@@ -56,9 +58,10 @@ def _budget() -> settings:
 class IndexMachine(RuleBasedStateMachine):
     """One index under a random interleaving of the public operations."""
 
-    #: Shard count and executor of the machine's index.
+    #: Shard count, executor and candidacy threshold of the index.
     n_shards = 1
     executor = "serial"
+    min_rating = None
 
     def __init__(self):
         super().__init__()
@@ -78,7 +81,7 @@ class IndexMachine(RuleBasedStateMachine):
         )
         self.index = DynamicKnnIndex(
             dataset,
-            KiffConfig(k=3, pivot=pivot),
+            KiffConfig(k=3, pivot=pivot, min_rating=self.min_rating),
             metric=metric,
             auto_refresh=False,
             n_shards=self.n_shards,
@@ -234,7 +237,15 @@ class TwoShardThreadsMachine(IndexMachine):
     executor = "threads"
 
 
+class FlatMinRatingMachine(IndexMachine):
+    n_shards = 1
+    executor = "serial"
+    min_rating = 3.0
+
+
 TestFlatSerial = FlatSerialMachine.TestCase
 TestFlatSerial.settings = _budget()
 TestTwoShardThreads = TwoShardThreadsMachine.TestCase
 TestTwoShardThreads.settings = _budget()
+TestFlatMinRating = FlatMinRatingMachine.TestCase
+TestFlatMinRating.settings = _budget()
