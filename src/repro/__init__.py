@@ -54,10 +54,8 @@ from .core import (
     KiffConfig,
     KnnHeap,
     RankedCandidateSets,
-    RcsDelta,
     build_rcs,
     build_rcs_reference,
-    delta_rcs,
     kiff,
 )
 from .datasets import (
@@ -151,7 +149,6 @@ __all__ = [
     "PhaseTimer",
     "ProfileIndex",
     "RankedCandidateSets",
-    "RcsDelta",
     "RebalanceStats",
     "Recommendation",
     "Recommender",
@@ -173,7 +170,6 @@ __all__ = [
     "brute_force_knn",
     "build_rcs",
     "build_rcs_reference",
-    "delta_rcs",
     "get_metric",
     "hyrec",
     "kiff",

@@ -5,10 +5,8 @@ from .heap import KnnHeap
 from .kiff import kiff
 from .rcs import (
     RankedCandidateSets,
-    RcsDelta,
     build_rcs,
     build_rcs_reference,
-    delta_rcs,
     count_rcs_candidates,
 )
 from .result import ConstructionResult
@@ -18,10 +16,8 @@ __all__ = [
     "KiffConfig",
     "KnnHeap",
     "RankedCandidateSets",
-    "RcsDelta",
     "build_rcs",
     "build_rcs_reference",
-    "delta_rcs",
     "count_rcs_candidates",
     "kiff",
 ]

@@ -33,13 +33,11 @@ from ..datasets.bipartite import BipartiteDataset
 
 __all__ = [
     "RankedCandidateSets",
-    "RcsDelta",
     "build_rcs",
     "build_rcs_reference",
     "candidacy_raters",
     "candidate_rows",
     "count_rcs_candidates",
-    "delta_rcs",
 ]
 
 
@@ -107,7 +105,7 @@ class RankedCandidateSets:
 def candidacy_raters(dataset: BipartiteDataset, min_rating: float | None):
     """The binarised ``B.T`` of *dataset* (items x users, CSR).
 
-    The one whole-matrix conversion of :func:`delta_rcs`; a caller
+    The one whole-matrix conversion of :func:`candidate_rows`; a caller
     deriving candidate sets more than once on the same dataset builds
     it once and passes it as ``raters``.
     """
@@ -207,141 +205,6 @@ def count_rcs_candidates(
     # cooc is symmetric: the strict upper triangle holds half the
     # off-diagonal entries.
     return off_diagonal // 2 if pivot else off_diagonal
-
-
-@dataclass(frozen=True)
-class RcsDelta:
-    """The re-derived candidate rows of a dirty-user subset.
-
-    ``users`` is the sorted array of dirty users;
-    ``candidates[offsets[j]:offsets[j+1]]`` are ``users[j]``'s candidates
-    in RCS rank order (decreasing shared-item count, ascending id), with
-    ``counts`` aligned.  When a ``base`` was supplied to
-    :func:`delta_rcs`, ``added`` / ``removed`` hold each dirty user's
-    candidate-set difference against her base row.
-    """
-
-    users: np.ndarray
-    offsets: np.ndarray
-    candidates: np.ndarray
-    counts: np.ndarray
-    added: dict[int, np.ndarray] | None = None
-    removed: dict[int, np.ndarray] | None = None
-
-    @property
-    def total_candidates(self) -> int:
-        """Sum of the dirty users' RCS sizes."""
-        return int(self.candidates.size)
-
-    def _position(self, user: int) -> int:
-        pos = int(np.searchsorted(self.users, user))
-        if pos == self.users.size or self.users[pos] != user:
-            raise KeyError(f"user {user} is not in this delta")
-        return pos
-
-    def candidates_of(self, user: int) -> np.ndarray:
-        """Dirty user *user*'s new ranked candidates (zero-copy slice)."""
-        pos = self._position(user)
-        return self.candidates[self.offsets[pos] : self.offsets[pos + 1]]
-
-    def counts_of(self, user: int) -> np.ndarray:
-        """Shared-item counts aligned with :meth:`candidates_of`."""
-        pos = self._position(user)
-        return self.counts[self.offsets[pos] : self.offsets[pos + 1]]
-
-
-def delta_rcs(
-    dataset: BipartiteDataset,
-    dirty_users,
-    base: RankedCandidateSets | None = None,
-    pivot: bool = False,
-    min_rating: float | None = None,
-    raters=None,
-) -> RcsDelta:
-    """Candidate-set changes of *dirty_users*, from touched items only.
-
-    The counting phase's full product ``B @ B.T`` pays an
-    O(sum |IP_i|^2) floor over the whole dataset; when only a few users'
-    profiles changed, their new candidate rows are exactly the sparse
-    product of *their* binarised rows against ``B.T`` — the computation
-    touches only the item profiles of the dirty users' items, the same
-    locality guarantee KIFF's counting phase gives per user.  The
-    returned rows are bit-identical to the corresponding
-    :func:`build_rcs` rows on the same dataset (tests pin this), which
-    is what lets the streaming subsystem re-derive candidate sets for
-    dirty users without re-running the full counting phase.
-
-    Parameters
-    ----------
-    base:
-        Optional previous :class:`RankedCandidateSets` (built with the
-        same ``pivot`` / ``min_rating``); when given, each dirty user's
-        ``added`` / ``removed`` candidate difference is included.
-    pivot:
-        As for :func:`build_rcs`.  Note the pivot constraint applies to
-        the returned rows only: with ``pivot=True`` a dirty user ``u``
-        also vanishes from / appears in rows of users ``< u``, which this
-        per-row delta deliberately does not chase — callers wanting
-        symmetric change sets (e.g. streaming maintenance) use
-        ``pivot=False``.
-    min_rating:
-        As for :func:`build_rcs` (an item contributes candidacies only
-        when both users rate it ``>= min_rating``).
-    raters:
-        Optional :func:`candidacy_raters` of this *dataset* and
-        *min_rating*, built by the caller to share it across calls;
-        built here when omitted.
-    """
-    dirty = np.unique(np.asarray(list(dirty_users), dtype=np.int64))
-    if dirty.size and (dirty[0] < 0 or dirty[-1] >= dataset.n_users):
-        raise ValueError(
-            f"dirty user ids must be in [0, {dataset.n_users}), got "
-            f"[{dirty[0] if dirty.size else '-'}, {dirty[-1] if dirty.size else '-'}]"
-        )
-    if dirty.size:
-        cooc = candidate_rows(dataset, dirty, min_rating, raters).tocoo()
-        local_rows = cooc.row.astype(np.int64)
-        cols = cooc.col.astype(np.int64)
-        counts = cooc.data
-        global_rows = dirty[local_rows]
-        if pivot:
-            mask = global_rows < cols
-        else:
-            mask = global_rows != cols
-        local_rows, cols, counts = local_rows[mask], cols[mask], counts[mask]
-    else:
-        local_rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.float64)
-    # Same per-user ordering as _pack: decreasing count, ascending id.
-    order = np.lexsort((cols, -counts, local_rows))
-    local_rows, cols, counts = local_rows[order], cols[order], counts[order]
-    offsets = np.zeros(dirty.size + 1, dtype=np.int64)
-    if local_rows.size:
-        np.cumsum(
-            np.bincount(local_rows, minlength=dirty.size), out=offsets[1:]
-        )
-    added: dict[int, np.ndarray] | None = None
-    removed: dict[int, np.ndarray] | None = None
-    if base is not None:
-        added, removed = {}, {}
-        for pos, user in enumerate(dirty.tolist()):
-            new_row = cols[offsets[pos] : offsets[pos + 1]]
-            old_row = (
-                base.candidates_of(user)
-                if user < base.n_users
-                else np.empty(0, dtype=np.int64)
-            )
-            added[user] = np.setdiff1d(new_row, old_row)
-            removed[user] = np.setdiff1d(old_row, new_row)
-    return RcsDelta(
-        users=dirty,
-        offsets=offsets,
-        candidates=cols.astype(np.int64),
-        counts=counts.astype(np.int64),
-        added=added,
-        removed=removed,
-    )
 
 
 def build_rcs_reference(

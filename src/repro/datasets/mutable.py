@@ -23,14 +23,14 @@ Incremental snapshotting
 The builder tracks which users mutated since the last materialised
 snapshot.  When a new snapshot is requested and a previous one exists,
 only the *dirty* CSR rows are re-materialised from the live profiles —
-clean rows are block-copied from the previous snapshot — and, when the
-previous snapshot had its CSC mirror built, the mirror is patched
-column-wise the same way.  The result is exactly equal to a full
-materialisation (the Hypothesis suite interleaves both paths and asserts
-equality); when the fast path's preconditions fail (no base snapshot, a
-supplied ``dirty_users`` hint that does not cover the tracked dirty set,
-or a dirty set too large to be worth patching) the builder falls back to
-the full path, which is always exact.  Row-materialisation work is
+clean rows are block-copied from the previous snapshot; the CSC mirror
+is built lazily on first use, as for any dataset.  The result is
+exactly equal to a full materialisation (the Hypothesis suite
+interleaves both paths and asserts equality); when the fast path's
+preconditions fail (no base snapshot, a supplied ``dirty_users`` hint
+that does not cover the tracked dirty set, or a dirty set too large to
+be worth patching) the builder falls back to the full path, which is
+always exact.  Row-materialisation work is
 tallied into a :class:`~repro.instrumentation.counters.MaintenanceCounter`
 so benchmarks can assert snapshot cost scales with the dirty set, not
 with ``n_ratings``.
@@ -439,7 +439,7 @@ class MutableBipartiteBuilder:
     def _materialize_incremental(
         self, dirty_sorted: list[int], name: str | None
     ) -> BipartiteDataset:
-        """Patch the previous snapshot's CSR rows (and CSC mirror)."""
+        """Patch the previous snapshot's CSR rows."""
         base = self._base
         assert base is not None
         base_matrix = base.matrix
@@ -463,99 +463,7 @@ class MutableBipartiteBuilder:
         )
         matrix = sp.csr_matrix((data, indices, indptr), shape=(n_users, n_items))
         # symmetric stays False to match the full path (from_edges default).
-        dataset = BipartiteDataset(matrix=matrix, name=name or self.name)
-        if base._csc_cache:
-            dataset._csc_cache.append(
-                self._patch_csc(
-                    base, dirty_arr, replacements, n_users, n_items
-                )
-            )
-        return dataset
-
-    def _patch_csc(
-        self,
-        base: BipartiteDataset,
-        dirty_arr: np.ndarray,
-        replacements: list[tuple[np.ndarray, np.ndarray]],
-        n_users: int,
-        n_items: int,
-    ) -> sp.csc_matrix:
-        """Patch the base snapshot's cached CSC mirror column-wise.
-
-        Affected columns are the union of the dirty users' old and new
-        items; each is rebuilt by dropping the dirty users' old entries
-        and merging their new ones in row order.  Every other column is
-        block-copied, so the mirror stays as cheap as the CSR patch.
-        """
-        old_csc = base.csc
-        n_old_users = base.n_users
-        n_old_items = old_csc.shape[1]
-        # Inserted entries, grouped by column then row.
-        ins_cols = (
-            np.concatenate([r[0] for r in replacements])
-            if replacements
-            else np.empty(0, dtype=np.int64)
-        )
-        ins_rows = np.repeat(
-            dirty_arr, [r[0].size for r in replacements]
-        )
-        ins_data = (
-            np.concatenate([r[1] for r in replacements])
-            if replacements
-            else np.empty(0, dtype=np.float64)
-        )
-        order = np.lexsort((ins_rows, ins_cols))
-        ins_cols, ins_rows, ins_data = (
-            ins_cols[order],
-            ins_rows[order],
-            ins_data[order],
-        )
-        old_cols = [
-            base.matrix.indices[
-                base.matrix.indptr[u] : base.matrix.indptr[u + 1]
-            ]
-            for u in dirty_arr.tolist()
-            if u < n_old_users
-        ]
-        affected = np.union1d(
-            np.unique(ins_cols),
-            np.unique(np.concatenate(old_cols))
-            if old_cols
-            else np.empty(0, dtype=np.int64),
-        ).astype(np.int64)
-        new_columns: list[tuple[np.ndarray, np.ndarray]] = []
-        for col in affected.tolist():
-            if col < n_old_items:
-                lo, hi = old_csc.indptr[col], old_csc.indptr[col + 1]
-                col_rows = old_csc.indices[lo:hi]
-                col_data = old_csc.data[lo:hi]
-                pos = np.searchsorted(dirty_arr, col_rows)
-                pos_c = np.minimum(pos, dirty_arr.size - 1)
-                is_dirty = (pos < dirty_arr.size) & (
-                    dirty_arr[pos_c] == col_rows
-                )
-                col_rows = col_rows[~is_dirty]
-                col_data = col_data[~is_dirty]
-            else:
-                col_rows = np.empty(0, dtype=old_csc.indices.dtype)
-                col_data = np.empty(0, dtype=np.float64)
-            lo = np.searchsorted(ins_cols, col, side="left")
-            hi = np.searchsorted(ins_cols, col, side="right")
-            merged_rows = np.concatenate([col_rows, ins_rows[lo:hi]])
-            merged_data = np.concatenate([col_data, ins_data[lo:hi]])
-            row_order = np.argsort(merged_rows, kind="stable")
-            new_columns.append(
-                (merged_rows[row_order], merged_data[row_order])
-            )
-        indptr, indices, data = splice_compressed(
-            old_csc.indptr,
-            old_csc.indices,
-            old_csc.data,
-            n_items,
-            affected,
-            new_columns,
-        )
-        return sp.csc_matrix((data, indices, indptr), shape=(n_users, n_items))
+        return BipartiteDataset(matrix=matrix, name=name or self.name)
 
     # ------------------------------------------------------------------
     # Misc

@@ -211,12 +211,11 @@ def save_checkpoint(index, directory: str | Path) -> Path:
             **snapshot_to_arrays(dataset),
         )
         _fsync_file(tmp / "base.npz")
-        for shard in index._shards:
-            shard_file = tmp / f"shard-{shard.shard_id}.npz"
-            np.savez_compressed(
-                shard_file,
-                dirty=np.asarray(sorted(shard.dirty), dtype=np.int64),
-            )
+        dirty = np.asarray(sorted(index._dirty), dtype=np.int64)
+        owners = index._shard_map.owners(dirty)
+        for shard in range(index.n_shards):
+            shard_file = tmp / f"shard-{shard}.npz"
+            np.savez_compressed(shard_file, dirty=dirty[owners == shard])
             _fsync_file(shard_file)
         _wal.fsync_dir(tmp)
         # A re-checkpoint at the same sequence (same state) replaces the
@@ -337,8 +336,8 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     """Install a loaded checkpoint into a freshly built (build=False) index.
 
     Works through the index's own state surfaces (``_dirty``,
-    ``_reverse``) rather than raw assignment, so the per-user state
-    routes to its owner shard at the index's shard count.
+    ``_reverse``) rather than raw assignment, so the reverse index
+    routes to its owner shards at the index's shard count.
     """
     # astype(copy=True): the index must own its rows, and a hand-built
     # wide state narrows to the compact layout.

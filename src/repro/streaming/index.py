@@ -30,15 +30,17 @@ After ``refresh()`` the graph equals the cold rebuild because:
   are stale (e.g. cosine renormalises the whole row when one rating
   lands).
 * A clean user *x* whose row **contains** a dirty user holds a stale
-  entry.  For profile-local metrics her row is **repaired**: the dirty
-  entries are dropped, every dirty user she co-rates with is offered
-  back with a fresh score (the mirror merge below), and the row stands
-  if it had an empty slot (it already held every candidate) or its new
-  k-th entry ranks at or ahead of the old one — every candidate it was
-  not offered is clean and ranked behind that entry before the pass.
+  entry.  Her row is **repaired**: the dirty entries are dropped,
+  every dirty user she co-rates with is offered back with a fresh
+  score (the mirror merge below), and the row stands if it had an
+  empty slot (it already held every candidate) or its new k-th entry
+  ranks at or ahead of the old one — every candidate it was not
+  offered is clean and ranked behind that entry before the pass.
   Otherwise the stale entry's true replacement may be an arbitrary
-  rank-(k+1) candidate, and the row is rescanned from its candidate set
-  (as every citing row is for a metric with global terms).
+  rank-(k+1) candidate, and the row is rescanned from its candidate
+  set.  The rule is the same for every metric: with global terms, the
+  item raters joining the dirty set (above) leave every pair whose
+  score moved with a dirty endpoint.
 * Every other clean user *x* has only unchanged entries; a dirty user
   can at most *enter* her row, which the mirror merge of the freshly
   evaluated (dirty, x) pairs performs — ``merge_topk`` applies the same
@@ -47,8 +49,9 @@ After ``refresh()`` the graph equals the cold rebuild because:
 One index class
 ---------------
 The maintained state lives in shards (``repro.streaming.sharding._Shard``:
-a dirty slice and a row-restricted reverse index), partitioned by a
-:class:`~repro.streaming.sharding.ShardMap`.
+a row-restricted reverse index), partitioned by a
+:class:`~repro.streaming.sharding.ShardMap`; the dirty set is one set,
+split by owner at each pass.
 :class:`DynamicKnnIndex` takes the shard count (default 1) and the
 executor (default ``"serial"``); the flat index is simply its
 one-shard, in-process case, and
@@ -70,8 +73,8 @@ Dirty-set-proportional cost
 Every stage of a refresh scales with the dirty set, not the dataset:
 
 * **Snapshot** — ``MutableBipartiteBuilder.snapshot`` patches only the
-  dirty CSR rows (and the CSC mirror) of the previous snapshot instead
-  of re-materialising O(n_ratings) state.
+  dirty CSR rows of the previous snapshot instead of re-materialising
+  O(n_ratings) state.
 * **Index** — ``SimilarityEngine.rebind(..., dirty_users=...)`` updates
   the :class:`~repro.similarity.base.ProfileIndex` in place, recomputing
   norms / profile sizes / metric caches for dirty users only.
@@ -213,8 +216,8 @@ class RefreshStats:
     #: refreshes only; always 0 for a full pass).
     deferred_users: int = 0
     #: Clean rows citing a dirty user that kept their other entries and
-    #: were repaired from the dirty users' fresh scores (profile-local
-    #: metrics only; rows failing the repair's check count as rebuilt).
+    #: were repaired from the dirty users' fresh scores (rows failing
+    #: the repair's check count as rebuilt).
     repaired_users: int = 0
 
 
@@ -224,7 +227,7 @@ class _ShardHost:
     The graph rows live in backing arrays with slack capacity — the
     first ``_n_rows`` rows of ``_neighbors``/``_sims`` are the live
     graph.  Subclasses add ``builder``, ``config``, ``n_users``,
-    ``_shard_map``, ``_profile_local`` and ``_score_pairs``: the index
+    ``_shard_map`` and ``_score_pairs``: the index
     for its own shards, and the worker-side host in each ``processes``
     worker, so both grow rows identically.
     """
@@ -400,6 +403,8 @@ class DynamicKnnIndex(_ShardHost):
         self._wal = None
         #: Provenance of a restore() (None for a fresh index).
         self.restore_info = None
+        #: Users whose profile changed since the last refresh.
+        self._dirty: set[int] = set()
         self._partition(shard_map)
         if build:
             self.rebuild()
@@ -414,16 +419,15 @@ class DynamicKnnIndex(_ShardHost):
     def _partition(self, shard_map) -> None:
         """Fresh per-shard state containers for *shard_map*.
 
-        The index-level ``_dirty`` and ``_reverse`` route every access
-        to the owner shard's slice.
+        The index-level ``_reverse`` routes every access to the owner
+        shard's slice.
         """
-        from .sharding import _Shard, _ShardedDirtySet, _ShardedReverseIndex
+        from .sharding import _Shard, _ShardedReverseIndex
 
         self._shard_map = shard_map
         self._shards = [
             _Shard(shard, self) for shard in range(shard_map.n_shards)
         ]
-        self._dirty = _ShardedDirtySet(self._shards, lambda: self._shard_map)
         self._reverse = _ShardedReverseIndex(
             self._shards, lambda: self._shard_map
         )
@@ -1134,10 +1138,8 @@ class DynamicKnnIndex(_ShardHost):
         """The three stage rounds of :meth:`_run_pass`, on any executor."""
         all_dirty = np.fromiter(selected, dtype=np.int64, count=len(selected))
         later = np.fromiter(deferred, dtype=np.int64, count=len(deferred))
-        owned = [
-            np.fromiter(mine, dtype=np.int64, count=len(mine))
-            for mine in (shard.dirty & selected for shard in self._shards)
-        ]
+        owners = self._shard_map.owners(all_dirty)
+        owned = [all_dirty[owners == shard] for shard in range(self.n_shards)]
         splits = self._stage(
             "affected", [(all_dirty, mine, later) for mine in owned]
         )
@@ -1293,10 +1295,9 @@ class DynamicKnnIndex(_ShardHost):
         plan:
             The :class:`~repro.streaming.sharding.ShardPlan`: explicit
             ``(user, shard)`` moves, a new shard count, or both.  A
-            count change rebuilds every per-shard container (dirty set,
-            reverse index) and, when a partitioned WAL is attached,
-            re-opens it at the new segment count under the same global
-            sequence.
+            count change rebuilds every shard's reverse index and,
+            when a partitioned WAL is attached, re-opens it at the new
+            segment count under the same global sequence.
 
         Returns
         -------
@@ -1412,15 +1413,13 @@ class DynamicKnnIndex(_ShardHost):
     def _migrate_users(self, new_map, moved) -> None:
         """Same-count ownership flip: surgical per-user state transfer.
 
-        For each moved user the source shard gives up her dirty-set
-        membership and her row's citations in its reverse index; after
-        the map swap the destination re-registers the citations and
-        marks her dirty, so the next refresh rebuilds her row there.
-        Process workers restart with the new owned-row partition.
+        For each moved user the source shard gives up her row's
+        citations in its reverse index and the destination re-registers
+        them; she is marked dirty, so the next refresh rebuilds her row
+        there.  Process workers restart with the new owned-row
+        partition.
         """
         neighbors, _ = self._rows()
-        for user in moved:
-            self._shards[self._shard_map.owner(user)].dirty.discard(user)
         # Users past the graph's rows (not yet refreshed) cite nobody.
         rows = np.asarray(moved, dtype=np.int64)
         rows = rows[rows < neighbors.shape[0]]
@@ -1439,19 +1438,16 @@ class DynamicKnnIndex(_ShardHost):
     def _reshard(self, new_map) -> None:
         """Shard-count transition: rebuild every per-shard container.
 
-        The dirty set carries over (re-routed through the new map), the
-        reverse index rebuilds from the authoritative rows, executors
+        The reverse index rebuilds from the authoritative rows, executors
         reset (thread pool sized per shard; process workers respawn at
         the next refresh), and an attached partitioned WAL re-opens at the
         new segment count under the same global sequence (its
         constructor scans stray segments, so the counter carries over
         and old segments stay readable by the merged reader).
         """
-        old_dirty = list(self._dirty)
         self._partition(new_map)
         neighbors, _ = self._rows()
         self._reverse.rebuild(neighbors)
-        self._dirty.update(old_dirty)
         self._close_executors()
         if self._wal is not None and self._wal.n_shards != self.n_shards:
             from ..persistence import PartitionedWriteAheadLog

@@ -99,7 +99,6 @@ class _WorkerHost(_ShardHost):
     def __init__(self, init: dict):
         self.config = init["config"]
         self.metric = init["metric"]
-        self._profile_local = self.metric.profile_local
         self.batch_size = int(init["batch_size"])
         #: The ownership rule at spawn time.  A rebalance resets the
         #: pool, so a live worker's map is always current.

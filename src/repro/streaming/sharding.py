@@ -3,12 +3,11 @@
 The KIFF pipeline is embarrassingly partitionable: candidate selection
 and top-k refinement are *per-user* computations over shared read-only
 profiles.  The maintained state is therefore held in **shards**
-(:class:`_Shard`), each owning one slice of the users:
-
-* the dirty set (events dirty a user; her owner shard records it),
-* a :class:`~repro.graph.updates.ReverseNeighborIndex` restricted to
-  the *rows* the shard owns (keyed by cited user, which may belong to
-  any shard — updates stay row-local, so they never cross shards).
+(:class:`_Shard`), each owning one slice of the users and a
+:class:`~repro.graph.updates.ReverseNeighborIndex` restricted to the
+*rows* it owns (keyed by cited user, which may belong to any shard —
+updates stay row-local, so they never cross shards).  The dirty set is
+one index-level set; each pass splits the selected users by owner.
 
 One index class holds them:
 :class:`~repro.streaming.index.DynamicKnnIndex` partitions users across
@@ -23,9 +22,8 @@ then calls three stages on every shard:
 
 1. **Affected discovery** (:meth:`_Shard.affected`) — each shard looks
    up its own rows citing *any* selected dirty user (its reverse
-   index) and splits them: under a profile-local metric a clean
-   referrer is *repaired*; its selected dirty users and the other
-   referrers are *rebuilt*.
+   index) and splits them: a clean referrer is *repaired*; its
+   selected dirty users and the other referrers are *rebuilt*.
 2. **Planning** (:meth:`_Shard.plan`) — each shard clears its rebuilt
    rows, drops the dirty entries from its repaired rows, derives the
    rebuilt rows' candidate sets (one sparse product over the current
@@ -103,9 +101,6 @@ from ..graph.updates import (
     merge_topk_rows,
 )
 from ..similarity.base import SimilarityMetric
-# The one chunked scoring loop, imported by name so importers of it
-# from this module keep working.
-from ..similarity.engine import score_pairs_chunked  # noqa: F401
 from .index import DynamicKnnIndex, RefreshStats
 
 __all__ = [
@@ -322,7 +317,6 @@ class _Shard:
     __slots__ = (
         "shard_id",
         "host",
-        "dirty",
         "reverse",
         "_rebuilt",
         "_rows_mask",
@@ -336,8 +330,6 @@ class _Shard:
     def __init__(self, shard_id: int, host):
         self.shard_id = shard_id
         self.host = host
-        #: Owned users whose profile changed since the last refresh.
-        self.dirty: set[int] = set()
         #: cited user -> owned rows citing her (rows only from this shard).
         self.reverse = ReverseNeighborIndex()
         # Per-pass context, set by the stages: the owned rows rebuilt
@@ -386,25 +378,26 @@ class _Shard:
 
         Returns ``(rebuilt, repaired)``.  The *referrers* are the owned
         rows citing any selected dirty user (*all_dirty*).  A referrer
-        is **repaired** in place when the metric is profile-local, the
-        row is not dirty itself (selected or *deferred*) and it cites
-        no deferred user — a deferred user's score may have moved
-        anywhere, so such rows are rescanned.  The shard's selected
-        dirty users (*my_dirty*) and the other referrers are
-        **rebuilt** from their candidate sets.
+        is **repaired** in place when the row is not dirty itself
+        (selected or *deferred*) and it cites no deferred user — a
+        deferred user's score may have moved anywhere, so such rows are
+        rescanned.  This holds for every metric: a metric with global
+        terms (``adamic_adar``) dirties every rater of an item whose
+        weight moved, so a clean row's entries for clean users keep
+        their scores.  The shard's selected dirty users (*my_dirty*)
+        and the other referrers are **rebuilt** from their candidate
+        sets.
         """
         host = self.host
         self._dirty_mask = np.zeros(host.n_users, dtype=bool)
         self._dirty_mask[all_dirty] = True
         referrers = self.reverse.referrers_of(all_dirty).astype(np.int64)
-        repaired = referrers[:0]
-        if host._profile_local and referrers.size:
-            dirty = np.concatenate([all_dirty, deferred])
-            repaired = referrers[~np.isin(referrers, dirty)]
-            if deferred.size and repaired.size:
-                neighbors, _ = host._rows()
-                cites = np.isin(neighbors[repaired], deferred).any(axis=1)
-                repaired = repaired[~cites]
+        dirty = np.concatenate([all_dirty, deferred])
+        repaired = referrers[~np.isin(referrers, dirty)]
+        if deferred.size and repaired.size:
+            neighbors, _ = host._rows()
+            cites = np.isin(neighbors[repaired], deferred).any(axis=1)
+            repaired = repaired[~cites]
         self._rebuilt = np.union1d(
             my_dirty, np.setdiff1d(referrers, repaired, assume_unique=True)
         )
@@ -567,53 +560,6 @@ class _Shard:
             neighbors, sims, users, ids, scores, self.reverse
         )
         return evaluations, changes
-
-
-class _ShardedDirtySet:
-    """The global dirty set, physically stored as per-shard owned slices.
-
-    Exposes the mutable-set surface the base ingestion path and the
-    refresh driver use (``add`` / ``update`` / ``clear`` / iteration /
-    membership / ``len``), so
-    every ``DynamicKnnIndex._absorb_*`` method lands events in the
-    owner shard's slice without knowing about sharding.  Ownership is
-    read live from the index's :class:`ShardMap`, so a rebalance that
-    swaps the map re-routes subsequent adds without rebuilding this
-    router.
-    """
-
-    __slots__ = ("_shards", "_map_of")
-
-    def __init__(self, shards: list[_Shard], map_of):
-        self._shards = shards
-        #: Zero-arg callable yielding the live :class:`ShardMap`.
-        self._map_of = map_of
-
-    def add(self, user: int) -> None:
-        """Mark *user* dirty in her owner shard's slice."""
-        user = int(user)
-        self._shards[self._map_of().owner(user)].dirty.add(user)
-
-    def update(self, users) -> None:
-        """Mark every user in *users* dirty (routed per owner)."""
-        for user in users:
-            self.add(user)
-
-    def clear(self) -> None:
-        """Empty every shard's dirty slice."""
-        for shard in self._shards:
-            shard.dirty.clear()
-
-    def __len__(self) -> int:
-        return sum(len(shard.dirty) for shard in self._shards)
-
-    def __iter__(self):
-        for shard in self._shards:
-            yield from shard.dirty
-
-    def __contains__(self, user) -> bool:
-        user = int(user)
-        return user in self._shards[self._map_of().owner(user)].dirty
 
 
 class _ShardedReverseIndex:

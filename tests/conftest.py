@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings as hypothesis_settings
+from hypothesis import HealthCheck, Phase, settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from repro import BipartiteDataset, SimilarityEngine
@@ -23,13 +23,18 @@ hypothesis_settings.register_profile(
 )
 hypothesis_settings.register_profile("dev", deadline=None)
 # The scheduled soak job (``--hypothesis-profile soak``): a long,
-# randomized budget for the stateful fuzzer in tests/streaming/.
+# randomized budget for the stateful fuzzer in tests/streaming/.  On a
+# failure it shrinks one bug only and skips the explain phase, whose
+# extra replays of the minimal example multiply the time and memory a
+# failing state machine costs.
 hypothesis_settings.register_profile(
     "soak",
     deadline=None,
     max_examples=400,
     stateful_step_count=40,
     suppress_health_check=[HealthCheck.too_slow],
+    report_multiple_bugs=False,
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 hypothesis_settings.load_profile("ci" if os.environ.get("CI") else "dev")
 

@@ -197,35 +197,46 @@ class TestCountCandidates:
         )
 
 
-class TestDeltaRcs:
-    """delta_rcs rows must be bit-identical to the full counting phase."""
+class TestCandidateRows:
+    """candidate_rows rows span exactly the full counting phase's rows."""
+
+    @staticmethod
+    def assert_rows_match(product, users, full, pivot):
+        """Row ``j`` of *product*, self pair (and, with *pivot*, ids
+        below ``users[j]``) dropped, holds ``users[j]``'s RCS of *full*
+        as a set, with its shared-item counts."""
+        for j, user in enumerate(users.tolist()):
+            lo, hi = product.indptr[j], product.indptr[j + 1]
+            cols = product.indices[lo:hi]
+            counts = product.data[lo:hi]
+            keep = cols > user if pivot else cols != user
+            got = dict(zip(cols[keep].tolist(), counts[keep].tolist()))
+            expected = dict(
+                zip(
+                    full.candidates_of(user).tolist(),
+                    full.counts_of(user).tolist(),
+                )
+            )
+            assert got == expected, user
 
     @pytest.mark.parametrize("pivot", [True, False])
     @pytest.mark.parametrize("min_rating", [None, 3.0])
     def test_rows_match_build_rcs(self, pivot, min_rating):
-        from repro.core.rcs import delta_rcs
+        from repro.core.rcs import candidate_rows
 
         dataset = random_dataset(
             n_users=40, n_items=25, density=0.12, seed=3, ratings=True
         )
         full = build_rcs(dataset, pivot=pivot, min_rating=min_rating)
-        dirty = [0, 7, 13, 39]
-        delta = delta_rcs(
-            dataset, dirty, pivot=pivot, min_rating=min_rating
-        )
-        assert delta.users.tolist() == dirty
-        for user in dirty:
-            np.testing.assert_array_equal(
-                delta.candidates_of(user), full.candidates_of(user)
-            )
-            np.testing.assert_array_equal(
-                delta.counts_of(user), full.counts_of(user)
-            )
+        users = np.array([0, 7, 13, 39])
+        product = candidate_rows(dataset, users, min_rating)
+        assert product.shape == (users.size, dataset.n_users)
+        self.assert_rows_match(product, users, full, pivot)
 
     def test_interleaved_datasets_and_thresholds(self):
         """Calls alternating between datasets and thresholds each read
         their own dataset's ratings."""
-        from repro.core.rcs import delta_rcs
+        from repro.core.rcs import candidate_rows
 
         datasets = [
             random_dataset(
@@ -233,7 +244,7 @@ class TestDeltaRcs:
             )
             for seed in (1, 2)
         ]
-        dirty = [0, 5, 29]
+        users = np.array([0, 5, 29])
         for dataset, min_rating in [
             (datasets[0], None),
             (datasets[1], None),
@@ -242,66 +253,46 @@ class TestDeltaRcs:
             (datasets[0], None),
         ]:
             full = build_rcs(dataset, pivot=False, min_rating=min_rating)
-            delta = delta_rcs(dataset, dirty, min_rating=min_rating)
-            for user in dirty:
-                np.testing.assert_array_equal(
-                    delta.candidates_of(user), full.candidates_of(user)
-                )
-                np.testing.assert_array_equal(
-                    delta.counts_of(user), full.counts_of(user)
-                )
+            product = candidate_rows(dataset, users, min_rating)
+            self.assert_rows_match(product, users, full, pivot=False)
 
     @pytest.mark.parametrize("min_rating", [None, 4.0])
     def test_shared_raters_give_the_same_rows(self, min_rating):
         """A caller-built transpose, reused across calls, changes
         nothing."""
-        from repro.core.rcs import candidacy_raters, delta_rcs
+        from repro.core.rcs import candidacy_raters, candidate_rows
 
         dataset = random_dataset(
             n_users=30, n_items=15, density=0.2, seed=3, ratings=True
         )
         raters = candidacy_raters(dataset, min_rating)
-        for dirty in ([0, 5, 29], [7], list(range(30))):
-            shared = delta_rcs(
-                dataset, dirty, min_rating=min_rating, raters=raters
-            )
-            own = delta_rcs(dataset, dirty, min_rating=min_rating)
-            np.testing.assert_array_equal(shared.candidates, own.candidates)
-            np.testing.assert_array_equal(shared.counts, own.counts)
-            np.testing.assert_array_equal(shared.offsets, own.offsets)
+        for users in ([0, 5, 29], [7], list(range(30))):
+            users = np.array(users)
+            shared = candidate_rows(dataset, users, min_rating, raters)
+            own = candidate_rows(dataset, users, min_rating)
+            np.testing.assert_array_equal(shared.indptr, own.indptr)
+            np.testing.assert_array_equal(shared.indices, own.indices)
+            np.testing.assert_array_equal(shared.data, own.data)
 
-    def test_added_removed_against_base(self):
-        from repro.core.rcs import delta_rcs
+    def test_user_without_ratings_has_no_candidates(self):
+        from repro.core.rcs import candidate_rows
 
         dataset = random_dataset(n_users=20, n_items=12, density=0.2, seed=5)
-        base = build_rcs(dataset, pivot=False)
-        # Drop every rating of user 4: her candidacies disappear.
         matrix = dataset.matrix.tolil()
         matrix[4, :] = 0
         from repro.datasets import BipartiteDataset
 
         mutated = BipartiteDataset(matrix=matrix.tocsr(), name="mutated")
-        delta = delta_rcs(mutated, [4], base=base, pivot=False)
-        assert delta.candidates_of(4).size == 0
-        np.testing.assert_array_equal(
-            delta.removed[4], np.sort(base.candidates_of(4))
+        product = candidate_rows(mutated, np.array([4, 5]))
+        assert product.indptr[1] == 0
+        self.assert_rows_match(
+            product, np.array([4, 5]), build_rcs(mutated, pivot=False), False
         )
-        assert delta.added[4].size == 0
 
-    def test_unknown_user_raises(self):
-        from repro.core.rcs import delta_rcs
-
-        dataset = random_dataset(n_users=10, n_items=8, density=0.2, seed=1)
-        delta = delta_rcs(dataset, [2])
-        with pytest.raises(KeyError):
-            delta.candidates_of(3)
-        with pytest.raises(ValueError):
-            delta_rcs(dataset, [99])
-
-    def test_empty_dirty_set(self):
-        from repro.core.rcs import delta_rcs
+    def test_no_users(self):
+        from repro.core.rcs import candidate_rows
 
         dataset = random_dataset(n_users=10, n_items=8, density=0.2, seed=1)
-        delta = delta_rcs(dataset, [])
-        assert delta.users.size == 0
-        assert delta.total_candidates == 0
+        product = candidate_rows(dataset, np.empty(0, dtype=np.int64))
+        assert product.shape == (0, dataset.n_users)
+        assert product.nnz == 0

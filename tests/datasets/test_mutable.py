@@ -1,5 +1,6 @@
 """Unit tests for the append-friendly dataset builder."""
 
+import numpy as np
 import pytest
 
 from repro.datasets import BipartiteDataset, DatasetError, MutableBipartiteBuilder
@@ -169,16 +170,18 @@ class TestIncrementalSnapshot:
         with pytest.raises(DatasetError):
             builder.snapshot(dirty_users=[0, 99])
 
-    def test_csc_mirror_patched_when_base_had_one(self, builder):
+    def test_csc_mirror_built_lazily_after_a_patch(self, builder):
         base = builder.snapshot()
         base.csc  # build the mirror on the patch base
         builder.set_rating(3, 1, 0.0)  # delete
         builder.set_rating(1, 4, 2.5)  # insert (new column usage)
         snapshot = builder.snapshot()
-        assert snapshot._csc_cache  # pre-seeded, not lazily rebuilt
+        assert builder.maintenance.snapshots_incremental == 1
+        assert snapshot._csc_cache == []  # not carried over from the base
         truth = snapshot.matrix.tocsc()
-        patched = snapshot._csc_cache[0]
-        assert abs(patched - truth).nnz == 0
+        assert abs(snapshot.csc - truth).nnz == 0
+        np.testing.assert_array_equal(snapshot.csc.indices, truth.indices)
+        np.testing.assert_array_equal(snapshot.csc.data, truth.data)
 
     def test_incremental_snapshot_after_user_growth(self, builder):
         builder.snapshot()

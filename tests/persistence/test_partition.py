@@ -159,6 +159,25 @@ class TestCheckpointLayout:
                 assert archive.files == ["dirty"]
                 assert archive["dirty"].tolist() == [shard, shard + 2]
 
+    def test_dirty_slices_follow_a_same_count_rebalance(self, tmp_path):
+        """After moves at the same shard count, shard *i*'s file holds
+        exactly the dirty users the live map assigns to shard *i*."""
+        index = sharded_index()
+        index.apply(ratings_batch([0, 1, 2, 5], [3] * 4, [4.0] * 4))
+        stats = index.rebalance(ShardPlan(moves=((0, 1), (5, 0), (7, 0))))
+        assert stats.users_moved == 3 and index.n_shards == 2
+        dirty = index.dirty_users
+        assert dirty == frozenset({0, 1, 2, 5, 7})  # moves turn dirty
+        path = index.checkpoint(tmp_path)
+        for shard in range(2):
+            with np.load(path / f"shard-{shard}.npz") as archive:
+                assert archive["dirty"].tolist() == sorted(
+                    user
+                    for user in dirty
+                    if index.shard_map.owner(user) == shard
+                )
+        assert load_checkpoint(path).dirty == tuple(sorted(dirty))
+
     def test_version_check(self, tmp_path):
         index = sharded_index()
         path = index.checkpoint(tmp_path)

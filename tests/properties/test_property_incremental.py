@@ -75,18 +75,17 @@ class TestInterleavedSnapshots:
                 )
                 dirty_hint = sorted(set(builder.dirty_rows) | extra)
             elif mode == "csc" and builder._base is not None:
-                builder._base.csc  # force the mirror so patching engages
+                builder._base.csc  # a mirror on the base must not leak
             snapshot = builder.snapshot(dirty_users=dirty_hint)
             reference = _reference_dataset(builder)
             assert snapshot == reference
             assert snapshot.n_users == reference.n_users
             assert snapshot.n_items == reference.n_items
-            if snapshot._csc_cache:
-                patched = snapshot._csc_cache[0]
-                truth = reference.matrix.tocsc()
-                assert abs(patched - truth).nnz == 0
-                np.testing.assert_array_equal(patched.indices, truth.indices)
-                np.testing.assert_array_equal(patched.data, truth.data)
+            mirror = snapshot.csc
+            truth = reference.matrix.tocsc()
+            assert abs(mirror - truth).nnz == 0
+            np.testing.assert_array_equal(mirror.indices, truth.indices)
+            np.testing.assert_array_equal(mirror.data, truth.data)
         # Final full-path cross-check.
         assert builder.snapshot(name="check") == _reference_dataset(builder)
 

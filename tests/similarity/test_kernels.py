@@ -28,7 +28,7 @@ from repro.similarity.engine import (
 )
 from repro.similarity.kernels import METRIC_FAMILIES, numpy_backend
 from repro.similarity.kernels.numpy_backend import NumpyKernelBackend
-from repro.streaming import cold_rebuild_graph, sharding
+from repro.streaming import cold_rebuild_graph
 from tests.conftest import random_dataset
 from tests.streaming.test_parity import drive_random_stream
 
@@ -623,9 +623,6 @@ class TestScorePairsChunked:
             assert np.array_equal(out, expected), metric_name
             whole = metric.score_batch(fixture_index, us, vs)
             assert out.tobytes() == whole.tobytes(), metric_name
-
-    def test_sharding_imports_the_one_loop(self):
-        assert sharding.score_pairs_chunked is score_pairs_chunked
 
 
 class TestSharedArraysFlag:

@@ -3,7 +3,7 @@
 The parity suite proves refreshes are *exact*; this file proves they are
 *local* — snapshot rows, ProfileIndex recomputations and candidate-set
 derivations all scale with the dirty set (the derivation is pinned
-against :func:`~repro.core.rcs.delta_rcs`), the reverse-neighbor index
+against :func:`~repro.core.rcs.build_rcs`), the reverse-neighbor index
 replaces the full-graph referencing scan, and both survive failures and
 rebuilds.
 """
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import DynamicKnnIndex, KiffConfig
-from repro.core.rcs import delta_rcs
+from repro.core.rcs import build_rcs
 from repro.streaming import (
     AddRating,
     AddUser,
@@ -91,11 +91,9 @@ def assert_plans_match_oracle(plans, snapshot, min_rating):
     each dirty row's candidates that are not rebuilt are offered her.
     Returns the mirror pairs."""
     assert plans
+    truth = build_rcs(snapshot, pivot=False, min_rating=min_rating)
     mirrors, expected_mirrors = set(), set()
     for rebuilt, rebuilt_mask, dirty_mask, (rows, cands, outboxes) in plans:
-        truth = delta_rcs(
-            snapshot, rebuilt, pivot=False, min_rating=min_rating
-        )
         for user in rebuilt.tolist():
             expected = set(truth.candidates_of(user).tolist())
             assert set(cands[rows == user].tolist()) == expected
@@ -117,7 +115,7 @@ class TestCandidateDerivation:
     @pytest.mark.parametrize("n_shards", [1, 2])
     @pytest.mark.parametrize("min_rating", [None, 3.0])
     @pytest.mark.parametrize("seed", range(3))
-    def test_planned_pairs_match_delta_rcs(
+    def test_planned_pairs_match_build_rcs(
         self, monkeypatch, seed, min_rating, n_shards
     ):
         dataset = random_dataset(

@@ -4,8 +4,8 @@ The contract of :class:`DynamicKnnIndex` is exactness: after any
 interleaving of insert/remove events (and a refresh), its graph must be
 *identical* — neighbour ids and similarities — to a cold converged
 ``kiff()`` rebuild on the final dataset.  The randomized suite below
-drives 50+ distinct event streams across two metrics and both pivot
-settings; the focused tests pin each event kind and policy knob.
+drives 78 event streams (13 seeds x 3 metrics x both pivot settings);
+the focused tests pin each event kind and policy knob.
 """
 
 import numpy as np
@@ -77,12 +77,17 @@ def corpus_stream(metric, pivot, seed):
     return index
 
 
+#: The corpus metrics: two profile-local ones, and ``adamic_adar``,
+#: whose global item weights dirty every rater of a reweighted item.
+CORPUS_METRICS = ["cosine", "jaccard", "adamic_adar"]
+
+
 class TestRandomizedStreams:
-    """52 randomized event streams x exact equality (acceptance bar: 50)."""
+    """78 randomized event streams x exact equality (acceptance bar: 50)."""
 
     @pytest.mark.parametrize("seed", range(13))
     @pytest.mark.parametrize("pivot", [True, False])
-    @pytest.mark.parametrize("metric", ["cosine", "jaccard"])
+    @pytest.mark.parametrize("metric", CORPUS_METRICS)
     def test_stream_equals_cold_rebuild(self, metric, pivot, seed):
         index = corpus_stream(metric, pivot, seed)
         assert index.graph == cold_rebuild(index, metric)
@@ -91,16 +96,20 @@ class TestRandomizedStreams:
         """Both referrer paths must stay live across the corpus: rows
         repaired in place, and rows whose repair failed its check and
         were rebuilt (every rebuilt row beyond the dirty users, since
-        the corpus never defers)."""
-        logs = [
-            stats
-            for metric in ("cosine", "jaccard")
-            for pivot in (True, False)
-            for seed in range(13)
-            for stats in corpus_stream(metric, pivot, seed).refresh_log
-        ]
-        assert sum(stats.repaired_users for stats in logs) > 0
-        assert sum(s.affected_users - s.dirty_users for s in logs) > 0
+        the corpus never defers).  Every metric repairs rows in place."""
+        logs = {
+            metric: [
+                stats
+                for pivot in (True, False)
+                for seed in range(13)
+                for stats in corpus_stream(metric, pivot, seed).refresh_log
+            ]
+            for metric in CORPUS_METRICS
+        }
+        for metric, log in logs.items():
+            assert sum(stats.repaired_users for stats in log) > 0, metric
+        every = [stats for log in logs.values() for stats in log]
+        assert sum(s.affected_users - s.dirty_users for s in every) > 0
 
 
 class TestEventKinds:

@@ -5,7 +5,8 @@ dirty users' fresh scores through the mirror offers, and is accepted
 when it still holds k entries whose k-th ranks at or ahead of its old
 k-th entry (or when it had an empty slot, so it already held every
 candidate).  Otherwise it falls back to a rescan of its candidate set.
-Profile-local metrics only; ``adamic_adar`` rescans every referrer.
+Every metric shares the rule, ``adamic_adar`` (global item weights)
+included.
 
 Every scenario runs on the flat serial index and on two shards under
 ``threads`` and ``processes``, and must land on the cold rebuild.  With
@@ -190,15 +191,22 @@ class TestRepairPaths:
         finally:
             index.close()
 
-    def test_adamic_adar_rescans_every_referrer(self, layout):
+    def test_adamic_adar_repairs_referrers(self, layout):
         index = make_index(
             sparse_rows_dataset(), layout, metric="adamic_adar", k=4
         )
         try:
+            # Item 3 is new to everyone, so only user 1 turns dirty;
+            # rows 0 and 2 cite her and repair in place.
             index.apply([AddRating(1, 3, 5.0)])
             stats = index.refresh()
-            assert stats.repaired_users == 0
-            assert stats.affected_users > stats.dirty_users
+            assert stats.dirty_users == 1
+            assert stats.repaired_users > 0
+            assert_exact(index, metric="adamic_adar")
+            # User 2 joining item 0 reweighs it: every rater turns dirty.
+            index.apply([AddRating(2, 0, 5.0)])
+            stats = index.refresh()
+            assert stats.dirty_users == 3
             assert_exact(index, metric="adamic_adar")
         finally:
             index.close()

@@ -5,7 +5,7 @@ in the result: after any event interleaving, its graph is **bit-identical**
 — neighbour ids and similarities — to the sequential
 :class:`DynamicKnnIndex` driven by the same events (and therefore to a
 cold converged rebuild).  The randomized suite below replays the
-52-stream corpus (13 seeds x 2 metrics x 2 pivot settings) at 1, 2 and
+78-stream corpus (13 seeds x 3 metrics x 2 pivot settings) at 1, 2 and
 4 shards; focused tests pin the shard-state ownership, the outbox
 protocol, the thread executor's determinism, and partitioned
 crash-recovery landing bit-identical to the uninterrupted sharded run.
@@ -46,11 +46,11 @@ def drive(index, events, refresh_after):
 
 
 class TestShardedParity:
-    """52 randomized streams x 1/2/4 shards x exact equality."""
+    """78 randomized streams x 1/2/4 shards x exact equality."""
 
     @pytest.mark.parametrize("seed", range(13))
     @pytest.mark.parametrize("pivot", [True, False])
-    @pytest.mark.parametrize("metric", ["cosine", "jaccard"])
+    @pytest.mark.parametrize("metric", ["cosine", "jaccard", "adamic_adar"])
     def test_sharded_equals_sequential(self, metric, pivot, seed):
         dataset = random_dataset(
             n_users=18, n_items=14, density=0.15, seed=seed, ratings=True
@@ -174,19 +174,33 @@ class TestShardState:
                 rated_dataset, KiffConfig(k=2), executor="fibers"
             )
 
-    def test_dirty_set_is_owned_by_shard(self, rated_dataset):
+    def test_stage_a_gets_the_owned_dirty_slice(
+        self, rated_dataset, monkeypatch
+    ):
+        """The one dirty set is split by owner: each shard's stage A
+        sees every selected dirty user, and as its own only hers."""
         index = ShardedKnnIndex(
             rated_dataset, KiffConfig(k=2), auto_refresh=False, n_shards=2,
             executor="serial",
         )
         index.apply(ratings_batch([0, 1, 2], [4, 4, 4], [1.0, 2.0, 3.0]))
         assert index.dirty_users == frozenset({0, 1, 2})
-        for shard in index._shards:
-            assert all(
-                shard_of(user, 2) == shard.shard_id for user in shard.dirty
-            )
+        seen = {}
+        original = sharding._Shard.affected
+
+        def recording(shard, all_dirty, my_dirty, deferred):
+            seen[shard.shard_id] = (set(all_dirty.tolist()), my_dirty)
+            return original(shard, all_dirty, my_dirty, deferred)
+
+        monkeypatch.setattr(sharding._Shard, "affected", recording)
         index.refresh()
         assert len(index.dirty_users) == 0
+        for shard_id, (all_dirty, mine) in seen.items():
+            assert all_dirty == {0, 1, 2}
+            assert sorted(mine.tolist()) == [
+                user for user in (0, 1, 2) if shard_of(user, 2) == shard_id
+            ]
+        assert sorted(seen) == [0, 1]
 
     def test_reverse_index_rows_are_owned_by_shard(self, rated_dataset):
         index = ShardedKnnIndex(

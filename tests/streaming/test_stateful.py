@@ -12,6 +12,8 @@ a fresh index, and live rebalancing.  Invariants:
 * snapshot versions never go backwards;
 * every in-process shard's reverse index mirrors its rows.
 
+Each run draws its metric (``cosine``, ``jaccard``, or ``adamic_adar``,
+whose global item weights send it through the same referrer repair).
 The machine runs on the flat serial index, on two shards under
 ``threads``, and on the flat index with ``min_rating=3.0`` (ratings
 crossing the threshold change candidate sets without a membership
@@ -71,7 +73,7 @@ class IndexMachine(RuleBasedStateMachine):
 
     @initialize(
         seed=st.integers(0, 3),
-        metric=st.sampled_from(["cosine", "jaccard"]),
+        metric=st.sampled_from(["cosine", "jaccard", "adamic_adar"]),
         pivot=st.booleans(),
     )
     def build(self, seed, metric, pivot):
