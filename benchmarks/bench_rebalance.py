@@ -18,8 +18,9 @@ Assertions:
   pass: each ``rebalance()`` call's wall time must stay under the
   longest single refresh of the same run (plus a small absolute epsilon
   for sub-millisecond timer noise).  Ownership flips are bookkeeping —
-  rebuilding the moved rows is deferred to the next refresh pass,
-  which is exactly what keeps the serving/ingest path responsive.
+  each shard re-derives its reverse index from the rows and the new
+  map, no row is rebuilt and no user goes dirty, which is exactly what
+  keeps the serving/ingest path responsive.
 """
 
 import os

@@ -7,9 +7,11 @@ Usage::
 Sends a pipelined batch of ``neighbors``/``recommend``/``stats``
 requests (plus one deliberately bad op) over one TCP connection,
 asserts every data reply is ok and version-stamped and that the bad op
-gets an error envelope, and prints a one-line summary.  Exits non-zero
-on any protocol violation — CI's serving smoke job runs this while the
-server is mid-ingestion.
+gets an error envelope, then moves user 0 to shard 1 with a live
+``rebalance`` op (the server must run at least 2 shards) and asserts
+one more ``neighbors`` batch is answered after the flip.  Prints a
+one-line summary and exits non-zero on any protocol violation — CI's
+serving smoke job runs this while the server is mid-ingestion.
 """
 
 import json
@@ -17,29 +19,40 @@ import socket
 import sys
 
 
+def exchange(stream, conn, requests) -> list[dict]:
+    """Send *requests* pipelined; return their replies in order."""
+    payload = "".join(json.dumps(request) + "\n" for request in requests)
+    conn.sendall(payload.encode())
+    return [json.loads(stream.readline()) for _ in requests]
+
+
 def main() -> int:
     port = int(sys.argv[1])
     host = sys.argv[2] if len(sys.argv) > 2 else "127.0.0.1"
+    neighbors = [{"op": "neighbors", "user": user} for user in range(8)]
     requests = (
-        [{"op": "neighbors", "user": user} for user in range(8)]
+        neighbors
         + [{"op": "recommend", "user": user, "top_n": 5} for user in range(8)]
         + [{"op": "stats"}, {"op": "bogus"}]
     )
-    payload = "".join(
-        json.dumps(request) + "\n" for request in requests
-    ).encode()
-    with socket.create_connection((host, port), timeout=10) as conn:
-        conn.sendall(payload)
+    with socket.create_connection((host, port), timeout=30) as conn:
         with conn.makefile("r") as stream:
-            replies = [json.loads(stream.readline()) for _ in requests]
+            replies = exchange(stream, conn, requests)
+            (moved,) = exchange(
+                stream, conn, [{"op": "rebalance", "moves": [[0, 1]]}]
+            )
+            after = exchange(stream, conn, neighbors)
     data, bad = replies[:-1], replies[-1]
     assert all(reply["ok"] for reply in data), data
     assert not bad["ok"] and "unknown op" in bad["error"], bad
-    versions = sorted({reply["version"] for reply in data[:-1]})
+    assert moved["ok"] and moved["users_moved"] == 1, moved
+    assert all(reply["ok"] for reply in after), after
+    versions = sorted({reply["version"] for reply in data[:-1] + after})
     stats = data[-1]
     print(
-        f"answered {len(replies)} requests at version(s) {versions}; "
-        f"server totals: {stats['requests']} requests in "
+        f"answered {len(replies) + 1 + len(after)} requests at version(s) "
+        f"{versions}, one live rebalance (seq {moved['seq_commit']}); "
+        f"server totals before it: {stats['requests']} requests in "
         f"{stats['batches']} batches (max batch {stats['max_batch']})"
     )
     return 0

@@ -798,9 +798,9 @@ def _run_rebalance(args) -> int:
 
     Restores the state directory at its recorded shard count, applies
     one WAL-fenced :class:`~repro.streaming.ShardPlan` built from
-    ``--shards`` / ``--move``, and reports what moved.  The fence pair and the
-    post-migration dirty set are journaled, so the next ``recover`` (or
-    a crashed copy of this command) replays the flip exactly; a live
+    ``--shards`` / ``--move``, and reports what moved.  The fence pair is
+    journaled, so the next ``recover`` (or a crashed copy of this
+    command) replays the flip exactly; a live
     server offers the same operation without a restart via the
     ``rebalance`` op of ``repro-kiff serve``.
     """
@@ -849,7 +849,6 @@ def _run_rebalance(args) -> int:
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        index.refresh()  # pay the migration dirty set before exiting
         rows = [
             ["shards before", before],
             ["shards after", stats.shards_after],

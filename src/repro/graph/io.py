@@ -6,13 +6,10 @@ single compressed ``.npz``; ``write_edge_list`` emits the
 ``user neighbor similarity`` text format common in graph tooling; and
 ``to_networkx`` hands the graph to `networkx` for downstream analysis.
 
-Format version 2 stores the rows CSR-packed (``indptr``/``ids``/
-``sims`` holding only the present entries, int32/float32) instead of
-the version-1 dense ``(n, k)`` int64/float64 padding — partially filled
-rows cost nothing at rest.  :func:`load_graph` reads both versions;
-version-1 similarities narrow to float32 exactly, because the historical
-writer stored the same pre-cast float64 values the score boundary now
-rounds (see :mod:`repro.layout`).
+The file format (version 2) stores the rows CSR-packed (``indptr``/
+``ids``/``sims`` holding only the present entries, int32/float32), so
+partially filled rows cost nothing at rest.  :func:`load_graph` reads
+that version only.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 2
-_READABLE_VERSIONS = frozenset({1, 2})
 
 
 def graph_to_arrays(graph: KnnGraph) -> dict[str, np.ndarray]:
@@ -92,17 +88,15 @@ def save_graph(graph: KnnGraph, path: str | Path) -> Path:
 
 
 def load_graph(path: str | Path) -> KnnGraph:
-    """Load a graph written by :func:`save_graph` (either version)."""
+    """Load a graph written by :func:`save_graph`."""
     with np.load(Path(path)) as archive:
         version = int(archive["version"])
-        if version not in _READABLE_VERSIONS:
+        if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported graph file version {version} "
-                f"(this library writes version {_FORMAT_VERSION} and "
-                f"reads {sorted(_READABLE_VERSIONS)})"
+                f"(this library reads and writes version "
+                f"{_FORMAT_VERSION})"
             )
-        if version == 1:
-            return graph_from_arrays(archive)
         return unpack_graph_arrays(archive)
 
 

@@ -87,9 +87,9 @@ class CheckpointState:
     ``n_shards`` plus the (usually empty) ``shard_overrides`` table
     left behind by live
     :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` moves,
-    so :func:`install_checkpoint_state` re-derives each shard's dirty
-    slice from the merged tuple — which is also what makes
-    restoring at a different shard count (re-sharding) exact.
+    so :func:`install_checkpoint_state` rebuilds the map and derives the
+    shards from it and the rows — which is also what makes restoring at
+    a different shard count (re-sharding) exact.
     """
 
     path: Path
@@ -335,16 +335,18 @@ def _load_latest(directory: Path) -> CheckpointState:
 def install_checkpoint_state(index, state: CheckpointState) -> None:
     """Install a loaded checkpoint into a freshly built (build=False) index.
 
-    Works through the index's own state surfaces (``_dirty``,
-    ``_reverse``) rather than raw assignment, so the reverse index
-    routes to its owner shards at the index's shard count.
+    The index takes the checkpoint's rows and its ownership map (shard
+    count plus live-rebalance overrides), and derives fresh shards from
+    the two.
     """
+    from ..streaming.sharding import ShardMap
+
     # astype(copy=True): the index must own its rows, and a hand-built
     # wide state narrows to the compact layout.
     index._neighbors = np.asarray(state.neighbors).astype(ID_DTYPE)
     index._sims = np.asarray(state.sims).astype(SCORE_DTYPE)
     index._n_rows = state.neighbors.shape[0]
-    index._reverse.rebuild(state.neighbors)
+    index._partition(ShardMap(state.n_shards, state.shard_overrides))
     index._dirty.clear()
     index._dirty.update(state.dirty)
     index._pending_events = state.pending_events
@@ -390,7 +392,6 @@ def restore_index(
     ``ShardedKnnIndex.restore(directory)`` (the checkpoint's count).
     """
     from ..streaming.events import CONTROL_EVENTS
-    from ..streaming.sharding import ShardMap
 
     directory = Path(directory)
     state = _load_latest(directory)
@@ -403,10 +404,6 @@ def restore_index(
         n_shards=state.n_shards,
         **({} if executor is None else {"executor": executor}),
     )
-    # Adopt the live-rebalance overrides before the installer routes
-    # per-user state, so dirty/reverse slices land on their
-    # overridden owners.
-    index._shard_map = ShardMap(state.n_shards, state.shard_overrides)
     install_checkpoint_state(index, state)
     replayed = 0
     for seq, event in read_partitioned_wal(directory, after=state.seq):

@@ -19,10 +19,12 @@ when any stamp violates the policy's ``max_event_lag`` or
 ``max_wall_staleness`` budget (with neither budget set, every
 submission triggers a pass — the always-exact degenerate case).  A
 scheduled pass under a ``max_dirty_per_refresh`` cap selects the
-highest **blast-radius** dirty users first — in-degree from the
-index's :class:`~repro.graph.updates.ReverseNeighborIndex`, i.e. how
-many rows a user's refresh can invalidate — and defers the low-impact
-tail; budget-violating users are always included, even past the cap.
+highest **blast-radius** dirty users first — in-degree from one
+bincount over the index's rows
+(:meth:`~repro.streaming.index.DynamicKnnIndex.referrer_counts`), i.e.
+how many rows a user's refresh can invalidate — and defers the
+low-impact tail; budget-violating users are always included, even past
+the cap.
 
 Deferral works at any shard count and on every executor because it is
 implemented *inside* ``refresh(dirty_subset=...)``: deferred users
@@ -177,35 +179,6 @@ class RefreshScheduler:
             trigger=trigger,
             last_seq=index.last_seq,
         )
-
-    def rebalance(self, plan):
-        """Run a live shard re-balance through the staleness policy.
-
-        Migration work is not free: every moved user goes dirty so the
-        next pass rebuilds her row on her destination shard, and that
-        work counts against the same ``queue_bound`` as ingestion.
-        At or past the bound the scheduler sheds first (a rebalance is
-        operator-initiated, so it is never rejected), then delegates to
-        ``index.rebalance(plan)``, stamps the moved users' staleness
-        clocks, and runs an immediate pass if the migration itself
-        violated a budget.
-
-        Returns the index's ``RebalanceStats``.
-        """
-        index = self.index
-        if (
-            self.policy.queue_bound is not None
-            and self.queue_depth >= self.policy.queue_bound
-        ):
-            index.maintenance.scheduler_backpressure += 1
-            while self.queue_depth >= self.policy.queue_bound:
-                self.refresh()
-        seq_before = index.last_seq
-        stats = index.rebalance(plan)
-        self._stamp_new_dirty(seq_before)
-        if self._violated_budget() is not None:
-            self.refresh()
-        return stats
 
     # ------------------------------------------------------------------
     # Scheduled refinement

@@ -70,8 +70,7 @@ class KnnServer:
         self.index = index
         #: Optional :class:`~repro.scheduling.RefreshScheduler` driving
         #: the index's refreshes; when given, the ``stats`` op folds its
-        #: state in (queue depth, deferred users, backpressure tallies)
-        #: and the ``rebalance`` op routes through its queue bound.
+        #: state in (queue depth, deferred users, backpressure tallies).
         self.scheduler = scheduler
         #: Optional :class:`threading.Lock` shared with whatever thread
         #: mutates the index (the CLI's ingest writer); the
@@ -324,11 +323,10 @@ class KnnServer:
 
         Runs on an executor thread.  The migration holds
         :attr:`mutate_lock` (or, when none is shared, a server-private
-        lock that keeps concurrent rebalance ops apart) and goes through
-        the scheduler's queue bound when one is attached, so a live
+        lock that keeps concurrent rebalance ops apart), so a live
         trigger composes with concurrent ingestion exactly like the
         in-process :meth:`~repro.streaming.DynamicKnnIndex.rebalance`
-        API.
+        API.  A flip dirties no user, so it adds no scheduled work.
         """
         lock = (
             self._rebalance_lock
@@ -336,10 +334,7 @@ class KnnServer:
             else self.mutate_lock
         )
         with lock:
-            if self.scheduler is not None:
-                stats = self.scheduler.rebalance(plan)
-            else:
-                stats = self.index.rebalance(plan)
+            stats = self.index.rebalance(plan)
         return {
             "ok": True,
             "op": "rebalance",

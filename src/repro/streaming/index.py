@@ -49,9 +49,9 @@ After ``refresh()`` the graph equals the cold rebuild because:
 One index class
 ---------------
 The maintained state lives in shards (``repro.streaming.sharding._Shard``:
-a row-restricted reverse index), partitioned by a
-:class:`~repro.streaming.sharding.ShardMap`; the dirty set is one set,
-split by owner at each pass.
+a row-restricted reverse index, derived from the rows), partitioned by
+a :class:`~repro.streaming.sharding.ShardMap`; the dirty set is one
+set, split by owner at each pass.
 :class:`DynamicKnnIndex` takes the shard count (default 1) and the
 executor (default ``"serial"``); the flat index is simply its
 one-shard, in-process case, and
@@ -417,20 +417,23 @@ class DynamicKnnIndex(_ShardHost):
             self.attach_wal(wal)
 
     def _partition(self, shard_map) -> None:
-        """Fresh per-shard state containers for *shard_map*.
+        """Fresh shards for *shard_map*, derived from the current rows.
 
-        The index-level ``_reverse`` routes every access to the owner
-        shard's slice.
+        The one path for any change to the rows or to ownership outside
+        a refresh pass (construction, :meth:`rebuild`, a checkpoint
+        install, an ownership flip).  Nothing carries over from the old
+        shards and no user goes dirty: the executors stop (the next
+        refresh sizes a new thread pool, or respawns the workers and
+        re-creates the arena) and each shard builds its reverse index
+        from the rows it owns.
         """
-        from .sharding import _Shard, _ShardedReverseIndex
+        from .sharding import _Shard
 
+        self._close_executors()
         self._shard_map = shard_map
         self._shards = [
             _Shard(shard, self) for shard in range(shard_map.n_shards)
         ]
-        self._reverse = _ShardedReverseIndex(
-            self._shards, lambda: self._shard_map
-        )
 
     # ------------------------------------------------------------------
     # State access
@@ -1152,7 +1155,7 @@ class DynamicKnnIndex(_ShardHost):
         # incomplete.
         self._dirty.update(rebuilt.tolist())
         self._dirty.update(repaired.tolist())
-        plans = self._stage("plan", [(rebuilt, self._seq)] * len(owned))
+        plans = self._stage("plan", [(rebuilt,)] * len(owned))
         self.last_outboxes = tuple(
             outbox for outboxes in plans for outbox in outboxes
         )
@@ -1206,9 +1209,8 @@ class DynamicKnnIndex(_ShardHost):
         """Cold full KIFF rebuild — the baseline ``refresh()`` undercuts.
 
         Also the recovery path: whatever the graph state, a rebuild
-        restores the invariant from the ratings alone (including the
-        reverse-neighbor index, re-derived from the fresh rows; process
-        workers restart from the fresh rows at the next refresh).  Like
+        restores the invariant from the ratings alone (the shards are
+        re-derived from the fresh rows, see :meth:`_partition`).  Like
         :meth:`refresh`, completion publishes a new read snapshot.
         """
         self._ensure_open()
@@ -1217,8 +1219,7 @@ class DynamicKnnIndex(_ShardHost):
         self._neighbors = result.graph.neighbors.copy()
         self._sims = result.graph.sims.copy()
         self._n_rows = result.graph.n_users
-        self._reverse.rebuild(self._neighbors[: self._n_rows])
-        self._reset_workers()
+        self._partition(self._shard_map)
         self._dirty.clear()
         self._pending_events = 0
         self._publish_snapshot()
@@ -1227,15 +1228,6 @@ class DynamicKnnIndex(_ShardHost):
     # ------------------------------------------------------------------
     # Process workers: pool management
     # ------------------------------------------------------------------
-    def _reset_workers(self) -> None:
-        """Stop the workers; the next refresh respawns them.
-
-        Their row mirrors, reverse indexes and owned-row partition are
-        rebuilt from the authoritative rows and the live map at spawn.
-        """
-        if self._procpool is not None:
-            self._procpool.reset()
-
     def _worker_init(self, shard_id: int) -> dict:
         """The spawn payload seeding one worker's owned state."""
         neighbors, sims = self._rows()
@@ -1280,24 +1272,19 @@ class DynamicKnnIndex(_ShardHost):
         because ownership never affects graph *content*, only where
         maintenance state lives.
 
-        After the flip every moved user is marked dirty: the next
-        refresh re-derives her row on the destination shard — whose
-        row-restricted reverse index the flip seeds from the
-        authoritative rows — and, under a
-        :class:`~repro.scheduling.RefreshScheduler`, the migration
-        counts against the queue bound like any other dirty work.
-        Process workers are reset (the crash-respawn path): the next
-        refresh respawns them from the authoritative rows with the new
-        map.
+        The flip moves no rows and dirties no user: the index builds
+        fresh shards from the authoritative rows and the new map
+        (:meth:`_partition`), so the next refresh does only the work
+        the pending events ask for.  Executors restart with the new
+        map at the next refresh.
 
         Parameters
         ----------
         plan:
             The :class:`~repro.streaming.sharding.ShardPlan`: explicit
             ``(user, shard)`` moves, a new shard count, or both.  A
-            count change rebuilds every shard's reverse index and,
-            when a partitioned WAL is attached, re-opens it at the new
-            segment count under the same global sequence.
+            count change with a partitioned WAL attached re-opens it at
+            the new segment count under the same global sequence.
 
         Returns
         -------
@@ -1396,59 +1383,20 @@ class DynamicKnnIndex(_ShardHost):
         Shared by the live :meth:`rebalance` path and WAL replay
         (:meth:`_absorb_control`), so both reconstruct the identical
         :class:`~repro.streaming.sharding.ShardMap` from the record
-        payload alone.
+        payload alone.  A count change resets the earlier overrides and
+        re-opens an attached partitioned WAL at the new segment count
+        (its constructor scans stray segments, so the global sequence
+        carries over and old segments stay readable by the merged
+        reader).
         """
         from .sharding import ShardMap
 
         if n_shards is None or int(n_shards) == self.n_shards:
             new_map = self._shard_map.with_moves(moves)
-            moved = self._moved_users(new_map)
-            self._migrate_users(new_map, moved)
         else:
             new_map = ShardMap(n_shards, dict(moves))
-            moved = self._moved_users(new_map)
-            self._reshard(new_map)
-        return moved
-
-    def _migrate_users(self, new_map, moved) -> None:
-        """Same-count ownership flip: surgical per-user state transfer.
-
-        For each moved user the source shard gives up her row's
-        citations in its reverse index and the destination re-registers
-        them; she is marked dirty, so the next refresh rebuilds her row
-        there.  Process workers restart with the new owned-row
-        partition.
-        """
-        neighbors, _ = self._rows()
-        # Users past the graph's rows (not yet refreshed) cite nobody.
-        rows = np.asarray(moved, dtype=np.int64)
-        rows = rows[rows < neighbors.shape[0]]
-        cited = neighbors[rows]
-        sources = self._shard_map.owners(rows)
-        destinations = new_map.owners(rows)
-        for shard in self._shards:
-            gone = sources == shard.shard_id
-            shard.reverse.apply_row(rows[gone], cited[gone], None)
-            came = destinations == shard.shard_id
-            shard.reverse.apply_row(rows[came], None, cited[came])
-        self._shard_map = new_map
-        self._dirty.update(moved)
-        self._reset_workers()
-
-    def _reshard(self, new_map) -> None:
-        """Shard-count transition: rebuild every per-shard container.
-
-        The reverse index rebuilds from the authoritative rows, executors
-        reset (thread pool sized per shard; process workers respawn at
-        the next refresh), and an attached partitioned WAL re-opens at the
-        new segment count under the same global sequence (its
-        constructor scans stray segments, so the counter carries over
-        and old segments stay readable by the merged reader).
-        """
+        moved = self._moved_users(new_map)
         self._partition(new_map)
-        neighbors, _ = self._rows()
-        self._reverse.rebuild(neighbors)
-        self._close_executors()
         if self._wal is not None and self._wal.n_shards != self.n_shards:
             from ..persistence import PartitionedWriteAheadLog
 
@@ -1459,6 +1407,7 @@ class DynamicKnnIndex(_ShardHost):
                     old.path, self.n_shards, fsync_every=old.fsync_every
                 )
             )
+        return moved
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

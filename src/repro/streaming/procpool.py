@@ -100,8 +100,8 @@ class _WorkerHost(_ShardHost):
         self.config = init["config"]
         self.metric = init["metric"]
         self.batch_size = int(init["batch_size"])
-        #: The ownership rule at spawn time.  A rebalance resets the
-        #: pool, so a live worker's map is always current.
+        #: The ownership rule at spawn time.  An ownership flip stops
+        #: the pool, so a live worker's map is always current.
         self._shard_map = init["shard_map"]
         self._neighbors = np.array(init["neighbors"], dtype=ID_DTYPE)
         self._sims = np.array(init["sims"], dtype=SCORE_DTYPE)
@@ -111,12 +111,7 @@ class _WorkerHost(_ShardHost):
         self.builder = None
         self._block = None
         self._block_name = None
-        shard_id = int(init["shard_id"])
-        self.shard = _Shard(shard_id, self)
-        self.shard.reverse.rebuild(
-            self._neighbors,
-            self._shard_map.owned_rows(shard_id, self._n_rows),
-        )
+        self.shard = _Shard(int(init["shard_id"]), self)
 
     @property
     def n_users(self) -> int:

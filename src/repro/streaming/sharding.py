@@ -6,8 +6,11 @@ profiles.  The maintained state is therefore held in **shards**
 (:class:`_Shard`), each owning one slice of the users and a
 :class:`~repro.graph.updates.ReverseNeighborIndex` restricted to the
 *rows* it owns (keyed by cited user, which may belong to any shard —
-updates stay row-local, so they never cross shards).  The dirty set is
-one index-level set; each pass splits the selected users by owner.
+updates stay row-local, so they never cross shards).  A shard is a
+function of the rows and the ownership map: it derives its reverse
+index from them when it is built, and any change of rows or ownership
+outside a refresh pass builds fresh shards.  The dirty set is one
+index-level set; each pass splits the selected users by owner.
 
 One index class holds them:
 :class:`~repro.streaming.index.DynamicKnnIndex` partitions users across
@@ -31,9 +34,8 @@ then calls three stages on every shard:
    evaluation pairs for rows it owns.  A dirty
    user must also be *offered* to the rows of her candidates that are
    not rebuilt (repaired rows included); when such a row belongs to
-   another shard, the pair travels through a per-shard **outbox** keyed
-   by the WAL sequence number the refresh covers — the cross-shard
-   effect channel.
+   another shard, the pair travels through a per-shard **outbox** — the
+   cross-shard effect channel.
 3. **Evaluate + merge** (:meth:`_Shard.merge`) — each shard dedupes its
    pairs, scores them against the shared profile index, and merges into
    *its own rows only* (:func:`~repro.graph.updates.merge_topk_rows`,
@@ -279,16 +281,10 @@ class ShardOutbox:
     """Cross-shard evaluation pairs emitted by one shard's planning step.
 
     ``rows[j]`` (a row owned by *target*) must be offered candidate
-    ``candidates[j]`` (a dirty user owned by *source*).  ``seq`` keys the
-    exchange to the WAL sequence number the refresh covers, so the
-    outbox protocol lines up with the partition log: replaying every
-    shard's events through ``seq`` and refreshing reproduces exactly
-    these exchanges.
+    ``candidates[j]`` (a dirty user owned by the planning shard).
     """
 
-    source: int
     target: int
-    seq: int
     rows: np.ndarray
     candidates: np.ndarray
 
@@ -330,8 +326,16 @@ class _Shard:
     def __init__(self, shard_id: int, host):
         self.shard_id = shard_id
         self.host = host
-        #: cited user -> owned rows citing her (rows only from this shard).
+        #: cited user -> owned rows citing her (rows only from this
+        #: shard), derived from the host's rows and ownership map.  The
+        #: stages keep it mirroring the rows; any other change to the
+        #: rows or to ownership builds fresh shards.
+        neighbors, _ = host._rows()
         self.reverse = ReverseNeighborIndex()
+        self.reverse.rebuild(
+            neighbors,
+            host._shard_map.owned_rows(shard_id, neighbors.shape[0]),
+        )
         # Per-pass context, set by the stages: the owned rows rebuilt
         # from their candidate sets, the owned rows repaired in place
         # and their old k-th entries, the selected dirty users, and the
@@ -404,7 +408,7 @@ class _Shard:
         self._repaired = repaired
         return self._rebuilt, repaired
 
-    def plan(self, rebuilt: np.ndarray, seq: int):
+    def plan(self, rebuilt: np.ndarray):
         """Stage B: clear rebuilt rows, trim repaired ones, derive pairs.
 
         The owned rebuilt rows are cleared and paired with their whole
@@ -458,7 +462,6 @@ class _Shard:
             rebuilt_mask,
             self._dirty_mask,
             self.candidate_sets(mine),
-            seq,
         )
         self._pairs = (rows, candidates)
         return outboxes
@@ -562,38 +565,6 @@ class _Shard:
         return evaluations, changes
 
 
-class _ShardedReverseIndex:
-    """The reverse-neighbor index, stored as the shards' row slices.
-
-    Shard *s*'s index stores only rows *s* owns, so the row diffs of
-    every merge are shard-local mutations, and ``referrers_of(dirty)``
-    per shard yields exactly the shard's slice of the affected set.  The
-    union over shards equals the flat index (the routing is a partition
-    of the rows).
-    """
-
-    __slots__ = ("_shards", "_map_of")
-
-    def __init__(self, shards: list[_Shard], map_of):
-        self._shards = shards
-        #: Zero-arg callable yielding the live :class:`ShardMap`.
-        self._map_of = map_of
-
-    def rebuild(self, neighbors: np.ndarray) -> None:
-        """Re-derive every shard's row-restricted index from *neighbors*."""
-        shard_map = self._map_of()
-        for shard in self._shards:
-            shard.reverse.rebuild(
-                neighbors,
-                shard_map.owned_rows(shard.shard_id, neighbors.shape[0]),
-            )
-
-    def referrers_of(self, users) -> np.ndarray:
-        """All rows (any shard) citing any of *users*, sorted unique."""
-        parts = [shard.reverse.referrers_of(users) for shard in self._shards]
-        return np.unique(np.concatenate(parts))
-
-
 # ----------------------------------------------------------------------
 # Pure per-shard stage kernels
 #
@@ -623,7 +594,6 @@ def plan_shard_pairs(
     rebuilt_mask: np.ndarray,
     dirty_mask: np.ndarray,
     candidates: sp.csr_matrix,
-    seq: int,
 ) -> tuple[np.ndarray, np.ndarray, list[ShardOutbox]]:
     """Stage B's pair derivation: local pairs plus cross-shard outboxes.
 
@@ -662,9 +632,7 @@ def plan_shard_pairs(
         else:
             outboxes.append(
                 ShardOutbox(
-                    source=shard_id,
                     target=target,
-                    seq=seq,
                     rows=rows_m[mine],
                     candidates=users_m[mine],
                 )

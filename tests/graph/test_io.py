@@ -34,10 +34,11 @@ class TestNpzRoundTrip:
         assert path.suffix == ".npz"
         assert load_graph(path) == sample_graph
 
-    def test_version_check(self, sample_graph, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_check(self, sample_graph, tmp_path, version):
         path = save_graph(sample_graph, tmp_path / "graph.npz")
         data = dict(np.load(path))
-        data["version"] = np.int64(99)
+        data["version"] = np.int64(version)
         np.savez_compressed(path, **data)
         with pytest.raises(ValueError, match="version"):
             load_graph(path)

@@ -167,7 +167,7 @@ class TestCheckpointLayout:
         stats = index.rebalance(ShardPlan(moves=((0, 1), (5, 0), (7, 0))))
         assert stats.users_moved == 3 and index.n_shards == 2
         dirty = index.dirty_users
-        assert dirty == frozenset({0, 1, 2, 5, 7})  # moves turn dirty
+        assert dirty == frozenset({0, 1, 2, 5})  # moves dirty nobody
         path = index.checkpoint(tmp_path)
         for shard in range(2):
             with np.load(path / f"shard-{shard}.npz") as archive:

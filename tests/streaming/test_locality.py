@@ -220,6 +220,12 @@ class TestCandidateDerivation:
             index.close()
 
 
+def shard_referrers(index, users):
+    """Rows citing any of *users*: the union of the shards' indexes."""
+    parts = [shard.reverse.referrers_of(users) for shard in index._shards]
+    return np.unique(np.concatenate(parts))
+
+
 class TestReverseIndex:
     def test_matches_isin_scan_after_stream(self):
         index = _index(n_users=30, n_items=18, density=0.15)
@@ -239,7 +245,7 @@ class TestReverseIndex:
         for user in range(index.n_users):
             scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
             np.testing.assert_array_equal(
-                index._reverse.referrers_of([user]), scan
+                shard_referrers(index, [user]), scan
             )
 
     def test_rebuild_restores_reverse_index(self):
@@ -250,7 +256,7 @@ class TestReverseIndex:
         for user in range(index.n_users):
             scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
             np.testing.assert_array_equal(
-                index._reverse.referrers_of([user]), scan
+                shard_referrers(index, [user]), scan
             )
 
     def test_failed_refresh_leaves_reverse_index_retryable(self, monkeypatch):
@@ -270,7 +276,7 @@ class TestReverseIndex:
         for user in range(index.n_users):
             scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
             np.testing.assert_array_equal(
-                index._reverse.referrers_of([user]), scan
+                shard_referrers(index, [user]), scan
             )
         monkeypatch.setattr(index, "_score_pairs", original_score)
         index.refresh()

@@ -191,7 +191,7 @@ class TestRebalanceParity:
 
 
 class TestRebalanceApi:
-    def _index(self, n_shards=2, n_users=14):
+    def _index(self, n_shards=2, n_users=14, executor="serial"):
         dataset = random_dataset(
             n_users=n_users, n_items=12, density=0.2, seed=5, ratings=True
         )
@@ -200,7 +200,7 @@ class TestRebalanceApi:
             KiffConfig(k=3),
             auto_refresh=False,
             n_shards=n_shards,
-            executor="serial",
+            executor=executor,
         )
 
     def test_noop_plan_neither_moves_nor_journals(self, tmp_path):
@@ -234,19 +234,26 @@ class TestRebalanceApi:
         assert index.shard_map.overrides == {1: 0}
         index.close()
 
-    def test_moved_users_go_dirty_and_reconverge(self):
-        index = self._index()
-        index.refresh()
-        assert not index.dirty_users
-        index.rebalance(ShardPlan(moves=((1, 0), (6, 1))))
-        # The destination shard rebuilds the moved rows on the next
-        # refresh; until then the moved users are queued as dirty.
-        assert index.dirty_users == frozenset({1, 6})
-        graph_before = index.graph
-        index.refresh()
-        # Refreshing a converged row is idempotent: bit-identical.
-        assert index.graph == graph_before
-        index.close()
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize(
+        "plan",
+        [ShardPlan(moves=((1, 0), (6, 1))), ShardPlan(n_shards=3)],
+        ids=["same-count", "count-change"],
+    )
+    def test_moved_users_stay_clean(self, plan, executor):
+        """A flip is bookkeeping: no user goes dirty and the next pass
+        evaluates nothing, whichever flip kind and executor."""
+        index = self._index(executor=executor)
+        try:
+            index.refresh()
+            graph_before = index.graph
+            stats = index.rebalance(plan)
+            assert stats.users_moved > 0
+            assert not index.dirty_users
+            assert index.refresh().evaluations == 0
+            assert index.graph == graph_before
+        finally:
+            index.close()
 
     def test_snapshot_republishes_after_rebalance(self):
         index = self._index()
@@ -500,38 +507,43 @@ class TestSchedulerComposition:
         )
         return RefreshScheduler(index, policy)
 
-    def test_migration_counts_against_queue_bound(self):
-        scheduler = self._scheduled(queue_bound=4)
+    def _assert_drains_to_parity(self, scheduler):
         index = scheduler.index
-        index.refresh()
-        # Fill the queue right up to the bound, then rebalance: the
-        # scheduler must shed (never reject an operator action) before
-        # admitting the migration's dirty set.
-        for user in range(4):
-            scheduler.submit(AddRating(user, 2, 2.5))
-        assert scheduler.queue_depth == 4
-        signals_before = index.maintenance.scheduler_backpressure
-        stats = scheduler.rebalance(ShardPlan(moves=((1, 0), (6, 1))))
-        assert stats.users_moved == 2
-        assert index.maintenance.scheduler_backpressure == signals_before + 1
-        assert scheduler.queue_depth <= 4  # bound still holds
         scheduler.drain()
         assert not index.dirty_users
-        scheduler.close()
-
-    def test_moved_users_are_stamped_and_drain_to_parity(self):
-        scheduler = self._scheduled()
-        index = scheduler.index
-        index.refresh()
-        scheduler.rebalance(ShardPlan(n_shards=3))
-        assert set(scheduler._since) >= set(index.dirty_users)
-        scheduler.drain()
         reference = DynamicKnnIndex(
             index.dataset, KiffConfig(k=3), auto_refresh=False
         )
         reference.refresh()
         assert index.graph == reference.graph
+        reference.close()
         scheduler.close()
+
+    def test_migration_at_the_queue_bound_adds_no_work(self):
+        scheduler = self._scheduled(queue_bound=4)
+        index = scheduler.index
+        index.refresh()
+        # Fill the queue right up to the bound, then rebalance: the
+        # flip dirties nobody, so the queue neither grows nor sheds.
+        for user in range(4):
+            scheduler.submit(AddRating(user, 2, 2.5))
+        assert scheduler.queue_depth == 4
+        dirty_before = index.dirty_users
+        signals_before = index.maintenance.scheduler_backpressure
+        stats = index.rebalance(ShardPlan(moves=((1, 0), (6, 1))))
+        assert stats.users_moved == 2
+        assert index.dirty_users == dirty_before
+        assert index.maintenance.scheduler_backpressure == signals_before
+        self._assert_drains_to_parity(scheduler)
+
+    def test_reshard_mid_schedule_drains_to_parity(self):
+        scheduler = self._scheduled()
+        index = scheduler.index
+        index.refresh()
+        scheduler.submit(AddRating(3, 2, 4.0))
+        index.rebalance(ShardPlan(n_shards=3))
+        assert index.n_shards == 3
+        self._assert_drains_to_parity(scheduler)
 
 
 class TestServeRebalanceOp:
