@@ -2,12 +2,16 @@
 
 Usage::
 
-    python scripts/serving_smoke_client.py PORT [HOST]
+    python scripts/serving_smoke_client.py PORT [HOST [K]]
 
 Sends a pipelined batch of ``neighbors``/``recommend``/``stats``
 requests (plus one deliberately bad op) over one TCP connection,
 asserts every data reply is ok and version-stamped and that the bad op
-gets an error envelope, then moves user 0 to shard 1 with a live
+gets an error envelope, and that no ``neighbors`` reply holds more
+than the ``k`` the ``stats`` reply reports — the index keeps reserve
+columns beyond ``k`` that must never reach a client.  With *K* (the
+``k`` the server was started with) the reported ``k`` must equal it.
+It then moves user 0 to shard 1 with a live
 ``rebalance`` op (the server must run at least 2 shards) and asserts
 one more ``neighbors`` batch is answered after the flip.  Prints a
 one-line summary and exits non-zero on any protocol violation — CI's
@@ -29,6 +33,7 @@ def exchange(stream, conn, requests) -> list[dict]:
 def main() -> int:
     port = int(sys.argv[1])
     host = sys.argv[2] if len(sys.argv) > 2 else "127.0.0.1"
+    served_k = int(sys.argv[3]) if len(sys.argv) > 3 else None
     neighbors = [{"op": "neighbors", "user": user} for user in range(8)]
     requests = (
         neighbors
@@ -49,6 +54,9 @@ def main() -> int:
     assert all(reply["ok"] for reply in after), after
     versions = sorted({reply["version"] for reply in data[:-1] + after})
     stats = data[-1]
+    assert served_k is None or stats["k"] == served_k, stats
+    for reply in data[:8] + after:
+        assert len(reply["neighbors"]) <= stats["k"], reply
     print(
         f"answered {len(replies) + 1 + len(after)} requests at version(s) "
         f"{versions}, one live rebalance (seq {moved['seq_commit']}); "

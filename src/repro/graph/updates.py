@@ -59,15 +59,21 @@ class ReverseNeighborIndex:
         With *rows* (sorted row ids) only those rows are indexed — the
         row-restricted index one shard keeps over the rows it owns.
         """
-        referrers: dict[int, set[int]] = {}
         if rows is not None:
             neighbors = neighbors[rows]
         local, slots = np.nonzero(neighbors != MISSING)
         cited = neighbors[local, slots]
         citing = local if rows is None else rows[local]
-        for row, neighbor in zip(citing.tolist(), cited.tolist()):
-            referrers.setdefault(neighbor, set()).add(row)
-        self._referrers = referrers
+        # One sort groups the entries by cited user; each group becomes
+        # one set, instead of one dict update per entry.
+        order = np.argsort(cited)
+        cited, citing = cited[order], citing[order].tolist()
+        starts = np.flatnonzero(np.diff(cited, prepend=MISSING)).tolist()
+        ends = starts[1:] + [len(citing)]
+        self._referrers = {
+            user: set(citing[start:end])
+            for user, start, end in zip(cited[starts].tolist(), starts, ends)
+        }
 
     def referrers_of(self, users) -> np.ndarray:
         """Sorted unique rows citing any of *users* (compact id array)."""

@@ -7,12 +7,17 @@ partitions the state the way the shards hold it:
 * ``meta.json`` — format version, sequence, config, metric, counters,
   the shard count and any live-rebalance ownership overrides;
 * ``base.npz`` — the shared read-only state: the dataset snapshot (via
-  :func:`repro.datasets.mutable.snapshot_to_arrays`) and the KNN graph
-  rows (CSR-packed via :func:`repro.graph.io.pack_graph_arrays`);
+  :func:`repro.datasets.mutable.snapshot_to_arrays`), the KNN graph
+  rows at their full maintained width, reserve columns included
+  (CSR-packed via :func:`repro.graph.io.pack_graph_arrays`), and each
+  row's exact depth (``row_depth``);
 * ``shard-<i>.npz`` — shard *i*'s dirty slice.
 
 Every index writes it at its own shard count (one shard file for the
-flat index).  The reverse-neighbor index is *not* stored: it is a
+flat index).  The reserve and the depths are stored because a restored
+index would otherwise have to treat every row as exact to ``k`` only,
+and its repairs would fall back to rescans until each row was rebuilt.
+The reverse-neighbor index is *not* stored: it is a
 pure function of the graph rows and is re-derived on load, which is both
 cheaper than parsing it and immune to drift.  Candidate sets are not
 stored either: every refresh derives the ones it needs from the
@@ -48,6 +53,7 @@ from ..datasets.mutable import snapshot_from_arrays, snapshot_to_arrays
 from ..graph.io import pack_graph_arrays, unpack_graph_arrays
 from ..graph.knn_graph import KnnGraph
 from ..layout import ID_DTYPE, SCORE_DTYPE, dtype_tags
+from ..streaming.index import RESERVE
 from . import wal as _wal
 from .partition import PartitionedWriteAheadLog, read_partitioned_wal
 from .wal import PersistenceError
@@ -69,12 +75,13 @@ class CheckpointError(PersistenceError):
     """Raised when a checkpoint is missing, corrupt or incompatible."""
 
 
-#: Version written by this library.  Version 2 stores the graph rows
-#: CSR-packed at the compact layout (int32 ids, float32 sims; see
-#: :mod:`repro.layout`) and tags the metadata with the dtype contract.
-CHECKPOINT_VERSION = 2
+#: Version written by this library.  Version 3 stores the graph rows
+#: ``k + RESERVE`` wide with each row's exact depth, CSR-packed at the
+#: compact layout (int32 ids, float32 sims; see :mod:`repro.layout`),
+#: and tags the metadata with the dtype contract.
+CHECKPOINT_VERSION = 3
 #: Versions :func:`load_checkpoint` can restore.
-SUPPORTED_CHECKPOINT_VERSIONS = frozenset({2})
+SUPPORTED_CHECKPOINT_VERSIONS = frozenset({3})
 _PREFIX = "checkpoint-"
 _SUFFIX = ".shards"
 
@@ -103,8 +110,11 @@ class CheckpointState:
     evaluations: int
     maintenance: dict
     dataset: BipartiteDataset
+    #: The maintained rows, ``config.k + RESERVE`` wide.
     neighbors: np.ndarray
     sims: np.ndarray
+    #: Each row's exact depth (see ``repro.streaming.index._ShardHost``).
+    depth: np.ndarray
     dirty: tuple[int, ...]
     n_shards: int
     #: ``{user: shard}`` live-rebalance ownership overrides.
@@ -163,7 +173,8 @@ def save_checkpoint(index, directory: str | Path) -> Path:
     are captured through the dataset snapshot plus the dirty set, so a
     restore followed by one refresh lands on the same converged graph.
     ``base.npz`` holds the shared read-only state (dataset snapshot,
-    graph rows), ``shard-<i>.npz`` shard *i*'s dirty slice.  The
+    full-width graph rows and their depths), ``shard-<i>.npz`` shard
+    *i*'s dirty slice.  The
     directory is staged under a temp name, every file fsynced, then
     atomically renamed into place with a parent fsync — a crash
     mid-checkpoint leaves the previous one intact.
@@ -208,6 +219,7 @@ def save_checkpoint(index, directory: str | Path) -> Path:
         np.savez_compressed(
             tmp / "base.npz",
             **graph_arrays,
+            row_depth=index._depth[: index._n_rows],
             **snapshot_to_arrays(dataset),
         )
         _fsync_file(tmp / "base.npz")
@@ -266,6 +278,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         raise CheckpointError(f"invalid shard count in {path}: {n_shards}")
     with np.load(path / "base.npz", allow_pickle=False) as archive:
         graph = unpack_graph_arrays(archive)
+        depth = np.asarray(archive["row_depth"])
         dataset = snapshot_from_arrays(archive, name=meta["name"])
     dirty: list[int] = []
     for shard in range(n_shards):
@@ -283,6 +296,21 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         # E.g. a kernel_backend other than the one bit-identical
         # kernel: its graph rows cannot meet the parity invariant.
         raise CheckpointError(f"unusable config in {path}: {exc}") from exc
+    width = config.k + RESERVE
+    if graph.k != width or depth.shape != (graph.n_users,):
+        raise CheckpointError(
+            f"checkpoint {path} holds {graph.k}-wide rows with "
+            f"{depth.size} depths; this library keeps {width}-wide rows "
+            f"(k={config.k} plus a reserve of {RESERVE}), one depth each"
+        )
+    # The repair reads each row's boundary at depth - 1: a depth below
+    # k would read a wrong column (0 wraps to the last), one above the
+    # width would index past the row.
+    if not ((depth >= config.k) & (depth <= width)).all():
+        raise CheckpointError(
+            f"checkpoint {path} holds row depths outside "
+            f"[{config.k}, {width}]"
+        )
     return CheckpointState(
         path=path,
         seq=int(meta["seq"]),
@@ -297,6 +325,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         dataset=dataset,
         neighbors=graph.neighbors,
         sims=graph.sims,
+        depth=depth,
         dirty=tuple(sorted(dirty)),
         n_shards=n_shards,
         shard_overrides={
@@ -345,6 +374,7 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     # wide state narrows to the compact layout.
     index._neighbors = np.asarray(state.neighbors).astype(ID_DTYPE)
     index._sims = np.asarray(state.sims).astype(SCORE_DTYPE)
+    index._depth = np.asarray(state.depth).astype(ID_DTYPE)
     index._n_rows = state.neighbors.shape[0]
     index._partition(ShardMap(state.n_shards, state.shard_overrides))
     index._dirty.clear()

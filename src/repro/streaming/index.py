@@ -29,22 +29,27 @@ After ``refresh()`` the graph equals the cold rebuild because:
 * A dirty user's row is rebuilt from scratch: all its pair similarities
   are stale (e.g. cosine renormalises the whole row when one rating
   lands).
-* A clean user *x* whose row **contains** a dirty user holds a stale
-  entry.  Her row is **repaired**: the dirty entries are dropped,
-  every dirty user she co-rates with is offered back with a fresh
-  score (the mirror merge below), and the row stands if it had an
-  empty slot (it already held every candidate) or its new k-th entry
-  ranks at or ahead of the old one — every candidate it was not
-  offered is clean and ranked behind that entry before the pass.
-  Otherwise the stale entry's true replacement may be an arbitrary
-  rank-(k+1) candidate, and the row is rescanned from its candidate
-  set.  The rule is the same for every metric: with global terms, the
-  item raters joining the dirty set (above) leave every pair whose
-  score moved with a dirty endpoint.
+* Every row is stored ``k + RESERVE`` wide with an **exact depth**
+  ``d`` in ``[k, k + RESERVE]``: its first ``d`` entries are its exact
+  top-``d``.  Readers only ever see the first ``k`` columns.
+* A clean user *x* whose row **contains** a dirty user (in any column,
+  reserve included) holds a stale entry.  Her row is **repaired**: the
+  dirty entries are dropped, every dirty user she co-rates with is
+  offered back with a fresh score (the mirror merge below), and the
+  row stands if its old boundary — the entry at ``d - 1`` — was
+  ``MISSING`` (it already held every candidate) or its new k-th entry
+  ranks at or ahead of that boundary: every candidate it was not
+  offered is clean and ranked behind the boundary before the pass.
+  Its new depth is the number of entries ranking at or ahead of the
+  boundary.  Only a row that loses more than its reserve is rescanned
+  from its candidate set.  The rule is the same for every metric: with
+  global terms, the item raters joining the dirty set (above) leave
+  every pair whose score moved with a dirty endpoint.
 * Every other clean user *x* has only unchanged entries; a dirty user
   can at most *enter* her row, which the mirror merge of the freshly
   evaluated (dirty, x) pairs performs — ``merge_topk`` applies the same
-  (sim desc, id asc) tie-breaks as the batch algorithm.
+  (sim desc, id asc) tie-breaks as the batch algorithm — and her depth
+  stands.  Rebuilt rows (a rescan) are exact to the full width.
 
 One index class
 ---------------
@@ -160,6 +165,15 @@ __all__ = [
 ]
 
 
+#: Reserve columns every maintained row keeps beyond its ``k``
+#: published ones.  A repaired row proves exactness against its deepest
+#: exact entry, so it only falls back to a rescan of its candidate set
+#: when a pass pushes more than its reserve out of that exact prefix.
+#: At five, 7% of the repairs on the flash-durable benchmark stream
+#: fall back (54% with no reserve), for ``RESERVE / k`` more row state.
+RESERVE = 5
+
+
 def converged_config(config: KiffConfig) -> KiffConfig:
     """The cold-rebuild configuration matching a maintained graph.
 
@@ -219,6 +233,9 @@ class RefreshStats:
     #: were repaired from the dirty users' fresh scores (rows failing
     #: the repair's check count as rebuilt).
     repaired_users: int = 0
+    #: Repaired rows that failed the check — they lost more than their
+    #: reserve — and were rescanned (included in ``affected_users``).
+    fallbacks: int = 0
 
 
 class _ShardHost:
@@ -226,14 +243,16 @@ class _ShardHost:
 
     The graph rows live in backing arrays with slack capacity — the
     first ``_n_rows`` rows of ``_neighbors``/``_sims`` are the live
-    graph.  Subclasses add ``builder``, ``config``, ``n_users``,
-    ``_shard_map`` and ``_score_pairs``: the index
-    for its own shards, and the worker-side host in each ``processes``
-    worker, so both grow rows identically.
+    graph, ``k + RESERVE`` columns wide, and ``_depth[row]`` is the
+    number of leading entries of each that are exact.  Subclasses add
+    ``builder``, ``config``, ``n_users``, ``_shard_map`` and
+    ``_score_pairs``: the index for its own shards, and the worker-side
+    host in each ``processes`` worker, so both grow rows identically.
     """
 
     _neighbors: np.ndarray
     _sims: np.ndarray
+    _depth: np.ndarray
     _n_rows: int
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,18 +268,24 @@ class _ShardHost:
         """
         if n_users <= self._n_rows:
             return
-        capacity, k = self._neighbors.shape
+        capacity, width = self._neighbors.shape
         if n_users > capacity:
             new_capacity = max(n_users, 2 * capacity)
-            neighbors = np.full((new_capacity, k), MISSING, dtype=ID_DTYPE)
-            sims = np.full((new_capacity, k), -np.inf, dtype=SCORE_DTYPE)
+            neighbors = np.full(
+                (new_capacity, width), MISSING, dtype=ID_DTYPE
+            )
+            sims = np.full((new_capacity, width), -np.inf, dtype=SCORE_DTYPE)
+            depth = np.full(new_capacity, width, dtype=ID_DTYPE)
             neighbors[: self._n_rows] = self._neighbors[: self._n_rows]
             sims[: self._n_rows] = self._sims[: self._n_rows]
-            self._neighbors, self._sims = neighbors, sims
+            depth[: self._n_rows] = self._depth[: self._n_rows]
+            self._neighbors, self._sims, self._depth = neighbors, sims, depth
         else:
-            # Recycled capacity: reset the newly exposed rows.
+            # Recycled capacity: reset the newly exposed rows.  An empty
+            # row holds every candidate it has, so it is exact throughout.
             self._neighbors[self._n_rows : n_users] = MISSING
             self._sims[self._n_rows : n_users] = -np.inf
+            self._depth[self._n_rows : n_users] = width
         self._n_rows = n_users
 
 
@@ -380,13 +405,15 @@ class DynamicKnnIndex(_ShardHost):
         )
         # Backing arrays may hold slack capacity (geometric growth, so a
         # burst of user joins doesn't copy the graph per join).
+        width = self.config.k + RESERVE
         self._n_rows = dataset.n_users
         self._neighbors = np.full(
-            (dataset.n_users, self.config.k), MISSING, dtype=ID_DTYPE
+            (dataset.n_users, width), MISSING, dtype=ID_DTYPE
         )
         self._sims = np.full(
-            (dataset.n_users, self.config.k), -np.inf, dtype=SCORE_DTYPE
+            (dataset.n_users, width), -np.inf, dtype=SCORE_DTYPE
         )
+        self._depth = np.full(dataset.n_users, width, dtype=ID_DTYPE)
         self._pending_events = 0
         self.refresh_log: list[RefreshStats] = []
         self.initial_evaluations = 0
@@ -440,9 +467,13 @@ class DynamicKnnIndex(_ShardHost):
     # ------------------------------------------------------------------
     @property
     def graph(self) -> KnnGraph:
-        """The maintained KNN graph (a copy; exact iff no events pending)."""
+        """The maintained KNN graph (a copy; exact iff no events pending).
+
+        Only the first ``k`` columns: the reserve never leaves the index.
+        """
         neighbors, sims = self._rows()
-        return KnnGraph(neighbors.copy(), sims.copy())
+        k = self.config.k
+        return KnnGraph(neighbors[:, :k].copy(), sims[:, :k].copy())
 
     @property
     def dataset(self) -> BipartiteDataset:
@@ -479,8 +510,9 @@ class DynamicKnnIndex(_ShardHost):
 
         A dirty user's in-degree bounds the rows her refresh can
         invalidate; the bounded-staleness scheduler orders deferred work
-        by it.  One bincount over the authoritative rows, on every
-        executor.
+        by it.  Citations in the reserve columns count too: such a row
+        holds a stale entry for her and is repaired like any other.
+        One bincount over the authoritative rows, on every executor.
         """
         self._ensure_open()
         neighbors, _ = self._rows()
@@ -500,11 +532,15 @@ class DynamicKnnIndex(_ShardHost):
         column of the memory model, deterministic and hence gateable in
         benchmark baselines.
 
+        ``graph_reserve_bytes`` is the share of ``graph_rows_bytes``
+        held by the ``RESERVE`` trailing columns that readers never see;
+        ``graph_depth_bytes`` is the rows' exact-depth array.
         ``reverse_index_entries`` counts the authoritative rows' filled
-        slots — exactly the reverse index's (row, cited user) entries,
-        and correct on every executor (``processes`` workers own their
-        reverse indexes).  The ``shm_arena_*`` keys account for the
-        process executor's shared-memory arena (0 in process).
+        slots, reserve included — exactly the reverse index's (row,
+        cited user) entries, and correct on every executor
+        (``processes`` workers own their reverse indexes).  The
+        ``shm_arena_*`` keys account for the process executor's
+        shared-memory arena (0 in process).
 
         The dataset figures are read from the published snapshot (0
         before the first publication): materialising the builder's
@@ -523,6 +559,11 @@ class DynamicKnnIndex(_ShardHost):
         stats = {
             "dataset_csr_bytes": nbytes(*csr),
             "graph_rows_bytes": nbytes(self._neighbors, self._sims),
+            "graph_reserve_bytes": nbytes(
+                self._neighbors[:, self.config.k :],
+                self._sims[:, self.config.k :],
+            ),
+            "graph_depth_bytes": nbytes(self._depth),
             "profile_index_bytes": nbytes(
                 self.engine.index.norms, self.engine.index.sizes
             ),
@@ -550,6 +591,7 @@ class DynamicKnnIndex(_ShardHost):
         stats["total_bytes"] = (
             stats["dataset_csr_bytes"]
             + stats["graph_rows_bytes"]
+            + stats["graph_depth_bytes"]
             + stats["profile_index_bytes"]
             + stats["snapshot_rows_bytes"]
             + stats["shm_arena_bytes"]
@@ -661,11 +703,12 @@ class DynamicKnnIndex(_ShardHost):
                 self._snapshot = previous.at_version(self._seq)
             return
         neighbors, sims = self._rows()
+        k = self.config.k
         index = self.engine.index
         self._snapshot = GraphSnapshot.capture(
             self._seq,
-            neighbors,
-            sims,
+            neighbors[:, :k],
+            sims[:, :k],
             self.builder.snapshot(),
             index.norms,
             index.sizes,
@@ -1023,7 +1066,7 @@ class DynamicKnnIndex(_ShardHost):
             subset = {int(u) for u in dirty_subset}
             selected = {u for u in self._dirty if u in subset}
             deferred = {u for u in self._dirty if u not in subset}
-        affected = repaired = evaluations = changes = 0
+        affected = repaired = fallbacks = evaluations = changes = 0
         if selected:
             # Incremental end to end: the snapshot patches only dirty
             # rows, and the ProfileIndex recomputes only dirty users.
@@ -1035,7 +1078,7 @@ class DynamicKnnIndex(_ShardHost):
                 self.builder.snapshot(), dirty_users=self._dirty
             )
             rebuilt, repairs, merges = self._run_pass(selected, deferred)
-            fallbacks = sum(merge.fallbacks for merge in merges)
+            fallbacks = int(sum(merge.fallbacks for merge in merges))
             affected = rebuilt.size + fallbacks
             repaired = repairs.size - fallbacks
             evaluations = sum(merge.evaluations for merge in merges)
@@ -1060,6 +1103,7 @@ class DynamicKnnIndex(_ShardHost):
             cache_misses=int(affected),
             deferred_users=len(deferred),
             repaired_users=int(repaired),
+            fallbacks=fallbacks,
         )
         self._publish_snapshot(unchanged=not selected)
         self.refresh_log.append(stats)
@@ -1132,9 +1176,11 @@ class DynamicKnnIndex(_ShardHost):
         neighbors, sims = self._rows()
         neighbors[rebuilt] = MISSING
         sims[rebuilt] = -np.inf
+        self._depth[rebuilt] = neighbors.shape[1]
         for merge in merges:
             neighbors[merge.rows] = merge.neighbors
             sims[merge.rows] = merge.sims
+            self._depth[merge.rows] = merge.depth
         return rebuilt, repaired, merges
 
     def _run_stages(self, selected: set[int], deferred: set[int]):
@@ -1212,18 +1258,36 @@ class DynamicKnnIndex(_ShardHost):
         restores the invariant from the ratings alone (the shards are
         re-derived from the fresh rows, see :meth:`_partition`).  Like
         :meth:`refresh`, completion publishes a new read snapshot.
+
+        The build runs ``k + RESERVE`` wide, so every row starts exact to
+        its full width, at the configured ``gamma`` (the converged graph
+        does not depend on it, and a wider pop would only raise the
+        build's peak memory).  The returned result carries the published
+        ``k``-wide graph.
         """
         self._ensure_open()
         self.engine.rebind(self.builder.snapshot())
-        result = kiff(self.engine, converged_config(self.config))
+        k = self.config.k
+        wide = replace(
+            converged_config(self.config),
+            k=k + RESERVE,
+            gamma=self.config.effective_gamma,
+        )
+        result = kiff(self.engine, wide)
         self._neighbors = result.graph.neighbors.copy()
         self._sims = result.graph.sims.copy()
         self._n_rows = result.graph.n_users
+        self._depth = np.full(self._n_rows, k + RESERVE, dtype=ID_DTYPE)
         self._partition(self._shard_map)
         self._dirty.clear()
         self._pending_events = 0
         self._publish_snapshot()
-        return result
+        graph = result.graph
+        return replace(
+            result,
+            graph=KnnGraph(graph.neighbors[:, :k], graph.sims[:, :k]),
+            extras={**result.extras, "k": k},
+        )
 
     # ------------------------------------------------------------------
     # Process workers: pool management
@@ -1239,6 +1303,7 @@ class DynamicKnnIndex(_ShardHost):
             batch_size=self.engine.batch_size,
             neighbors=neighbors.copy(),
             sims=sims.copy(),
+            depth=self._depth[: self._n_rows].copy(),
         )
 
     def _ensure_pool(self):

@@ -11,8 +11,8 @@ calls.  The division of state:
 * **Parent (authoritative)** — the mutable rating builder, the WAL, the
   dirty set, the graph rows, the engine's :class:`ProfileIndex`.
 * **Worker (owned slice)** — the shard's row-restricted reverse index
-  and a mirror of the graph rows it owns (full-size arrays; only owned
-  rows are ever read or written).
+  and a mirror of the graph rows it owns and of their exact depths
+  (full-size arrays; only owned rows are ever read or written).
 * **Shared memory** — the read-only per-refresh state (snapshot CSR
   triplet + profile arrays), published by the parent into an
   :class:`~repro.streaming.shm.ShmArena` and rebuilt as zero-copy numpy
@@ -91,8 +91,10 @@ class _WorkerHost(_ShardHost):
     """The host a worker's :class:`~repro.streaming.sharding._Shard` reads.
 
     Supplies what the in-process index supplies to its own shards: a
-    mirror of the graph rows (full-size arrays; only owned rows are
-    ever read or written), a builder view of the published snapshot,
+    mirror of the graph rows and their exact depths (full-size arrays;
+    only owned rows are ever read or written; every stage-C reply ships
+    the changed rows' depths back with their ids and scores), a builder
+    view of the published snapshot,
     the profile index rebuilt from shared memory, and the scorer.
     """
 
@@ -105,6 +107,7 @@ class _WorkerHost(_ShardHost):
         self._shard_map = init["shard_map"]
         self._neighbors = np.array(init["neighbors"], dtype=ID_DTYPE)
         self._sims = np.array(init["sims"], dtype=SCORE_DTYPE)
+        self._depth = np.array(init["depth"], dtype=ID_DTYPE)
         self._n_rows = int(self._neighbors.shape[0])
         # Shared-memory attachment, refreshed by attach().
         self.index = None

@@ -24,9 +24,10 @@ shared snapshot/:class:`~repro.similarity.base.ProfileIndex` once and
 then calls three stages on every shard:
 
 1. **Affected discovery** (:meth:`_Shard.affected`) — each shard looks
-   up its own rows citing *any* selected dirty user (its reverse
-   index) and splits them: a clean referrer is *repaired*; its
-   selected dirty users and the other referrers are *rebuilt*.
+   up its own rows citing *any* selected dirty user in any column,
+   reserve included (its reverse index), and splits them: a clean
+   referrer is *repaired*; its selected dirty users and the other
+   referrers are *rebuilt*.
 2. **Planning** (:meth:`_Shard.plan`) — each shard clears its rebuilt
    rows, drops the dirty entries from its repaired rows, derives the
    rebuilt rows' candidate sets (one sparse product over the current
@@ -44,9 +45,10 @@ then calls three stages on every shard:
    merge drops every offer that loses to its row's current k-th entry
    (most mirror offers to clean rows) before it sorts, and the rows
    whose ids moved reach the shard's reverse index as one block diff.
-   Each repaired row is then checked against its old k-th entry; the
-   rows failing the check are rescanned from their candidate sets in
-   the same stage.
+   Each repaired row is then checked against its old boundary, the
+   deepest entry of its exact prefix (see ``_ShardHost``); the rows
+   that lost more than their reserve are rescanned from their candidate
+   sets in the same stage.
 
 Because similarity is a pure per-pair function of the shared profile
 index, every row receives the same candidate-edge multiset at any shard
@@ -317,7 +319,7 @@ class _Shard:
         "_rebuilt",
         "_rows_mask",
         "_repaired",
-        "_kth",
+        "_bound",
         "_dirty_mask",
         "_pairs",
         "_raters",
@@ -338,12 +340,12 @@ class _Shard:
         )
         # Per-pass context, set by the stages: the owned rows rebuilt
         # from their candidate sets, the owned rows repaired in place
-        # and their old k-th entries, the selected dirty users, and the
-        # snapshot's candidacy transpose (see candidate_sets).
+        # and their old boundary entries, the selected dirty users, and
+        # the snapshot's candidacy transpose (see candidate_sets).
         self._rebuilt = _NO_PAIRS[0]
         self._rows_mask = _NO_PAIRS[0]
         self._repaired = _NO_PAIRS[0]
-        self._kth = _NO_PAIRS
+        self._bound = _NO_PAIRS
         self._dirty_mask = _NO_PAIRS[0]
         self._pairs = _NO_PAIRS
         self._raters: tuple = (None, None)
@@ -381,16 +383,22 @@ class _Shard:
         """Stage A: this shard's slice of the affected set, split in two.
 
         Returns ``(rebuilt, repaired)``.  The *referrers* are the owned
-        rows citing any selected dirty user (*all_dirty*).  A referrer
+        rows citing any selected dirty user (*all_dirty*) in any column:
+        a stale reserve entry must go too, or the merge's dedupe would
+        keep its old score over her fresh, lower one.  A referrer
         is **repaired** in place when the row is not dirty itself
-        (selected or *deferred*) and it cites no deferred user — a
-        deferred user's score may have moved anywhere, so such rows are
-        rescanned.  This holds for every metric: a metric with global
-        terms (``adamic_adar``) dirties every rater of an item whose
-        weight moved, so a clean row's entries for clean users keep
-        their scores.  The shard's selected dirty users (*my_dirty*)
-        and the other referrers are **rebuilt** from their candidate
-        sets.
+        (selected or *deferred*).  Its entries for deferred users keep
+        their stored scores as fixed values: the repair's check ranks
+        what the row holds, and every candidate it does not hold ranked
+        behind its boundary when last scored.  A deferred user's own
+        pass treats every row citing her as a referrer and offers her
+        fresh score to every other candidate, so no stale score
+        survives a drain.  This holds for every metric: a metric with
+        global terms (``adamic_adar``) dirties every rater of an item
+        whose weight moved, so a clean row's entries for clean users
+        keep their scores.  The shard's selected dirty users
+        (*my_dirty*) and the other referrers are **rebuilt** from
+        their candidate sets.
         """
         host = self.host
         self._dirty_mask = np.zeros(host.n_users, dtype=bool)
@@ -398,10 +406,6 @@ class _Shard:
         referrers = self.reverse.referrers_of(all_dirty).astype(np.int64)
         dirty = np.concatenate([all_dirty, deferred])
         repaired = referrers[~np.isin(referrers, dirty)]
-        if deferred.size and repaired.size:
-            neighbors, _ = host._rows()
-            cites = np.isin(neighbors[repaired], deferred).any(axis=1)
-            repaired = repaired[~cites]
         self._rebuilt = np.union1d(
             my_dirty, np.setdiff1d(referrers, repaired, assume_unique=True)
         )
@@ -412,9 +416,10 @@ class _Shard:
         """Stage B: clear rebuilt rows, trim repaired ones, derive pairs.
 
         The owned rebuilt rows are cleared and paired with their whole
-        candidate sets.  The owned repaired rows only drop the entries
-        citing selected dirty users (the rest keep their canonical
-        order) and remember their old k-th entry for :meth:`merge`'s
+        candidate sets (they come back exact to the full width).  The
+        owned repaired rows only drop the entries citing selected dirty
+        users (the rest keep their canonical order) and remember their
+        old boundary — the entry at ``depth - 1`` — for :meth:`merge`'s
         acceptance check; a dirty user's mirror offers reach every
         candidate not rebuilt, so each repaired row is offered every
         dirty user it still co-rates with.  *rebuilt* is the global
@@ -427,11 +432,12 @@ class _Shard:
         old_rows = neighbors[mine].copy()
         neighbors[mine] = MISSING
         sims[mine] = -np.inf
+        host._depth[mine] = neighbors.shape[1]
         new_rows = np.full_like(old_rows, MISSING)
         if repaired.size:
-            k = neighbors.shape[1]
             old_ids, old_sims = neighbors[repaired], sims[repaired]
-            self._kth = (old_ids[:, k - 1], old_sims[:, k - 1])
+            bound = np.arange(repaired.size), host._depth[repaired] - 1
+            self._bound = (old_ids[bound], old_sims[bound])
             keep = (old_ids != MISSING) & ~self._dirty_mask[old_ids]
             # A stable sort of the drop flags moves the kept entries
             # left in their ranked order.
@@ -469,20 +475,25 @@ class _Shard:
     def merge(self, inbox: list[ShardOutbox]) -> "ShardMerge":
         """Stage C: evaluate and merge, then accept or rescan repairs.
 
-        After the merge a repaired row is exact when its old row had a
-        ``MISSING`` slot (it already held every candidate), or when it
-        is full and its k-th entry ranks at or ahead of the old k-th
-        entry under the canonical ``(-sim, id)`` order: every candidate
-        it was not offered is clean, kept its score, and ranked behind
-        that entry before the pass.  The rows failing the check fall
+        A repaired row's old boundary is the entry at ``depth - 1``.
+        Every candidate it was not offered kept its score (a deferred
+        user keeps the one last scored for the row, see
+        :meth:`affected`) and ranked behind that boundary before the
+        pass unless the row holds her, so after the
+        merge the row's entries ranking at or ahead of the boundary
+        (canonical ``(-sim, id)`` order) are its exact top entries: that
+        count is its new depth, and the row stands when it is at least
+        ``k``.  A ``MISSING`` boundary means the row held every
+        candidate, so it stands exact to the full width.  The rows
+        failing the check — they lost more than their reserve — fall
         back to a rescan here (:meth:`_fall_back`).
         """
         host = self.host
         neighbors, sims = host._rows()
         rows, candidates = self._pairs
         self._pairs = _NO_PAIRS  # release the pass's pairs early
-        repaired, (kth_ids, kth_sims) = self._repaired, self._kth
-        self._kth = _NO_PAIRS
+        repaired, (bound_ids, bound_sims) = self._repaired, self._bound
+        self._bound = _NO_PAIRS
         evaluations, changes, active, offers = merge_shard_pairs(
             self.shard_id,
             host._shard_map,
@@ -500,18 +511,22 @@ class _Shard:
         self._rows_mask = _NO_PAIRS[0]
         failed = repaired[:0]
         if repaired.size:
-            k = neighbors.shape[1]
-            new_ids = neighbors[repaired, k - 1]
-            new_sims = sims[repaired, k - 1]
-            ahead = (new_sims > kth_sims) | (
-                (new_sims == kth_sims) & (new_ids <= kth_ids)
+            width = neighbors.shape[1]
+            new_ids, new_sims = neighbors[repaired], sims[repaired]
+            ids, scores = bound_ids[:, None], bound_sims[:, None]
+            tied = (new_sims == scores) & (new_ids <= ids)
+            ahead = (new_ids != MISSING) & ((new_sims > scores) | tied)
+            depth = np.where(
+                bound_ids == MISSING, width, np.count_nonzero(ahead, axis=1)
             )
-            exact = (kth_ids == MISSING) | ((new_ids != MISSING) & ahead)
+            exact = depth >= host.config.k
+            host._depth[repaired[exact]] = depth[exact]
             failed = repaired[~exact]
         if failed.size:
             more, more_changes = self._fall_back(failed, offers)
             evaluations += more
             changes += more_changes
+            host._depth[failed] = neighbors.shape[1]
         self._raters = (None, None)
         changed = np.union1d(active, repaired)
         return ShardMerge(
@@ -520,6 +535,7 @@ class _Shard:
             rows=changed,
             neighbors=neighbors[changed],
             sims=sims[changed],
+            depth=host._depth[changed],
             fallbacks=int(failed.size),
         )
 
@@ -652,6 +668,8 @@ class ShardMerge(NamedTuple):
     rows: np.ndarray
     neighbors: np.ndarray
     sims: np.ndarray
+    #: Those rows' exact depths (a worker's mirror ships them back too).
+    depth: np.ndarray
     #: Repaired rows that failed the acceptance check and were rescanned.
     fallbacks: int
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro import BipartiteDataset, SimilarityEngine
 from repro.datasets import load_dataset
+from repro.streaming import RemoveRating
 
 # ----------------------------------------------------------------------
 # Hypothesis profiles: seeded and deadline-free in CI, lenient locally.
@@ -182,3 +183,28 @@ def random_dataset(
         n_items=n_items,
         name=f"random-{seed}",
     )
+
+
+def exhaust_reserve_events(index, row: int) -> list:
+    """Events lowering enough of *row*'s exact entries to force a rescan.
+
+    The row's exact prefix is its first ``depth`` entries; its first
+    ``depth - k + 1`` neighbours (``RESERVE + 1`` at the full width)
+    each drop every item they share with the row, so they leave its
+    candidate set and the repaired row keeps at most ``k - 1`` of its
+    old exact entries: it must fall back to a rescan.  The row itself
+    stays clean under a profile-local metric.  Returns ``[]`` when the
+    row's boundary (the entry at ``depth - 1``) is ``MISSING``: such a
+    row holds every candidate and always repairs.
+    """
+    neighbors, _ = index._rows()
+    prefix = neighbors[row, : int(index._depth[row])].tolist()
+    if prefix[-1] < 0:
+        return []
+    builder = index.builder
+    mine = set(builder.profile(row))
+    return [
+        RemoveRating(user, item)
+        for user in prefix[: len(prefix) - index.config.k + 1]
+        for item in sorted(mine & set(builder.profile(user)))
+    ]

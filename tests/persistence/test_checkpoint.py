@@ -14,8 +14,15 @@ from repro.persistence import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.persistence import checkpoint as checkpoint_module
 from repro.streaming import AddRating, AddUser, RemoveUser
+from repro.streaming.index import RESERVE
 from tests.conftest import random_dataset
+from tests.streaming.test_repair import (
+    FAR,
+    lower_near_users,
+    reserve_rows_dataset,
+)
 
 
 @pytest.fixture
@@ -49,6 +56,60 @@ class TestSaveLoad:
         neighbors, sims = streamed_index._rows()
         assert np.array_equal(state.neighbors, neighbors)
         assert np.array_equal(state.sims, sims)
+        assert np.array_equal(
+            state.depth, streamed_index._depth[: neighbors.shape[0]]
+        )
+
+    def test_reserve_and_depths_survive_a_restore(self, tmp_path):
+        """A restored index repairs like the live one: it comes back
+        with the full-width rows and each row's exact depth."""
+        index = DynamicKnnIndex(
+            reserve_rows_dataset(),
+            KiffConfig(k=2),
+            metric="jaccard",
+            auto_refresh=False,
+        )
+        index.apply(lower_near_users())
+        index.refresh()
+        assert index._depth[FAR].tolist() == [2, 2]  # repaired in place
+        index.checkpoint(tmp_path)
+        restored = DynamicKnnIndex.restore(tmp_path, refresh=False)
+        try:
+            live, restored_rows = index._rows(), restored._rows()
+            assert restored_rows[0].shape[1] == index.config.k + RESERVE
+            assert np.array_equal(restored_rows[0], live[0])
+            assert np.array_equal(restored_rows[1], live[1])
+            n_rows = live[0].shape[0]
+            assert np.array_equal(
+                restored._depth[:n_rows], index._depth[:n_rows]
+            )
+            assert restored.graph == index.graph
+        finally:
+            restored.close()
+            index.close()
+
+    def test_rows_of_another_width_are_refused(
+        self, streamed_index, tmp_path, monkeypatch
+    ):
+        path = save_checkpoint(streamed_index, tmp_path)
+        monkeypatch.setattr(checkpoint_module, "RESERVE", RESERVE + 1)
+        with pytest.raises(CheckpointError, match="wide rows"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2 + RESERVE + 1])
+    def test_depths_outside_k_and_the_width_are_refused(
+        self, streamed_index, tmp_path, bad
+    ):
+        """A depth below k reads a wrong boundary column and one past
+        the width indexes out of the row: both fail the load."""
+        path = save_checkpoint(streamed_index, tmp_path)
+        with np.load(path / "base.npz", allow_pickle=False) as archive:
+            arrays = dict(archive)
+        arrays["row_depth"] = arrays["row_depth"].copy()
+        arrays["row_depth"][0] = bad
+        np.savez_compressed(path / "base.npz", **arrays)
+        with pytest.raises(CheckpointError, match="row depths outside"):
+            load_checkpoint(path)
 
     def test_shard_file_holds_only_the_dirty_slice(
         self, streamed_index, tmp_path
@@ -112,16 +173,28 @@ def set_version(path, version):
 
 
 class TestFormatVersion:
-    def test_v2_is_the_written_version(self, streamed_index, tmp_path):
+    def test_v3_is_the_written_version(self, streamed_index, tmp_path):
         path = save_checkpoint(streamed_index, tmp_path)
         meta = json.loads((path / "meta.json").read_text())
-        assert meta["version"] == 2
+        assert meta["version"] == 3
         assert meta["n_shards"] == 1
         assert np.dtype(meta["dtypes"]["ids"]) == ID_DTYPE
         assert np.dtype(meta["dtypes"]["scores"]) == SCORE_DTYPE
         with np.load(path / "base.npz", allow_pickle=False) as archive:
             assert "graph_indptr" in archive  # packed, not dense
             assert "graph_neighbors" not in archive
+            # The rows keep their reserve, and each its exact depth.
+            assert int(archive["graph_k"]) == 2 + RESERVE
+            assert archive["row_depth"].shape == (streamed_index.n_users,)
+
+    def test_v2_archive_is_refused(self, streamed_index, tmp_path):
+        """Version 2 (k-wide rows, no depths) has no reader."""
+        path = save_checkpoint(streamed_index, tmp_path)
+        set_version(path, 2)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 2"
+        ):
+            load_checkpoint(path)
 
     def test_v1_archive_is_refused(self, streamed_index, tmp_path):
         """Version 1 (dense rows) has no reader: loading fails loudly."""

@@ -16,14 +16,16 @@ from repro.core.rcs import build_rcs
 from repro.streaming import (
     AddRating,
     AddUser,
-    RemoveRating,
     RemoveUser,
     cold_rebuild_graph,
     ratings_batch,
     sharding,
 )
 from tests.conftest import random_dataset
-from tests.streaming.test_repair import full_rows_dataset
+from tests.streaming.test_repair import (
+    lower_near_users,
+    reserve_rows_dataset,
+)
 
 
 def _index(n_users=120, n_items=80, density=0.05, seed=3, k=5, **kwargs):
@@ -185,7 +187,7 @@ class TestCandidateDerivation:
         fallbacks included, and never materialises the CSC mirror."""
         n_shards, executor = layout
         index = DynamicKnnIndex(
-            full_rows_dataset(),
+            reserve_rows_dataset(),
             KiffConfig(k=2),
             metric="cosine",
             auto_refresh=False,
@@ -201,13 +203,12 @@ class TestCandidateDerivation:
 
         monkeypatch.setattr(sharding, "candidacy_raters", counting)
         try:
-            # User 1 keeps one item: rows 0, 2 and 3 lose her and fall
-            # back to a rescan of their candidate sets.
-            index.apply(
-                [RemoveRating(1, 1), RemoveRating(1, 2), RemoveRating(1, 3)]
-            )
+            # The near users keep one item each: row 0 loses more than
+            # its reserve and falls back to a rescan of its candidates.
+            index.apply(lower_near_users())
             stats = index.refresh()
-            assert stats.affected_users > stats.dirty_users  # fallbacks
+            assert stats.fallbacks == 1
+            assert stats.affected_users > stats.dirty_users
             assert stats.cache_hits == 0
             assert stats.cache_misses == stats.affected_users
             assert 1 <= len(calls) <= n_shards

@@ -12,11 +12,14 @@ from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
 from repro.graph.knn_graph import MISSING
 from repro.layout import ID_DTYPE, SCORE_DTYPE
 from repro.streaming import AddRating
+from repro.streaming.index import RESERVE
 from tests.conftest import random_dataset
 
 COMPONENT_KEYS = {
     "dataset_csr_bytes",
     "graph_rows_bytes",
+    "graph_reserve_bytes",
+    "graph_depth_bytes",
     "profile_index_bytes",
     "snapshot_rows_bytes",
     "reverse_index_entries",
@@ -54,6 +57,15 @@ class TestFlatIndex:
             stats = index.memory_stats()
             expected = index._neighbors.nbytes + index._sims.nbytes
             assert stats["graph_rows_bytes"] == expected
+            # Rows are k + RESERVE wide; the reserve is their tail.
+            width = index.config.k + RESERVE
+            assert index._neighbors.shape[1] == width
+            assert stats["graph_reserve_bytes"] * width == (
+                stats["graph_rows_bytes"] * RESERVE
+            )
+            # One depth per row of capacity, counted on its own.
+            assert stats["graph_depth_bytes"] == index._depth.nbytes
+            assert index._depth.shape == index._neighbors.shape[:1]
             assert index._neighbors.dtype == ID_DTYPE
             assert index._sims.dtype == SCORE_DTYPE
         finally:
@@ -85,6 +97,7 @@ class TestFlatIndex:
             assert stats["total_bytes"] == (
                 stats["dataset_csr_bytes"]
                 + stats["graph_rows_bytes"]
+                + stats["graph_depth_bytes"]
                 + stats["profile_index_bytes"]
                 + stats["snapshot_rows_bytes"]
             )
@@ -177,7 +190,8 @@ class TestReverseIndexEntries:
                 before = index.memory_stats()["reverse_index_entries"]
                 index.apply([AddRating(u, 11, 5.0) for u in range(0, 40, 3)])
                 index.refresh()
-                neighbors = index.graph.neighbors
+                # The reverse index spans the reserve columns too.
+                neighbors, _ = index._rows()
                 after = index.memory_stats()["reverse_index_entries"]
                 assert after == np.count_nonzero(neighbors != MISSING)
                 assert after != before  # the refresh filled empty slots

@@ -4,8 +4,9 @@ The contract of :class:`DynamicKnnIndex` is exactness: after any
 interleaving of insert/remove events (and a refresh), its graph must be
 *identical* — neighbour ids and similarities — to a cold converged
 ``kiff()`` rebuild on the final dataset.  The randomized suite below
-drives 78 event streams (13 seeds x 3 metrics x both pivot settings);
-the focused tests pin each event kind and policy knob.
+drives 78 event streams (13 seeds x 3 metrics x both pivot settings)
+plus 24 denser streams whose bursts exhaust a row's reserve; the
+focused tests pin each event kind and policy knob.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.streaming import (
     cold_rebuild_graph,
     ratings_batch,
 )
-from tests.conftest import random_dataset
+from tests.conftest import exhaust_reserve_events, random_dataset
 
 
 def cold_rebuild(index, metric="cosine"):
@@ -77,6 +78,32 @@ def corpus_stream(metric, pivot, seed):
     return index
 
 
+def burst_stream(metric, pivot, seed):
+    """A denser stream whose bursts exhaust one row's reserve each.
+
+    The corpus rows above hold every candidate within ``k + RESERVE``
+    columns, so their repairs never fall back; here each of three
+    rounds of random events ends with one batch lowering more than
+    ``RESERVE`` entries of a random row's exact prefix.
+    """
+    dataset = random_dataset(
+        n_users=24, n_items=12, density=0.3, seed=seed, ratings=True
+    )
+    index = DynamicKnnIndex(
+        dataset,
+        KiffConfig(k=3, pivot=pivot),
+        metric=metric,
+        auto_refresh=False,
+    )
+    rng = np.random.default_rng(seed)
+    for burst in range(3):
+        drive_random_stream(index, 10 * seed + burst, n_events=6, max_item=12)
+        row = int(rng.integers(0, index.n_users))
+        index.apply(exhaust_reserve_events(index, row))
+        index.refresh()
+    return index
+
+
 #: The corpus metrics: two profile-local ones, and ``adamic_adar``,
 #: whose global item weights dirty every rater of a reweighted item.
 CORPUS_METRICS = ["cosine", "jaccard", "adamic_adar"]
@@ -92,11 +119,19 @@ class TestRandomizedStreams:
         index = corpus_stream(metric, pivot, seed)
         assert index.graph == cold_rebuild(index, metric)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("pivot", [True, False])
+    @pytest.mark.parametrize("metric", CORPUS_METRICS)
+    def test_burst_stream_equals_cold_rebuild(self, metric, pivot, seed):
+        index = burst_stream(metric, pivot, seed)
+        assert index.graph == cold_rebuild(index, metric)
+
     def test_corpus_exercises_repair_and_fallback(self):
-        """Both referrer paths must stay live across the corpus: rows
+        """Both referrer paths must stay live across the streams: rows
         repaired in place, and rows whose repair failed its check and
         were rebuilt (every rebuilt row beyond the dirty users, since
-        the corpus never defers).  Every metric repairs rows in place."""
+        no stream defers).  Every metric repairs rows in place; the
+        bursts exhaust reserves, so rows fall back there."""
         logs = {
             metric: [
                 stats
@@ -106,10 +141,20 @@ class TestRandomizedStreams:
             ]
             for metric in CORPUS_METRICS
         }
+        bursts = [
+            stats
+            for metric in CORPUS_METRICS
+            for pivot in (True, False)
+            for seed in range(4)
+            for stats in burst_stream(metric, pivot, seed).refresh_log
+        ]
         for metric, log in logs.items():
             assert sum(stats.repaired_users for stats in log) > 0, metric
-        every = [stats for log in logs.values() for stats in log]
-        assert sum(s.affected_users - s.dirty_users for s in every) > 0
+        every = [stats for log in logs.values() for stats in log] + bursts
+        assert all(
+            s.fallbacks == s.affected_users - s.dirty_users for s in every
+        )
+        assert sum(s.fallbacks for s in bursts) > 0
 
 
 class TestEventKinds:
@@ -252,6 +297,7 @@ class TestPolicyKnobs:
         index.apply(ratings_batch([0, 1, 2], [4, 4, 4], [1.0, 2.0, 3.0]))
         result = index.rebuild()
         assert index.pending_events == 0
+        assert result.graph.k == result.extras["k"] == 2  # never the reserve
         assert index.graph == result.graph
         assert index.graph == cold_rebuild(index)
 
@@ -322,7 +368,7 @@ class TestRefreshRobustness:
         assert index.n_users == 5
         index.apply(AddUser([1], [1.0]))  # fits in slack: no reallocation
         index.refresh()
-        assert index._neighbors.shape[0] == 8
+        assert index._neighbors.shape[0] == index._depth.shape[0] == 8
         assert index.graph == cold_rebuild(index)
 
 

@@ -1,18 +1,19 @@
 """Referrer repair: clean rows that cite a dirty user keep their entries.
 
-A clean row citing a selected dirty user drops those entries, takes the
-dirty users' fresh scores through the mirror offers, and is accepted
-when it still holds k entries whose k-th ranks at or ahead of its old
-k-th entry (or when it had an empty slot, so it already held every
-candidate).  Otherwise it falls back to a rescan of its candidate set.
-Every metric shares the rule, ``adamic_adar`` (global item weights)
-included.
+Rows are ``k + RESERVE`` wide and exact to a per-row depth.  A clean row
+citing a selected dirty user (in any column) drops those entries, takes
+the dirty users' fresh scores through the mirror offers, and is
+accepted when its new k-th entry ranks at or ahead of its old boundary,
+the entry at ``depth - 1`` (or when that boundary was empty, so it
+already held every candidate).  Otherwise — it lost more than its
+reserve — it falls back to a rescan of its candidate set.  Every metric
+shares the rule, ``adamic_adar`` (global item weights) included.
 
 Every scenario runs on the flat serial index and on two shards under
 ``threads`` and ``processes``, and must land on the cold rebuild.  With
-a full refresh of a profile-local metric the rows rebuilt beyond the
-dirty users are exactly the fallbacks, so ``affected_users -
-dirty_users`` counts them.
+a full refresh the rows rebuilt beyond the dirty users are exactly the
+fallbacks, so ``RefreshStats.fallbacks`` equals ``affected_users -
+dirty_users``.
 """
 
 import os
@@ -27,6 +28,7 @@ from repro import BipartiteDataset, DynamicKnnIndex, KiffConfig
 from repro.graph import ReverseNeighborIndex
 from repro.similarity.jaccard import JaccardSimilarity
 from repro.streaming import sharding
+from repro.streaming.index import RESERVE
 from repro.streaming.sharding import _Shard
 from repro.streaming import (
     AddRating,
@@ -34,6 +36,7 @@ from repro.streaming import (
     RemoveUser,
     cold_rebuild_graph,
 )
+from tests.conftest import exhaust_reserve_events
 
 #: (n_shards, executor) of every scenario.
 LAYOUTS = [(1, "serial"), (2, "threads"), (2, "processes")]
@@ -58,8 +61,9 @@ def assert_exact(index, metric="jaccard"):
 
 
 def assert_reverse_mirrors_rows(index):
-    """Each in-process shard's reverse index equals a fresh rebuild."""
-    neighbors = index.graph.neighbors
+    """Each in-process shard's reverse index equals a fresh rebuild
+    over the full-width rows (the reserve included)."""
+    neighbors, _ = index._rows()
     for shard in index._shards:
         fresh = ReverseNeighborIndex()
         fresh.rebuild(
@@ -70,7 +74,11 @@ def assert_reverse_mirrors_rows(index):
 
 
 def fallbacks(stats):
-    return stats.affected_users - stats.dirty_users
+    """Repaired rows that fell back; with a full refresh they are
+    exactly the rows rebuilt beyond the dirty users."""
+    if not stats.deferred_users:
+        assert stats.fallbacks == stats.affected_users - stats.dirty_users
+    return stats.fallbacks
 
 
 def full_rows_dataset():
@@ -90,6 +98,34 @@ def full_rows_dataset():
     )
 
 
+#: The users of :func:`reserve_rows_dataset` that clone the hub, user 0.
+NEAR = list(range(1, RESERVE + 2))
+#: Its two far users, cited by every row of a near user.
+FAR = [RESERVE + 2, RESERVE + 3]
+
+
+def reserve_rows_dataset():
+    """A hub whose exact prefix holds more near users than the reserve.
+
+    Users ``NEAR`` (``RESERVE + 1`` of them) clone the hub's profile
+    ``{0, 1, 2, 3}``; the ``FAR`` users rate ``{1, 2}`` plus a private
+    item.  Jaccard at k=2: row 0 = ``NEAR`` (1.0) then ``FAR[0]`` (0.4),
+    its full ``k + RESERVE`` width, exact to it; each far row = the
+    other far user (0.5), then user 0 and the near users (0.4 ties).
+    """
+    hub = {0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0}
+    far = [{1: 5.0, 2: 5.0, 4 + j: 5.0} for j in range(len(FAR))]
+    return BipartiteDataset.from_profiles(
+        [hub] + [dict(hub) for _ in NEAR] + far, n_items=4 + len(FAR)
+    )
+
+
+def lower_near_users():
+    """Every near user keeps only item 0: 0.25 in row 0, below the far
+    users, and no longer a candidate of the far rows."""
+    return [RemoveRating(user, item) for user in NEAR for item in (1, 2, 3)]
+
+
 def sparse_rows_dataset():
     """Three users whose k=4 rows all have empty slots; 1 is cited by 0, 2."""
     return BipartiteDataset.from_profiles(
@@ -104,35 +140,57 @@ def sparse_rows_dataset():
 
 @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
 class TestRepairPaths:
-    def test_lowered_cited_neighbour_forces_a_fallback(self, layout):
+    def test_lowered_cited_neighbour_within_the_reserve_is_repaired(
+        self, layout
+    ):
         index = make_index(full_rows_dataset(), layout, k=2)
         try:
             assert 1 in index.graph.neighbors_of(0).tolist()
-            # User 1 keeps only item 0: every row citing her now ranks
-            # her below its old k-th entry.
+            # User 1 keeps only item 0 and falls below every row's old
+            # k-th entry, but each row citing her (0, 2 and 3) holds all
+            # of its candidates within its reserve: all repair in place.
             index.apply(
                 [RemoveRating(1, 1), RemoveRating(1, 2), RemoveRating(1, 3)]
             )
             stats = index.refresh()
             assert stats.dirty_users == 1
-            assert fallbacks(stats) == 3  # rows 0, 2 and 3
-            assert stats.repaired_users == 0
+            assert stats.repaired_users == 3
+            assert fallbacks(stats) == 0
+            assert_exact(index)
+            assert index.graph.neighbors_of(0).tolist() == [2, 3]
+        finally:
+            index.close()
+
+    def test_lowering_more_than_the_reserve_forces_a_fallback(self, layout):
+        index = make_index(reserve_rows_dataset(), layout, k=2)
+        try:
+            assert index.graph.neighbors_of(0).tolist() == NEAR[:2]
+            # Every near user drops below FAR[0], row 0's boundary: the
+            # row keeps one exact entry, fewer than k, and falls back.
+            # The far rows lose their near users as candidates and keep
+            # two exact entries, so they repair in place.
+            index.apply(lower_near_users())
+            stats = index.refresh()
+            assert stats.dirty_users == len(NEAR)
+            assert fallbacks(stats) == 1  # row 0
+            assert stats.repaired_users == len(FAR)
             assert stats.cache_misses + stats.cache_hits == (
                 stats.affected_users
             )
             assert_exact(index)
-            assert index.graph.neighbors_of(0).tolist() == [2, 3]
+            assert index.graph.neighbors_of(0).tolist() == FAR
         finally:
             index.close()
 
     def test_raised_cited_neighbour_is_repaired(self, layout):
         index = make_index(full_rows_dataset(), layout, k=2)
         try:
-            # User 2 gains item 3 and rises to 0.8 in rows 0 and 1, the
-            # rows citing her: both keep user 1 and repair in place.
+            # User 2 gains item 3 and rises to 0.8 in rows 0 and 1; row
+            # 3 cites her in its reserve.  All three keep user 1 and
+            # repair in place.
             index.apply(AddRating(2, 3, 5.0))
             stats = index.refresh()
-            assert stats.repaired_users == 2
+            assert stats.repaired_users == 3
             assert fallbacks(stats) == 0
             assert_exact(index)
         finally:
@@ -153,18 +211,23 @@ class TestRepairPaths:
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
     def test_removed_cited_user_leaves_rows_exact(self, layout, sparse):
-        dataset = sparse_rows_dataset() if sparse else full_rows_dataset()
+        dataset = sparse_rows_dataset() if sparse else reserve_rows_dataset()
         index = make_index(dataset, layout, k=4 if sparse else 2)
         try:
-            index.apply(RemoveUser(1))
+            # Sparse: user 1 leaves two rows with empty slots.  Full:
+            # every near user leaves, more than row 0's reserve.
+            removed = [1] if sparse else NEAR
+            index.apply([RemoveUser(user) for user in removed])
             stats = index.refresh()
             if sparse:
                 assert stats.repaired_users == 2
                 assert fallbacks(stats) == 0
             else:
-                assert fallbacks(stats) == 3
+                assert stats.repaired_users == len(FAR)
+                assert fallbacks(stats) == 1  # row 0
             assert_exact(index)
-            assert 1 not in index.graph.neighbors.ravel().tolist()
+            cited = set(index._rows()[0].ravel().tolist())
+            assert cited.isdisjoint(removed)  # reserve included
         finally:
             index.close()
 
@@ -211,39 +274,51 @@ class TestRepairPaths:
         finally:
             index.close()
 
-    def test_row_citing_a_deferred_user_is_rebuilt(self, layout):
-        index = make_index(sparse_rows_dataset(), layout, k=4)
+    @pytest.mark.parametrize("pivot", [True, False])
+    def test_row_citing_a_deferred_user_is_repaired(self, layout, pivot):
+        index = make_index(sparse_rows_dataset(), layout, k=4, pivot=pivot)
         try:
             # Both of row 0's neighbours turn dirty; only user 1 is
-            # selected, so row 0 (citing deferred user 2) is rescanned
-            # while row 2 (the deferred user itself) is rescanned too.
+            # selected.  Row 0 cites her and deferred user 2 and is
+            # repaired: user 2's stored score is a fixed value this
+            # pass (under pivot her rebuilt row offers row 0 a fresh,
+            # lower copy, and the merge keeps the better one).  Row 2,
+            # the deferred user herself citing user 1, is rebuilt.
             index.apply([AddRating(1, 3, 5.0), AddRating(2, 4, 5.0)])
             stats = index.refresh(dirty_subset=[1])
             assert stats.dirty_users == 1
             assert stats.deferred_users == 1
-            assert stats.repaired_users == 0
-            assert stats.affected_users == 3  # user 1, rows 0 and 2
+            assert stats.repaired_users == 1  # row 0
+            assert stats.affected_users == 2  # user 1 and row 2
             assert index.dirty_users == frozenset({2})
-            index.refresh()  # drain
+            graph = index.graph
+            assert graph.neighbors_of(0).tolist() == [1, 2]
+            assert graph.sims_of(0)[1] == np.float32(1 / 3)  # stored
+            # Her own pass repairs every row citing her: rows 0 and 1.
+            stats = index.refresh()
+            assert stats.repaired_users == 2
+            assert stats.fallbacks == 0
+            assert index.graph.sims_of(0)[1] == np.float32(1 / 4)
             assert_exact(index)
         finally:
             index.close()
 
     @pytest.mark.parametrize("pivot", [True, False])
     def test_fallback_beside_a_deferred_user(self, layout, pivot):
-        index = make_index(full_rows_dataset(), layout, k=2, pivot=pivot)
+        index = make_index(reserve_rows_dataset(), layout, k=2, pivot=pivot)
         try:
-            # User 1 drops below row 3's k-th entry while user 2, also
-            # a candidate of row 3, is deferred: row 3 falls back and
-            # rescans user 2 at her current profile; rows 0 (citing
-            # user 2) and 2 (user 2 herself) are rebuilt.
-            index.apply(
-                [RemoveRating(1, 1), RemoveRating(1, 2), RemoveRating(1, 3)]
-            )
-            index.apply(AddRating(2, 7, 5.0))
-            stats = index.refresh(dirty_subset=[1])
-            assert stats.repaired_users == 0
-            assert stats.affected_users == 4  # users 1, 0, 2 and row 3
+            # The near users drop below row 0's boundary while FAR[1],
+            # also a candidate of row 0, is deferred: row 0 falls back
+            # and rescans FAR[1] at her current profile.  FAR[0] drops
+            # the near users and is repaired, keeping FAR[1]'s stored
+            # score until her own pass; FAR[1] herself is rebuilt.
+            index.apply(lower_near_users())
+            index.apply(RemoveRating(FAR[1], 1))
+            stats = index.refresh(dirty_subset=NEAR)
+            assert stats.repaired_users == 1  # FAR[0]
+            assert stats.fallbacks == 1  # row 0
+            # The near users, FAR[1] and row 0.
+            assert stats.affected_users == len(NEAR) + 2
             index.refresh()  # drain
             assert_exact(index)
         finally:
@@ -265,6 +340,10 @@ class TestRepairPaths:
                         for u, i, v in zip(users, items, values)
                     ]
                 )
+                # Every other batch also exhausts a random row's reserve.
+                if rng.random() < 0.5:
+                    row = int(rng.integers(0, index.n_users))
+                    index.apply(exhaust_reserve_events(index, row))
                 stats = index.refresh()
                 repaired += stats.repaired_users
                 fell_back += fallbacks(stats)
@@ -279,13 +358,11 @@ class TestRepairPaths:
 class TestScoringCalls:
     def test_rows_being_rebuilt_are_the_kernel_row_side(self, layout):
         """Each shard scores its merge in one call and its fallbacks in
-        one more, with the rebuilt rows (the dirty user, then the rows
+        one more, with the rebuilt rows (the dirty users, then the row
         that fell back) on the kernel's row side."""
-        index = make_index(full_rows_dataset(), layout, k=2)
+        index = make_index(reserve_rows_dataset(), layout, k=2)
         try:
-            index.apply(
-                [RemoveRating(1, 1), RemoveRating(1, 2), RemoveRating(1, 3)]
-            )
+            index.apply(lower_near_users())
             calls = {"merge": [], "fallback": []}
             original = index._score_pairs
             fall_back = _Shard._fall_back
@@ -307,11 +384,12 @@ class TestScoringCalls:
                 patch.setattr(_Shard, "_fall_back", falling_back)
                 patch.setattr(index, "_score_pairs", recording)
                 stats = index.refresh()
-            assert fallbacks(stats) == 3
+            assert fallbacks(stats) == 1
             assert 0 < len(calls["merge"]) <= index.n_shards
-            assert 0 < len(calls["fallback"]) <= index.n_shards
-            assert all(users == {1} for users in calls["merge"])
-            assert all(users <= {0, 2, 3} for users in calls["fallback"])
+            assert len(calls["fallback"]) == 1
+            assert all(users <= set(NEAR) for users in calls["merge"])
+            assert set().union(*calls["merge"]) == set(NEAR)
+            assert calls["fallback"] == [{0}]
             assert_exact(index)
         finally:
             index.close()
@@ -348,11 +426,9 @@ class TestFailureMidRepair:
         (after the first merge landed) or the fallback's merge (after
         its rows were cleared); the rerun is exact and the reverse
         index mirrors the rows at every point."""
-        index = make_index(full_rows_dataset(), layout, k=2)
+        index = make_index(reserve_rows_dataset(), layout, k=2)
         try:
-            index.apply(
-                [RemoveRating(1, 1), RemoveRating(1, 2), RemoveRating(1, 3)]
-            )
+            index.apply(lower_near_users())
             original = index._score_pairs
             fall_back = _Shard._fall_back
             state = threading.local()
@@ -425,7 +501,7 @@ class TestWorkerFailureMidRepair:
         sentinel = tmp_path / "fail"
         metric = _SentinelJaccard(sentinel, mode)
         index = DynamicKnnIndex(
-            full_rows_dataset(),
+            reserve_rows_dataset(),
             KiffConfig(k=2),
             metric=metric,
             auto_refresh=False,
@@ -433,11 +509,10 @@ class TestWorkerFailureMidRepair:
             executor="processes",
         )
         try:
-            index.apply(AddRating(3, 2, 5.0))
+            index.apply(AddRating(FAR[0], 4, 4.0))
             index.refresh()  # the pool is live now
-            index.apply(
-                [RemoveRating(1, 1), RemoveRating(1, 2), RemoveRating(1, 3)]
-            )
+            # The pass repairs the far rows and falls back on row 0.
+            index.apply(lower_near_users())
             sentinel.touch()
             if mode == "raise":
                 with pytest.raises(RuntimeError, match="blew up"):

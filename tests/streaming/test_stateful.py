@@ -2,7 +2,9 @@
 
 A Hypothesis rule-based state machine drives one index through rating
 events (re-ratings that lower a cited neighbour's score included, the
-case the referrer repair must catch), user joins and removals, partial
+case the referrer repair must catch, and batches lowering more than
+``RESERVE`` entries of one row's exact prefix, which exhaust its
+reserve and force a rescan), user joins and removals, partial
 ``refresh(dirty_subset)`` and full refreshes, checkpoint + restore into
 a fresh index, and live rebalancing.  Invariants:
 
@@ -10,7 +12,10 @@ a fresh index, and live rebalancing.  Invariants:
 * a restored index, refreshed, equals the cold rebuild of the live
   data, and the live graph itself whenever nothing is pending;
 * snapshot versions never go backwards;
-* every in-process shard's reverse index mirrors its rows.
+* every in-process shard's reverse index mirrors its full-width rows,
+  reserve included;
+* whenever nothing is dirty, every row's first ``depth`` entries equal
+  the cold converged top-``(k + RESERVE)`` prefix.
 
 Each run draws its metric (``cosine``, ``jaccard``, or ``adamic_adar``,
 whose global item weights send it through the same referrer repair).
@@ -24,7 +29,9 @@ Hypothesis profile (``--hypothesis-profile soak``, registered in
 
 import shutil
 import tempfile
+from dataclasses import replace
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -34,7 +41,13 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
+from repro import (
+    DynamicKnnIndex,
+    KiffConfig,
+    ShardedKnnIndex,
+    SimilarityEngine,
+    kiff,
+)
 from repro.graph import ReverseNeighborIndex
 from repro.streaming import (
     AddRating,
@@ -43,8 +56,10 @@ from repro.streaming import (
     RemoveUser,
     ShardPlan,
     cold_rebuild_graph,
+    converged_config,
 )
-from tests.conftest import random_dataset
+from repro.streaming.index import RESERVE
+from tests.conftest import exhaust_reserve_events, random_dataset
 
 N_ITEMS = 10
 
@@ -75,11 +90,18 @@ class IndexMachine(RuleBasedStateMachine):
         seed=st.integers(0, 3),
         metric=st.sampled_from(["cosine", "jaccard", "adamic_adar"]),
         pivot=st.booleans(),
+        dense=st.booleans(),
     )
-    def build(self, seed, metric, pivot):
+    def build(self, seed, metric, pivot, dense):
+        """Sparse data leaves most rows holding every candidate; dense
+        data fills rows past their reserve, so repairs can fall back."""
         self.metric = metric
         dataset = random_dataset(
-            n_users=14, n_items=N_ITEMS, density=0.25, seed=seed, ratings=True
+            n_users=14,
+            n_items=N_ITEMS,
+            density=0.45 if dense else 0.25,
+            seed=seed,
+            ratings=True,
         )
         self.index = DynamicKnnIndex(
             dataset,
@@ -141,6 +163,21 @@ class IndexMachine(RuleBasedStateMachine):
                 return
             event = AddRating(neighbour, foreign[pick % len(foreign)], 5.0)
         self.index.apply(event)
+
+    @rule(slot=st.integers(0, 63))
+    def exhaust_reserve(self, slot):
+        """One batch lowers more than the reserve of the first clean
+        row from *slot* on whose exact prefix does not hold every
+        candidate: the row must fall back to a rescan."""
+        n_users = self.index.n_users
+        for offset in range(n_users):
+            row = (slot + offset) % n_users
+            if row in self.index.dirty_users:
+                continue
+            events = exhaust_reserve_events(self.index, row)
+            if events:
+                self.index.apply(events)
+                return
 
     @rule(
         profile=st.dictionaries(
@@ -217,7 +254,7 @@ class IndexMachine(RuleBasedStateMachine):
     def reverse_index_mirrors_rows(self):
         if self.index is None:
             return
-        neighbors = self.index.graph.neighbors
+        neighbors, _ = self.index._rows()
         for shard in self.index._shards:
             fresh = ReverseNeighborIndex()
             fresh.rebuild(
@@ -227,6 +264,22 @@ class IndexMachine(RuleBasedStateMachine):
                 ),
             )
             assert shard.reverse._referrers == fresh._referrers
+
+    @invariant()
+    def exact_prefixes_match_the_wide_cold_rebuild(self):
+        if self.index is None or self.index.dirty_users:
+            return
+        index = self.index
+        wide = replace(
+            converged_config(index.config), k=index.config.k + RESERVE
+        )
+        cold = kiff(SimilarityEngine(index.dataset, self.metric), wide).graph
+        neighbors, sims = index._rows()
+        depth = index._depth[: neighbors.shape[0]]
+        assert ((depth >= index.config.k) & (depth <= wide.k)).all()
+        prefix = np.arange(wide.k) < depth[:, None]
+        assert (neighbors[prefix] == cold.neighbors[prefix]).all()
+        assert (sims[prefix] == cold.sims[prefix]).all()
 
 
 class FlatSerialMachine(IndexMachine):
