@@ -307,41 +307,25 @@ def _cli_k(args) -> int:
     return 8 if args.scale == "tiny" else 20
 
 
-def _wants_scheduler(args) -> bool:
-    """Did any scheduling flag opt this run into the scheduled path?"""
-    return any(
-        value is not None
-        for value in (
-            args.max_event_lag,
-            args.staleness_budget,
-            args.max_dirty_per_refresh,
-            args.queue_bound,
-        )
-    )
+def _scheduler_policy(args):
+    """The stream/serve scheduling flags as a ``SchedulerPolicy``.
 
-
-def _stream_config(args, k: int):
-    """Build the KiffConfig for stream/serve, folding scheduler knobs in.
-
-    Returns ``(config, None)`` or ``(None, exit_code)`` when a knob
-    fails :class:`~repro.core.config.KiffConfig` validation.
+    ``None`` when no scheduling flag is set (the unscheduled path);
+    ``--staleness-budget`` is the policy's ``max_wall_staleness``.
+    Raises :class:`ValueError` when a knob fails the policy's
+    validation.
     """
-    from .core import KiffConfig
+    knobs = dict(
+        max_event_lag=args.max_event_lag,
+        max_wall_staleness=args.staleness_budget,
+        max_dirty_per_refresh=args.max_dirty_per_refresh,
+        queue_bound=args.queue_bound,
+    )
+    if all(value is None for value in knobs.values()):
+        return None
+    from .scheduling import SchedulerPolicy
 
-    try:
-        return (
-            KiffConfig(
-                k=k,
-                max_event_lag=args.max_event_lag,
-                staleness_budget=args.staleness_budget,
-                max_dirty_per_refresh=args.max_dirty_per_refresh,
-                queue_bound=args.queue_bound,
-            ),
-            None,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return None, 2
+    return SchedulerPolicy(**knobs, on_backpressure=args.on_backpressure)
 
 
 def _run_graph_stats(args) -> int:
@@ -379,6 +363,7 @@ def _run_stream(args) -> int:
     """The 'stream' utility: hold-out replay through the dynamic index."""
     from pathlib import Path
 
+    from .core import KiffConfig
     from .datasets import load_dataset
     from .experiments.report import render_table
     from .streaming import (
@@ -390,7 +375,12 @@ def _run_stream(args) -> int:
 
     if args.shards is None:
         args.shards = 1
-    scheduled = _wants_scheduler(args)
+    try:
+        policy = _scheduler_policy(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    scheduled = policy is not None
     if args.checkpoint_every is not None and not args.wal:
         print("error: --checkpoint-every requires --wal", file=sys.stderr)
         return 2
@@ -420,12 +410,9 @@ def _run_stream(args) -> int:
     base, users, items, ratings = holdout_stream(
         dataset, fraction=args.stream_fraction, seed=args.seed
     )
-    config, code = _stream_config(args, k)
-    if config is None:
-        return code
     index = DynamicKnnIndex(
         base,
-        config,
+        KiffConfig(k=k),
         metric=args.metric,
         auto_refresh=False,
         n_shards=args.shards,
@@ -459,19 +446,10 @@ def _run_stream(args) -> int:
             # Seed checkpoint: recovery needs a base to replay onto.
             index.checkpoint(state_dir)
         if scheduled:
-            from .scheduling import (
-                RefreshScheduler,
-                SchedulerPolicy,
-                scheduled_replay,
-            )
+            from .scheduling import RefreshScheduler, scheduled_replay
             from .streaming import poisson_burst_sizes
 
-            scheduler = RefreshScheduler(
-                index,
-                SchedulerPolicy.from_config(
-                    config, on_backpressure=args.on_backpressure
-                ),
-            )
+            scheduler = RefreshScheduler(index, policy)
             # Bursty arrivals centred on --batch-size: lulls let wall
             # budgets fire, bursts exercise the queue bound.
             sizes = poisson_burst_sizes(
@@ -588,6 +566,7 @@ def _run_serve(args) -> int:
     import signal
     import threading
 
+    from .core import KiffConfig
     from .datasets import load_dataset
     from .serving import KnnServer
     from .streaming import (
@@ -604,32 +583,29 @@ def _run_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
+    try:
+        policy = _scheduler_policy(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     dataset = load_dataset(args.dataset, scale=args.scale)
     k = _cli_k(args)
     base, users, items, ratings = holdout_stream(
         dataset, fraction=args.stream_fraction, seed=args.seed
     )
-    config, code = _stream_config(args, k)
-    if config is None:
-        return code
     index = DynamicKnnIndex(
         base,
-        config,
+        KiffConfig(k=k),
         metric=args.metric,
         auto_refresh=False,
         n_shards=args.shards,
         executor=args.executor,
     )
     scheduler = None
-    if _wants_scheduler(args):
-        from .scheduling import RefreshScheduler, SchedulerPolicy
+    if policy is not None:
+        from .scheduling import RefreshScheduler
 
-        scheduler = RefreshScheduler(
-            index,
-            SchedulerPolicy.from_config(
-                config, on_backpressure=args.on_backpressure
-            ),
-        )
+        scheduler = RefreshScheduler(index, policy)
     stop_writer = threading.Event()
     # Shared with the server's rebalance admin op, so a live migration
     # serializes against the writer thread's apply()/refresh() calls.

@@ -39,8 +39,12 @@ class KiffConfig:
         Optional rating threshold for RCS construction — the paper's
         future-work pruning heuristic (Section VII).
     pivot:
-        Use the lower-id-stores-the-pair strategy (Section II-D).  The
-        ablation benches disable it to measure its effect.
+        Use the lower-id-stores-the-pair strategy (Section II-D) in
+        :func:`~repro.core.kiff.kiff` (and so in a dynamic index's
+        ``rebuild()``).  It sets only how many similarities a build
+        evaluates, never the converged graph; the ablation benches
+        disable it to measure its effect.  A dynamic index's refresh
+        always scores each pair once and offers it both ways.
     mode:
         ``"fast"`` (vectorised, default) or ``"reference"`` (per-user
         heaps, a line-by-line transcription of Algorithm 1).
@@ -53,20 +57,10 @@ class KiffConfig:
         (:mod:`repro.similarity.kernels`).  Anything else raises
         :class:`ValueError`, which is also what restoring a checkpoint
         that names another kernel does.
-    max_event_lag:
-        Bounded-staleness scheduling knob (``None`` = unscheduled):
-        maximum events absorbed since a user went dirty before a
-        refresh is forced.  Consumed by
-        :class:`repro.scheduling.SchedulerPolicy.from_config`.
-    staleness_budget:
-        Scheduling knob: maximum wall-clock seconds a dirty user may
-        stay deferred before a refresh is forced.
-    max_dirty_per_refresh:
-        Scheduling knob: cap on dirty users processed per scheduled
-        refresh; the low-blast-radius tail beyond it is deferred.
-    queue_bound:
-        Scheduling knob: admission-control bound on the dirty-user
-        queue; submissions beyond it trigger backpressure.
+
+    Refresh scheduling budgets live on
+    :class:`repro.scheduling.SchedulerPolicy`: they decide when a
+    refresh runs, never what it computes.
     """
 
     k: int = 20
@@ -78,10 +72,6 @@ class KiffConfig:
     mode: str = "fast"
     track_snapshots: bool = False
     kernel_backend: str | None = None
-    max_event_lag: int | None = None
-    staleness_budget: float | None = None
-    max_dirty_per_refresh: int | None = None
-    queue_bound: int | None = None
 
     def __post_init__(self) -> None:
         if self.k <= 0:
@@ -104,26 +94,6 @@ class KiffConfig:
                 f"mode must be 'fast' or 'reference', got {self.mode!r}"
             )
         check_kernel_backend(self.kernel_backend)
-        if self.max_event_lag is not None and self.max_event_lag < 1:
-            raise ValueError(
-                f"max_event_lag must be >= 1, got {self.max_event_lag}"
-            )
-        if self.staleness_budget is not None and self.staleness_budget < 0:
-            raise ValueError(
-                f"staleness_budget must be >= 0, got {self.staleness_budget}"
-            )
-        if (
-            self.max_dirty_per_refresh is not None
-            and self.max_dirty_per_refresh < 1
-        ):
-            raise ValueError(
-                f"max_dirty_per_refresh must be >= 1, got "
-                f"{self.max_dirty_per_refresh}"
-            )
-        if self.queue_bound is not None and self.queue_bound < 1:
-            raise ValueError(
-                f"queue_bound must be >= 1, got {self.queue_bound}"
-            )
 
     @property
     def effective_gamma(self) -> float:

@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.config import KiffConfig
-
 __all__ = ["Backpressure", "SchedulerPolicy"]
 
 #: Valid admission-control reactions when the queue bound is hit.
@@ -108,25 +106,6 @@ class SchedulerPolicy:
             self.max_event_lag is None
             and self.max_wall_staleness is None
             and self.max_dirty_per_refresh is None
-        )
-
-    @classmethod
-    def from_config(
-        cls, config: KiffConfig, on_backpressure: str = "refresh"
-    ) -> "SchedulerPolicy":
-        """Lift the scheduling knobs out of a :class:`KiffConfig`.
-
-        ``staleness_budget`` maps to ``max_wall_staleness``; the other
-        three knobs carry their names.  This is the path ``repro stream
-        --staleness-budget/--max-dirty-per-refresh/--queue-bound``
-        takes.
-        """
-        return cls(
-            max_event_lag=config.max_event_lag,
-            max_wall_staleness=config.staleness_budget,
-            max_dirty_per_refresh=config.max_dirty_per_refresh,
-            queue_bound=config.queue_bound,
-            on_backpressure=on_backpressure,
         )
 
 

@@ -86,8 +86,7 @@ class RefreshScheduler:
         flow through :meth:`submit`.
     policy:
         The :class:`SchedulerPolicy` budget; defaults to
-        ``SchedulerPolicy.from_config(index.config)`` so knobs set on
-        the :class:`~repro.core.config.KiffConfig` apply directly.
+        ``SchedulerPolicy()``, the always-exact policy.
     clock:
         Monotonic-seconds callable used for every wall-staleness
         decision (injectable so tests and benchmarks control time;
@@ -107,7 +106,7 @@ class RefreshScheduler:
         if index.closed:
             raise RuntimeError("cannot schedule a closed index")
         self.index = index
-        self.policy = policy or SchedulerPolicy.from_config(index.config)
+        self.policy = policy or SchedulerPolicy()
         self.clock = clock
         index.auto_refresh = False
         #: user -> (seq, wall) stamp of when she first went dirty.

@@ -299,9 +299,11 @@ class DynamicKnnIndex(_ShardHost):
         it (skipped with ``build=False``, leaving an empty graph that a
         first ``refresh()`` or ``rebuild()`` populates).
     config:
-        KIFF parameters.  ``k``, ``min_rating`` and ``pivot`` shape the
-        maintained graph and its cost; ``beta`` is forced to ``0.0``
-        internally because the index maintains the converged graph.
+        KIFF parameters.  ``k`` and ``min_rating`` shape the maintained
+        graph; ``pivot`` only sets the cost of :meth:`rebuild` (a
+        refresh always scores each pair once and offers it both ways);
+        ``beta`` is forced to ``0.0`` internally because the index
+        maintains the converged graph.
     metric:
         Similarity metric name or instance (as for
         :class:`~repro.similarity.engine.SimilarityEngine`).
@@ -335,14 +337,11 @@ class DynamicKnnIndex(_ShardHost):
         :class:`~repro.similarity.base.ProfileIndex` subclasses are
         rejected (refresh raises ``TypeError``) because workers rebuild
         the base index from the shared buffers.
-    start_method:
-        Optional ``multiprocessing`` start method for the process
-        executor (default: ``"fork"`` on Linux, else ``"spawn"``).
 
-    With the pivot strategy a pair whose endpoints live on different
-    shards may be evaluated once per side (evaluations are never shared
-    across shards), so ``RefreshStats.evaluations`` can exceed the
-    one-shard figure — the graphs still match exactly.
+    A pair whose endpoints live on different shards may be evaluated
+    once per side (evaluations are never shared across shards), so
+    ``RefreshStats.evaluations`` can exceed the one-shard figure — the
+    graphs still match exactly.
 
     Ingestion
     ---------
@@ -362,7 +361,6 @@ class DynamicKnnIndex(_ShardHost):
         wal=None,
         n_shards: int = 1,
         executor: str = "serial",
-        start_method: str | None = None,
     ):
         # The shard state lives in the sharding module, which itself
         # builds on this one (hence the deferred imports here).
@@ -381,7 +379,6 @@ class DynamicKnnIndex(_ShardHost):
         #: ``processes`` the worker pool and the owned shared-memory
         #: arena.
         self._pool = None
-        self._start_method = start_method
         self._procpool = None
         self._arena = None
         #: RebalanceStats of every completed rebalance() call.
@@ -1310,9 +1307,7 @@ class DynamicKnnIndex(_ShardHost):
         from .procpool import ProcessShardPool
 
         if self._procpool is None:
-            self._procpool = ProcessShardPool(
-                self.n_shards, start_method=self._start_method
-            )
+            self._procpool = ProcessShardPool(self.n_shards)
         if not self._procpool.alive:
             self._procpool.spawn(self._worker_init)
         return self._procpool

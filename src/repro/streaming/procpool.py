@@ -233,10 +233,9 @@ class ProcessShardPool:
     without :meth:`close`.
     """
 
-    def __init__(self, n_shards: int, start_method: str | None = None):
+    def __init__(self, n_shards: int):
         self.n_shards = int(n_shards)
-        self.start_method = start_method or default_start_method()
-        self._ctx = multiprocessing.get_context(self.start_method)
+        self._ctx = multiprocessing.get_context(default_start_method())
         self._workers: list[_Worker] | None = None
         self._req_id = 0
         self._finalizer = None
@@ -320,7 +319,4 @@ class ProcessShardPool:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.alive else "stopped"
-        return (
-            f"ProcessShardPool(n_shards={self.n_shards}, "
-            f"start_method={self.start_method!r}, {state})"
-        )
+        return f"ProcessShardPool(n_shards={self.n_shards}, {state})"

@@ -32,11 +32,12 @@ then calls three stages on every shard:
    rows, drops the dirty entries from its repaired rows, derives the
    rebuilt rows' candidate sets (one sparse product over the current
    snapshot, :func:`~repro.core.rcs.candidate_rows`) and emits the
-   evaluation pairs for rows it owns.  A dirty
-   user must also be *offered* to the rows of her candidates that are
-   not rebuilt (repaired rows included); when such a row belongs to
-   another shard, the pair travels through a per-shard **outbox** — the
-   cross-shard effect channel.
+   evaluation pairs for rows it owns.  Each pair is scored once and
+   offered both ways (the pivot strategy, Section II-D), so a dirty
+   user also reaches the rows of her candidates that are not rebuilt
+   (repaired rows included); when such a row belongs to another shard,
+   the pair travels through a per-shard **outbox** — the cross-shard
+   effect channel.
 3. **Evaluate + merge** (:meth:`_Shard.merge`) — each shard dedupes its
    pairs, scores them against the shared profile index, and merges into
    *its own rows only* (:func:`~repro.graph.updates.merge_topk_rows`,
@@ -463,7 +464,6 @@ class _Shard:
         rows, candidates, outboxes = plan_shard_pairs(
             self.shard_id,
             host._shard_map,
-            host.config.pivot,
             mine,
             rebuilt_mask,
             self._dirty_mask,
@@ -497,7 +497,6 @@ class _Shard:
         evaluations, changes, active, offers = merge_shard_pairs(
             self.shard_id,
             host._shard_map,
-            host.config.pivot,
             rows,
             candidates,
             inbox,
@@ -545,26 +544,20 @@ class _Shard:
         Each row is cleared and rebuilt from its whole candidate set.
         Its pairs with clean candidates are scored here; the pass's
         *offers* ``(users, ids, sims)`` already hold its pairs with
-        dirty users (her mirror offer, or under pivot her own pair), so
-        the ones to these rows are merged again.  Nothing reaches rows
-        outside *rows*.  Scoring runs before the rows are cleared, so a
-        failing metric leaves them as the first merge wrote them.
-        Returns ``(evaluations, changes)``.
+        dirty users (her own pair, or her mirror offer from another
+        shard), so the ones to these rows are merged again.  Nothing
+        reaches rows outside *rows*.  Scoring runs before the rows are
+        cleared, so a failing metric leaves them as the first merge
+        wrote them.  Returns ``(evaluations, changes)``.
         """
         host = self.host
-        pivot = host.config.pivot
         neighbors, sims = host._rows()
         target = np.zeros(host.n_users, dtype=bool)
         target[rows] = True
         us, vs = candidate_pairs(rows, self.candidate_sets(rows))
         clean = ~self._dirty_mask[vs]
         evaluations, *fresh = _score_offers(
-            pivot,
-            us[clean],
-            vs[clean],
-            host.n_users,
-            host._score_pairs,
-            target,
+            us[clean], vs[clean], host.n_users, host._score_pairs, target
         )
         earlier, later = target[offers[0]], target[fresh[0]]
         users, ids, scores = (
@@ -605,7 +598,6 @@ def candidate_pairs(
 def plan_shard_pairs(
     shard_id: int,
     shard_map: ShardMap,
-    pivot: bool,
     rebuilt: np.ndarray,
     rebuilt_mask: np.ndarray,
     dirty_mask: np.ndarray,
@@ -615,37 +607,23 @@ def plan_shard_pairs(
 
     Every rebuilt row owned by *shard_id* (per *shard_map*) is paired
     with its full candidate set, row ``j`` of the product *candidates*
-    for ``rebuilt[j]``; a dirty user (per *dirty_mask*) is additionally
-    *offered* to the rows of her candidates that are not rebuilt (the
-    mirror direction), routed through an outbox when the row belongs
-    to another shard.  With *pivot* the merge offers each scored pair
-    both ways, so her own pairs already reach the rows this shard owns
-    and only the outboxes carry mirrors.  Returns ``(rows, candidates,
-    outboxes)``.
+    for ``rebuilt[j]``.  The merge offers each scored pair both ways,
+    so a dirty user's (per *dirty_mask*) own pairs reach her
+    candidates' rows this shard owns; her offer to a candidate's row
+    that is not rebuilt and belongs to another shard (the *mirror*:
+    she can enter that top-k) travels in an outbox.  Returns ``(rows,
+    candidates, outboxes)``.
     """
-    n_shards = shard_map.n_shards
     rows, cands = candidate_pairs(rebuilt, candidates)
     outboxes = []
-    if pivot and n_shards == 1:
+    if shard_map.n_shards == 1:
         return rows, cands, outboxes
-    # Mirror: a dirty user must be offered to the rows of her
-    # candidates (she can *enter* those top-ks).
     mirror = dirty_mask[rows] & ~rebuilt_mask[cands]
     rows_m, users_m = cands[mirror], rows[mirror]
-    owners = (
-        np.full(rows_m.size, shard_id)
-        if n_shards == 1
-        else shard_map.owners(rows_m)
-    )
-    row_parts, cand_parts = [rows], [cands]
-    for target in range(n_shards):
+    owners = shard_map.owners(rows_m)
+    for target in range(shard_map.n_shards):
         mine = owners == target
-        if not mine.any() or (pivot and target == shard_id):
-            continue
-        if target == shard_id:
-            row_parts.append(rows_m[mine])
-            cand_parts.append(users_m[mine])
-        else:
+        if target != shard_id and mine.any():
             outboxes.append(
                 ShardOutbox(
                     target=target,
@@ -653,7 +631,7 @@ def plan_shard_pairs(
                     candidates=users_m[mine],
                 )
             )
-    return np.concatenate(row_parts), np.concatenate(cand_parts), outboxes
+    return rows, cands, outboxes
 
 
 class ShardMerge(NamedTuple):
@@ -674,30 +652,26 @@ class ShardMerge(NamedTuple):
     fallbacks: int
 
 
-def _score_offers(pivot: bool, us, vs, n_users: int, score_pairs, rows):
+def _score_offers(us, vs, n_users: int, score_pairs, rows):
     """Dedupe and score pairs; returns ``(evaluations, users, ids, sims)``.
 
-    Each scored pair becomes the offer of ``ids[j]`` to row
-    ``users[j]``; with *pivot* one evaluation serves both directions
-    (Section II-D), so both are returned.
+    One evaluation serves both directions of a pair (Section II-D):
+    each scored pair becomes two offers, ``ids[j]`` to row
+    ``users[j]`` and back.
 
     Every pair has an endpoint in the boolean mask *rows* (the rows
-    being rescanned).  With *pivot* each pair is stored with that
-    endpoint first (the lower id when both are) before the dedupe, so
-    the kernel gets it as the row side and the deduped pairs come out
-    grouped by it: a chunk holds a few rows against their whole
-    candidate sets, the work the kernel's row side is built for (see
-    ``NumpyKernelBackend.score_pairs``).  Without pivot a pair is
-    scored as stored, ``(row, candidate)``.
+    being rescanned).  Each pair is stored with that endpoint first
+    (the lower id when both are) before the dedupe, so the kernel gets
+    it as the row side and the deduped pairs come out grouped by it: a
+    chunk holds a few rows against their whole candidate sets, the
+    work the kernel's row side is built for (see
+    ``NumpyKernelBackend.score_pairs``).
     """
-    if pivot:
-        first, second = rows[us], rows[vs]
-        flip = (second & ~first) | ((first == second) & (vs < us))
-        us, vs = np.where(flip, vs, us), np.where(flip, us, vs)
+    first, second = rows[us], rows[vs]
+    flip = (second & ~first) | ((first == second) & (vs < us))
+    us, vs = np.where(flip, vs, us), np.where(flip, us, vs)
     us, vs = dedupe_pairs(us, vs, n_users, ordered=True)
     pair_sims = score_pairs(us, vs)
-    if not pivot:
-        return int(us.size), us, vs, pair_sims
     return (
         int(us.size),
         np.concatenate([us, vs]),
@@ -739,7 +713,6 @@ def _merge_offers(
 def merge_shard_pairs(
     shard_id: int,
     shard_map: ShardMap,
-    pivot: bool,
     plan_rows: np.ndarray,
     plan_candidates: np.ndarray,
     inbox: list[ShardOutbox],
@@ -765,9 +738,9 @@ def merge_shard_pairs(
     us = np.concatenate([plan_rows] + [box.rows for box in inbox])
     vs = np.concatenate([plan_candidates] + [box.candidates for box in inbox])
     evaluations, users, ids, scores = _score_offers(
-        pivot, us, vs, n_users, score_pairs, rows_mask
+        us, vs, n_users, score_pairs, rows_mask
     )
-    if pivot and shard_map.n_shards > 1:
+    if shard_map.n_shards > 1:
         # Only this shard's rows are merged here; the partner shard
         # evaluates its own side of a cross-shard pair.
         owned = shard_map.owners(users) == shard_id

@@ -116,6 +116,19 @@ class TestStreamCommand:
         )
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stream", "serve"])
+    @pytest.mark.parametrize("budget", ["inf", "nan", "-1"])
+    def test_bad_staleness_budget_is_a_usage_error(
+        self, capsys, command, budget
+    ):
+        """A budget the SchedulerPolicy rejects must be a one-line exit-2
+        message, not a ValueError traceback."""
+        argv = [command, "--scale", "tiny", "--staleness-budget", budget]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "max_wall_staleness" in err
+
     def test_shards_must_be_positive(self, capsys):
         assert main(["stream", "--scale", "tiny", "--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err

@@ -1,8 +1,8 @@
-"""SchedulerPolicy validation, config lifting, and the Backpressure signal."""
+"""SchedulerPolicy validation and the Backpressure signal."""
 
 import pytest
 
-from repro import KiffConfig, SchedulerPolicy
+from repro import SchedulerPolicy
 from repro.scheduling.policy import Backpressure
 
 
@@ -49,39 +49,6 @@ class TestValidation:
     def test_queue_bound_alone_stays_always_exact(self):
         """Admission control without staleness knobs never defers."""
         assert SchedulerPolicy(queue_bound=4).always_exact
-
-
-class TestFromConfig:
-    def test_lifts_all_four_knobs(self):
-        config = KiffConfig(
-            k=4,
-            max_event_lag=7,
-            staleness_budget=1.5,
-            max_dirty_per_refresh=3,
-            queue_bound=9,
-        )
-        policy = SchedulerPolicy.from_config(config, on_backpressure="reject")
-        assert policy.max_event_lag == 7
-        assert policy.max_wall_staleness == 1.5
-        assert policy.max_dirty_per_refresh == 3
-        assert policy.queue_bound == 9
-        assert policy.on_backpressure == "reject"
-
-    def test_unset_config_gives_always_exact(self):
-        assert SchedulerPolicy.from_config(KiffConfig(k=4)).always_exact
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_event_lag": 0},
-            {"staleness_budget": -1.0},
-            {"max_dirty_per_refresh": -2},
-            {"queue_bound": 0},
-        ],
-    )
-    def test_config_validates_knobs_at_construction(self, kwargs):
-        with pytest.raises(ValueError):
-            KiffConfig(k=4, **kwargs)
 
 
 class TestBackpressure:

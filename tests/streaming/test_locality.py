@@ -74,14 +74,14 @@ class TestRefreshLocality:
 
 
 def record_plans(monkeypatch):
-    """Record every ``plan_shard_pairs`` call: its inputs and pairs."""
+    """Record every ``plan_shard_pairs`` call: ``(shard_id, shard_map,
+    rebuilt, rebuilt_mask, dirty_mask, (rows, candidates, outboxes))``."""
     plans = []
     original = sharding.plan_shard_pairs
 
-    def recording(shard_id, shard_map, pivot, rebuilt, *rest):
-        result = original(shard_id, shard_map, pivot, rebuilt, *rest)
-        rebuilt_mask, dirty_mask = rest[:2]
-        plans.append((rebuilt, rebuilt_mask, dirty_mask, result))
+    def recording(*args):
+        result = original(*args)
+        plans.append((*args[:5], result))
         return result
 
     monkeypatch.setattr(sharding, "plan_shard_pairs", recording)
@@ -90,22 +90,29 @@ def record_plans(monkeypatch):
 
 def assert_plans_match_oracle(plans, snapshot, min_rating):
     """Each rebuilt row is paired with exactly its candidate set, and
-    each dirty row's candidates that are not rebuilt are offered her.
-    Returns the mirror pairs."""
+    each dirty row's candidates that are not rebuilt and belong to
+    another shard are offered her through that shard's outbox (the
+    merge offers her own pairs both ways).  Returns the mirror pairs."""
     assert plans
     truth = build_rcs(snapshot, pivot=False, min_rating=min_rating)
     mirrors, expected_mirrors = set(), set()
-    for rebuilt, rebuilt_mask, dirty_mask, (rows, cands, outboxes) in plans:
+    for plan in plans:
+        shard_id, shard_map, rebuilt, rebuilt_mask, dirty_mask, result = plan
+        rows, cands, outboxes = result
+        assert np.isin(rows, rebuilt).all()
         for user in rebuilt.tolist():
             expected = set(truth.candidates_of(user).tolist())
             assert set(cands[rows == user].tolist()) == expected
             if dirty_mask[user]:
                 expected_mirrors.update(
-                    (row, user) for row in expected if not rebuilt_mask[row]
+                    (row, user)
+                    for row in expected
+                    if not rebuilt_mask[row]
+                    and shard_map.owner(row) != shard_id
                 )
-        local = ~rebuilt_mask[rows]
-        mirrors.update(zip(rows[local].tolist(), cands[local].tolist()))
         for box in outboxes:
+            assert box.target != shard_id
+            assert (shard_map.owners(box.rows) == box.target).all()
             mirrors.update(zip(box.rows.tolist(), box.candidates.tolist()))
     assert mirrors == expected_mirrors
     return mirrors
@@ -114,18 +121,19 @@ def assert_plans_match_oracle(plans, snapshot, min_rating):
 class TestCandidateDerivation:
     """Candidate sets come from one sparse product per shard and pass."""
 
+    @pytest.mark.parametrize("pivot", [True, False])
     @pytest.mark.parametrize("n_shards", [1, 2])
     @pytest.mark.parametrize("min_rating", [None, 3.0])
     @pytest.mark.parametrize("seed", range(3))
     def test_planned_pairs_match_build_rcs(
-        self, monkeypatch, seed, min_rating, n_shards
+        self, monkeypatch, seed, min_rating, n_shards, pivot
     ):
         dataset = random_dataset(
             n_users=30, n_items=16, density=0.15, seed=seed, ratings=True
         )
         index = DynamicKnnIndex(
             dataset,
-            KiffConfig(k=3, pivot=False, min_rating=min_rating),
+            KiffConfig(k=3, pivot=pivot, min_rating=min_rating),
             auto_refresh=False,
             n_shards=n_shards,
         )
@@ -147,8 +155,9 @@ class TestCandidateDerivation:
         plans = record_plans(monkeypatch)
         index.refresh()
         snapshot = index.builder.snapshot()
-        assert assert_plans_match_oracle(plans, snapshot, min_rating)
-        rebuilt = np.concatenate([plan[0] for plan in plans]).tolist()
+        mirrors = assert_plans_match_oracle(plans, snapshot, min_rating)
+        assert bool(mirrors) == (n_shards > 1)
+        rebuilt = np.concatenate([plan[2] for plan in plans]).tolist()
         removed = events[-3].user
         assert removed in rebuilt and index.n_users - 1 in rebuilt
         assert index.graph == cold_rebuild_graph(index.dataset, index.config)

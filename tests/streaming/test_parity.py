@@ -64,7 +64,7 @@ def drive_random_stream(index, seed, n_events=30, max_item=20, ratings=None):
 
 
 def corpus_stream(metric, pivot, seed):
-    """One stream of the 52-stream corpus, driven to its end."""
+    """One stream of the 78-stream corpus, driven to its end."""
     dataset = random_dataset(
         n_users=18, n_items=14, density=0.15, seed=seed, ratings=True
     )

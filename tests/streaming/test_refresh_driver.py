@@ -38,6 +38,34 @@ def work_log(index):
     ]
 
 
+class TestOnePairRule:
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_pivot_sets_no_refresh_work(self, seed, n_shards):
+        """A refresh scores each pair once and offers it both ways
+        whatever ``pivot`` says; only the cold build honours it."""
+        dataset = random_dataset(
+            n_users=18, n_items=14, density=0.15, seed=seed, ratings=True
+        )
+        events, refresh_after = sharded_events(seed, 18)
+        pivoted, ordered = (
+            drive(
+                DynamicKnnIndex(
+                    dataset,
+                    KiffConfig(k=4, pivot=pivot),
+                    auto_refresh=False,
+                    n_shards=n_shards,
+                ),
+                events,
+                refresh_after,
+            )
+            for pivot in (True, False)
+        )
+        assert pivoted.graph == ordered.graph  # ids AND sims, exact
+        assert work_log(pivoted) == work_log(ordered)  # evaluations too
+        assert pivoted.initial_evaluations < ordered.initial_evaluations
+
+
 class TestOneShardIsTheFlatIndex:
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     @pytest.mark.parametrize("pivot", [True, False])

@@ -223,8 +223,9 @@ class TestShardState:
         )
 
     def test_planned_pairs_are_owned_by_shard(self, monkeypatch):
-        """Each shard derives candidate sets only for rows it owns, and
-        keeps only pairs into its own rows; the rest travel by outbox."""
+        """Each shard derives candidate sets only for rows it owns and
+        keeps only those rows' own pairs; the mirrors into other
+        shards' rows travel by outbox."""
         dataset = random_dataset(
             n_users=24, n_items=16, density=0.2, seed=1, ratings=True
         )
@@ -235,9 +236,9 @@ class TestShardState:
         plans = []
         original = sharding.plan_shard_pairs
 
-        def recording(shard_id, *args):
-            result = original(shard_id, *args)
-            plans.append((shard_id, args[2], result))
+        def recording(shard_id, shard_map, rebuilt, *rest):
+            result = original(shard_id, shard_map, rebuilt, *rest)
+            plans.append((shard_id, rebuilt, result))
             return result
 
         monkeypatch.setattr(sharding, "plan_shard_pairs", recording)
@@ -247,7 +248,7 @@ class TestShardState:
         planned = 0
         for shard_id, rebuilt, (rows, _, outboxes) in plans:
             assert all(shard_of(row, 3) == shard_id for row in rebuilt)
-            assert all(shard_of(row, 3) == shard_id for row in rows)
+            assert np.isin(rows, rebuilt).all()
             assert all(box.target != shard_id for box in outboxes)
             planned += rows.size
         assert planned > 0
