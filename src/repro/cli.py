@@ -313,8 +313,14 @@ def _scheduler_policy(args):
     ``None`` when no scheduling flag is set (the unscheduled path);
     ``--staleness-budget`` is the policy's ``max_wall_staleness``.
     Raises :class:`ValueError` when a knob fails the policy's
-    validation.
+    validation, or when ``--on-backpressure reject`` comes without
+    ``--queue-bound``, the only source of backpressure.
     """
+    if args.on_backpressure == "reject" and args.queue_bound is None:
+        raise ValueError(
+            "--on-backpressure reject needs --queue-bound: backpressure "
+            "only arises when the dirty queue reaches its bound"
+        )
     knobs = dict(
         max_event_lag=args.max_event_lag,
         max_wall_staleness=args.staleness_budget,

@@ -11,8 +11,8 @@ path in :mod:`repro.core.heap` verifies the semantics match.
 The merge first drops every offer that cannot enter its row (it loses to
 the row's current k-th entry), then sorts the survivors twice — once to
 deduplicate ``(row, id)``, once to rank each row — on integer composite
-keys.  The streaming refresh also keeps a :class:`ReverseNeighborIndex`
-current from the merged rows' diffs, applied one block per stage.
+keys.  :class:`ReverseNeighborIndex` finds the rows citing a set of
+users among a narrowed set of rows, without an inverted index.
 """
 
 from __future__ import annotations
@@ -31,102 +31,41 @@ __all__ = [
 
 
 class ReverseNeighborIndex:
-    """Inverted KNN adjacency: user -> rows whose top-k cites her.
+    """Referrer discovery with no inverted index to keep current.
 
-    Streaming maintenance must find every row holding a stale entry for
-    a dirty user.  Scanning ``neighbors`` with ``np.isin`` costs
-    O(n_users * k) per refresh — a full-graph floor even for one dirty
-    user.  This index answers the same query by lookup and is kept
-    current from the same row diffs the top-k merge produces, so its
-    maintenance cost is proportional to the entries a refresh actually
-    moved.  Callers pass those diffs as blocks — every row a stage
-    cleared or re-ranked in one :meth:`apply_row` call — so the diffing
-    is vectorised and only moved entries reach the Python dicts.
-
-    The structure is exact, not approximate: after ``apply_row(rows,
-    old, new)`` calls mirroring every row change, ``referrers_of(users)``
-    equals the ``np.isin`` scan (the property suite pins this).
+    Streaming maintenance must find every row holding an entry for a
+    dirty user.  KIFF's counting phase (Algorithm 1, lines 1-4) makes
+    candidacy symmetric, so a row can cite a user only if the two
+    co-rate an item: the caller narrows the rows to the raters of the
+    dirty users' items (plus rows whose own profile moved since they
+    were scored), and :meth:`referrers_of` keeps those whose row cites
+    one of them.  That is one masked gather over the narrowed rows —
+    not an O(n_users * k) scan — and nothing is kept between passes,
+    so merges pay no upkeep.
     """
 
-    def __init__(self, neighbors: np.ndarray | None = None):
-        self._referrers: dict[int, set[int]] = {}
-        if neighbors is not None:
-            self.rebuild(neighbors)
+    @staticmethod
+    def referrers_of(
+        neighbors: np.ndarray, rows: np.ndarray, cited: np.ndarray
+    ) -> np.ndarray:
+        """The *rows* whose neighbour ids hold a user flagged in *cited*.
 
-    def rebuild(self, neighbors: np.ndarray, rows=None) -> None:
-        """Re-derive the whole index from a ``(n_users, k)`` row array.
-
-        With *rows* (sorted row ids) only those rows are indexed — the
-        row-restricted index one shard keeps over the rows it owns.
-        """
-        if rows is not None:
-            neighbors = neighbors[rows]
-        local, slots = np.nonzero(neighbors != MISSING)
-        cited = neighbors[local, slots]
-        citing = local if rows is None else rows[local]
-        # One sort groups the entries by cited user; each group becomes
-        # one set, instead of one dict update per entry.
-        order = np.argsort(cited)
-        cited, citing = cited[order], citing[order].tolist()
-        starts = np.flatnonzero(np.diff(cited, prepend=MISSING)).tolist()
-        ends = starts[1:] + [len(citing)]
-        self._referrers = {
-            user: set(citing[start:end])
-            for user, start, end in zip(cited[starts].tolist(), starts, ends)
-        }
-
-    def referrers_of(self, users) -> np.ndarray:
-        """Sorted unique rows citing any of *users* (compact id array)."""
-        rows: set[int] = set()
-        for user in np.asarray(users, dtype=np.int64).tolist():
-            cited_by = self._referrers.get(user)
-            if cited_by:
-                rows.update(cited_by)
-        return np.fromiter(sorted(rows), dtype=ID_DTYPE, count=len(rows))
-
-    def apply_row(self, rows, old, new) -> None:
-        """Record that each of *rows* changed from its old to its new ids.
-
-        A block update: ``rows`` has shape ``(m,)`` (distinct row ids),
-        ``old`` / ``new`` are the rows' ``(m, k)`` neighbour id blocks,
-        or ``None`` for an empty side (a row cleared, or a row gaining
-        its first entries).  ``MISSING`` slots are ignored.  One
-        broadcast membership test finds the entries that actually moved,
-        so the dicts are touched only for those.
+        *rows* are sorted distinct row ids into *neighbors*, every
+        column of which counts; *cited* is a boolean mask over user
+        ids.  ``MISSING`` slots never match (as an index, ``-1`` would
+        read the mask's last user).  Returns the matching rows, sorted.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        old = _id_block(old, rows.size)
-        new = _id_block(new, rows.size)
-        removed = (old != MISSING) & ~_row_isin(old, new)
-        added = (new != MISSING) & ~_row_isin(new, old)
-        where, slot = np.nonzero(removed)
-        for row, neighbor in zip(
-            rows[where].tolist(), old[where, slot].tolist()
-        ):
-            cited_by = self._referrers.get(neighbor)
-            if cited_by is not None:
-                cited_by.discard(row)
-                if not cited_by:
-                    del self._referrers[neighbor]
-        where, slot = np.nonzero(added)
-        for row, neighbor in zip(
-            rows[where].tolist(), new[where, slot].tolist()
-        ):
-            self._referrers.setdefault(neighbor, set()).add(row)
+        ids = neighbors[rows]
+        cites = (ids != MISSING) & cited[ids]
+        return rows[cites.any(axis=1)]
 
+    @staticmethod
+    def apply_row(rows, old, new) -> None:
+        """A no-op: the rows are the only adjacency kept.
 
-def _id_block(ids, m: int) -> np.ndarray:
-    """*ids* as an ``(m, width)`` block; ``None`` is the empty block."""
-    if ids is None:
-        return np.empty((m, 0), dtype=np.int64)
-    return np.asarray(ids).reshape(m, -1)
-
-
-def _row_isin(block: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Per row, whether each entry of *block* appears in *other*'s row."""
-    return (block[:, :, None] == other[:, None, :]).any(axis=2)
+        Kept by name because ``perfbench/tracing.py`` wraps it.
+        """
 
 
 def dedupe_pairs(

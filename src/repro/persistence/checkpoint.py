@@ -11,17 +11,19 @@ partitions the state the way the shards hold it:
   rows at their full maintained width, reserve columns included
   (CSR-packed via :func:`repro.graph.io.pack_graph_arrays`), and each
   row's exact depth (``row_depth``);
-* ``shard-<i>.npz`` — shard *i*'s dirty slice.
+* ``shard-<i>.npz`` — shard *i*'s dirty slice, and its dirty users'
+  lost-item records (``lost_users``/``lost_items``, parallel arrays):
+  the items each dropped or re-rated since her last pass.
 
 Every index writes it at its own shard count (one shard file for the
 flat index).  The reserve and the depths are stored because a restored
 index would otherwise have to treat every row as exact to ``k`` only,
 and its repairs would fall back to rescans until each row was rebuilt.
-The reverse-neighbor index is *not* stored: it is a
-pure function of the graph rows and is re-derived on load, which is both
-cheaper than parsing it and immune to drift.  Candidate sets are not
-stored either: every refresh derives the ones it needs from the
-dataset snapshot.
+The lost-item records are stored because the refresh finds the rows
+citing a dirty user among the raters of her items, and a row may still
+cite her through an item she has since dropped.  Candidate sets are not
+stored: every refresh derives the ones it needs, and the rows citing
+each dirty user, from the dataset snapshot.
 
 Recovery (:func:`restore_index`) = latest readable checkpoint + the
 merged :mod:`partitioned log <repro.persistence.partition>` tail,
@@ -75,13 +77,14 @@ class CheckpointError(PersistenceError):
     """Raised when a checkpoint is missing, corrupt or incompatible."""
 
 
-#: Version written by this library.  Version 3 stores the graph rows
+#: Version written by this library.  Version 4 stores the graph rows
 #: ``k + RESERVE`` wide with each row's exact depth, CSR-packed at the
 #: compact layout (int32 ids, float32 sims; see :mod:`repro.layout`),
-#: and tags the metadata with the dtype contract.
-CHECKPOINT_VERSION = 3
+#: tags the metadata with the dtype contract, and keeps the dirty
+#: users' lost-item records in the shard files.
+CHECKPOINT_VERSION = 4
 #: Versions :func:`load_checkpoint` can restore.
-SUPPORTED_CHECKPOINT_VERSIONS = frozenset({3})
+SUPPORTED_CHECKPOINT_VERSIONS = frozenset({4})
 _PREFIX = "checkpoint-"
 _SUFFIX = ".shards"
 
@@ -116,6 +119,9 @@ class CheckpointState:
     #: Each row's exact depth (see ``repro.streaming.index._ShardHost``).
     depth: np.ndarray
     dirty: tuple[int, ...]
+    #: ``{user: items}``: the items each dirty user dropped or re-rated
+    #: since her last pass.
+    lost: dict
     n_shards: int
     #: ``{user: shard}`` live-rebalance ownership overrides.
     shard_overrides: dict
@@ -174,7 +180,7 @@ def save_checkpoint(index, directory: str | Path) -> Path:
     restore followed by one refresh lands on the same converged graph.
     ``base.npz`` holds the shared read-only state (dataset snapshot,
     full-width graph rows and their depths), ``shard-<i>.npz`` shard
-    *i*'s dirty slice.  The
+    *i*'s dirty slice and those users' lost-item records.  The
     directory is staged under a temp name, every file fsynced, then
     atomically renamed into place with a parent fsync — a crash
     mid-checkpoint leaves the previous one intact.
@@ -225,9 +231,22 @@ def save_checkpoint(index, directory: str | Path) -> Path:
         _fsync_file(tmp / "base.npz")
         dirty = np.asarray(sorted(index._dirty), dtype=np.int64)
         owners = index._shard_map.owners(dirty)
+        pairs = [
+            (user, item)
+            for user, items in sorted(index._lost.items())
+            for item in sorted(items)
+        ]
+        lost = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        lost_owners = index._shard_map.owners(lost[:, 0])
         for shard in range(index.n_shards):
             shard_file = tmp / f"shard-{shard}.npz"
-            np.savez_compressed(shard_file, dirty=dirty[owners == shard])
+            mine = lost[lost_owners == shard]
+            np.savez_compressed(
+                shard_file,
+                dirty=dirty[owners == shard],
+                lost_users=mine[:, 0],
+                lost_items=mine[:, 1],
+            )
             _fsync_file(shard_file)
         _wal.fsync_dir(tmp)
         # A re-checkpoint at the same sequence (same state) replaces the
@@ -281,11 +300,16 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         depth = np.asarray(archive["row_depth"])
         dataset = snapshot_from_arrays(archive, name=meta["name"])
     dirty: list[int] = []
+    lost: dict[int, set[int]] = {}
     for shard in range(n_shards):
         with np.load(
             path / f"shard-{shard}.npz", allow_pickle=False
         ) as archive:
             dirty.extend(archive["dirty"].tolist())
+            for user, item in zip(
+                archive["lost_users"].tolist(), archive["lost_items"].tolist()
+            ):
+                lost.setdefault(user, set()).add(item)
     config_fields = dict(meta["config"])
     gamma = config_fields.get("gamma")
     if gamma is not None:
@@ -327,6 +351,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         sims=graph.sims,
         depth=depth,
         dirty=tuple(sorted(dirty)),
+        lost=lost,
         n_shards=n_shards,
         shard_overrides={
             int(user): int(shard)
@@ -379,6 +404,7 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     index._partition(ShardMap(state.n_shards, state.shard_overrides))
     index._dirty.clear()
     index._dirty.update(state.dirty)
+    index._lost = {user: set(items) for user, items in state.lost.items()}
     index._pending_events = state.pending_events
     index.engine.counter.evaluations = state.evaluations
     index.initial_evaluations = state.initial_evaluations

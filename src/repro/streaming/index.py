@@ -53,9 +53,9 @@ After ``refresh()`` the graph equals the cold rebuild because:
 
 One index class
 ---------------
-The maintained state lives in shards (``repro.streaming.sharding._Shard``:
-a row-restricted reverse index, derived from the rows), partitioned by
-a :class:`~repro.streaming.sharding.ShardMap`; the dirty set is one
+The maintained rows are partitioned into shards
+(``repro.streaming.sharding._Shard``, which hold only per-pass context)
+by a :class:`~repro.streaming.sharding.ShardMap`; the dirty set is one
 set, split by owner at each pass.
 :class:`DynamicKnnIndex` takes the shard count (default 1) and the
 executor (default ``"serial"``); the flat index is simply its
@@ -75,18 +75,30 @@ stopping ingestion.
 
 Dirty-set-proportional cost
 ---------------------------
-Every stage of a refresh scales with the dirty set, not the dataset:
+The evaluations and most stages of a refresh scale with the dirty set,
+not the dataset.  Three whole-dataset floors remain per pass, cheap per
+element but dominant in small passes over large data: the candidacy
+transpose ``B.T`` (:func:`repro.core.rcs.candidacy_raters`, one per
+shard), publication (``GraphSnapshot.capture`` packs every row with
+:func:`repro.layout.pack_rows`) and the snapshot patch
+(``MutableBipartiteBuilder.snapshot`` splices the dirty rows into a
+copy of the whole CSR).  The dirty-set-proportional stages:
 
-* **Snapshot** — ``MutableBipartiteBuilder.snapshot`` patches only the
+* **Snapshot** — ``MutableBipartiteBuilder.snapshot`` rebuilds only the
   dirty CSR rows of the previous snapshot instead of re-materialising
-  O(n_ratings) state.
+  O(n_ratings) state from the per-user dicts.
 * **Index** — ``SimilarityEngine.rebind(..., dirty_users=...)`` updates
   the :class:`~repro.similarity.base.ProfileIndex` in place, recomputing
   norms / profile sizes / metric caches for dirty users only.
-* **Affected-row discovery** — a
-  :class:`~repro.graph.updates.ReverseNeighborIndex` (user -> rows
-  citing her), kept current from the row diffs of every top-k merge,
-  replaces the per-pass O(n_users * k) ``np.isin`` scan with a lookup.
+* **Affected-row discovery** — candidacy is symmetric, so a row cites a
+  dirty user only through an item both rate: one she rates now, or one
+  she dropped or re-rated since her last pass (the lost-item record
+  ingestion keeps for each dirty user).  Stage A reads those items'
+  raters off ``B.T``, adds the deferred rows (their own profiles moved),
+  and keeps the rows citing a selected dirty user with one masked
+  gather (:meth:`~repro.graph.updates.ReverseNeighborIndex.referrers_of`),
+  in time proportional to those co-raters.  No inverted index is kept,
+  so the merges pay no upkeep.
 * **Candidate sets** — the rebuilt rows' candidate sets are the
   structure of one sparse product per shard and pass,
   ``binarise(R[rows]) @ B.T`` (:func:`repro.core.rcs.candidate_rows`),
@@ -429,6 +441,11 @@ class DynamicKnnIndex(_ShardHost):
         self.restore_info = None
         #: Users whose profile changed since the last refresh.
         self._dirty: set[int] = set()
+        #: Dirty user -> the items she dropped or re-rated since her
+        #: last pass: rows may still cite her through them (see
+        #: ``repro.streaming.sharding._Shard.affected``).  Cleared, like
+        #: her dirty mark, once a pass selecting her lands.
+        self._lost: dict[int, set[int]] = {}
         self._partition(shard_map)
         if build:
             self.rebuild()
@@ -441,15 +458,14 @@ class DynamicKnnIndex(_ShardHost):
             self.attach_wal(wal)
 
     def _partition(self, shard_map) -> None:
-        """Fresh shards for *shard_map*, derived from the current rows.
+        """Fresh shards for *shard_map* (they keep no state between passes).
 
         The one path for any change to the rows or to ownership outside
         a refresh pass (construction, :meth:`rebuild`, a checkpoint
         install, an ownership flip).  Nothing carries over from the old
         shards and no user goes dirty: the executors stop (the next
         refresh sizes a new thread pool, or respawns the workers and
-        re-creates the arena) and each shard builds its reverse index
-        from the rows it owns.
+        re-creates the arena).
         """
         from .sharding import _Shard
 
@@ -510,9 +526,11 @@ class DynamicKnnIndex(_ShardHost):
         by it.  Citations in the reserve columns count too: such a row
         holds a stale entry for her and is repaired like any other.
         One bincount over the authoritative rows, on every executor.
+        The rows are read once, into a copy that is then filtered: a
+        refresh on another thread may clear a row at any moment.
         """
         self._ensure_open()
-        neighbors, _ = self._rows()
+        neighbors = self._rows()[0].copy()
         cited = neighbors[neighbors != MISSING]
         counts = np.bincount(cited, minlength=self.builder.n_users)
         return counts[np.asarray(users, dtype=np.int64)].astype(np.int64)
@@ -521,23 +539,21 @@ class DynamicKnnIndex(_ShardHost):
         """Per-component resident-byte breakdown of the index state.
 
         Array-backed components report exact ``nbytes`` (graph rows
-        include slack capacity from geometric growth); the dict-backed
-        reverse index reports its entry count, since its Python-object
-        overhead is interpreter-dependent.  ``legacy_*`` twins re-price
-        the compact arrays at the historical int64/float64 widths
-        (:func:`repro.layout.legacy_nbytes`) — the analytic "before"
-        column of the memory model, deterministic and hence gateable in
-        benchmark baselines.
+        include slack capacity from geometric growth).  ``legacy_*``
+        twins re-price the compact arrays at the historical
+        int64/float64 widths (:func:`repro.layout.legacy_nbytes`) — the
+        analytic "before" column of the memory model, deterministic and
+        hence gateable in benchmark baselines.
 
         ``graph_reserve_bytes`` is the share of ``graph_rows_bytes``
         held by the ``RESERVE`` trailing columns that readers never see;
         ``graph_depth_bytes`` is the rows' exact-depth array.
         ``reverse_index_entries`` counts the authoritative rows' filled
-        slots, reserve included — exactly the reverse index's (row,
-        cited user) entries, and correct on every executor
-        (``processes`` workers own their reverse indexes).  The
-        ``shm_arena_*`` keys account for the process executor's
-        shared-memory arena (0 in process).
+        slots, reserve included: the (row, cited user) pairs a referrer
+        lookup can find.  No inverted index is kept (the refresh finds
+        referrers from the rows), so the name is historical; the count
+        is the same on every executor.  The ``shm_arena_*`` keys account
+        for the process executor's shared-memory arena (0 in process).
 
         The dataset figures are read from the published snapshot (0
         before the first publication): materialising the builder's
@@ -885,6 +901,9 @@ class DynamicKnnIndex(_ShardHost):
         old = self.builder.rating(user, item)
         if old == rating:
             return  # duplicate delivery / identical overwrite: no-op
+        if old != 0.0:
+            # A drop, or a re-rating that may cross min_rating.
+            self._lost.setdefault(user, set()).add(item)
         membership_change = (old != 0.0) != (rating != 0.0)
         self.builder.set_rating(user, item, rating)
         self._dirty.add(user)
@@ -902,13 +921,12 @@ class DynamicKnnIndex(_ShardHost):
         return user
 
     def _absorb_removal(self, user: int) -> None:
-        touched_items = (
-            None if self._profile_local else list(self.builder.profile(user))
-        )
+        items = list(self.builder.profile(user))
+        self._lost.setdefault(user, set()).update(items)
         self.builder.clear_user(user)
         self._dirty.add(user)
-        if touched_items is not None:
-            for item in touched_items:
+        if not self._profile_local:
+            for item in items:
                 self._dirty.update(self.builder.users_of(item))
 
     # ------------------------------------------------------------------
@@ -1023,9 +1041,10 @@ class DynamicKnnIndex(_ShardHost):
 
         Rebuilds the dirty users' rows from their candidate sets,
         repairs (or, failing the repair's check, rebuilds) the
-        rows citing them, found via the reverse-neighbor index, and
-        mirror-merges the freshly evaluated pairs into every other row,
-        restoring the converged-graph invariant.  Returns the pass's
+        rows citing them, found among the raters of the items they rate
+        now or dropped since their last pass, and mirror-merges the
+        freshly evaluated pairs into every other row, restoring the
+        converged-graph invariant.  Returns the pass's
         cost accounting.
 
         With *dirty_subset* (an iterable of user ids) only the dirty
@@ -1086,6 +1105,8 @@ class DynamicKnnIndex(_ShardHost):
         # per refresh performed.
         self._dirty.clear()
         self._dirty.update(deferred)
+        for user in selected.intersection(self._lost):
+            del self._lost[user]
         self._pending_events = 0
         stats = RefreshStats(
             events=n_events,
@@ -1184,10 +1205,12 @@ class DynamicKnnIndex(_ShardHost):
         """The three stage rounds of :meth:`_run_pass`, on any executor."""
         all_dirty = np.fromiter(selected, dtype=np.int64, count=len(selected))
         later = np.fromiter(deferred, dtype=np.int64, count=len(deferred))
+        records = [self._lost[u] for u in selected.intersection(self._lost)]
+        lost = np.array([i for rec in records for i in rec], dtype=np.int64)
         owners = self._shard_map.owners(all_dirty)
         owned = [all_dirty[owners == shard] for shard in range(self.n_shards)]
         splits = self._stage(
-            "affected", [(all_dirty, mine, later) for mine in owned]
+            "affected", [(all_dirty, mine, later, lost) for mine in owned]
         )
         rebuilt = np.concatenate([split[0] for split in splits])
         repaired = np.concatenate([split[1] for split in splits])
@@ -1277,6 +1300,7 @@ class DynamicKnnIndex(_ShardHost):
         self._depth = np.full(self._n_rows, k + RESERVE, dtype=ID_DTYPE)
         self._partition(self._shard_map)
         self._dirty.clear()
+        self._lost.clear()
         self._pending_events = 0
         self._publish_snapshot()
         graph = result.graph

@@ -9,10 +9,12 @@ methods the in-process executors call; this module only carries the
 calls.  The division of state:
 
 * **Parent (authoritative)** — the mutable rating builder, the WAL, the
-  dirty set, the graph rows, the engine's :class:`ProfileIndex`.
-* **Worker (owned slice)** — the shard's row-restricted reverse index
-  and a mirror of the graph rows it owns and of their exact depths
-  (full-size arrays; only owned rows are ever read or written).
+  dirty set and its lost-item records (stage A's request carries the
+  selected users' lost items), the graph rows, the engine's
+  :class:`ProfileIndex`.
+* **Worker (owned slice)** — a mirror of the graph rows it owns and of
+  their exact depths (full-size arrays; only owned rows are ever read
+  or written), from which its stage A finds its referrers.
 * **Shared memory** — the read-only per-refresh state (snapshot CSR
   triplet + profile arrays), published by the parent into an
   :class:`~repro.streaming.shm.ShmArena` and rebuilt as zero-copy numpy

@@ -2,14 +2,12 @@
 
 The KIFF pipeline is embarrassingly partitionable: candidate selection
 and top-k refinement are *per-user* computations over shared read-only
-profiles.  The maintained state is therefore held in **shards**
-(:class:`_Shard`), each owning one slice of the users and a
-:class:`~repro.graph.updates.ReverseNeighborIndex` restricted to the
-*rows* it owns (keyed by cited user, which may belong to any shard —
-updates stay row-local, so they never cross shards).  A shard is a
-function of the rows and the ownership map: it derives its reverse
-index from them when it is built, and any change of rows or ownership
-outside a refresh pass builds fresh shards.  The dirty set is one
+profiles.  The maintained rows are therefore split into **shards**
+(:class:`_Shard`), each owning one slice of the users' rows; a row may
+cite a user of any shard, and updates stay row-local, so they never
+cross shards.  A shard keeps nothing between passes but its place in
+the ownership map, so any change of rows or ownership outside a
+refresh pass just builds fresh shards.  The dirty set is one
 index-level set; each pass splits the selected users by owner.
 
 One index class holds them:
@@ -23,11 +21,14 @@ The one refresh driver (``DynamicKnnIndex._refresh``) rebinds the
 shared snapshot/:class:`~repro.similarity.base.ProfileIndex` once and
 then calls three stages on every shard:
 
-1. **Affected discovery** (:meth:`_Shard.affected`) — each shard looks
-   up its own rows citing *any* selected dirty user in any column,
-   reserve included (its reverse index), and splits them: a clean
-   referrer is *repaired*; its selected dirty users and the other
-   referrers are *rebuilt*.
+1. **Affected discovery** (:meth:`_Shard.affected`) — each shard finds
+   its own rows citing *any* selected dirty user in any column, reserve
+   included.  Candidacy is symmetric, so they are among the raters of
+   the items those users rate now or dropped since their last pass
+   (read off the pass's candidacy transpose ``B.T``) and the deferred
+   dirty rows; one masked gather over those rows finds them.  A clean
+   referrer is *repaired*; the shard's selected dirty users and the
+   other referrers are *rebuilt*.
 2. **Planning** (:meth:`_Shard.plan`) — each shard clears its rebuilt
    rows, drops the dirty entries from its repaired rows, derives the
    rebuilt rows' candidate sets (one sparse product over the current
@@ -44,9 +45,8 @@ then calls three stages on every shard:
    no full-array copy) — writes are disjoint by construction, so
    shards touch the one shared graph concurrently without locks.  The
    merge drops every offer that loses to its row's current k-th entry
-   (most mirror offers to clean rows) before it sorts, and the rows
-   whose ids moved reach the shard's reverse index as one block diff.
-   Each repaired row is then checked against its old boundary, the
+   (most mirror offers to clean rows) before it sorts.  Each repaired
+   row is then checked against its old boundary, the
    deepest entry of its exact prefix (see ``_ShardHost``); the rows
    that lost more than their reserve are rescanned from their candidate
    sets in the same stage.
@@ -202,18 +202,6 @@ class ShardMap:
             owners[hit] = self._ov_shards[pos[hit]]
         return owners
 
-    def owned_rows(self, shard_id: int, n_rows: int) -> np.ndarray:
-        """Sorted row ids in ``[0, n_rows)`` owned by *shard_id*."""
-        rows = np.arange(shard_id, n_rows, self.n_shards)
-        if self._ov_users.size:
-            in_range = self._ov_users < n_rows
-            moved = self._ov_users[in_range]
-            if moved.size:
-                targets = self._ov_shards[in_range]
-                rows = np.setdiff1d(rows, moved, assume_unique=True)
-                rows = np.union1d(rows, moved[targets == shard_id])
-        return rows
-
     def with_moves(self, moves) -> "ShardMap":
         """A new map with ``(user, shard)`` *moves* layered on top."""
         overrides = dict(self._overrides)
@@ -316,7 +304,6 @@ class _Shard:
     __slots__ = (
         "shard_id",
         "host",
-        "reverse",
         "_rebuilt",
         "_rows_mask",
         "_repaired",
@@ -329,16 +316,6 @@ class _Shard:
     def __init__(self, shard_id: int, host):
         self.shard_id = shard_id
         self.host = host
-        #: cited user -> owned rows citing her (rows only from this
-        #: shard), derived from the host's rows and ownership map.  The
-        #: stages keep it mirroring the rows; any other change to the
-        #: rows or to ownership builds fresh shards.
-        neighbors, _ = host._rows()
-        self.reverse = ReverseNeighborIndex()
-        self.reverse.rebuild(
-            neighbors,
-            host._shard_map.owned_rows(shard_id, neighbors.shape[0]),
-        )
         # Per-pass context, set by the stages: the owned rows rebuilt
         # from their candidate sets, the owned rows repaired in place
         # and their old boundary entries, the selected dirty users, and
@@ -351,26 +328,38 @@ class _Shard:
         self._pairs = _NO_PAIRS
         self._raters: tuple = (None, None)
 
+    def _candidacy(self):
+        """``(snapshot, raters)``: the snapshot and its candidacy transpose.
+
+        The transpose (:func:`~repro.core.rcs.candidacy_raters`), the
+        one whole-matrix conversion of a pass, is built once in stage A
+        and reused by stage B and the fallback rescans, then dropped at
+        the end of stage C.  Thread-safe by ownership: only this
+        shard's stage calls touch it, and it only *reads* the shared
+        snapshot.
+        """
+        snapshot = self.host.builder.snapshot()
+        if self._raters[0] is not snapshot:
+            self._raters = (
+                snapshot,
+                candidacy_raters(snapshot, self.host.config.min_rating),
+            )
+        return self._raters
+
     def candidate_sets(self, users: np.ndarray) -> sp.csr_matrix:
         """Candidate rows of owned *users*: one sparse product.
 
         Row ``j`` of the returned CSR matrix spans the candidates of
         ``users[j]`` on the current snapshot
         (:func:`~repro.core.rcs.candidate_rows`; only its structure is
-        read, and it may include the user herself).  The snapshot's
-        candidacy transpose, the one whole-matrix conversion, is built
-        at most once per pass (a pass derives again for rows whose
-        repair failed) and dropped at the end of stage C.  Thread-safe
-        by ownership: only this shard's stage calls touch its transpose,
-        and the product only *reads* the shared snapshot.
+        read, and it may include the user herself).
         """
-        snapshot = self.host.builder.snapshot()
+        snapshot, raters = self._candidacy()
         if not users.size:
             return sp.csr_matrix((0, snapshot.n_users))
-        min_rating = self.host.config.min_rating
-        if self._raters[0] is not snapshot:
-            self._raters = (snapshot, candidacy_raters(snapshot, min_rating))
-        return candidate_rows(snapshot, users, min_rating, self._raters[1])
+        return candidate_rows(
+            snapshot, users, self.host.config.min_rating, raters
+        )
 
     # ------------------------------------------------------------------
     # Refresh stages
@@ -380,13 +369,22 @@ class _Shard:
         all_dirty: np.ndarray,
         my_dirty: np.ndarray,
         deferred: np.ndarray,
+        lost: np.ndarray,
     ):
         """Stage A: this shard's slice of the affected set, split in two.
 
         Returns ``(rebuilt, repaired)``.  The *referrers* are the owned
         rows citing any selected dirty user (*all_dirty*) in any column:
         a stale reserve entry must go too, or the merge's dedupe would
-        keep its old score over her fresh, lower one.  A referrer
+        keep its old score over her fresh, lower one.  Candidacy is
+        symmetric, so a clean row cites a dirty user only through an
+        item both rate: one the user rates now or rated since her last
+        pass (*lost*, the items the selected users dropped or re-rated
+        since theirs).  A dirty row may have dropped the shared item
+        itself, so the owned *deferred* rows are checked too (the
+        selected ones are rebuilt anyway).  Of those rows,
+        :meth:`~repro.graph.updates.ReverseNeighborIndex.referrers_of`
+        keeps the ones citing a selected dirty user.  A referrer
         is **repaired** in place when the row is not dirty itself
         (selected or *deferred*).  Its entries for deferred users keep
         their stored scores as fixed values: the repair's check ranks
@@ -404,7 +402,17 @@ class _Shard:
         host = self.host
         self._dirty_mask = np.zeros(host.n_users, dtype=bool)
         self._dirty_mask[all_dirty] = True
-        referrers = self.reverse.referrers_of(all_dirty).astype(np.int64)
+        snapshot, raters = self._candidacy()
+        items = np.concatenate([snapshot.matrix[all_dirty].indices, lost])
+        candidates = np.zeros(host.n_users, dtype=bool)
+        candidates[raters[np.unique(items)].indices] = True
+        candidates[deferred] = True
+        rows = np.flatnonzero(candidates)
+        rows = rows[host._shard_map.owners(rows) == self.shard_id]
+        neighbors, _ = host._rows()
+        referrers = ReverseNeighborIndex.referrers_of(
+            neighbors, rows, self._dirty_mask
+        )
         dirty = np.concatenate([all_dirty, deferred])
         repaired = referrers[~np.isin(referrers, dirty)]
         self._rebuilt = np.union1d(
@@ -430,11 +438,9 @@ class _Shard:
         host = self.host
         neighbors, sims = host._rows()
         mine, repaired = self._rebuilt, self._repaired
-        old_rows = neighbors[mine].copy()
         neighbors[mine] = MISSING
         sims[mine] = -np.inf
         host._depth[mine] = neighbors.shape[1]
-        new_rows = np.full_like(old_rows, MISSING)
         if repaired.size:
             old_ids, old_sims = neighbors[repaired], sims[repaired]
             bound = np.arange(repaired.size), host._depth[repaired] - 1
@@ -451,13 +457,6 @@ class _Shard:
             sims[repaired] = np.where(
                 kept, np.take_along_axis(old_sims, order, axis=1), -np.inf
             )
-            old_rows = np.concatenate([old_rows, old_ids])
-            new_rows = np.concatenate([new_rows, trimmed])
-        # The reverse index mirrors the rows at every exit point, so a
-        # mid-pass failure leaves it consistent for the retry.
-        self.reverse.apply_row(
-            np.concatenate([mine, repaired]), old_rows, new_rows
-        )
         rebuilt_mask = np.zeros(host.n_users, dtype=bool)
         rebuilt_mask[rebuilt] = True
         self._rows_mask = rebuilt_mask
@@ -504,7 +503,6 @@ class _Shard:
             sims,
             host.n_users,
             host._score_pairs,
-            self.reverse,
             self._rows_mask,
         )
         self._rows_mask = _NO_PAIRS[0]
@@ -564,13 +562,9 @@ class _Shard:
             np.concatenate([a[earlier], b[later]])
             for a, b in zip(offers, fresh)
         )
-        old_rows = neighbors[rows]
         neighbors[rows] = MISSING
         sims[rows] = -np.inf
-        self.reverse.apply_row(rows, old_rows, None)
-        changes, _ = _merge_offers(
-            neighbors, sims, users, ids, scores, self.reverse
-        )
+        changes, _ = _merge_offers(neighbors, sims, users, ids, scores)
         return evaluations, changes
 
 
@@ -686,9 +680,8 @@ def _merge_offers(
     users: np.ndarray,
     ids: np.ndarray,
     scores: np.ndarray,
-    reverse,
 ) -> tuple[int, np.ndarray]:
-    """Merge offers into their rows in place and mirror the diffs.
+    """Merge offers into their rows in place.
 
     Writes only the re-ranked rows back, through the views, so
     backing-array slack capacity survives and no O(n_users * k) copy
@@ -700,13 +693,8 @@ def _merge_offers(
     active, new_neighbors, new_sims, changes = merge_topk_rows(
         neighbors, sims, users, ids, scores
     )
-    pre_merge = neighbors[active]
     neighbors[active] = new_neighbors
     sims[active] = new_sims
-    # Only rows whose neighbour ids actually moved need reverse-index
-    # diffs — most re-ranked rows keep their ids.
-    moved = np.flatnonzero((new_neighbors != pre_merge).any(axis=1))
-    reverse.apply_row(active[moved], pre_merge[moved], new_neighbors[moved])
     return int(changes), active
 
 
@@ -720,14 +708,13 @@ def merge_shard_pairs(
     sims: np.ndarray,
     n_users: int,
     score_pairs,
-    reverse,
     rows_mask: np.ndarray,
 ) -> tuple[int, int, np.ndarray, tuple]:
     """Stage C's merge: dedupe, evaluate, and merge into owned rows.
 
     Writes the re-ranked rows into *neighbors*/*sims* in place (every
     active row is owned by *shard_id*, so concurrent callers never
-    collide) and mirrors their diffs into *reverse*.  *rows_mask* marks
+    collide).  *rows_mask* marks
     the rebuilt rows: every pair has one as an endpoint, the row
     itself or a dirty user offered to a clean row.  Returns
     ``(evaluations, changes, active, offers)``: ``active`` holds only
@@ -746,9 +733,7 @@ def merge_shard_pairs(
         owned = shard_map.owners(users) == shard_id
         users, ids, scores = users[owned], ids[owned], scores[owned]
     offers = (users, ids, scores)
-    changes, active = _merge_offers(
-        neighbors, sims, users, ids, scores, reverse
-    )
+    changes, active = _merge_offers(neighbors, sims, users, ids, scores)
     return evaluations, changes, active, offers
 
 

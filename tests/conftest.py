@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -208,3 +209,46 @@ def exhaust_reserve_events(index, row: int) -> list:
         for user in prefix[: len(prefix) - index.config.k + 1]
         for item in sorted(mine & set(builder.profile(user)))
     ]
+
+
+def scan_split(host, shard_id, all_dirty, my_dirty, deferred):
+    """Stage A's ``(rebuilt, repaired)`` by brute force: an ``np.isin``
+    scan of every row shard *shard_id* owns, in every column."""
+    neighbors, _ = host._rows()
+    everyone = np.arange(neighbors.shape[0])
+    owned = everyone[host._shard_map.owners(everyone) == shard_id]
+    referrers = owned[np.isin(neighbors[owned], all_dirty).any(axis=1)]
+    dirty = np.concatenate([all_dirty, deferred])
+    repaired = referrers[~np.isin(referrers, dirty)]
+    rebuilt = np.union1d(my_dirty, np.setdiff1d(referrers, repaired))
+    return rebuilt, repaired
+
+
+@contextmanager
+def split_checked():
+    """Check every in-process stage A against :func:`scan_split`.
+
+    Yields the list of splits checked, so a caller can tell the check
+    ran.  ``processes`` workers run their own copy of the stage and are
+    not checked.
+    """
+    from repro.streaming.sharding import _Shard
+
+    original = _Shard.affected
+    checked = []
+
+    def affected(shard, all_dirty, my_dirty, deferred, lost):
+        expected = scan_split(
+            shard.host, shard.shard_id, all_dirty, my_dirty, deferred
+        )
+        split = original(shard, all_dirty, my_dirty, deferred, lost)
+        for got, want in zip(split, expected):
+            np.testing.assert_array_equal(np.sort(got), want)
+        checked.append(split)
+        return split
+
+    _Shard.affected = affected
+    try:
+        yield checked
+    finally:
+        _Shard.affected = original

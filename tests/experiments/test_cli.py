@@ -129,6 +129,20 @@ class TestStreamCommand:
         assert err.startswith("error: ")
         assert "max_wall_staleness" in err
 
+    @pytest.mark.parametrize("command", ["stream", "serve"])
+    @pytest.mark.parametrize("budget", [[], ["--max-event-lag", "64"]])
+    def test_reject_without_queue_bound_is_a_usage_error(
+        self, capsys, command, budget
+    ):
+        """``--on-backpressure reject`` only acts on a full queue; without
+        ``--queue-bound`` it must be an exit-2 message, not a run that
+        silently ignores it."""
+        argv = [command, "--scale", "tiny", "--on-backpressure", "reject"]
+        assert main(argv + budget) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--queue-bound" in err
+
     def test_shards_must_be_positive(self, capsys):
         assert main(["stream", "--scale", "tiny", "--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err

@@ -298,10 +298,11 @@ class TestMergeFromCanonicalRows:
 
 
 class TestReverseNeighborIndex:
-    def _graph(self):
-        from repro.graph.updates import ReverseNeighborIndex
+    """``referrers_of`` keeps the given rows citing a flagged user: the
+    rows an ``np.isin`` scan of every row finds, restricted to them."""
 
-        neighbors = np.array(
+    def _graph(self):
+        return np.array(
             [
                 [1, 2, MISSING],
                 [0, MISSING, MISSING],
@@ -310,77 +311,66 @@ class TestReverseNeighborIndex:
             ],
             dtype=np.int64,
         )
-        return neighbors, ReverseNeighborIndex(neighbors)
 
-    def test_rebuild_matches_isin_scan(self):
-        neighbors, index = self._graph()
-        for user in range(4):
-            scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
-            np.testing.assert_array_equal(index.referrers_of([user]), scan)
-
-    def test_referrers_of_multiple_users_unions(self):
-        _, index = self._graph()
-        np.testing.assert_array_equal(index.referrers_of([1, 3]), [0, 2])
-
-    def test_apply_row_diffs(self):
-        neighbors, index = self._graph()
-        # One block: row 0 drops 2 and gains 3; row 1 keeps its ids.
-        index.apply_row(
-            [0, 1],
-            neighbors[[0, 1]],
-            np.array([[1, 3, MISSING], [0, MISSING, MISSING]]),
-        )
-        assert index.referrers_of([2]).tolist() == []
-        assert index.referrers_of([3]).tolist() == [0, 2]
-        assert index.referrers_of([0]).tolist() == [1, 2]
-        # A None new side clears the rows: all their citations go.
-        index.apply_row([2], np.array([[0, 1, 3]]), None)
-        assert index.referrers_of([3]).tolist() == [0]
-        assert index.referrers_of([1]).tolist() == [0]  # row 0 still cites 1
-        # A None old side registers every present entry.
-        index.apply_row([3], None, np.array([[2, MISSING, MISSING]]))
-        assert index.referrers_of([2]).tolist() == [3]
-        # Empty blocks are no-ops.
-        index.apply_row(np.empty(0, dtype=np.int64), None, None)
-        index.apply_row([], np.empty((0, 3)), np.empty((0, 3)))
-        assert index.referrers_of([0, 1, 2, 3]).tolist() == [0, 1, 3]
-
-    def test_missing_users_have_no_referrers(self):
-        _, index = self._graph()
-        assert index.referrers_of([99]).size == 0
-        assert index.referrers_of([]).size == 0
-
-    def test_randomized_equivalence_with_scan(self):
+    @staticmethod
+    def _find(neighbors, rows, users):
         from repro.graph.updates import ReverseNeighborIndex
 
+        cited = np.zeros(neighbors.shape[0], dtype=bool)
+        cited[users] = True
+        return ReverseNeighborIndex.referrers_of(neighbors, rows, cited)
+
+    @staticmethod
+    def _scan(neighbors, rows, users):
+        rows = np.asarray(rows, dtype=np.int64)
+        return rows[np.isin(neighbors[rows], users).any(axis=1)]
+
+    def test_every_row_matches_isin_scan(self):
+        neighbors = self._graph()
+        everyone = np.arange(4)
+        for user in range(4):
+            np.testing.assert_array_equal(
+                self._find(neighbors, everyone, [user]),
+                self._scan(neighbors, everyone, [user]),
+            )
+
+    def test_multiple_users_union(self):
+        neighbors = self._graph()
+        found = self._find(neighbors, np.arange(4), [1, 3])
+        np.testing.assert_array_equal(found, [0, 2])
+
+    def test_only_the_given_rows(self):
+        neighbors = self._graph()
+        np.testing.assert_array_equal(
+            self._find(neighbors, [1, 3], [0, 1]), [1]
+        )
+        assert self._find(neighbors, [], [0]).size == 0
+        assert self._find(neighbors, np.arange(4), []).size == 0
+
+    def test_missing_slots_never_match_the_last_user(self):
+        """``MISSING`` is ``-1``: used as an index it would read the
+        last user's flag.  Row 1 holds ``MISSING`` while user 3 is
+        flagged and must not be found."""
+        neighbors = self._graph()
+        np.testing.assert_array_equal(
+            self._find(neighbors, np.arange(4), [3]), [2]
+        )
+
+    def test_randomized_equivalence_with_scan(self):
         rng = np.random.default_rng(7)
         n, k = 30, 4
-        neighbors = np.full((n, k), MISSING, dtype=np.int64)
-        index = ReverseNeighborIndex(neighbors)
         for _ in range(200):
-            mode = rng.choice(["update", "clear", "fill"])
-            if mode == "fill":
-                # A None old side is only valid for rows citing nobody.
-                pool = np.flatnonzero((neighbors == MISSING).all(axis=1))
-            else:
-                pool = np.arange(n)
-            m = int(rng.integers(0, min(pool.size, 6) + 1))
-            rows = np.sort(rng.choice(pool, size=m, replace=False))
-            new_rows = np.full((m, k), MISSING, dtype=np.int64)
-            if mode != "clear":
-                for pos in range(m):
-                    size = int(rng.integers(0, k + 1))
-                    new_rows[pos, :size] = rng.choice(
-                        n, size=size, replace=False
-                    )
-            index.apply_row(
-                rows,
-                None if mode == "fill" else neighbors[rows],
-                None if mode == "clear" else new_rows,
+            neighbors = np.full((n, k), MISSING, dtype=np.int64)
+            for row in range(n):
+                size = int(rng.integers(0, k + 1))
+                neighbors[row, :size] = rng.choice(n, size=size, replace=False)
+            rows = np.sort(
+                rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
             )
-            neighbors[rows] = new_rows
-            for user in range(n):
-                scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
-                np.testing.assert_array_equal(
-                    index.referrers_of([user]), scan, err_msg=f"user {user}"
-                )
+            users = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
+            if rng.random() < 0.5:
+                users = np.append(users, n - 1)  # the last id, see above
+            np.testing.assert_array_equal(
+                self._find(neighbors, rows, users),
+                self._scan(neighbors, rows, users),
+            )

@@ -114,15 +114,39 @@ class TestSaveLoad:
     def test_shard_file_holds_only_the_dirty_slice(
         self, streamed_index, tmp_path
     ):
-        """Candidate sets are derived per pass, never checkpointed."""
+        """Candidate sets are derived per pass, never checkpointed; the
+        shard file holds the dirty users and their lost-item records."""
         path = save_checkpoint(streamed_index, tmp_path)
         with np.load(path / "shard-0.npz") as archive:
-            assert archive.files == ["dirty"]
+            assert archive.files == ["dirty", "lost_users", "lost_items"]
             assert set(archive["dirty"].tolist()) == set(
                 streamed_index.dirty_users
             )
         meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
         assert "candidate_cache_size" not in meta
+
+    def test_lost_items_round_trip(self, rated_dataset, tmp_path):
+        """A dirty user's dropped items travel with her dirty mark; a
+        user whose pass landed has no record left."""
+        removed = sorted(rated_dataset.user_items(2).tolist())
+        index = DynamicKnnIndex(
+            rated_dataset, KiffConfig(k=2), auto_refresh=False
+        )
+        index.apply(
+            [RemoveUser(2), AddRating(0, 1, 0.0), AddRating(4, 1, 3.0)]
+        )
+        assert sorted(index._lost) == [0, 2]
+        index.refresh(dirty_subset=[0])
+        state = load_checkpoint(save_checkpoint(index, tmp_path))
+        assert {user: sorted(items) for user, items in state.lost.items()} == {
+            2: removed
+        }
+        restored = DynamicKnnIndex.restore(tmp_path, refresh=False)
+        assert restored._lost == index._lost
+        restored.refresh()
+        assert restored._lost == {}
+        index.refresh()
+        assert restored.graph == index.graph
 
     def test_config_inf_gamma_round_trips(self, rated_dataset, tmp_path):
         import math
@@ -173,10 +197,10 @@ def set_version(path, version):
 
 
 class TestFormatVersion:
-    def test_v3_is_the_written_version(self, streamed_index, tmp_path):
+    def test_v4_is_the_written_version(self, streamed_index, tmp_path):
         path = save_checkpoint(streamed_index, tmp_path)
         meta = json.loads((path / "meta.json").read_text())
-        assert meta["version"] == 3
+        assert meta["version"] == 4
         assert meta["n_shards"] == 1
         assert np.dtype(meta["dtypes"]["ids"]) == ID_DTYPE
         assert np.dtype(meta["dtypes"]["scores"]) == SCORE_DTYPE
@@ -186,6 +210,17 @@ class TestFormatVersion:
             # The rows keep their reserve, and each its exact depth.
             assert int(archive["graph_k"]) == 2 + RESERVE
             assert archive["row_depth"].shape == (streamed_index.n_users,)
+
+    def test_v3_archive_is_refused(self, streamed_index, tmp_path):
+        """Version 3 (no lost-item records) has no reader: a restored
+        index could not find the rows citing a user through an item
+        she dropped before the checkpoint."""
+        path = save_checkpoint(streamed_index, tmp_path)
+        set_version(path, 3)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 3"
+        ):
+            load_checkpoint(path)
 
     def test_v2_archive_is_refused(self, streamed_index, tmp_path):
         """Version 2 (k-wide rows, no depths) has no reader."""

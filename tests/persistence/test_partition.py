@@ -19,7 +19,7 @@ from repro.persistence import (
     save_checkpoint,
     wal_segment_path,
 )
-from repro.streaming import AddRating, ShardPlan, ratings_batch
+from repro.streaming import AddRating, RemoveRating, ShardPlan, ratings_batch
 from tests.conftest import random_dataset
 
 
@@ -156,8 +156,30 @@ class TestCheckpointLayout:
         path = index.checkpoint(tmp_path)  # the dirty set is pending
         for shard in range(2):
             with np.load(path / f"shard-{shard}.npz") as archive:
-                assert archive.files == ["dirty"]
+                assert archive.files == ["dirty", "lost_users", "lost_items"]
                 assert archive["dirty"].tolist() == [shard, shard + 2]
+                assert archive["lost_users"].size == 0  # first ratings
+
+    def test_lost_item_records_follow_their_owners(self, tmp_path):
+        """Each shard file holds the lost-item records of its own dirty
+        users; loading merges them back."""
+        index = sharded_index()
+        builder = index.builder
+        users = [u for u in range(index.n_users) if builder.profile(u)][:3]
+        drops = [(u, min(builder.profile(u))) for u in users]
+        index.apply([RemoveRating(u, item) for u, item in drops])
+        path = index.checkpoint(tmp_path)
+        for shard in range(2):
+            with np.load(path / f"shard-{shard}.npz") as archive:
+                saved = list(
+                    zip(
+                        archive["lost_users"].tolist(),
+                        archive["lost_items"].tolist(),
+                    )
+                )
+            owner = index.shard_map.owner
+            assert saved == [d for d in drops if owner(d[0]) == shard]
+        assert load_checkpoint(path).lost == {u: {i} for u, i in drops}
 
     def test_dirty_slices_follow_a_same_count_rebalance(self, tmp_path):
         """After moves at the same shard count, shard *i*'s file holds

@@ -1,11 +1,11 @@
-"""Dirty-set locality of refresh(): counters, candidates, reverse index.
+"""Dirty-set locality of refresh(): counters, candidates, referrers.
 
 The parity suite proves refreshes are *exact*; this file proves they are
 *local* — snapshot rows, ProfileIndex recomputations and candidate-set
 derivations all scale with the dirty set (the derivation is pinned
-against :func:`~repro.core.rcs.build_rcs`), the reverse-neighbor index
-replaces the full-graph referencing scan, and both survive failures and
-rebuilds.
+against :func:`~repro.core.rcs.build_rcs`), the referrers found among
+the dirty users' co-raters equal a full-graph scan, and both survive
+failures and rebuilds.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.streaming import (
     ratings_batch,
     sharding,
 )
-from tests.conftest import random_dataset
+from tests.conftest import random_dataset, split_checked
 from tests.streaming.test_repair import (
     lower_near_users,
     reserve_rows_dataset,
@@ -230,48 +230,41 @@ class TestCandidateDerivation:
             index.close()
 
 
-def shard_referrers(index, users):
-    """Rows citing any of *users*: the union of the shards' indexes."""
-    parts = [shard.reverse.referrers_of(users) for shard in index._shards]
-    return np.unique(np.concatenate(parts))
+class TestReferrerDiscovery:
+    """Stage A finds the rows citing a selected user among the raters of
+    the users' items; every split equals a scan of every row."""
 
-
-class TestReverseIndex:
-    def test_matches_isin_scan_after_stream(self):
+    def test_matches_isin_scan_through_a_stream(self):
         index = _index(n_users=30, n_items=18, density=0.15)
         rng = np.random.default_rng(4)
-        for _ in range(25):
-            index.apply(
-                AddRating(
-                    int(rng.integers(0, index.n_users)),
-                    int(rng.integers(0, 20)),
-                    float(rng.integers(0, 6)),
+        with split_checked() as checked:
+            for _ in range(25):
+                index.apply(
+                    AddRating(
+                        int(rng.integers(0, index.n_users)),
+                        int(rng.integers(0, 20)),
+                        float(rng.integers(0, 6)),
+                    )
                 )
-            )
-            if rng.random() < 0.4:
-                index.refresh()
-        index.refresh()
-        neighbors, _ = index._rows()
-        for user in range(index.n_users):
-            scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
-            np.testing.assert_array_equal(
-                shard_referrers(index, [user]), scan
-            )
+                if rng.random() < 0.4:
+                    index.refresh()
+            index.refresh()
+        assert checked
+        assert index.graph == cold_rebuild_graph(index.dataset, index.config)
 
-    def test_rebuild_restores_reverse_index(self):
+    def test_matches_isin_scan_after_rebuild(self):
         index = _index(n_users=30, n_items=18, density=0.15)
         index.apply(ratings_batch([0, 1], [2, 3], [4.0, 5.0]))
         index.rebuild()
-        neighbors, _ = index._rows()
-        for user in range(index.n_users):
-            scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
-            np.testing.assert_array_equal(
-                shard_referrers(index, [user]), scan
-            )
+        index.apply(RemoveUser(0))
+        with split_checked() as checked:
+            index.refresh()
+        assert checked
+        assert index.graph == cold_rebuild_graph(index.dataset, index.config)
 
-    def test_failed_refresh_leaves_reverse_index_retryable(self, monkeypatch):
-        """A mid-pass evaluation failure must leave the reverse index
-        mirroring the (cleared) rows so the retry is exact."""
+    def test_failed_refresh_is_retryable(self, monkeypatch):
+        """A mid-pass evaluation failure leaves cleared rows behind;
+        the retry finds what a scan of those rows finds, and is exact."""
         index = _index(n_users=30, n_items=18, density=0.15)
         index.apply(ratings_batch([0], [3], [4.0]))
         original_score = index._score_pairs
@@ -282,12 +275,8 @@ class TestReverseIndex:
         monkeypatch.setattr(index, "_score_pairs", exploding_score)
         with pytest.raises(RuntimeError, match="blew up"):
             index.refresh()
-        neighbors, _ = index._rows()
-        for user in range(index.n_users):
-            scan = np.flatnonzero(np.isin(neighbors, [user]).any(axis=1))
-            np.testing.assert_array_equal(
-                shard_referrers(index, [user]), scan
-            )
         monkeypatch.setattr(index, "_score_pairs", original_score)
-        index.refresh()
+        with split_checked() as checked:
+            index.refresh()
+        assert checked
         assert index.graph == cold_rebuild_graph(index.dataset, index.config)

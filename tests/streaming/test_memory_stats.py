@@ -172,8 +172,9 @@ class TestShardedIndex:
 
 class TestReverseIndexEntries:
     def test_every_executor_reports_the_live_row_slots(self):
-        """``processes`` workers own the reverse indexes; the figure
-        must still follow the rows after a refresh, not the build."""
+        """``processes`` workers merge into their own row mirrors; the
+        figure must still follow the rows after a refresh, not the
+        build."""
         dataset = random_dataset(
             n_users=40, n_items=12, density=0.08, seed=6, ratings=True
         )
@@ -190,7 +191,7 @@ class TestReverseIndexEntries:
                 before = index.memory_stats()["reverse_index_entries"]
                 index.apply([AddRating(u, 11, 5.0) for u in range(0, 40, 3)])
                 index.refresh()
-                # The reverse index spans the reserve columns too.
+                # The reserve columns count too.
                 neighbors, _ = index._rows()
                 after = index.memory_stats()["reverse_index_entries"]
                 assert after == np.count_nonzero(neighbors != MISSING)

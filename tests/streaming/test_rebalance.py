@@ -94,13 +94,6 @@ class TestShardMap:
             shard_map.owner(user) for user in users
         ]
 
-    def test_owned_rows_partition_the_population(self):
-        shard_map = ShardMap(3, {0: 2, 7: 0})
-        rows = [shard_map.owned_rows(shard, 11).tolist() for shard in (0, 1, 2)]
-        flat = sorted(row for shard_rows in rows for row in shard_rows)
-        assert flat == list(range(11))
-        assert 0 in rows[2] and 7 in rows[0]
-
     def test_validation_and_equality(self):
         with pytest.raises(ValueError):
             ShardMap(0)

@@ -20,10 +20,17 @@ from repro.persistence import (
     PersistenceError,
     read_partitioned_wal,
 )
-from repro.streaming import AddRating, AddUser, RemoveUser, ratings_batch
+from repro.streaming import (
+    AddRating,
+    AddUser,
+    RemoveRating,
+    RemoveUser,
+    cold_rebuild_graph,
+    ratings_batch,
+)
 from repro.streaming import sharding
 from repro.streaming.sharding import shard_of
-from tests.conftest import random_dataset
+from tests.conftest import random_dataset, split_checked
 from tests.streaming.test_recovery import random_events
 
 
@@ -188,9 +195,9 @@ class TestShardState:
         seen = {}
         original = sharding._Shard.affected
 
-        def recording(shard, all_dirty, my_dirty, deferred):
+        def recording(shard, all_dirty, my_dirty, deferred, lost):
             seen[shard.shard_id] = (set(all_dirty.tolist()), my_dirty)
-            return original(shard, all_dirty, my_dirty, deferred)
+            return original(shard, all_dirty, my_dirty, deferred, lost)
 
         monkeypatch.setattr(sharding._Shard, "affected", recording)
         index.refresh()
@@ -202,25 +209,45 @@ class TestShardState:
             ]
         assert sorted(seen) == [0, 1]
 
-    def test_reverse_index_rows_are_owned_by_shard(self, rated_dataset):
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_stage_a_split_matches_a_scan_of_owned_rows(self, executor):
+        """Each shard's referrers are exactly the owned rows a scan of
+        every row finds citing a selected user: drops, removals and
+        deferred passes included."""
+        dataset = random_dataset(
+            n_users=30, n_items=14, density=0.2, seed=5, ratings=True
+        )
         index = ShardedKnnIndex(
-            rated_dataset, KiffConfig(k=2), n_shards=2, executor="serial"
+            dataset, KiffConfig(k=3), auto_refresh=False, n_shards=2,
+            executor=executor,
         )
-        for shard in index._shards:
-            for rows in shard.reverse._referrers.values():
-                assert all(
-                    shard_of(row, 2) == shard.shard_id for row in rows
-                )
-        # The union over shards equals a flat rebuild over the same rows.
-        from repro.graph import ReverseNeighborIndex
-
-        flat = ReverseNeighborIndex(index._rows()[0])
-        everyone = np.arange(index.n_users)
-        shards = index._shards
-        parts = [shard.reverse.referrers_of(everyone) for shard in shards]
-        np.testing.assert_array_equal(
-            np.unique(np.concatenate(parts)), flat.referrers_of(everyone)
-        )
+        rng = np.random.default_rng(5)
+        try:
+            with split_checked() as checked:
+                for step in range(16):
+                    user = int(rng.integers(0, index.n_users))
+                    profile = sorted(index.builder.profile(user))
+                    if step % 5 == 4:
+                        event = RemoveUser(user)
+                    elif profile and step % 2:
+                        event = RemoveRating(user, profile[0])
+                    else:
+                        event = AddRating(
+                            user,
+                            int(rng.integers(0, 14)),
+                            float(rng.integers(1, 6)),
+                        )
+                    index.apply(event)
+                    dirty = sorted(index.dirty_users)
+                    subset = dirty[::2] if step % 3 else None
+                    index.refresh(dirty_subset=subset)
+                index.refresh()
+            assert checked
+            assert index.graph == cold_rebuild_graph(
+                index.dataset, index.config
+            )
+        finally:
+            index.close()
 
     def test_planned_pairs_are_owned_by_shard(self, monkeypatch):
         """Each shard derives candidate sets only for rows it owns and

@@ -4,7 +4,9 @@ A Hypothesis rule-based state machine drives one index through rating
 events (re-ratings that lower a cited neighbour's score included, the
 case the referrer repair must catch, and batches lowering more than
 ``RESERVE`` entries of one row's exact prefix, which exhaust its
-reserve and force a rescan), user joins and removals, partial
+reserve and force a rescan), drops of the one item a cited user shares
+with a clean row citing her (only her lost-item record leads the
+refresh to that row), user joins and removals, partial
 ``refresh(dirty_subset)`` and full refreshes, checkpoint + restore into
 a fresh index, and live rebalancing.  Invariants:
 
@@ -12,8 +14,9 @@ a fresh index, and live rebalancing.  Invariants:
 * a restored index, refreshed, equals the cold rebuild of the live
   data, and the live graph itself whenever nothing is pending;
 * snapshot versions never go backwards;
-* every in-process shard's reverse index mirrors its full-width rows,
-  reserve included;
+* every pass's stage-A split (rows rebuilt, rows repaired) equals the
+  split a brute-force ``np.isin`` scan of every row gives, reserve
+  columns included;
 * whenever nothing is dirty, every row's first ``depth`` entries equal
   the cold converged top-``(k + RESERVE)`` prefix.
 
@@ -48,7 +51,6 @@ from repro import (
     SimilarityEngine,
     kiff,
 )
-from repro.graph import ReverseNeighborIndex
 from repro.streaming import (
     AddRating,
     AddUser,
@@ -59,7 +61,11 @@ from repro.streaming import (
     converged_config,
 )
 from repro.streaming.index import RESERVE
-from tests.conftest import exhaust_reserve_events, random_dataset
+from tests.conftest import (
+    exhaust_reserve_events,
+    random_dataset,
+    split_checked,
+)
 
 N_ITEMS = 10
 
@@ -179,6 +185,65 @@ class IndexMachine(RuleBasedStateMachine):
                 self.index.apply(events)
                 return
 
+    def _sole_shared_item(self, slot: int, pick: int):
+        """``(user, item)``: a user cited by a clean row from *slot* on,
+        in any column, who shares exactly one candidacy item with it."""
+        index = self.index
+        neighbors, _ = index._rows()
+        threshold = index.config.min_rating
+
+        def items(user):
+            return {
+                item
+                for item, rating in index.builder.profile(user).items()
+                if threshold is None or rating >= threshold
+            }
+
+        n_users = index.n_users
+        for offset in range(n_users):
+            row = (slot + offset) % n_users
+            if row in index.dirty_users:
+                continue
+            cited = [user for user in neighbors[row].tolist() if user >= 0]
+            if not cited:
+                continue
+            start = pick % len(cited)
+            mine = items(row)
+            for user in cited[start:] + cited[:start]:
+                shared = mine & items(user)
+                if len(shared) == 1:
+                    return user, shared.pop()
+        return None
+
+    @rule(
+        slot=st.integers(0, 63),
+        pick=st.integers(0, 7),
+        then=st.sampled_from(["stay", "defer_her", "only_her", "restore"]),
+    )
+    def drop_shared_item(self, slot, pick, then):
+        """A cited user drops the one item she shares with a clean row
+        citing her: the row is no co-rater of her items any more, and
+        only her lost-item record finds it.  *then* is what follows:
+        nothing, a pass deferring her (her record must outlive it), a
+        pass selecting only her, or a checkpoint + restore while she
+        is still dirty (the record must travel in the checkpoint)."""
+        found = self._sole_shared_item(slot, pick)
+        if found is None:
+            return
+        user, item = found
+        self.index.apply(RemoveRating(user, item))
+        if then == "defer_her":
+            with split_checked():
+                self.index.refresh(
+                    dirty_subset=self.index.dirty_users - {user}
+                )
+            assert user in self.index.dirty_users
+        elif then == "only_her":
+            with split_checked():
+                self.index.refresh(dirty_subset=[user])
+        elif then == "restore":
+            self.checkpoint_and_restore()
+
     @rule(
         profile=st.dictionaries(
             st.integers(0, N_ITEMS - 1), st.integers(1, 5), max_size=4
@@ -203,12 +268,14 @@ class IndexMachine(RuleBasedStateMachine):
         subset = [
             user for i, user in enumerate(dirty) if bits >> (i % 12) & 1
         ]
-        stats = self.index.refresh(dirty_subset=subset)
+        with split_checked():
+            stats = self.index.refresh(dirty_subset=subset)
         assert stats.deferred_users == len(dirty) - len(subset)
 
     @rule()
     def refresh(self):
-        self.index.refresh()
+        with split_checked():
+            self.index.refresh()
         assert not self.index.dirty_users
         assert self.index.graph == self._cold()  # ids AND sims, exact
 
@@ -217,7 +284,8 @@ class IndexMachine(RuleBasedStateMachine):
         self.index.checkpoint(self.directory)
         sharded = self.index.n_shards > 1
         cls = ShardedKnnIndex if sharded else DynamicKnnIndex
-        restored = cls.restore(self.directory, metric=self.metric)
+        with split_checked():
+            restored = cls.restore(self.directory, metric=self.metric)
         try:
             restored.detach_wal().close()
             assert restored.dataset == self.index.dataset
@@ -249,21 +317,6 @@ class IndexMachine(RuleBasedStateMachine):
         version = self.index.snapshot_version
         assert version >= self.version
         self.version = version
-
-    @invariant()
-    def reverse_index_mirrors_rows(self):
-        if self.index is None:
-            return
-        neighbors, _ = self.index._rows()
-        for shard in self.index._shards:
-            fresh = ReverseNeighborIndex()
-            fresh.rebuild(
-                neighbors,
-                self.index.shard_map.owned_rows(
-                    shard.shard_id, neighbors.shape[0]
-                ),
-            )
-            assert shard.reverse._referrers == fresh._referrers
 
     @invariant()
     def exact_prefixes_match_the_wide_cold_rebuild(self):
