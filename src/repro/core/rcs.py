@@ -102,13 +102,26 @@ class RankedCandidateSets:
         )
 
 
-def candidacy_raters(dataset: BipartiteDataset, min_rating: float | None):
+def candidacy_raters(
+    dataset: BipartiteDataset,
+    min_rating: float | None,
+    valued: bool = False,
+):
     """The binarised ``B.T`` of *dataset* (items x users, CSR).
 
     The one whole-matrix conversion of :func:`candidate_rows`; a caller
     deriving candidate sets more than once on the same dataset builds
-    it once and passes it as ``raters``.
+    it once and passes it as ``raters``.  With *valued* (only when
+    *min_rating* is None) it is the valued ``Rᵀ`` instead: the same
+    structure, the ratings as values.
     """
+    if valued:
+        if min_rating is not None:
+            raise ValueError(
+                "a valued candidacy product counts every rated item; "
+                f"min_rating={min_rating!r} needs the binarised one"
+            )
+        return dataset.matrix.T.tocsr()
     return _binarized(dataset, min_rating).T.tocsr()
 
 
@@ -117,19 +130,27 @@ def candidate_rows(
     users: np.ndarray,
     min_rating: float | None = None,
     raters=None,
+    valued: bool = False,
 ):
     """The candidacy product ``binarise(R[users]) @ B.T`` (CSR).
 
     Row ``j``'s structure is the candidate set of ``users[j]`` (herself
-    included whenever she rates a qualifying item) and its values the
-    shared-item counts: Algorithm 1, lines 3-4, for those users only,
-    touching only the item profiles of their items.  *raters* is an
-    optional :func:`candidacy_raters` of this *dataset* and
-    *min_rating*, built here when omitted.
+    included whenever she rates a qualifying item): Algorithm 1, lines
+    3-4, for those users only, touching only the item profiles of their
+    items.  Its values are the shared-item counts, or with *valued*
+    (only when *min_rating* is None) the dot products of ``R[users] @
+    Rᵀ``, whose structure is the same as long as no dot product sums
+    to zero (positive ratings).  *raters* is an optional
+    :func:`candidacy_raters` of this *dataset*, *min_rating* and
+    *valued*, built here when omitted.  SpGEMM leaves each row's
+    columns in no particular order.
     """
     if raters is None:
-        raters = candidacy_raters(dataset, min_rating)
-    return _binarize(dataset.matrix[users], min_rating) @ raters
+        raters = candidacy_raters(dataset, min_rating, valued)
+    rows = dataset.matrix[users]
+    if valued:
+        return rows @ raters
+    return _binarize(rows, min_rating) @ raters
 
 
 def _binarize(matrix, min_rating: float | None):

@@ -11,8 +11,11 @@ path in :mod:`repro.core.heap` verifies the semantics match.
 The merge first drops every offer that cannot enter its row (it loses to
 the row's current k-th entry), then sorts the survivors twice — once to
 deduplicate ``(row, id)``, once to rank each row — on integer composite
-keys.  :class:`ReverseNeighborIndex` finds the rows citing a set of
-users among a narrowed set of rows, without an inverted index.
+keys.  Rows rebuilt from scratch out of offers already grouped by row
+and ordered by id skip both the prefilter and the deduplication
+(:func:`rank_fresh_rows`).  :class:`ReverseNeighborIndex` finds the
+rows citing a set of users among a narrowed set of rows, without an
+inverted index.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "ReverseNeighborIndex",
     "merge_topk",
     "merge_topk_rows",
+    "rank_fresh_rows",
     "dedupe_pairs",
 ]
 
@@ -231,10 +235,70 @@ def merge_topk_rows(
     held = np.logical_or.reduceat(order < n_cur, starts)
     _first_signed_zero(best, scores, starts, order)
     rows, ids = rows[order[starts]], ids[order[starts]]
+    # Free the dedupe's offer-sized arrays before the ranking allocates
+    # its own: merges in a cold build hold millions of offers.
+    del keys, scores, order
 
-    # 3. Per-row top-k.  ``rows`` is sorted, so the row groups occupy
-    # the same positions before and after the sort.
-    bits = (best + np.float32(0.0)).view(np.uint32)
+    # 3. Per-row top-k.
+    pick, new_sub_neighbors, new_sub_sims = _rank_rows(
+        rows, ids, best, active.size, k
+    )
+    changes = int(pick.size - np.count_nonzero(held[pick]))
+    return active, new_sub_neighbors, new_sub_sims, changes
+
+
+def rank_fresh_rows(
+    row_ids: np.ndarray, cand_ids: np.ndarray, cand_sims: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Top-*k* rows built from scratch out of one sorted offer list.
+
+    The rows' offers are their whole content — no current entry to keep
+    and no id offered twice to a row — grouped by ascending *row_ids*
+    with ascending *cand_ids* within each row (the rows of a candidate
+    product with sorted indices).  So the deduplication pass of
+    :func:`merge_topk_rows` has nothing to do and one stable sort ranks
+    every row; equal scores keep ascending id, exactly as
+    :func:`merge_topk_rows` ranks the same offers into cleared rows.
+    Returns ``(active, new_neighbors, new_sims, changes)`` in its shape:
+    the distinct rows, their ``(active.size, k)`` rows, and the entries
+    placed (every one is new).
+    """
+    if row_ids.size == 0:
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty((0, k), dtype=ID_DTYPE),
+            np.empty((0, k), dtype=SCORE_DTYPE),
+            0,
+        )
+    starts = np.r_[True, row_ids[1:] != row_ids[:-1]]
+    active = row_ids[starts]
+    pick, new_neighbors, new_sims = _rank_rows(
+        np.cumsum(starts) - 1,
+        cand_ids,
+        np.asarray(cand_sims, dtype=SCORE_DTYPE),
+        active.size,
+        k,
+    )
+    return active, new_neighbors, new_sims, int(pick.size)
+
+
+def _rank_rows(
+    rows: np.ndarray,
+    ids: np.ndarray,
+    scores: np.ndarray,
+    n_rows: int,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's top *k* of distinct offers in ``(row, id)`` order.
+
+    *rows* are local row positions in ``[0, n_rows)``, non-decreasing,
+    so the row groups occupy the same positions before and after one
+    stable argsort on ``row << 32 | desc(score)``, and equal scores keep
+    ascending id.  ``-0.0`` ranks as ``0.0``.  Returns ``(pick,
+    neighbors, sims)``: the offer positions kept, in rank order, and
+    the ``(n_rows, k)`` rows they fill.
+    """
+    bits = (scores + np.float32(0.0)).view(np.uint32)
     desc = np.where(bits >> 31, bits, bits ^ np.uint32(0x7FFFFFFF))
     order = np.argsort(
         (rows.astype(np.uint64) << np.uint64(32)) | desc, kind="stable"
@@ -245,14 +309,12 @@ def merge_topk_rows(
     )
     keep = ranks < k
     pick = order[keep]
-
-    new_sub_neighbors = np.full((active.size, k), MISSING, dtype=ID_DTYPE)
-    new_sub_sims = np.full((active.size, k), -np.inf, dtype=SCORE_DTYPE)
+    neighbors = np.full((n_rows, k), MISSING, dtype=ID_DTYPE)
+    sims = np.full((n_rows, k), -np.inf, dtype=SCORE_DTYPE)
     kept_rows, kept_ranks = rows[keep], ranks[keep]
-    new_sub_neighbors[kept_rows, kept_ranks] = ids[pick]
-    new_sub_sims[kept_rows, kept_ranks] = best[pick]
-    changes = int(pick.size - np.count_nonzero(held[pick]))
-    return active, new_sub_neighbors, new_sub_sims, changes
+    neighbors[kept_rows, kept_ranks] = ids[pick]
+    sims[kept_rows, kept_ranks] = scores[pick]
+    return pick, neighbors, sims
 
 
 def _first_signed_zero(

@@ -28,7 +28,11 @@ from .base import ProfileIndex, SimilarityMetric
 from .cosine import CosineSimilarity
 from .dice import DiceSimilarity
 from .jaccard import JaccardSimilarity
-from .kernels.numpy_backend import check_kernel_backend
+from .kernels.numpy_backend import (
+    check_kernel_backend,
+    exact_integers,
+    finalize,
+)
 from .overlap import OverlapSimilarity
 from .pearson import PearsonSimilarity
 
@@ -36,8 +40,10 @@ __all__ = [
     "SimilarityEngine",
     "get_metric",
     "metric_names",
+    "product_scoring",
     "register_metric",
     "score_pairs_chunked",
+    "score_product",
 ]
 
 _METRICS: dict[str, type[SimilarityMetric]] = {
@@ -112,6 +118,70 @@ def score_pairs_chunked(
             index, us[start:stop], vs[start:stop]
         )
     return out
+
+
+#: Built-in metrics whose raw pair statistic is a candidacy product's
+#: value: the dot product over the valued ratings, or the intersection
+#: size over the binarised ones.  Keyed by exact type, so subclasses and
+#: registered metrics (which may score differently) are never matched.
+_PRODUCT_OPERANDS: dict[type[SimilarityMetric], str] = {
+    CosineSimilarity: "valued",
+    JaccardSimilarity: "binary",
+    DiceSimilarity: "binary",
+    OverlapSimilarity: "binary",
+}
+
+
+def product_scoring(
+    metric: SimilarityMetric,
+    dataset: BipartiteDataset,
+    min_rating: float | None,
+) -> str | None:
+    """Whether the candidacy product of *dataset* also scores *metric*.
+
+    Returns the product's operand — ``"valued"`` (``R[rows] @ Rᵀ``
+    over the ratings, whose values are the dot products) or
+    ``"binary"`` (the binarised product, whose values are the
+    intersection sizes) — or ``None`` when the pairs must go through
+    :func:`score_pairs_chunked`.  Either operand has the candidate
+    sets' structure only when *min_rating* is ``None`` (every rated
+    item counts).  The set metrics then always qualify: counts are
+    exact.  Cosine also needs every value to be a positive integer
+    with ``max**2 * n_items < 2**53`` — the kernel's exactness rule
+    (:func:`~repro.similarity.kernels.numpy_backend.exact_integers`),
+    under which any summation order gives the same double, plus
+    positivity, since SpGEMM drops a sum that cancels to zero and
+    with it a real candidate.
+    """
+    operand = _PRODUCT_OPERANDS.get(type(metric))
+    if operand is None or min_rating is not None:
+        return None
+    if operand == "valued":
+        values = dataset.matrix.data
+        if not (
+            exact_integers(values, dataset.n_items) and (values > 0).all()
+        ):
+            return None
+    return operand
+
+
+def score_product(
+    metric: SimilarityMetric,
+    index: ProfileIndex,
+    us: np.ndarray,
+    vs: np.ndarray,
+    raw: np.ndarray,
+) -> np.ndarray:
+    """Scores of pairs whose raw statistics *raw* a candidacy product holds.
+
+    Only for a pass :func:`product_scoring` accepted: *raw* are the
+    product's values for the pairs ``(us[j], vs[j])``, and the kernel's
+    one metric formula
+    (:func:`~repro.similarity.kernels.numpy_backend.finalize`) turns
+    them into the float32 scores :func:`score_pairs_chunked` returns
+    for the same pairs, bit for bit.
+    """
+    return finalize(metric.name, raw, index.norms, index.sizes, us, vs)
 
 
 class SimilarityEngine:

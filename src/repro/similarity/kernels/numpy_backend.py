@@ -56,10 +56,15 @@ that gather at least as many entries as the matrix stores: below that,
 the bincount alone is a sizeable share of the match path's work, and
 the product's fixed costs (building two small CSR matrices, two format
 conversions) rarely paid off in measurement.  Refresh chunks (all
-co-raters of each row user) pass.  KIFF's refinement batches pass while
-they are large; once they shrink to a few pairs per row, the product
-would compute every co-rating pair among their users for nothing, so
-they stay on the match path.
+co-raters of each row user) pass; on a refresh pass whose metric and
+ratings meet the product's exactness rule, though, the rebuilt rows
+never reach the kernel — the refresh finalizes their candidate
+product's values itself (:func:`~repro.similarity.engine.product_scoring`)
+— so only the cross-shard inbox, the repair fallbacks and the passes
+outside the rule send chunks here.  KIFF's refinement batches pass
+while they are large; once they shrink to a few pairs per row, the
+product would compute every co-rating pair among their users for
+nothing, so they stay on the match path.
 
 **Finalize** — the metric formula (denominators, zero guards) runs in
 float64 on the raw statistic and casts to float32 exactly once: the
@@ -81,7 +86,12 @@ import scipy.sparse as sp
 from ...layout import SCORE_DTYPE, compact_scores
 from . import METRIC_FAMILIES
 
-__all__ = ["NumpyKernelBackend", "check_kernel_backend"]
+__all__ = [
+    "NumpyKernelBackend",
+    "check_kernel_backend",
+    "exact_integers",
+    "finalize",
+]
 
 #: The product path runs when its multiply bound is at most this many
 #: times the entries the match path would gather.  Measured on the 409
@@ -90,6 +100,10 @@ __all__ = ["NumpyKernelBackend", "check_kernel_backend"]
 #: product was faster on all but two near-ties of the chunks with a
 #: bound below 2 times the gather, and slower on every chunk above 2.05
 #: times it.  2 gave the least summed kernel time on both workloads.
+#: Those calls included the rebuilt rows' refresh chunks, which the
+#: refresh has since scored off its own candidate product on integer
+#: cosine and set-metric passes (both workloads'), so the ratio was
+#: tuned on a chunk mix the kernel no longer sees there.
 _PRODUCT_WORK_RATIO = 2.0
 
 #: Integers up to this magnitude are exact in float64.
@@ -257,7 +271,7 @@ def _match_raw(
     return np.bincount(pair_ids, minlength=n_pairs).astype(np.float64)
 
 
-def _exact_integers(values: np.ndarray | None, n_items: int) -> bool:
+def exact_integers(values: np.ndarray | None, n_items: int) -> bool:
     """Whether every dot-product step over *values* is an exact integer.
 
     True for ``None`` (the set family's implicit ones).  Otherwise every
@@ -320,11 +334,11 @@ def _product_raw(
     multiplies = int(raters[items_u].sum())
     if multiplies > _PRODUCT_WORK_RATIO * gathered:
         return None
-    if not _exact_integers(values_u, n_items):
+    if not exact_integers(values_u, n_items):
         return None
     distinct_v, group_v = _columns(vs, indptr.size - 1)
     _, items_v, values_v = _gather(indptr, indices, data, distinct_v)
-    if not _exact_integers(values_v, n_items):
+    if not exact_integers(values_v, n_items):
         return None
     left = _csr_rows(indptr, distinct_u, items_u, values_u, n_items)
     right = _csr_rows(indptr, distinct_v, items_v, values_v, n_items)
@@ -350,7 +364,7 @@ def _product_raw(
     return raw
 
 
-def _finalize(
+def finalize(
     metric_name: str,
     raw: np.ndarray,
     norms: np.ndarray | None,
@@ -363,6 +377,13 @@ def _finalize(
     ``raw`` is the dot product for the dot family, the float64
     intersection count for the set family, and already the final score
     for the weighted-set family (and for ``overlap``).
+
+    The one metric formula: :meth:`NumpyKernelBackend.score_pairs`
+    ends here, and so does the streaming refresh when it reads a
+    rebuilt row's statistics straight off its candidate product
+    (:func:`~repro.similarity.engine.score_product`).  ``norms[u] *
+    norms[v]`` and ``sizes[u] + sizes[v]`` are exact under swapping
+    ``u`` and ``v``, so a pair scores the same bits either way round.
     """
     family = METRIC_FAMILIES[metric_name]
     if family == "dot":
@@ -439,4 +460,4 @@ class NumpyKernelBackend:
             raw = _match_raw(
                 family, indptr, indices, data, vs, group, rows, item_weights
             )
-        return _finalize(metric_name, raw, norms, sizes, us, vs)
+        return finalize(metric_name, raw, norms, sizes, us, vs)

@@ -78,9 +78,11 @@ Dirty-set-proportional cost
 The evaluations and most stages of a refresh scale with the dirty set,
 not the dataset.  Three whole-dataset floors remain per pass, cheap per
 element but dominant in small passes over large data: the candidacy
-transpose ``B.T`` (:func:`repro.core.rcs.candidacy_raters`, one per
-shard), publication (``GraphSnapshot.capture`` packs every row with
-:func:`repro.layout.pack_rows`) and the snapshot patch
+transpose ``B.T``, or the valued ``Rᵀ`` of the same structure on a
+product-scored cosine pass (:func:`repro.core.rcs.candidacy_raters`,
+one per shard, next to one pass over the ratings deciding whether the
+pass is product-scored), publication (``GraphSnapshot.capture`` packs
+every row with :func:`repro.layout.pack_rows`) and the snapshot patch
 (``MutableBipartiteBuilder.snapshot`` splices the dirty rows into a
 copy of the whole CSR).  The dirty-set-proportional stages:
 
@@ -94,8 +96,8 @@ copy of the whole CSR).  The dirty-set-proportional stages:
   dirty user only through an item both rate: one she rates now, or one
   she dropped or re-rated since her last pass (the lost-item record
   ingestion keeps for each dirty user).  Stage A reads those items'
-  raters off ``B.T``, adds the deferred rows (their own profiles moved),
-  and keeps the rows citing a selected dirty user with one masked
+  raters off the transpose, adds the deferred rows (their own profiles
+  moved), and keeps the rows citing a selected dirty user with one masked
   gather (:meth:`~repro.graph.updates.ReverseNeighborIndex.referrers_of`),
   in time proportional to those co-raters.  No inverted index is kept,
   so the merges pay no upkeep.
@@ -107,7 +109,16 @@ copy of the whole CSR).  The dirty-set-proportional stages:
 * **Similarity evaluations** — proportional to the rebuilt rows'
   candidate sets plus the dirty users' own pairs, the streaming
   analogue of KIFF's "only scan the RCS" guarantee; repaired rows need
-  no candidate set at all.
+  no candidate set at all.  When the metric is built-in cosine on
+  positive integer ratings or a built-in set metric, and
+  ``min_rating`` is unset
+  (:func:`repro.similarity.engine.product_scoring`), the candidate
+  product already holds every pair's raw statistic — ``R[rows] @ Rᵀ``
+  the dot products, the binarised product the intersection sizes — so
+  those evaluations cost one finalize step each, and each rebuilt row
+  is ranked straight off its product row with no pair dedupe or merge.
+  The kernel then sees only the cross-shard inbox, and the merge only
+  the mirror offers to rows not rebuilt plus that inbox.
 
 The per-user work is tallied into a shared
 :class:`~repro.instrumentation.counters.MaintenanceCounter`
@@ -155,7 +166,11 @@ from ..instrumentation.counters import MaintenanceCounter
 from ..layout import ID_DTYPE, SCORE_DTYPE, legacy_nbytes, nbytes
 from ..serving.snapshot import GraphSnapshot
 from ..similarity.base import ProfileIndex, SimilarityMetric
-from ..similarity.engine import SimilarityEngine, score_pairs_chunked
+from ..similarity.engine import (
+    SimilarityEngine,
+    score_pairs_chunked,
+    score_product,
+)
 from .events import (
     CONTROL_EVENTS,
     EVENT_TYPES,
@@ -258,14 +273,37 @@ class _ShardHost:
     graph, ``k + RESERVE`` columns wide, and ``_depth[row]`` is the
     number of leading entries of each that are exact.  Subclasses add
     ``builder``, ``config``, ``n_users``, ``_shard_map`` and
-    ``_score_pairs``: the index for its own shards, and the worker-side
-    host in each ``processes`` worker, so both grow rows identically.
+    ``_scoring``: the index for its own shards, and the worker-side
+    host in each ``processes`` worker, so both grow rows and score
+    pairs identically.
     """
 
     _neighbors: np.ndarray
     _sims: np.ndarray
     _depth: np.ndarray
     _n_rows: int
+
+    def _scoring(self) -> tuple[SimilarityMetric, ProfileIndex, int]:
+        """``(metric, profile index, batch size)`` the scorers read."""
+        raise NotImplementedError
+
+    def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Chunked metric evaluation against the shared profile index.
+
+        See :func:`~repro.similarity.engine.score_pairs_chunked` (the
+        one scoring loop) for why this bypasses ``engine.batch``.
+        """
+        metric, index, batch_size = self._scoring()
+        return score_pairs_chunked(metric, index, us, vs, batch_size)
+
+    def _score_product(
+        self, us: np.ndarray, vs: np.ndarray, raw: np.ndarray
+    ) -> np.ndarray:
+        """Scores of candidate-product entries, on a pass whose metric
+        and ratings :func:`~repro.similarity.engine.product_scoring`
+        accepts: the bits :meth:`_score_pairs` returns for the pairs."""
+        metric, index, _ = self._scoring()
+        return score_product(metric, index, us, vs, raw)
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the live graph rows (backing arrays may hold slack)."""
@@ -1260,16 +1298,9 @@ class DynamicKnnIndex(_ShardHost):
             return [future.result() for future in futures]
         return list(map(call, self._shards, payloads))
 
-    def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Chunked metric evaluation against the shared profile index.
-
-        See :func:`~repro.similarity.engine.score_pairs_chunked` (the
-        one scoring loop) for why this bypasses ``engine.batch``.
-        """
+    def _scoring(self) -> tuple[SimilarityMetric, ProfileIndex, int]:
         engine = self.engine
-        return score_pairs_chunked(
-            engine.metric, engine.index, us, vs, engine.batch_size
-        )
+        return engine.metric, engine.index, engine.batch_size
 
     def rebuild(self) -> ConstructionResult:
         """Cold full KIFF rebuild — the baseline ``refresh()`` undercuts.

@@ -51,7 +51,6 @@ import numpy as np
 
 from ..layout import ID_DTYPE, SCORE_DTYPE
 from ..similarity.base import ProfileIndex
-from ..similarity.engine import score_pairs_chunked
 from .index import _ShardHost
 from .sharding import _Shard
 from .shm import attach_block, unpack_arrays
@@ -97,7 +96,8 @@ class _WorkerHost(_ShardHost):
     only owned rows are ever read or written; every stage-C reply ships
     the changed rows' depths back with their ids and scores), a builder
     view of the published snapshot,
-    the profile index rebuilt from shared memory, and the scorer.
+    and the metric with the profile index rebuilt from shared memory,
+    which both scorers read.
     """
 
     def __init__(self, init: dict):
@@ -138,10 +138,8 @@ class _WorkerHost(_ShardHost):
         # Users joined since the last pass get their (empty) rows.
         self._grow_rows(n_users)
 
-    def _score_pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return score_pairs_chunked(
-            self.metric, self.index, us, vs, self.batch_size
-        )
+    def _scoring(self):
+        return self.metric, self.index, self.batch_size
 
     def close(self) -> None:
         if self._block is not None:

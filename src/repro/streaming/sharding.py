@@ -25,7 +25,7 @@ then calls three stages on every shard:
    its own rows citing *any* selected dirty user in any column, reserve
    included.  Candidacy is symmetric, so they are among the raters of
    the items those users rate now or dropped since their last pass
-   (read off the pass's candidacy transpose ``B.T``) and the deferred
+   (read off the pass's candidacy transpose) and the deferred
    dirty rows; one masked gather over those rows finds them.  A clean
    referrer is *repaired*; the shard's selected dirty users and the
    other referrers are *rebuilt*.
@@ -38,14 +38,25 @@ then calls three stages on every shard:
    user also reaches the rows of her candidates that are not rebuilt
    (repaired rows included); when such a row belongs to another shard,
    the pair travels through a per-shard **outbox** — the cross-shard
-   effect channel.
+   effect channel.  On a pass whose metric and ratings meet
+   :func:`~repro.similarity.engine.product_scoring`'s rule (built-in
+   cosine on positive integer ratings, or a built-in set metric, with
+   ``min_rating`` unset) the product's values are the pairs' raw
+   statistics — dot products over the valued ``R[rows] @ Rᵀ``,
+   intersection sizes over the binarised one — so the pairs are scored
+   here, by the kernel's own finalize step, and never reach the kernel.
 3. **Evaluate + merge** (:meth:`_Shard.merge`) — each shard dedupes its
    pairs, scores them against the shared profile index, and merges into
    *its own rows only* (:func:`~repro.graph.updates.merge_topk_rows`,
    no full-array copy) — writes are disjoint by construction, so
    shards touch the one shared graph concurrently without locks.  The
    merge drops every offer that loses to its row's current k-th entry
-   (most mirror offers to clean rows) before it sorts.  Each repaired
+   (most mirror offers to clean rows) before it sorts.  On a
+   product-scored pass a cleared rebuilt row's offers are exactly its
+   own product row, so it is ranked straight off it with one stable
+   sort (:func:`~repro.graph.updates.rank_fresh_rows`); only the mirror
+   offers to rows not rebuilt and the inbox (still scored here) go
+   through the merge.  Each repaired
    row is then checked against its old boundary, the
    deepest entry of its exact prefix (see ``_ShardHost``); the rows
    that lost more than their reserve are rescanned from their candidate
@@ -104,8 +115,11 @@ from ..graph.updates import (
     ReverseNeighborIndex,
     dedupe_pairs,
     merge_topk_rows,
+    rank_fresh_rows,
 )
+from ..layout import SCORE_DTYPE
 from ..similarity.base import SimilarityMetric
+from ..similarity.engine import product_scoring
 from .index import DynamicKnnIndex, RefreshStats
 
 __all__ = [
@@ -311,6 +325,7 @@ class _Shard:
         "_dirty_mask",
         "_pairs",
         "_raters",
+        "_product",
     )
 
     def __init__(self, shard_id: int, host):
@@ -318,8 +333,9 @@ class _Shard:
         self.host = host
         # Per-pass context, set by the stages: the owned rows rebuilt
         # from their candidate sets, the owned rows repaired in place
-        # and their old boundary entries, the selected dirty users, and
-        # the snapshot's candidacy transpose (see candidate_sets).
+        # and their old boundary entries, the selected dirty users, the
+        # snapshot's candidacy transpose (see candidate_sets) and
+        # whether the candidate product scores the pass's pairs.
         self._rebuilt = _NO_PAIRS[0]
         self._rows_mask = _NO_PAIRS[0]
         self._repaired = _NO_PAIRS[0]
@@ -327,6 +343,7 @@ class _Shard:
         self._dirty_mask = _NO_PAIRS[0]
         self._pairs = _NO_PAIRS
         self._raters: tuple = (None, None)
+        self._product: str | None = None
 
     def _candidacy(self):
         """``(snapshot, raters)``: the snapshot and its candidacy transpose.
@@ -334,15 +351,25 @@ class _Shard:
         The transpose (:func:`~repro.core.rcs.candidacy_raters`), the
         one whole-matrix conversion of a pass, is built once in stage A
         and reused by stage B and the fallback rescans, then dropped at
-        the end of stage C.  Thread-safe by ownership: only this
+        the end of stage C.  Built with it, from the snapshot and the
+        metric, is the pass's one scoring decision
+        (:func:`~repro.similarity.engine.product_scoring`): when the
+        candidate product also scores the pairs, the transpose carries
+        that product's operand — the valued ``Rᵀ`` for cosine, whose
+        structure is ``B.T``'s.  Thread-safe by ownership: only this
         shard's stage calls touch it, and it only *reads* the shared
         snapshot.
         """
         snapshot = self.host.builder.snapshot()
         if self._raters[0] is not snapshot:
+            min_rating = self.host.config.min_rating
+            metric, _, _ = self.host._scoring()
+            self._product = product_scoring(metric, snapshot, min_rating)
             self._raters = (
                 snapshot,
-                candidacy_raters(snapshot, self.host.config.min_rating),
+                candidacy_raters(
+                    snapshot, min_rating, self._product == "valued"
+                ),
             )
         return self._raters
 
@@ -351,15 +378,31 @@ class _Shard:
 
         Row ``j`` of the returned CSR matrix spans the candidates of
         ``users[j]`` on the current snapshot
-        (:func:`~repro.core.rcs.candidate_rows`; only its structure is
-        read, and it may include the user herself).
+        (:func:`~repro.core.rcs.candidate_rows`; it may include the
+        user herself).  When the pass scores from the product, its
+        values are the pairs' raw statistics and each row's columns
+        are sorted, the order
+        :func:`~repro.graph.updates.rank_fresh_rows` needs; otherwise
+        only its structure is read.
         """
         snapshot, raters = self._candidacy()
         if not users.size:
             return sp.csr_matrix((0, snapshot.n_users))
-        return candidate_rows(
-            snapshot, users, self.host.config.min_rating, raters
+        product = candidate_rows(
+            snapshot,
+            users,
+            self.host.config.min_rating,
+            raters,
+            self._product == "valued",
         )
+        if self._product:
+            product.sort_indices()
+        return product
+
+    def _product_scorer(self):
+        """The host's product scorer on a pass that scores from the
+        candidate product, else ``None``."""
+        return self.host._score_product if self._product else None
 
     # ------------------------------------------------------------------
     # Refresh stages
@@ -460,15 +503,16 @@ class _Shard:
         rebuilt_mask = np.zeros(host.n_users, dtype=bool)
         rebuilt_mask[rebuilt] = True
         self._rows_mask = rebuilt_mask
-        rows, candidates, outboxes = plan_shard_pairs(
+        rows, candidates, scores, outboxes = plan_shard_pairs(
             self.shard_id,
             host._shard_map,
             mine,
             rebuilt_mask,
             self._dirty_mask,
             self.candidate_sets(mine),
+            self._product_scorer(),
         )
-        self._pairs = (rows, candidates)
+        self._pairs = (rows, candidates, scores)
         return outboxes
 
     def merge(self, inbox: list[ShardOutbox]) -> "ShardMerge":
@@ -489,7 +533,7 @@ class _Shard:
         """
         host = self.host
         neighbors, sims = host._rows()
-        rows, candidates = self._pairs
+        rows, candidates, scores = self._pairs
         self._pairs = _NO_PAIRS  # release the pass's pairs early
         repaired, (bound_ids, bound_sims) = self._repaired, self._bound
         self._bound = _NO_PAIRS
@@ -504,6 +548,7 @@ class _Shard:
             host.n_users,
             host._score_pairs,
             self._rows_mask,
+            scores,
         )
         self._rows_mask = _NO_PAIRS[0]
         failed = repaired[:0]
@@ -525,6 +570,7 @@ class _Shard:
             changes += more_changes
             host._depth[failed] = neighbors.shape[1]
         self._raters = (None, None)
+        self._product = None
         changed = np.union1d(active, repaired)
         return ShardMerge(
             evaluations=evaluations,
@@ -540,7 +586,8 @@ class _Shard:
         """Rescan repaired *rows* that failed the acceptance check.
 
         Each row is cleared and rebuilt from its whole candidate set.
-        Its pairs with clean candidates are scored here; the pass's
+        Its pairs with clean candidates are scored here — off their
+        candidate product when the pass scores from it; the pass's
         *offers* ``(users, ids, sims)`` already hold its pairs with
         dirty users (her own pair, or her mirror offer from another
         shard), so the ones to these rows are merged again.  Nothing
@@ -552,11 +599,18 @@ class _Shard:
         neighbors, sims = host._rows()
         target = np.zeros(host.n_users, dtype=bool)
         target[rows] = True
-        us, vs = candidate_pairs(rows, self.candidate_sets(rows))
+        us, vs, raw = candidate_pairs(rows, self.candidate_sets(rows))
         clean = ~self._dirty_mask[vs]
-        evaluations, *fresh = _score_offers(
-            us[clean], vs[clean], host.n_users, host._score_pairs, target
-        )
+        us, vs = us[clean], vs[clean]
+        score_product = self._product_scorer()
+        if score_product is None:
+            evaluations, *fresh = _score_offers(
+                us, vs, host.n_users, host._score_pairs, target
+            )
+        else:
+            # A row's own product entries are every fresh offer it gets.
+            evaluations = _count_once(us, vs, target)
+            fresh = (us, vs, score_product(us, vs, raw[clean]))
         earlier, later = target[offers[0]], target[fresh[0]]
         users, ids, scores = (
             np.concatenate([a[earlier], b[later]])
@@ -577,8 +631,8 @@ class _Shard:
 # ----------------------------------------------------------------------
 def candidate_pairs(
     rows: np.ndarray, candidates: sp.csr_matrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(row, candidate)`` pairs of a candidate product, self pairs dropped.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, candidate, value)`` of a candidate product, self pairs dropped.
 
     Row ``j`` of *candidates* belongs to ``rows[j]``; its structure
     repeats her id against its column indices.
@@ -586,7 +640,7 @@ def candidate_pairs(
     us = np.repeat(rows, np.diff(candidates.indptr))
     vs = candidates.indices.astype(np.int64)
     distinct = us != vs
-    return us[distinct], vs[distinct]
+    return us[distinct], vs[distinct], candidates.data[distinct]
 
 
 def plan_shard_pairs(
@@ -596,7 +650,8 @@ def plan_shard_pairs(
     rebuilt_mask: np.ndarray,
     dirty_mask: np.ndarray,
     candidates: sp.csr_matrix,
-) -> tuple[np.ndarray, np.ndarray, list[ShardOutbox]]:
+    score_product=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[ShardOutbox]]:
     """Stage B's pair derivation: local pairs plus cross-shard outboxes.
 
     Every rebuilt row owned by *shard_id* (per *shard_map*) is paired
@@ -605,13 +660,19 @@ def plan_shard_pairs(
     so a dirty user's (per *dirty_mask*) own pairs reach her
     candidates' rows this shard owns; her offer to a candidate's row
     that is not rebuilt and belongs to another shard (the *mirror*:
-    she can enter that top-k) travels in an outbox.  Returns ``(rows,
-    candidates, outboxes)``.
+    she can enter that top-k) travels in an outbox.  With
+    *score_product* (a pass whose product values are the pairs' raw
+    statistics) every pair is scored here, straight off the product;
+    otherwise the merge scores them.  Returns ``(rows, candidates,
+    scores, outboxes)``, ``scores`` ``None`` when unscored.
     """
-    rows, cands = candidate_pairs(rebuilt, candidates)
+    rows, cands, raw = candidate_pairs(rebuilt, candidates)
+    scores = None
+    if score_product is not None:
+        scores = score_product(rows, cands, raw)
     outboxes = []
     if shard_map.n_shards == 1:
-        return rows, cands, outboxes
+        return rows, cands, scores, outboxes
     mirror = dirty_mask[rows] & ~rebuilt_mask[cands]
     rows_m, users_m = cands[mirror], rows[mirror]
     owners = shard_map.owners(rows_m)
@@ -625,7 +686,7 @@ def plan_shard_pairs(
                     candidates=users_m[mine],
                 )
             )
-    return rows, cands, outboxes
+    return rows, cands, scores, outboxes
 
 
 class ShardMerge(NamedTuple):
@@ -665,6 +726,8 @@ def _score_offers(us, vs, n_users: int, score_pairs, rows):
     flip = (second & ~first) | ((first == second) & (vs < us))
     us, vs = np.where(flip, vs, us), np.where(flip, us, vs)
     us, vs = dedupe_pairs(us, vs, n_users, ordered=True)
+    if not us.size:  # nothing to score: the kernel is not called
+        return 0, us, vs, np.empty(0, dtype=SCORE_DTYPE)
     pair_sims = score_pairs(us, vs)
     return (
         int(us.size),
@@ -672,6 +735,17 @@ def _score_offers(us, vs, n_users: int, score_pairs, rows):
         np.concatenate([vs, us]),
         np.concatenate([pair_sims, pair_sims]),
     )
+
+
+def _count_once(us: np.ndarray, vs: np.ndarray, rows: np.ndarray) -> int:
+    """Distinct pairs among candidate-product pairs ``(us[j], vs[j])``.
+
+    Every ``us[j]`` is in the boolean mask *rows*, and a pair between
+    two of them sits in both rows' products; it counts once, under the
+    row of its lower id — :func:`_score_offers`' rule, so a pass scored
+    off the product reports the evaluations the dedupe would.
+    """
+    return int(us.size - np.count_nonzero(rows[vs] & (vs < us)))
 
 
 def _merge_offers(
@@ -709,6 +783,7 @@ def merge_shard_pairs(
     n_users: int,
     score_pairs,
     rows_mask: np.ndarray,
+    plan_scores: np.ndarray | None = None,
 ) -> tuple[int, int, np.ndarray, tuple]:
     """Stage C's merge: dedupe, evaluate, and merge into owned rows.
 
@@ -720,10 +795,21 @@ def merge_shard_pairs(
     ``(evaluations, changes, active, offers)``: ``active`` holds only
     the rows the merge re-ranked — rows whose every offer lost to their
     k-th entry are left out — and ``offers`` the ``(users, ids, sims)``
-    merged, which the repair's fallback reuses.
+    merged into rows that were not rebuilt, which the repair's
+    fallback reuses.
+
+    *plan_scores* (stage B scored the plan's pairs off their candidate
+    product) takes the rebuilt rows off the merge: a cleared row's
+    offers are exactly its own product row, already grouped by row
+    with ids ascending, so one stable sort ranks it
+    (:func:`~repro.graph.updates.rank_fresh_rows`).  Only the mirror
+    offers to the shard's rows that are not rebuilt and the inbox
+    (scored here by *score_pairs*) go through the merge.
     """
-    us = np.concatenate([plan_rows] + [box.rows for box in inbox])
-    vs = np.concatenate([plan_candidates] + [box.candidates for box in inbox])
+    scored = plan_scores is not None
+    unscored = _NO_PAIRS if scored else (plan_rows, plan_candidates)
+    us = np.concatenate([unscored[0]] + [box.rows for box in inbox])
+    vs = np.concatenate([unscored[1]] + [box.candidates for box in inbox])
     evaluations, users, ids, scores = _score_offers(
         us, vs, n_users, score_pairs, rows_mask
     )
@@ -732,9 +818,29 @@ def merge_shard_pairs(
         # evaluates its own side of a cross-shard pair.
         owned = shard_map.owners(users) == shard_id
         users, ids, scores = users[owned], ids[owned], scores[owned]
+    changes, fresh = 0, _NO_PAIRS[0]
+    if scored:
+        mine = np.zeros(n_users, dtype=bool)
+        mine[plan_rows] = True
+        evaluations += _count_once(plan_rows, plan_candidates, mine)
+        fresh, new_ids, new_sims, changes = rank_fresh_rows(
+            plan_rows, plan_candidates, plan_scores, neighbors.shape[1]
+        )
+        neighbors[fresh] = new_ids
+        sims[fresh] = new_sims
+        # The mirror halves: each pair offered back to the candidate's
+        # row, when this shard owns it and does not rebuild it.
+        mirror = ~rows_mask[plan_candidates]
+        if shard_map.n_shards > 1:
+            mirror &= shard_map.owners(plan_candidates) == shard_id
+        users, ids, scores = (
+            np.concatenate([plan_candidates[mirror], users]),
+            np.concatenate([plan_rows[mirror], ids]),
+            np.concatenate([plan_scores[mirror], scores]),
+        )
     offers = (users, ids, scores)
-    changes, active = _merge_offers(neighbors, sims, users, ids, scores)
-    return evaluations, changes, active, offers
+    merged, active = _merge_offers(neighbors, sims, users, ids, scores)
+    return evaluations, changes + merged, np.union1d(fresh, active), offers
 
 
 class ShardedKnnIndex(DynamicKnnIndex):

@@ -274,6 +274,29 @@ class TestCandidateRows:
             np.testing.assert_array_equal(shared.indices, own.indices)
             np.testing.assert_array_equal(shared.data, own.data)
 
+    def test_valued_product_has_the_same_rows_and_the_dot_products(self):
+        """On positive ratings the valued ``R[users] @ Rᵀ`` spans the
+        binarised product's candidate sets, with dot products as values;
+        it needs every rated item to count."""
+        from repro.core.rcs import candidacy_raters, candidate_rows
+
+        dataset = random_dataset(
+            n_users=30, n_items=15, density=0.2, seed=3, ratings=True
+        )
+        users = np.array([0, 5, 7, 29])
+        binary = candidate_rows(dataset, users)
+        valued = candidate_rows(dataset, users, valued=True)
+        binary.sort_indices()
+        valued.sort_indices()
+        np.testing.assert_array_equal(valued.indptr, binary.indptr)
+        np.testing.assert_array_equal(valued.indices, binary.indices)
+        dots = (dataset.matrix[users] @ dataset.matrix.T).toarray()
+        np.testing.assert_array_equal(
+            valued.toarray()[valued.toarray() != 0], dots[dots != 0]
+        )
+        with pytest.raises(ValueError, match="min_rating"):
+            candidacy_raters(dataset, 3.0, valued=True)
+
     def test_user_without_ratings_has_no_candidates(self):
         from repro.core.rcs import candidate_rows
 

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.heap import KnnHeap
 from repro.graph.knn_graph import MISSING, KnnGraph
-from repro.graph.updates import dedupe_pairs, merge_topk, merge_topk_rows
+from repro.graph.updates import (
+    dedupe_pairs,
+    merge_topk,
+    merge_topk_rows,
+    rank_fresh_rows,
+)
 
 
 def _empty(n, k):
@@ -116,6 +121,38 @@ class TestMergeTopk:
         )
         # Canonical order prefers the lower id on equal similarity.
         assert new_n[0, 0] == 2
+
+
+class TestRankFreshRows:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ranks_like_a_merge_into_cleared_rows(self, seed):
+        """Offers grouped by row with ascending ids, many of them tied
+        (signed zeros included), rank as ``merge_topk_rows`` ranks them
+        into empty rows."""
+        rng = np.random.default_rng(seed)
+        n, k = 30, 4
+        offered = rng.random((n, n)) < 0.4
+        np.fill_diagonal(offered, False)
+        rows, ids = np.nonzero(offered)
+        sims = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], rows.size)
+        sims = sims.astype(np.float32)
+        neighbors, scores = _empty(n, k)
+        expected = merge_topk_rows(neighbors, scores, rows, ids, sims)
+        got = rank_fresh_rows(rows, ids, sims, k)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+        assert got[2].tobytes() == expected[2].tobytes()
+        assert got[3] == expected[3]
+
+    def test_no_offers(self):
+        active, neighbors, sims, changes = rank_fresh_rows(
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float32),
+            3,
+        )
+        assert active.size == changes == 0
+        assert neighbors.shape == sims.shape == (0, 3)
 
 
 class TestHeapEquivalence:

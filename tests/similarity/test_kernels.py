@@ -8,6 +8,10 @@
   sparse-product path) each equal the oracle and the parent match-only
   kernel, kept frozen below, byte for byte; a spy pins which path each
   corpus case takes, so neither can go silently dead.
+* The streaming refresh's product scoring (a rebuilt row's candidate
+  product finalized by the kernel's formula) equals ``score_pairs`` and
+  the oracle byte for byte wherever it is eligible, and a spy pins
+  ``score_pairs`` everywhere else.
 * ``kernel_backend`` accepts only ``None``/``"numpy"``; any other name
   is refused with an error naming ``"numpy"``.
 """
@@ -16,16 +20,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import BipartiteDataset, DynamicKnnIndex, KiffConfig
 from repro.cli import build_parser
+from repro.core.rcs import candidate_rows
 from repro.layout import compact_scores
 from repro.similarity.base import ProfileIndex
 from repro.similarity.engine import (
     SimilarityEngine,
     get_metric,
+    product_scoring,
+    register_metric,
     score_pairs_chunked,
+    score_product,
 )
+from repro.similarity.overlap import OverlapSimilarity
+from repro.streaming.sharding import candidate_pairs
 from repro.similarity.kernels import METRIC_FAMILIES, numpy_backend
 from repro.similarity.kernels.numpy_backend import NumpyKernelBackend
 from repro.streaming import cold_rebuild_graph
@@ -483,7 +494,7 @@ class TestKernelParityCorpus:
         ],
     )
     def test_exactness_check(self, values, exact):
-        assert numpy_backend._exact_integers(np.array(values), 30) is exact
+        assert numpy_backend.exact_integers(np.array(values), 30) is exact
 
 
 class TestNumpyStreamParity:
@@ -708,4 +719,152 @@ class TestAdamicAdarWeights:
         assert np.array_equal(
             index.adamic_adar_matrix.toarray(),
             fresh.adamic_adar_matrix.toarray(),
+        )
+
+
+# ----------------------------------------------------------------------
+# The refresh's product scoring: a rebuilt row's candidate product
+# carries its pairs' raw statistics, finalized by the kernel's formula.
+# ----------------------------------------------------------------------
+#: The metrics whose built-in class the candidate product can score.
+PRODUCT_METRICS = ["cosine", "jaccard", "dice", "overlap"]
+#: Rating variants whose values cosine's product scores exactly.
+POSITIVE_INTEGERS = {"binary", "stars"}
+
+
+def product_pairs(dataset, operand):
+    """Every user's candidate-product pairs with their raw statistics,
+    read as the refresh reads them (sorted columns, self pairs out)."""
+    users = np.arange(dataset.n_users, dtype=np.int64)
+    product = candidate_rows(
+        dataset, users, None, valued=operand == "valued"
+    )
+    product.sort_indices()
+    return candidate_pairs(users, product)
+
+
+class DoubledOverlap(OverlapSimilarity):
+    """A registered subclass of a product-scored metric that scores
+    differently: matching by name or ``isinstance`` would break it."""
+
+    name = "doubled_overlap_product"
+
+    def score_pair(self, index, u, v):
+        return 2.0 * super().score_pair(index, u, v)
+
+    def score_batch(self, index, us, vs):
+        # The kernel knows the built-in name only.
+        return 2.0 * OverlapSimilarity().score_batch(index, us, vs)
+
+    def score_block(self, index, us):
+        return 2.0 * super().score_block(index, us)
+
+
+register_metric(DoubledOverlap)
+
+
+class TestProductScoring:
+    """Product scores equal ``score_pairs`` and the oracle, byte for byte,
+    wherever :func:`product_scoring` accepts the metric and ratings."""
+
+    @pytest.mark.parametrize("ratings", sorted(RATINGS))
+    @pytest.mark.parametrize("metric_name", PRODUCT_METRICS)
+    def test_equals_score_pairs_and_oracle_bytes(self, metric_name, ratings):
+        dataset = rated_dataset(ratings)
+        metric = get_metric(metric_name)
+        operand = product_scoring(metric, dataset, None)
+        if metric_name != "cosine":
+            assert operand == "binary"
+        elif ratings in POSITIVE_INTEGERS:
+            assert operand == "valued"
+        else:
+            assert operand is None
+            return
+        index = ProfileIndex(dataset)
+        us, vs, raw = product_pairs(dataset, operand)
+        assert us.size > 100
+        got = score_product(metric, index, us, vs, raw)
+        kernel = score_pairs_chunked(metric, index, us, vs, 1 << 20)
+        assert got.tobytes() == kernel.tobytes()
+        oracle = scipy_oracle(metric_name, index, us, vs)
+        assert got.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_integer_bound(self, over):
+        """The largest integer with ``peak**2 * n_items < 2**53`` scores
+        off the product; one more falls back to ``score_pairs``."""
+        n_items = 30
+        peak = int(np.sqrt(2.0**53 / n_items))
+        while peak * peak * n_items >= 2**53:
+            peak -= 1
+        peak += int(over)
+        dataset = rated_dataset("stars", n_items=n_items)
+        values = dataset.matrix.data.copy()
+        values[::7] = peak
+        dataset = BipartiteDataset(
+            sp.csr_matrix(
+                (values, dataset.matrix.indices, dataset.matrix.indptr),
+                shape=dataset.matrix.shape,
+            )
+        )
+        metric = get_metric("cosine")
+        operand = product_scoring(metric, dataset, None)
+        if over:
+            assert peak * peak * n_items >= 2**53
+            assert operand is None
+            return
+        assert operand == "valued"
+        index = ProfileIndex(dataset)
+        us, vs, raw = product_pairs(dataset, operand)
+        assert (raw >= peak * peak).any()
+        got = score_product(metric, index, us, vs, raw)
+        kernel = score_pairs_chunked(metric, index, us, vs, 1 << 20)
+        assert got.tobytes() == kernel.tobytes()
+        oracle = scipy_oracle("cosine", index, us, vs)
+        assert got.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize(
+        ("metric", "ratings", "min_rating", "product"),
+        [
+            ("cosine", "stars", None, True),
+            ("jaccard", "fractional", None, True),
+            ("cosine", "fractional", None, False),
+            ("cosine", "votes", None, False),
+            ("cosine", "stars", 3.0, False),
+            ("jaccard", "stars", 3.0, False),
+            ("pearson", "stars", None, False),
+            ("adamic_adar", "stars", None, False),
+            (DoubledOverlap.name, "stars", None, False),
+        ],
+    )
+    def test_refresh_scorer(self, metric, ratings, min_rating, product):
+        """A spy pins which scorer a refresh pass uses; either way the
+        stream ends on the cold rebuild."""
+        dataset = rated_dataset(
+            ratings, n_users=18, n_items=14, density=0.2, seed=3, n_empty=0
+        )
+        config = KiffConfig(k=4, min_rating=min_rating)
+        index = DynamicKnnIndex(
+            dataset, config, metric=metric, auto_refresh=False
+        )
+        calls = {"_score_pairs": 0, "_score_product": 0}
+
+        def counting(name):
+            original = getattr(index, name)
+
+            def score(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return score
+
+        for name in calls:
+            setattr(index, name, counting(name))
+        drive_random_stream(index, 3, ratings=RATINGS[ratings])
+        if product:
+            assert calls["_score_product"] > 0
+        else:
+            assert calls["_score_product"] == 0 < calls["_score_pairs"]
+        assert index.graph == cold_rebuild_graph(
+            index.dataset, config, metric=metric
         )

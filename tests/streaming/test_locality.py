@@ -75,7 +75,7 @@ class TestRefreshLocality:
 
 def record_plans(monkeypatch):
     """Record every ``plan_shard_pairs`` call: ``(shard_id, shard_map,
-    rebuilt, rebuilt_mask, dirty_mask, (rows, candidates, outboxes))``."""
+    rebuilt, rebuilt_mask, dirty_mask, (rows, candidates, scores, outboxes))``."""
     plans = []
     original = sharding.plan_shard_pairs
 
@@ -98,7 +98,7 @@ def assert_plans_match_oracle(plans, snapshot, min_rating):
     mirrors, expected_mirrors = set(), set()
     for plan in plans:
         shard_id, shard_map, rebuilt, rebuilt_mask, dirty_mask, result = plan
-        rows, cands, outboxes = result
+        rows, cands, _, outboxes = result
         assert np.isin(rows, rebuilt).all()
         for user in rebuilt.tolist():
             expected = set(truth.candidates_of(user).tolist())
@@ -193,7 +193,9 @@ class TestCandidateDerivation:
     )
     def test_one_transpose_per_shard_and_no_csc(self, monkeypatch, layout):
         """A pass builds the candidacy transpose at most once per shard,
-        fallbacks included, and never materialises the CSC mirror."""
+        fallbacks included, and never materialises the CSC mirror.  On
+        integer cosine that one transpose is the valued ``Rᵀ``, whose
+        product scores the pairs as well."""
         n_shards, executor = layout
         index = DynamicKnnIndex(
             reserve_rows_dataset(),
@@ -206,9 +208,9 @@ class TestCandidateDerivation:
         calls = []
         original = sharding.candidacy_raters
 
-        def counting(dataset, min_rating):
-            calls.append(dataset)
-            return original(dataset, min_rating)
+        def counting(dataset, min_rating, valued=False):
+            calls.append((dataset, valued))
+            return original(dataset, min_rating, valued)
 
         monkeypatch.setattr(sharding, "candidacy_raters", counting)
         try:
@@ -221,7 +223,10 @@ class TestCandidateDerivation:
             assert stats.cache_hits == 0
             assert stats.cache_misses == stats.affected_users
             assert 1 <= len(calls) <= n_shards
-            assert all(dataset is index.dataset for dataset in calls)
+            assert all(
+                dataset is index.dataset and valued
+                for dataset, valued in calls
+            )
             assert index.dataset._csc_cache == []
             assert index.graph == cold_rebuild_graph(
                 index.dataset, index.config, metric="cosine"
@@ -267,15 +272,15 @@ class TestReferrerDiscovery:
         the retry finds what a scan of those rows finds, and is exact."""
         index = _index(n_users=30, n_items=18, density=0.15)
         index.apply(ratings_batch([0], [3], [4.0]))
-        original_score = index._score_pairs
-
-        def exploding_score(us, vs):
+        def exploding_score(*args):
             raise RuntimeError("metric blew up")
 
-        monkeypatch.setattr(index, "_score_pairs", exploding_score)
+        # Both scorers: the pass may score off its candidate product.
+        for scorer in ("_score_pairs", "_score_product"):
+            monkeypatch.setattr(index, scorer, exploding_score)
         with pytest.raises(RuntimeError, match="blew up"):
             index.refresh()
-        monkeypatch.setattr(index, "_score_pairs", original_score)
+        monkeypatch.undo()
         with split_checked() as checked:
             index.refresh()
         assert checked

@@ -63,8 +63,11 @@ def drive_random_stream(index, seed, n_events=30, max_item=20, ratings=None):
     index.refresh()
 
 
-def corpus_stream(metric, pivot, seed):
-    """One stream of the 78-stream corpus, driven to its end."""
+def corpus_stream(metric, pivot, seed, **layout):
+    """One stream of the 78-stream corpus, driven to its end.
+
+    *layout* (``n_shards``, ``executor``) defaults to the flat index.
+    """
     dataset = random_dataset(
         n_users=18, n_items=14, density=0.15, seed=seed, ratings=True
     )
@@ -73,12 +76,13 @@ def corpus_stream(metric, pivot, seed):
         KiffConfig(k=4, pivot=pivot),
         metric=metric,
         auto_refresh=False,
+        **layout,
     )
     drive_random_stream(index, seed)
     return index
 
 
-def burst_stream(metric, pivot, seed):
+def burst_stream(metric, pivot, seed, **layout):
     """A denser stream whose bursts exhaust one row's reserve each.
 
     The corpus rows above hold every candidate within ``k + RESERVE``
@@ -94,6 +98,7 @@ def burst_stream(metric, pivot, seed):
         KiffConfig(k=3, pivot=pivot),
         metric=metric,
         auto_refresh=False,
+        **layout,
     )
     rng = np.random.default_rng(seed)
     for burst in range(3):
@@ -346,15 +351,15 @@ class TestRefreshRobustness:
         the next refresh rebuilds every row the failed pass touched."""
         index = DynamicKnnIndex(rated_dataset, KiffConfig(k=2), auto_refresh=False)
         index.apply(ratings_batch([0], [3], [4.0]))
-        original_score = index._score_pairs
-
-        def exploding_score(us, vs):
+        def exploding_score(*args):
             raise RuntimeError("metric blew up")
 
-        monkeypatch.setattr(index, "_score_pairs", exploding_score)
+        # Both scorers: the pass may score off its candidate product.
+        for scorer in ("_score_pairs", "_score_product"):
+            monkeypatch.setattr(index, scorer, exploding_score)
         with pytest.raises(RuntimeError, match="blew up"):
             index.refresh()
-        monkeypatch.setattr(index, "_score_pairs", original_score)
+        monkeypatch.undo()
         index.refresh()
         assert index.graph == cold_rebuild(index)
 

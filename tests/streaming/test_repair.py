@@ -343,14 +343,15 @@ class TestRepairPaths:
 @pytest.mark.parametrize("layout", LAYOUTS[:2], ids=LAYOUT_IDS[:2])
 class TestScoringCalls:
     def test_rows_being_rebuilt_are_the_kernel_row_side(self, layout):
-        """Each shard scores its merge in one call and its fallbacks in
-        one more, with the rebuilt rows (the dirty users, then the row
-        that fell back) on the kernel's row side."""
+        """Jaccard scores a pass off the candidate product: each
+        shard scores its rebuilt rows' product in one stage-B call, its
+        inbox in at most one stage-C call to the kernel, and its
+        fallbacks in one more product call — with the rebuilt rows (the
+        dirty users, then the row that fell back) on the row side."""
         index = make_index(reserve_rows_dataset(), layout, k=2)
         try:
             index.apply(lower_near_users())
-            calls = {"merge": [], "fallback": []}
-            original = index._score_pairs
+            calls = {"product": [], "pairs": [], "fallback": []}
             fall_back = _Shard._fall_back
             state = threading.local()
 
@@ -361,20 +362,31 @@ class TestScoringCalls:
                 finally:
                     state.falling_back = False
 
-            def recording(us, vs):
-                late = getattr(state, "falling_back", False)
-                calls["fallback" if late else "merge"].append(set(us.tolist()))
-                return original(us, vs)
+            def recording(name, original):
+                def score(us, vs, *raw):
+                    late = getattr(state, "falling_back", False)
+                    calls["fallback" if late else name].append(
+                        set(us.tolist())
+                    )
+                    return original(us, vs, *raw)
+
+                return score
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(_Shard, "_fall_back", falling_back)
-                patch.setattr(index, "_score_pairs", recording)
+                for name in ("product", "pairs"):
+                    scorer = f"_score_{name}"
+                    patch.setattr(
+                        index, scorer, recording(name, getattr(index, scorer))
+                    )
                 stats = index.refresh()
             assert fallbacks(stats) == 1
-            assert 0 < len(calls["merge"]) <= index.n_shards
+            assert 0 < len(calls["product"]) <= index.n_shards
+            assert len(calls["pairs"]) == (index.n_shards > 1)
             assert len(calls["fallback"]) == 1
-            assert all(users <= set(NEAR) for users in calls["merge"])
-            assert set().union(*calls["merge"]) == set(NEAR)
+            scored = calls["product"] + calls["pairs"]
+            assert all(users <= set(NEAR) for users in scored)
+            assert set().union(*scored) == set(NEAR)
             assert calls["fallback"] == [{0}]
             assert_exact(index)
         finally:
@@ -408,14 +420,18 @@ class TestFailureMidRepair:
     )
     @pytest.mark.parametrize("layout", LAYOUTS[:2], ids=LAYOUT_IDS[:2])
     def test_metric_error_then_exact_rerun(self, layout, fail_in, monkeypatch):
-        """Fail the stage-C scoring (after the drops), the fallback's
+        """Fail the pass's first scoring (stage B's product scores or
+        stage C's pairs, after the drops), the fallback's
         (after the first merge landed) or the fallback's merge (after
         its rows were cleared); the rerun finds the referrers a scan of
         the rows left behind finds, and is exact."""
         index = make_index(reserve_rows_dataset(), layout, k=2)
         try:
             index.apply(lower_near_users())
-            original = index._score_pairs
+            scorers = {
+                name: getattr(index, name)
+                for name in ("_score_pairs", "_score_product")
+            }
             fall_back = _Shard._fall_back
             state = threading.local()
 
@@ -423,13 +439,16 @@ class TestFailureMidRepair:
                 state.falling_back = True
                 return fall_back(shard, rows, offers)
 
-            def failing(us, vs):
-                if fail_in == "merge" or (
-                    fail_in == "fallback"
-                    and getattr(state, "falling_back", 0)
-                ):
-                    raise RuntimeError("metric blew up")
-                return original(us, vs)
+            def failing(original):
+                def score(*args):
+                    if fail_in == "merge" or (
+                        fail_in == "fallback"
+                        and getattr(state, "falling_back", 0)
+                    ):
+                        raise RuntimeError("metric blew up")
+                    return original(*args)
+
+                return score
 
             merge_rows = sharding.merge_topk_rows
 
@@ -439,14 +458,16 @@ class TestFailureMidRepair:
                 return merge_rows(*args)
 
             monkeypatch.setattr(_Shard, "_fall_back", falling_back)
-            monkeypatch.setattr(index, "_score_pairs", failing)
+            for name, original in scorers.items():
+                monkeypatch.setattr(index, name, failing(original))
             if fail_in == "fallback-merge":
                 monkeypatch.setattr(
                     sharding, "merge_topk_rows", failing_merge
                 )
             with pytest.raises(RuntimeError, match="blew up"):
                 index.refresh()
-            monkeypatch.setattr(index, "_score_pairs", original)
+            for name, original in scorers.items():
+                monkeypatch.setattr(index, name, original)
             monkeypatch.setattr(sharding, "merge_topk_rows", merge_rows)
             with split_checked() as checked:
                 index.refresh()

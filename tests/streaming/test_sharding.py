@@ -159,15 +159,15 @@ class TestShardedParity:
             executor="serial",
         )
         index.apply(ratings_batch([0], [3], [4.0]))
-        original = index._score_pairs
-
-        def exploding(us, vs):
+        def exploding(*args):
             raise RuntimeError("metric blew up")
 
-        monkeypatch.setattr(index, "_score_pairs", exploding)
+        # Both scorers: the pass may score off its candidate product.
+        for scorer in ("_score_pairs", "_score_product"):
+            monkeypatch.setattr(index, scorer, exploding)
         with pytest.raises(RuntimeError, match="blew up"):
             index.refresh()
-        monkeypatch.setattr(index, "_score_pairs", original)
+        monkeypatch.undo()
         index.refresh()
         assert index.graph == cold_rebuild_graph(index.dataset, index.config)
 
@@ -273,7 +273,7 @@ class TestShardState:
         index.refresh()
         assert sorted(shard_id for shard_id, _, _ in plans) == [0, 1, 2]
         planned = 0
-        for shard_id, rebuilt, (rows, _, outboxes) in plans:
+        for shard_id, rebuilt, (rows, _, _, outboxes) in plans:
             assert all(shard_of(row, 3) == shard_id for row in rebuilt)
             assert np.isin(rows, rebuilt).all()
             assert all(box.target != shard_id for box in outboxes)

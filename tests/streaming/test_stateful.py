@@ -6,7 +6,9 @@ case the referrer repair must catch, and batches lowering more than
 ``RESERVE`` entries of one row's exact prefix, which exhaust its
 reserve and force a rescan), drops of the one item a cited user shares
 with a clean row citing her (only her lost-item record leads the
-refresh to that row), user joins and removals, partial
+refresh to that row), fractional ratings (they take cosine's passes
+off the candidate-product scoring until overwritten by whole ones),
+user joins and removals, partial
 ``refresh(dirty_subset)`` and full refreshes, checkpoint + restore into
 a fresh index, and live rebalancing.  Invariants:
 
@@ -60,6 +62,7 @@ from repro.streaming import (
     cold_rebuild_graph,
     converged_config,
 )
+from repro.similarity.engine import get_metric, product_scoring
 from repro.streaming.index import RESERVE
 from tests.conftest import (
     exhaust_reserve_events,
@@ -243,6 +246,51 @@ class IndexMachine(RuleBasedStateMachine):
                 self.index.refresh(dirty_subset=[user])
         elif then == "restore":
             self.checkpoint_and_restore()
+
+    @rule(
+        slot=st.integers(0, 63),
+        item=st.integers(0, N_ITEMS - 1),
+        overwrite=st.booleans(),
+    )
+    def fractional_rating(self, slot, item, overwrite):
+        """A fractional rating takes cosine's passes off the product
+        scoring; overwriting it with a whole one brings them back once
+        no other fractional rating is left."""
+        user = self._user(slot)
+        self.index.apply(AddRating(user, item, 2.5))
+        self._refresh_spying_on_scorer()
+        if overwrite:
+            self.index.apply(AddRating(user, item, 2.0))
+            self._refresh_spying_on_scorer()
+
+    def _refresh_spying_on_scorer(self):
+        """A full refresh (checked exact) that scores off the candidate
+        product exactly when :func:`product_scoring` accepts the pass."""
+        index = self.index
+        calls = []
+        score_product = index._score_product
+
+        def counting(*args):
+            calls.append(1)
+            return score_product(*args)
+
+        index._score_product = counting
+        try:
+            self.refresh()
+        finally:
+            del index._score_product
+        stats = index.refresh_log[-1]
+        operand = product_scoring(
+            get_metric(self.metric), index.dataset, index.config.min_rating
+        )
+        values = index.dataset.matrix.data
+        if self.metric == "cosine" and self.min_rating is None:
+            fractional = (values != np.rint(values)).any()
+            assert (operand is None) == fractional
+        if operand is None:
+            assert not calls
+        elif stats.evaluations:
+            assert calls
 
     @rule(
         profile=st.dictionaries(
