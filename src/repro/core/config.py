@@ -40,14 +40,15 @@ class KiffConfig:
         future-work pruning heuristic (Section VII).
     pivot:
         Use the lower-id-stores-the-pair strategy (Section II-D) in
-        :func:`~repro.core.kiff.kiff` (and so in a dynamic index's
-        ``rebuild()``).  It sets only how many similarities a build
-        evaluates, never the converged graph; the ablation benches
-        disable it to measure its effect.  A dynamic index's refresh
-        always scores each pair once and offers it both ways.
+        :func:`~repro.core.kiff.kiff`.  It sets only how many
+        similarities ``kiff()`` evaluates, never the converged graph;
+        the ablation benches disable it to measure its effect.  A
+        dynamic index ignores it: its build (``rebuild()``) and every
+        refresh score each pair once and offer it both ways.
     mode:
         ``"fast"`` (vectorised, default) or ``"reference"`` (per-user
-        heaps, a line-by-line transcription of Algorithm 1).
+        heaps, a line-by-line transcription of Algorithm 1), in
+        :func:`~repro.core.kiff.kiff` only.
     track_snapshots:
         Keep a copy of the graph after each iteration (needed by the
         Figure 8 convergence study; costs memory).

@@ -12,10 +12,10 @@ The merge first drops every offer that cannot enter its row (it loses to
 the row's current k-th entry), then sorts the survivors twice — once to
 deduplicate ``(row, id)``, once to rank each row — on integer composite
 keys.  Rows rebuilt from scratch out of offers already grouped by row
-and ordered by id skip both the prefilter and the deduplication
-(:func:`rank_fresh_rows`).  :class:`ReverseNeighborIndex` finds the
-rows citing a set of users among a narrowed set of rows, without an
-inverted index.
+skip both the prefilter and the deduplication, and keep each row's top
+entries before any sort (:func:`rank_fresh_rows`).
+:class:`ReverseNeighborIndex` finds the rows citing a set of users
+among a narrowed set of rows, without an inverted index.
 """
 
 from __future__ import annotations
@@ -250,18 +250,24 @@ def merge_topk_rows(
 def rank_fresh_rows(
     row_ids: np.ndarray, cand_ids: np.ndarray, cand_sims: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Top-*k* rows built from scratch out of one sorted offer list.
+    """Top-*k* rows built from scratch out of one offer list.
 
     The rows' offers are their whole content — no current entry to keep
-    and no id offered twice to a row — grouped by ascending *row_ids*
-    with ascending *cand_ids* within each row (the rows of a candidate
-    product with sorted indices).  So the deduplication pass of
-    :func:`merge_topk_rows` has nothing to do and one stable sort ranks
-    every row; equal scores keep ascending id, exactly as
-    :func:`merge_topk_rows` ranks the same offers into cleared rows.
-    Returns ``(active, new_neighbors, new_sims, changes)`` in its shape:
-    the distinct rows, their ``(active.size, k)`` rows, and the entries
-    placed (every one is new).
+    and no id offered twice to a row — grouped by ascending *row_ids*,
+    in any id order within a row (the rows of a candidate product, whose
+    columns SpGEMM leaves unsorted).  So the deduplication pass of
+    :func:`merge_topk_rows` has nothing to do.  Each offer gets one
+    64-bit key, ``desc(score) << 32 | id``: distinct within its row and
+    ascending in the canonical ``(-sim, id)`` order, so equal scores
+    keep ascending id, exactly as :func:`merge_topk_rows` ranks the
+    same offers into cleared rows.  Rows are laid out one per line,
+    grouped by their power-of-two padded width (at most twice their
+    offers), and each line keeps its *k* smallest keys
+    (``np.argpartition``) before sorting them: no sort spans more than
+    one row's top *k*.  Returns ``(active, new_neighbors, new_sims,
+    changes)`` in :func:`merge_topk_rows`' shape: the distinct rows,
+    their ``(active.size, k)`` rows, and the entries placed (every one
+    is new).
     """
     if row_ids.size == 0:
         return (
@@ -272,14 +278,61 @@ def rank_fresh_rows(
         )
     starts = np.r_[True, row_ids[1:] != row_ids[:-1]]
     active = row_ids[starts]
-    pick, new_neighbors, new_sims = _rank_rows(
-        np.cumsum(starts) - 1,
-        cand_ids,
-        np.asarray(cand_sims, dtype=SCORE_DTYPE),
-        active.size,
-        k,
-    )
-    return active, new_neighbors, new_sims, int(pick.size)
+    lengths = np.diff(np.r_[np.flatnonzero(starts), row_ids.size])
+    firsts = np.cumsum(lengths) - lengths
+    scores = np.asarray(cand_sims, dtype=SCORE_DTYPE)
+    keys = _descending(scores).astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= np.asarray(cand_ids, dtype=np.int64).view(np.uint64)
+    new_neighbors = np.full((active.size, k), MISSING, dtype=ID_DTYPE)
+    new_sims = np.full((active.size, k), -np.inf, dtype=SCORE_DTYPE)
+    widths = np.left_shift(1, np.ceil(np.log2(lengths)).astype(np.int64))
+    for width in np.unique(widths).tolist():
+        members = np.flatnonzero(widths == width)
+        # About _LINE_SLOTS keys at a time, so the layout's temporaries
+        # stay small however many offers a cold-build block holds.
+        chunks = min(members.size, -(-members.size * width // _LINE_SLOTS))
+        for group in np.array_split(members, chunks):
+            sizes = lengths[group]
+            line = np.repeat(np.arange(group.size), sizes)
+            column = np.arange(line.size) - np.repeat(
+                np.cumsum(sizes) - sizes, sizes
+            )
+            padded = np.full((group.size, width), _NO_KEY, dtype=np.uint64)
+            padded[line, column] = keys[firsts[group][line] + column]
+            del line, column
+            if width > k:
+                order = np.argpartition(padded, k - 1, axis=1)[:, :k]
+                padded = np.take_along_axis(padded, order, axis=1)
+                order = np.take_along_axis(
+                    order, np.argsort(padded, axis=1), axis=1
+                )
+            else:
+                order = np.argsort(padded, axis=1)
+            # Padding sorts last, so a line's real keys lead it.
+            placed = order < sizes[:, None]
+            entries = (firsts[group][:, None] + order)[placed]
+            ids = np.full(order.shape, MISSING, dtype=ID_DTYPE)
+            top = np.full(order.shape, -np.inf, dtype=SCORE_DTYPE)
+            ids[placed] = cand_ids[entries]
+            top[placed] = scores[entries]
+            new_neighbors[group, : order.shape[1]] = ids
+            new_sims[group, : order.shape[1]] = top
+    placed = int(np.minimum(lengths, k).sum())
+    return active, new_neighbors, new_sims, placed
+
+
+#: Pads a line of :func:`rank_fresh_rows` keys: above every real key.
+_NO_KEY = np.iinfo(np.uint64).max
+#: Padded keys :func:`rank_fresh_rows` lays out at once (2 MB of keys).
+_LINE_SLOTS = 1 << 18
+
+
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """uint32 keys ascending as float32 *scores* descend (``-0.0`` as
+    ``0.0``)."""
+    bits = (scores + np.float32(0.0)).view(np.uint32)
+    return np.where(bits >> 31, bits, bits ^ np.uint32(0x7FFFFFFF))
 
 
 def _rank_rows(
@@ -298,10 +351,9 @@ def _rank_rows(
     neighbors, sims)``: the offer positions kept, in rank order, and
     the ``(n_rows, k)`` rows they fill.
     """
-    bits = (scores + np.float32(0.0)).view(np.uint32)
-    desc = np.where(bits >> 31, bits, bits ^ np.uint32(0x7FFFFFFF))
     order = np.argsort(
-        (rows.astype(np.uint64) << np.uint64(32)) | desc, kind="stable"
+        (rows.astype(np.uint64) << np.uint64(32)) | _descending(scores),
+        kind="stable",
     )
     row_starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
     ranks = np.arange(rows.size) - np.repeat(

@@ -163,6 +163,7 @@ from ..graph.knn_graph import MISSING, KnnGraph
 # importable from here as well.
 from ..graph.updates import merge_topk_rows  # noqa: F401
 from ..instrumentation.counters import MaintenanceCounter
+from ..instrumentation.trace import ConvergenceTrace
 from ..layout import ID_DTYPE, SCORE_DTYPE, legacy_nbytes, nbytes
 from ..serving.snapshot import GraphSnapshot
 from ..similarity.base import ProfileIndex, SimilarityMetric
@@ -350,10 +351,11 @@ class DynamicKnnIndex(_ShardHost):
         first ``refresh()`` or ``rebuild()`` populates).
     config:
         KIFF parameters.  ``k`` and ``min_rating`` shape the maintained
-        graph; ``pivot`` only sets the cost of :meth:`rebuild` (a
-        refresh always scores each pair once and offers it both ways);
-        ``beta`` is forced to ``0.0`` internally because the index
-        maintains the converged graph.
+        graph.  ``pivot``, ``gamma``, ``beta``, ``mode`` and
+        ``max_iterations`` steer only :func:`~repro.core.kiff.kiff`,
+        the parity reference: the index maintains the converged
+        (``beta = 0``) graph, and its build (:meth:`rebuild`) and every
+        refresh score each pair once and offer it both ways.
     metric:
         Similarity metric name or instance (as for
         :class:`~repro.similarity.engine.SimilarityEngine`).
@@ -392,6 +394,17 @@ class DynamicKnnIndex(_ShardHost):
     once per side (evaluations are never shared across shards), so
     ``RefreshStats.evaluations`` can exceed the one-shard figure — the
     graphs still match exactly.
+
+    Build cost
+    ----------
+    The constructor's :meth:`rebuild` is a refresh with every user
+    dirty and nothing to repair, run in process on one shard view of
+    the rows, so it scores each co-rating pair once on every shard
+    count and executor (``initial_evaluations``).  It walks the users
+    in ascending-id row blocks whose candidate products hold about
+    :data:`~repro.streaming.sharding.BUILD_BLOCK_ENTRIES` entries, so
+    its memory beyond the rows is one block's product, not the whole
+    co-occurrence matrix that :func:`~repro.core.kiff.kiff` ranks.
 
     Ingestion
     ---------
@@ -1303,42 +1316,62 @@ class DynamicKnnIndex(_ShardHost):
         return engine.metric, engine.index, engine.batch_size
 
     def rebuild(self) -> ConstructionResult:
-        """Cold full KIFF rebuild — the baseline ``refresh()`` undercuts.
+        """Cold full build — the baseline ``refresh()`` undercuts.
 
         Also the recovery path: whatever the graph state, a rebuild
         restores the invariant from the ratings alone (the shards are
         re-derived from the fresh rows, see :meth:`_partition`).  Like
         :meth:`refresh`, completion publishes a new read snapshot.
 
-        The build runs ``k + RESERVE`` wide, so every row starts exact to
-        its full width, at the configured ``gamma`` (the converged graph
-        does not depend on it, and a wider pop would only raise the
-        build's peak memory).  The returned result carries the published
-        ``k``-wide graph.
+        Every row is cleared and rebuilt by the refresh's own candidate
+        product and scorers, as if every user were dirty, one
+        ascending-id row block at a time
+        (:meth:`~repro.streaming.sharding._Shard.build_blocks` and
+        :meth:`~repro.streaming.sharding._Shard.build`), so the peak
+        memory beyond the rows is one block's candidate product.  It
+        runs in process on one shard view of the rows whatever the
+        executor and shard count — a shard boundary would score a
+        cross-shard pair once per side — and scores each pair once.
+        Rows come back exact to their full ``k + RESERVE`` width, equal
+        to a cold converged :func:`~repro.core.kiff.kiff` build
+        (:func:`cold_rebuild_graph`), which stays the paper's algorithm
+        and the parity reference.  No :class:`RefreshStats` is logged;
+        the returned result carries the published ``k``-wide graph and
+        the build's evaluations.
         """
+        from .sharding import _Shard
+
         self._ensure_open()
         self.engine.rebind(self.builder.snapshot())
-        k = self.config.k
-        wide = replace(
-            converged_config(self.config),
-            k=k + RESERVE,
-            gamma=self.config.effective_gamma,
-        )
-        result = kiff(self.engine, wide)
-        self._neighbors = result.graph.neighbors.copy()
-        self._sims = result.graph.sims.copy()
-        self._n_rows = result.graph.n_users
-        self._depth = np.full(self._n_rows, k + RESERVE, dtype=ID_DTYPE)
+        k, width = self.config.k, self.config.k + RESERVE
+        self._n_rows = self.builder.n_users
+        self._neighbors = np.full((self._n_rows, width), MISSING, ID_DTYPE)
+        self._sims = np.full((self._n_rows, width), -np.inf, SCORE_DTYPE)
+        self._depth = np.full(self._n_rows, width, dtype=ID_DTYPE)
+        shard = _Shard(0, self)
+        bounds = shard.build_blocks()
+        evaluations = changes = 0
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            more, more_changes = shard.build(np.arange(start, stop))
+            evaluations += more
+            changes += more_changes
+        self.engine.counter.add(evaluations)
         self._partition(self._shard_map)
         self._dirty.clear()
         self._lost.clear()
         self._pending_events = 0
         self._publish_snapshot()
-        graph = result.graph
-        return replace(
-            result,
-            graph=KnnGraph(graph.neighbors[:, :k], graph.sims[:, :k]),
-            extras={**result.extras, "k": k},
+        trace = ConvergenceTrace()
+        trace.record(1, self.engine.counter.evaluations, changes)
+        neighbors, sims = self._rows()
+        return ConstructionResult(
+            graph=KnnGraph(neighbors[:, :k].copy(), sims[:, :k].copy()),
+            iterations=1,
+            counter=self.engine.counter,
+            timer=self.engine.timer,
+            trace=trace,
+            algorithm="kiff",
+            extras={"k": k, "blocks": len(bounds) - 1},
         )
 
     # ------------------------------------------------------------------

@@ -53,14 +53,24 @@ then calls three stages on every shard:
    merge drops every offer that loses to its row's current k-th entry
    (most mirror offers to clean rows) before it sorts.  On a
    product-scored pass a cleared rebuilt row's offers are exactly its
-   own product row, so it is ranked straight off it with one stable
-   sort (:func:`~repro.graph.updates.rank_fresh_rows`); only the mirror
+   own product row, so it is ranked straight off it, each row keeping
+   its top entries before any sort
+   (:func:`~repro.graph.updates.rank_fresh_rows`); only the mirror
    offers to rows not rebuilt and the inbox (still scored here) go
    through the merge.  Each repaired
    row is then checked against its old boundary, the
    deepest entry of its exact prefix (see ``_ShardHost``); the rows
    that lost more than their reserve are rescanned from their candidate
    sets in the same stage.
+
+The cold build (``DynamicKnnIndex.rebuild``) runs the same kernels with
+every row rebuilt and none repaired: :meth:`_Shard.build_blocks` cuts
+the users into ascending-id row blocks by their estimated product size,
+and :meth:`_Shard.build` derives each block's candidate product and
+either ranks every row straight off it (a product-scored pass) or
+scores the block's pairs with a higher-id candidate and offers them
+both ways — on one in-process shard view, whatever the index's shard
+count and executor.
 
 Because similarity is a pure per-pair function of the shared profile
 index, every row receives the same candidate-edge multiset at any shard
@@ -297,6 +307,26 @@ class ShardOutbox:
 #: The ``(rows, candidates)`` of a shard with no planned pairs.
 _NO_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
+#: Estimated candidate-product entries at which a row block of the cold
+#: build closes (:meth:`_Shard.build_blocks`).  A block holds that many
+#: product entries at most, plus its last user's, so the build's memory
+#: beyond the rows stays bounded whatever the dataset (the 50k-user
+#: laptop soak builds in 534 blocks and peaks at 693 MiB RSS).  Block
+#: size barely moves the build's wall time (2**17 to 2**22 measured
+#: alike, 2-vCPU VM), and at 2**20 the perfbench bases build in one
+#: block.  Blocks of 2**17 left the reference stream's later refreshes
+#: ~10% slower in CPU time: glibc's dynamic mmap threshold only rises
+#: to the largest array the process frees, so after a build of small
+#: blocks the refresh's megabyte arrays were mapped afresh every pass.
+BUILD_BLOCK_ENTRIES = 1 << 20
+
+#: Pairs a pair-scored build block scores and merges at a time.  The
+#: kernel's and the merge's temporaries grow with the pairs of a call:
+#: with whole 131,072-pair kernel batches the tiny scale soak's build
+#: peaked at 123 MB RSS and the laptop soak's at 208 MB; with 2**15
+#: pairs, 96 and 174 MB, and the builds took no longer.
+_BUILD_PAIRS = 1 << 15
+
 
 class _Shard:
     """One shard's owned slice of the maintained state and its stages.
@@ -380,29 +410,98 @@ class _Shard:
         ``users[j]`` on the current snapshot
         (:func:`~repro.core.rcs.candidate_rows`; it may include the
         user herself).  When the pass scores from the product, its
-        values are the pairs' raw statistics and each row's columns
-        are sorted, the order
-        :func:`~repro.graph.updates.rank_fresh_rows` needs; otherwise
-        only its structure is read.
+        values are the pairs' raw statistics; otherwise only its
+        structure is read.  Each row's columns are in SpGEMM's order:
+        every consumer (:func:`~repro.graph.updates.rank_fresh_rows`
+        and :func:`~repro.graph.updates.merge_topk_rows`) breaks ties
+        by id itself.
         """
         snapshot, raters = self._candidacy()
         if not users.size:
             return sp.csr_matrix((0, snapshot.n_users))
-        product = candidate_rows(
+        return candidate_rows(
             snapshot,
             users,
             self.host.config.min_rating,
             raters,
             self._product == "valued",
         )
-        if self._product:
-            product.sort_indices()
-        return product
 
     def _product_scorer(self):
         """The host's product scorer on a pass that scores from the
         candidate product, else ``None``."""
         return self.host._score_product if self._product else None
+
+    # ------------------------------------------------------------------
+    # Cold build (DynamicKnnIndex.rebuild): every row rebuilt
+    # ------------------------------------------------------------------
+    def build_blocks(self) -> list[int]:
+        """Bounds of the cold build's ascending-id row blocks.
+
+        A user's estimated product size is the sum of her candidacy
+        items' rater counts (KIFF's counting phase for her, Algorithm 1
+        lines 3-4, before the multiset collapses): it bounds her
+        product row.  Blocks are filled in id order, each closing on
+        the user whose estimate takes it to
+        :data:`BUILD_BLOCK_ENTRIES`.  Returns ``[0, b1, ..., n_users]``;
+        block ``j`` is ``range(bounds[j], bounds[j + 1])``.
+        """
+        snapshot, raters = self._candidacy()
+        matrix = snapshot.matrix
+        estimate = np.diff(raters.indptr)[matrix.indices]
+        min_rating = self.host.config.min_rating
+        if min_rating is not None:
+            estimate[matrix.data < min_rating] = 0
+        before = np.r_[0, np.cumsum(estimate)][matrix.indptr]
+        bounds, n_users = [0], snapshot.n_users
+        while bounds[-1] < n_users:
+            start = bounds[-1]
+            stop = np.searchsorted(
+                before, before[start] + BUILD_BLOCK_ENTRIES, side="left"
+            )
+            bounds.append(min(max(int(stop), start + 1), n_users))
+        return bounds
+
+    def build(self, users: np.ndarray) -> tuple[int, int]:
+        """Build the cleared rows of one block of *users* (ascending ids).
+
+        Every row is rebuilt, so each pair is scored once, under its
+        lower id (Section II-D's pivot): on a product-scored pass every
+        row is ranked straight off its own product row
+        (:func:`~repro.graph.updates.rank_fresh_rows`) and only the
+        pairs whose row is the lower id count as evaluations; otherwise
+        the block's pairs with a higher-id candidate are scored by
+        ``score_pairs`` and offered both ways
+        (:func:`~repro.graph.updates.merge_topk_rows`),
+        :data:`_BUILD_PAIRS` at a time, so a later block's row already
+        holds its offers from lower ids when its own block comes.
+        Returns ``(evaluations, changes)``.
+        """
+        host = self.host
+        neighbors, sims = host._rows()
+        us, vs, raw = candidate_pairs(users, self.candidate_sets(users))
+        score_product = self._product_scorer()
+        if score_product is not None:
+            scores = score_product(us, vs, raw)
+            del raw  # a block's arrays are the build's peak memory
+            fresh, ids, scores, changes = rank_fresh_rows(
+                us, vs, scores, neighbors.shape[1]
+            )
+            neighbors[fresh] = ids
+            sims[fresh] = scores
+            return int(np.count_nonzero(vs > us)), changes
+        later = vs > us
+        us, vs = us[later], vs[later]
+        # Merging distinct offers in any grouping gives the same rows.
+        evaluations = changes = 0
+        for start in range(0, us.size, _BUILD_PAIRS):
+            pairs = slice(start, start + _BUILD_PAIRS)
+            more, *offers = _offer_both_ways(
+                us[pairs], vs[pairs], host._score_pairs
+            )
+            evaluations += more
+            changes += _merge_offers(neighbors, sims, *offers)[0]
+        return evaluations, changes
 
     # ------------------------------------------------------------------
     # Refresh stages
@@ -726,6 +825,12 @@ def _score_offers(us, vs, n_users: int, score_pairs, rows):
     flip = (second & ~first) | ((first == second) & (vs < us))
     us, vs = np.where(flip, vs, us), np.where(flip, us, vs)
     us, vs = dedupe_pairs(us, vs, n_users, ordered=True)
+    return _offer_both_ways(us, vs, score_pairs)
+
+
+def _offer_both_ways(us, vs, score_pairs):
+    """Score distinct pairs once; returns ``(evaluations, users, ids,
+    sims)`` with each pair offered both ways."""
     if not us.size:  # nothing to score: the kernel is not called
         return 0, us, vs, np.empty(0, dtype=SCORE_DTYPE)
     pair_sims = score_pairs(us, vs)
@@ -801,7 +906,7 @@ def merge_shard_pairs(
     *plan_scores* (stage B scored the plan's pairs off their candidate
     product) takes the rebuilt rows off the merge: a cleared row's
     offers are exactly its own product row, already grouped by row
-    with ids ascending, so one stable sort ranks it
+    with no id twice, so it is ranked with no dedupe
     (:func:`~repro.graph.updates.rank_fresh_rows`).  Only the mirror
     offers to the shard's rows that are not rebuilt and the inbox
     (scored here by *score_pairs*) go through the merge.

@@ -124,16 +124,22 @@ class TestMergeTopk:
 
 
 class TestRankFreshRows:
+    @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("seed", range(5))
-    def test_ranks_like_a_merge_into_cleared_rows(self, seed):
-        """Offers grouped by row with ascending ids, many of them tied
-        (signed zeros included), rank as ``merge_topk_rows`` ranks them
-        into empty rows."""
+    def test_ranks_like_a_merge_into_cleared_rows(self, seed, shuffled):
+        """Offers grouped by row, ids ascending or (*shuffled*, as in an
+        unsorted product row) in any order within a row, many of them
+        tied (signed zeros included), from one offer to hundreds per row
+        (every padded width group), rank as ``merge_topk_rows`` ranks
+        them into empty rows."""
         rng = np.random.default_rng(seed)
-        n, k = 30, 4
-        offered = rng.random((n, n)) < 0.4
+        n, k = 300, 6
+        offered = rng.random((n, n)) < rng.random((n, 1)) ** 2
         np.fill_diagonal(offered, False)
         rows, ids = np.nonzero(offered)
+        if shuffled:
+            order = np.lexsort((rng.random(rows.size), rows))
+            rows, ids = rows[order], ids[order]
         sims = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], rows.size)
         sims = sims.astype(np.float32)
         neighbors, scores = _empty(n, k)
