@@ -6,39 +6,34 @@ maintenance (``repro.streaming``) needs the opposite: a store that absorbs
 a continuous feed of ``(user, item, rating)`` events cheaply and can
 produce an immutable snapshot on demand.
 
-:class:`MutableBipartiteBuilder` is that store.  It keeps
+:class:`MutableBipartiteBuilder` is that store.  It holds the ratings
+once, as the last canonical snapshot (the **base**, whose CSR row ``u``
+is the paper's ``UP_u``) plus an **overlay** of each changed user's
+changes since: ``{item: rating}`` records, ``0.0`` for a deletion, and
+a *cleared* mark from ``clear_user`` that hides the user's base row.
+``from_dataset`` adopts the dataset it is given as the base in O(1).
+``rating`` and ``profile`` read the overlay, then the user's CSR slice;
+``users_of`` (the item profile ``IP_i``) reads the base's column, from
+its lazily built CSC mirror, corrected by the overlay.
 
-* per-user profiles as ``{item: rating}`` dictionaries (the paper's
-  ``UP_u``), updated in O(1) per event, and
-* an incremental inverted index ``item -> {users}`` (the paper's item
-  profiles ``IP_i``), which is what lets the streaming subsystem compute
-  a user's candidate set without touching the rest of the population.
-
-``snapshot()`` materialises the current state as a canonical
-:class:`BipartiteDataset`; the result is cached until the next mutation,
-so repeated reads between event batches are free.
-
-Incremental snapshotting
-------------------------
-The builder tracks which users mutated since the last materialised
-snapshot.  When a new snapshot is requested and a previous one exists,
-only the *dirty* CSR rows are re-materialised from the live profiles —
-clean rows are block-copied from the previous snapshot; the CSC mirror
-is built lazily on first use, as for any dataset.  The result is
-exactly equal to a full materialisation (the Hypothesis suite
-interleaves both paths and asserts equality); when the fast path's
-preconditions fail (no base snapshot, a supplied ``dirty_users`` hint
-that does not cover the tracked dirty set, or a dirty set too large to
-be worth patching) the builder falls back to the full path, which is
-always exact.  Row-materialisation work is
-tallied into a :class:`~repro.instrumentation.counters.MaintenanceCounter`
-so benchmarks can assert snapshot cost scales with the dirty set, not
-with ``n_ratings``.
+``snapshot()`` derives the dirty rows from their base rows and overlay
+records in one vectorised merge — O(dirty ratings) — splices them into
+a copy of the base's arrays (:func:`splice_compressed`, an O(nnz)
+memcpy) and wraps the result without a second canonicalisation
+(:func:`dataset_from_canonical_arrays`).  It becomes the new base, the
+overlay is dropped, and it is cached until the next mutation.  Without
+a base, with a ``dirty_users`` hint that misses a tracked change, or
+with a dirty set spanning more than half the population, every row is
+derived.  Derived rows are tallied into a
+:class:`~repro.instrumentation.counters.MaintenanceCounter`; the
+Hypothesis suite checks every snapshot against a plain-dict model.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,45 +129,47 @@ def splice_compressed(
     data: np.ndarray,
     n_segments: int,
     dirty: np.ndarray,
-    replacements: list[tuple[np.ndarray, np.ndarray]],
+    replacement: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rebuild a compressed (CSR/CSC) structure with some segments replaced.
 
-    ``dirty`` is a sorted array of segment ids whose contents are replaced
-    by the aligned ``replacements``; every other segment is block-copied
-    from the old arrays.  ``n_segments`` may exceed the old segment count:
-    new segments default to empty unless listed dirty.  Python-level work
-    is O(len(dirty)); clean spans move as bulk ``memcpy`` slices.
+    ``dirty`` is a sorted array of distinct segment ids and
+    ``replacement`` a compressed block ``(indptr, indices, data)`` whose
+    ``i``-th segment replaces segment ``dirty[i]``; every other segment
+    is copied from the old arrays.  ``n_segments`` (at least 1) may
+    exceed the old segment count: new segments are empty unless listed
+    dirty.  Each run of consecutive clean (or dirty) segments moves as
+    one bulk slice, so Python-level work is one slice pair per run
+    (at most ``2 * len(dirty) + 1``) and the rest an O(nnz) ``memcpy``.
     """
+    rep_indptr, rep_indices, rep_data = replacement
     n_old = indptr.size - 1
     lengths = np.zeros(n_segments, dtype=np.int64)
     lengths[:n_old] = np.diff(indptr)
-    for pos, seg in enumerate(dirty.tolist()):
-        lengths[seg] = replacements[pos][0].size
+    lengths[dirty] = np.diff(rep_indptr)
     new_indptr = np.zeros(n_segments + 1, dtype=np.int64)
     np.cumsum(lengths, out=new_indptr[1:])
     total = int(new_indptr[-1])
     new_indices = np.empty(total, dtype=indices.dtype)
     new_data = np.empty(total, dtype=data.dtype)
-
-    def copy_clean(lo: int, hi: int) -> None:
-        hi = min(hi, n_old)
-        if lo >= hi:
-            return
-        src_lo, src_hi = indptr[lo], indptr[hi]
-        dst_lo = new_indptr[lo]
-        new_indices[dst_lo : dst_lo + (src_hi - src_lo)] = indices[src_lo:src_hi]
-        new_data[dst_lo : dst_lo + (src_hi - src_lo)] = data[src_lo:src_hi]
-
-    prev = 0
-    for pos, seg in enumerate(dirty.tolist()):
-        copy_clean(prev, seg)
-        seg_indices, seg_data = replacements[pos]
-        lo = new_indptr[seg]
-        new_indices[lo : lo + seg_indices.size] = seg_indices
-        new_data[lo : lo + seg_data.size] = seg_data
-        prev = seg + 1
-    copy_clean(prev, n_old)
+    is_dirty = np.zeros(n_segments, dtype=bool)
+    is_dirty[dirty] = True
+    starts = np.flatnonzero(np.diff(is_dirty, prepend=~is_dirty[:1]))
+    ends = np.append(starts[1:], n_segments)
+    replaced = (np.cumsum(is_dirty) - is_dirty)[starts]
+    from_block = is_dirty[starts]
+    src_lo = np.where(
+        from_block, rep_indptr[replaced], indptr[np.minimum(starts, n_old)]
+    )
+    dst_lo, dst_hi = new_indptr[starts], new_indptr[ends]
+    for block, src, lo, hi in zip(
+        from_block.tolist(), src_lo.tolist(), dst_lo.tolist(), dst_hi.tolist()
+    ):
+        old_indices, old_data = (
+            (rep_indices, rep_data) if block else (indices, data)
+        )
+        new_indices[lo:hi] = old_indices[src : src + hi - lo]
+        new_data[lo:hi] = old_data[src : src + hi - lo]
     # indptr computed in int64 (cumsum can momentarily need the width),
     # stored at the compact layout when the nnz permits.
     return (
@@ -183,7 +180,7 @@ def splice_compressed(
 
 
 class MutableBipartiteBuilder:
-    """A mutable user-item rating store with incremental item profiles.
+    """A mutable user-item rating store over a canonical CSR base.
 
     User ids are allocated densely by :meth:`add_user` and never reused:
     removing a user clears its profile but keeps the id in the universe,
@@ -191,7 +188,7 @@ class MutableBipartiteBuilder:
 
     ``maintenance`` (optional) is a shared
     :class:`~repro.instrumentation.counters.MaintenanceCounter` that
-    tallies snapshot row materialisations; a private one is created when
+    tallies snapshot row derivations; a private one is created when
     omitted.
     """
 
@@ -207,14 +204,18 @@ class MutableBipartiteBuilder:
         self.maintenance = (
             maintenance if maintenance is not None else MaintenanceCounter()
         )
-        self._profiles: list[dict[int, float]] = []
-        self._item_users: dict[int, set[int]] = {}
+        self._n_users = 0
         self._n_items = int(n_items)
         self._n_ratings = 0
-        #: Last materialised snapshot — the patch base for the fast path.
+        #: Last materialised snapshot: the ratings as of the overlay's start.
         self._base: BipartiteDataset | None = None
-        #: Users mutated since ``_base``; empty means ``_base`` is current.
-        self._dirty_rows: set[int] = set()
+        #: Changes since ``_base`` per user, ``{item: rating}`` (0.0 for a
+        #: deletion): its keys are the dirty rows.
+        self._overlay: dict[int, dict[int, float]] = {}
+        #: Users whose base row ``clear_user`` dropped (overlay keys too).
+        self._cleared: set[int] = set()
+        #: item -> users with an overlay record for it (for ``users_of``).
+        self._changed_raters: dict[int, set[int]] = {}
 
     @classmethod
     def from_dataset(
@@ -222,15 +223,14 @@ class MutableBipartiteBuilder:
         dataset: BipartiteDataset,
         maintenance: MaintenanceCounter | None = None,
     ) -> "MutableBipartiteBuilder":
-        """Seed a builder with every rating of an existing dataset."""
+        """A builder adopting *dataset* as its base in O(1): ``snapshot()``
+        returns *dataset* itself until the first mutation."""
         builder = cls(
             n_items=dataset.n_items, name=dataset.name, maintenance=maintenance
         )
-        for _, items, ratings in dataset.iter_user_profiles():
-            builder.add_user(items.tolist(), ratings.tolist())
-        # The seed dataset IS the current state; reuse it as the snapshot.
+        builder._n_users = dataset.n_users
+        builder._n_ratings = dataset.n_ratings
         builder._base = dataset
-        builder._dirty_rows.clear()
         return builder
 
     # ------------------------------------------------------------------
@@ -239,7 +239,7 @@ class MutableBipartiteBuilder:
     @property
     def n_users(self) -> int:
         """Number of allocated user ids (removed users included)."""
-        return len(self._profiles)
+        return self._n_users
 
     @property
     def n_items(self) -> int:
@@ -254,7 +254,7 @@ class MutableBipartiteBuilder:
     @property
     def dirty_rows(self) -> frozenset:
         """Users mutated since the last materialised snapshot."""
-        return frozenset(self._dirty_rows)
+        return frozenset(self._overlay)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -281,81 +281,99 @@ class MutableBipartiteBuilder:
                 raise DatasetError(f"item id must be non-negative, got {item}")
             if not math.isfinite(rating):
                 raise DatasetError(f"rating must be finite, got {rating}")
-        user = len(self._profiles)
-        self._profiles.append({})
+        user = self._n_users
+        self._n_users += 1
+        # A new (possibly empty) row exists either way; the snapshot must
+        # grow even when no rating lands.
+        self._overlay[user] = {}
         for item, rating in zip(items, ratings):
             self.set_rating(user, item, rating)
-        # A new (possibly empty) row exists either way; the snapshot must
-        # grow even when no rating landed.
-        self._dirty_rows.add(user)
         return user
 
-    def set_rating(self, user: int, item: int, rating: float = 1.0) -> None:
+    def set_rating(self, user: int, item: int, rating: float = 1.0) -> float:
         """Set (or overwrite) one rating; ``rating = 0`` deletes the edge.
 
+        Returns the previous rating (``0.0`` when the edge was absent).
         Mirrors :class:`BipartiteDataset` canonicalisation, where explicit
         zeros are eliminated, so a snapshot round-trips exactly.
+        Deleting an absent edge and an identical overwrite change
+        nothing (the user does not become dirty).
         """
         self._check_user(user)
+        item = int(item)
         if item < 0:
             raise DatasetError(f"item id must be non-negative, got {item}")
         rating = float(rating)
         if not math.isfinite(rating):
             raise DatasetError(f"rating must be finite, got {rating}")
-        profile = self._profiles[user]
-        had = item in profile
-        if rating == 0.0:
-            if not had:
-                return  # deleting an absent edge: nothing changes
-            del profile[item]
-            self._n_ratings -= 1
-            users = self._item_users.get(item)
-            if users is not None:
-                users.discard(user)
-                if not users:
-                    del self._item_users[item]
-        else:
-            if had and profile[item] == rating:
-                return  # identical overwrite: nothing changes
-            profile[item] = rating
-            if not had:
-                self._n_ratings += 1
-                self._item_users.setdefault(item, set()).add(user)
+        old = self.rating(user, item)
+        if rating == old:
+            return old
+        self._n_ratings += (rating != 0.0) - (old != 0.0)
+        # -0.0 is a deletion too; store the one zero.
+        self._overlay.setdefault(user, {})[item] = rating if rating else 0.0
+        self._changed_raters.setdefault(item, set()).add(user)
+        if rating != 0.0:
             self._n_items = max(self._n_items, item + 1)
-        self._dirty_rows.add(user)
+        return old
 
     def clear_user(self, user: int) -> None:
         """Remove every rating of *user* (the id stays allocated)."""
-        self._check_user(user)
-        profile = self._profiles[user]
-        if not profile:
+        size = len(self.profile(user))
+        if not size:
             return  # already empty: the snapshot is unaffected
-        for item in profile:
-            users = self._item_users.get(item)
-            if users is not None:
-                users.discard(user)
-                if not users:
-                    del self._item_users[item]
-        self._n_ratings -= len(profile)
-        profile.clear()
-        self._dirty_rows.add(user)
+        self._n_ratings -= size
+        self._overlay[user] = {}
+        self._cleared.add(user)
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
+    def _base_row(self, user: int) -> tuple[np.ndarray, np.ndarray]:
+        """*user*'s ``(items, ratings)`` in the base (empty once cleared)."""
+        base = self._base
+        if base is None or user in self._cleared or user >= base.n_users:
+            return _NO_ROWS.indices, _NO_ROWS.data
+        matrix = base.matrix
+        lo, hi = matrix.indptr[user], matrix.indptr[user + 1]
+        return matrix.indices[lo:hi], matrix.data[lo:hi]
+
     def profile(self, user: int) -> dict[int, float]:
-        """User *user*'s live ``{item: rating}`` profile (do not mutate)."""
+        """User *user*'s current ``{item: rating}`` profile (a fresh dict)."""
         self._check_user(user)
-        return self._profiles[user]
+        items, ratings = self._base_row(user)
+        profile = dict(zip(items.tolist(), ratings.tolist()))
+        profile.update(self._overlay.get(user, {}))
+        return {item: rating for item, rating in profile.items() if rating}
 
     def rating(self, user: int, item: int) -> float:
         """The stored rating, or ``0.0`` when the edge is absent."""
         self._check_user(user)
-        return self._profiles[user].get(item, 0.0)
+        changes = self._overlay.get(user)
+        if changes is not None and item in changes:
+            return changes[item]
+        items, ratings = self._base_row(user)
+        pos = bisect_left(items, item)  # O(log) reads, no array copy
+        if pos < items.size and items[pos] == item:
+            return float(ratings[pos])
+        return 0.0
 
     def users_of(self, item: int) -> set[int]:
-        """The live item profile ``IP_i`` (do not mutate)."""
-        return self._item_users.get(item, _EMPTY_SET)
+        """The item profile ``IP_i`` (a fresh set): the base's CSC column
+        corrected by the overlay."""
+        users: set[int] = set()
+        base = self._base
+        if base is not None and 0 <= item < base.n_items:
+            column = base.csc
+            lo, hi = column.indptr[item], column.indptr[item + 1]
+            raters = column.indices[lo:hi].tolist()
+            users.update(u for u in raters if u not in self._cleared)
+        for user in self._changed_raters.get(item, ()):
+            if self._overlay[user].get(item):  # None once cleared
+                users.add(user)
+            else:
+                users.discard(user)
+        return users
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -369,13 +387,12 @@ class MutableBipartiteBuilder:
 
         When a previous snapshot exists, only the rows of users mutated
         since it (plus any extra ids in the optional ``dirty_users`` hint)
-        are re-materialised; everything else is block-copied, so snapshot
-        cost scales with the dirty set.  ``dirty_users`` must cover the
-        internally tracked dirty set — a hint that does not triggers the
-        exact-equality fallback (a full materialisation), as does a dirty
-        set spanning more than half the population, where patching stops
-        paying for itself.  Passing ``name`` returns a fresh, uncached
-        dataset and leaves the builder's cache state untouched.
+        are derived; everything else is block-copied.  ``dirty_users``
+        must cover the internally tracked dirty set — a hint that does
+        not makes every row derived (a full snapshot), as does a dirty
+        set spanning more than half the population.  Passing ``name``
+        returns a fresh, uncached dataset and leaves the builder's cache
+        and overlay untouched.
 
         Raises :class:`DatasetError` while no user exists — a dataset
         needs at least one user, and padding one in would break the
@@ -383,95 +400,95 @@ class MutableBipartiteBuilder:
         padded to one column when empty (users may exist before any
         rating lands; item ids are allocated by the ratings themselves).
         """
-        if self.n_users == 0:
+        if self._n_users == 0:
             raise DatasetError(
                 "cannot snapshot a builder with no users; add_user first"
             )
-        if self._base is not None and not self._dirty_rows and name is None:
+        if self._base is not None and not self._overlay and name is None:
             return self._base
-        dirty: set[int] | None = set(self._dirty_rows)
+        dirty: set[int] | None = set(self._overlay)
         if dirty_users is not None:
             supplied = {int(u) for u in dirty_users}
             for u in supplied:
                 self._check_user(u)
-            if dirty <= supplied:
-                dirty = supplied
-            else:
-                dirty = None  # hint misses mutations: exact fallback
-        fast = (
+            dirty = supplied if dirty <= supplied else None
+        if (
             dirty is not None
             and self._base is not None
-            and 2 * len(dirty) <= self.n_users
-        )
-        if fast:
-            dataset = self._materialize_incremental(sorted(dirty), name)
-            self.maintenance.rows_materialized += len(dirty)
+            and 2 * len(dirty) <= self._n_users
+        ):
+            rows = np.array(sorted(dirty), dtype=np.int64)
             self.maintenance.snapshots_incremental += 1
         else:
-            dataset = self._materialize_full(name)
-            self.maintenance.rows_materialized += self.n_users
+            rows = np.arange(self._n_users, dtype=np.int64)
             self.maintenance.snapshots_full += 1
+        self.maintenance.rows_materialized += int(rows.size)
+        dataset = self._materialize(rows, name or self.name)
         if name is not None:
             return dataset
         self._base = dataset
-        self._dirty_rows.clear()
+        self._overlay.clear()
+        self._cleared.clear()
+        self._changed_raters.clear()
         return dataset
 
-    def _materialize_full(self, name: str | None) -> BipartiteDataset:
-        """Rebuild the whole matrix from the live profiles (exact path)."""
-        users: list[int] = []
-        items: list[int] = []
-        ratings: list[float] = []
-        for user, profile in enumerate(self._profiles):
-            for item, rating in profile.items():
-                users.append(user)
-                items.append(item)
-                ratings.append(rating)
-        return BipartiteDataset.from_edges(
-            users,
-            items,
-            ratings,
-            n_users=self.n_users,
-            n_items=max(self._n_items, 1),
-            name=name or self.name,
+    def _materialize(self, rows: np.ndarray, name: str) -> BipartiteDataset:
+        """The base with *rows* (sorted, covering every overlay user)
+        re-derived from their base rows and overlay records."""
+        n_users, n_items = self._n_users, max(self._n_items, 1)
+        width = np.int64(n_items)
+        matrix = _NO_ROWS if self._base is None else self._base.matrix
+        cleared = np.fromiter(self._cleared, np.int64, len(self._cleared))
+        kept = (rows < matrix.shape[0]) & ~np.isin(rows, cleared)
+        old = matrix[rows[kept]]
+        keys = np.repeat(np.flatnonzero(kept) * width, np.diff(old.indptr))
+        keys += old.indices
+        changes = self._overlay.values()
+        sizes = [len(change) for change in changes]
+        n_changes = sum(sizes)
+        changed = np.fromiter(self._overlay, np.int64, len(sizes))
+        change_keys = np.repeat(np.searchsorted(rows, changed) * width, sizes)
+        change_keys += np.fromiter(chain.from_iterable(changes), np.int64, n_changes)
+        change_values = np.fromiter(
+            chain.from_iterable(change.values() for change in changes),
+            np.float64,
+            n_changes,
         )
-
-    def _materialize_incremental(
-        self, dirty_sorted: list[int], name: str | None
-    ) -> BipartiteDataset:
-        """Patch the previous snapshot's CSR rows."""
-        base = self._base
-        assert base is not None
-        base_matrix = base.matrix
-        n_users = self.n_users
-        n_items = max(self._n_items, 1)
-        dirty_arr = np.asarray(dirty_sorted, dtype=np.int64)
-        replacements: list[tuple[np.ndarray, np.ndarray]] = []
-        for user in dirty_sorted:
-            profile = self._profiles[user]
-            row_items = np.fromiter(profile.keys(), np.int64, len(profile))
-            row_data = np.fromiter(profile.values(), np.float64, len(profile))
-            order = np.argsort(row_items)  # canonical rows sort indices
-            replacements.append((row_items[order], row_data[order]))
+        # Base keys are sorted; each change sorts after the base entry it
+        # replaces, so a key's last entry is its current rating.
+        keys = np.concatenate([keys, change_keys])
+        values = np.concatenate([old.data, change_values])
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        keep = values != 0.0
+        keep[:-1] &= keys[1:] != keys[:-1]
+        keys, values = keys[keep], values[keep]
+        row_indptr = np.searchsorted(keys, np.arange(rows.size + 1) * width)
         indptr, indices, data = splice_compressed(
-            base_matrix.indptr,
-            base_matrix.indices,
-            base_matrix.data,
+            matrix.indptr,
+            matrix.indices,
+            matrix.data,
             n_users,
-            dirty_arr,
-            replacements,
+            rows,
+            (row_indptr, (keys % width).astype(matrix.indices.dtype), values),
         )
-        matrix = sp.csr_matrix((data, indices, indptr), shape=(n_users, n_items))
-        # symmetric stays False to match the full path (from_edges default).
-        return BipartiteDataset(matrix=matrix, name=name or self.name)
+        return dataset_from_canonical_arrays(
+            {
+                "dataset_indptr": indptr,
+                "dataset_indices": indices,
+                "dataset_data": data,
+                "dataset_shape": (n_users, n_items),
+            },
+            name=name,
+        )
 
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
     def _check_user(self, user: int) -> None:
-        if not 0 <= user < len(self._profiles):
+        if not 0 <= user < self._n_users:
             raise DatasetError(
-                f"user id {user} out of range [0, {len(self._profiles)})"
+                f"user id {user} out of range [0, {self._n_users})"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -481,4 +498,5 @@ class MutableBipartiteBuilder:
         )
 
 
-_EMPTY_SET: set[int] = set()
+#: The base rows of a builder that has never snapshotted.
+_NO_ROWS = sp.csr_matrix((0, 1), dtype=np.float64)

@@ -24,10 +24,10 @@ class MaintenanceCounter:
     counter covers the remaining full-dataset floors the incremental
     paths eliminate:
 
-    * ``rows_materialized`` — CSR rows rebuilt from live profiles when a
+    * ``rows_materialized`` — CSR rows derived when a
       :class:`~repro.datasets.mutable.MutableBipartiteBuilder` snapshots
-      (a full materialisation charges ``n_users``, an incremental patch
-      only the dirty rows).
+      (a full snapshot charges ``n_users``, an incremental one only the
+      dirty rows).
     * ``index_users_recomputed`` — users whose norms / profile sizes /
       metric caches a :class:`~repro.similarity.base.ProfileIndex`
       (re)computed (a cold build charges ``n_users``, an incremental

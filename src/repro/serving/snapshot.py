@@ -26,7 +26,7 @@ of the dense ``16 * n_users * k``.  Everything else is shared by
 reference, which is safe because the write path replaces those
 structures wholesale instead of mutating them:
 ``MutableBipartiteBuilder.snapshot()`` materialises a fresh
-:class:`~repro.datasets.bipartite.BipartiteDataset` (patching only
+:class:`~repro.datasets.bipartite.BipartiteDataset` (deriving only
 dirty CSR rows), and ``ProfileIndex.update()`` builds new norm/size
 arrays before swapping them in.
 

@@ -359,26 +359,13 @@ class ProfileIndex:
         old_degrees = self._item_degrees
         degrees = np.zeros(n_items_new, dtype=np.int64)
         degrees[: old_degrees.size] = old_degrees
-        old_dirty = dirty[dirty < n_old]
-        old_idx = np.concatenate(
-            [
-                old_matrix.indices[
-                    old_matrix.indptr[u] : old_matrix.indptr[u + 1]
-                ]
-                for u in old_dirty.tolist()
-            ]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        new_idx = np.concatenate(
-            [
-                matrix.indices[matrix.indptr[u] : matrix.indptr[u + 1]]
-                for u in dirty.tolist()
-            ]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        degrees -= np.bincount(old_idx, minlength=n_items_new).astype(np.int64)
+        old_rows = old_matrix[dirty[dirty < n_old]]
+        rows = matrix[dirty]
+        degrees -= np.bincount(
+            old_rows.indices, minlength=n_items_new
+        ).astype(np.int64)
         dirty_rater_counts = np.bincount(
-            new_idx, minlength=n_items_new
+            rows.indices, minlength=n_items_new
         ).astype(np.int64)
         degrees += dirty_rater_counts
         old_weights = np.zeros(n_items_new, dtype=np.float64)
@@ -394,19 +381,16 @@ class ProfileIndex:
             self._item_degrees = None
             return
         old_aa = self._adamic_adar_matrix
-        replacements = []
-        for u in dirty.tolist():
-            row_items = matrix.indices[matrix.indptr[u] : matrix.indptr[u + 1]]
-            row_weights = weights[row_items]
-            keep = row_weights != 0.0  # mirror eliminate_zeros()
-            replacements.append((row_items[keep], row_weights[keep]))
+        row_weights = weights[rows.indices]
+        keep = row_weights != 0.0  # mirror eliminate_zeros()
+        kept_indptr = np.append(0, np.cumsum(keep))[rows.indptr]
         aa_indptr, aa_indices, aa_data = splice_compressed(
             old_aa.indptr,
             old_aa.indices,
             old_aa.data,
             self.n_users,
             dirty,
-            replacements,
+            (kept_indptr, rows.indices[keep], row_weights[keep]),
         )
         self._adamic_adar_matrix = sp.csr_matrix(
             (aa_data, aa_indices, aa_indptr),
@@ -434,19 +418,13 @@ class ProfileIndex:
         norms[dirty] = np.sqrt(
             np.asarray(centered_sub.multiply(centered_sub).sum(axis=1)).ravel()
         )
-        replacements = []
-        for pos in range(dirty.size):
-            lo, hi = centered_sub.indptr[pos], centered_sub.indptr[pos + 1]
-            replacements.append(
-                (centered_sub.indices[lo:hi], centered_sub.data[lo:hi])
-            )
         c_indptr, c_indices, c_data = splice_compressed(
             old_centered.indptr,
             old_centered.indices,
             old_centered.data,
             self.n_users,
             dirty,
-            replacements,
+            (centered_sub.indptr, centered_sub.indices, centered_sub.data),
         )
         self._centered_cache = (
             sp.csr_matrix(

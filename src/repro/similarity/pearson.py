@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .base import ProfileIndex, SimilarityMetric, intersect_profiles
+from .base import ProfileIndex, SimilarityMetric
 
 __all__ = ["PearsonSimilarity"]
 
@@ -46,16 +46,11 @@ class PearsonSimilarity(SimilarityMetric):
         return index.centered
 
     def score_pair(self, index: ProfileIndex, u: int, v: int) -> float:
-        matrix, norms = self._centered(index)
-        denominator = norms[u] * norms[v]
-        if denominator == 0.0:
-            return 0.0
-        common, _, _ = intersect_profiles(index, u, v)
-        if common.size == 0:
-            return 0.0
-        row_u = matrix.getrow(u)
-        row_v = matrix.getrow(v)
-        return float(row_u.multiply(row_v).sum() / denominator)
+        # A one-pair kernel call: the centred products are summed in
+        # the kernel's order, so the score (the sign of a zero included)
+        # is the one score_batch gives the pair.
+        pair = np.array([u], dtype=np.int64), np.array([v], dtype=np.int64)
+        return float(self.score_batch(index, *pair)[0])
 
     def score_batch(
         self, index: ProfileIndex, us: np.ndarray, vs: np.ndarray

@@ -81,14 +81,16 @@ element but dominant in small passes over large data: the candidacy
 transpose ``B.T``, or the valued ``Rᵀ`` of the same structure on a
 product-scored cosine pass (:func:`repro.core.rcs.candidacy_raters`,
 one per shard, next to one pass over the ratings deciding whether the
-pass is product-scored), publication (``GraphSnapshot.capture`` packs
-every row with :func:`repro.layout.pack_rows`) and the snapshot patch
-(``MutableBipartiteBuilder.snapshot`` splices the dirty rows into a
-copy of the whole CSR).  The dirty-set-proportional stages:
+pass is product-scored; O(nnz)), publication (``GraphSnapshot.capture``
+packs every row with :func:`repro.layout.pack_rows`; O(n·k)) and the
+snapshot splice (``MutableBipartiteBuilder.snapshot`` copies the whole
+CSR around the dirty rows; an O(nnz) memcpy).  The
+dirty-set-proportional stages:
 
-* **Snapshot** — ``MutableBipartiteBuilder.snapshot`` rebuilds only the
-  dirty CSR rows of the previous snapshot instead of re-materialising
-  O(n_ratings) state from the per-user dicts.
+* **Snapshot** — ``MutableBipartiteBuilder.snapshot`` derives only the
+  dirty rows, from the previous snapshot and the changes absorbed since
+  (O(dirty ratings)), before the splice above; set-up and restore adopt
+  their dataset as the builder's snapshot in O(1).
 * **Index** — ``SimilarityEngine.rebind(..., dirty_users=...)`` updates
   the :class:`~repro.similarity.base.ProfileIndex` in place, recomputing
   norms / profile sizes / metric caches for dirty users only.
@@ -609,7 +611,8 @@ class DynamicKnnIndex(_ShardHost):
         The dataset figures are read from the published snapshot (0
         before the first publication): materialising the builder's
         pending snapshot here would patch its cached CSR from whatever
-        thread asks, such as the serve ``stats`` op.
+        thread asks, such as the serve ``stats`` op.  That CSR is the
+        rating store (the builder adds only the changes since it).
         """
         self._ensure_open()
         snapshot = self._snapshot
@@ -949,14 +952,13 @@ class DynamicKnnIndex(_ShardHost):
             self._apply_plan_flip(event.moves, event.n_shards)
 
     def _absorb_rating(self, user: int, item: int, rating: float) -> None:
-        old = self.builder.rating(user, item)
+        old = self.builder.set_rating(user, item, rating)
         if old == rating:
             return  # duplicate delivery / identical overwrite: no-op
         if old != 0.0:
             # A drop, or a re-rating that may cross min_rating.
             self._lost.setdefault(user, set()).add(item)
         membership_change = (old != 0.0) != (rating != 0.0)
-        self.builder.set_rating(user, item, rating)
         self._dirty.add(user)
         if membership_change and not self._profile_local:
             # |IP_item| changed: every pair sharing the item shifts.

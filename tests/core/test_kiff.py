@@ -79,19 +79,27 @@ class TestModeParitySweep:
     BETAS = (0.0, 0.001, 0.05, math.inf)
     MIN_RATINGS = (None, 3.0)
 
+    @pytest.mark.parametrize("metric", ["cosine", "pearson"])
     @pytest.mark.parametrize("min_rating", MIN_RATINGS)
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("gamma", GAMMAS)
-    def test_reference_equals_fast_on_grid(self, gamma, beta, min_rating):
+    def test_reference_equals_fast_on_grid(self, gamma, beta, min_rating, metric):
+        """Pearson's scalar ``score_pair`` (the reference mode's scorer)
+        must give the bits of its batch kernel, signed zeros included."""
         ds = random_dataset(
             n_users=40, n_items=30, density=0.15, seed=11, ratings=True
         )
         config = dict(k=5, gamma=gamma, beta=beta, min_rating=min_rating)
-        fast = kiff(SimilarityEngine(ds), KiffConfig(mode="fast", **config))
+        fast = kiff(
+            SimilarityEngine(ds, metric=metric),
+            KiffConfig(mode="fast", **config),
+        )
         reference = kiff(
-            SimilarityEngine(ds), KiffConfig(mode="reference", **config)
+            SimilarityEngine(ds, metric=metric),
+            KiffConfig(mode="reference", **config),
         )
         assert fast.graph == reference.graph
+        assert fast.graph.sims.tobytes() == reference.graph.sims.tobytes()
         assert fast.evaluations == reference.evaluations
 
     @pytest.mark.parametrize("min_rating", MIN_RATINGS)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import DynamicKnnIndex, KiffConfig
 from repro.datasets import BipartiteDataset, DatasetError, MutableBipartiteBuilder
+from repro.streaming import AddRating
+from tests.conftest import random_dataset
 
 
 @pytest.fixture
@@ -28,6 +31,60 @@ class TestRoundTrip:
         named = builder.snapshot(name="probe")
         assert named.name == "probe"
         assert builder.snapshot().name != "probe"
+
+
+class TestSeeding:
+    """Seeding adopts the dataset as the store's base: no rating is
+    re-inserted, whatever builds the builder."""
+
+    @staticmethod
+    def refuse_inserts(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("seeding must not re-insert ratings")
+
+        monkeypatch.setattr(MutableBipartiteBuilder, "add_user", refuse)
+        monkeypatch.setattr(MutableBipartiteBuilder, "set_rating", refuse)
+
+    def test_from_dataset_adopts_the_dataset(self, rated_dataset, monkeypatch):
+        self.refuse_inserts(monkeypatch)
+        builder = MutableBipartiteBuilder.from_dataset(rated_dataset)
+        assert builder.snapshot() is rated_dataset
+        assert builder.maintenance.rows_materialized == 0
+        assert builder.n_ratings == rated_dataset.n_ratings
+
+    def test_restore_with_pending_events_seeds_the_same_way(
+        self, tmp_path, monkeypatch
+    ):
+        dataset = random_dataset(
+            n_users=60, n_items=40, density=0.1, seed=5, ratings=True
+        )
+        index = DynamicKnnIndex(dataset, KiffConfig(k=4), auto_refresh=False)
+        rng = np.random.default_rng(5)
+        index.apply(
+            [
+                AddRating(int(user), int(item), float(rating))
+                for user, item, rating in zip(
+                    rng.integers(0, 60, 512),
+                    rng.integers(0, 45, 512),
+                    rng.integers(0, 6, 512),
+                )
+            ]
+        )
+        assert index.pending_events == 512
+        index.checkpoint(tmp_path)
+        # The checkpoint carries the counters, its own snapshot included.
+        rows = index.maintenance.rows_materialized
+        self.refuse_inserts(monkeypatch)
+        restored = DynamicKnnIndex.restore(tmp_path, refresh=False)
+        assert restored.builder.snapshot() is restored.engine.dataset
+        assert restored.builder.snapshot() == index.dataset
+        assert restored.builder.dirty_rows == frozenset()
+        restored.refresh()
+        assert restored.maintenance.rows_materialized == rows
+        index.refresh()
+        assert restored.graph == index.graph
+        restored.close()
+        index.close()
 
 
 class TestMutations:

@@ -4,8 +4,11 @@ The dirty-set-proportional refresh rests on two exactness claims:
 
 * ``MutableBipartiteBuilder.snapshot(dirty_users=...)`` — however
   snapshots interleave with mutations (and whatever dirty hints callers
-  pass), the patched dataset equals a from-scratch materialisation of
-  the live profiles, CSC mirror included.
+  pass), the snapshot derived from the base and the overlay of pending
+  changes equals a full materialisation of a plain-dict model
+  of the profiles, array for array, CSC mirror included; and the
+  builder's reads (``profile``, ``rating``, ``users_of``) agree with
+  the model while changes are pending.
 * ``ProfileIndex.update(dataset, dirty)`` chained across arbitrary
   mutation steps equals a cold ``ProfileIndex`` on the final dataset.
 
@@ -21,26 +24,39 @@ from repro.similarity import ProfileIndex
 from tests.conftest import random_dataset, streaming_events
 
 
-def _apply_builder_events(builder, events):
-    """Replay conftest event tuples directly against a builder."""
+def _apply_builder_events(builder, events, model):
+    """Replay conftest event tuples directly against a builder and
+    against *model*, a plain list of ``{item: rating}`` dicts."""
     for event in events:
         kind = event[0]
         if kind == "rate":
             _, slot, item, rating = event
-            builder.set_rating(slot % builder.n_users, item, float(rating))
+            user = slot % builder.n_users
+            builder.set_rating(user, item, float(rating))
+            if rating:
+                model[user][item] = float(rating)
+            else:
+                model[user].pop(item, None)
         elif kind == "add_user":
             profile = {item: float(rating) for item, rating in event[1]}
             builder.add_user(tuple(profile), tuple(profile.values()))
+            model.append(profile)
         else:  # remove
-            builder.clear_user(event[1] % builder.n_users)
+            user = event[1] % builder.n_users
+            builder.clear_user(user)
+            model[user] = {}
 
 
-def _reference_dataset(builder):
-    """Full materialisation of the live profiles, bypassing the cache."""
+def _seed(dataset):
+    """A builder adopting *dataset*, and the dict model of its profiles."""
+    model = [dataset.user_profile(u) for u in range(dataset.n_users)]
+    return MutableBipartiteBuilder.from_dataset(dataset), model
+
+
+def _reference_dataset(builder, model):
+    """Full materialisation of *model*, bypassing the builder."""
     return BipartiteDataset.from_profiles(
-        [dict(builder.profile(u)) for u in range(builder.n_users)],
-        n_users=builder.n_users,
-        n_items=max(builder.n_items, 1),
+        model, n_users=builder.n_users, n_items=max(builder.n_items, 1)
     )
 
 
@@ -56,11 +72,21 @@ class TestInterleavedSnapshots:
         seed_dataset = random_dataset(
             n_users=5, n_items=10, density=0.25, seed=11, ratings=True
         )
-        builder = MutableBipartiteBuilder.from_dataset(seed_dataset)
+        builder, model = _seed(seed_dataset)
+        assert builder.snapshot() is seed_dataset  # adopted as the base
         for chunk in chunks:
-            _apply_builder_events(builder, chunk)
+            _apply_builder_events(builder, chunk, model)
+            # Reads while the changes are pending in the overlay.
+            assert [builder.profile(u) for u in range(len(model))] == model
+            for item in range(builder.n_items):
+                assert builder.users_of(item) == {
+                    u for u, profile in enumerate(model) if item in profile
+                }
+                assert [builder.rating(u, item) for u in range(len(model))] == [
+                    profile.get(item, 0.0) for profile in model
+                ]
             mode = data.draw(
-                st.sampled_from(["auto", "hint", "superset", "csc"]),
+                st.sampled_from(["auto", "hint", "superset", "csc", "named"]),
                 label="snapshot mode",
             )
             dirty_hint = None
@@ -76,18 +102,30 @@ class TestInterleavedSnapshots:
                 dirty_hint = sorted(set(builder.dirty_rows) | extra)
             elif mode == "csc" and builder._base is not None:
                 builder._base.csc  # a mirror on the base must not leak
+            elif mode == "named":
+                pending = builder.dirty_rows
+                named = builder.snapshot(name="probe")
+                assert named == _reference_dataset(builder, model)
+                assert builder.dirty_rows == pending  # overlay kept
             snapshot = builder.snapshot(dirty_users=dirty_hint)
-            reference = _reference_dataset(builder)
+            reference = _reference_dataset(builder, model)
             assert snapshot == reference
             assert snapshot.n_users == reference.n_users
             assert snapshot.n_items == reference.n_items
+            for field in ("indptr", "indices", "data"):
+                ours = getattr(snapshot.matrix, field)
+                theirs = getattr(reference.matrix, field)
+                assert ours.dtype == theirs.dtype
+                np.testing.assert_array_equal(ours, theirs)
             mirror = snapshot.csc
             truth = reference.matrix.tocsc()
             assert abs(mirror - truth).nnz == 0
             np.testing.assert_array_equal(mirror.indices, truth.indices)
             np.testing.assert_array_equal(mirror.data, truth.data)
         # Final full-path cross-check.
-        assert builder.snapshot(name="check") == _reference_dataset(builder)
+        assert builder.snapshot(name="check") == _reference_dataset(
+            builder, model
+        )
 
     @given(chunks=st.lists(streaming_events(max_events=8), max_size=4))
     @settings(max_examples=40)
@@ -97,11 +135,11 @@ class TestInterleavedSnapshots:
         seed_dataset = random_dataset(
             n_users=5, n_items=10, density=0.25, seed=13, ratings=True
         )
-        builder = MutableBipartiteBuilder.from_dataset(seed_dataset)
+        builder, model = _seed(seed_dataset)
         for chunk in chunks:
-            _apply_builder_events(builder, chunk)
+            _apply_builder_events(builder, chunk, model)
             assert builder.snapshot(dirty_users=[0]) == _reference_dataset(
-                builder
+                builder, model
             )
 
 
@@ -112,12 +150,12 @@ class TestChainedIndexUpdates:
         seed_dataset = random_dataset(
             n_users=6, n_items=10, density=0.25, seed=17, ratings=True
         )
-        builder = MutableBipartiteBuilder.from_dataset(seed_dataset)
+        builder, model = _seed(seed_dataset)
         index = ProfileIndex(seed_dataset)
         index.adamic_adar_matrix  # exercise the lazy-cache patches too
         index.centered
         for chunk in chunks:
-            _apply_builder_events(builder, chunk)
+            _apply_builder_events(builder, chunk, model)
             dirty = set(builder.dirty_rows)
             snapshot = builder.snapshot()
             index.update(snapshot, dirty)

@@ -272,3 +272,39 @@ def test_kiff_graph_is_independent_of_batch_size(tiny_wikipedia):
     )
     assert default.graph == chunked.graph
     assert default.graph.sims.tobytes() == chunked.graph.sims.tobytes()
+
+
+class TestPairEqualsBatch:
+    """``pair`` must return exactly the bits ``batch`` returns for the
+    same pair — signed zeros included — since ``kiff(mode="reference")``
+    scores through ``pair`` and the fast mode through ``batch``.
+
+    The datasets are the cold-build grid's (stream parity corpus, burst
+    streams, kiff mode-parity), every pair ``u < v`` of each: 4,653
+    pairs, among them pearson's near-zero and exactly-zero scores.
+    """
+
+    @pytest.mark.parametrize(
+        "metric", ["cosine", "jaccard", "dice", "overlap", "pearson", "adamic_adar"]
+    )
+    def test_pair_is_bit_identical_to_batch(self, metric):
+        from tests.streaming.test_build import SHAPES, grid_dataset
+
+        checked = 0
+        for position in range(len(SHAPES)):
+            engine = SimilarityEngine(
+                grid_dataset(position, False), metric=metric
+            )
+            us, vs = np.triu_indices(engine.n_users, k=1)
+            batch = engine.batch(us, vs)
+            pair = np.array(
+                [engine.pair(u, v) for u, v in zip(us.tolist(), vs.tolist())],
+                dtype=np.float32,
+            )
+            assert pair.tobytes() == batch.tobytes(), [
+                (u, v, p, b)
+                for u, v, p, b in zip(us, vs, pair, batch)
+                if np.float32(p).tobytes() != np.float32(b).tobytes()
+            ]
+            checked += us.size
+        assert checked == 4653

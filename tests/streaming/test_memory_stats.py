@@ -129,12 +129,12 @@ class TestReadOnly:
             builder = index.builder
             rows_before = index.maintenance.rows_materialized
             cached = builder._base
-            pending = set(builder._dirty_rows)
+            pending = builder.dirty_rows
             assert pending  # the apply left rows to patch
             stats = index.memory_stats()
             assert index.maintenance.rows_materialized == rows_before
             assert builder._base is cached
-            assert builder._dirty_rows == pending
+            assert builder.dirty_rows == pending
             # The figures describe the published snapshot.
             assert stats["dataset_csr_bytes"] == (
                 published["dataset_csr_bytes"]
