@@ -64,8 +64,8 @@ one-shard, in-process case, and
 with partitioned defaults.  Every configuration runs the one driver
 written here (``_refresh``): select the dirty users (with
 ``dirty_subset`` deferral), rebind the profiles, run the three
-per-shard stages — affected discovery, pair planning with outboxes,
-dedupe/score/merge — and record :class:`RefreshStats` and publish a
+per-shard stages — affected discovery, pair planning and scoring with
+outboxes, rank/merge — and record :class:`RefreshStats` and publish a
 read snapshot.  The executor only carries the stage calls to the
 shards: in shard order (``serial``), on a thread pool (``threads``) or
 to one worker process per shard (``processes``, see
@@ -117,10 +117,10 @@ dirty-set-proportional stages:
   (:func:`repro.similarity.engine.product_scoring`), the candidate
   product already holds every pair's raw statistic — ``R[rows] @ Rᵀ``
   the dot products, the binarised product the intersection sizes — so
-  those evaluations cost one finalize step each, and each rebuilt row
-  is ranked straight off its product row with no pair dedupe or merge.
-  The kernel then sees only the cross-shard inbox, and the merge only
-  the mirror offers to rows not rebuilt plus that inbox.
+  those evaluations cost one finalize step each and never reach the
+  kernel.  On every pass each pair is scored once, in stage B, and the
+  rebuilt rows are ranked straight off their scored product rows: the
+  merge sees only the mirror offers to rows not rebuilt and the inbox.
 
 The per-user work is tallied into a shared
 :class:`~repro.instrumentation.counters.MaintenanceCounter`
@@ -392,10 +392,10 @@ class DynamicKnnIndex(_ShardHost):
         rejected (refresh raises ``TypeError``) because workers rebuild
         the base index from the shared buffers.
 
-    A pair whose endpoints live on different shards may be evaluated
-    once per side (evaluations are never shared across shards), so
-    ``RefreshStats.evaluations`` can exceed the one-shard figure — the
-    graphs still match exactly.
+    A pair between two rebuilt rows on different shards is evaluated
+    once per side (an outbox offer to a row not rebuilt carries its
+    score), so ``RefreshStats.evaluations`` can exceed the one-shard
+    figure — the graphs still match exactly.
 
     Build cost
     ----------

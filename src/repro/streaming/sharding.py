@@ -29,39 +29,44 @@ then calls three stages on every shard:
    dirty rows; one masked gather over those rows finds them.  A clean
    referrer is *repaired*; the shard's selected dirty users and the
    other referrers are *rebuilt*.
-2. **Planning** (:meth:`_Shard.plan`) — each shard clears its rebuilt
-   rows, drops the dirty entries from its repaired rows, derives the
-   rebuilt rows' candidate sets (one sparse product over the current
-   snapshot, :func:`~repro.core.rcs.candidate_rows`) and emits the
-   evaluation pairs for rows it owns.  Each pair is scored once and
-   offered both ways (the pivot strategy, Section II-D), so a dirty
-   user also reaches the rows of her candidates that are not rebuilt
-   (repaired rows included); when such a row belongs to another shard,
-   the pair travels through a per-shard **outbox** — the cross-shard
-   effect channel.  On a pass whose metric and ratings meet
+2. **Planning and scoring** (:meth:`_Shard.plan`) — each shard
+   clears its rebuilt rows, drops the dirty entries from its repaired
+   rows, derives the rebuilt rows' candidate sets (one sparse product
+   over the current snapshot, :func:`~repro.core.rcs.candidate_rows`)
+   and scores the pairs of the rows it owns (:func:`score_planned`).
+   Each pair is scored once and offered both ways (the pivot strategy,
+   Section II-D), so a dirty user also reaches the rows of her
+   candidates that are not rebuilt (repaired rows included); when such
+   a row belongs to another shard, the offer travels with its score
+   through a per-shard **outbox** — the cross-shard effect channel.
+   On a pass whose metric and ratings meet
    :func:`~repro.similarity.engine.product_scoring`'s rule (built-in
    cosine on positive integer ratings, or a built-in set metric, with
    ``min_rating`` unset) the product's values are the pairs' raw
    statistics — dot products over the valued ``R[rows] @ Rᵀ``,
    intersection sizes over the binarised one — so the pairs are scored
-   here, by the kernel's own finalize step, and never reach the kernel.
-3. **Evaluate + merge** (:meth:`_Shard.merge`) — each shard dedupes its
-   pairs, scores them against the shared profile index, and merges into
-   *its own rows only* (:func:`~repro.graph.updates.merge_topk_rows`,
-   no full-array copy) — writes are disjoint by construction, so
-   shards touch the one shared graph concurrently without locks.  The
-   merge drops every offer that loses to its row's current k-th entry
-   (most mirror offers to clean rows) before it sorts.  On a
-   product-scored pass a cleared rebuilt row's offers are exactly its
-   own product row, so it is ranked straight off it, each row keeping
-   its top entries before any sort
-   (:func:`~repro.graph.updates.rank_fresh_rows`); only the mirror
-   offers to rows not rebuilt and the inbox (still scored here) go
-   through the merge.  Each repaired
-   row is then checked against its old boundary, the
-   deepest entry of its exact prefix (see ``_ShardHost``); the rows
-   that lost more than their reserve are rescanned from their candidate
-   sets in the same stage.
+   straight off it, by the kernel's own finalize step, and never reach
+   the kernel; on any other pass one deduped kernel call scores them.
+3. **Rank + merge** (:meth:`_Shard.merge`) — every pair arrives
+   scored, so this stage calls no scorer (but the fallback's).  A
+   cleared rebuilt row's offers are exactly its own product row, so it
+   is ranked straight off it, each row keeping its top entries before
+   any sort (:func:`~repro.graph.updates.rank_fresh_rows`); only the
+   mirror offers to rows not rebuilt and the inbox go through
+   :func:`~repro.graph.updates.merge_topk_rows`, which drops every
+   offer that loses to its row's current k-th entry (most mirror
+   offers to clean rows) before it sorts.  Each shard writes *its own
+   rows only*, with no full-array copy — writes are disjoint by
+   construction, so shards touch the one shared graph concurrently
+   without locks.  Each repaired row is then checked against its old
+   boundary, the deepest entry of its exact prefix (see
+   ``_ShardHost``); the rows that lost more than their reserve are
+   rescanned from their candidate sets in the same stage, their pairs
+   with clean candidates scored as stage B scores its own.
+
+A pair between two rebuilt rows on different shards sits in both
+rows' products, so each shard scores it for its own row: the one
+evaluation a partition still repeats.
 
 The cold build (``DynamicKnnIndex.rebuild``) runs the same kernels with
 every row rebuilt and none repaired: :meth:`_Shard.build_blocks` cuts
@@ -123,7 +128,6 @@ from ..core.rcs import candidacy_raters, candidate_rows
 from ..graph.knn_graph import MISSING
 from ..graph.updates import (
     ReverseNeighborIndex,
-    dedupe_pairs,
     merge_topk_rows,
     rank_fresh_rows,
 )
@@ -293,15 +297,17 @@ class RebalanceStats:
 
 @dataclass(frozen=True)
 class ShardOutbox:
-    """Cross-shard evaluation pairs emitted by one shard's planning step.
+    """Cross-shard offers emitted by one shard's planning step.
 
     ``rows[j]`` (a row owned by *target*) must be offered candidate
-    ``candidates[j]`` (a dirty user owned by the planning shard).
+    ``candidates[j]`` (a dirty user owned by the planning shard) at
+    score ``sims[j]``, scored once by the planning shard.
     """
 
     target: int
     rows: np.ndarray
     candidates: np.ndarray
+    sims: np.ndarray
 
 
 #: The ``(rows, candidates)`` of a shard with no planned pairs.
@@ -354,6 +360,7 @@ class _Shard:
         "_bound",
         "_dirty_mask",
         "_pairs",
+        "_evaluations",
         "_raters",
         "_product",
     )
@@ -364,6 +371,7 @@ class _Shard:
         # Per-pass context, set by the stages: the owned rows rebuilt
         # from their candidate sets, the owned rows repaired in place
         # and their old boundary entries, the selected dirty users, the
+        # scored pairs of stage B and their evaluations, the
         # snapshot's candidacy transpose (see candidate_sets) and
         # whether the candidate product scores the pass's pairs.
         self._rebuilt = _NO_PAIRS[0]
@@ -372,6 +380,7 @@ class _Shard:
         self._bound = _NO_PAIRS
         self._dirty_mask = _NO_PAIRS[0]
         self._pairs = _NO_PAIRS
+        self._evaluations = 0
         self._raters: tuple = (None, None)
         self._product: str | None = None
 
@@ -427,11 +436,6 @@ class _Shard:
             self._product == "valued",
         )
 
-    def _product_scorer(self):
-        """The host's product scorer on a pass that scores from the
-        candidate product, else ``None``."""
-        return self.host._score_product if self._product else None
-
     # ------------------------------------------------------------------
     # Cold build (DynamicKnnIndex.rebuild): every row rebuilt
     # ------------------------------------------------------------------
@@ -480,9 +484,8 @@ class _Shard:
         host = self.host
         neighbors, sims = host._rows()
         us, vs, raw = candidate_pairs(users, self.candidate_sets(users))
-        score_product = self._product_scorer()
-        if score_product is not None:
-            scores = score_product(us, vs, raw)
+        if self._product:
+            scores = host._score_product(us, vs, raw)
             del raw  # a block's arrays are the build's peak memory
             fresh, ids, scores, changes = rank_fresh_rows(
                 us, vs, scores, neighbors.shape[1]
@@ -574,8 +577,9 @@ class _Shard:
         acceptance check; a dirty user's mirror offers reach every
         candidate not rebuilt, so each repaired row is offered every
         dirty user it still co-rates with.  *rebuilt* is the global
-        rebuilt set.  Returns the outboxes; this shard's own pairs stay
-        here for :meth:`merge`.
+        rebuilt set.  Every pair is scored here, once
+        (:func:`plan_shard_pairs`).  Returns the outboxes; this shard's
+        own scored pairs stay here for :meth:`merge`.
         """
         host = self.host
         neighbors, sims = host._rows()
@@ -609,13 +613,18 @@ class _Shard:
             rebuilt_mask,
             self._dirty_mask,
             self.candidate_sets(mine),
-            self._product_scorer(),
+            host._score_product if self._product else None,
+            host._score_pairs,
         )
+        owned = np.zeros(host.n_users, dtype=bool)
+        owned[mine] = True
         self._pairs = (rows, candidates, scores)
+        self._evaluations = _count_once(rows, candidates, owned)
         return outboxes
 
     def merge(self, inbox: list[ShardOutbox]) -> "ShardMerge":
-        """Stage C: evaluate and merge, then accept or rescan repairs.
+        """Stage C: rank and merge the scored pairs, then accept or
+        rescan repairs.
 
         A repaired row's old boundary is the entry at ``depth - 1``.
         Every candidate it was not offered kept its score (a deferred
@@ -634,20 +643,19 @@ class _Shard:
         neighbors, sims = host._rows()
         rows, candidates, scores = self._pairs
         self._pairs = _NO_PAIRS  # release the pass's pairs early
+        evaluations, self._evaluations = self._evaluations, 0
         repaired, (bound_ids, bound_sims) = self._repaired, self._bound
         self._bound = _NO_PAIRS
-        evaluations, changes, active, offers = merge_shard_pairs(
+        changes, active, offers = merge_shard_pairs(
             self.shard_id,
             host._shard_map,
             rows,
             candidates,
+            scores,
             inbox,
             neighbors,
             sims,
-            host.n_users,
-            host._score_pairs,
             self._rows_mask,
-            scores,
         )
         self._rows_mask = _NO_PAIRS[0]
         failed = repaired[:0]
@@ -685,11 +693,11 @@ class _Shard:
         """Rescan repaired *rows* that failed the acceptance check.
 
         Each row is cleared and rebuilt from its whole candidate set.
-        Its pairs with clean candidates are scored here — off their
-        candidate product when the pass scores from it; the pass's
+        Its pairs with clean candidates are scored here, the way stage
+        B scores its pairs (:func:`score_planned`); the pass's
         *offers* ``(users, ids, sims)`` already hold its pairs with
-        dirty users (her own pair, or her mirror offer from another
-        shard), so the ones to these rows are merged again.  Nothing
+        dirty users (her mirror offer, from this shard or another), so
+        the ones to these rows are merged again.  Nothing
         reaches rows outside *rows*.  Scoring runs before the rows are
         cleared, so a failing metric leaves them as the first merge
         wrote them.  Returns ``(evaluations, changes)``.
@@ -701,24 +709,24 @@ class _Shard:
         us, vs, raw = candidate_pairs(rows, self.candidate_sets(rows))
         clean = ~self._dirty_mask[vs]
         us, vs = us[clean], vs[clean]
-        score_product = self._product_scorer()
-        if score_product is None:
-            evaluations, *fresh = _score_offers(
-                us, vs, host.n_users, host._score_pairs, target
-            )
-        else:
-            # A row's own product entries are every fresh offer it gets.
-            evaluations = _count_once(us, vs, target)
-            fresh = (us, vs, score_product(us, vs, raw[clean]))
-        earlier, later = target[offers[0]], target[fresh[0]]
+        scores = score_planned(
+            us,
+            vs,
+            raw[clean],
+            target,
+            host._score_product if self._product else None,
+            host._score_pairs,
+        )
+        # A row's own product entries are every fresh offer it gets.
+        earlier = target[offers[0]]
         users, ids, scores = (
-            np.concatenate([a[earlier], b[later]])
-            for a, b in zip(offers, fresh)
+            np.concatenate([a[earlier], b])
+            for a, b in zip(offers, (us, vs, scores))
         )
         neighbors[rows] = MISSING
         sims[rows] = -np.inf
         changes, _ = _merge_offers(neighbors, sims, users, ids, scores)
-        return evaluations, changes
+        return _count_once(us, vs, target), changes
 
 
 # ----------------------------------------------------------------------
@@ -749,31 +757,30 @@ def plan_shard_pairs(
     rebuilt_mask: np.ndarray,
     dirty_mask: np.ndarray,
     candidates: sp.csr_matrix,
-    score_product=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[ShardOutbox]]:
-    """Stage B's pair derivation: local pairs plus cross-shard outboxes.
+    score_product,
+    score_pairs,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[ShardOutbox]]:
+    """Stage B's pairs: scored local pairs plus cross-shard outboxes.
 
     Every rebuilt row owned by *shard_id* (per *shard_map*) is paired
     with its full candidate set, row ``j`` of the product *candidates*
-    for ``rebuilt[j]``.  The merge offers each scored pair both ways,
-    so a dirty user's (per *dirty_mask*) own pairs reach her
-    candidates' rows this shard owns; her offer to a candidate's row
-    that is not rebuilt and belongs to another shard (the *mirror*:
-    she can enter that top-k) travels in an outbox.  With
-    *score_product* (a pass whose product values are the pairs' raw
-    statistics) every pair is scored here, straight off the product;
-    otherwise the merge scores them.  Returns ``(rows, candidates,
-    scores, outboxes)``, ``scores`` ``None`` when unscored.
+    for ``rebuilt[j]``, and every pair is scored here, once
+    (:func:`score_planned`, oriented by *rebuilt_mask*).  Each score
+    serves both ends of its pair, so a dirty user's (per *dirty_mask*)
+    own pairs reach her candidates' rows this shard owns; her offer to
+    a candidate's row that is not rebuilt and belongs to another shard
+    (the *mirror*: she can enter that top-k) travels, with its score,
+    in an outbox.  Returns ``(rows, candidates, scores, outboxes)``.
     """
     rows, cands, raw = candidate_pairs(rebuilt, candidates)
-    scores = None
-    if score_product is not None:
-        scores = score_product(rows, cands, raw)
+    scores = score_planned(
+        rows, cands, raw, rebuilt_mask, score_product, score_pairs
+    )
     outboxes = []
     if shard_map.n_shards == 1:
         return rows, cands, scores, outboxes
     mirror = dirty_mask[rows] & ~rebuilt_mask[cands]
-    rows_m, users_m = cands[mirror], rows[mirror]
+    rows_m, users_m, sims_m = cands[mirror], rows[mirror], scores[mirror]
     owners = shard_map.owners(rows_m)
     for target in range(shard_map.n_shards):
         mine = owners == target
@@ -783,6 +790,7 @@ def plan_shard_pairs(
                     target=target,
                     rows=rows_m[mine],
                     candidates=users_m[mine],
+                    sims=sims_m[mine],
                 )
             )
     return rows, cands, scores, outboxes
@@ -791,7 +799,7 @@ def plan_shard_pairs(
 class ShardMerge(NamedTuple):
     """What one shard's stage C reports to the refresh driver."""
 
-    #: Pairs scored (first merge plus fallback rescans).
+    #: Pairs scored (stage B's plan plus fallback rescans).
     evaluations: int
     #: Slots changed, summed over the stage's merges.
     changes: int
@@ -806,26 +814,32 @@ class ShardMerge(NamedTuple):
     fallbacks: int
 
 
-def _score_offers(us, vs, n_users: int, score_pairs, rows):
-    """Dedupe and score pairs; returns ``(evaluations, users, ids, sims)``.
+def score_planned(us, vs, raw, rows, score_product, score_pairs):
+    """Scores of candidate-product pairs ``(us[j], vs[j])``, each
+    distinct pair scored once.
 
-    One evaluation serves both directions of a pair (Section II-D):
-    each scored pair becomes two offers, ``ids[j]`` to row
-    ``users[j]`` and back.
-
-    Every pair has an endpoint in the boolean mask *rows* (the rows
-    being rescanned).  Each pair is stored with that endpoint first
-    (the lower id when both are) before the dedupe, so the kernel gets
-    it as the row side and the deduped pairs come out grouped by it: a
-    chunk holds a few rows against their whole candidate sets, the
-    work the kernel's row side is built for (see
+    Every ``us[j]`` is in the boolean mask *rows* (the rows being
+    rebuilt or rescanned).  With *score_product* (a pass whose product
+    values *raw* are the pairs' raw statistics) every pair is scored
+    straight off the product, by the kernel's own finalize step.
+    Otherwise *score_pairs* scores each distinct pair once (Section
+    II-D) and its score goes back to every copy.  A pair between two
+    of the rows, in both rows' products, is stored with the lower id
+    first; every other pair with its row first.  So the kernel gets
+    the rows as the row side and the deduped pairs come out grouped by
+    it: a chunk holds a few rows against their whole candidate sets,
+    the work the kernel's row side is built for (see
     ``NumpyKernelBackend.score_pairs``).
     """
-    first, second = rows[us], rows[vs]
-    flip = (second & ~first) | ((first == second) & (vs < us))
-    us, vs = np.where(flip, vs, us), np.where(flip, us, vs)
-    us, vs = dedupe_pairs(us, vs, n_users, ordered=True)
-    return _offer_both_ways(us, vs, score_pairs)
+    if score_product is not None:
+        return score_product(us, vs, raw)
+    if not us.size:  # nothing to score: the kernel is not called
+        return np.empty(0, dtype=SCORE_DTYPE)
+    n_users = rows.size
+    flip = rows[vs] & (vs < us)
+    keys = np.where(flip, vs * n_users + us, us * n_users + vs)
+    keys, copies = np.unique(keys, return_inverse=True)
+    return score_pairs(keys // n_users, keys % n_users)[copies]
 
 
 def _offer_both_ways(us, vs, score_pairs):
@@ -847,8 +861,8 @@ def _count_once(us: np.ndarray, vs: np.ndarray, rows: np.ndarray) -> int:
 
     Every ``us[j]`` is in the boolean mask *rows*, and a pair between
     two of them sits in both rows' products; it counts once, under the
-    row of its lower id — :func:`_score_offers`' rule, so a pass scored
-    off the product reports the evaluations the dedupe would.
+    row of its lower id — the one evaluation :func:`score_planned`
+    makes for it, whether it scores off the product or dedupes.
     """
     return int(us.size - np.count_nonzero(rows[vs] & (vs < us)))
 
@@ -882,70 +896,46 @@ def merge_shard_pairs(
     shard_map: ShardMap,
     plan_rows: np.ndarray,
     plan_candidates: np.ndarray,
+    plan_scores: np.ndarray,
     inbox: list[ShardOutbox],
     neighbors: np.ndarray,
     sims: np.ndarray,
-    n_users: int,
-    score_pairs,
     rows_mask: np.ndarray,
-    plan_scores: np.ndarray | None = None,
-) -> tuple[int, int, np.ndarray, tuple]:
-    """Stage C's merge: dedupe, evaluate, and merge into owned rows.
+) -> tuple[int, np.ndarray, tuple]:
+    """Stage C's merge: rank the rebuilt rows, merge offers into the rest.
 
-    Writes the re-ranked rows into *neighbors*/*sims* in place (every
-    active row is owned by *shard_id*, so concurrent callers never
-    collide).  *rows_mask* marks
-    the rebuilt rows: every pair has one as an endpoint, the row
-    itself or a dirty user offered to a clean row.  Returns
-    ``(evaluations, changes, active, offers)``: ``active`` holds only
-    the rows the merge re-ranked — rows whose every offer lost to their
-    k-th entry are left out — and ``offers`` the ``(users, ids, sims)``
-    merged into rows that were not rebuilt, which the repair's
-    fallback reuses.
-
-    *plan_scores* (stage B scored the plan's pairs off their candidate
-    product) takes the rebuilt rows off the merge: a cleared row's
-    offers are exactly its own product row, already grouped by row
-    with no id twice, so it is ranked with no dedupe
+    Every pair arrives scored by stage B: the plan's
+    ``(plan_rows[j], plan_candidates[j])`` at ``plan_scores[j]``, the
+    *inbox* with the other shards' scores.  Writes the re-ranked rows
+    into *neighbors*/*sims* in place (every active row is owned by
+    *shard_id*, so concurrent callers never collide).  A cleared
+    rebuilt row's offers are exactly its own product row (a pair
+    between two rebuilt rows sits in both rows' products), already
+    grouped by row with no id twice, so it is ranked with no dedupe
     (:func:`~repro.graph.updates.rank_fresh_rows`).  Only the mirror
-    offers to the shard's rows that are not rebuilt and the inbox
-    (scored here by *score_pairs*) go through the merge.
+    offers — each pair offered back to its candidate's row when this
+    shard owns it and *rows_mask* (the rebuilt rows) does not hold it
+    — and the inbox go through the merge.  Returns ``(changes, active,
+    offers)``: ``active`` holds only the rows re-ranked — rows whose
+    every offer lost to their k-th entry are left out — and ``offers``
+    the ``(users, ids, sims)`` merged into rows that were not rebuilt,
+    which the repair's fallback reuses.
     """
-    scored = plan_scores is not None
-    unscored = _NO_PAIRS if scored else (plan_rows, plan_candidates)
-    us = np.concatenate([unscored[0]] + [box.rows for box in inbox])
-    vs = np.concatenate([unscored[1]] + [box.candidates for box in inbox])
-    evaluations, users, ids, scores = _score_offers(
-        us, vs, n_users, score_pairs, rows_mask
+    fresh, new_ids, new_sims, changes = rank_fresh_rows(
+        plan_rows, plan_candidates, plan_scores, neighbors.shape[1]
     )
+    neighbors[fresh] = new_ids
+    sims[fresh] = new_sims
+    mirror = ~rows_mask[plan_candidates]
     if shard_map.n_shards > 1:
-        # Only this shard's rows are merged here; the partner shard
-        # evaluates its own side of a cross-shard pair.
-        owned = shard_map.owners(users) == shard_id
-        users, ids, scores = users[owned], ids[owned], scores[owned]
-    changes, fresh = 0, _NO_PAIRS[0]
-    if scored:
-        mine = np.zeros(n_users, dtype=bool)
-        mine[plan_rows] = True
-        evaluations += _count_once(plan_rows, plan_candidates, mine)
-        fresh, new_ids, new_sims, changes = rank_fresh_rows(
-            plan_rows, plan_candidates, plan_scores, neighbors.shape[1]
-        )
-        neighbors[fresh] = new_ids
-        sims[fresh] = new_sims
-        # The mirror halves: each pair offered back to the candidate's
-        # row, when this shard owns it and does not rebuild it.
-        mirror = ~rows_mask[plan_candidates]
-        if shard_map.n_shards > 1:
-            mirror &= shard_map.owners(plan_candidates) == shard_id
-        users, ids, scores = (
-            np.concatenate([plan_candidates[mirror], users]),
-            np.concatenate([plan_rows[mirror], ids]),
-            np.concatenate([plan_scores[mirror], scores]),
-        )
-    offers = (users, ids, scores)
-    merged, active = _merge_offers(neighbors, sims, users, ids, scores)
-    return evaluations, changes + merged, np.union1d(fresh, active), offers
+        mirror &= shard_map.owners(plan_candidates) == shard_id
+    offers = (
+        np.concatenate([plan_candidates[mirror]] + [b.rows for b in inbox]),
+        np.concatenate([plan_rows[mirror]] + [b.candidates for b in inbox]),
+        np.concatenate([plan_scores[mirror]] + [b.sims for b in inbox]),
+    )
+    merged, active = _merge_offers(neighbors, sims, *offers)
+    return changes + merged, np.union1d(fresh, active), offers
 
 
 class ShardedKnnIndex(DynamicKnnIndex):

@@ -344,10 +344,11 @@ class TestRepairPaths:
 class TestScoringCalls:
     def test_rows_being_rebuilt_are_the_kernel_row_side(self, layout):
         """Jaccard scores a pass off the candidate product: each
-        shard scores its rebuilt rows' product in one stage-B call, its
-        inbox in at most one stage-C call to the kernel, and its
-        fallbacks in one more product call — with the rebuilt rows (the
-        dirty users, then the row that fell back) on the row side."""
+        shard scores its rebuilt rows' product in one stage-B call and
+        its fallbacks in one more product call — with the rebuilt rows
+        (the dirty users, then the row that fell back) on the row side.
+        The inbox arrives scored, so the kernel is never called, at any
+        shard count."""
         index = make_index(reserve_rows_dataset(), layout, k=2)
         try:
             index.apply(lower_near_users())
@@ -382,7 +383,7 @@ class TestScoringCalls:
                 stats = index.refresh()
             assert fallbacks(stats) == 1
             assert 0 < len(calls["product"]) <= index.n_shards
-            assert len(calls["pairs"]) == (index.n_shards > 1)
+            assert not calls["pairs"]
             assert len(calls["fallback"]) == 1
             scored = calls["product"] + calls["pairs"]
             assert all(users <= set(NEAR) for users in scored)
@@ -420,11 +421,10 @@ class TestFailureMidRepair:
     )
     @pytest.mark.parametrize("layout", LAYOUTS[:2], ids=LAYOUT_IDS[:2])
     def test_metric_error_then_exact_rerun(self, layout, fail_in, monkeypatch):
-        """Fail the pass's first scoring (stage B's product scores or
-        stage C's pairs, after the drops), the fallback's
-        (after the first merge landed) or the fallback's merge (after
-        its rows were cleared); the rerun finds the referrers a scan of
-        the rows left behind finds, and is exact."""
+        """Fail the pass's first scoring (stage B's, after the drops),
+        the fallback's (after the first merge landed) or the fallback's
+        merge (after its rows were cleared); the rerun finds the
+        referrers a scan of the rows left behind finds, and is exact."""
         index = make_index(reserve_rows_dataset(), layout, k=2)
         try:
             index.apply(lower_near_users())

@@ -14,7 +14,12 @@ crash-recovery landing bit-identical to the uninterrupted sharded run.
 import numpy as np
 import pytest
 
-from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
+from repro import (
+    BipartiteDataset,
+    DynamicKnnIndex,
+    KiffConfig,
+    ShardedKnnIndex,
+)
 from repro.persistence import (
     PartitionedWriteAheadLog,
     PersistenceError,
@@ -28,6 +33,7 @@ from repro.streaming import (
     cold_rebuild_graph,
     ratings_batch,
 )
+from repro.similarity.engine import get_metric, product_scoring
 from repro.streaming import sharding
 from repro.streaming.sharding import shard_of
 from tests.conftest import random_dataset, split_checked
@@ -280,28 +286,51 @@ class TestShardState:
             planned += rows.size
         assert planned > 0
 
-    def test_outboxes_carry_cross_shard_mirrors(self):
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
+    @pytest.mark.parametrize(
+        "fractional", [False, True], ids=["product-scored", "pair-scored"]
+    )
+    def test_outboxes_carry_cross_shard_mirrors(self, fractional, executor):
         """Every outbox targets a foreign shard, whose rows it carries
-        offers of this shard's dirty users to."""
+        offers of this shard's dirty users to, each at the score the
+        planning shard gave the pair: the pair scorer's bits for it, on
+        a pass scored off the candidate product (whole ratings) as on
+        one scored pair by pair (fractional ratings)."""
         dataset = random_dataset(
             n_users=30, n_items=10, density=0.35, seed=3, ratings=True
         )
+        if fractional:
+            ratings = dataset.matrix.tocoo()
+            values = ratings.data.copy()
+            values[::2] += 0.5
+            dataset = BipartiteDataset.from_edges(
+                ratings.row, ratings.col, values, n_users=30, n_items=10
+            )
         index = ShardedKnnIndex(
             dataset, KiffConfig(k=3), auto_refresh=False, n_shards=2,
-            executor="serial",
+            executor=executor,
         )
-        index.apply(ratings_batch([0], [0], [5.0]))
-        index.refresh()
-        assert index.last_outboxes  # a dense dataset always crosses shards
-        for outbox in index.last_outboxes:
-            assert all(
-                shard_of(row, 2) == outbox.target
-                for row in outbox.rows.tolist()
+        try:
+            index.apply(ratings_batch([0], [0], [5.0]))
+            index.refresh()
+            operand = product_scoring(
+                get_metric("cosine"), index.dataset, None
             )
-            assert all(
-                shard_of(user, 2) != outbox.target
-                for user in outbox.candidates.tolist()
-            )
+            assert (operand is None) == fractional
+            assert index.last_outboxes  # a dense dataset crosses shards
+            for outbox in index.last_outboxes:
+                assert all(
+                    shard_of(row, 2) == outbox.target
+                    for row in outbox.rows.tolist()
+                )
+                assert all(
+                    shard_of(user, 2) != outbox.target
+                    for user in outbox.candidates.tolist()
+                )
+                expected = index._score_pairs(outbox.candidates, outbox.rows)
+                assert outbox.sims.tobytes() == expected.tobytes()
+        finally:
+            index.close()
 
     def test_close_is_idempotent_and_terminal(self, rated_dataset):
         index = ShardedKnnIndex(

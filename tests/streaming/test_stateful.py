@@ -265,20 +265,28 @@ class IndexMachine(RuleBasedStateMachine):
 
     def _refresh_spying_on_scorer(self):
         """A full refresh (checked exact) that scores off the candidate
-        product exactly when :func:`product_scoring` accepts the pass."""
+        product exactly when :func:`product_scoring` accepts the pass,
+        and then never calls the pair scorer: every pair, cross-shard
+        offers included, is scored once, where it is planned."""
         index = self.index
-        calls = []
-        score_product = index._score_product
+        calls = {"_score_product": [], "_score_pairs": []}
 
-        def counting(*args):
-            calls.append(1)
-            return score_product(*args)
+        def counting(name):
+            scorer = getattr(index, name)
 
-        index._score_product = counting
+            def score(*args):
+                calls[name].append(1)
+                return scorer(*args)
+
+            return score
+
+        for name in calls:
+            setattr(index, name, counting(name))
         try:
             self.refresh()
         finally:
-            del index._score_product
+            for name in calls:
+                delattr(index, name)
         stats = index.refresh_log[-1]
         operand = product_scoring(
             get_metric(self.metric), index.dataset, index.config.min_rating
@@ -288,9 +296,11 @@ class IndexMachine(RuleBasedStateMachine):
             fractional = (values != np.rint(values)).any()
             assert (operand is None) == fractional
         if operand is None:
-            assert not calls
-        elif stats.evaluations:
-            assert calls
+            assert not calls["_score_product"]
+        else:
+            assert not calls["_score_pairs"]
+            if stats.evaluations:
+                assert calls["_score_product"]
 
     @rule(
         profile=st.dictionaries(
