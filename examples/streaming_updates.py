@@ -16,8 +16,8 @@ can SIGKILL itself mid-stream to simulate a crash::
 Running the same seed with ``--events K`` (no kill) produces the
 uninterrupted reference state at event K — what the recovery test
 compares bit-identically against.  ``--shards N`` runs the same durable
-stream through a :class:`ShardedKnnIndex`, one log segment and one
-checkpoint state file per shard (the sharded crash-recovery smoke job
+stream through a :class:`ShardedKnnIndex`, one log segment per shard
+and the same two-file checkpoints (the sharded crash-recovery smoke job
 drives this mode); ``--executor processes``
 additionally fans each refresh out to one OS worker per shard over
 shared-memory snapshots — the crash drill then exercises SIGKILL of a

@@ -22,9 +22,8 @@ a copy of the base's arrays (:func:`splice_compressed`, an O(nnz)
 memcpy) and wraps the result without a second canonicalisation
 (:func:`dataset_from_canonical_arrays`).  It becomes the new base, the
 overlay is dropped, and it is cached until the next mutation.  Without
-a base, with a ``dirty_users`` hint that misses a tracked change, or
-with a dirty set spanning more than half the population, every row is
-derived.  Derived rows are tallied into a
+a base, or with a dirty set spanning more than half the population,
+every row is derived.  Derived rows are tallied into a
 :class:`~repro.instrumentation.counters.MaintenanceCounter`; the
 Hypothesis suite checks every snapshot against a plain-dict model.
 """
@@ -378,21 +377,15 @@ class MutableBipartiteBuilder:
     # ------------------------------------------------------------------
     # Snapshot
     # ------------------------------------------------------------------
-    def snapshot(
-        self,
-        name: str | None = None,
-        dirty_users=None,
-    ) -> BipartiteDataset:
+    def snapshot(self, name: str | None = None) -> BipartiteDataset:
         """The current state as an immutable dataset (cached until mutated).
 
         When a previous snapshot exists, only the rows of users mutated
-        since it (plus any extra ids in the optional ``dirty_users`` hint)
-        are derived; everything else is block-copied.  ``dirty_users``
-        must cover the internally tracked dirty set — a hint that does
-        not makes every row derived (a full snapshot), as does a dirty
-        set spanning more than half the population.  Passing ``name``
-        returns a fresh, uncached dataset and leaves the builder's cache
-        and overlay untouched.
+        since it are derived; everything else is block-copied.  A dirty
+        set spanning more than half the population makes every row
+        derived (a full snapshot).  Passing ``name`` returns a fresh,
+        uncached dataset and leaves the builder's cache and overlay
+        untouched.
 
         Raises :class:`DatasetError` while no user exists — a dataset
         needs at least one user, and padding one in would break the
@@ -406,18 +399,8 @@ class MutableBipartiteBuilder:
             )
         if self._base is not None and not self._overlay and name is None:
             return self._base
-        dirty: set[int] | None = set(self._overlay)
-        if dirty_users is not None:
-            supplied = {int(u) for u in dirty_users}
-            for u in supplied:
-                self._check_user(u)
-            dirty = supplied if dirty <= supplied else None
-        if (
-            dirty is not None
-            and self._base is not None
-            and 2 * len(dirty) <= self._n_users
-        ):
-            rows = np.array(sorted(dirty), dtype=np.int64)
+        if self._base is not None and 2 * len(self._overlay) <= self._n_users:
+            rows = np.array(sorted(self._overlay), dtype=np.int64)
             self.maintenance.snapshots_incremental += 1
         else:
             rows = np.arange(self._n_users, dtype=np.int64)

@@ -20,7 +20,6 @@ from .knn_graph import MISSING, KnnGraph
 from .metrics import average_similarity, per_user_recall, recall, strict_recall
 from .updates import (
     ReverseNeighborIndex,
-    dedupe_pairs,
     merge_topk,
     merge_topk_rows,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "ReverseNeighborIndex",
     "analyze",
     "average_similarity",
-    "dedupe_pairs",
     "graph_from_arrays",
     "graph_to_arrays",
     "in_degrees",

@@ -30,7 +30,6 @@ __all__ = [
     "merge_topk",
     "merge_topk_rows",
     "rank_fresh_rows",
-    "dedupe_pairs",
 ]
 
 
@@ -70,32 +69,6 @@ class ReverseNeighborIndex:
 
         Kept by name because ``perfbench/tracing.py`` wraps it.
         """
-
-
-def dedupe_pairs(
-    us: np.ndarray, vs: np.ndarray, n_users: int, ordered: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Remove duplicate pairs (and self pairs) from parallel pair arrays.
-
-    With ``ordered=False`` pairs are treated as unordered: (u, v) and
-    (v, u) collapse to one canonical (min, max) pair — the pivot-strategy
-    semantics used when one similarity evaluation serves both endpoints.
-    """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    mask = us != vs
-    us, vs = us[mask], vs[mask]
-    if us.size == 0:
-        return us, vs
-    if ordered:
-        keys = us * n_users + vs
-    else:
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        keys = lo * n_users + hi
-        us, vs = lo, hi
-    _, unique_idx = np.unique(keys, return_index=True)
-    return us[unique_idx], vs[unique_idx]
 
 
 def merge_topk(

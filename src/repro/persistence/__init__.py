@@ -13,8 +13,8 @@ case:
   the total event order, and :class:`WriteAheadLog` is one segment file.
 * :func:`save_checkpoint` / :func:`load_checkpoint` — a
   ``checkpoint-<seq>.shards/`` directory holding the full maintained
-  state (dataset snapshot, graph rows, per-shard dirty slices,
-  counters).
+  state in two files: ``meta.json`` (config, counters, ownership map)
+  and ``base.npz`` (dataset snapshot, graph rows, dirty set).
 * :func:`restore_index` — latest checkpoint + merged WAL-tail replay;
   the refreshed result is bit-identical to the uninterrupted run, at
   any shard count.

@@ -1,29 +1,28 @@
 """Checkpoints and restore: the one durable layout for every index.
 
 A checkpoint serializes everything an index needs to resume exactly
-where it was, as a ``checkpoint-<seq>.shards/`` directory that
-partitions the state the way the shards hold it:
+where it was, as a ``checkpoint-<seq>.shards/`` directory of two files:
 
 * ``meta.json`` — format version, sequence, config, metric, counters,
   the shard count and any live-rebalance ownership overrides;
-* ``base.npz`` — the shared read-only state: the dataset snapshot (via
+* ``base.npz`` — the state: the dataset snapshot (via
   :func:`repro.datasets.mutable.snapshot_to_arrays`), the KNN graph
   rows at their full maintained width, reserve columns included
-  (CSR-packed via :func:`repro.graph.io.pack_graph_arrays`), and each
-  row's exact depth (``row_depth``);
-* ``shard-<i>.npz`` — shard *i*'s dirty slice, and its dirty users'
-  lost-item records (``lost_users``/``lost_items``, parallel arrays):
-  the items each dropped or re-rated since her last pass.
+  (CSR-packed via :func:`repro.graph.io.pack_graph_arrays`), each
+  row's exact depth (``row_depth``), the dirty users (``dirty``) and
+  their lost-item records (``lost_users``/``lost_items``, parallel
+  arrays): the items each dropped or re-rated since her last pass.
 
-Every index writes it at its own shard count (one shard file for the
-flat index).  The reserve and the depths are stored because a restored
-index would otherwise have to treat every row as exact to ``k`` only,
-and its repairs would fall back to rescans until each row was rebuilt.
-The lost-item records are stored because the refresh finds the rows
-citing a dirty user among the raters of her items, and a row may still
-cite her through an item she has since dropped.  Candidate sets are not
-stored: every refresh derives the ones it needs, and the rows citing
-each dirty user, from the dataset snapshot.
+Every index writes the same two files at any shard count; ownership is
+recorded only as the map (``n_shards`` plus overrides), never as a
+split of the state.  The reserve and the depths are stored because a
+restored index would otherwise have to treat every row as exact to
+``k`` only, and its repairs would fall back to rescans until each row
+was rebuilt.  The lost-item records are stored because the refresh
+finds the rows citing a dirty user among the raters of her items, and
+a row may still cite her through an item she has since dropped.
+Candidate sets are not stored: every refresh derives the ones it
+needs, and the rows citing each dirty user, from the dataset snapshot.
 
 Recovery (:func:`restore_index`) = latest readable checkpoint + the
 merged :mod:`partitioned log <repro.persistence.partition>` tail,
@@ -77,14 +76,14 @@ class CheckpointError(PersistenceError):
     """Raised when a checkpoint is missing, corrupt or incompatible."""
 
 
-#: Version written by this library.  Version 4 stores the graph rows
+#: Version written by this library.  Version 5 stores the graph rows
 #: ``k + RESERVE`` wide with each row's exact depth, CSR-packed at the
 #: compact layout (int32 ids, float32 sims; see :mod:`repro.layout`),
-#: tags the metadata with the dtype contract, and keeps the dirty
-#: users' lost-item records in the shard files.
-CHECKPOINT_VERSION = 4
+#: tags the metadata with the dtype contract, and keeps the dirty users
+#: and their lost-item records in ``base.npz`` beside the rows.
+CHECKPOINT_VERSION = 5
 #: Versions :func:`load_checkpoint` can restore.
-SUPPORTED_CHECKPOINT_VERSIONS = frozenset({4})
+SUPPORTED_CHECKPOINT_VERSIONS = frozenset({5})
 _PREFIX = "checkpoint-"
 _SUFFIX = ".shards"
 
@@ -93,11 +92,10 @@ _SUFFIX = ".shards"
 class CheckpointState:
     """Everything :func:`load_checkpoint` recovers from one checkpoint.
 
-    The per-shard slices are merged here: ownership is derivable from
-    ``n_shards`` plus the (usually empty) ``shard_overrides`` table
-    left behind by live
-    :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` moves,
-    so :func:`install_checkpoint_state` rebuilds the map and derives the
+    Ownership is ``n_shards`` plus the (usually empty)
+    ``shard_overrides`` table left behind by live
+    :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` moves, so
+    :func:`install_checkpoint_state` rebuilds the map and derives the
     shards from it and the rows — which is also what makes restoring at
     a different shard count (re-sharding) exact.
     """
@@ -178,9 +176,9 @@ def save_checkpoint(index, directory: str | Path) -> Path:
     Callable at any point of the stream — pending (unrefreshed) events
     are captured through the dataset snapshot plus the dirty set, so a
     restore followed by one refresh lands on the same converged graph.
-    ``base.npz`` holds the shared read-only state (dataset snapshot,
-    full-width graph rows and their depths), ``shard-<i>.npz`` shard
-    *i*'s dirty slice and those users' lost-item records.  The
+    ``meta.json`` holds the metadata and the ownership map, ``base.npz``
+    the state (dataset snapshot, full-width graph rows and their
+    depths, the dirty users and their lost-item records).  The
     directory is staged under a temp name, every file fsynced, then
     atomically renamed into place with a parent fsync — a crash
     mid-checkpoint leaves the previous one intact.
@@ -205,8 +203,7 @@ def save_checkpoint(index, directory: str | Path) -> Path:
             field: int(getattr(index.maintenance, field))
             for field in index.maintenance.__dataclass_fields__
         },
-        "layout": "sharded",
-        "n_shards": len(index._shards),
+        "n_shards": index.n_shards,
     }
     overrides = index._shard_map.overrides
     if overrides:
@@ -222,32 +219,22 @@ def save_checkpoint(index, directory: str | Path) -> Path:
         meta_file = tmp / "meta.json"
         meta_file.write_text(json.dumps(meta), encoding="utf-8")
         _fsync_file(meta_file)
-        np.savez_compressed(
-            tmp / "base.npz",
-            **graph_arrays,
-            row_depth=index._depth[: index._n_rows],
-            **snapshot_to_arrays(dataset),
-        )
-        _fsync_file(tmp / "base.npz")
-        dirty = np.asarray(sorted(index._dirty), dtype=np.int64)
-        owners = index._shard_map.owners(dirty)
         pairs = [
             (user, item)
             for user, items in sorted(index._lost.items())
             for item in sorted(items)
         ]
         lost = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        lost_owners = index._shard_map.owners(lost[:, 0])
-        for shard in range(index.n_shards):
-            shard_file = tmp / f"shard-{shard}.npz"
-            mine = lost[lost_owners == shard]
-            np.savez_compressed(
-                shard_file,
-                dirty=dirty[owners == shard],
-                lost_users=mine[:, 0],
-                lost_items=mine[:, 1],
-            )
-            _fsync_file(shard_file)
+        np.savez_compressed(
+            tmp / "base.npz",
+            **graph_arrays,
+            row_depth=index._depth[: index._n_rows],
+            **snapshot_to_arrays(dataset),
+            dirty=np.asarray(sorted(index._dirty), dtype=np.int64),
+            lost_users=lost[:, 0],
+            lost_items=lost[:, 1],
+        )
+        _fsync_file(tmp / "base.npz")
         _wal.fsync_dir(tmp)
         # A re-checkpoint at the same sequence (same state) replaces the
         # old directory.  A rename cannot replace a non-empty directory,
@@ -299,17 +286,12 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         graph = unpack_graph_arrays(archive)
         depth = np.asarray(archive["row_depth"])
         dataset = snapshot_from_arrays(archive, name=meta["name"])
-    dirty: list[int] = []
-    lost: dict[int, set[int]] = {}
-    for shard in range(n_shards):
-        with np.load(
-            path / f"shard-{shard}.npz", allow_pickle=False
-        ) as archive:
-            dirty.extend(archive["dirty"].tolist())
-            for user, item in zip(
-                archive["lost_users"].tolist(), archive["lost_items"].tolist()
-            ):
-                lost.setdefault(user, set()).add(item)
+        dirty = archive["dirty"].tolist()
+        lost: dict[int, set[int]] = {}
+        for user, item in zip(
+            archive["lost_users"].tolist(), archive["lost_items"].tolist()
+        ):
+            lost.setdefault(user, set()).add(item)
     config_fields = dict(meta["config"])
     gamma = config_fields.get("gamma")
     if gamma is not None:

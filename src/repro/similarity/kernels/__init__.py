@@ -1,9 +1,12 @@
 """The similarity kernel: batch pair scoring over raw CSR arrays.
 
-Every refresh (flat, sharded and process-backed) bottoms out in
-``metric.score_batch``, which calls the one kernel,
+Every batch of built-in metric scores — KIFF's refinement, and a
+pair-scored refresh pass (flat, sharded or process-backed) through
+``metric.score_batch`` — comes from the one kernel,
 :class:`~repro.similarity.kernels.numpy_backend.NumpyKernelBackend`.
-It works on **raw CSR arrays**, the exact arrays
+A product-scored refresh pass calls only the kernel's ``finalize``
+formula, on its candidate product's own values.  The kernel works on
+**raw CSR arrays**, the exact arrays
 :meth:`ProfileIndex.to_shared_arrays
 <repro.similarity.base.ProfileIndex.to_shared_arrays>` publishes into
 the shared-memory arena, so process workers score straight off their

@@ -56,13 +56,15 @@ that gather at least as many entries as the matrix stores: below that,
 the bincount alone is a sizeable share of the match path's work, and
 the product's fixed costs (building two small CSR matrices, two format
 conversions) rarely paid off in measurement.  Refresh chunks (all
-co-raters of each row user) pass; on a refresh pass whose metric and
-ratings meet the product's exactness rule, though, the rebuilt rows
-never reach the kernel — the refresh finalizes their candidate
-product's values itself (:func:`~repro.similarity.engine.product_scoring`)
-— so only the cross-shard inbox, the repair fallbacks and the passes
-outside the rule send chunks here.  KIFF's refinement batches pass
-while they are large; once they shrink to a few pairs per row, the
+co-raters of each row user) pass.  A refresh pass whose metric and
+ratings meet the product's exactness rule
+(:func:`~repro.similarity.engine.product_scoring`) sends nothing here:
+it finalizes its candidate product's values itself, for its rebuilt
+rows and its repair fallbacks alike, and the cross-shard inbox arrives
+already scored by its sender.  Only passes outside the rule send
+chunks here: one deduped call per shard in stage B, plus one per
+shard whose repairs fall back to rescans.  KIFF's refinement batches
+pass while they are large; once they shrink to a few pairs per row, the
 product would compute every co-rating pair among their users for
 nothing, so they stay on the match path.
 

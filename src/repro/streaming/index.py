@@ -76,16 +76,17 @@ stopping ingestion.
 Dirty-set-proportional cost
 ---------------------------
 The evaluations and most stages of a refresh scale with the dirty set,
-not the dataset.  Three whole-dataset floors remain per pass, cheap per
+not the dataset.  Four whole-dataset floors remain per pass, cheap per
 element but dominant in small passes over large data: the candidacy
 transpose ``B.T``, or the valued ``Rᵀ`` of the same structure on a
 product-scored cosine pass (:func:`repro.core.rcs.candidacy_raters`,
-one per shard, next to one pass over the ratings deciding whether the
-pass is product-scored; O(nnz)), publication (``GraphSnapshot.capture``
-packs every row with :func:`repro.layout.pack_rows`; O(n·k)) and the
-snapshot splice (``MutableBipartiteBuilder.snapshot`` copies the whole
-CSR around the dirty rows; an O(nnz) memcpy).  The
-dirty-set-proportional stages:
+one per shard; O(nnz)), the eligibility scan deciding whether the pass
+is product-scored (:func:`~repro.similarity.engine.product_scoring`
+checks every rating value on a cosine pass; O(nnz)), publication
+(``GraphSnapshot.capture`` packs every row with
+:func:`repro.layout.pack_rows`; O(n·k)) and the snapshot splice
+(``MutableBipartiteBuilder.snapshot`` copies the whole CSR around the
+dirty rows; an O(nnz) memcpy).  The dirty-set-proportional stages:
 
 * **Snapshot** — ``MutableBipartiteBuilder.snapshot`` derives only the
   dirty rows, from the previous snapshot and the changes absorbed since
@@ -605,8 +606,9 @@ class DynamicKnnIndex(_ShardHost):
         slots, reserve included: the (row, cited user) pairs a referrer
         lookup can find.  No inverted index is kept (the refresh finds
         referrers from the rows), so the name is historical; the count
-        is the same on every executor.  The ``shm_arena_*`` keys account
-        for the process executor's shared-memory arena (0 in process).
+        is the same on every executor.  ``shm_arena_bytes`` is the
+        capacity of the process executor's shared-memory arena (0 in
+        process), at most four times the last refresh's payload.
 
         The dataset figures are read from the published snapshot (0
         before the first publication): materialising the builder's
@@ -645,16 +647,9 @@ class DynamicKnnIndex(_ShardHost):
                 self._neighbors, self._sims
             ),
         }
-        arena = (
-            self._arena.stats()
-            if self._arena is not None
-            else dict.fromkeys(
-                ("capacity_bytes", "high_water_bytes", "slack_bytes"), 0
-            )
+        stats["shm_arena_bytes"] = (
+            0 if self._arena is None else self._arena.stats()["capacity_bytes"]
         )
-        stats["shm_arena_bytes"] = arena["capacity_bytes"]
-        stats["shm_arena_high_water_bytes"] = arena["high_water_bytes"]
-        stats["shm_arena_slack_bytes"] = arena["slack_bytes"]
         stats["total_bytes"] = (
             stats["dataset_csr_bytes"]
             + stats["graph_rows_bytes"]
@@ -1027,29 +1022,15 @@ class DynamicKnnIndex(_ShardHost):
         """Serialize the full maintained state into *directory*.
 
         Writes a ``checkpoint-<seq>.shards/`` directory (atomic rename)
-        holding the dataset snapshot, graph rows, counters and one state
-        file per shard (its dirty slice) — callable
+        of two files: ``meta.json`` (config, counters, shard count and
+        overrides) and ``base.npz`` (dataset snapshot, graph rows and
+        depths, dirty users and their lost-item records) — callable
         mid-stream with events pending.  Recovery is :meth:`restore`:
         latest checkpoint + WAL-tail replay.
         """
-        return self._checkpoint(directory)
-
-    def _checkpoint(self, directory: str | Path) -> Path:
-        """The body of every class's :meth:`checkpoint`.
-
-        Checkpoints mark quiescent points between refreshes, so this is
-        also where the shared-memory arena sheds slack capacity: growth
-        is geometric and ``publish`` never shrinks, so after a mass
-        deletion the arena would otherwise pin its high-water mark in
-        ``/dev/shm`` forever (the next refresh republishes into the
-        compacted block or regrows it as needed).
-        """
         from ..persistence import save_checkpoint
 
-        path = save_checkpoint(self, directory)
-        if self._arena is not None:
-            self._arena.compact()
-        return path
+        return save_checkpoint(self, directory)
 
     @classmethod
     def restore(

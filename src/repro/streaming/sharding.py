@@ -107,9 +107,9 @@ shards; every executor runs the same :class:`_Shard` code:
 ``benchmarks/bench_sharded_refresh.py`` measures all of them on
 multi-event batches and enforces the process executor's speedup bar.
 
-Durability is partitioned the same way (:mod:`repro.persistence`):
-events journal into per-shard ``wal-<shard>.jsonl`` segments sharing one
-global sequence, checkpoints write per-shard state files, and
+Durability (:mod:`repro.persistence`) journals events into per-shard
+``wal-<shard>.jsonl`` segments sharing one global sequence;
+checkpoints record only the ownership map beside the state, and
 :meth:`ShardedKnnIndex.restore` recovers — bit-identically, at the
 checkpoint's or any other shard count — from any state directory, the
 flat index's one-shard one included.
@@ -964,7 +964,9 @@ class ShardedKnnIndex(DynamicKnnIndex):
 
     def checkpoint(self, directory: str | Path) -> Path:
         """Serialize the state (see :meth:`DynamicKnnIndex.checkpoint`)."""
-        return self._checkpoint(directory)
+        from ..persistence import save_checkpoint
+
+        return save_checkpoint(self, directory)
 
     @classmethod
     def restore(

@@ -12,8 +12,10 @@ them as **zero-copy views** on the other side:
   block, a picklable *manifest* of ``name -> (offset, dtype, shape)``
   entries describing where each array lives inside it.
 * :class:`ShmArena` — the parent-side owner: one block, repacked before
-  every refresh, grown geometrically when the payload outgrows it, and
-  **unlinked deterministically** on :meth:`ShmArena.close` (a
+  every refresh, reallocated at twice the payload whenever the payload
+  outgrows it or fills less than a quarter of it (so its capacity stays
+  within 4x of what the last refresh used, after mass deletions too),
+  and **unlinked deterministically** on :meth:`ShmArena.close` (a
   ``weakref.finalize`` guard also unlinks on garbage collection, so an
   abandoned index cannot leak ``/dev/shm`` segments).
 * :func:`attach_block` — the worker-side attach; the parent stays the
@@ -119,10 +121,12 @@ class ShmArena:
     """One owned shared-memory block, repacked with fresh arrays at will.
 
     The parent repacks before every refresh fan-out (the snapshot and
-    profile arrays change between refreshes); the block is reused while
-    the payload fits and reallocated — under a new name, which tells
-    workers to reattach — when it does not.  Growth is geometric so a
-    steadily growing dataset does not reallocate per refresh.
+    profile arrays change between refreshes).  The block is reused while
+    the payload fills between a quarter of it and all of it, and
+    otherwise reallocated at twice the payload — under a new name, which
+    tells workers to reattach.  A steadily growing or shrinking dataset
+    therefore reallocates only once per doubling or halving, and the
+    block never holds more than four times the last payload.
     """
 
     def __init__(self, tag: str = "repro"):
@@ -132,9 +136,6 @@ class ShmArena:
         self._finalizer = None
         #: Bytes of the most recently published payload (0 before one).
         self._last_payload = 0
-        #: Largest block capacity ever held — the high-water mark that
-        #: outlives the deletions that caused it (see :meth:`compact`).
-        self._high_water = 0
 
     @property
     def name(self) -> str | None:
@@ -142,80 +143,36 @@ class ShmArena:
         return self._block.name if self._block is not None else None
 
     def stats(self) -> dict[str, int]:
-        """Capacity accounting of the arena.
-
-        ``capacity_bytes`` is the current block size, ``payload_bytes``
-        the bytes the last publish actually used, ``high_water_bytes``
-        the largest capacity ever held, and ``slack_bytes`` what
-        :meth:`compact` could return to the OS right now.
-        """
-        capacity = 0 if self._block is None else self._block.size
+        """``capacity_bytes`` (the block size) and ``payload_bytes``
+        (what the last publish used); 0 before the first publish."""
         return {
-            "capacity_bytes": capacity,
+            "capacity_bytes": 0 if self._block is None else self._block.size,
             "payload_bytes": self._last_payload,
-            "high_water_bytes": self._high_water,
-            "slack_bytes": max(0, capacity - max(self._last_payload, 1)),
         }
-
-    def _allocate(self, capacity: int) -> shared_memory.SharedMemory:
-        """A fresh uniquely named block, adopted as the owned one."""
-        self._generation += 1
-        name = (
-            f"{self._tag}-{os.getpid()}-{self._generation}-"
-            f"{secrets.token_hex(4)}"
-        )
-        block = shared_memory.SharedMemory(
-            name=name, create=True, size=capacity
-        )
-        self._block = block
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        self._finalizer = weakref.finalize(self, _release, block)
-        self._high_water = max(self._high_water, block.size)
-        return block
 
     def publish(
         self, arrays: dict[str, np.ndarray]
     ) -> tuple[str, dict[str, tuple[int, str, tuple[int, ...]]]]:
         """Pack *arrays*; returns ``(block_name, manifest)`` for workers."""
         needed = packed_size(arrays)
-        if self._block is None or self._block.size < needed:
-            old = self._block
-            capacity = needed
-            if self._block is not None:
-                capacity = max(needed, 2 * self._block.size)
-            self._allocate(capacity)
+        old = self._block
+        if old is None or not needed <= old.size <= 4 * needed:
+            self._generation += 1
+            name = (
+                f"{self._tag}-{os.getpid()}-{self._generation}-"
+                f"{secrets.token_hex(4)}"
+            )
+            self._block = shared_memory.SharedMemory(
+                name=name, create=True, size=2 * needed
+            )
+            if self._finalizer is not None:
+                self._finalizer.detach()
+            self._finalizer = weakref.finalize(self, _release, self._block)
             if old is not None:
                 _release(old)
         manifest = pack_arrays(self._block, arrays)
         self._last_payload = needed
-        self._high_water = max(self._high_water, self._block.size)
         return self._block.name, manifest
-
-    def compact(self) -> int:
-        """Shrink the block to the last published payload size.
-
-        Growth is geometric and :meth:`publish` alone never shrinks, so
-        after a mass deletion the arena would otherwise hold its
-        high-water capacity forever.  Reallocates into an exactly-sized
-        block (publishing is deterministic from offset 0, so copying the
-        payload prefix preserves every manifest offset) and returns the
-        bytes released; 0 when there is nothing to reclaim.  The block
-        name changes — callers holding an old ``(name, manifest)`` pair
-        must use the one returned by the next :meth:`publish`, which is
-        already the contract between refreshes.
-        """
-        if self._block is None:
-            return 0
-        target = max(self._last_payload, 1)
-        freed = self._block.size - target
-        if freed <= 0:
-            return 0
-        old = self._block
-        new = self._allocate(target)
-        new.buf[:target] = old.buf[:target]
-        _release(old)
-        return freed
 
     def close(self) -> None:
         """Unlink the block now (idempotent; also runs on GC)."""

@@ -222,11 +222,6 @@ class TestIncrementalSnapshot:
         assert builder.maintenance.snapshots_incremental == 0
         assert builder.maintenance.snapshots_full >= 1
 
-    def test_dirty_users_hint_must_be_valid_ids(self, builder):
-        builder.set_rating(0, 1, 2.0)
-        with pytest.raises(DatasetError):
-            builder.snapshot(dirty_users=[0, 99])
-
     def test_csc_mirror_built_lazily_after_a_patch(self, builder):
         base = builder.snapshot()
         base.csc  # build the mirror on the patch base

@@ -5,8 +5,7 @@ A Hypothesis state machine drives one :class:`MutableBipartiteBuilder`
 through ``add_user`` (with and without ratings), ``set_rating`` (new
 edges, overwrites, identical overwrites, deletions, deletions of absent
 edges, items beyond ``n_items``), ``clear_user`` (re-rating a cleared
-user included) and ``snapshot()`` with and without a ``dirty_users``
-hint (covering, superset, or missing a mutation) or a ``name``.  The
+user included) and ``snapshot()`` with and without a ``name``.  The
 model is a list of ``{item: rating}`` dicts plus the dirty set and the
 item universe.  After every step ``profile``, ``rating``, ``users_of``,
 ``n_ratings``, ``n_items`` and ``dirty_rows`` must equal the model's;
@@ -128,32 +127,20 @@ class BuilderModel(RuleBasedStateMachine):
     # Snapshots
     # ------------------------------------------------------------------
     @precondition(lambda self: self.profiles)
-    @rule(
-        hint=st.sampled_from(["none", "exact", "superset", "uncovering"]),
-        extra=st.sets(USER, max_size=3),
-    )
-    def snapshot(self, hint, extra):
+    @rule()
+    def snapshot(self):
         n_users = len(self.profiles)
-        supplied = None
-        if hint == "exact":
-            supplied = sorted(self.dirty)
-        elif hint == "superset":
-            supplied = sorted(self.dirty | {u % n_users for u in extra})
-        elif hint == "uncovering":
-            supplied = sorted(self.dirty)[1:]
         rows_before = self.builder.maintenance.rows_materialized
         cached = self.has_base and not self.dirty
         previous = self.builder.snapshot() if cached else None
-        snapshot = self.builder.snapshot(dirty_users=supplied)
+        snapshot = self.builder.snapshot()
         self._check_snapshot(snapshot)
         if cached:
             assert snapshot is previous
             expected_rows = 0
         else:
-            covered = supplied is None or self.dirty <= set(supplied)
-            rows = set(supplied) if supplied is not None else self.dirty
-            incremental = covered and self.has_base and 2 * len(rows) <= n_users
-            expected_rows = len(rows) if incremental else n_users
+            incremental = self.has_base and 2 * len(self.dirty) <= n_users
+            expected_rows = len(self.dirty) if incremental else n_users
         assert (
             self.builder.maintenance.rows_materialized - rows_before
             == expected_rows

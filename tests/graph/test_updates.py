@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.heap import KnnHeap
 from repro.graph.knn_graph import MISSING, KnnGraph
 from repro.graph.updates import (
-    dedupe_pairs,
     merge_topk,
     merge_topk_rows,
     rank_fresh_rows,
@@ -19,28 +18,6 @@ def _empty(n, k):
         np.full((n, k), MISSING, dtype=np.int64),
         np.full((n, k), -np.inf, dtype=np.float64),
     )
-
-
-class TestDedupePairs:
-    def test_removes_self_pairs(self):
-        us, vs = dedupe_pairs(np.array([0, 1]), np.array([0, 2]), 5)
-        assert us.tolist() == [1]
-        assert vs.tolist() == [2]
-
-    def test_unordered_collapses_reversed_duplicates(self):
-        us, vs = dedupe_pairs(np.array([0, 2]), np.array([2, 0]), 5)
-        assert us.tolist() == [0]
-        assert vs.tolist() == [2]
-
-    def test_ordered_keeps_both_directions(self):
-        us, vs = dedupe_pairs(
-            np.array([0, 2]), np.array([2, 0]), 5, ordered=True
-        )
-        assert sorted(zip(us.tolist(), vs.tolist())) == [(0, 2), (2, 0)]
-
-    def test_empty_input(self):
-        us, vs = dedupe_pairs(np.array([]), np.array([]), 5)
-        assert us.size == vs.size == 0
 
 
 class TestMergeTopk:

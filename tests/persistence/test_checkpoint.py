@@ -9,6 +9,7 @@ from repro import DynamicKnnIndex, KiffConfig
 from repro.layout import ID_DTYPE, SCORE_DTYPE
 from repro.persistence import (
     CheckpointError,
+    PartitionedWriteAheadLog,
     checkpoint_path,
     latest_checkpoint,
     load_checkpoint,
@@ -111,14 +112,15 @@ class TestSaveLoad:
         with pytest.raises(CheckpointError, match="row depths outside"):
             load_checkpoint(path)
 
-    def test_shard_file_holds_only_the_dirty_slice(
+    def test_base_archive_holds_the_dirty_set(
         self, streamed_index, tmp_path
     ):
-        """Candidate sets are derived per pass, never checkpointed; the
-        shard file holds the dirty users and their lost-item records."""
+        """Candidate sets are derived per pass, never checkpointed;
+        ``base.npz`` holds the dirty users and their lost-item records
+        beside the dataset and the rows."""
         path = save_checkpoint(streamed_index, tmp_path)
-        with np.load(path / "shard-0.npz") as archive:
-            assert archive.files == ["dirty", "lost_users", "lost_items"]
+        with np.load(path / "base.npz") as archive:
+            assert {"dirty", "lost_users", "lost_items"} <= set(archive.files)
             assert set(archive["dirty"].tolist()) == set(
                 streamed_index.dirty_users
             )
@@ -189,6 +191,31 @@ class TestSaveLoad:
             DynamicKnnIndex.restore(tmp_path)
 
 
+#: The ``base.npz`` arrays version 4 kept in per-shard files instead.
+V4_SHARD_ARRAYS = ("dirty", "lost_users", "lost_items")
+
+
+def rewrite_as_v4(index, path):
+    """Rewrite checkpoint *path* of *index* in the version 4 layout:
+    the dirty set and lost-item records split by owner shard into
+    ``shard-<i>.npz`` files beside ``base.npz``."""
+    with np.load(path / "base.npz", allow_pickle=False) as archive:
+        arrays = dict(archive)
+    split = {name: arrays.pop(name) for name in V4_SHARD_ARRAYS}
+    np.savez_compressed(path / "base.npz", **arrays)
+    dirty_owners = index.shard_map.owners(split["dirty"])
+    lost_owners = index.shard_map.owners(split["lost_users"])
+    for shard in range(index.n_shards):
+        np.savez_compressed(
+            path / f"shard-{shard}.npz",
+            dirty=split["dirty"][dirty_owners == shard],
+            lost_users=split["lost_users"][lost_owners == shard],
+            lost_items=split["lost_items"][lost_owners == shard],
+        )
+    set_version(path, 4)
+    return path
+
+
 def set_version(path, version):
     """Rewrite the format version in checkpoint *path*'s metadata."""
     meta = json.loads((path / "meta.json").read_text())
@@ -197,10 +224,14 @@ def set_version(path, version):
 
 
 class TestFormatVersion:
-    def test_v4_is_the_written_version(self, streamed_index, tmp_path):
+    def test_v5_is_the_written_version(self, streamed_index, tmp_path):
         path = save_checkpoint(streamed_index, tmp_path)
+        assert sorted(p.name for p in path.iterdir()) == [
+            "base.npz",
+            "meta.json",
+        ]
         meta = json.loads((path / "meta.json").read_text())
-        assert meta["version"] == 4
+        assert meta["version"] == 5
         assert meta["n_shards"] == 1
         assert np.dtype(meta["dtypes"]["ids"]) == ID_DTYPE
         assert np.dtype(meta["dtypes"]["scores"]) == SCORE_DTYPE
@@ -210,6 +241,48 @@ class TestFormatVersion:
             # The rows keep their reserve, and each its exact depth.
             assert int(archive["graph_k"]) == 2 + RESERVE
             assert archive["row_depth"].shape == (streamed_index.n_users,)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_v4_shard_files_are_refused(
+        self, rated_dataset, tmp_path, n_shards
+    ):
+        """Version 4 split the dirty set and the lost-item records into
+        one ``shard-<i>.npz`` per owner shard; it has no reader."""
+        index = DynamicKnnIndex(
+            rated_dataset,
+            KiffConfig(k=2),
+            auto_refresh=False,
+            n_shards=n_shards,
+        )
+        index.apply([RemoveUser(2), AddRating(0, 1, 3.0)])
+        path = rewrite_as_v4(index, save_checkpoint(index, tmp_path))
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 4"
+        ):
+            load_checkpoint(path)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 4"
+        ):
+            DynamicKnnIndex.restore(tmp_path)
+
+    def test_restore_falls_back_past_a_v4_newest(
+        self, rated_dataset, tmp_path
+    ):
+        """An older v5 checkpoint plus the log tail restores the state a
+        refused v4 newest one would have held."""
+        index = DynamicKnnIndex(
+            rated_dataset,
+            KiffConfig(k=2),
+            wal=PartitionedWriteAheadLog(tmp_path, 2),
+            n_shards=2,
+        )
+        older = index.checkpoint(tmp_path)
+        index.apply([RemoveUser(2), AddRating(0, 1, 3.0)])
+        rewrite_as_v4(index, index.checkpoint(tmp_path))
+        restored = DynamicKnnIndex.restore(tmp_path)
+        assert restored.restore_info.checkpoint == older
+        assert restored.restore_info.replayed_events == 2
+        assert restored.graph == index.graph
 
     def test_v3_archive_is_refused(self, streamed_index, tmp_path):
         """Version 3 (no lost-item records) has no reader: a restored

@@ -135,55 +135,57 @@ class TestPartitionedWal:
 
 
 class TestCheckpointLayout:
-    def test_layout_and_round_trip(self, tmp_path):
-        index = sharded_index()
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_layout_and_round_trip(self, tmp_path, n_shards):
+        """Every shard count writes the same two files: the state is
+        one archive, and ownership is only the map in the metadata."""
+        index = sharded_index(n_shards=n_shards)
         index.apply(ratings_batch([0, 1], [3, 3], [4.0, 2.0]))
         path = index.checkpoint(tmp_path)
         assert path == checkpoint_path(tmp_path, 2)
-        assert (path / "meta.json").exists()
-        assert (path / "base.npz").exists()
-        assert (path / "shard-0.npz").exists()
-        assert (path / "shard-1.npz").exists()
+        assert sorted(p.name for p in path.iterdir()) == [
+            "base.npz",
+            "meta.json",
+        ]
+        meta = json.loads((path / "meta.json").read_text())
+        assert (meta["version"], meta["n_shards"]) == (5, n_shards)
         state = load_checkpoint(path)
-        assert state.n_shards == 2
+        assert state.n_shards == n_shards
         assert state.seq == 2
         assert state.dirty == (0, 1)
         assert state.dataset == index.dataset
 
-    def test_per_shard_files_hold_owned_slices(self, tmp_path):
+    def test_base_holds_the_whole_dirty_set(self, tmp_path):
         index = sharded_index()
         index.apply(ratings_batch([0, 1, 2, 3], [3] * 4, [4.0] * 4))
         path = index.checkpoint(tmp_path)  # the dirty set is pending
-        for shard in range(2):
-            with np.load(path / f"shard-{shard}.npz") as archive:
-                assert archive.files == ["dirty", "lost_users", "lost_items"]
-                assert archive["dirty"].tolist() == [shard, shard + 2]
-                assert archive["lost_users"].size == 0  # first ratings
+        with np.load(path / "base.npz") as archive:
+            assert archive["dirty"].tolist() == [0, 1, 2, 3]
+            assert archive["lost_users"].size == 0  # first ratings
 
-    def test_lost_item_records_follow_their_owners(self, tmp_path):
-        """Each shard file holds the lost-item records of its own dirty
-        users; loading merges them back."""
+    def test_lost_item_records_round_trip(self, tmp_path):
+        """The lost-item records of dirty users on every shard are
+        stored together and load back per user."""
         index = sharded_index()
         builder = index.builder
         users = [u for u in range(index.n_users) if builder.profile(u)][:3]
         drops = [(u, min(builder.profile(u))) for u in users]
+        assert {index.shard_map.owner(u) for u, _ in drops} == {0, 1}
         index.apply([RemoveRating(u, item) for u, item in drops])
         path = index.checkpoint(tmp_path)
-        for shard in range(2):
-            with np.load(path / f"shard-{shard}.npz") as archive:
-                saved = list(
-                    zip(
-                        archive["lost_users"].tolist(),
-                        archive["lost_items"].tolist(),
-                    )
+        with np.load(path / "base.npz") as archive:
+            saved = list(
+                zip(
+                    archive["lost_users"].tolist(),
+                    archive["lost_items"].tolist(),
                 )
-            owner = index.shard_map.owner
-            assert saved == [d for d in drops if owner(d[0]) == shard]
+            )
+        assert saved == drops
         assert load_checkpoint(path).lost == {u: {i} for u, i in drops}
 
-    def test_dirty_slices_follow_a_same_count_rebalance(self, tmp_path):
-        """After moves at the same shard count, shard *i*'s file holds
-        exactly the dirty users the live map assigns to shard *i*."""
+    def test_same_count_rebalance_is_recorded_as_the_map(self, tmp_path):
+        """After moves at the same shard count, the checkpoint records
+        the overrides and the whole dirty set, not a split of it."""
         index = sharded_index()
         index.apply(ratings_batch([0, 1, 2, 5], [3] * 4, [4.0] * 4))
         stats = index.rebalance(ShardPlan(moves=((0, 1), (5, 0), (7, 0))))
@@ -191,14 +193,9 @@ class TestCheckpointLayout:
         dirty = index.dirty_users
         assert dirty == frozenset({0, 1, 2, 5})  # moves dirty nobody
         path = index.checkpoint(tmp_path)
-        for shard in range(2):
-            with np.load(path / f"shard-{shard}.npz") as archive:
-                assert archive["dirty"].tolist() == sorted(
-                    user
-                    for user in dirty
-                    if index.shard_map.owner(user) == shard
-                )
-        assert load_checkpoint(path).dirty == tuple(sorted(dirty))
+        state = load_checkpoint(path)
+        assert state.dirty == tuple(sorted(dirty))
+        assert state.shard_overrides == index.shard_map.overrides
 
     def test_version_check(self, tmp_path):
         index = sharded_index()
@@ -232,7 +229,6 @@ class TestCheckpointLayout:
         assert sorted(p.name for p in path.iterdir()) == [
             "base.npz",
             "meta.json",
-            "shard-0.npz",
         ]
         state = load_checkpoint(path)
         assert (state.n_shards, state.shard_overrides) == (1, {})
@@ -254,12 +250,9 @@ class TestCheckpointLayout:
         # Rewrite the state in the flat format: one archive with the
         # metadata inline, one gap-free log.
         meta = json.loads((shards / "meta.json").read_text())
-        meta.pop("layout")
         meta.pop("n_shards")
-        arrays = {}
-        for name in ("base.npz", "shard-0.npz"):
-            with np.load(shards / name) as archive:
-                arrays.update(archive)
+        with np.load(shards / "base.npz") as archive:
+            arrays = dict(archive)
         np.savez_compressed(
             tmp_path / "checkpoint-000000000001.npz",
             meta=np.asarray(json.dumps(meta)),

@@ -2,13 +2,12 @@
 
 The dirty-set-proportional refresh rests on two exactness claims:
 
-* ``MutableBipartiteBuilder.snapshot(dirty_users=...)`` — however
-  snapshots interleave with mutations (and whatever dirty hints callers
-  pass), the snapshot derived from the base and the overlay of pending
-  changes equals a full materialisation of a plain-dict model
-  of the profiles, array for array, CSC mirror included; and the
-  builder's reads (``profile``, ``rating``, ``users_of``) agree with
-  the model while changes are pending.
+* ``MutableBipartiteBuilder.snapshot()`` — however snapshots
+  interleave with mutations, the snapshot derived from the base and
+  the overlay of pending changes equals a full materialisation of a
+  plain-dict model of the profiles, array for array, CSC mirror
+  included; and the builder's reads (``profile``, ``rating``,
+  ``users_of``) agree with the model while changes are pending.
 * ``ProfileIndex.update(dataset, dirty)`` chained across arbitrary
   mutation steps equals a cold ``ProfileIndex`` on the final dataset.
 
@@ -67,8 +66,8 @@ class TestInterleavedSnapshots:
     )
     @settings(max_examples=60)
     def test_incremental_snapshots_equal_full(self, chunks, data):
-        """Snapshots interleaved with mutation chunks stay exact, with
-        or without caller-supplied dirty hints, CSC mirror included."""
+        """Snapshots interleaved with mutation chunks stay exact, CSC
+        mirror included."""
         seed_dataset = random_dataset(
             n_users=5, n_items=10, density=0.25, seed=11, ratings=True
         )
@@ -86,28 +85,17 @@ class TestInterleavedSnapshots:
                     profile.get(item, 0.0) for profile in model
                 ]
             mode = data.draw(
-                st.sampled_from(["auto", "hint", "superset", "csc", "named"]),
+                st.sampled_from(["auto", "csc", "named"]),
                 label="snapshot mode",
             )
-            dirty_hint = None
-            if mode == "hint":
-                dirty_hint = sorted(builder.dirty_rows)
-            elif mode == "superset":
-                extra = data.draw(
-                    st.sets(
-                        st.integers(0, builder.n_users - 1), max_size=3
-                    ),
-                    label="extra dirty",
-                )
-                dirty_hint = sorted(set(builder.dirty_rows) | extra)
-            elif mode == "csc" and builder._base is not None:
+            if mode == "csc" and builder._base is not None:
                 builder._base.csc  # a mirror on the base must not leak
             elif mode == "named":
                 pending = builder.dirty_rows
                 named = builder.snapshot(name="probe")
                 assert named == _reference_dataset(builder, model)
                 assert builder.dirty_rows == pending  # overlay kept
-            snapshot = builder.snapshot(dirty_users=dirty_hint)
+            snapshot = builder.snapshot()
             reference = _reference_dataset(builder, model)
             assert snapshot == reference
             assert snapshot.n_users == reference.n_users
@@ -126,21 +114,6 @@ class TestInterleavedSnapshots:
         assert builder.snapshot(name="check") == _reference_dataset(
             builder, model
         )
-
-    @given(chunks=st.lists(streaming_events(max_events=8), max_size=4))
-    @settings(max_examples=40)
-    def test_uncovering_hint_falls_back_exactly(self, chunks):
-        """A dirty hint missing tracked mutations triggers the full
-        fallback, never a wrong patch."""
-        seed_dataset = random_dataset(
-            n_users=5, n_items=10, density=0.25, seed=13, ratings=True
-        )
-        builder, model = _seed(seed_dataset)
-        for chunk in chunks:
-            _apply_builder_events(builder, chunk, model)
-            assert builder.snapshot(dirty_users=[0]) == _reference_dataset(
-                builder, model
-            )
 
 
 class TestChainedIndexUpdates:
