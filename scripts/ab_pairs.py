@@ -11,8 +11,11 @@ A run that exits non-zero, or whose result line has ``correct: false``
 or ``failed > 0``, stops the comparison: its numbers mean nothing.
 Every run's metrics are printed as it finishes; at the end, for each
 end-to-end metric of the change's ``BENCHMARK.json``, the parent's
-median with its interquartile range, the change's median and the
-number of pairs in which the change did better.
+median with its interquartile range, the change's median, the number
+of pairs in which the change did better, and how much worse the
+change's median is than the parent's as a share of it, against the
+metric's ``bound`` (:func:`bound_move`); a metric worse by more than
+its bound is flagged ``PAST BOUND``.
 
 Usage, from the repository root (the parent checkout made with
 ``git archive``, outside the working tree)::
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -79,6 +83,20 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def bound_move(
+    parent: float, change: float, better: str, bound: float
+) -> tuple[float, bool]:
+    """``(worse, past)``: how much worse *change* is than *parent*, as a
+    share of *parent* — negative when it is better, *better* being
+    ``"lower"`` or ``"higher"`` — and whether that exceeds *bound*."""
+    delta = change - parent if better == "lower" else parent - change
+    if parent == 0:
+        worse = math.copysign(math.inf, delta) if delta else 0.0
+    else:
+        worse = delta / abs(parent)
+    return worse, worse > bound
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -92,6 +110,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    bounds = {entry["name"]: entry["bound"] for entry in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -105,7 +124,8 @@ def main(argv=None) -> int:
             print(f"pair {pair + 1} {side}: {shown}", flush=True)
     print(
         f"\n{args.workload} seed {args.seed}, {args.pairs} pairs: "
-        "parent median [IQR] -> change median (change wins)"
+        "parent median [IQR] -> change median (change wins), "
+        "change worse by (bound)"
     )
     for name, direction in better.items():
         parent = [values[name] for values in runs["parent"]]
@@ -118,9 +138,13 @@ def main(argv=None) -> int:
             (c < p) if direction == "lower" else (c > p)
             for p, c in zip(parent, change)
         )
+        medians = statistics.median(parent), statistics.median(change)
+        worse, past = bound_move(*medians, direction, bounds[name])
         print(
-            f"{name}: {statistics.median(parent):.6g} [{q3 - q1:.3g}] -> "
-            f"{statistics.median(change):.6g} ({wins}/{args.pairs})"
+            f"{name}: {medians[0]:.6g} [{q3 - q1:.3g}] -> "
+            f"{medians[1]:.6g} ({wins}/{args.pairs}), worse by "
+            f"{worse:+.1%} ({bounds[name]:.0%})"
+            + (" PAST BOUND" if past else "")
         )
     return 0
 

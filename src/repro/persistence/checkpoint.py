@@ -52,7 +52,7 @@ from ..core.config import KiffConfig
 from ..datasets.bipartite import BipartiteDataset
 from ..datasets.mutable import snapshot_from_arrays, snapshot_to_arrays
 from ..graph.io import pack_graph_arrays, unpack_graph_arrays
-from ..graph.knn_graph import KnnGraph
+from ..graph.knn_graph import MISSING, KnnGraph
 from ..layout import ID_DTYPE, SCORE_DTYPE, dtype_tags
 from ..streaming.index import RESERVE
 from . import wal as _wal
@@ -264,7 +264,14 @@ def save_checkpoint(index, directory: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> CheckpointState:
-    """Parse a ``checkpoint-<seq>.shards`` directory back into state."""
+    """Parse a ``checkpoint-<seq>.shards`` directory back into state.
+
+    Raises :class:`CheckpointError`, naming the field, for a state the
+    index cannot run on: rows of another width, depths outside
+    ``[k, k + RESERVE]``, a graph row count other than the snapshot's
+    users, or a dirty or lost user, lost item or graph id outside the
+    snapshot.
+    """
     path = Path(path)
     try:
         meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
@@ -286,12 +293,8 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         graph = unpack_graph_arrays(archive)
         depth = np.asarray(archive["row_depth"])
         dataset = snapshot_from_arrays(archive, name=meta["name"])
-        dirty = archive["dirty"].tolist()
-        lost: dict[int, set[int]] = {}
-        for user, item in zip(
-            archive["lost_users"].tolist(), archive["lost_items"].tolist()
-        ):
-            lost.setdefault(user, set()).add(item)
+        dirty = archive["dirty"]
+        lost_users, lost_items = archive["lost_users"], archive["lost_items"]
     config_fields = dict(meta["config"])
     gamma = config_fields.get("gamma")
     if gamma is not None:
@@ -317,6 +320,28 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
             f"checkpoint {path} holds row depths outside "
             f"[{config.k}, {width}]"
         )
+    # Every id indexes the snapshot's rows or items: one outside them
+    # would fail the refresh after loading (too late to fall back to
+    # an older checkpoint) or, if negative, index from the end.
+    if graph.n_users != dataset.n_users:
+        raise CheckpointError(
+            f"checkpoint {path} holds {graph.n_users} graph rows for "
+            f"{dataset.n_users} users"
+        )
+    ids = graph.neighbors
+    for field, values, bound in (
+        ("dirty", dirty, dataset.n_users),
+        ("lost_users", lost_users, dataset.n_users),
+        ("lost_items", lost_items, dataset.n_items),
+        ("graph_ids", ids[ids != MISSING], dataset.n_users),
+    ):
+        if not ((values >= 0) & (values < bound)).all():
+            raise CheckpointError(
+                f"checkpoint {path} holds {field} outside [0, {bound})"
+            )
+    lost: dict[int, set[int]] = {}
+    for user, item in zip(lost_users.tolist(), lost_items.tolist()):
+        lost.setdefault(user, set()).add(item)
     return CheckpointState(
         path=path,
         seq=int(meta["seq"]),
@@ -332,7 +357,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         neighbors=graph.neighbors,
         sims=graph.sims,
         depth=depth,
-        dirty=tuple(sorted(dirty)),
+        dirty=tuple(sorted(dirty.tolist())),
         lost=lost,
         n_shards=n_shards,
         shard_overrides={

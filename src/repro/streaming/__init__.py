@@ -40,7 +40,6 @@ from .sharding import (
     ShardOutbox,
     ShardPlan,
     ShardedKnnIndex,
-    shard_of,
 )
 from .workload import (
     StreamReplayResult,
@@ -75,5 +74,4 @@ __all__ = [
     "poisson_burst_sizes",
     "ratings_batch",
     "replay_stream",
-    "shard_of",
 ]

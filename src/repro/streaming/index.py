@@ -79,10 +79,12 @@ The evaluations and most stages of a refresh scale with the dirty set,
 not the dataset.  Four whole-dataset floors remain per pass, cheap per
 element but dominant in small passes over large data: the candidacy
 transpose ``B.T``, or the valued ``Rᵀ`` of the same structure on a
-product-scored cosine pass (:func:`repro.core.rcs.candidacy_raters`,
-one per shard; O(nnz)), the eligibility scan deciding whether the pass
-is product-scored (:func:`~repro.similarity.engine.product_scoring`
-checks every rating value on a cosine pass; O(nnz)), publication
+product-scored cosine pass (:func:`repro.core.rcs.candidacy_raters`;
+O(nnz)), the eligibility scan deciding whether the pass is
+product-scored (:func:`~repro.similarity.engine.product_scoring`
+checks every rating value on a cosine pass; O(nnz)) — both made once
+per pass per process, whatever the shard count, by
+:func:`~repro.streaming.sharding.pass_candidacy` — publication
 (``GraphSnapshot.capture`` packs every row with
 :func:`repro.layout.pack_rows`; O(n·k)) and the snapshot splice
 (``MutableBipartiteBuilder.snapshot`` copies the whole CSR around the
@@ -150,6 +152,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -276,16 +279,19 @@ class _ShardHost:
     first ``_n_rows`` rows of ``_neighbors``/``_sims`` are the live
     graph, ``k + RESERVE`` columns wide, and ``_depth[row]`` is the
     number of leading entries of each that are exact.  Subclasses add
-    ``builder``, ``config``, ``n_users``, ``_shard_map`` and
-    ``_scoring``: the index for its own shards, and the worker-side
-    host in each ``processes`` worker, so both grow rows and score
-    pairs identically.
+    ``config``, ``n_users``, ``_shard_map``, ``_scoring`` and set the
+    pass's ``_pass_candidacy``
+    (:func:`~repro.streaming.sharding.pass_candidacy`): the index for
+    its own shards, during each in-process pass, and the worker-side
+    host in each ``processes`` worker, from each attach to the next, so
+    both grow rows and score pairs identically.
     """
 
     _neighbors: np.ndarray
     _sims: np.ndarray
     _depth: np.ndarray
     _n_rows: int
+    _pass_candidacy = None
 
     def _scoring(self) -> tuple[SimilarityMetric, ProfileIndex, int]:
         """``(metric, profile index, batch size)`` the scorers read."""
@@ -1178,7 +1184,8 @@ class DynamicKnnIndex(_ShardHost):
         reruns against workers respawned from the authoritative rows.
         """
         if self.executor != "processes":
-            return self._run_stages(selected, deferred)
+            with self._in_pass():
+                return self._run_stages(selected, deferred)
         from .procpool import WorkerCrash
         from .shm import ShmArena
 
@@ -1294,6 +1301,20 @@ class DynamicKnnIndex(_ShardHost):
             return [future.result() for future in futures]
         return list(map(call, self._shards, payloads))
 
+    @contextmanager
+    def _in_pass(self):
+        """Hold the pass's candidacy on this host while an in-process
+        pass (or build) runs; it is dropped however the pass ends."""
+        from .sharding import pass_candidacy
+
+        self._pass_candidacy = pass_candidacy(
+            self.builder.snapshot(), self.engine.metric, self.config.min_rating
+        )
+        try:
+            yield
+        finally:
+            self._pass_candidacy = None
+
     def _scoring(self) -> tuple[SimilarityMetric, ProfileIndex, int]:
         engine = self.engine
         return engine.metric, engine.index, engine.batch_size
@@ -1332,12 +1353,13 @@ class DynamicKnnIndex(_ShardHost):
         self._sims = np.full((self._n_rows, width), -np.inf, SCORE_DTYPE)
         self._depth = np.full(self._n_rows, width, dtype=ID_DTYPE)
         shard = _Shard(0, self)
-        bounds = shard.build_blocks()
         evaluations = changes = 0
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            more, more_changes = shard.build(np.arange(start, stop))
-            evaluations += more
-            changes += more_changes
+        with self._in_pass():
+            bounds = shard.build_blocks()
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                more, more_changes = shard.build(np.arange(start, stop))
+                evaluations += more
+                changes += more_changes
         self.engine.counter.add(evaluations)
         self._partition(self._shard_map)
         self._dirty.clear()

@@ -14,7 +14,10 @@ calls.  The division of state:
   :class:`ProfileIndex`.
 * **Worker (owned slice)** — a mirror of the graph rows it owns and of
   their exact depths (full-size arrays; only owned rows are ever read
-  or written), from which its stage A finds its referrers.
+  or written), from which its stage A finds its referrers, and the
+  candidacy of the last snapshot it attached (the pass's scoring rule
+  and candidacy transpose, built once per pass in each worker and held
+  until the next ``attach``; the parent builds none).
 * **Shared memory** — the read-only per-refresh state (snapshot CSR
   triplet + profile arrays), published by the parent into an
   :class:`~repro.streaming.shm.ShmArena` and rebuilt as zero-copy numpy
@@ -23,8 +26,8 @@ calls.  The division of state:
 Protocol (one duplex pipe per worker):
 
 * ``(req_id, kind, args)`` — one request per round: ``attach`` (map the
-  published arrays and grow the row mirror to the current
-  population), then the stages ``affected`` / ``plan`` /
+  published arrays, build their candidacy and grow the row mirror to
+  the current population), then the stages ``affected`` / ``plan`` /
   ``merge``, each answered by calling the worker's shard with *args*;
   the worker replies ``(req_id, "ok", result)`` or
   ``(req_id, "error", exception)``.  Replies are matched by ``req_id``
@@ -52,7 +55,7 @@ import numpy as np
 from ..layout import ID_DTYPE, SCORE_DTYPE
 from ..similarity.base import ProfileIndex
 from .index import _ShardHost
-from .sharding import _Shard
+from .sharding import _Shard, pass_candidacy
 from .shm import attach_block, unpack_arrays
 
 __all__ = ["ProcessShardPool", "WorkerCrash"]
@@ -70,34 +73,17 @@ def default_start_method() -> str:
     return "spawn"
 
 
-class _SnapshotStore:
-    """Read-only stand-in for the rating builder inside a worker.
-
-    The shard derives candidate sets from the builder's snapshot; at
-    refresh time the builder's live state equals the published
-    snapshot, so a thin view over the shared-memory dataset answers
-    identically.
-    """
-
-    __slots__ = ("_dataset",)
-
-    def __init__(self, dataset):
-        self._dataset = dataset
-
-    def snapshot(self):
-        return self._dataset
-
-
 class _WorkerHost(_ShardHost):
     """The host a worker's :class:`~repro.streaming.sharding._Shard` reads.
 
     Supplies what the in-process index supplies to its own shards: a
     mirror of the graph rows and their exact depths (full-size arrays;
     only owned rows are ever read or written; every stage-C reply ships
-    the changed rows' depths back with their ids and scores), a builder
-    view of the published snapshot,
-    and the metric with the profile index rebuilt from shared memory,
-    which both scorers read.
+    the changed rows' depths back with their ids and scores), the
+    metric with the profile index rebuilt from shared memory, which
+    both scorers read, and the candidacy of the snapshot it attached
+    last (:func:`~repro.streaming.sharding.pass_candidacy`), which every
+    stage reads.
     """
 
     def __init__(self, init: dict):
@@ -113,7 +99,6 @@ class _WorkerHost(_ShardHost):
         self._n_rows = int(self._neighbors.shape[0])
         # Shared-memory attachment, refreshed by attach().
         self.index = None
-        self.builder = None
         self._block = None
         self._block_name = None
         self.shard = _Shard(int(init["shard_id"]), self)
@@ -123,7 +108,8 @@ class _WorkerHost(_ShardHost):
         return self.index.n_users
 
     def attach(self, name: str, manifest, n_users: int) -> None:
-        """Rebuild the published snapshot and profile arrays as views."""
+        """Rebuild the published snapshot and profile arrays as views,
+        and build the pass's candidacy from them."""
         if self._block is None or self._block_name != name:
             if self._block is not None:
                 self._block.close()
@@ -134,7 +120,9 @@ class _WorkerHost(_ShardHost):
         # evaluate stage never builds scipy temporaries over shared
         # memory.
         self.index = ProfileIndex.from_shared_arrays(arrays)
-        self.builder = _SnapshotStore(self.index.dataset)
+        self._pass_candidacy = pass_candidacy(
+            self.index.dataset, self.metric, self.config.min_rating
+        )
         # Users joined since the last pass get their (empty) rows.
         self._grow_rows(n_users)
 

@@ -18,8 +18,10 @@ table populated by live
 :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` moves), and
 :class:`ShardedKnnIndex` is the same class with partitioned defaults.
 The one refresh driver (``DynamicKnnIndex._refresh``) rebinds the
-shared snapshot/:class:`~repro.similarity.base.ProfileIndex` once and
-then calls three stages on every shard:
+shared snapshot/:class:`~repro.similarity.base.ProfileIndex` once,
+decides the pass's scoring rule and builds its candidacy transpose
+once (:func:`pass_candidacy`, once per worker process under
+``processes``), and then calls three stages on every shard:
 
 1. **Affected discovery** (:meth:`_Shard.affected`) — each shard finds
    its own rows citing *any* selected dirty user in any column, reserve
@@ -125,6 +127,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core.rcs import candidacy_raters, candidate_rows
+from ..datasets.bipartite import BipartiteDataset
 from ..graph.knn_graph import MISSING
 from ..graph.updates import (
     ReverseNeighborIndex,
@@ -142,23 +145,7 @@ __all__ = [
     "ShardOutbox",
     "ShardPlan",
     "ShardedKnnIndex",
-    "shard_of",
 ]
-
-
-def shard_of(user: int, n_shards: int) -> int:
-    """The *base* shard of *user* — hash partitioning by the id.
-
-    ``user % n_shards`` is the default ownership rule: derivable
-    everywhere (event routing, outbox targeting, checkpoint slicing,
-    re-sharding on restore) without a directory service.  A live
-    :meth:`~repro.streaming.index.DynamicKnnIndex.rebalance` can
-    override individual users away from their base shard; the
-    :class:`ShardMap` is then the authoritative rule (base modulus plus
-    an override table) and every routing site consults it instead of
-    calling this function directly.
-    """
-    return int(user) % int(n_shards)
 
 
 class ShardMap:
@@ -334,6 +321,31 @@ BUILD_BLOCK_ENTRIES = 1 << 20
 _BUILD_PAIRS = 1 << 15
 
 
+class PassCandidacy(NamedTuple):
+    """A pass's snapshot, scoring rule and transpose."""
+
+    snapshot: BipartiteDataset
+    product: str | None
+    raters: sp.csr_matrix
+
+
+def pass_candidacy(snapshot, metric, min_rating) -> PassCandidacy:
+    """The pass's scoring rule and candidacy transpose, made once.
+
+    KIFF builds its item profiles once, at loading time (Algorithm 1,
+    lines 1-2); so does a pass, for every stage, fallback and build
+    block of every shard it hosts.  ``product`` is
+    :func:`~repro.similarity.engine.product_scoring`'s answer, its one
+    scan of the rating values; ``raters``
+    (:func:`~repro.core.rcs.candidacy_raters`) carries the candidate
+    product's operand — the valued ``Rᵀ`` when that product also
+    scores cosine's pairs, else ``B.T`` of the same structure.
+    """
+    product = product_scoring(metric, snapshot, min_rating)
+    raters = candidacy_raters(snapshot, min_rating, product == "valued")
+    return PassCandidacy(snapshot, product, raters)
+
+
 class _Shard:
     """One shard's owned slice of the maintained state and its stages.
 
@@ -345,10 +357,11 @@ class _Shard:
     shard (``processes``).
 
     Whatever else a stage reads comes from the *host*
-    (``repro.streaming.index._ShardHost``): the graph rows, the
-    builder, the config, the ownership map and the scorer.  In
-    process the host is the index; in a worker it is the worker's view
-    of the published snapshot plus its mirror of the graph rows.
+    (``repro.streaming.index._ShardHost``): the graph rows, the pass's
+    candidacy (:func:`pass_candidacy`), the config, the ownership map
+    and the scorer.  In process the host is the index; in a worker it
+    is the worker's view of the published snapshot plus its mirror of
+    the graph rows.
     """
 
     __slots__ = (
@@ -361,8 +374,6 @@ class _Shard:
         "_dirty_mask",
         "_pairs",
         "_evaluations",
-        "_raters",
-        "_product",
     )
 
     def __init__(self, shard_id: int, host):
@@ -371,9 +382,7 @@ class _Shard:
         # Per-pass context, set by the stages: the owned rows rebuilt
         # from their candidate sets, the owned rows repaired in place
         # and their old boundary entries, the selected dirty users, the
-        # scored pairs of stage B and their evaluations, the
-        # snapshot's candidacy transpose (see candidate_sets) and
-        # whether the candidate product scores the pass's pairs.
+        # scored pairs of stage B and their evaluations.
         self._rebuilt = _NO_PAIRS[0]
         self._rows_mask = _NO_PAIRS[0]
         self._repaired = _NO_PAIRS[0]
@@ -381,36 +390,6 @@ class _Shard:
         self._dirty_mask = _NO_PAIRS[0]
         self._pairs = _NO_PAIRS
         self._evaluations = 0
-        self._raters: tuple = (None, None)
-        self._product: str | None = None
-
-    def _candidacy(self):
-        """``(snapshot, raters)``: the snapshot and its candidacy transpose.
-
-        The transpose (:func:`~repro.core.rcs.candidacy_raters`), the
-        one whole-matrix conversion of a pass, is built once in stage A
-        and reused by stage B and the fallback rescans, then dropped at
-        the end of stage C.  Built with it, from the snapshot and the
-        metric, is the pass's one scoring decision
-        (:func:`~repro.similarity.engine.product_scoring`): when the
-        candidate product also scores the pairs, the transpose carries
-        that product's operand — the valued ``Rᵀ`` for cosine, whose
-        structure is ``B.T``'s.  Thread-safe by ownership: only this
-        shard's stage calls touch it, and it only *reads* the shared
-        snapshot.
-        """
-        snapshot = self.host.builder.snapshot()
-        if self._raters[0] is not snapshot:
-            min_rating = self.host.config.min_rating
-            metric, _, _ = self.host._scoring()
-            self._product = product_scoring(metric, snapshot, min_rating)
-            self._raters = (
-                snapshot,
-                candidacy_raters(
-                    snapshot, min_rating, self._product == "valued"
-                ),
-            )
-        return self._raters
 
     def candidate_sets(self, users: np.ndarray) -> sp.csr_matrix:
         """Candidate rows of owned *users*: one sparse product.
@@ -425,7 +404,7 @@ class _Shard:
         and :func:`~repro.graph.updates.merge_topk_rows`) breaks ties
         by id itself.
         """
-        snapshot, raters = self._candidacy()
+        snapshot, product, raters = self.host._pass_candidacy
         if not users.size:
             return sp.csr_matrix((0, snapshot.n_users))
         return candidate_rows(
@@ -433,7 +412,7 @@ class _Shard:
             users,
             self.host.config.min_rating,
             raters,
-            self._product == "valued",
+            product == "valued",
         )
 
     # ------------------------------------------------------------------
@@ -450,7 +429,7 @@ class _Shard:
         :data:`BUILD_BLOCK_ENTRIES`.  Returns ``[0, b1, ..., n_users]``;
         block ``j`` is ``range(bounds[j], bounds[j + 1])``.
         """
-        snapshot, raters = self._candidacy()
+        snapshot, _, raters = self.host._pass_candidacy
         matrix = snapshot.matrix
         estimate = np.diff(raters.indptr)[matrix.indices]
         min_rating = self.host.config.min_rating
@@ -484,7 +463,7 @@ class _Shard:
         host = self.host
         neighbors, sims = host._rows()
         us, vs, raw = candidate_pairs(users, self.candidate_sets(users))
-        if self._product:
+        if host._pass_candidacy.product:
             scores = host._score_product(us, vs, raw)
             del raw  # a block's arrays are the build's peak memory
             fresh, ids, scores, changes = rank_fresh_rows(
@@ -547,7 +526,7 @@ class _Shard:
         host = self.host
         self._dirty_mask = np.zeros(host.n_users, dtype=bool)
         self._dirty_mask[all_dirty] = True
-        snapshot, raters = self._candidacy()
+        snapshot, _, raters = host._pass_candidacy
         items = np.concatenate([snapshot.matrix[all_dirty].indices, lost])
         candidates = np.zeros(host.n_users, dtype=bool)
         candidates[raters[np.unique(items)].indices] = True
@@ -613,7 +592,7 @@ class _Shard:
             rebuilt_mask,
             self._dirty_mask,
             self.candidate_sets(mine),
-            host._score_product if self._product else None,
+            host._score_product if host._pass_candidacy.product else None,
             host._score_pairs,
         )
         owned = np.zeros(host.n_users, dtype=bool)
@@ -676,8 +655,6 @@ class _Shard:
             evaluations += more
             changes += more_changes
             host._depth[failed] = neighbors.shape[1]
-        self._raters = (None, None)
-        self._product = None
         changed = np.union1d(active, repaired)
         return ShardMerge(
             evaluations=evaluations,
@@ -714,7 +691,7 @@ class _Shard:
             vs,
             raw[clean],
             target,
-            host._score_product if self._product else None,
+            host._score_product if host._pass_candidacy.product else None,
             host._score_pairs,
         )
         # A row's own product entries are every fresh offer it gets.

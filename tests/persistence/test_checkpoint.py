@@ -318,6 +318,91 @@ class TestFormatVersion:
             DynamicKnnIndex.restore(tmp_path)
 
 
+def set_entry(name, value):
+    """An edit writing *value* over the first entry of ``base.npz``'s
+    array *name*."""
+
+    def edit(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][0] = value
+
+    return edit
+
+
+def add_a_row(arrays):
+    """An edit appending one empty graph row, and its depth."""
+    for name in ("graph_indptr", "row_depth"):
+        arrays[name] = np.append(arrays[name], arrays[name][-1])
+
+
+#: ``(field the refusal names, edit)`` of each out-of-range state.
+BAD_FIELDS = {
+    "dirty-past-users": ("dirty", set_entry("dirty", 999)),
+    "dirty-negative": ("dirty", set_entry("dirty", -1)),
+    "lost-user-past-users": ("lost_users", set_entry("lost_users", 999)),
+    "lost-item-past-items": ("lost_items", set_entry("lost_items", 10**6)),
+    "graph-id-past-users": ("graph_ids", set_entry("graph_ids", 10**6)),
+    "graph-id-negative": ("graph_ids", set_entry("graph_ids", -2)),
+    "graph-row-past-users": ("graph rows", add_a_row),
+}
+
+
+def edit_base(path, edit):
+    """Apply *edit* to the arrays of checkpoint *path*'s ``base.npz``."""
+    with np.load(path / "base.npz", allow_pickle=False) as archive:
+        arrays = dict(archive)
+    edit(arrays)
+    np.savez_compressed(path / "base.npz", **arrays)
+    return path
+
+
+def pending_index(wal=None):
+    """A 30-user index with dirty users and a lost-item record pending."""
+    dataset = random_dataset(
+        n_users=30, n_items=12, density=0.3, seed=8, ratings=True
+    )
+    index = DynamicKnnIndex(
+        dataset, KiffConfig(k=3), auto_refresh=False, wal=wal
+    )
+    dropped = int(dataset.user_items(4)[0])
+    index.apply([AddRating(4, dropped, 0.0), AddRating(9, 2, 5.0)])
+    assert sorted(index._lost) == [4] and sorted(index._dirty) == [4, 9]
+    return index
+
+
+class TestOutOfRangeIds:
+    """A checkpoint whose ids fall outside its own snapshot is refused
+    at load, naming the field, so recovery falls back to an older one
+    instead of failing inside the refresh or skipping a dirty user."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    def test_each_bad_field_is_refused(self, tmp_path, case):
+        field, edit = BAD_FIELDS[case]
+        index = pending_index()
+        path = edit_base(save_checkpoint(index, tmp_path), edit)
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+        index.close()
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    def test_restore_falls_back_past_a_bad_newest(self, tmp_path, case):
+        """The older checkpoint plus the log tail restores the graph the
+        live index reaches."""
+        index = pending_index(wal=PartitionedWriteAheadLog(tmp_path, 1))
+        older = index.checkpoint(tmp_path)
+        index.apply([RemoveUser(11), AddRating(12, 3, 2.0)])
+        edit_base(index.checkpoint(tmp_path), BAD_FIELDS[case][1])
+        restored = DynamicKnnIndex.restore(tmp_path)
+        try:
+            assert restored.restore_info.checkpoint == older
+            assert restored.restore_info.replayed_events == 2
+            index.refresh()
+            assert restored.graph == index.graph
+        finally:
+            restored.close()
+            index.close()
+
+
 class TestLatestCheckpoint:
     def test_picks_highest_sequence(self, streamed_index, tmp_path):
         early = save_checkpoint(streamed_index, tmp_path)

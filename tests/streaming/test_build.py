@@ -267,7 +267,8 @@ class TestTinyBlocks:
             )
             # Each block closes on its first user with a candidacy item
             # (a user without one estimates 0 and joins the next block).
-            bounds = sharding._Shard(0, index).build_blocks()
+            with index._in_pass():
+                bounds = sharding._Shard(0, index).build_blocks()
             counted = np.add.reduceat(
                 estimates(dataset, min_rating) > 0, bounds[:-1]
             )
@@ -293,7 +294,8 @@ class TestBuildBlocks:
         index = DynamicKnnIndex(dataset, KiffConfig(k=3), build=False)
         estimate = estimates(dataset, None)
         monkeypatch.setattr(sharding, "BUILD_BLOCK_ENTRIES", 200)
-        bounds = sharding._Shard(0, index).build_blocks()
+        with index._in_pass():
+            bounds = sharding._Shard(0, index).build_blocks()
         assert bounds[0] == 0 and bounds[-1] == 60
         assert len(bounds) > 3
         for start, stop in zip(bounds[:-2], bounds[1:-1]):
@@ -311,7 +313,8 @@ class TestBuildBlocks:
         )
         estimate = estimates(dataset, 4.0)
         monkeypatch.setattr(sharding, "BUILD_BLOCK_ENTRIES", 1)
-        bounds = sharding._Shard(0, index).build_blocks()
+        with index._in_pass():
+            bounds = sharding._Shard(0, index).build_blocks()
         closing = (np.flatnonzero(estimate) + 1).tolist()
         assert bounds == sorted({0, *closing, dataset.n_users})
         index.close()

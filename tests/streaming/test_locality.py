@@ -188,15 +188,16 @@ class TestCandidateDerivation:
             )
             monkeypatch.undo()
 
-    @pytest.mark.parametrize(
-        "layout", [(1, "serial"), (2, "threads")], ids=["flat", "2-threads"]
-    )
-    def test_one_transpose_per_shard_and_no_csc(self, monkeypatch, layout):
-        """A pass builds the candidacy transpose at most once per shard,
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_one_candidacy_per_pass_and_no_csc(
+        self, monkeypatch, n_shards, executor
+    ):
+        """An in-process pass builds the candidacy transpose and decides
+        its scoring rule exactly once, whatever the shard count and
         fallbacks included, and never materialises the CSC mirror.  On
         integer cosine that one transpose is the valued ``Rᵀ``, whose
-        product scores the pairs as well."""
-        n_shards, executor = layout
+        product scores the pairs as well.  No candidacy outlives it."""
         index = DynamicKnnIndex(
             reserve_rows_dataset(),
             KiffConfig(k=2),
@@ -205,14 +206,7 @@ class TestCandidateDerivation:
             n_shards=n_shards,
             executor=executor,
         )
-        calls = []
-        original = sharding.candidacy_raters
-
-        def counting(dataset, min_rating, valued=False):
-            calls.append((dataset, valued))
-            return original(dataset, min_rating, valued)
-
-        monkeypatch.setattr(sharding, "candidacy_raters", counting)
+        transposes, rules = count_candidacy(monkeypatch)
         try:
             # The near users keep one item each: row 0 loses more than
             # its reserve and falls back to a rescan of its candidates.
@@ -222,17 +216,85 @@ class TestCandidateDerivation:
             assert stats.affected_users > stats.dirty_users
             assert stats.cache_hits == 0
             assert stats.cache_misses == stats.affected_users
-            assert 1 <= len(calls) <= n_shards
-            assert all(
-                dataset is index.dataset and valued
-                for dataset, valued in calls
-            )
+            assert_one_candidacy(transposes, rules, index.dataset)
+            assert index._pass_candidacy is None
             assert index.dataset._csc_cache == []
             assert index.graph == cold_rebuild_graph(
                 index.dataset, index.config, metric="cosine"
             )
         finally:
             index.close()
+
+    def test_parent_builds_no_candidacy_under_processes(self, monkeypatch):
+        """Each worker builds its pass's candidacy when it attaches the
+        published snapshot; the parent builds none."""
+        index = DynamicKnnIndex(
+            reserve_rows_dataset(),
+            KiffConfig(k=2),
+            metric="cosine",
+            auto_refresh=False,
+            n_shards=2,
+            executor="processes",
+        )
+        transposes, rules = count_candidacy(monkeypatch)
+        try:
+            index.apply(lower_near_users())
+            assert index.refresh().fallbacks == 1
+            assert transposes == rules == []
+            assert index._pass_candidacy is None
+            assert index.graph == cold_rebuild_graph(
+                index.dataset, index.config, metric="cosine"
+            )
+        finally:
+            index.close()
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_one_candidacy_per_rebuild(self, monkeypatch, n_shards):
+        """The cold build reads one candidacy across all its blocks."""
+        index = DynamicKnnIndex(
+            reserve_rows_dataset(),
+            KiffConfig(k=2),
+            metric="cosine",
+            auto_refresh=False,
+            n_shards=n_shards,
+        )
+        monkeypatch.setattr(sharding, "BUILD_BLOCK_ENTRIES", 1)
+        transposes, rules = count_candidacy(monkeypatch)
+        try:
+            result = index.rebuild()
+            assert result.extras["blocks"] > 1
+            assert_one_candidacy(transposes, rules, index.dataset)
+            assert index._pass_candidacy is None
+            assert index.dataset._csc_cache == []
+        finally:
+            index.close()
+
+
+def assert_one_candidacy(transposes, rules, dataset):
+    """One valued transpose and one scoring decision, both of *dataset*."""
+    assert len(transposes) == len(rules) == 1
+    (raters_of, valued), scored = transposes[0], rules[0]
+    assert raters_of is scored is dataset and valued
+
+
+def count_candidacy(monkeypatch):
+    """Record every ``candidacy_raters`` call as ``(dataset, valued)``
+    and every ``product_scoring`` call's dataset, through the names
+    :func:`~repro.streaming.sharding.pass_candidacy` looks up."""
+    transposes, rules = [], []
+    raters, scoring = sharding.candidacy_raters, sharding.product_scoring
+
+    def counting_raters(dataset, min_rating, valued=False):
+        transposes.append((dataset, valued))
+        return raters(dataset, min_rating, valued)
+
+    def counting_scoring(metric, dataset, min_rating):
+        rules.append(dataset)
+        return scoring(metric, dataset, min_rating)
+
+    monkeypatch.setattr(sharding, "candidacy_raters", counting_raters)
+    monkeypatch.setattr(sharding, "product_scoring", counting_scoring)
+    return transposes, rules
 
 
 class TestReferrerDiscovery:

@@ -399,8 +399,7 @@ class TestScoringCalls:
             index.apply([RemoveRating(1, 1), RemoveRating(1, 2)])
             stats = index.refresh()
             assert stats.cache_misses > 0
-            for shard in index._shards:
-                assert shard._raters == (None, None)
+            assert index._pass_candidacy is None
         finally:
             index.close()
 
@@ -466,6 +465,7 @@ class TestFailureMidRepair:
                 )
             with pytest.raises(RuntimeError, match="blew up"):
                 index.refresh()
+            assert index._pass_candidacy is None
             for name, original in scorers.items():
                 monkeypatch.setattr(index, name, original)
             monkeypatch.setattr(sharding, "merge_topk_rows", merge_rows)

@@ -30,12 +30,12 @@ from repro.streaming import (
     AddUser,
     RemoveRating,
     RemoveUser,
+    ShardMap,
     cold_rebuild_graph,
     ratings_batch,
 )
 from repro.similarity.engine import get_metric, product_scoring
 from repro.streaming import sharding
-from repro.streaming.sharding import shard_of
 from tests.conftest import random_dataset, split_checked
 from tests.streaming.test_recovery import random_events
 
@@ -211,7 +211,9 @@ class TestShardState:
         for shard_id, (all_dirty, mine) in seen.items():
             assert all_dirty == {0, 1, 2}
             assert sorted(mine.tolist()) == [
-                user for user in (0, 1, 2) if shard_of(user, 2) == shard_id
+                user
+                for user in (0, 1, 2)
+                if ShardMap(2).owner(user) == shard_id
             ]
         assert sorted(seen) == [0, 1]
 
@@ -280,7 +282,7 @@ class TestShardState:
         assert sorted(shard_id for shard_id, _, _ in plans) == [0, 1, 2]
         planned = 0
         for shard_id, rebuilt, (rows, _, _, outboxes) in plans:
-            assert all(shard_of(row, 3) == shard_id for row in rebuilt)
+            assert all(ShardMap(3).owner(row) == shard_id for row in rebuilt)
             assert np.isin(rows, rebuilt).all()
             assert all(box.target != shard_id for box in outboxes)
             planned += rows.size
@@ -320,11 +322,11 @@ class TestShardState:
             assert index.last_outboxes  # a dense dataset crosses shards
             for outbox in index.last_outboxes:
                 assert all(
-                    shard_of(row, 2) == outbox.target
+                    ShardMap(2).owner(row) == outbox.target
                     for row in outbox.rows.tolist()
                 )
                 assert all(
-                    shard_of(user, 2) != outbox.target
+                    ShardMap(2).owner(user) != outbox.target
                     for user in outbox.candidates.tolist()
                 )
                 expected = index._score_pairs(outbox.candidates, outbox.rows)
@@ -427,9 +429,9 @@ class TestShardedRecovery:
         for shard in range(2):
             for _, event in read_wal(tmp_path / f"wal-{shard}.jsonl"):
                 owner = (
-                    shard_of(new_user, 2)
+                    ShardMap(2).owner(new_user)
                     if isinstance(event, AddUser)
-                    else shard_of(event.user, 2)
+                    else ShardMap(2).owner(event.user)
                 )
                 assert owner == shard
         # The merged reader reconstructs the global order 1..4.
