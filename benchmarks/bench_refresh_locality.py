@@ -9,7 +9,9 @@ sets drawn from the 5% hold-out.  Measured via the maintenance counters
   materialisations and ProfileIndex recomputations (the acceptance bar
   of the dirty-set-proportional refresh work);
 * quadrupling the dirty set scales the counters ~4x;
-* doubling n_ratings at a fixed dirty set leaves them unchanged.
+* doubling n_ratings at a fixed dirty set leaves them unchanged;
+* a one-event refresh publishes a patch of fewer than ``n_users / 16``
+  rows instead of packing every row.
 """
 
 import os
@@ -94,6 +96,25 @@ def test_refresh_locality_one_percent_dirty(benchmark):
         rows_materialized=stats.rows_materialized,
         index_users_recomputed=stats.index_users_recomputed,
         rows_fraction_of_rebuild=stats.rows_materialized / n_users,
+        affected_users=stats.affected_users,
+        evaluations=stats.evaluations,
+    )
+
+
+def test_refresh_locality_one_event(benchmark):
+    """One event: the publication packs only the rows the pass changed."""
+    params = _SCALES.get(_SCALE, _SCALES["laptop"])
+    benchmark.group = "streaming:locality"
+    index, users, items, ratings = _prebuilt_index(params)
+    n_users = index.n_users
+    index.apply(ratings_batch(*_dirty_batch(users, items, ratings, 1)))
+
+    stats = run_once(benchmark, index.refresh)
+
+    assert 0 < stats.rows_published < n_users / 16, stats
+    benchmark.extra_info.update(
+        n_users=n_users,
+        rows_published=stats.rows_published,
         affected_users=stats.affected_users,
         evaluations=stats.evaluations,
     )

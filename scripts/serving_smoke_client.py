@@ -9,7 +9,9 @@ requests (plus one deliberately bad op) over one TCP connection,
 asserts every data reply is ok and version-stamped and that the bad op
 gets an error envelope, and that no ``neighbors`` reply holds more
 than the ``k`` the ``stats`` reply reports — the index keeps reserve
-columns beyond ``k`` that must never reach a client.  With *K* (the
+columns beyond ``k`` that must never reach a client.  Every
+``neighbors`` reply must also hold distinct ids, not the user's own,
+with non-increasing similarities.  With *K* (the
 ``k`` the server was started with) the reported ``k`` must equal it.
 It then moves user 0 to shard 1 with a live
 ``rebalance`` op (the server must run at least 2 shards) and asserts
@@ -56,7 +58,11 @@ def main() -> int:
     stats = data[-1]
     assert served_k is None or stats["k"] == served_k, stats
     for reply in data[:8] + after:
-        assert len(reply["neighbors"]) <= stats["k"], reply
+        ids, sims = reply["neighbors"], reply["sims"]
+        assert len(ids) <= stats["k"], reply
+        assert len(set(ids)) == len(ids) == len(sims), reply
+        assert reply["user"] not in ids, reply
+        assert all(a >= b for a, b in zip(sims, sims[1:])), reply
     print(
         f"answered {len(replies) + 1 + len(after)} requests at version(s) "
         f"{versions}, one live rebalance (seq {moved['seq_commit']}); "

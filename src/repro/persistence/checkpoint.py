@@ -408,6 +408,8 @@ def install_checkpoint_state(index, state: CheckpointState) -> None:
     index._sims = np.asarray(state.sims).astype(SCORE_DTYPE)
     index._depth = np.asarray(state.depth).astype(ID_DTYPE)
     index._n_rows = state.neighbors.shape[0]
+    # New rows: the next publication packs every one of them.
+    index._publish_all = True
     index._partition(ShardMap(state.n_shards, state.shard_overrides))
     index._dirty.clear()
     index._dirty.update(state.dirty)

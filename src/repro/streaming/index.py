@@ -66,9 +66,10 @@ written here (``_refresh``): select the dirty users (with
 ``dirty_subset`` deferral), rebind the profiles, run the three
 per-shard stages — affected discovery, pair planning and scoring with
 outboxes, rank/merge — and record :class:`RefreshStats` and publish a
-read snapshot.  The executor only carries the stage calls to the
-shards: in shard order (``serial``), on a thread pool (``threads``) or
-to one worker process per shard (``processes``, see
+read snapshot of the rows the pass changed.  The executor only
+carries the stage calls to the shards: in shard order (``serial``),
+on a thread pool (``threads``) or to one worker process per shard
+(``processes``, see
 :mod:`repro.streaming.procpool`).  Live :meth:`DynamicKnnIndex.rebalance`
 moves users between shards or changes the shard count without
 stopping ingestion.
@@ -76,19 +77,19 @@ stopping ingestion.
 Dirty-set-proportional cost
 ---------------------------
 The evaluations and most stages of a refresh scale with the dirty set,
-not the dataset.  Four whole-dataset floors remain per pass, cheap per
-element but dominant in small passes over large data: the candidacy
-transpose ``B.T``, or the valued ``Rᵀ`` of the same structure on a
-product-scored cosine pass (:func:`repro.core.rcs.candidacy_raters`;
-O(nnz)), the eligibility scan deciding whether the pass is
-product-scored (:func:`~repro.similarity.engine.product_scoring`
-checks every rating value on a cosine pass; O(nnz)) — both made once
-per pass per process, whatever the shard count, by
-:func:`~repro.streaming.sharding.pass_candidacy` — publication
-(``GraphSnapshot.capture`` packs every row with
-:func:`repro.layout.pack_rows`; O(n·k)) and the snapshot splice
-(``MutableBipartiteBuilder.snapshot`` copies the whole CSR around the
-dirty rows; an O(nnz) memcpy).  The dirty-set-proportional stages:
+not the dataset.  Three whole-dataset floors remain per pass, cheap
+per element but dominant in small passes over large data: the
+candidacy transpose ``B.T``, or the valued ``Rᵀ`` of the same
+structure on a product-scored cosine pass
+(:func:`repro.core.rcs.candidacy_raters`; O(nnz)), the eligibility
+scan deciding whether the pass is product-scored
+(:func:`~repro.similarity.engine.product_scoring` checks every rating
+value on a cosine pass; O(nnz)) — both made once per pass per process,
+whatever the shard count, by
+:func:`~repro.streaming.sharding.pass_candidacy` — and the snapshot
+splice (``MutableBipartiteBuilder.snapshot`` copies the whole CSR
+around the dirty rows; an O(nnz) memcpy).  The dirty-set-proportional
+stages:
 
 * **Snapshot** — ``MutableBipartiteBuilder.snapshot`` derives only the
   dirty rows, from the previous snapshot and the changes absorbed since
@@ -124,6 +125,12 @@ dirty rows; an O(nnz) memcpy).  The dirty-set-proportional stages:
   kernel.  On every pass each pair is scored once, in stage B, and the
   rebuilt rows are ranked straight off their scored product rows: the
   merge sees only the mirror offers to rows not rebuilt and the inbox.
+* **Publication** — ``GraphSnapshot.capture`` packs the rows changed
+  since the previous snapshot's base (the rebuilt rows and every
+  ``ShardMerge.rows``, plus rows appended since) over that shared
+  base: O(rows changed since the last full pack), with a full repack
+  amortised over ≥ n/16 changed rows (see
+  :mod:`repro.serving.snapshot`).
 
 The per-user work is tallied into a shared
 :class:`~repro.instrumentation.counters.MaintenanceCounter`
@@ -270,6 +277,10 @@ class RefreshStats:
     #: Repaired rows that failed the check — they lost more than their
     #: reserve — and were rescanned (included in ``affected_users``).
     fallbacks: int = 0
+    #: Rows the pass's publication packed: ``n_users`` when it packed
+    #: every row, its patch's rows otherwise, 0 when it re-published
+    #: the previous snapshot (see :mod:`repro.serving.snapshot`).
+    rows_published: int = 0
 
 
 class _ShardHost:
@@ -459,6 +470,10 @@ class DynamicKnnIndex(_ShardHost):
         #: :mod:`repro.serving.snapshot`).  None until the first
         #: completed ``rebuild()``/``refresh()`` publishes.
         self._snapshot: GraphSnapshot | None = None
+        #: Set when rows may have changed that the next publication is
+        #: not told of (a rebuild, a checkpoint install, a pass that
+        #: raised after touching rows): it then packs every row.
+        self._publish_all = True
         self.config = config or KiffConfig()
         self.auto_refresh = auto_refresh
         #: Shared per-user maintenance work accounting (snapshot rows,
@@ -756,31 +771,48 @@ class DynamicKnnIndex(_ShardHost):
         snapshot = self._snapshot
         return None if snapshot is None else snapshot.version
 
-    def _publish_snapshot(self, unchanged: bool = False) -> None:
+    def _unchanged_since_publish(self) -> bool:
+        """Does the published snapshot still hold the live ratings,
+        population and rows?  Only then may it be re-published under a
+        newer sequence.  Never materialises the builder's snapshot."""
+        snapshot = self._snapshot
+        return (
+            snapshot is not None
+            and not self._publish_all
+            and not self.builder.dirty_rows
+            and self.builder.snapshot() is snapshot.dataset
+        )
+
+    def _publish_snapshot(self, changed) -> int:
         """Publish the current state as the pinned-readable snapshot.
 
-        With ``unchanged=True`` (a refresh that absorbed only no-op
-        events) the previous snapshot's arrays are republished under
-        the new covering sequence — no copy.  Otherwise the live rows
-        are frozen; the dataset and profile-index arrays are shared by
-        reference (the write path replaces rather than mutates them).
+        *changed* names every row changed since the last publication
+        (rows appended since are found by the capture) unless
+        ``_publish_all`` is set.  The capture packs only those rows over
+        the previous snapshot's base, or every row (see
+        :mod:`repro.serving.snapshot`); the dataset and profile-index
+        arrays are shared by reference (the write path replaces rather
+        than mutates them).  Returns the number of rows packed.
         """
-        previous = self._snapshot
-        if unchanged and previous is not None:
-            if previous.version != self._seq:
-                self._snapshot = previous.at_version(self._seq)
-            return
+        previous = None if self._publish_all else self._snapshot
         neighbors, sims = self._rows()
         k = self.config.k
         index = self.engine.index
-        self._snapshot = GraphSnapshot.capture(
+        snapshot = GraphSnapshot.capture(
             self._seq,
             neighbors[:, :k],
             sims[:, :k],
             self.builder.snapshot(),
             index.norms,
             index.sizes,
+            previous=previous,
+            changed=changed,
         )
+        self._snapshot = snapshot
+        self._publish_all = False
+        if previous is not None and snapshot.indptr is previous.indptr:
+            return int(snapshot.patch_rows.size)
+        return snapshot.n_users
 
     # ------------------------------------------------------------------
     # Ingestion: typed events through one choke point
@@ -1096,18 +1128,23 @@ class DynamicKnnIndex(_ShardHost):
         the bit-exact converged graph (the contract
         :class:`repro.scheduling.RefreshScheduler` builds on).
 
-        Completion publishes a new read snapshot (:meth:`pin`);
+        Completion publishes a new read snapshot (:meth:`pin`) of the
+        current ratings, population and rows, deferred users included;
         concurrent readers keep answering on the previous one and never
-        observe the in-place row mutations this pass performs.
+        observe the in-place row mutations this pass performs.  When no
+        event since the last publication changed the ratings or the
+        population and nothing is selected, the previous snapshot's
+        arrays are re-published under the new sequence.
         """
         return self._refresh(dirty_subset)
 
     def _refresh(self, dirty_subset) -> RefreshStats:
         """The refresh driver every index class and executor runs.
 
-        Selection (with deferral), an empty pass when nothing is
-        selected, one rebind, the per-shard stages (:meth:`_run_pass`),
-        then :class:`RefreshStats` and the snapshot publication.
+        Selection (with deferral), one rebind unless the published
+        snapshot can be re-published, the per-shard stages
+        (:meth:`_run_pass`) when anyone is selected, then the snapshot
+        publication and :class:`RefreshStats`.
         """
         self._ensure_open()
         start = time.perf_counter()
@@ -1123,7 +1160,12 @@ class DynamicKnnIndex(_ShardHost):
             selected = {u for u in self._dirty if u in subset}
             deferred = {u for u in self._dirty if u not in subset}
         affected = repaired = fallbacks = evaluations = changes = 0
-        if selected:
+        # Nothing to publish when no event since the last publication
+        # changed the ratings or the population: the snapshot's arrays
+        # are re-published under the new sequence.
+        republish = not selected and self._unchanged_since_publish()
+        changed = ()
+        if not republish:
             # Incremental end to end: the snapshot patches only dirty
             # rows, and the ProfileIndex recomputes only dirty users.
             # The rebind covers the FULL dirty set — deferred users
@@ -1133,13 +1175,21 @@ class DynamicKnnIndex(_ShardHost):
             self.engine.rebind(
                 self.builder.snapshot(), dirty_users=self._dirty
             )
-            rebuilt, repairs, merges = self._run_pass(selected, deferred)
+        if selected:
+            try:
+                rebuilt, repairs, merges = self._run_pass(selected, deferred)
+            except BaseException:
+                # Rows this pass merged into may lie outside what the
+                # next pass changes, so its publication packs them all.
+                self._publish_all = True
+                raise
             fallbacks = int(sum(merge.fallbacks for merge in merges))
             affected = rebuilt.size + fallbacks
             repaired = repairs.size - fallbacks
             evaluations = sum(merge.evaluations for merge in merges)
             changes = sum(merge.changes for merge in merges)
             self.engine.counter.add(evaluations)
+            changed = np.concatenate([rebuilt, *(m.rows for m in merges)])
         # An empty selection (only no-op events, or everything
         # deferred) still logs a pass, so refresh_log stays one entry
         # per refresh performed.
@@ -1148,13 +1198,19 @@ class DynamicKnnIndex(_ShardHost):
         for user in selected.intersection(self._lost):
             del self._lost[user]
         self._pending_events = 0
+        wall_time = time.perf_counter() - start
+        if republish:
+            self._snapshot = self._snapshot.at_version(self._seq)
+            rows_published = 0
+        else:
+            rows_published = self._publish_snapshot(changed)
         stats = RefreshStats(
             events=n_events,
             dirty_users=len(selected),
             affected_users=int(affected),
             evaluations=int(evaluations),
             changes=int(changes),
-            wall_time=time.perf_counter() - start,
+            wall_time=wall_time,
             rows_materialized=maintenance.rows_materialized - rows_before,
             index_users_recomputed=maintenance.index_users_recomputed
             - index_before,
@@ -1162,8 +1218,8 @@ class DynamicKnnIndex(_ShardHost):
             deferred_users=len(deferred),
             repaired_users=int(repaired),
             fallbacks=fallbacks,
+            rows_published=rows_published,
         )
-        self._publish_snapshot(unchanged=not selected)
         self.refresh_log.append(stats)
         return stats
 
@@ -1346,6 +1402,7 @@ class DynamicKnnIndex(_ShardHost):
         from .sharding import _Shard
 
         self._ensure_open()
+        self._publish_all = True
         self.engine.rebind(self.builder.snapshot())
         k, width = self.config.k, self.config.k + RESERVE
         self._n_rows = self.builder.n_users
@@ -1365,7 +1422,7 @@ class DynamicKnnIndex(_ShardHost):
         self._dirty.clear()
         self._lost.clear()
         self._pending_events = 0
-        self._publish_snapshot()
+        self._publish_snapshot(())
         trace = ConvergenceTrace()
         trace.record(1, self.engine.counter.evaluations, changes)
         neighbors, sims = self._rows()
@@ -1493,10 +1550,12 @@ class DynamicKnnIndex(_ShardHost):
                 MigrateCommit(moves=moves, n_shards=plan.n_shards),
             )
             moved = self._apply_plan_flip(moves, plan.n_shards)
-            if self._snapshot is not None:
+            if self._unchanged_since_publish():
                 # Republish under the commit's covering sequence — the
                 # rows are unchanged, so readers keep the same arrays.
-                self._publish_snapshot(unchanged=True)
+                # With events pending the snapshot keeps its version:
+                # it does not reflect them.
+                self._snapshot = self._snapshot.at_version(self._seq)
         stats = RebalanceStats(
             users_moved=len(moved),
             shards_before=shards_before,

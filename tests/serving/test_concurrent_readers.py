@@ -5,7 +5,11 @@ applies the parity corpus's event stream and refreshes.  Every sampled
 response must be bit-identical to a cold recomputation against the
 published snapshot of the version it reports, versions must be
 monotonic per reader, and every published snapshot must itself be in
-exact parity with a cold KIFF rebuild on its own dataset view.
+exact parity with a cold KIFF rebuild on its own dataset view.  Each
+executor runs twice: with the default patch share (these small
+indexes then pack every row on nearly every publication) and with
+patches allowed up to every row (each publication a patch over the
+first base).
 """
 
 import threading
@@ -15,6 +19,7 @@ import pytest
 
 from repro import DynamicKnnIndex, KiffConfig, ShardedKnnIndex
 from repro.serving import neighbors_on, recommend_on
+from repro.serving import snapshot as snapshot_module
 from repro.streaming import AddRating, AddUser, RemoveUser, cold_rebuild_graph
 from tests.conftest import random_dataset
 
@@ -52,10 +57,21 @@ def _random_event(rng, n_users, max_item=14):
     return RemoveUser(int(rng.integers(0, n_users)))
 
 
-@pytest.mark.parametrize(
-    "kind", ["dynamic", "serial", "threads", "processes"]
-)
+KINDS = ["dynamic", "serial", "threads", "processes"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_readers_never_observe_torn_or_stale_state(kind):
+    _check_readers(kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_readers_of_patched_snapshots(kind, monkeypatch):
+    monkeypatch.setattr(snapshot_module, "MAX_PATCH_SHARE", 1.0)
+    _check_readers(kind)
+
+
+def _check_readers(kind):
     index = _make_index(kind)
     try:
         first = index.pin()

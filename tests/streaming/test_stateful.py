@@ -16,6 +16,10 @@ a fresh index, and live rebalancing.  Invariants:
 * a restored index, refreshed, equals the cold rebuild of the live
   data, and the live graph itself whenever nothing is pending;
 * snapshot versions never go backwards;
+* the pinned snapshot holds the live rows: every row it publishes
+  equals the live one, and every row appended since is empty (the
+  patch limit is raised to half the rows, so these 14-user indexes
+  publish patches over a shared base as well as full packs);
 * every pass's stage-A split (rows rebuilt, rows repaired) equals the
   split a brute-force ``np.isin`` scan of every row gives, reserve
   columns included;
@@ -62,6 +66,8 @@ from repro.streaming import (
     cold_rebuild_graph,
     converged_config,
 )
+from repro.graph.knn_graph import MISSING
+from repro.serving import snapshot as snapshot_module
 from repro.similarity.engine import get_metric, product_scoring
 from repro.streaming.index import RESERVE
 from tests.conftest import (
@@ -94,6 +100,11 @@ class IndexMachine(RuleBasedStateMachine):
         self.directory = tempfile.mkdtemp(prefix="repro-fuzz-")
         self.index = None
         self.version = None
+        # Patches of up to half the rows, as BUILD_BLOCK_ENTRIES is
+        # lowered for small builds: the default share would pack every
+        # row of a 14-user index on every publication.
+        self._patch_share = snapshot_module.MAX_PATCH_SHARE
+        snapshot_module.MAX_PATCH_SHARE = 0.5
 
     @initialize(
         seed=st.integers(0, 3),
@@ -123,6 +134,7 @@ class IndexMachine(RuleBasedStateMachine):
         self.version = self.index.snapshot_version
 
     def teardown(self):
+        snapshot_module.MAX_PATCH_SHARE = self._patch_share
         if self.index is not None:
             self.index.close()
         shutil.rmtree(self.directory, ignore_errors=True)
@@ -348,6 +360,7 @@ class IndexMachine(RuleBasedStateMachine):
             restored.detach_wal().close()
             assert restored.dataset == self.index.dataset
             assert restored.graph == self._cold()
+            assert restored.pin().graph() == restored.graph
             if not self.index.dirty_users:
                 assert restored.graph == self.index.graph
         finally:
@@ -375,6 +388,17 @@ class IndexMachine(RuleBasedStateMachine):
         version = self.index.snapshot_version
         assert version >= self.version
         self.version = version
+
+    @invariant()
+    def pinned_snapshot_holds_the_live_rows(self):
+        if self.index is None:
+            return
+        published = self.index.pin().graph()
+        live = self.index.graph
+        n_users = published.n_users
+        assert (live.neighbors[:n_users] == published.neighbors).all()
+        assert (live.sims[:n_users] == published.sims).all()
+        assert (live.neighbors[n_users:] == MISSING).all()
 
     @invariant()
     def exact_prefixes_match_the_wide_cold_rebuild(self):
